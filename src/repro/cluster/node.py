@@ -83,20 +83,36 @@ class Node:
     # ------------------------------------------------------------------
     # CPU
     # ------------------------------------------------------------------
-    def run_job(self, demand: float, tag: object = None, weight: int = 1) -> CpuJob:
+    def run_job(
+        self,
+        demand: float,
+        tag: object = None,
+        weight: int = 1,
+        then: Optional[Callable[[], None]] = None,
+        fail: Optional[Callable[[BaseException], None]] = None,
+    ) -> CpuJob:
         """Submit CPU work of ``demand`` seconds (at unit speed) and return
-        the job; ``job.done`` fires on completion.  ``weight`` batches that
-        many identical requests into one job (see
-        :class:`~repro.simulation.resources.CpuJob`)."""
-        if not self.up:
+        the job.  With a continuation, ``then()`` runs on completion and
+        ``fail(error)`` on abort; without one, ``job.done`` fires.
+        ``weight`` batches that many identical requests into one job (see
+        :class:`~repro.simulation.resources.CpuJob`).
+
+        On a crashed node a job without a continuation raises
+        :class:`NodeDown`; a continuation job is failed asynchronously
+        with it instead, exactly like work aborted by the crash."""
+        if not self.up and then is None:
             raise NodeDown(self.name)
-        job = CpuJob(self.kernel, demand, tag=tag, weight=weight)
+        job = CpuJob(self.kernel, demand, tag=tag, weight=weight, then=then, fail=fail)
+        if not self.up:
+            job._settle(self.kernel, NodeDown(self.name))
+            return job
         if self.isolated:
             # The caller cannot tell an isolated node from a healthy one
             # (that is the point of a partition): the job is accepted and
             # fails asynchronously, like a timed-out RPC.  Callbacks added
-            # after this fire via the kernel (see Signal.add_callback).
-            job.done.fail(NodeIsolated(self.name))
+            # to ``job.done`` after this fire via the kernel (see
+            # Signal.add_callback).
+            job._settle(self.kernel, NodeIsolated(self.name))
             return job
         self.cpu.submit(job)
         return job

@@ -295,11 +295,12 @@ class CJdbcController(LegacyServer):
             )
 
     def _relay(self, inner: Signal, sig: Signal, weight: int = 1) -> None:
+        # Only ever the last statement of a signal callback (``answered``).
         if inner.error is not None:
             self._fail(sig, inner.error, weight)
         else:
             self._end(weight=weight)
-            sig.succeed(self)
+            sig.succeed_tail(self)
 
     def _fail(self, sig: Signal, err: BaseException, weight: int = 1) -> None:
         self._end(ok=False, weight=weight)

@@ -119,7 +119,7 @@ class MySqlServer(LegacyServer):
         def ok() -> None:
             self.reads_served += weight
             self._end(weight=weight)
-            sig.succeed(self)
+            sig.succeed_tail(self)  # tail of a _run_then continuation
 
         def fail(err: BaseException) -> None:
             self._end(ok=False, weight=weight)

@@ -85,11 +85,17 @@ class WebRequest:
         self.hops.append(server_name)
 
     def complete(self, kernel: SimKernel) -> None:
-        """Mark success and fire the completion signal."""
+        """Mark success and fire the completion signal.
+
+        The signal fires with :meth:`Signal.succeed_tail
+        <repro.simulation.process.Signal.succeed_tail>`, so call this only
+        as the last action of a kernel-dispatched callback chain (as
+        ``TomcatServer._finish`` and ``ApacheServer._finish_static`` do)
+        or before anyone waits on the completion."""
         if self.completion.fired:
             return
         self.completed_at = kernel.now
-        self.completion.succeed(self)
+        self.completion.succeed_tail(self)
 
     def fail(self, kernel: SimKernel, reason: str) -> None:
         """Mark failure and fire the completion signal with an error."""

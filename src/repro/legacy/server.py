@@ -16,7 +16,6 @@ from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.legacy.directory import Directory
 from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Signal
 
 
 class ServerNotRunning(RuntimeError):
@@ -169,9 +168,9 @@ class LegacyServer:
         """Run ``fn`` after a simulated network hop (immediately if no LAN
         model was provided)."""
         if self.lan is None:
-            self.kernel.call_soon(fn, *args)
+            self.kernel.post(fn, *args)
         else:
-            self.kernel.schedule(self.lan.message_delay(), fn, *args)
+            self.kernel.post_in(self.lan.message_delay(), fn, *args)
 
     def _run_then(
         self,
@@ -184,19 +183,19 @@ class LegacyServer:
         on CPU abort (node crash) call ``fail``.  ``weight`` is the number
         of batched identical requests the demand sums over (cohorts): the
         CPU sees ``weight`` concurrent requests of ``demand / weight``
-        each."""
+        each.  If our node has already crashed, ``fail`` receives
+        :class:`~repro.cluster.node.NodeDown` asynchronously, as if the
+        crash had aborted the work.
+
+        ``fn`` runs as its own kernel event or through the kernel's tail
+        dispatch, so it may end in a tail call (``succeed_tail``).  With
+        ``demand <= 0`` it runs synchronously instead; every caller is
+        then either itself in tail position or fires a signal that has no
+        waiter yet, so such a tail call stays exact."""
         if demand <= 0.0:
             fn()
             return
-        job = self.node.run_job(demand, tag=self.name, weight=weight)
-
-        def _done(sig: Signal) -> None:
-            if sig.error is not None:
-                fail(sig.error)
-            else:
-                fn()
-
-        job.done.add_callback(_done)
+        self.node.run_job(demand, tag=self.name, weight=weight, then=fn, fail=fail)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else "stopped"

@@ -21,6 +21,33 @@ Three fast paths keep the hot loop cheap at scale:
 * **Tuple-free ordering** — heap entries compare on ``time``/``seq``
   attributes directly rather than allocating a ``(time, seq)`` tuple per
   comparison.
+
+Tail dispatch
+-------------
+Most continuations on the request path (a CPU job's completion handler,
+a signal relayed from one server to the next, a client resumed by its
+response) are posted at the current instant as the very last action of
+the callback that produces them.  When nothing else is pending at that
+instant, the posted event is exactly the next one :meth:`SimKernel.run`
+would dispatch: every other pending event lies strictly in the future.
+:meth:`SimKernel._tail` runs such a continuation inline in that case and
+posts it otherwise.  The inline call happens-before the same set of
+events, at the same ``now``, as the posted one would, so the simulated
+order of actions — and every output — is unchanged.
+
+The rule is exact only if the caller does nothing after ``_tail``
+returns, and the same holds for every frame between it and the kernel's
+dispatch; call sites are therefore restricted to audited tail positions
+(``PsCpu._complete_next``, ``Signal.succeed_tail`` and its callers).
+``_tail`` runs inline only while :meth:`SimKernel.run` is active and
+:meth:`SimKernel.stop` has not been called, and only when the timestamp
+``now`` has no index entry or its bucket is fully drained; under
+:meth:`SimKernel.step`, after ``stop()`` or with a same-instant event
+pending (cancelled or not) it posts.
+
+``events_processed`` counts dispatched events only; ``tail_dispatched``
+counts inline continuations.  Their sum equals the ``events_processed``
+of the same run with every tail call posted.
 """
 
 from __future__ import annotations
@@ -138,7 +165,10 @@ class SimKernel:
         self._cur_bucket: Optional[_Bucket] = None
         self._cur_i = 0
         self._freelist: list[Event] = []
+        #: callbacks dispatched from the queue
         self.events_processed = 0
+        #: continuations run inline by :meth:`_tail` instead of posted
+        self.tail_dispatched = 0
         #: cancelled events discarded when they reached the heap head
         #: (``pending`` counts them until then; they never count in
         #: ``events_processed``)
@@ -229,6 +259,22 @@ class SimKernel:
             index[time] = bucket
             heapq.heappush(self._heap, (time, seq, bucket))
         self._pending += 1
+
+    def _tail(self, fn: Callable[..., Any], args: tuple) -> None:
+        """Post ``fn(*args)`` at the current instant, or run it inline when
+        the posted event would be the next one dispatched anyway (see the
+        module docstring).  Only call this as the last action of a
+        callback dispatched by :meth:`run`: nothing may follow it, in the
+        caller or in any frame up to the kernel."""
+        if self._running and not self._stopped:
+            cur = self._index.get(self._now)
+            if cur is None or (
+                cur is self._cur_bucket and self._cur_i >= len(cur.events)
+            ):
+                self.tail_dispatched += 1
+                fn(*args)
+                return
+        self._post_at(self._now, fn, args)
 
     def _enqueue(self, ev: Event) -> None:
         index = self._index

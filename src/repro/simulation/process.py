@@ -77,6 +77,26 @@ class Signal:
             for fn in callbacks:
                 post(fn, self)
 
+    def succeed_tail(self, value: Any = None) -> None:
+        """:meth:`succeed` from a tail position: a lone waiter is handed to
+        :meth:`SimKernel._tail <repro.simulation.kernel.SimKernel._tail>`
+        (run inline when that is exact); several waiters are posted as
+        by :meth:`succeed`.  Call it only as the last statement of a
+        callback chain dispatched by the kernel."""
+        if self.fired:
+            raise RuntimeError("Signal already fired")
+        self.fired = True
+        self.value = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            if len(callbacks) == 1:
+                self._kernel._tail(callbacks[0], (self,))
+                return
+            post = self._kernel.post
+            for fn in callbacks:
+                post(fn, self)
+
     def fail(self, error: BaseException) -> None:
         """Fire the signal with an error; waiting processes see it raised."""
         if self.fired:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from collections import deque
 from typing import Callable, Optional
 
@@ -79,7 +80,16 @@ class CpuJob:
 
     ``demand`` is expressed in seconds of CPU time *at full speed*; the
     resource's ``speed`` factor and capacity model determine how long the job
-    actually takes.  ``done`` fires with the job when service completes.
+    actually takes.
+
+    Completion is announced in one of two ways.  A job built with a
+    continuation calls ``then()`` when service completes and
+    ``fail(error)`` when it is aborted; it has no ``done`` signal.  A job
+    built without one carries ``done``, a :class:`Signal` that fires with
+    the job (or fails with the error).  Either way the announcement is one
+    kernel event at the completion instant, except that
+    :meth:`PsCpu._complete_next` may hand a lone continuation to the
+    kernel's tail dispatch.
 
     ``weight`` models a *cohort* of identical concurrent requests as one
     job: a job of weight ``w`` counts as ``w`` concurrent requests for
@@ -92,6 +102,9 @@ class CpuJob:
         "demand",
         "weight",
         "done",
+        "then",
+        "fail",
+        "finished",
         "tag",
         "submitted_at",
         "completed_at",
@@ -99,19 +112,45 @@ class CpuJob:
     )
 
     def __init__(
-        self, kernel: SimKernel, demand: float, tag: object = None, weight: int = 1
+        self,
+        kernel: SimKernel,
+        demand: float,
+        tag: object = None,
+        weight: int = 1,
+        then: Optional[Callable[[], None]] = None,
+        fail: Optional[Callable[[BaseException], None]] = None,
     ):
         if demand < 0:
             raise ValueError("demand must be >= 0")
         if weight < 1:
             raise ValueError("weight must be >= 1")
+        if (then is None) != (fail is None):
+            raise ValueError("then and fail must be given together")
         self.demand = demand
         self.weight = weight
-        self.done = Signal(kernel)
+        self.then = then
+        self.fail = fail
+        self.done: Optional[Signal] = Signal(kernel) if then is None else None
+        #: completed or aborted (the continuation is announced)
+        self.finished = False
         self.tag = tag
         self.submitted_at: Optional[float] = None
         self.completed_at: Optional[float] = None
         self._vfinish = 0.0
+
+    def _settle(self, kernel: SimKernel, error: Optional[BaseException] = None) -> None:
+        """Mark the job finished and announce it: post the continuation, or
+        fire ``done``."""
+        self.finished = True
+        if self.then is None:
+            if error is None:
+                self.done.succeed(self)
+            else:
+                self.done.fail(error)
+        elif error is None:
+            kernel._post_at(kernel._now, self.then, ())
+        else:
+            kernel._post_at(kernel._now, self.fail, (error,))
 
     @property
     def sojourn(self) -> Optional[float]:
@@ -183,6 +222,12 @@ class CpuResource:
             self._last_update = now
 
 
+_INF = float("inf")
+
+#: ``PsCpu._knee`` of an ideal CPU: every concurrency is below the knee
+_NO_KNEE = sys.maxsize
+
+
 class PsCpu(CpuResource):
     """Processor-sharing CPU with optional capacity degradation.
 
@@ -200,6 +245,10 @@ class PsCpu(CpuResource):
     ever push completions *later* — and it replaces the former
     cancel-and-reschedule per arrival (and its heap tombstone) with at most
     one extra no-op dispatch per rate change.
+
+    At or below the knee of a :class:`ThrashingCurve` (and always on an
+    ideal CPU) the rate is computed as ``speed / n``, skipping the
+    capacity-model call; that equals ``speed * 1.0 / n`` bit for bit.
     """
 
     def __init__(
@@ -211,9 +260,15 @@ class PsCpu(CpuResource):
     ):
         super().__init__(kernel, speed, name)
         self.capacity_model = capacity_model
-        # Ideal CPUs (no thrashing curve) skip the capacity-model call on
-        # every rate computation — the dominant case for web/app tiers.
-        self._ideal = capacity_model is constant_capacity
+        # Concurrency up to which capacity_model(n) == 1.0: rate
+        # computations below it skip the capacity-model call.  -1 for an
+        # opaque model (always call it).
+        if capacity_model is constant_capacity:
+            self._knee = _NO_KNEE
+        elif type(capacity_model) is ThrashingCurve:
+            self._knee = capacity_model.knee
+        else:
+            self._knee = -1
         self._vnow = 0.0
         self._vlast = kernel.now  # real time of last virtual-time update
         self._heap: list[tuple[float, int, CpuJob]] = []
@@ -233,6 +288,8 @@ class PsCpu(CpuResource):
         n = self._live
         if n == 0:
             return 0.0
+        if n <= self._knee:
+            return self._espeed / n
         return self._espeed * self.capacity_model(n) / n
 
     def set_degradation(self, factor: float) -> None:
@@ -258,8 +315,9 @@ class PsCpu(CpuResource):
         self._vlast = now
 
     def submit(self, job: CpuJob) -> CpuJob:
-        """Add a job to the shared processor.  ``job.done`` fires on
-        completion.  Zero-demand jobs complete immediately."""
+        """Add a job to the shared processor; its completion is announced
+        as described on :class:`CpuJob`.  Zero-demand jobs complete
+        immediately."""
         kernel = self.kernel
         now = kernel._now  # hot path: skip the property
         # Inlined _advance_accounting + _advance_virtual (hot path).
@@ -272,7 +330,7 @@ class PsCpu(CpuResource):
             if n:
                 rate = (
                     self._espeed / n
-                    if self._ideal
+                    if n <= self._knee
                     else self._espeed * self.capacity_model(n) / n
                 )
                 self._vnow += (now - self._vlast) * rate
@@ -282,7 +340,7 @@ class PsCpu(CpuResource):
         if job.demand == 0.0:
             job.completed_at = now
             self.completed += weight
-            job.done.succeed(job)
+            job._settle(kernel)
             return job
         vfinish = self._vnow + (job.demand / weight if weight != 1 else job.demand)
         job._vfinish = vfinish
@@ -293,7 +351,7 @@ class PsCpu(CpuResource):
         n = self._live
         rate = (
             self._espeed / n
-            if self._ideal
+            if n <= self._knee
             else self._espeed * self.capacity_model(n) / n
         )
         wake = now + (self._heap[0][0] - self._vnow) / rate
@@ -309,7 +367,7 @@ class PsCpu(CpuResource):
         self._wake_token += 1  # invalidate any pending wake
         self._wake_at = float("inf")
         # Drop any aborted entries sitting at the top of the heap.
-        while self._heap and self._heap[0][2].done.fired:
+        while self._heap and self._heap[0][2].finished:
             heapq.heappop(self._heap)
         if not self._heap:
             return
@@ -335,7 +393,7 @@ class PsCpu(CpuResource):
             if n:
                 rate = (
                     self._espeed / n
-                    if self._ideal
+                    if n <= self._knee
                     else self._espeed * self.capacity_model(n) / n
                 )
                 vnow += (now - self._vlast) * rate
@@ -344,38 +402,55 @@ class PsCpu(CpuResource):
         # Complete every job whose virtual finish time has been reached
         # (simultaneous completions happen with equal demands).  A wake-up
         # may arrive early (see class docstring); it then completes nothing
-        # and simply reschedules below.
+        # and simply reschedules below.  Each completed job is announced
+        # when the next one is found, so the last one is still held here.
         heap = self._heap
         vdue = vnow + 1e-9 * (1.0 if -1.0 < vnow < 1.0 else abs(vnow))
+        held = None
+        lone = True
         while heap and heap[0][0] <= vdue:
             _, _, job = heapq.heappop(heap)
-            if job.done.fired:  # aborted entry
+            if job.finished:  # aborted entry
                 continue
             weight = job.weight
             self._live -= weight
             job.completed_at = now
             self.completed += weight
             self.service_delivered += job.demand
-            job.done.succeed(job)
+            if held is not None:
+                held._settle(kernel)
+                lone = False
+            held = job
         # Reschedule for the (possibly moved) next completion.
-        while heap and heap[0][2].done.fired:
+        while heap and heap[0][2].finished:
             heapq.heappop(heap)
+        self._wake_token += 1
         if heap:
             n = self._live
             rate = (
                 self._espeed / n
-                if self._ideal
+                if n <= self._knee
                 else self._espeed * self.capacity_model(n) / n
             )
             wake = now + (heap[0][0] - vnow) / rate
             if wake < now:
                 wake = now
-            self._wake_token += 1
-            self._wake_at = wake
-            kernel._post_at(wake, self._complete_next, (self._wake_token,))
         else:
-            self._wake_token += 1
-            self._wake_at = float("inf")
+            wake = _INF
+        self._wake_at = wake
+        if held is not None:
+            if lone and wake > now and held.then is not None:
+                # The continuation would be posted last at ``now`` and the
+                # wake lands later: hand it to the kernel's tail dispatch,
+                # after the wake is posted, as the very last action.
+                held.finished = True
+                if heap:
+                    kernel._post_at(wake, self._complete_next, (self._wake_token,))
+                kernel._tail(held.then, ())
+                return
+            held._settle(kernel)
+        if heap:
+            kernel._post_at(wake, self._complete_next, (self._wake_token,))
 
     def abort_all(self, error: Optional[BaseException] = None) -> int:
         """Fail every in-flight job (e.g. the hosting server crashed).
@@ -388,9 +463,10 @@ class PsCpu(CpuResource):
         self._advance_virtual()
         err = error if error is not None else ResourceStopped(self.name)
         aborted = 0
+        kernel = self.kernel
         for _, _, job in self._heap:
-            if not job.done.fired:
-                job.done.fail(err)
+            if not job.finished:
+                job._settle(kernel, err)
                 aborted += 1
         self._heap.clear()
         self._live = 0
@@ -433,7 +509,7 @@ class FifoCpu(CpuResource):
         if job.demand == 0.0:
             job.completed_at = self.kernel.now
             self.completed += job.weight
-            job.done.succeed(job)
+            job._settle(self.kernel)
             return job
         self._queue.append(job)
         if self._in_service is None:
@@ -458,7 +534,7 @@ class FifoCpu(CpuResource):
         job.completed_at = self.kernel.now
         self.completed += job.weight
         self.service_delivered += job.demand
-        job.done.succeed(job)
+        job._settle(self.kernel)
         self._start_next()
 
     def abort_all(self, error: Optional[BaseException] = None) -> int:
@@ -466,14 +542,14 @@ class FifoCpu(CpuResource):
         err = error if error is not None else ResourceStopped(self.name)
         aborted = 0
         if self._in_service is not None:
-            self._in_service.done.fail(err)
+            self._in_service._settle(self.kernel, err)
             self._in_service = None
             aborted += 1
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
         for job in self._queue:
-            job.done.fail(err)
+            job._settle(self.kernel, err)
             aborted += 1
         self._queue.clear()
         return aborted

@@ -20,6 +20,7 @@ Two navigators are provided:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -185,18 +186,28 @@ class RubisModel:
         )
 
 
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The cumulative table ``rng.choice(n, p=p)`` searches, as a list.
+
+    ``bisect_right(choice_cdf(p), rng.random())`` is numpy's own
+    ``Generator.choice`` algorithm for a single draw (normalised cumsum,
+    one ``random()`` double, right-sided search), so it returns the same
+    index and consumes the same stream at a fraction of the call cost."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 class MixNavigator:
     """Draws each next interaction i.i.d. from the stationary mix."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self._names = [i.name for i in INTERACTIONS]
-        self._weights = np.asarray([i.mix_weight for i in INTERACTIONS])
-        self._weights = self._weights / self._weights.sum()
+        weights = np.asarray([i.mix_weight for i in INTERACTIONS])
+        self._cdf = choice_cdf(weights / weights.sum())
 
     def next_interaction(self) -> Interaction:
-        idx = int(self.rng.choice(len(self._names), p=self._weights))
-        return INTERACTIONS[idx]
+        return INTERACTIONS[bisect_right(self._cdf, self.rng.random())]
 
     def reset(self) -> None:
         """Sessions are memoryless; nothing to reset."""
@@ -255,17 +266,17 @@ class MarkovNavigator:
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
         self.state = "Home"
-        # Precompute normalized transition vectors.
-        self._table: dict[str, tuple[list[str], np.ndarray]] = {}
+        # Precompute the transition CDFs.
+        self._table: dict[str, tuple[list[str], list[float]]] = {}
         for state, successors in _TRANSITIONS.items():
             names = [n for n, _ in successors]
             weights = np.asarray([w for _, w in successors], dtype=float)
-            self._table[state] = (names, weights / weights.sum())
+            self._table[state] = (names, choice_cdf(weights / weights.sum()))
 
     def next_interaction(self) -> Interaction:
         current = interaction(self.state)
-        names, probs = self._table[self.state]
-        self.state = names[int(self.rng.choice(len(names), p=probs))]
+        names, cdf = self._table[self.state]
+        self.state = names[bisect_right(cdf, self.rng.random())]
         return current
 
     def reset(self) -> None:

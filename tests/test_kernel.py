@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event kernel."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.kernel import SimKernel, SimulationError
 
@@ -364,3 +368,225 @@ class TestPeriodicDrift:
         assert out[-1] == 0.1 + 9999 * 0.1
         worst = max(abs(t - 0.1 * (k + 1)) for k, t in enumerate(out))
         assert worst < 1e-9
+
+
+class TestTailDispatch:
+    """``_tail`` runs a continuation inline only when the posted event
+    would have been dispatched next anyway."""
+
+    def _tailing(self, kernel, out, tag, cont):
+        """A callback that logs ``tag`` then tail-calls ``out.append(cont)``."""
+
+        def cb():
+            out.append(tag)
+            kernel._tail(out.append, (cont,))
+
+        return cb
+
+    def test_inline_when_nothing_pending_at_now(self, kernel):
+        out = []
+        kernel.schedule(1.0, self._tailing(kernel, out, "a", "a+"))
+        kernel.schedule(2.0, out.append, "b")
+        kernel.run()
+        assert out == ["a", "a+", "b"]
+        assert kernel.tail_dispatched == 1
+        assert kernel.events_processed == 2
+        assert kernel.pending == 0
+
+    def test_posts_inside_step(self, kernel):
+        out = []
+        kernel.schedule(1.0, self._tailing(kernel, out, "a", "a+"))
+        assert kernel.step()
+        assert out == ["a"]
+        assert kernel.tail_dispatched == 0
+        assert kernel.pending == 1
+        kernel.run()
+        assert out == ["a", "a+"]
+        assert kernel.tail_dispatched == 0
+        assert kernel.events_processed == 2
+
+    def test_posts_after_stop(self, kernel):
+        out = []
+
+        def cb():
+            out.append("a")
+            kernel.stop()
+            kernel._tail(out.append, ("a+",))
+
+        kernel.schedule(1.0, cb)
+        kernel.run()
+        assert out == ["a"]
+        assert kernel.pending == 1 and kernel.tail_dispatched == 0
+        kernel.run()
+        assert out == ["a", "a+"]
+        assert kernel.tail_dispatched == 0
+
+    def test_posts_behind_pending_same_instant_event(self, kernel):
+        out = []
+        kernel.schedule(1.0, self._tailing(kernel, out, "a", "a+"))
+        kernel.schedule(1.0, out.append, "b")  # promotes t=1 to a bucket
+        kernel.run()
+        assert out == ["a", "b", "a+"]
+        assert kernel.tail_dispatched == 0
+        assert kernel.events_processed == 3
+
+    def test_posts_behind_cancelled_same_instant_event(self, kernel):
+        out = []
+        kernel.schedule(1.0, self._tailing(kernel, out, "a", "a+"))
+        kernel.schedule(1.0, out.append, "x").cancel()
+        kernel.run()
+        assert out == ["a", "a+"]
+        assert kernel.tail_dispatched == 0
+        assert kernel.tombstones_skipped == 1
+
+    def test_partly_then_fully_drained_bucket(self, kernel):
+        out = []
+        kernel.schedule(1.0, out.append, "lone")
+        # These three share one bucket behind the lone head event.
+        kernel.schedule(1.0, self._tailing(kernel, out, "b1", "b1+"))
+        kernel.schedule(1.0, out.append, "b2")
+        kernel.schedule(1.0, self._tailing(kernel, out, "b3", "b3+"))
+        kernel.run()
+        # b1 runs with b2 and b3 still queued: its continuation is posted
+        # behind them.  b3 then runs with b1+ still queued: posted too.
+        assert out == ["lone", "b1", "b2", "b3", "b1+", "b3+"]
+        assert kernel.tail_dispatched == 0
+        kernel.schedule(1.0, out.append, "c1")
+        kernel.schedule(1.0, self._tailing(kernel, out, "c2", "c2+"))
+        kernel.run()
+        # c2 is the last event of its bucket: its continuation runs inline.
+        assert out[-3:] == ["c1", "c2", "c2+"]
+        assert kernel.tail_dispatched == 1
+
+    def test_chained_tails_stay_inline(self, kernel):
+        out = []
+
+        def hop(n):
+            out.append(n)
+            if n < 5:
+                kernel._tail(hop, (n + 1,))
+
+        kernel.schedule(1.0, hop, 0)
+        kernel.run()
+        assert out == [0, 1, 2, 3, 4, 5]
+        assert kernel.events_processed == 1
+        assert kernel.tail_dispatched == 5
+
+
+# -- tail dispatch vs an always-post reference --------------------------
+
+_OPS = ("post", "post_in", "schedule", "cancelled", "tail", "stop")
+
+
+@st.composite
+def _programs(draw):
+    """A forest of callbacks: node ``i`` is an action of its parent's
+    callback (or, with parent -1, scheduled before the run), plus the
+    ``run(until=...)`` chunks the driver resumes through."""
+    nodes = []
+    for i in range(draw(st.integers(1, 40))):
+        parent = draw(st.integers(-1, i - 1))
+        op = draw(st.sampled_from(_OPS))
+        delay = draw(st.sampled_from((0.0, 0.5, 1.0)))
+        nodes.append((parent, op, delay))
+    chunks = draw(st.lists(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)), max_size=3))
+    return nodes, sorted(chunks)
+
+
+def _execute(program, always_post):
+    nodes, chunks = program
+    kernel = SimKernel()
+    if always_post:
+        kernel._tail = lambda fn, args: kernel._post_at(kernel.now, fn, args)
+    children = {i: [] for i in range(-1, len(nodes))}
+    for i, (parent, _, _) in enumerate(nodes):
+        children[parent].append(i)
+    log = []
+
+    def callback(i):
+        def cb():
+            log.append((i, kernel.now))
+            tail = None
+            for j in children[i]:
+                _, op, delay = nodes[j]
+                if op == "post":
+                    kernel.post(callback(j))
+                elif op == "post_in":
+                    kernel.post_in(delay, callback(j))
+                elif op == "schedule":
+                    kernel.schedule(delay, callback(j))
+                elif op == "cancelled":
+                    kernel.schedule(delay, callback(j)).cancel()
+                elif op == "stop":
+                    kernel.stop()
+                elif tail is None:
+                    tail = j
+                else:  # only one tail call per callback: post the others
+                    kernel.post(callback(j))
+            if tail is not None:
+                kernel._tail(callback(tail), ())  # the last action
+
+        return cb
+
+    for j in children[-1]:
+        kernel.schedule_at(2.0 * nodes[j][2], callback(j))
+    # Log where each run() returns, so work done before a stop() or a
+    # horizon is told apart from work done after the resume.
+    for until in chunks:
+        kernel.run(until=until)
+        log.append(("returned", kernel.now))
+    while kernel.pending:
+        kernel.run()
+        log.append(("returned", kernel.now))
+    return log, kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs())
+def test_tail_dispatch_preserves_callback_order(program):
+    log, kernel = _execute(program, always_post=False)
+    ref_log, ref = _execute(program, always_post=True)
+    assert log == ref_log
+    assert ref.tail_dispatched == 0
+    assert kernel.events_processed + kernel.tail_dispatched == ref.events_processed
+    assert kernel.tombstones_skipped == ref.tombstones_skipped
+    assert kernel.now == ref.now
+
+
+def _collector_digest(col) -> str:
+    h = hashlib.sha256()
+    for series in (col.latencies, col.failures, col.node_cpu):
+        h.update(series.times.astype("<f8").tobytes())
+        h.update(series.values.astype("<f8").tobytes())
+    h.update(repr({t: col.replica_changes(t) for t in sorted(col.tier_replicas)}).encode())
+    h.update(repr(col.reconfigurations).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("managed", [True, False], ids=["managed", "static"])
+def test_tail_dispatch_ramp_matches_always_post(managed, monkeypatch):
+    """The Fig. 9 ramp at scale 0.05 produces the same outputs with tail
+    dispatch as with every tail call posted, and the same simulated work
+    (dispatched + inline == the reference's dispatched events)."""
+    from repro.jade.system import ExperimentConfig, ManagedSystem
+    from repro.workload.profiles import RampProfile
+
+    def run():
+        scale = 0.05
+        profile = RampProfile(
+            warmup_s=300.0 * scale, step_period_s=60.0 * scale, cooldown_s=300.0 * scale
+        )
+        system = ManagedSystem(ExperimentConfig(profile=profile, seed=1, managed=managed))
+        collector = system.run()
+        return _collector_digest(collector), collector.completed_requests, system.kernel
+
+    digest, completed, kernel = run()
+    with monkeypatch.context() as m:
+        m.setattr(
+            SimKernel, "_tail", lambda self, fn, args: self._post_at(self.now, fn, args)
+        )
+        ref_digest, ref_completed, ref = run()
+    assert completed > 0 and completed == ref_completed
+    assert digest == ref_digest
+    assert ref.tail_dispatched == 0 and kernel.tail_dispatched > 0
+    assert kernel.events_processed + kernel.tail_dispatched == ref.events_processed

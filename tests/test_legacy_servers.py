@@ -341,6 +341,31 @@ class TestTomcat:
         assert ok is False
         assert "connection refused" in str(err)
 
+    def test_node_crash_mid_query_fails_request(self, kernel, stack):
+        # The Tomcat's node dies while its DB query is in flight; the
+        # answer then reaches a dead server, whose response-generation hop
+        # must fail the request asynchronously instead of raising NodeDown
+        # out of the kernel.
+        req = WebRequest(
+            kernel, "ViewItem", app_demand_pre=0.01, app_demand_post=0.002,
+            db_demand=0.5,
+        )
+        result = {}
+        req.completion.add_callback(lambda s: result.update(err=s.error))
+        stack.tomcat.handle(req)
+        kernel.run(until=0.1)
+        assert "cjdbc" in req.hops and not req.completion.fired
+        assert stack.tomcat.pending == 1
+        stack.n_tc.crash()
+        kernel.run()
+        assert req.failed
+        assert isinstance(result["err"], RequestFailed)
+        assert "response generation aborted" in str(result["err"])
+        assert "node" in str(result["err"])
+        assert stack.tomcat.pending == 0
+        assert stack.tomcat.failures == 1
+        assert stack.mysql.reads_served == 1
+
     def test_stopped_tomcat_fails_request(self, kernel, stack):
         req = WebRequest(kernel, "ViewItem", db_demand=0.01)
         stack.tomcat.stop()

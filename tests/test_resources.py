@@ -116,6 +116,72 @@ class TestPsCpu:
         assert job.sojourn == pytest.approx(2.0)
 
 
+class TestContinuationJobs:
+    """Jobs that carry ``then``/``fail`` instead of a ``done`` signal."""
+
+    def _job(self, kernel, demand, log, tag):
+        return CpuJob(
+            kernel, demand,
+            then=lambda: log.append((tag, kernel.now)),
+            fail=lambda err: log.append((tag, type(err).__name__)),
+        )
+
+    def test_then_and_fail_come_together(self, kernel):
+        with pytest.raises(ValueError):
+            CpuJob(kernel, 1.0, then=lambda: None)
+        with pytest.raises(ValueError):
+            CpuJob(kernel, 1.0, fail=lambda err: None)
+        assert CpuJob(kernel, 1.0, then=lambda: None, fail=lambda e: None).done is None
+
+    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    def test_same_order_as_signal_jobs(self, factory):
+        def run(continuation):
+            kernel = SimKernel()
+            cpu = factory(kernel)
+            log = []
+            for i, (t, d) in enumerate([(0.0, 1.0), (0.0, 1.0), (0.5, 0.25), (3.0, 0.0)]):
+                if continuation:
+                    job = self._job(kernel, d, log, i)
+                else:
+                    job = CpuJob(kernel, d)
+                    job.done.add_callback(lambda s, i=i: log.append((i, kernel.now)))
+                kernel.schedule_at(t, cpu.submit, job)
+            kernel.schedule_at(0.75, log.append, "tick")
+            kernel.run()
+            return log, kernel.events_processed + kernel.tail_dispatched
+
+        assert run(continuation=True) == run(continuation=False)
+
+    def test_lone_completion_is_tail_dispatched(self, kernel):
+        cpu = PsCpu(kernel)
+        log = []
+        kernel.schedule_at(0.0, cpu.submit, self._job(kernel, 1.0, log, "a"))
+        kernel.run()
+        assert log == [("a", 1.0)]
+        assert kernel.tail_dispatched == 1
+
+    def test_simultaneous_completions_are_posted(self, kernel):
+        cpu = PsCpu(kernel)
+        log = []
+        for tag in "ab":
+            kernel.schedule_at(0.0, cpu.submit, self._job(kernel, 1.0, log, tag))
+        kernel.run()
+        assert log == [("a", 2.0), ("b", 2.0)]
+        assert kernel.tail_dispatched == 0
+
+    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    def test_abort_posts_fail(self, factory, kernel):
+        cpu = factory(kernel)
+        log = []
+        job = self._job(kernel, 5.0, log, "a")
+        cpu.submit(job)
+        kernel.run(until=1.0)
+        assert cpu.abort_all() == 1
+        assert log == [] and job.finished
+        kernel.run()
+        assert log == [("a", "ResourceStopped")]
+
+
 class TestFifoCpu:
     def test_jobs_serve_in_order(self, kernel):
         cpu = FifoCpu(kernel)

@@ -106,6 +106,47 @@ class TestMixNavigator:
                 assert observed == pytest.approx(inter.mix_weight, rel=0.2)
 
 
+class TestCdfDrawBitIdentity:
+    """The navigators' cached-CDF draw must reproduce ``rng.choice(p=...)``
+    exactly: same index sequence, same stream consumption."""
+
+    SEEDS = (0, 1, 2, 7, 12345)
+    DRAWS = 20_000
+
+    def test_mix_navigator_matches_rng_choice(self):
+        names = [i.name for i in INTERACTIONS]
+        weights = np.asarray([i.mix_weight for i in INTERACTIONS])
+        p = weights / weights.sum()
+        for seed in self.SEEDS:
+            ref = np.random.default_rng(seed)
+            nav = MixNavigator(np.random.default_rng(seed))
+            expected = [names[int(ref.choice(len(p), p=p))] for _ in range(self.DRAWS)]
+            got = [nav.next_interaction().name for _ in range(self.DRAWS)]
+            assert got == expected, f"seed {seed}"
+            assert nav.rng.random() == ref.random()  # same stream position
+
+    def test_markov_navigator_matches_rng_choice(self):
+        table = {
+            state: (
+                [n for n, _ in succ],
+                np.asarray([w for _, w in succ]) / sum(w for _, w in succ),
+            )
+            for state, succ in transition_table().items()
+        }
+        for seed in self.SEEDS:
+            ref = np.random.default_rng(seed)
+            nav = MarkovNavigator(np.random.default_rng(seed))
+            state, expected = "Home", []
+            for _ in range(self.DRAWS):
+                expected.append(state)
+                names, probs = table[state]
+                state = names[int(ref.choice(len(names), p=probs))]
+            got = [nav.next_interaction().name for _ in range(self.DRAWS)]
+            assert got == expected, f"seed {seed}"
+            assert nav.state == state
+            assert nav.rng.random() == ref.random()
+
+
 class TestRubisModel:
     def test_demands_scale_with_factors(self, kernel):
         from dataclasses import replace
