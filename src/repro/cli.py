@@ -1530,7 +1530,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "fluid_threshold", 0) and not args.fluid:
+        parser.error("--fluid-threshold requires --fluid")
     handlers = {
         "ramp": cmd_ramp,
         "steady": cmd_steady,

@@ -156,6 +156,12 @@ class ExperimentConfig:
     #: the seed, so re-runs are comparable)
     trace_run_id: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.fluid_tick_s <= 0.0:
+            raise ValueError("fluid_tick_s must be positive")
+        if not self.fluid and (self.fluid_threshold != 0 or self.fluid_tick_s != 1.0):
+            raise ValueError("fluid_threshold and fluid_tick_s require fluid=True")
+
 
 class ManagedSystem:
     """A fully-assembled testbed ready to run."""

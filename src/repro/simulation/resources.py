@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import sys
 from collections import deque
 from typing import Callable, Optional
@@ -433,7 +434,11 @@ class PsCpu(CpuResource):
                 else self._espeed * self.capacity_model(n) / n
             )
             wake = now + (heap[0][0] - vnow) / rate
-            if wake < now:
+            if wake <= now and held is None:
+                # The head's remaining time is below half an ulp of now:
+                # a wake at now would complete nothing again, forever.
+                wake = math.nextafter(now, _INF)
+            elif wake < now:
                 wake = now
         else:
             wake = _INF

@@ -46,8 +46,38 @@ unconditionally stable at the 1 s tick.
 The per-replica flow state is held in plain scalar lists rather than
 numpy arrays: tiers are a handful of replicas, and at that size the
 interpreter loop is ~10x faster per tick than numpy's per-call dispatch
-overhead (measured; the tick budget is what bounds the 1M-user wall
-clock, at ~3600 solves per ramp).
+overhead (measured).  The per-tick solve budget is what bounds the
+1M-user wall clock: on the scale-2 Fig. 9 ramp a tick costs ~8 residual
+(``Phi``) evaluations on average, each running the capacity fixed point
+of both tiers.
+
+Incremental tick
+----------------
+
+Two shortcuts skip work whose result is already known; both are exact
+(outputs bit-identical to recomputing, asserted in
+``tests/test_fluid.py``):
+
+* **Capacity fixed-point exit.**  Each round of the damped iteration in
+  :meth:`_TierFlow.solve` recomputes ``rho`` and ``conc`` from ``se``,
+  then ``se`` from ``conc``.  A round that leaves every ``se[i]``
+  unchanged (``==``) would be repeated bit for bit by every later round,
+  so the loop stops there.  Below a ``ThrashingCurve`` knee ``se[i] =
+  0.5 * (s + s * 1.0) == s`` on the first round — the common case.
+* **Step memo.**  A solved :meth:`FluidEngine.step` is a pure function of
+  its key (:meth:`FluidEngine._step_key`): population, ``dt``, the
+  in-flight level, the warm-start throughput, the LAN delay, each live
+  app/DB replica's identity, speed, degradation and capacity model (by
+  identity; none is mutated after construction), and each balancer's
+  ``up``/``isolated``/speed/degradation.  ``Calibration`` is frozen and
+  no kernel event runs inside a step.  The engine keeps the last key and
+  its result; on an equal key it restores the level and warm start and
+  returns the stored result.  Between population steps the level
+  reaches an exact float fixed point, after which every tick hits (73.6 %
+  of the ticks of the scale-2 ramp).  The only float keys that compare
+  equal with different bits are ``0.0``/``-0.0``; a signed zero can only
+  reach the key as the level or warm start, where the solve reads it
+  through ``level + dt * n / Z`` and ``0.0 < x`` — both blind to the sign.
 
 Injection: each tick, each live replica receives one weight-``w`` CPU job
 sized so its busy time over the tick equals ``rho * dt`` (``w`` is the
@@ -115,6 +145,12 @@ class FluidState:
     db_nodes: int
 
 
+def _replicas_key(nodes: Sequence[Node]) -> tuple:
+    return tuple(
+        (n, n.cpu.speed, n.cpu.degradation, n.cpu.capacity_model) for n in nodes
+    )
+
+
 class _TierFlow:
     """Scratch flow state for one tier: speeds, capacity feedback, load."""
 
@@ -153,8 +189,15 @@ class _TierFlow:
                 rho[i] = r
                 c = r / (1.0 - r)
                 conc[i] = c if c < conc_cap else conc_cap
+            fixed = True
             for i, (s, cap) in enumerate(zip(raw, caps)):
-                se[i] = 0.5 * (se[i] + s * cap(conc[i]))
+                v = 0.5 * (se[i] + s * cap(conc[i]))
+                if v != se[i]:
+                    fixed = False
+                se[i] = v
+            if fixed:
+                # Every later round would recompute these same values.
+                break
         self.se = se
 
     def sojourn_even(self, d_even: float) -> float:
@@ -229,6 +272,8 @@ class FluidEngine:
         self._carry = 0.0
         #: previous tick's solved throughput (warm-starts the bracket)
         self._last_x: Optional[float] = None
+        #: ``(key, result)`` of the last solved step (see ``_step_key``)
+        self._memo: Optional[tuple] = None
         self.ticks = 0
         self.completions = 0
         self.last_state: Optional[FluidState] = None
@@ -279,6 +324,31 @@ class FluidEngine:
         R += wf * db.sojourn_barrier(cal.db_write_demand_s)
         return R
 
+    def _step_key(
+        self, population: int, dt: float, app_live: list[Node], db_live: list[Node]
+    ) -> tuple:
+        """Everything a solved :meth:`step` reads.  Capacity models are
+        compared by identity (none is mutated after construction) and
+        ``cal`` is frozen, so equal keys give bit-identical solves."""
+        return (
+            population,
+            dt,
+            self.level,
+            self._last_x,
+            self._network_delay(),
+            _replicas_key(app_live),
+            _replicas_key(db_live),
+            tuple(
+                (b.up, b.isolated, b.cpu.speed, b.cpu.degradation)
+                for b, _ in self.balancers
+            ),
+        )
+
+    def _recall(self, key: tuple) -> Optional[tuple]:
+        """The memoized step result for ``key``, or None."""
+        memo = self._memo
+        return memo[1] if memo is not None and memo[0] == key else None
+
     def _empty_state(self, population: int, app_n: int, db_n: int) -> FluidState:
         return FluidState(
             population=max(population, 0),
@@ -313,6 +383,11 @@ class FluidEngine:
         if n <= 0.0 and self.level <= 0.0:
             self._last_x = None
             return self._empty_state(population, len(app_live), len(db_live)), None, None
+        key = self._step_key(population, dt, app_live, db_live)
+        hit = self._recall(key)
+        if hit is not None:
+            state, app, db, self.level, self._last_x = hit
+            return state, app, db
         app = _TierFlow(app_live)
         db = _TierFlow(db_live)
         Z = self.cal.think_time_mean_s
@@ -373,6 +448,7 @@ class FluidEngine:
             app_nodes=len(app_live),
             db_nodes=len(db_live),
         )
+        self._memo = (key, (state, app, db, level, x))
         return state, app, db
 
     def seed_equilibrium(self, population: int) -> None:
@@ -461,8 +537,6 @@ class HybridWorkload(ClientEmulator):
         request_timeout_s: Optional[float] = None,
         cohort: int = 1,
     ) -> None:
-        if tick_s <= 0.0:
-            raise ValueError("fluid tick must be positive")
         super().__init__(
             kernel,
             entry,

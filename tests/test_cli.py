@@ -150,6 +150,13 @@ class TestCommands:
         assert args.events
         assert args.json == "card.json"
 
+    @pytest.mark.parametrize("command", ["ramp", "steady", "sweep", "bench"])
+    def test_fluid_threshold_requires_fluid(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fluid-threshold", "300"])
+        assert exc.value.code == 2
+        assert "--fluid-threshold requires --fluid" in capsys.readouterr().err
+
     def test_chaos_rejects_unknown_campaign(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--campaign", "meteor"])

@@ -2,7 +2,8 @@
 
 Covers the accuracy-gate machinery, the hybrid handoff at the user
 threshold, RNG-stream independence (fluid draws nothing from the seeded
-streams), serial==pool==cache byte-identity for fluid configs, and the
+streams), serial==pool==cache byte-identity for fluid configs, the exactness of
+the incremental tick (capacity fixed-point exit, step memo), and the
 large-cohort numeric-stability fix in the Gamma demand draws.
 """
 
@@ -12,10 +13,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.jade.system import ExperimentConfig
 from repro.metrics.collector import MetricsCollector
 from repro.runner import ExperimentRunner, ResultCache
+from repro.simulation.resources import ThrashingCurve
+from repro.workload.fluid import _CAP_ITERS, _RHO_MAX, FluidEngine, _TierFlow
 from repro.workload.fluid_bench import TOLERANCES, run_accuracy_gate
 from repro.workload.profiles import RampProfile
 from repro.workload.rubis import RubisModel
@@ -285,6 +290,221 @@ class TestFluidByteIdentity:
         assert describe_config(fluid_ramp_config(threshold=5)) != describe_config(
             fluid_ramp_config()
         )
+
+
+# ----------------------------------------------------------------------
+# Exact incremental tick: capacity fixed-point exit and the step memo
+# ----------------------------------------------------------------------
+def always_five_rounds(tier, X, d_even, d_per, conc_cap):
+    """The capacity fixed point without the early exit (reference)."""
+    raw, caps = tier.raw, tier.caps
+    se = list(raw)
+    rho = tier.rho
+    conc = tier.conc
+    for _ in range(_CAP_ITERS + 1):
+        total = 0.0
+        for s in se:
+            total += s
+        even = X * d_even / total
+        for i, s in enumerate(se):
+            r = even + X * d_per / s if d_per else even
+            if r > _RHO_MAX:
+                r = _RHO_MAX
+            rho[i] = r
+            c = r / (1.0 - r)
+            conc[i] = c if c < conc_cap else conc_cap
+        for i, (s, cap) in enumerate(zip(raw, caps)):
+            se[i] = 0.5 * (se[i] + s * cap(conc[i]))
+    tier.se = se
+
+
+capacity_models = st.one_of(
+    st.just(lambda n: 1.0),
+    st.builds(
+        ThrashingCurve,
+        knee=st.integers(0, 64),
+        slope=st.floats(0.0, 2.0),
+        floor=st.floats(0.01, 1.0),
+    ),
+)
+replicas = st.lists(
+    st.builds(
+        lambda speed, degradation, cap: SimpleNamespace(
+            cpu=SimpleNamespace(
+                speed=speed, degradation=degradation, capacity_model=cap
+            )
+        ),
+        st.floats(0.1, 8.0),
+        st.floats(0.01, 1.0),
+        capacity_models,
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nodes=replicas,
+    X=st.floats(1e-3, 5e3),
+    d_even=st.floats(1e-4, 0.1),
+    d_per=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
+    conc_cap=st.floats(1.0, 1e5),
+)
+def test_fixed_point_exit_is_bit_identical(nodes, X, d_even, d_per, conc_cap):
+    fast, slow = _TierFlow(nodes), _TierFlow(nodes)
+    fast.solve(X, d_even, d_per, conc_cap)
+    always_five_rounds(slow, X, d_even, d_per, conc_cap)
+    for attr in ("se", "rho", "conc"):
+        assert bits(getattr(fast, attr)) == bits(getattr(slow, attr)), attr
+    assert bits([fast.sojourn_even(d_even), fast.sojourn_barrier(d_per)]) == bits(
+        [slow.sojourn_even(d_even), slow.sojourn_barrier(d_per)]
+    )
+
+
+def collector_bytes(col) -> bytes:
+    """Every simulated output of a run's collector, as bytes."""
+    parts = [
+        series.times.astype("<f8").tobytes() + series.values.astype("<f8").tobytes()
+        for series in (col.latencies, col.node_cpu, col.failures)
+    ]
+    parts.append(
+        repr({t: col.replica_changes(t) for t in sorted(col.tier_replicas)}).encode()
+    )
+    parts.append(repr(col.reconfigurations).encode())
+    return b"".join(parts)
+
+
+def run_ticks(config, monkeypatch, memo):
+    """Run ``config``; return its collector bytes, every tick's
+    ``FluidState`` and the number of memo hits."""
+    from repro.jade.system import ManagedSystem
+
+    states, hits = [], []
+    tick, recall = FluidEngine.tick, FluidEngine._recall
+
+    def recording_tick(self, population, dt):
+        state = tick(self, population, dt)
+        states.append(state)
+        return state
+
+    def counting_recall(self, key):
+        hit = recall(self, key) if memo else None
+        hits.append(hit is not None)
+        return hit
+
+    with monkeypatch.context() as m:
+        m.setattr(FluidEngine, "tick", recording_tick)
+        m.setattr(FluidEngine, "_recall", counting_recall)
+        system = ManagedSystem(config)
+        system.run()
+    return collector_bytes(system.collector), states, sum(hits)
+
+
+def composed_chaos_market_config():
+    from repro.chaos import ChaosCampaign
+    from repro.chaos import faults as F
+    from repro.market.scenario import PRESETS, market_config
+
+    campaign = ChaosCampaign(
+        "composed",
+        (
+            F.crash(40.0, target="db"),
+            F.gray(60.0, 30.0, factor=0.2, target="app"),
+            F.extra_latency(80.0, 30.0, extra_s=0.02),
+        ),
+    )
+    base = market_config(PRESETS["spot-heavy"](), seed=2, peak=300, scale=0.2)
+    return replace(base, fluid=True, chaos=campaign)
+
+
+class TestExactIncrementalTick:
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            lambda: fluid_ramp_config(scale=0.15),
+            lambda: fluid_ramp_config(scale=0.25, threshold=300),
+            composed_chaos_market_config,
+        ],
+        ids=["fluid", "hybrid-300", "chaos-market"],
+    )
+    def test_memo_on_equals_memo_off(self, make_config, monkeypatch):
+        out_on, states_on, hits_on = run_ticks(make_config(), monkeypatch, True)
+        out_off, states_off, hits_off = run_ticks(make_config(), monkeypatch, False)
+        assert hits_on > 0 and hits_off == 0
+        assert states_on == states_off
+        assert out_on == out_off
+
+    def test_composed_run_exercises_every_fault(self):
+        from repro.jade.system import ManagedSystem
+
+        system = ManagedSystem(composed_chaos_market_config())
+        system.run()
+        fired = {e["fault"] for e in system.chaos.events}
+        assert {"crash", "gray", "latency"} <= fired
+
+    @staticmethod
+    def engine_on(nodes, lan):
+        app, db, plb = nodes[:2], nodes[2:4], nodes[4]
+        return FluidEngine(
+            nodes[0].kernel,
+            MetricsCollector(),
+            app_nodes=lambda: app,
+            db_nodes=lambda: db,
+            balancers=[(plb, 0.0005)],
+            lan=lan,
+        )
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda e, nodes, lan: nodes[2].cpu.set_degradation(0.5),
+            lambda e, nodes, lan: nodes[3].crash(),
+            lambda e, nodes, lan: nodes[1].isolate(),
+            lambda e, nodes, lan: setattr(lan, "extra_latency_s", 0.01),
+            lambda e, nodes, lan: nodes[4].cpu.set_degradation(0.25),
+            lambda e, nodes, lan: setattr(e, "_last_x", 0.9 * e._last_x),
+        ],
+        ids=[
+            "degradation", "crash", "isolation", "lan-latency", "balancer",
+            "warm-start",
+        ],
+    )
+    def test_changed_input_recomputes(self, mutate):
+        from repro.cluster import Lan
+        from repro.cluster.node import Node
+        from repro.simulation import SimKernel
+
+        kernel = SimKernel()
+        curve = ThrashingCurve(knee=40, slope=0.05, floor=0.05)
+        nodes = [Node(kernel, f"n{i}", capacity_model=curve) for i in range(5)]
+        lan = Lan()
+        engine = self.engine_on(nodes, lan)
+        for _ in range(500):
+            before = engine._memo
+            state, app, db = engine.step(400, 1.0)
+            if before is not None and engine._memo is before:
+                break  # equal inputs: served from the memo
+        else:
+            pytest.fail("level never reached a float fixed point")
+        mutate(engine, nodes, lan)
+        level, last_x = engine.level, engine._last_x
+        fresh = self.engine_on(nodes, lan)
+        fresh.level, fresh._last_x = level, last_x
+        expected, exp_app, exp_db = fresh.step(400, 1.0)
+        got, got_app, got_db = engine.step(400, 1.0)
+        assert got_app is not app and engine._memo is not before
+        assert got == expected != state
+        assert (engine.level, engine._last_x) == (fresh.level, fresh._last_x)
+        for tier, ref in ((got_app, exp_app), (got_db, exp_db)):
+            assert tier.nodes == ref.nodes
+            assert bits(tier.rho + tier.conc + tier.se) == bits(
+                ref.rho + ref.conc + ref.se
+            )
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit and property tests for the CPU models."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,23 @@ class TestPsCpu:
         cpu = PsCpu(kernel)
         (job,) = run_jobs(cpu, kernel, [2.0])
         assert job.sojourn == pytest.approx(2.0)
+
+    def test_sub_ulp_remainder_completes_one_ulp_later(self, kernel):
+        # vnow = 0.5 leaves a 1e-9 due-tolerance, so a 2e-9 s job is not
+        # due on arrival; at t = 1e8 its real remaining time is below half
+        # an ulp of now, so the computed wake lands at now itself.
+        cpu = PsCpu(kernel)
+        cpu.submit(CpuJob(kernel, 0.5))
+        t = 1e8
+        job = CpuJob(kernel, 2e-9)
+        kernel.schedule_at(t, cpu.submit, job)
+        assert t + 2e-9 == t
+        for _ in range(10):
+            if job.finished or not kernel.step():
+                break
+        assert job.finished
+        assert job.completed_at == math.nextafter(t, math.inf)
+        assert cpu.completed == 2 and cpu.active_jobs == 0
 
 
 class TestContinuationJobs:

@@ -15,6 +15,23 @@ class TestConfigKnobs:
         # 4 nodes taken by the initial deployment.
         assert system.cluster.free_count == 1
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"fluid_threshold": 300},
+            {"fluid_tick_s": 2.0},
+            {"fluid_tick_s": 0.0},
+            {"fluid_tick_s": -1.0, "fluid": True},
+        ],
+    )
+    def test_bad_fluid_knobs_rejected_at_construction(self, knobs):
+        with pytest.raises(ValueError, match="fluid"):
+            ExperimentConfig(**knobs)
+
+    def test_fluid_knobs_accepted_with_fluid(self):
+        cfg = ExperimentConfig(fluid=True, fluid_threshold=300, fluid_tick_s=2.0)
+        assert cfg.fluid_threshold == 300
+
     def test_minimum_pool_rejected(self):
         cfg = ExperimentConfig(profile=ConstantProfile(10, 30.0), pool_nodes=3)
         from repro.cluster import NoFreeNodeError
