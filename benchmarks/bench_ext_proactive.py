@@ -52,7 +52,7 @@ def _measure(system) -> dict:
             if v > prev
         ],
     }
-    proactive = getattr(system, "proactive", None)
+    proactive = system.extensions.get("proactive")
     if proactive is not None:
         result["proactive"] = {
             "forecasts_issued": proactive.forecasts_issued,

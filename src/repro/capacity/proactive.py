@@ -82,6 +82,17 @@ class ProactiveConfig:
     whatif_prune: bool = False
 
 
+@dataclass(frozen=True)
+class ProactiveStats:
+    """Decision counters of the proactive capacity manager."""
+
+    forecasts_issued: int
+    evaluations: int
+    grows_triggered: int
+    shrinks_triggered: int
+    decisions_suppressed: int
+
+
 class ProactiveManager:
     """Forecast -> what-if -> act, ahead of the reactive loops."""
 
@@ -155,14 +166,27 @@ class ProactiveManager:
         return listen
 
     # -- lifecycle ---------------------------------------------------------
-    def on_start(self, component=None) -> None:
+    def start(self) -> None:
         if self._task is None:
             self._task = self.kernel.every(self.config.plan_period_s, self._plan)
 
-    def on_stop(self, component=None) -> None:
+    def stop(self) -> None:
         if self._task is not None:
             self._task.cancel()
             self._task = None
+
+    def attach_tracer(self, tracer) -> None:
+        self.tracer = tracer
+        self.inhibition.tracer = tracer
+
+    def distill(self) -> ProactiveStats:
+        return ProactiveStats(
+            self.forecasts_issued,
+            self.evaluations,
+            self.grows_triggered,
+            self.shrinks_triggered,
+            self.decisions_suppressed,
+        )
 
     @property
     def running(self) -> bool:

@@ -383,10 +383,8 @@ def evaluate_branch(spec: BranchSpec) -> BranchOutcome:
     # Segmented run with dominance checks.  The segmentation itself is
     # invisible (the kernel processes the same events in the same order);
     # only an actual early exit changes what the record measures.
-    for probe in branch._passive_probes:
-        probe.on_start()
-    branch.emulator.start()
-    branch.kernel.run(until=spec.warmup_s)
+    branch.start_all(end)
+    branch.advance(spec.warmup_s)
     t = spec.warmup_s
     pruned_at: Optional[float] = None
     while t < end:
@@ -619,8 +617,9 @@ class WhatIfEngine:
 
 
 def run_to_fork(system: "ManagedSystem", t: float) -> SystemSnapshot:
-    """Start a freshly-built system's moving parts, advance simulated time
-    to ``t``, and capture the fork snapshot.
+    """Start a freshly-built system (:meth:`ManagedSystem.start_all`:
+    every extension, the sampler, the probes and the emulator), advance
+    simulated time to ``t``, and capture the fork snapshot.
 
     Convenience for the CLI/examples: the parent is left mid-run (managers
     and emulator active) so callers can inspect it, but :meth:`ManagedSystem.run`
@@ -646,17 +645,6 @@ def run_to_fork(system: "ManagedSystem", t: float) -> SystemSnapshot:
             "ManagedSystem(config) and pass it here without calling run(), "
             "kernel.run() or emulator.start() first."
         )
-    cfg = system.config
-    if system.optimizer is not None:
-        system.optimizer.start()
-    if system.recovery is not None:
-        system.recovery.start()
-    if system.proactive is not None:
-        system.proactive.on_start()
-    if cfg.sample_nodes:
-        system._sampling_task = system.kernel.every(1.0, system._sample_nodes)
-    for probe in system._passive_probes:
-        probe.on_start()
-    system.emulator.start()
-    system.kernel.run(until=t)
+    system.start_all()
+    system.advance(t)
     return SystemSnapshot.capture(system)

@@ -172,16 +172,35 @@ def spot_interruption(
 # ----------------------------------------------------------------------
 # Injector
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ChaosStats:
+    """Plain-data distillate of a chaos campaign execution: the fault
+    log from the injector plus the recovery manager's detection log —
+    everything :mod:`repro.chaos.scorecard` reads."""
+
+    campaign: str
+    detector: str
+    faults_injected: int
+    events: list
+    detections: list
+    failures_seen: int
+    repairs_started: int
+    pending_repairs: int
+    detector_suspicions: int
+
+
 class ChaosInjector:
     """Applies a :class:`~repro.chaos.campaign.ChaosCampaign` to a live
     system.
 
     Every applied fault is recorded three ways: a plain-data entry in
-    :attr:`events` (what :class:`~repro.runner.results.ChaosStats`
-    carries across process boundaries), a ``[chaos] ...`` line in the
-    metrics collector's reconfiguration log, and — when tracing is on —
-    a :class:`~repro.obs.events.FaultInjected` trace event.
+    :attr:`events` (what :class:`ChaosStats` carries across process
+    boundaries), a ``[chaos] ...`` line in the metrics collector's
+    reconfiguration log, and — when tracing is on — a
+    :class:`~repro.obs.events.FaultInjected` trace event.
     """
+
+    name = "chaos"
 
     def __init__(self, system, campaign, rng) -> None:
         self.system = system
@@ -216,6 +235,24 @@ class ChaosInjector:
         for event in self._scheduled:
             event.cancel()
         self._scheduled.clear()
+
+    def attach_tracer(self, tracer) -> None:
+        self.tracer = tracer
+
+    def distill(self) -> ChaosStats:
+        recovery = self.system.recovery
+        detector = recovery.detector if recovery is not None else None
+        return ChaosStats(
+            campaign=self.campaign.name,
+            detector=self.campaign.detector,
+            faults_injected=self.faults_injected,
+            events=list(self.events),
+            detections=list(recovery.detections) if recovery is not None else [],
+            failures_seen=recovery.failures_seen if recovery is not None else 0,
+            repairs_started=recovery.repairs_started if recovery is not None else 0,
+            pending_repairs=recovery.pending_repairs if recovery is not None else 0,
+            detector_suspicions=detector.suspicions if detector is not None else 0,
+        )
 
     # ------------------------------------------------------------------
     def _candidates(self, target: str) -> list[tuple]:

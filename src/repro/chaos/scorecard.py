@@ -17,25 +17,12 @@ make that testable.
 
 from __future__ import annotations
 
-import json
-import math
 from typing import Optional, Sequence
 
 from repro.capacity.cost import slo_violation_time
 from repro.chaos.faults import DISRUPTIVE
-
-
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    clean = [v for v in values if v == v]  # drop NaNs (no repair observed)
-    if not clean:
-        return {"mean": float("nan"), "ci95": 0.0, "n": 0}
-    mean = sum(clean) / len(clean)
-    if len(clean) > 1:
-        var = sum((v - mean) ** 2 for v in clean) / (len(clean) - 1)
-        ci = 1.96 * math.sqrt(var) / math.sqrt(len(clean))
-    else:
-        ci = 0.0
-    return {"mean": mean, "ci95": ci, "n": len(clean)}
+from repro.metrics.aggregates import format_ci, mean_ci
+from repro.metrics.aggregates import scorecard_json  # noqa: F401 (re-export)
 
 
 def _repairs_by_node(collector) -> dict[str, list[tuple[float, str, float]]]:
@@ -95,8 +82,8 @@ def _match(
 
 def score_run(run, slo_latency_s: float = 0.5) -> dict:
     """Per-run scorecard of one campaign execution (a :class:`CompletedRun`
-    — or any object exposing ``config``/``collector``/``chaos``)."""
-    chaos = run.chaos
+    — or any object exposing ``config``/``collector``/``extensions``)."""
+    chaos = run.extensions.get("chaos")
     if chaos is None:
         raise ValueError("run has no chaos campaign attached")
     col = run.collector
@@ -145,7 +132,7 @@ def score_run(run, slo_latency_s: float = 0.5) -> dict:
         "detect_mean_s": _mean_or_nan(detect_latencies),
         "detections": len(detections),
         # NaN, not 1.0, when the outage killed every arrival: "nobody got
-        # through" must not score as perfect availability.  _stats drops
+        # through" must not score as perfect availability.  mean_ci drops
         # NaNs from the CI aggregation and the renderer prints n/a.
         "availability": completed / attempted if attempted else float("nan"),
         "goodput_rps": col.throughput(0.0, duration),
@@ -177,10 +164,10 @@ def score_campaign(
     """Multi-seed scorecard: per-seed rows plus mean/ci95 aggregates."""
     per_seed = [score_run(r, slo_latency_s) for r in runs]
     aggregate = {
-        metric: _stats([row[metric] for row in per_seed])
+        metric: mean_ci([row[metric] for row in per_seed])
         for metric in AGGREGATED
     }
-    aggregate["repairs_completed"] = _stats(
+    aggregate["repairs_completed"] = mean_ci(
         [float(row["repairs_completed"]) for row in per_seed]
     )
     return {
@@ -194,36 +181,14 @@ def score_campaign(
 
 
 # ----------------------------------------------------------------------
-# Canonical serialization (byte-identity) and rendering
+# Rendering
 # ----------------------------------------------------------------------
-def _canonical(value):
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float):
-        if value != value:
-            return None  # NaN is not valid JSON; canonicalize to null
-        return round(value, 9)
-    return value
-
-
-def scorecard_json(scorecard: dict) -> str:
-    """Canonical JSON: sorted keys, floats rounded to 9 decimals, NaN →
-    null.  Two runs of the same campaign + seeds — serial, parallel or
-    cache-resolved — must produce byte-identical output."""
-    return json.dumps(_canonical(scorecard), indent=2, sort_keys=True) + "\n"
-
-
 def render_scorecard(scorecard: dict) -> list[str]:
     """Human-readable scorecard block for the CLI."""
     agg = scorecard["aggregate"]
 
     def fmt(metric: str, scale: float = 1.0, unit: str = "") -> str:
-        s = agg[metric]
-        if s["n"] == 0 or s["mean"] != s["mean"]:
-            return "n/a"
-        return f"{s['mean'] * scale:.2f} ± {s['ci95'] * scale:.2f}{unit}"
+        return format_ci(agg[metric], scale, unit)
 
     lines = [
         f"Campaign '{scorecard['campaign']}' "

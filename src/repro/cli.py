@@ -84,6 +84,32 @@ def _add_fluid(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_fanout(parser: argparse.ArgumentParser, events_help: str) -> None:
+    """Seed fan-out options shared by the chaos, deploy and market
+    scorecard commands."""
+    parser.add_argument(
+        "--seeds", default="1,2,3", metavar="LIST",
+        help="comma-separated seeds; CIs aggregate across them "
+        "(default 1,2,3)",
+    )
+    parser.add_argument(
+        "--json", metavar="FILE", default=None,
+        help="write the canonical scorecard JSON (byte-stable across "
+        "serial/parallel/cached execution)",
+    )
+    parser.add_argument("--events", action="store_true", help=events_help)
+    parser.add_argument(
+        "--serial", action="store_true", help="run seeds in-process"
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="bypass the result cache"
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="process-pool width for the seed fan-out",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -147,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the campaign's failure-detection path "
         "(legacy heartbeat vs phi-accrual progress detector)",
     )
-    chaos.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
-        help="comma-separated seeds; CIs aggregate across them "
-        "(default 1,2,3)",
-    )
     chaos.add_argument("--clients", type=int, default=120)
     chaos.add_argument(
         "--duration", type=float, default=600.0,
@@ -161,25 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo", type=float, default=0.5, metavar="SEC",
         help="latency SLO for the violation-time metric (default 0.5 s)",
     )
-    chaos.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the canonical scorecard JSON (byte-stable across "
-        "serial/parallel/cached execution)",
-    )
-    chaos.add_argument(
-        "--events", action="store_true",
-        help="print the per-seed fault and detection event logs",
-    )
-    chaos.add_argument(
-        "--serial", action="store_true", help="run seeds in-process"
-    )
-    chaos.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the seed fan-out",
-    )
+    _add_fanout(chaos, "print the per-seed fault and detection event logs")
 
     from repro.deploy.scenario import PRESETS as DEPLOY_PRESETS
     from repro.deploy.scenario import STRATEGIES
@@ -198,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the scenario's bounce strategy "
         "(brutal | upthendown | crossover | downthenup)",
     )
-    deploy.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
-        help="comma-separated seeds; CIs aggregate across them "
-        "(default 1,2,3)",
-    )
     deploy.add_argument("--clients", type=int, default=120)
     deploy.add_argument(
         "--duration", type=float, default=540.0,
@@ -212,25 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo", type=float, default=0.5, metavar="SEC",
         help="latency SLO for the violation-time metric (default 0.5 s)",
     )
-    deploy.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the canonical scorecard JSON (byte-stable across "
-        "serial/parallel/cached execution)",
-    )
-    deploy.add_argument(
-        "--events", action="store_true",
-        help="print the per-seed deployment event logs and capacity "
-        "timeline",
-    )
-    deploy.add_argument(
-        "--serial", action="store_true", help="run seeds in-process"
-    )
-    deploy.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    deploy.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the seed fan-out",
+    _add_fanout(
+        deploy,
+        "print the per-seed deployment event logs and capacity timeline",
     )
 
     from repro.market.scenario import PRESETS as MARKET_PRESETS
@@ -250,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline) and rank the SLO-feasible mixes by cost",
     )
     market.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
-        help="comma-separated seeds; CIs aggregate across them "
-        "(default 1,2,3)",
-    )
-    market.add_argument(
         "--peak", type=int, default=500, help="ramp peak client count"
     )
     market.add_argument(
@@ -265,25 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo", type=float, default=0.5, metavar="SEC",
         help="latency SLO for the violation-time metric (default 0.5 s)",
     )
-    market.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the canonical scorecard JSON (byte-stable across "
-        "serial/parallel/cached execution)",
-    )
-    market.add_argument(
-        "--events", action="store_true",
-        help="print the per-seed rebalance and interruption logs",
-    )
-    market.add_argument(
-        "--serial", action="store_true", help="run seeds in-process"
-    )
-    market.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    market.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the seed fan-out",
-    )
+    _add_fanout(market, "print the per-seed rebalance and interruption logs")
 
     whatif = sub.add_parser(
         "whatif",
@@ -645,18 +604,18 @@ def _print_summary(system: ManagedSystem) -> None:
         print("\nReconfigurations")
         for t, desc in col.reconfigurations:
             print(f"  t={t:8.1f}s  {desc}")
-    fluid_stats = getattr(system.emulator, "fluid_stats", None)
-    if fluid_stats is not None:
-        stats = fluid_stats()
+    stats = system.distill()
+    fluid = stats.get("fluid")
+    if fluid is not None:
         print(
-            f"\nFluid engine: {stats['ticks']} flow ticks, "
-            f"{stats['completions']:,.0f} completions, "
-            f"{stats['handoffs_to_fluid']} handoffs to fluid / "
-            f"{stats['handoffs_to_discrete']} back to discrete "
-            f"(threshold {stats['threshold']}, "
-            f"peak fluid population {stats['peak_fluid_population']:,})"
+            f"\nFluid engine: {fluid.ticks} flow ticks, "
+            f"{fluid.completions:,.0f} completions, "
+            f"{fluid.handoffs_to_fluid} handoffs to fluid / "
+            f"{fluid.handoffs_to_discrete} back to discrete "
+            f"(threshold {fluid.threshold}, "
+            f"peak fluid population {fluid.peak_fluid_population:,})"
         )
-    proactive = getattr(system, "proactive", None)
+    proactive = stats.get("proactive")
     if proactive is not None:
         print(
             f"\nProactive manager: {proactive.forecasts_issued} forecasts, "
@@ -730,29 +689,22 @@ def cmd_ramp(args: argparse.Namespace) -> int:
         step_period_s=60.0 * args.scale,
         cooldown_s=300.0 * args.scale,
     )
-    hs = args.hardware_scale if args.hardware_scale is not None else float(args.cohort)
-    config = ExperimentConfig(
-        profile=profile, seed=args.seed, managed=not args.static,
-        proactive=args.proactive, trace_jsonl=args.trace,
-        cohort=args.cohort, hardware_scale=hs,
-        fluid=args.fluid, fluid_threshold=args.fluid_threshold,
-    )
-    _run(config, args.csv)
-    return 0
+    return _run_profile(args, profile, managed=not args.static)
 
 
 def cmd_steady(args: argparse.Namespace) -> int:
+    profile = ConstantProfile(args.clients, args.duration * args.scale)
+    return _run_profile(args, profile, managed=not args.no_jade)
+
+
+def _run_profile(args: argparse.Namespace, profile, managed: bool) -> int:
+    """Run ``profile`` with the common, scaling and fluid options."""
     hs = args.hardware_scale if args.hardware_scale is not None else float(args.cohort)
     config = ExperimentConfig(
-        profile=ConstantProfile(args.clients, args.duration * args.scale),
-        seed=args.seed,
-        managed=not args.no_jade,
-        proactive=args.proactive,
-        trace_jsonl=args.trace,
-        cohort=args.cohort,
-        hardware_scale=hs,
-        fluid=args.fluid,
-        fluid_threshold=args.fluid_threshold,
+        profile=profile, seed=args.seed, managed=managed,
+        proactive=args.proactive, trace_jsonl=args.trace,
+        cohort=args.cohort, hardware_scale=hs,
+        fluid=args.fluid, fluid_threshold=args.fluid_threshold,
     )
     _run(config, args.csv)
     return 0
@@ -911,6 +863,44 @@ def cmd_recovery(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_list(raw: str, conv) -> tuple:
+    return tuple(conv(item) for item in raw.split(",") if item.strip())
+
+
+def _fanout_seeds(args: argparse.Namespace) -> tuple[int, ...]:
+    """Parse ``--seeds``; empty (after an error line) when none are given."""
+    seeds = _parse_list(args.seeds, int)
+    if not seeds:
+        print("error: --seeds is empty", file=sys.stderr)
+    return seeds
+
+
+def _runner(args: argparse.Namespace):
+    """The result-cached experiment runner ``--workers``/``--no-cache``/
+    ``--serial`` describe."""
+    from repro.runner import ExperimentRunner, ResultCache
+
+    return ExperimentRunner(
+        max_workers=args.workers,
+        cache=None if args.no_cache else ResultCache(),
+        parallel=not args.serial,
+    )
+
+
+def _print_cache(runner) -> None:
+    if runner.cache is not None:
+        print(
+            f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
+        )
+
+
+def _write_scorecard(path: Optional[str], text: str) -> None:
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"\nScorecard written to {path}")
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     import dataclasses
 
@@ -921,14 +911,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         score_campaign,
         scorecard_json,
     )
-    from repro.runner import ExperimentRunner, ResultCache
 
     campaign = PRESETS[args.campaign]()
     if args.detector is not None:
         campaign = dataclasses.replace(campaign, detector=args.detector)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    seeds = _fanout_seeds(args)
     if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
         return 2
     print(
         f"Campaign '{campaign.name}' (detector: {campaign.detector}): "
@@ -936,11 +924,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"{args.clients} clients x {args.duration:.0f}s, "
         f"seeds {', '.join(str(s) for s in seeds)}..."
     )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
+    runner = _runner(args)
     runs = runner.run_seeds(
         lambda seed: campaign_config(
             campaign, seed=seed, clients=args.clients, duration_s=args.duration
@@ -948,10 +932,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         seeds,
         prefix=f"chaos-{campaign.name}",
     )
-    if runner.cache is not None:
-        print(
-            f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
-        )
+    _print_cache(runner)
     scorecard = score_campaign(
         campaign, [runs[s] for s in seeds], slo_latency_s=args.slo
     )
@@ -960,7 +941,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(line)
     if args.events:
         for seed in seeds:
-            chaos = runs[seed].chaos
+            chaos = runs[seed].extensions["chaos"]
             print(f"\nSeed {seed} events")
             for event in chaos.events:
                 where = event["node"] or "lan"
@@ -974,10 +955,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     f"  t={det['t']:7.1f}s  detect {det['component']} "
                     f"[{det['tier']}] via {det['reason']}"
                 )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(scorecard_json(scorecard))
-        print(f"\nScorecard written to {args.json}")
+    _write_scorecard(args.json, scorecard_json(scorecard))
     return 0
 
 
@@ -990,14 +968,12 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         scorecard_json,
         with_strategy,
     )
-    from repro.runner import ExperimentRunner, ResultCache
 
     scenario = PRESETS[args.scenario]()
     if args.strategy is not None:
         scenario = with_strategy(scenario, args.strategy)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    seeds = _fanout_seeds(args)
     if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
         return 2
     print(
         f"Deployment '{scenario.name}' ({scenario.version.label} via "
@@ -1005,11 +981,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         f"{args.clients} clients x {args.duration:.0f}s, "
         f"seeds {', '.join(str(s) for s in seeds)}..."
     )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
+    runner = _runner(args)
     runs = runner.run_seeds(
         lambda seed: deploy_config(
             scenario, seed=seed, clients=args.clients, duration_s=args.duration
@@ -1017,10 +989,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         seeds,
         prefix=f"deploy-{scenario.name}",
     )
-    if runner.cache is not None:
-        print(
-            f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
-        )
+    _print_cache(runner)
     scorecard = score_scenario(
         scenario, [runs[s] for s in seeds], slo_latency_s=args.slo
     )
@@ -1029,7 +998,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         print(line)
     if args.events:
         for seed in seeds:
-            stats = runs[seed].deploy
+            stats = runs[seed].extensions["deploy"]
             print(f"\nSeed {seed} events")
             for event in stats.events:
                 detail = ", ".join(
@@ -1042,10 +1011,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
                 print(
                     f"  t={t:7.1f}s  capacity {serving}/{total} serving"
                 )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(scorecard_json(scorecard))
-        print(f"\nScorecard written to {args.json}")
+    _write_scorecard(args.json, scorecard_json(scorecard))
     return 0
 
 
@@ -1059,17 +1025,11 @@ def cmd_market(args: argparse.Namespace) -> int:
     )
     from repro.market.scenario import PRESETS, market_config
     from repro.market.whatif import evaluate_mixes, render_mixes
-    from repro.runner import ExperimentRunner, ResultCache
 
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    seeds = _fanout_seeds(args)
     if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
         return 2
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
+    runner = _runner(args)
 
     if args.compare:
         scenarios = [make() for _, make in sorted(PRESETS.items())]
@@ -1085,11 +1045,7 @@ def cmd_market(args: argparse.Namespace) -> int:
             slo_latency_s=args.slo,
             runner=runner,
         )
-        if runner.cache is not None:
-            print(
-                f"  cache: {runner.cache.hits} hits / "
-                f"{runner.cache.misses} misses"
-            )
+        _print_cache(runner)
         print()
         for line in render_mixes(table):
             print(line)
@@ -1123,10 +1079,7 @@ def cmd_market(args: argparse.Namespace) -> int:
             market=None,
         )
     runs = runner.run_many(labelled)
-    if runner.cache is not None:
-        print(
-            f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
-        )
+    _print_cache(runner)
     scorecard = score_scenario(
         scenario,
         [runs[f"{scenario.name}-s{s}"] for s in seeds],
@@ -1148,7 +1101,7 @@ def cmd_market(args: argparse.Namespace) -> int:
     )
     if args.events:
         for seed in seeds:
-            stats = runs[f"{scenario.name}-s{seed}"].market
+            stats = runs[f"{scenario.name}-s{seed}"].extensions["market"]
             print(f"\nSeed {seed} events")
             for entry in stats.rebalances:
                 print(
@@ -1160,37 +1113,29 @@ def cmd_market(args: argparse.Namespace) -> int:
                     f"  t={entry['t']:7.1f}s  interruption {entry['node']} "
                     f"({entry['source']}, reclaim at t={entry['deadline']:.1f}s)"
                 )
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(scorecard_json(scorecard))
-        print(f"\nScorecard written to {args.json}")
+    _write_scorecard(args.json, scorecard_json(scorecard))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner import (
-        ExperimentRunner,
-        ResultCache,
         SweepSpec,
         run_sweep,
         write_sweep_csv,
         write_sweep_json,
     )
 
-    def parse_list(raw: str, conv):
-        return tuple(conv(item) for item in raw.split(",") if item.strip())
-
     spec = SweepSpec(
-        seeds=parse_list(args.seeds, int),
-        scales=parse_list(args.scales, float),
-        policies=parse_list(args.policies, str),
-        cohorts=parse_list(args.cohorts, int),
+        seeds=_parse_list(args.seeds, int),
+        scales=_parse_list(args.scales, float),
+        policies=_parse_list(args.policies, str),
+        cohorts=_parse_list(args.cohorts, int),
         peak=args.peak,
-        fleets=parse_list(args.fleet, str),
+        fleets=_parse_list(args.fleet, str),
         fluid=args.fluid,
         fluid_threshold=args.fluid_threshold,
-        regions=parse_list(args.regions, int),
-        controllers=parse_list(args.controllers, str),
+        regions=_parse_list(args.regions, int),
+        controllers=_parse_list(args.controllers, str),
     )
     cells = spec.grid()
     print(
@@ -1200,12 +1145,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{len(spec.regions)} region counts x "
         f"{len(spec.controllers)} controllers..."
     )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
-    result = run_sweep(spec, runner)
+    result = run_sweep(spec, _runner(args))
     print(
         f"{len(result.rows)} rows in {result.elapsed_s:.1f}s "
         f"({len(result.rows) / max(result.elapsed_s, 1e-9):.1f} rows/s)"
@@ -1246,20 +1186,16 @@ def cmd_tune(args: argparse.Namespace) -> int:
         run_tune,
         write_tuned_config,
     )
-    from repro.runner import ExperimentRunner, ResultCache
-
-    def parse_list(raw: str, conv):
-        return tuple(conv(item) for item in raw.split(",") if item.strip())
 
     spec = TuneSpec(
-        app_max=parse_list(args.app_max, float),
-        app_min=parse_list(args.app_min, float),
-        db_max=parse_list(args.db_max, float),
-        db_min=parse_list(args.db_min, float),
-        window_scales=parse_list(args.windows, float),
-        inhibitions=parse_list(args.inhibitions, float),
-        controllers=parse_list(args.controllers, str),
-        seeds=parse_list(args.seeds, int),
+        app_max=_parse_list(args.app_max, float),
+        app_min=_parse_list(args.app_min, float),
+        db_max=_parse_list(args.db_max, float),
+        db_min=_parse_list(args.db_min, float),
+        window_scales=_parse_list(args.windows, float),
+        inhibitions=_parse_list(args.inhibitions, float),
+        controllers=_parse_list(args.controllers, str),
+        seeds=_parse_list(args.seeds, int),
         scale=args.scale,
         samples=args.samples,
         chaos=args.chaos,
@@ -1270,12 +1206,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         f"Tuning {len(cells)} cells x {len(spec.seeds)} seeds "
         f"({len(cells) * runs_per_cell} runs)..."
     )
-    runner = ExperimentRunner(
-        max_workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        parallel=not args.serial,
-    )
-    report = run_tune(spec, runner=runner)
+    report = run_tune(spec, runner=_runner(args))
     print(render_report(report, top=args.top))
     if args.out:
         write_tuned_config(report, args.out)

@@ -22,6 +22,7 @@ exactly, not statistically.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.deploy.bounce import BounceOperation
@@ -122,21 +123,40 @@ class CanaryController:
         return self.verdict
 
 
+@dataclass(frozen=True)
+class DeployStats:
+    """Plain-data distillate of a deployment execution: the deploy
+    manager's event/capacity logs plus the canary verdict — everything
+    :mod:`repro.deploy.scorecard` reads."""
+
+    scenario: str
+    strategy: str
+    version: str
+    fleet: int
+    verdict: Optional[str]
+    reason: str
+    events: list
+    capacity: list
+    canary: dict
+    started_t: float
+    verdict_t: float
+    completed_t: float
+
+
 class DeployManager:
     """Executes one :class:`DeployScenario` against a live system."""
 
-    def __init__(self, system, scenario: DeployScenario, rng, lock=None) -> None:
+    name = "deploy"
+
+    def __init__(self, system, scenario: DeployScenario, rng, inhibition) -> None:
         self.system = system
         self.kernel = system.kernel
         self.scenario = scenario
         self.rng = rng
         self.collector = system.collector
         self.tier = system.app_tier
-        if lock is None:
-            from repro.jade.control_loop import InhibitionLock
-
-            lock = InhibitionLock(self.kernel, system.config.inhibition_s)
-        self.lock = lock
+        #: the system's shared inhibition lock
+        self.inhibition = inhibition
         #: optional decision tracer (set by the assembled system)
         self.tracer = None
         self.canary = CanaryController(self.kernel, self.tier, scenario)
@@ -171,6 +191,28 @@ class DeployManager:
             self._sampler = None
         if self._process is not None and self._process.alive:
             self._process.kill()
+
+    def attach_tracer(self, tracer) -> None:
+        # The shared lock is traced by the optimizer and the proactive
+        # manager when either runs; a deployment alone leaves it untraced.
+        self.tracer = tracer
+
+    def distill(self) -> DeployStats:
+        sc = self.scenario
+        return DeployStats(
+            scenario=sc.name,
+            strategy=sc.strategy,
+            version=sc.version.label,
+            fleet=sc.fleet,
+            verdict=self.verdict,
+            reason=self.verdict_reason,
+            events=list(self.events),
+            capacity=[list(entry) for entry in self.capacity],
+            canary=dict(self.canary_metrics),
+            started_t=self.started_t,
+            verdict_t=self.verdict_t,
+            completed_t=self.completed_t,
+        )
 
     # ------------------------------------------------------------------
     def serving_replicas(self) -> int:
@@ -217,9 +259,9 @@ class DeployManager:
         """Try to take the shared inhibition lock (bounded wait: a wedged
         optimizer must not stall the deployment forever)."""
         for _ in range(10):
-            if self.lock.try_acquire(who):
+            if self.inhibition.try_acquire(who):
                 return
-            yield sleep(max(1.0, self.lock.free_at - self.kernel.now))
+            yield sleep(max(1.0, self.inhibition.free_at - self.kernel.now))
 
     # ------------------------------------------------------------------
     def _run(self):

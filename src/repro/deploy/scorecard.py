@@ -10,8 +10,8 @@ confidence intervals.
 Everything here is a pure function of :class:`CompletedRun` plain data
 (the deploy manager's event/capacity logs and the collector), so the
 scorecard of a cached or pool-worker run is byte-identical to a serial
-one — :func:`scorecard_json` (shared with the chaos scorecard)
-canonicalizes to make that testable.
+one — :func:`~repro.metrics.aggregates.scorecard_json` canonicalizes
+to make that testable.
 
 The bounce-window SLO accounting is *failure-aware*, unlike
 :func:`~repro.capacity.cost.slo_violation_time`: a ``brutal`` bounce's
@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.chaos.scorecard import _stats, scorecard_json  # noqa: F401 (re-export)
+from repro.metrics.aggregates import format_ci, mean_ci
+from repro.metrics.aggregates import scorecard_json  # noqa: F401 (re-export)
 
 
 def violation_seconds(
@@ -73,8 +74,8 @@ def _serving_steps(capacity, t0: float, t1: float) -> list[tuple[float, float, i
 
 def score_run(run, slo_latency_s: float = 0.5) -> dict:
     """Per-run scorecard of one deploy execution (a :class:`CompletedRun`
-    — or any object exposing ``config``/``collector``/``deploy``)."""
-    dep = run.deploy
+    — or any object exposing ``config``/``collector``/``extensions``)."""
+    dep = run.extensions.get("deploy")
     if dep is None:
         raise ValueError("run has no deploy scenario attached")
     col = run.collector
@@ -146,7 +147,7 @@ def score_scenario(scenario, runs: Sequence, slo_latency_s: float = 0.5) -> dict
     """Multi-seed scorecard: per-seed rows plus mean/ci95 aggregates."""
     per_seed = [score_run(r, slo_latency_s) for r in runs]
     aggregate = {
-        metric: _stats([row[metric] for row in per_seed])
+        metric: mean_ci([row[metric] for row in per_seed])
         for metric in AGGREGATED
     }
     return {
@@ -167,10 +168,7 @@ def render_scorecard(scorecard: dict) -> list[str]:
     agg = scorecard["aggregate"]
 
     def fmt(metric: str, scale: float = 1.0, unit: str = "") -> str:
-        s = agg[metric]
-        if s["n"] == 0 or s["mean"] != s["mean"]:
-            return "n/a"
-        return f"{s['mean'] * scale:.2f} ± {s['ci95'] * scale:.2f}{unit}"
+        return format_ci(agg[metric], scale, unit)
 
     verdicts = scorecard["verdicts"]
     lines = [

@@ -56,7 +56,6 @@ class FederationResult:
         "coordinator_busy_s",
         "events_processed",
         "wall_time_s",
-        "market",
     )
 
     def __init__(
@@ -78,7 +77,6 @@ class FederationResult:
             r.run.events_processed for r in regions.values()
         )
         self.wall_time_s = elapsed_s
-        self.market = None  # duck-types CompletedRun for the sweep rows
 
     # ------------------------------------------------------------------
     def scorecards_json(self) -> dict[str, str]:

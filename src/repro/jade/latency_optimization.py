@@ -157,18 +157,20 @@ class LatencyOptimizationManager:
     the sensor and reactor are wrapped in a composite component like the
     CPU loops)."""
 
+    name = "optimizer"
+
     def __init__(
         self,
         kernel: SimKernel,
         tiers: Sequence[TierManager],
         collector: MetricsCollector,
+        inhibition: InhibitionLock,
         max_latency_s: float = 0.5,
         min_latency_s: float = 0.06,
         window_s: float = 60.0,
-        inhibition_s: float = 60.0,
     ) -> None:
         self.kernel = kernel
-        self.inhibition = InhibitionLock(kernel, inhibition_s)
+        self.inhibition = inhibition
         self.sensor = LatencySensor(kernel, collector.latencies, window_s=window_s)
         self.reactor = SloReactor(
             kernel,
@@ -195,3 +197,11 @@ class LatencyOptimizationManager:
     def stop(self) -> None:
         self.sensor.on_stop()
         self.composite.stop()
+
+    def attach_tracer(self, tracer) -> None:
+        # The lock traces; the reactor's decisions surface through the
+        # tier events.
+        self.inhibition.tracer = tracer
+
+    def distill(self) -> None:
+        return None

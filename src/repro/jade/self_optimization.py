@@ -60,18 +60,21 @@ DB_LOOP_DEFAULTS = LoopConfig(window_s=90.0, max_threshold=0.75, min_threshold=0
 class SelfOptimizationManager:
     """Builds and owns the two resizing loops."""
 
+    name = "optimizer"
+
     def __init__(
         self,
         kernel: SimKernel,
         app_tier: TierManager,
         db_tier: TierManager,
-        inhibition_s: float = 60.0,
+        inhibition: InhibitionLock,
         app_config: Optional[LoopConfig] = None,
         db_config: Optional[LoopConfig] = None,
         calibration: Optional[Calibration] = None,
     ) -> None:
         self.kernel = kernel
-        self.inhibition = InhibitionLock(kernel, inhibition_s)
+        #: the global lock every loop (and every other manager) shares
+        self.inhibition = inhibition
         #: demand mix the model-based policies default their parameters
         #: from (the queue-model plugin solves its utilization target
         #: from the tier's calibrated service demand)
@@ -187,6 +190,15 @@ class SelfOptimizationManager:
 
     def stop(self) -> None:
         self.composite.stop()
+
+    def attach_tracer(self, tracer) -> None:
+        self.inhibition.tracer = tracer
+        for loop in self.loops.values():
+            loop.probe.tracer = tracer
+            loop.reactor.tracer = tracer
+
+    def distill(self) -> None:
+        return None
 
     @property
     def app_loop(self) -> ControlLoop:

@@ -27,6 +27,8 @@ from repro.simulation.kernel import PeriodicTask, SimKernel
 class SelfRecoveryManager:
     """Failure detection + repair across a set of managed tiers."""
 
+    name = "recovery"
+
     def __init__(
         self,
         kernel: SimKernel,
@@ -173,6 +175,14 @@ class SelfRecoveryManager:
         if self._retry_task is not None:
             self._retry_task.cancel()
             self._retry_task = None
+
+    def attach_tracer(self, tracer) -> None:
+        self.tracer = tracer
+        if self.detector is not None:
+            self.detector.tracer = tracer
+
+    def distill(self) -> None:
+        return None  # the chaos injector distills the detection log
 
     @property
     def pending_repairs(self) -> int:

@@ -10,6 +10,15 @@
 * the RUBiS client emulator driving the configured workload profile;
 * a metrics sampler reproducing Table 1's node CPU/memory accounting.
 
+Every optional subsystem (optimizer, self-recovery, proactive manager,
+chaos injector, deploy manager, spot market) is a
+:class:`SystemExtension`: it is built here, then started, stopped,
+traced and distilled through the one ordered tuple
+:attr:`ManagedSystem.extensions`.  The tuple's order is the start order,
+and the start order fixes the dispatch order of same-instant kernel
+events, so it is part of every output digest.  The reconfiguring
+managers share one :class:`~repro.jade.control_loop.InhibitionLock`.
+
 The harness is what every quantitative benchmark and example drives; a
 single :class:`ExperimentConfig` pins all parameters so a run is
 reproducible from its seed.
@@ -18,7 +27,7 @@ reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.cluster.allocator import ClusterManager
 from repro.cluster.installer import Package, SoftwareInstallationService
@@ -27,6 +36,7 @@ from repro.cluster.node import Node
 from repro.fractal.adl import parse_adl
 from repro.jade.actuators import TierManager
 from repro.jade.arbitration import ArbitrationManager
+from repro.jade.control_loop import InhibitionLock
 from repro.jade.deployment import DeployedApplication, DeploymentService
 from repro.jade.self_optimization import (
     DB_LOOP_DEFAULTS,
@@ -161,6 +171,34 @@ class ExperimentConfig:
             raise ValueError("fluid_tick_s must be positive")
         if not self.fluid and (self.fluid_threshold != 0 or self.fluid_tick_s != 1.0):
             raise ValueError("fluid_threshold and fluid_tick_s require fluid=True")
+        if self.use_slo_manager and not self.managed:
+            raise ValueError("use_slo_manager requires managed=True")
+        if self.proactive_config is not None and not self.proactive:
+            raise ValueError("proactive_config requires proactive=True")
+
+
+class SystemExtension(Protocol):
+    """An optional subsystem of :class:`ManagedSystem`.
+
+    The system builds each one, then drives all of them through
+    :attr:`ManagedSystem.extensions`: ``start`` in tuple order before the
+    client emulator, ``stop`` in tuple order after the tail drain,
+    ``attach_tracer`` when tracing is on (the extension wires its own
+    sub-parts: a detector, a lock), and ``distill`` once the run is
+    finished.  A new optional subsystem enters through this seam.
+    """
+
+    #: key of the distilled stats in ``CompletedRun.extensions``
+    name: str
+
+    def start(self) -> None: ...
+
+    def stop(self) -> None: ...
+
+    def attach_tracer(self, tracer: Tracer) -> None: ...
+
+    def distill(self) -> Optional[object]:
+        """Picklable frozen-dataclass stats, or None when there are none."""
 
 
 class ManagedSystem:
@@ -214,6 +252,7 @@ class ManagedSystem:
                 make_node,
                 collector=self.collector,
                 pool_vcpus=float(cfg.pool_nodes),
+                system=self,
             )
             self.nodes = self.market.nodes
             self.cluster = self.market.cluster
@@ -321,6 +360,10 @@ class ManagedSystem:
         self.db_tier._next_id = 2
 
         # --- Jade managers ----------------------------------------------
+        # One inhibition lock for every reconfiguring manager (§5.2: a
+        # reconfiguration by any loop — reactive, proactive or a
+        # deployment — inhibits all of them).
+        self.inhibition = InhibitionLock(self.kernel, cfg.inhibition_s)
         self.optimizer = None
         self.recovery: Optional[SelfRecoveryManager] = None
         if cfg.managed:
@@ -335,14 +378,14 @@ class ManagedSystem:
                     self.collector,
                     max_latency_s=cfg.slo_max_latency_s,
                     min_latency_s=cfg.slo_min_latency_s,
-                    inhibition_s=cfg.inhibition_s,
+                    inhibition=self.inhibition,
                 )
             else:
                 self.optimizer = SelfOptimizationManager(
                     self.kernel,
                     self.app_tier,
                     self.db_tier,
-                    inhibition_s=cfg.inhibition_s,
+                    inhibition=self.inhibition,
                     app_config=cfg.app_loop,
                     db_config=cfg.db_loop,
                     calibration=cal,
@@ -388,22 +431,17 @@ class ManagedSystem:
                     )
                 )
 
-        # --- market engine late-binding -----------------------------------
-        # The engine was built with the cluster (it owns the pool); now
-        # that tiers and recovery exist it can drain interrupted nodes.
-        if self.market is not None:
-            self.market.attach(self)
-
         # --- tier CPU recording for Figures 6 & 7 --------------------------
         # With Jade, the real probes' readings are recorded; without Jade a
         # *passive* measurement probe (zero CPU cost — it models the
         # experimenters' external instrumentation, not a management
-        # component) produces the comparison curves.
+        # component) produces the comparison curves.  ``_tier_probes``
+        # holds whichever of the two feeds each tier's CPU reading.
         self._passive_probes = []
         if isinstance(self.optimizer, SelfOptimizationManager):
-            for label, tier_name in (("app", "application"), ("db", "database")):
-                probe = self.optimizer.loops[label].probe
-                probe.subscribe(self._tier_recorder(tier_name))
+            self._tier_probes = {
+                label: self.optimizer.loops[label].probe for label in ("app", "db")
+            }
         else:
             from repro.jade.sensors import CpuProbe
 
@@ -419,8 +457,10 @@ class ManagedSystem:
                     probe_demand_s=0.0,
                     name=f"passive-{tier_name}",
                 )
-                probe.subscribe(self._tier_recorder(tier_name))
                 self._passive_probes.append(probe)
+            self._tier_probes = dict(zip(("app", "db"), self._passive_probes))
+        for label, tier_name in (("app", "application"), ("db", "database")):
+            self._tier_probes[label].subscribe(self._tier_recorder(tier_name))
 
         # --- workload ----------------------------------------------------
         if cfg.fluid:
@@ -484,19 +524,14 @@ class ManagedSystem:
             from repro.capacity.proactive import ProactiveManager
             from repro.capacity.snapshot import SystemSnapshot
 
-            lock = getattr(self.optimizer, "inhibition", None)
-            if lock is None:
-                from repro.jade.control_loop import InhibitionLock
-
-                lock = InhibitionLock(self.kernel, cfg.inhibition_s)
             self.proactive = ProactiveManager(
                 self.kernel,
                 self.app_tier,
                 self.db_tier,
-                lock,
+                self.inhibition,
                 load_provider=lambda: self.emulator.active_clients,
                 snapshot_source=lambda: SystemSnapshot.capture(
-                    self, inhibition=lock
+                    self, inhibition=self.inhibition
                 ),
                 app_thresholds=(
                     cfg.app_loop.max_threshold,
@@ -510,31 +545,40 @@ class ManagedSystem:
             )
             # Feed the planner's projection from the same probes the
             # reactive loops read (or the passive ones when unmanaged).
-            if isinstance(self.optimizer, SelfOptimizationManager):
-                for label in ("app", "db"):
-                    self.optimizer.loops[label].probe.subscribe(
-                        self.proactive.cpu_listener(label)
-                    )
-            else:
-                for label, probe in zip(("app", "db"), self._passive_probes):
-                    probe.subscribe(self.proactive.cpu_listener(label))
+            for label, probe in self._tier_probes.items():
+                probe.subscribe(self.proactive.cpu_listener(label))
 
         # --- deployment manager (extension) -------------------------------
-        # Built after the proactive manager so it can share whichever
-        # inhibition lock exists (optimizer's, else proactive's); with
-        # neither, it creates its own.  Its RNG stream ("deploy") feeds
-        # the pushed version's per-request error draws, so a bad push is
+        # Shares the inhibition lock; its RNG stream ("deploy") feeds the
+        # pushed version's per-request error draws, so a bad push is
         # reproducible from the experiment seed.
         self.deploy = None
         if cfg.deploy is not None:
             from repro.deploy.canary import DeployManager
 
-            lock = getattr(self.optimizer, "inhibition", None)
-            if lock is None and self.proactive is not None:
-                lock = self.proactive.inhibition
             self.deploy = DeployManager(
-                self, cfg.deploy, rng=self.streams.get("deploy"), lock=lock
+                self,
+                cfg.deploy,
+                rng=self.streams.get("deploy"),
+                inhibition=self.inhibition,
             )
+
+        # --- the extension seam ---------------------------------------------
+        # Start order, not construction order (the market is built first
+        # but started last): same-instant kernel events dispatch in start
+        # order, so this tuple's order is part of every output digest.
+        self.extensions: tuple[SystemExtension, ...] = tuple(
+            ext
+            for ext in (
+                self.optimizer,
+                self.recovery,
+                self.proactive,
+                self.chaos,
+                self.deploy,
+                self.market,
+            )
+            if ext is not None
+        )
 
         # --- metrics sampling ---------------------------------------------
         self._node_sampler = UtilizationSampler()
@@ -555,31 +599,10 @@ class ManagedSystem:
         """Attach the tracer to every emission point of the control loops."""
         self.app_tier.tracer = tracer
         self.db_tier.tracer = tracer
-        if isinstance(self.optimizer, SelfOptimizationManager):
-            self.optimizer.inhibition.tracer = tracer
-            for loop in self.optimizer.loops.values():
-                loop.probe.tracer = tracer
-                loop.reactor.tracer = tracer
-        elif self.optimizer is not None:
-            # Latency-SLO manager: the lock still traces; its reactor
-            # decisions surface through the tier events.
-            self.optimizer.inhibition.tracer = tracer
         for probe in self._passive_probes:
             probe.tracer = tracer
-        if self.recovery is not None:
-            self.recovery.tracer = tracer
-            if self.recovery.detector is not None:
-                self.recovery.detector.tracer = tracer
-        if self.chaos is not None:
-            self.chaos.tracer = tracer
-        if self.deploy is not None:
-            self.deploy.tracer = tracer
-        if self.market is not None:
-            self.market.tracer = tracer
-            self.market.market.tracer = tracer
-        if self.proactive is not None:
-            self.proactive.tracer = tracer
-            self.proactive.inhibition.tracer = tracer
+        for ext in self.extensions:
+            ext.attach_tracer(tracer)
 
     # ------------------------------------------------------------------
     def entry(self, request) -> None:
@@ -635,18 +658,8 @@ class ManagedSystem:
         self._horizon = (
             duration_s if duration_s is not None else cfg.profile.duration_s
         )
-        if self.optimizer is not None:
-            self.optimizer.start()
-        if self.recovery is not None:
-            self.recovery.start()
-        if self.proactive is not None:
-            self.proactive.on_start()
-        if self.chaos is not None:
-            self.chaos.start()
-        if self.deploy is not None:
-            self.deploy.start()
-        if self.market is not None:
-            self.market.start()
+        for ext in self.extensions:
+            ext.start()
         if cfg.sample_nodes:
             self._sampling_task = self.kernel.every(1.0, self._sample_nodes)
         for probe in self._passive_probes:
@@ -674,18 +687,8 @@ class ManagedSystem:
         if self._sampling_task is not None:
             self._sampling_task.cancel()
             self._sampling_task = None
-        if self.optimizer is not None:
-            self.optimizer.stop()
-        if self.recovery is not None:
-            self.recovery.stop()
-        if self.proactive is not None:
-            self.proactive.on_stop()
-        if self.chaos is not None:
-            self.chaos.stop()
-        if self.deploy is not None:
-            self.deploy.stop()
-        if self.market is not None:
-            self.market.stop()
+        for ext in self.extensions:
+            ext.stop()
         if self.tracer is not None:
             self.tracer.emit(
                 KernelStats(
@@ -704,28 +707,17 @@ class ManagedSystem:
         self.advance(horizon)
         return self.finish()
 
-    # ------------------------------------------------------------------
-    # Summaries used by the benchmark tables
-    # ------------------------------------------------------------------
+    def distill(self) -> dict[str, object]:
+        """Plain-data stats of every extension (and the workload engine)
+        that has any, keyed by name in start order."""
+        stats = {}
+        for part in (*self.extensions, self.emulator):
+            distilled = part.distill()
+            if distilled is not None:
+                stats[part.name] = distilled
+        return stats
+
     def summary(self) -> dict[str, float]:
-        col = self.collector
-        horizon = self.config.profile.duration_s
-        return {
-            "completed": col.completed_requests,
-            "failed": col.failed_requests,
-            "throughput_rps": col.throughput(0.0, horizon),
-            "latency_mean_ms": col.latency_summary()["mean"] * 1e3,
-            "latency_p95_ms": col.latency_summary()["p95"] * 1e3,
-            "app_replicas_max": (
-                col.tier_replicas["application"].max()
-                if "application" in col.tier_replicas
-                else 1
-            ),
-            "db_replicas_max": (
-                col.tier_replicas["database"].max()
-                if "database" in col.tier_replicas
-                else 1
-            ),
-            "node_cpu_mean": col.node_cpu.mean(),
-            "node_mem_mean": col.node_memory.mean(),
-        }
+        """The benchmark tables' run summary (see
+        :meth:`MetricsCollector.summary`)."""
+        return self.collector.summary(self.config.profile.duration_s)

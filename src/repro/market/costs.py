@@ -10,36 +10,23 @@ savings did not come out of latency — per seed, then aggregated across
 seeds with 95 % confidence intervals.
 
 Everything here is a pure function of :class:`CompletedRun` plain data
-(:class:`~repro.runner.results.MarketStats` plus the collector), so the
+(:class:`~repro.market.engine.MarketStats` plus the collector), so the
 scorecard of a cached or pool-worker run is byte-identical to a serial
-one — :func:`scorecard_json` canonicalizes exactly like the chaos and
-deploy scorecards.
+one — :func:`~repro.metrics.aggregates.scorecard_json` canonicalizes
+exactly like the chaos and deploy scorecards.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from typing import Sequence
 
 from repro.capacity.cost import slo_violation_time
+from repro.metrics.aggregates import format_ci, mean_ci
+from repro.metrics.aggregates import scorecard_json  # noqa: F401 (re-export)
 
 #: hourly price of the uniform pool's calibrated machine (std.small ==
 #: CostModel.node_hour_cost — see repro.market.catalog)
 UNIFORM_NODE_HOUR_COST = 1.0
-
-
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    clean = [v for v in values if v == v]  # drop NaNs
-    if not clean:
-        return {"mean": float("nan"), "ci95": 0.0, "n": 0}
-    mean = sum(clean) / len(clean)
-    if len(clean) > 1:
-        var = sum((v - mean) ** 2 for v in clean) / (len(clean) - 1)
-        ci = 1.96 * math.sqrt(var) / math.sqrt(len(clean))
-    else:
-        ci = 0.0
-    return {"mean": mean, "ci95": ci, "n": len(clean)}
 
 
 def _run_window(config) -> float:
@@ -57,8 +44,8 @@ def uniform_fleet_cost(config) -> float:
 
 def score_run(run, slo_latency_s: float = 0.5) -> dict:
     """Per-run scorecard of one market execution (a :class:`CompletedRun`
-    — or any object exposing ``config``/``collector``/``market``)."""
-    market = run.market
+    — or any object exposing ``config``/``collector``/``extensions``)."""
+    market = run.extensions.get("market")
     if market is None:
         raise ValueError("run has no market scenario attached")
     col = run.collector
@@ -167,7 +154,7 @@ def score_scenario(
     scorer = score_uniform_run if uniform else score_run
     per_seed = [scorer(r, slo_latency_s) for r in runs]
     aggregate = {
-        metric: _stats([float(row[metric]) for row in per_seed])
+        metric: mean_ci([float(row[metric]) for row in per_seed])
         for metric in AGGREGATED
     }
     return {
@@ -181,36 +168,14 @@ def score_scenario(
 
 
 # ----------------------------------------------------------------------
-# Canonical serialization (byte-identity) and rendering
+# Rendering
 # ----------------------------------------------------------------------
-def _canonical(value):
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float):
-        if value != value:
-            return None  # NaN is not valid JSON; canonicalize to null
-        return round(value, 9)
-    return value
-
-
-def scorecard_json(scorecard: dict) -> str:
-    """Canonical JSON: sorted keys, floats rounded to 9 decimals, NaN →
-    null.  Two runs of the same scenario + seeds — serial, parallel or
-    cache-resolved — must produce byte-identical output."""
-    return json.dumps(_canonical(scorecard), indent=2, sort_keys=True) + "\n"
-
-
 def render_scorecard(scorecard: dict) -> list[str]:
     """Human-readable scorecard block for the CLI."""
     agg = scorecard["aggregate"]
 
     def fmt(metric: str, scale: float = 1.0, unit: str = "") -> str:
-        s = agg[metric]
-        if s["n"] == 0 or s["mean"] != s["mean"]:
-            return "n/a"
-        return f"{s['mean'] * scale:.2f} ± {s['ci95'] * scale:.2f}{unit}"
+        return format_ci(agg[metric], scale, unit)
 
     lines = [
         f"Scenario '{scorecard['scenario']}' "

@@ -31,6 +31,7 @@ converge on :meth:`MarketEngine.interrupt`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.capacity.forecast import make_forecaster
@@ -56,8 +57,29 @@ def _mix_summary(mix: list[Offer]) -> str:
     return " ".join(f"{n}x {k}" for k, n in sorted(counts.items())) or "none"
 
 
+@dataclass(frozen=True)
+class MarketStats:
+    """Plain-data distillate of a heterogeneous-fleet run: the provision
+    ledger, price tape, interruption and rebalance logs, and the exact
+    integrated fleet cost — everything :mod:`repro.market.costs` reads."""
+
+    scenario: str
+    policy: str
+    on_demand_floor: float
+    fleet_cost: float
+    node_seconds: float
+    provisions: list
+    price_history: dict
+    interruptions: list
+    rebalances: list
+    held_seconds_by_owner: dict
+    nodes_provisioned: int
+
+
 class MarketEngine:
     """Owns market, pool and fleet for one managed-system run."""
+
+    name = "market"
 
     def __init__(
         self,
@@ -67,12 +89,16 @@ class MarketEngine:
         make_node: Callable[[str, InstanceType, str], "Node"],
         collector: Optional["MetricsCollector"] = None,
         pool_vcpus: float = 7.0,
+        system=None,
     ) -> None:
         self.kernel = kernel
         self.scenario = scenario
         self.collector = collector
         self.tracer = None
-        self.system = None
+        #: the assembled system (its recovery manager and tiers are read
+        #: when an interruption drains a node; the engine itself is built
+        #: before either exists, because it stocks the pool they draw from)
+        self.system = system
         #: live node list shared with the system (probes iterate it);
         #: nodes are appended on provision and never removed, like
         #: crashed nodes in chaos runs
@@ -92,7 +118,7 @@ class MarketEngine:
         self._interrupt_task = None
         #: nodes under an active interruption notice (name → deadline)
         self._noticed: dict[str, float] = {}
-        #: plain-data logs for MarketStats
+        #: plain-data logs for :class:`MarketStats`
         self.interruptions: list[dict] = []
         self.rebalances: list[dict] = []
         self._build_initial_fleet(pool_vcpus)
@@ -127,10 +153,6 @@ class MarketEngine:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def attach(self, system) -> None:
-        """Late-bind the assembled system (recovery manager, tiers)."""
-        self.system = system
-
     def start(self) -> None:
         scn = self.scenario
         self.market.tracer = self.tracer
@@ -154,6 +176,9 @@ class MarketEngine:
         if self._interrupt_task is not None:
             self._interrupt_task.cancel()
             self._interrupt_task = None
+
+    def attach_tracer(self, tracer) -> None:
+        self.tracer = tracer  # start() hands it to the spot market
 
     # ------------------------------------------------------------------
     # Plan loop
@@ -305,3 +330,19 @@ class MarketEngine:
 
     def price_history(self) -> dict[str, list[tuple[float, float]]]:
         return {k: list(v) for k, v in self.market.history.items()}
+
+    def distill(self) -> MarketStats:
+        scn = self.scenario
+        return MarketStats(
+            scenario=scn.name,
+            policy=scn.policy,
+            on_demand_floor=scn.on_demand_floor,
+            fleet_cost=self.fleet_cost(),
+            node_seconds=self.allocator.node_seconds(),
+            provisions=[p.as_dict() for p in self.allocator.provisions],
+            price_history=self.price_history(),
+            interruptions=list(self.interruptions),
+            rebalances=list(self.rebalances),
+            held_seconds_by_owner=dict(self.cluster.node_seconds_by_owner()),
+            nodes_provisioned=len(self.allocator.provisions),
+        )

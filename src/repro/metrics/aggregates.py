@@ -9,6 +9,8 @@ average CPU load across all nodes" (§4.1): a *temporal* moving average
 
 from __future__ import annotations
 
+import json
+import math
 from collections import deque
 from typing import Iterable
 
@@ -93,3 +95,50 @@ def summarize(values: Iterable[float]) -> dict[str, float]:
         "p99": float(np.percentile(arr, 99)),
         "max": float(arr.max()),
     }
+
+
+# ----------------------------------------------------------------------
+# Multi-seed scorecards (chaos, deploy, market, bench sections)
+# ----------------------------------------------------------------------
+def mean_ci(values: Iterable[float]) -> dict[str, float]:
+    """Mean and normal-approximation 95 % confidence half-width of the
+    non-NaN ``values`` (a NaN marks "not observed", e.g. no repair), as
+    ``{"mean", "ci95", "n"}`` — the aggregate every multi-seed scorecard
+    and bench section reports."""
+    clean = [v for v in values if v == v]
+    if not clean:
+        return {"mean": float("nan"), "ci95": 0.0, "n": 0}
+    mean = sum(clean) / len(clean)
+    if len(clean) > 1:
+        var = sum((v - mean) ** 2 for v in clean) / (len(clean) - 1)
+        ci = 1.96 * math.sqrt(var) / math.sqrt(len(clean))
+    else:
+        ci = 0.0
+    return {"mean": mean, "ci95": ci, "n": len(clean)}
+
+
+def format_ci(stat: dict[str, float], scale: float = 1.0, unit: str = "") -> str:
+    """Render a :func:`mean_ci` aggregate as ``mean ± ci95`` plus ``unit``
+    ("n/a" when nothing was observed)."""
+    if stat["n"] == 0 or stat["mean"] != stat["mean"]:
+        return "n/a"
+    return f"{stat['mean'] * scale:.2f} ± {stat['ci95'] * scale:.2f}{unit}"
+
+
+def _canonical(value):
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, float):
+        if value != value:
+            return None  # NaN is not valid JSON; canonicalize to null
+        return round(value, 9)
+    return value
+
+
+def scorecard_json(scorecard: dict) -> str:
+    """Canonical JSON: sorted keys, floats rounded to 9 decimals, NaN →
+    null.  Two runs of the same scenario + seeds — serial, parallel or
+    cache-resolved — must produce byte-identical output."""
+    return json.dumps(_canonical(scorecard), indent=2, sort_keys=True) + "\n"

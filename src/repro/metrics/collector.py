@@ -109,3 +109,24 @@ class MetricsCollector:
         if total == 0:
             return 0.0
         return self.failed_requests / total
+
+    def summary(self, horizon_s: float) -> dict[str, float]:
+        """The run summary the benchmark tables (and federation
+        scorecards) read; throughput is over ``[0, horizon_s)``."""
+        latency = self.latency_summary()
+        replicas = self.tier_replicas
+        return {
+            "completed": self.completed_requests,
+            "failed": self.failed_requests,
+            "throughput_rps": self.throughput(0.0, horizon_s),
+            "latency_mean_ms": latency["mean"] * 1e3,
+            "latency_p95_ms": latency["p95"] * 1e3,
+            "app_replicas_max": (
+                replicas["application"].max() if "application" in replicas else 1
+            ),
+            "db_replicas_max": (
+                replicas["database"].max() if "database" in replicas else 1
+            ),
+            "node_cpu_mean": self.node_cpu.mean(),
+            "node_mem_mean": self.node_memory.mean(),
+        }

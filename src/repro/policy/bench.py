@@ -22,12 +22,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.metrics.aggregates import mean_ci
 from repro.policy.tune import (
     PAPER_DEFAULT,
     TuneObjective,
     TunePoint,
     TuneSpec,
-    _stats,
     load_tuned_point,
     run_tune,
     score_run,
@@ -80,12 +80,12 @@ def run_policy_section(
         ]
         section["arms"][arm] = {
             "point": point.to_record(),
-            "slo_violation_s": _stats(
+            "slo_violation_s": mean_ci(
                 [s["slo_violation_s"] for s in per_seed]
             ),
-            "node_hours": _stats([s["node_hours"] for s in per_seed]),
-            "reconfigs": _stats([s["reconfigs"] for s in per_seed]),
-            "score": _stats([s["score"] for s in per_seed]),
+            "node_hours": mean_ci([s["node_hours"] for s in per_seed]),
+            "reconfigs": mean_ci([s["reconfigs"] for s in per_seed]),
+            "score": mean_ci([s["score"] for s in per_seed]),
         }
     default, tuned_arm = section["arms"]["default"], section["arms"]["tuned"]
     section["gate"] = {

@@ -27,31 +27,17 @@ against the paper defaults.
 from __future__ import annotations
 
 import json
-import math
 import random
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
+from repro.metrics.aggregates import mean_ci
 from repro.policy.api import PolicyConfig
 
 #: chaos arm constants (match the chaos bench's campaign geometry)
 CHAOS_CLIENTS = 60
 CHAOS_DURATION_S = 420.0
-
-
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    ci = (
-        1.96 * float(arr.std(ddof=1)) / math.sqrt(len(arr))
-        if len(arr) > 1
-        else 0.0
-    )
-    return {"mean": mean, "ci95": ci, "n": len(arr)}
 
 
 @dataclass(frozen=True)
@@ -322,12 +308,7 @@ def run_tune(
                     campaign, seed
                 )
 
-    hits0 = misses0 = 0
-    if runner.cache is not None:
-        hits0, misses0 = runner.cache.hits, runner.cache.misses
-    t0 = time.perf_counter()
-    results = runner.run_many(configs)
-    elapsed = time.perf_counter() - t0
+    results, batch = runner.run_many_timed(configs)
 
     cells = []
     for point in scored_points:
@@ -338,10 +319,10 @@ def run_tune(
         cell = {
             "point": point.to_record(),
             "label": point.label,
-            "slo_violation_s": _stats([s["slo_violation_s"] for s in per_seed]),
-            "node_hours": _stats([s["node_hours"] for s in per_seed]),
-            "reconfigs": _stats([s["reconfigs"] for s in per_seed]),
-            "score": _stats([s["score"] for s in per_seed]),
+            "slo_violation_s": mean_ci([s["slo_violation_s"] for s in per_seed]),
+            "node_hours": mean_ci([s["node_hours"] for s in per_seed]),
+            "reconfigs": mean_ci([s["reconfigs"] for s in per_seed]),
+            "score": mean_ci([s["score"] for s in per_seed]),
         }
         if campaign is not None:
             from repro.chaos import score_campaign
@@ -354,7 +335,7 @@ def run_tune(
             cell["mttr_s"] = mttr
             mean = mttr["mean"]
             if mean == mean:  # not NaN (NaN = no repair observed)
-                cell["score"] = _stats(
+                cell["score"] = mean_ci(
                     [
                         s["score"] + objective.mttr_weight * mean
                         for s in per_seed
@@ -386,13 +367,10 @@ def run_tune(
         "reference": reference,
         "best": best,
         "within_budget": len(eligible),
-        "elapsed_s": elapsed,
+        "elapsed_s": batch["elapsed_s"],
     }
     if runner.cache is not None:
-        report["cache"] = {
-            "hits": runner.cache.hits - hits0,
-            "misses": runner.cache.misses - misses0,
-        }
+        report["cache"] = {"hits": batch["hits"], "misses": batch["misses"]}
     return report
 
 

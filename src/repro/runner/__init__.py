@@ -31,7 +31,7 @@ from repro.runner.parallel import (
     execute_config,
     fanout_map,
 )
-from repro.runner.results import ChaosStats, CompletedRun
+from repro.runner.results import CompletedRun
 from repro.runner.sweep import (
     SweepPoint,
     SweepResult,
@@ -42,7 +42,6 @@ from repro.runner.sweep import (
 )
 
 __all__ = [
-    "ChaosStats",
     "CompletedRun",
     "ExperimentRunner",
     "ResultCache",

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.metrics.aggregates import mean_ci
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import ExperimentRunner
 
@@ -98,16 +99,6 @@ def run_micro(rounds: int = 10) -> dict[str, dict[str, float]]:
 # ----------------------------------------------------------------------
 # Multi-seed ramp replication
 # ----------------------------------------------------------------------
-def _stats(values: Sequence[float]) -> dict[str, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if len(arr) > 1:
-        ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(len(arr))
-    else:
-        ci = 0.0
-    return {"mean": mean, "ci95": ci, "n": len(arr)}
-
-
 def _ramp_config(
     managed: bool,
     seed: int,
@@ -156,33 +147,20 @@ def run_ramp_replication(
             False, seed, scale, fluid, fluid_threshold
         )
 
-    def timed_pass() -> tuple[dict, dict]:
-        hits0 = misses0 = 0
-        if runner.cache is not None:
-            hits0, misses0 = runner.cache.hits, runner.cache.misses
-        t0 = time.perf_counter()
-        results = runner.run_many(configs)
-        stats = {"elapsed_s": time.perf_counter() - t0}
-        if runner.cache is not None:
-            stats["hits"] = runner.cache.hits - hits0
-            stats["misses"] = runner.cache.misses - misses0
-        return results, stats
-
-    results, cold = timed_pass()
+    results, cold = runner.run_many_timed(configs)
     warm = None
     if runner.cache is not None:
-        warm_results, warm = timed_pass()
-        results = warm_results
+        results, warm = runner.run_many_timed(configs)
 
     arms = {}
     for arm in ("managed", "static"):
         summaries = [results[f"{arm}-{s}"].summary() for s in seeds]
         walls = [results[f"{arm}-{s}"].wall_time_s for s in seeds]
         arms[arm] = {
-            "throughput_rps": _stats([s["throughput_rps"] for s in summaries]),
-            "latency_mean_ms": _stats([s["latency_mean_ms"] for s in summaries]),
-            "completed": _stats([s["completed"] for s in summaries]),
-            "wall_time_s": _stats(walls),
+            "throughput_rps": mean_ci([s["throughput_rps"] for s in summaries]),
+            "latency_mean_ms": mean_ci([s["latency_mean_ms"] for s in summaries]),
+            "completed": mean_ci([s["completed"] for s in summaries]),
+            "wall_time_s": mean_ci(walls),
         }
     serial_estimate = sum(r.wall_time_s for r in results.values())
     block = {

@@ -240,6 +240,21 @@ class ExperimentRunner:
             results[label] = run
         return results
 
+    def run_many_timed(
+        self, configs: Mapping[str, object]
+    ) -> tuple[dict[str, CompletedRun], dict]:
+        """:meth:`run_many` plus what the batch cost: ``elapsed_s`` wall
+        seconds and, with a cache, the batch's own ``hits``/``misses``."""
+        cache = self.cache
+        hits0, misses0 = (cache.hits, cache.misses) if cache is not None else (0, 0)
+        t0 = time.perf_counter()
+        results = self.run_many(configs)
+        stats = {"elapsed_s": time.perf_counter() - t0}
+        if cache is not None:
+            stats["hits"] = cache.hits - hits0
+            stats["misses"] = cache.misses - misses0
+        return results, stats
+
     def run_seeds(
         self, make_config, seeds: Sequence[int], prefix: str = "seed"
     ) -> dict[int, CompletedRun]:

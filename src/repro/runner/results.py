@@ -3,15 +3,12 @@
 A live :class:`~repro.jade.system.ManagedSystem` cannot cross a process
 boundary (the kernel holds generator frames and callback closures), and it
 cannot be cached on disk for the same reason.  :class:`CompletedRun` is the
-transportable distillate: the collector, the config, and the handful of
-counters the benchmarks and examples read off the live object.  Everything
-in it is plain data, so two runs of the same config produce structurally
-identical pickles.
+transportable distillate: the collector, the config, the tier counters,
+and each extension's distilled stats.  Everything in it is plain data, so
+two runs of the same config produce structurally identical pickles.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 
 class TierStats:
@@ -27,295 +24,19 @@ class TierStats:
         self.shrinks_completed = shrinks_completed
         self.replicas = replicas
 
+    @classmethod
+    def of(cls, tier) -> "TierStats":
+        return cls(
+            tier.tier_name,
+            tier.grows_completed,
+            tier.shrinks_completed,
+            len(tier.replicas),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TierStats({self.name}, +{self.grows_completed}/"
             f"-{self.shrinks_completed}, x{self.replicas})"
-        )
-
-
-class ProactiveStats:
-    """Decision counters of the proactive capacity manager."""
-
-    __slots__ = (
-        "forecasts_issued",
-        "evaluations",
-        "grows_triggered",
-        "shrinks_triggered",
-        "decisions_suppressed",
-    )
-
-    def __init__(
-        self,
-        forecasts_issued: int,
-        evaluations: int,
-        grows_triggered: int,
-        shrinks_triggered: int,
-        decisions_suppressed: int,
-    ) -> None:
-        self.forecasts_issued = forecasts_issued
-        self.evaluations = evaluations
-        self.grows_triggered = grows_triggered
-        self.shrinks_triggered = shrinks_triggered
-        self.decisions_suppressed = decisions_suppressed
-
-
-class ChaosStats:
-    """Plain-data distillate of a chaos campaign execution: the fault
-    log from the injector plus the recovery manager's detection log —
-    everything :mod:`repro.chaos.scorecard` reads."""
-
-    __slots__ = (
-        "campaign",
-        "detector",
-        "faults_injected",
-        "events",
-        "detections",
-        "failures_seen",
-        "repairs_started",
-        "pending_repairs",
-        "detector_suspicions",
-    )
-
-    def __init__(
-        self,
-        campaign: str,
-        detector: str,
-        faults_injected: int,
-        events: list,
-        detections: list,
-        failures_seen: int,
-        repairs_started: int,
-        pending_repairs: int,
-        detector_suspicions: int,
-    ) -> None:
-        self.campaign = campaign
-        self.detector = detector
-        self.faults_injected = faults_injected
-        self.events = events
-        self.detections = detections
-        self.failures_seen = failures_seen
-        self.repairs_started = repairs_started
-        self.pending_repairs = pending_repairs
-        self.detector_suspicions = detector_suspicions
-
-    @classmethod
-    def from_system(cls, system) -> Optional["ChaosStats"]:
-        injector = getattr(system, "chaos", None)
-        if injector is None:
-            return None
-        recovery = getattr(system, "recovery", None)
-        live_detector = getattr(recovery, "detector", None)
-        return cls(
-            campaign=injector.campaign.name,
-            detector=injector.campaign.detector,
-            faults_injected=injector.faults_injected,
-            events=list(injector.events),
-            detections=list(recovery.detections) if recovery is not None else [],
-            failures_seen=recovery.failures_seen if recovery is not None else 0,
-            repairs_started=recovery.repairs_started if recovery is not None else 0,
-            pending_repairs=recovery.pending_repairs if recovery is not None else 0,
-            detector_suspicions=(
-                live_detector.suspicions if live_detector is not None else 0
-            ),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ChaosStats({self.campaign}, {self.faults_injected} faults, "
-            f"{self.repairs_started} repairs)"
-        )
-
-
-class DeployStats:
-    """Plain-data distillate of a deployment execution: the deploy
-    manager's event/capacity logs plus the canary verdict — everything
-    :mod:`repro.deploy.scorecard` reads."""
-
-    __slots__ = (
-        "scenario",
-        "strategy",
-        "version",
-        "fleet",
-        "verdict",
-        "reason",
-        "events",
-        "capacity",
-        "canary",
-        "started_t",
-        "verdict_t",
-        "completed_t",
-    )
-
-    def __init__(
-        self,
-        scenario: str,
-        strategy: str,
-        version: str,
-        fleet: int,
-        verdict: Optional[str],
-        reason: str,
-        events: list,
-        capacity: list,
-        canary: dict,
-        started_t: float,
-        verdict_t: float,
-        completed_t: float,
-    ) -> None:
-        self.scenario = scenario
-        self.strategy = strategy
-        self.version = version
-        self.fleet = fleet
-        self.verdict = verdict
-        self.reason = reason
-        self.events = events
-        self.capacity = capacity
-        self.canary = canary
-        self.started_t = started_t
-        self.verdict_t = verdict_t
-        self.completed_t = completed_t
-
-    @classmethod
-    def from_system(cls, system) -> Optional["DeployStats"]:
-        manager = getattr(system, "deploy", None)
-        if manager is None:
-            return None
-        scenario = manager.scenario
-        return cls(
-            scenario=scenario.name,
-            strategy=scenario.strategy,
-            version=scenario.version.label,
-            fleet=scenario.fleet,
-            verdict=manager.verdict,
-            reason=manager.verdict_reason,
-            events=list(manager.events),
-            capacity=[list(entry) for entry in manager.capacity],
-            canary=dict(manager.canary_metrics),
-            started_t=manager.started_t,
-            verdict_t=manager.verdict_t,
-            completed_t=manager.completed_t,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"DeployStats({self.scenario}, {self.strategy}, "
-            f"verdict={self.verdict})"
-        )
-
-
-class MarketStats:
-    """Plain-data distillate of a heterogeneous-fleet run: the provision
-    ledger, price tape, interruption and rebalance logs, and the exact
-    integrated fleet cost — everything :mod:`repro.market.costs` reads."""
-
-    __slots__ = (
-        "scenario",
-        "policy",
-        "on_demand_floor",
-        "fleet_cost",
-        "node_seconds",
-        "provisions",
-        "price_history",
-        "interruptions",
-        "rebalances",
-        "held_seconds_by_owner",
-        "nodes_provisioned",
-    )
-
-    def __init__(
-        self,
-        scenario: str,
-        policy: str,
-        on_demand_floor: float,
-        fleet_cost: float,
-        node_seconds: float,
-        provisions: list,
-        price_history: dict,
-        interruptions: list,
-        rebalances: list,
-        held_seconds_by_owner: dict,
-        nodes_provisioned: int,
-    ) -> None:
-        self.scenario = scenario
-        self.policy = policy
-        self.on_demand_floor = on_demand_floor
-        self.fleet_cost = fleet_cost
-        self.node_seconds = node_seconds
-        self.provisions = provisions
-        self.price_history = price_history
-        self.interruptions = interruptions
-        self.rebalances = rebalances
-        self.held_seconds_by_owner = held_seconds_by_owner
-        self.nodes_provisioned = nodes_provisioned
-
-    @classmethod
-    def from_system(cls, system) -> Optional["MarketStats"]:
-        engine = getattr(system, "market", None)
-        if engine is None:
-            return None
-        scenario = engine.scenario
-        return cls(
-            scenario=scenario.name,
-            policy=scenario.policy,
-            on_demand_floor=scenario.on_demand_floor,
-            fleet_cost=engine.fleet_cost(),
-            node_seconds=engine.allocator.node_seconds(),
-            provisions=[p.as_dict() for p in engine.allocator.provisions],
-            price_history=engine.price_history(),
-            interruptions=list(engine.interruptions),
-            rebalances=list(engine.rebalances),
-            held_seconds_by_owner=dict(engine.cluster.node_seconds_by_owner()),
-            nodes_provisioned=len(engine.allocator.provisions),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"MarketStats({self.scenario}, {self.nodes_provisioned} nodes, "
-            f"cost={self.fleet_cost:.2f})"
-        )
-
-
-class FluidStats:
-    """Plain-data distillate of a hybrid fluid/discrete workload run:
-    tick/handoff counters from :class:`repro.workload.fluid.HybridWorkload`."""
-
-    __slots__ = (
-        "ticks",
-        "completions",
-        "handoffs_to_fluid",
-        "handoffs_to_discrete",
-        "peak_fluid_population",
-        "threshold",
-    )
-
-    def __init__(
-        self,
-        ticks: int,
-        completions: int,
-        handoffs_to_fluid: int,
-        handoffs_to_discrete: int,
-        peak_fluid_population: int,
-        threshold: int,
-    ) -> None:
-        self.ticks = ticks
-        self.completions = completions
-        self.handoffs_to_fluid = handoffs_to_fluid
-        self.handoffs_to_discrete = handoffs_to_discrete
-        self.peak_fluid_population = peak_fluid_population
-        self.threshold = threshold
-
-    @classmethod
-    def from_system(cls, system) -> Optional["FluidStats"]:
-        emulator = getattr(system, "emulator", None)
-        stats = getattr(emulator, "fluid_stats", None)
-        if stats is None:
-            return None
-        return cls(**stats())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FluidStats({self.ticks} ticks, {self.completions} completions, "
-            f"peak={self.peak_fluid_population})"
         )
 
 
@@ -324,8 +45,12 @@ class CompletedRun:
 
     Exposes the same read surface the benchmarks use on a live
     :class:`ManagedSystem` — ``collector``, ``config``, ``app_tier`` /
-    ``db_tier`` counters, optional ``proactive`` and ``chaos`` stats,
-    and :meth:`summary` — so the two are interchangeable downstream.
+    ``db_tier`` counters and :meth:`summary` — so the two are
+    interchangeable downstream.  ``extensions`` maps an extension's name
+    (``"proactive"``, ``"chaos"``, ``"deploy"``, ``"market"``,
+    ``"fluid"``) to its distilled stats; extensions without stats (the
+    optimizer, self-recovery) and extensions the config left off have no
+    entry.
     """
 
     __slots__ = (
@@ -333,11 +58,7 @@ class CompletedRun:
         "collector",
         "app_tier",
         "db_tier",
-        "proactive",
-        "chaos",
-        "deploy",
-        "market",
-        "fluid",
+        "extensions",
         "events_processed",
         "wall_time_s",
     )
@@ -348,86 +69,34 @@ class CompletedRun:
         collector,
         app_tier: TierStats,
         db_tier: TierStats,
-        proactive: Optional[ProactiveStats],
+        extensions: dict[str, object],
         events_processed: int,
         wall_time_s: float,
-        chaos: Optional[ChaosStats] = None,
-        deploy: Optional[DeployStats] = None,
-        market: Optional[MarketStats] = None,
-        fluid: Optional[FluidStats] = None,
     ) -> None:
         self.config = config
         self.collector = collector
         self.app_tier = app_tier
         self.db_tier = db_tier
-        self.proactive = proactive
-        self.chaos = chaos
-        self.deploy = deploy
-        self.market = market
-        self.fluid = fluid
+        self.extensions = extensions
         self.events_processed = events_processed
         self.wall_time_s = wall_time_s
 
     @classmethod
     def from_system(cls, system, wall_time_s: float) -> "CompletedRun":
         """Distill a finished :class:`ManagedSystem`."""
-        proactive = None
-        live = getattr(system, "proactive", None)
-        if live is not None:
-            proactive = ProactiveStats(
-                live.forecasts_issued,
-                live.evaluations,
-                live.grows_triggered,
-                live.shrinks_triggered,
-                live.decisions_suppressed,
-            )
         return cls(
             config=system.config,
             collector=system.collector,
-            chaos=ChaosStats.from_system(system),
-            deploy=DeployStats.from_system(system),
-            market=MarketStats.from_system(system),
-            fluid=FluidStats.from_system(system),
-            app_tier=TierStats(
-                "application",
-                system.app_tier.grows_completed,
-                system.app_tier.shrinks_completed,
-                len(system.app_tier.replicas),
-            ),
-            db_tier=TierStats(
-                "database",
-                system.db_tier.grows_completed,
-                system.db_tier.shrinks_completed,
-                len(system.db_tier.replicas),
-            ),
-            proactive=proactive,
+            app_tier=TierStats.of(system.app_tier),
+            db_tier=TierStats.of(system.db_tier),
+            extensions=system.distill(),
             events_processed=system.kernel.events_processed,
             wall_time_s=wall_time_s,
         )
 
     def summary(self) -> dict[str, float]:
         """Same table as :meth:`ManagedSystem.summary`."""
-        col = self.collector
-        horizon = self.config.profile.duration_s
-        return {
-            "completed": col.completed_requests,
-            "failed": col.failed_requests,
-            "throughput_rps": col.throughput(0.0, horizon),
-            "latency_mean_ms": col.latency_summary()["mean"] * 1e3,
-            "latency_p95_ms": col.latency_summary()["p95"] * 1e3,
-            "app_replicas_max": (
-                col.tier_replicas["application"].max()
-                if "application" in col.tier_replicas
-                else 1
-            ),
-            "db_replicas_max": (
-                col.tier_replicas["database"].max()
-                if "database" in col.tier_replicas
-                else 1
-            ),
-            "node_cpu_mean": col.node_cpu.mean(),
-            "node_mem_mean": col.node_memory.mean(),
-        }
+        return self.collector.summary(self.config.profile.duration_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -271,12 +270,7 @@ def run_sweep(
         runner = ExperimentRunner()
     points = spec.grid()
     configs = {point.label: point.config() for point in points}
-    hits0 = misses0 = 0
-    if runner.cache is not None:
-        hits0, misses0 = runner.cache.hits, runner.cache.misses
-    t0 = time.perf_counter()
-    results = runner.run_many(configs)
-    elapsed = time.perf_counter() - t0
+    results, batch = runner.run_many_timed(configs)
     rows = []
     for point in points:
         run = results[point.label]
@@ -297,13 +291,13 @@ def run_sweep(
                 row[name] = run.wall_time_s
             else:
                 row[name] = summary[name]
-        # fleet-cost column: the exact integrated cost on a market cell,
-        # the flat uniform-pool price everywhere else
-        if run.market is not None:
-            row["fleet_cost"] = run.market.fleet_cost
-        elif point.regions > 1:
-            # federated cell: uniform-pool cost summed over regions
+        # fleet-cost column: uniform-pool cost summed over regions on a
+        # federated cell, the exact integrated cost on a market cell, the
+        # flat uniform-pool price everywhere else
+        if point.regions > 1:
             row["fleet_cost"] = run.fleet_cost
+        elif "market" in run.extensions:
+            row["fleet_cost"] = run.extensions["market"].fleet_cost
         else:
             from repro.market.costs import uniform_fleet_cost
 
@@ -313,10 +307,12 @@ def run_sweep(
     if runner.cache is not None:
         cache = {
             "dir": str(runner.cache.root),
-            "hits": runner.cache.hits - hits0,
-            "misses": runner.cache.misses - misses0,
+            "hits": batch["hits"],
+            "misses": batch["misses"],
         }
-    return SweepResult(spec=spec, rows=rows, elapsed_s=elapsed, cache=cache)
+    return SweepResult(
+        spec=spec, rows=rows, elapsed_s=batch["elapsed_s"], cache=cache
+    )
 
 
 def write_sweep_csv(rows: Sequence[dict], path: str | Path) -> Path:

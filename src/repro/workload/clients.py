@@ -35,6 +35,9 @@ class ClientEmulator:
     the ``handle`` method of the front load balancer.
     """
 
+    #: key of :meth:`distill`'s stats in ``CompletedRun.extensions``
+    name = "workload"
+
     def __init__(
         self,
         kernel: SimKernel,
@@ -93,6 +96,10 @@ class ClientEmulator:
             self._task = None
         for client in self._clients:
             client.active = False
+
+    def distill(self) -> None:
+        """Distilled engine stats (none for the discrete emulator)."""
+        return None
 
     # ------------------------------------------------------------------
     def _adjust(self) -> None:

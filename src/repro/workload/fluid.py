@@ -510,6 +510,19 @@ class FluidEngine:
         return state
 
 
+@dataclass(frozen=True)
+class FluidStats:
+    """Plain-data distillate of a hybrid fluid/discrete workload run:
+    tick/handoff counters from :class:`HybridWorkload`."""
+
+    ticks: int
+    completions: int
+    handoffs_to_fluid: int
+    handoffs_to_discrete: int
+    peak_fluid_population: int
+    threshold: int
+
+
 class HybridWorkload(ClientEmulator):
     """Threshold dispatcher between discrete cohorts and the fluid flow.
 
@@ -522,6 +535,8 @@ class HybridWorkload(ClientEmulator):
     fractional-completion carry persists across handoffs, so completions
     are conserved through any number of switches.
     """
+
+    name = "fluid"
 
     def __init__(
         self,
@@ -596,13 +611,12 @@ class HybridWorkload(ClientEmulator):
                 self._clients = [c for c in self._clients if c.active]
             super()._adjust()
 
-    def fluid_stats(self) -> dict:
-        """Picklable summary for :class:`repro.runner.results.FluidStats`."""
-        return {
-            "ticks": self.engine.ticks,
-            "completions": self.engine.completions,
-            "handoffs_to_fluid": self.handoffs_to_fluid,
-            "handoffs_to_discrete": self.handoffs_to_discrete,
-            "peak_fluid_population": self.peak_fluid_population,
-            "threshold": self.threshold,
-        }
+    def distill(self) -> FluidStats:
+        return FluidStats(
+            ticks=self.engine.ticks,
+            completions=self.engine.completions,
+            handoffs_to_fluid=self.handoffs_to_fluid,
+            handoffs_to_discrete=self.handoffs_to_discrete,
+            peak_fluid_population=self.peak_fluid_population,
+            threshold=self.threshold,
+        )

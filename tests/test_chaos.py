@@ -386,9 +386,9 @@ def _run_campaign(campaign, seed=1, clients=60, duration_s=420.0):
 class TestCampaignsEndToEnd:
     def test_crash_campaign_is_repaired(self):
         run = _run_campaign(PRESETS["crash"]())
-        assert run.chaos is not None
-        assert run.chaos.faults_injected == 1
-        assert run.chaos.repairs_started == 1
+        chaos = run.extensions["chaos"]
+        assert chaos.faults_injected == 1
+        assert chaos.repairs_started == 1
         card = score_run(run)
         assert card["repairs_completed"] == 1
         assert card["unrepaired"] == 0
@@ -400,12 +400,14 @@ class TestCampaignsEndToEnd:
         legacy = _run_campaign(dataclasses.replace(gray, detector="legacy"))
         phi = _run_campaign(gray)
         # The legacy up-flag heartbeat never notices the crawling node.
-        assert legacy.chaos.repairs_started == 0
-        assert legacy.chaos.detections == []
+        legacy_stats = legacy.extensions["chaos"]
+        assert legacy_stats.repairs_started == 0
+        assert legacy_stats.detections == []
         # The phi-accrual detector suspects it and triggers the repair.
-        assert phi.chaos.repairs_started >= 1
-        assert phi.chaos.detections[0]["tier"] == "database"
-        assert phi.chaos.detections[0]["reason"].startswith("detector:")
+        phi_stats = phi.extensions["chaos"]
+        assert phi_stats.repairs_started >= 1
+        assert phi_stats.detections[0]["tier"] == "database"
+        assert phi_stats.detections[0]["reason"].startswith("detector:")
         # Recovering the replica restores goodput.
         assert (
             score_run(phi)["goodput_rps"] > score_run(legacy)["goodput_rps"]
@@ -413,14 +415,14 @@ class TestCampaignsEndToEnd:
 
     def test_partition_campaign_detected_by_failfast(self):
         run = _run_campaign(PRESETS["partition"]())
-        assert run.chaos.repairs_started >= 1
-        assert any(
-            d["reason"] == "detector:fail-fast" for d in run.chaos.detections
-        )
+        chaos = run.extensions["chaos"]
+        assert chaos.repairs_started >= 1
+        assert any(d["reason"] == "detector:fail-fast" for d in chaos.detections)
 
     def test_correlated_campaign_crashes_a_rack(self):
         run = _run_campaign(PRESETS["correlated"]())
-        assert run.chaos.faults_injected >= 2  # both tiers share rack 1%3
+        # both tiers share rack 1%3
+        assert run.extensions["chaos"].faults_injected >= 2
         card = score_run(run)
         assert card["repairs_completed"] == card["disruptions"]
 
@@ -465,7 +467,7 @@ class TestCampaignsEndToEnd:
     def test_chaos_stats_survive_pickling(self):
         run = _run_campaign(PRESETS["crash"]())
         clone = pickle.loads(pickle.dumps(run))
-        assert clone.chaos.faults_injected == run.chaos.faults_injected
+        assert clone.extensions["chaos"] == run.extensions["chaos"]
         assert scorecard_json(
             score_campaign(PRESETS["crash"](), [clone])
         ) == scorecard_json(score_campaign(PRESETS["crash"](), [run]))

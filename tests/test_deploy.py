@@ -287,7 +287,7 @@ class TestCanary:
 # ----------------------------------------------------------------------
 class TestScorecard:
     def test_score_run_requires_a_deploy(self):
-        run = SimpleNamespace(deploy=None)
+        run = SimpleNamespace(extensions={})
         with pytest.raises(ValueError):
             score_run(run)
 
@@ -321,7 +321,7 @@ class TestScorecard:
         system = ManagedSystem(cfg)
         system.run()
         run = CompletedRun.from_system(system, 0.0)
-        assert run.deploy.verdict == "rolled-back"
+        assert run.extensions["deploy"].verdict == "rolled-back"
         card = score_run(run)
         assert card["rollback_latency_s"] == card["deploy_duration_s"]
         assert abs(card["goodput_ratio"] - 1.0) <= 0.10
@@ -361,9 +361,11 @@ class TestChaosScorecardPairing:
         from repro.metrics.collector import MetricsCollector
 
         run = SimpleNamespace(
-            chaos=SimpleNamespace(
-                events=[], detections=[], faults_injected=0
-            ),
+            extensions={
+                "chaos": SimpleNamespace(
+                    events=[], detections=[], faults_injected=0
+                )
+            },
             collector=MetricsCollector(),
             config=SimpleNamespace(
                 seed=1, profile=SimpleNamespace(duration_s=10.0)

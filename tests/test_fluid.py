@@ -165,12 +165,12 @@ class TestHybridHandoff:
 
     def test_crosses_both_ways_and_counts(self):
         system = self.run_hybrid()
-        stats = system.emulator.fluid_stats()
+        stats = system.emulator.distill()
         # ramp passes 300 users on the way up and back down
-        assert stats["handoffs_to_fluid"] >= 1
-        assert stats["handoffs_to_discrete"] >= 1
-        assert stats["peak_fluid_population"] >= 300
-        assert stats["ticks"] > 0 and stats["completions"] > 0
+        assert stats.handoffs_to_fluid >= 1
+        assert stats.handoffs_to_discrete >= 1
+        assert stats.peak_fluid_population >= 300
+        assert stats.ticks > 0 and stats.completions > 0
 
     def test_no_lost_or_duplicated_demand_across_switch(self):
         system = self.run_hybrid()
@@ -192,9 +192,9 @@ class TestHybridHandoff:
     def test_discrete_only_below_threshold(self):
         # threshold above the peak: the fluid engine must never engage
         system = self.run_hybrid(threshold=10_000)
-        stats = system.emulator.fluid_stats()
-        assert stats["handoffs_to_fluid"] == 0
-        assert stats["ticks"] == 0
+        stats = system.emulator.distill()
+        assert stats.handoffs_to_fluid == 0
+        assert stats.ticks == 0
         assert system.collector.completed_requests > 0
 
     def test_fluid_stats_surface_on_completed_run(self):
@@ -203,12 +203,12 @@ class TestHybridHandoff:
 
         run = execute_config(fluid_ramp_config(threshold=300))
         assert isinstance(run, CompletedRun)
-        assert run.fluid is not None
-        assert run.fluid.handoffs_to_fluid >= 1
-        assert run.fluid.threshold == 300
-        # discrete configs keep the slot empty
+        fluid = run.extensions["fluid"]
+        assert fluid.handoffs_to_fluid >= 1
+        assert fluid.threshold == 300
+        # discrete configs distill no workload stats
         discrete = execute_config(fluid_ramp_config(fluid=False))
-        assert discrete.fluid is None
+        assert "fluid" not in discrete.extensions
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +225,8 @@ class TestRngIndependence:
         runs = runner.run_many(
             {"discrete": base, "fluid": replace(base, fluid=True)}
         )
-        d, f = runs["discrete"].market, runs["fluid"].market
+        d = runs["discrete"].extensions.get("market")
+        f = runs["fluid"].extensions.get("market")
         assert d is not None and f is not None
         assert d.price_history == f.price_history
 
@@ -239,7 +240,8 @@ class TestRngIndependence:
         runs = runner.run_many(
             {"discrete": base, "fluid": replace(base, fluid=True)}
         )
-        d, f = runs["discrete"].chaos, runs["fluid"].chaos
+        d = runs["discrete"].extensions.get("chaos")
+        f = runs["fluid"].extensions.get("chaos")
         assert d is not None and f is not None
         assert d.faults_injected == f.faults_injected > 0
         assert [
@@ -280,7 +282,7 @@ class TestFluidByteIdentity:
             out1["fluid"].collector.latencies.values,
             out2["fluid"].collector.latencies.values,
         )
-        assert out2["fluid"].fluid is not None
+        assert "fluid" in out2["fluid"].extensions
 
     def test_fluid_knobs_distinguish_cache_keys(self):
         from repro.runner import describe_config

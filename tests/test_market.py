@@ -396,7 +396,7 @@ class TestSpotChaos:
         system = ManagedSystem(config)
         system.run()
         run = CompletedRun.from_system(system, 0.0)
-        assert run.chaos.faults_injected == 1
+        assert run.extensions["chaos"].faults_injected == 1
         card = chaos_score_run(run)
         assert card["disruptions"] == 1
         assert card["repairs_completed"] == 1
@@ -416,7 +416,7 @@ class TestSpotChaos:
         engine = system.market
         assert [e["source"] for e in engine.interruptions] == ["chaos"]
         run = CompletedRun.from_system(system, 0.0)
-        assert run.chaos.faults_injected == 1
+        assert run.extensions["chaos"].faults_injected == 1
         card = chaos_score_run(run)
         assert card["repairs_completed"] >= 1
 
@@ -452,11 +452,10 @@ class TestScorecard:
         system = _run_market(PRESETS["spot-heavy"](), scale=0.1)
         run = CompletedRun.from_system(system, 0.0)
         clone = pickle.loads(pickle.dumps(run))
-        assert clone.market.scenario == "spot-heavy"
-        assert clone.market.fleet_cost == pytest.approx(
-            system.market.fleet_cost()
-        )
-        assert clone.market.provisions  # the ledger survived the pickle
+        market = clone.extensions["market"]
+        assert market.scenario == "spot-heavy"
+        assert market.fleet_cost == pytest.approx(system.market.fleet_cost())
+        assert market.provisions  # the ledger survived the pickle
 
     def test_scorecard_identical_serial_parallel_cached(self, tmp_path):
         scenario = PRESETS["spot-heavy"]()

@@ -62,11 +62,11 @@ class Harness:
 
     def run_with_load(self, points):
         """Advance time, setting the offered load at each step."""
-        self.manager.on_start()
+        self.manager.start()
         for t, load in points:
             self.load = load
             self.kernel.run(until=t)
-        self.manager.on_stop()
+        self.manager.stop()
 
 
 def rising(end=100.0, start_load=100.0, slope=2.0):
@@ -128,10 +128,10 @@ class TestInhibitionRouting:
         tracer = Tracer(run_id="t")
         h.manager.tracer = tracer
         assert h.inhibition.try_acquire("resize-db")  # reactive loop holds it
-        h.manager.on_start()
+        h.manager.start()
         h.load = 300.0
         h.kernel.run(until=10.0)  # first planning tick, lock still held
-        h.manager.on_stop()
+        h.manager.stop()
         assert h.db_tier.grows == 0
         assert h.manager.decisions_suppressed >= 1
         suppressed = [
@@ -145,10 +145,10 @@ class TestInhibitionRouting:
     def test_proactive_grow_holds_the_shared_lock(self):
         h = Harness()
         h.manager._tier_cpu["db"] = 0.75
-        h.manager.on_start()
+        h.manager.start()
         h.load = 400.0
         h.kernel.run(until=10.0)
-        h.manager.on_stop()
+        h.manager.stop()
         assert h.db_tier.grows == 1
         # The reactive loops are now inhibited by the proactive action.
         assert h.inhibition.held
@@ -160,10 +160,10 @@ class TestInhibitionRouting:
         h.manager._tier_cpu["db"] = 0.75
         tracer = Tracer(run_id="t")
         h.manager.tracer = tracer
-        h.manager.on_start()
+        h.manager.start()
         h.load = 400.0
         h.kernel.run(until=10.0)
-        h.manager.on_stop()
+        h.manager.stop()
         assert h.manager.grows_triggered == 0
         assert h.manager.decisions_suppressed >= 1
         reasons = [
@@ -180,10 +180,10 @@ class TestTracing:
         h.manager._tier_cpu["db"] = 0.75
         tracer = Tracer(run_id="t")
         h.manager.tracer = tracer
-        h.manager.on_start()
+        h.manager.start()
         h.load = 400.0
         h.kernel.run(until=10.0)
-        h.manager.on_stop()
+        h.manager.stop()
         records = tracer.records()
         forecasts = [r for r in records if r["kind"] == "forecast-issued"]
         decisions = [r for r in records if r["kind"] == "proactive-decision"]

@@ -14,7 +14,8 @@ from repro.runner import (
     describe_config,
     execute_config,
 )
-from repro.runner.bench import _stats, check_against
+from repro.metrics.aggregates import mean_ci
+from repro.runner.bench import check_against
 from repro.workload.profiles import ConstantProfile
 
 
@@ -216,7 +217,7 @@ class TestExperimentRunner:
         assert isinstance(run, CompletedRun)
         assert run.app_tier.grows_completed >= 0
         assert run.db_tier.shrinks_completed >= 0
-        assert run.proactive is None
+        assert run.extensions == {}
         assert run.collector.completed_requests > 0
         assert run.config.seed == 1
         assert run.events_processed > 0
@@ -228,11 +229,11 @@ class TestExperimentRunner:
 # ----------------------------------------------------------------------
 class TestBench:
     def test_stats_confidence_interval(self):
-        out = _stats([10.0, 12.0, 14.0])
+        out = mean_ci([10.0, 12.0, 14.0])
         assert out["mean"] == pytest.approx(12.0)
         assert out["n"] == 3
         assert out["ci95"] == pytest.approx(1.96 * 2.0 / np.sqrt(3))
-        assert _stats([5.0])["ci95"] == 0.0
+        assert mean_ci([5.0])["ci95"] == 0.0
 
     def test_check_against_passes_generous_reference(self, tmp_path):
         ref = tmp_path / "ref.json"

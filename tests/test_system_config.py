@@ -28,6 +28,16 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="fluid"):
             ExperimentConfig(**knobs)
 
+    def test_slo_manager_without_managed_rejected(self):
+        with pytest.raises(ValueError, match="use_slo_manager requires managed"):
+            ExperimentConfig(use_slo_manager=True, managed=False)
+
+    def test_proactive_config_without_proactive_rejected(self):
+        from repro.capacity.proactive import ProactiveConfig
+
+        with pytest.raises(ValueError, match="proactive_config requires proactive"):
+            ExperimentConfig(proactive_config=ProactiveConfig())
+
     def test_fluid_knobs_accepted_with_fluid(self):
         cfg = ExperimentConfig(fluid=True, fluid_threshold=300, fluid_tick_s=2.0)
         assert cfg.fluid_threshold == 300
@@ -140,3 +150,103 @@ class TestConfigKnobs:
         # Same offered load, double the hardware: roughly half the CPU.
         ratio = fast.summary()["node_cpu_mean"] / slow.summary()["node_cpu_mean"]
         assert 0.35 < ratio < 0.7
+
+
+class TestExtensionSeam:
+    """Every optional subsystem is started, stopped, traced and distilled
+    through ``ManagedSystem.extensions``."""
+
+    @pytest.fixture(scope="class")
+    def composed(self):
+        import dataclasses
+
+        from repro.chaos import PRESETS as CHAOS
+        from repro.deploy import PRESETS as DEPLOY
+        from repro.market.scenario import PRESETS as MARKET
+        from repro.runner.results import CompletedRun
+
+        cfg = ExperimentConfig(
+            profile=ConstantProfile(20, 30.0),
+            tail_s=5.0,
+            recovery=True,
+            chaos=dataclasses.replace(CHAOS["crash"](), detector="phi"),
+            deploy=DEPLOY["bad-push"](),
+            market=MARKET["spot-heavy"](),
+            proactive=True,
+            trace=True,
+        )
+        system = ManagedSystem(cfg)
+        system.run()
+        return system, CompletedRun.from_system(system, 0.0)
+
+    def test_extensions_in_start_order(self, composed):
+        system, _ = composed
+        assert [ext.name for ext in system.extensions] == [
+            "optimizer",
+            "recovery",
+            "proactive",
+            "chaos",
+            "deploy",
+            "market",
+        ]
+
+    def test_every_extension_received_the_tracer(self, composed):
+        system, _ = composed
+        tracer = system.tracer
+        assert tracer is not None
+        assert system.inhibition.tracer is tracer
+        for loop in system.optimizer.loops.values():
+            assert loop.probe.tracer is tracer
+            assert loop.reactor.tracer is tracer
+        assert system.recovery.detector.tracer is tracer
+        for ext in system.extensions[1:]:
+            assert ext.tracer is tracer
+        assert system.market.market.tracer is tracer  # handed over at start
+
+    def test_managers_share_one_inhibition_lock(self, composed):
+        system, _ = composed
+        lock = system.inhibition
+        assert system.optimizer.inhibition is lock
+        assert system.proactive.inhibition is lock
+        assert system.deploy.inhibition is lock
+
+    def test_completed_run_carries_distilled_stats(self, composed):
+        import pickle
+
+        system, run = composed
+        assert list(run.extensions) == ["proactive", "chaos", "deploy", "market"]
+        clone = pickle.loads(pickle.dumps(run))
+        # repr, not ==: unfinished deploy timestamps are NaN
+        assert repr(clone.extensions) == repr(run.extensions)
+        assert clone.summary() == run.summary() == system.summary()
+
+    def test_default_system_imports_no_extension_package(self):
+        import ast
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.jade.system import ExperimentConfig, ManagedSystem\n"
+            "ManagedSystem(ExperimentConfig())\n"
+            "print(sorted({m.split('.')[1] for m in sys.modules"
+            " if m.startswith('repro.')}))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+            timeout=120,
+        ).stdout
+        loaded = set(ast.literal_eval(out))
+        assert loaded.isdisjoint(
+            {"chaos", "deploy", "market", "capacity", "runner"}
+        ), loaded

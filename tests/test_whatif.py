@@ -264,6 +264,20 @@ class TestEngineContract:
         with pytest.raises(ValueError, match="freshly built"):
             run_to_fork(system, 10.0)
 
+    def test_run_to_fork_starts_every_extension(self):
+        # Regression: run_to_fork must start every extension (chaos,
+        # deploy, market too), so a fork taken after a campaign's fault
+        # time sees the fault.
+        from repro.chaos import PRESETS, campaign_config
+
+        campaign = PRESETS["crash"]()
+        fault_t = campaign.faults[0].at_s
+        system = ManagedSystem(
+            campaign_config(campaign, seed=1, clients=40, duration_s=fault_t + 60.0)
+        )
+        run_to_fork(system, fault_t + 10.0)
+        assert system.chaos.faults_injected == 1
+
     def test_engine_validates_windows(self):
         with pytest.raises(ValueError):
             WhatIfEngine(horizon_s=0.0)
