@@ -100,21 +100,20 @@ class Node:
         On a crashed node a job without a continuation raises
         :class:`NodeDown`; a continuation job is failed asynchronously
         with it instead, exactly like work aborted by the crash."""
+        if self.up and not self.isolated:
+            return self.cpu.submit(CpuJob(self.kernel, demand, tag, weight, then, fail))
         if not self.up and then is None:
             raise NodeDown(self.name)
-        job = CpuJob(self.kernel, demand, tag=tag, weight=weight, then=then, fail=fail)
+        job = CpuJob(self.kernel, demand, tag, weight, then, fail)
         if not self.up:
             job._settle(self.kernel, NodeDown(self.name))
             return job
-        if self.isolated:
-            # The caller cannot tell an isolated node from a healthy one
-            # (that is the point of a partition): the job is accepted and
-            # fails asynchronously, like a timed-out RPC.  Callbacks added
-            # to ``job.done`` after this fire via the kernel (see
-            # Signal.add_callback).
-            job._settle(self.kernel, NodeIsolated(self.name))
-            return job
-        self.cpu.submit(job)
+        # Isolated: the caller cannot tell an isolated node from a healthy
+        # one (that is the point of a partition): the job is accepted and
+        # fails asynchronously, like a timed-out RPC.  Callbacks added to
+        # ``job.done`` after this fire via the kernel (see
+        # Signal.add_callback).
+        job._settle(self.kernel, NodeIsolated(self.name))
         return job
 
     def degrade(self, factor: float) -> None:

@@ -167,10 +167,12 @@ class LegacyServer:
     def _after_hop(self, fn: Callable[..., None], *args) -> None:
         """Run ``fn`` after a simulated network hop (immediately if no LAN
         model was provided)."""
+        kernel = self.kernel
         if self.lan is None:
-            self.kernel.post(fn, *args)
+            kernel._post_at(kernel._now, fn, args)
         else:
-            self.kernel.post_in(self.lan.message_delay(), fn, *args)
+            # message_delay() >= 0: the Lan rejects negative latencies
+            kernel._post_at(kernel._now + self.lan.message_delay(), fn, args)
 
     def _run_then(
         self,
@@ -195,7 +197,7 @@ class LegacyServer:
         if demand <= 0.0:
             fn()
             return
-        self.node.run_job(demand, tag=self.name, weight=weight, then=fn, fail=fail)
+        self.node.run_job(demand, self.name, weight, fn, fail)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else "stopped"

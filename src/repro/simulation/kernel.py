@@ -1,35 +1,52 @@
 """Discrete-event simulation kernel.
 
-A minimal, fast event kernel: a binary heap of timestamped callbacks with a
-monotonically increasing sequence number for deterministic FIFO tie-breaking.
-Everything in the reproduction (servers, probes, control loops, clients)
-schedules work through one :class:`SimKernel` instance, so a fixed random
-seed reproduces a run event-for-event.
+A minimal, fast event kernel.  Everything in the reproduction (servers,
+probes, control loops, clients) schedules work through one
+:class:`SimKernel` instance, so a fixed random seed reproduces a run
+event-for-event.
 
-Three fast paths keep the hot loop cheap at scale:
+Dispatch order
+--------------
+Every queued callback has a timestamp and a sequence number, and the
+kernel dispatches in ``(time, seq)`` order: earliest first, and first
+queued, first run among equal times.  The queue keeps that order in two
+parts:
 
-* **Timer buckets** — all events that share an exact timestamp live in one
-  heap entry (a :class:`_Bucket`) and are appended/drained in FIFO order in
-  O(1).  Periodic probes and samplers fire on shared absolute grids
-  (``first + k*period``), and every ``call_soon``/signal callback lands at
-  the current instant, so steady-state runs collapse most heap traffic into
-  list appends.
-* **Event freelist** — fire-and-forget events (:meth:`SimKernel.post`,
-  :meth:`SimKernel.post_in`) recycle :class:`Event` objects instead of
-  allocating one per callback.  Only events whose handle is never exposed
-  are pooled, so external ``cancel()`` semantics are unaffected.
-* **Tuple-free ordering** — heap entries compare on ``time``/``seq``
-  attributes directly rather than allocating a ``(time, seq)`` tuple per
-  comparison.
+* **The heap** holds the entries of *future* instants (``time > now``) as
+  plain tuples ``(time, seq, fn, args)``.  ``seq`` is unique, so heap
+  comparisons run in C and never reach ``fn``.
+* **The FIFO** holds the ``(fn, args)`` pairs due at the current instant.
+  A post at ``now`` appends to it.  The kernel advances to the next heap
+  instant only once the FIFO is empty, and moves every entry due then
+  into the FIFO.  Those entries were queued before ``now`` reached their
+  time, so they carry lower sequence numbers than any post made at that
+  instant and belong ahead of it.
+
+Future instants are coalesced.  The first entry queued at a future
+timestamp enters the heap on its own; every later one joins a *bucket*,
+a list of ``(fn, args)`` pairs kept beside it in an index (future time ->
+lone entry or bucket), which moves into the FIFO right behind it when it
+pops.  Periodic probes and samplers fire on shared absolute grids
+(``first + k*period``), so an instant costs one heap entry however many
+callbacks share it.  If the lone entry is cancelled and discarded first,
+its bucket enters the heap in its place as ``(time, seq, _BUCKET, list)``.
+
+Fire-and-forget posts (:meth:`SimKernel.post`, :meth:`~SimKernel.post_in`,
+:meth:`~SimKernel.post_at`) allocate nothing but their tuple.  Only
+:meth:`~SimKernel.schedule`, :meth:`~SimKernel.schedule_at`,
+:meth:`~SimKernel.call_soon` and :class:`PeriodicTask` build an
+:class:`Event`, the cancellable handle they return; it is queued as
+``fn=None, args=event``.  A cancelled event stays queued, and counts in
+``pending``, until the kernel reaches it and discards it as a tombstone.
 
 Tail dispatch
 -------------
 Most continuations on the request path (a CPU job's completion handler,
 a signal relayed from one server to the next, a client resumed by its
 response) are posted at the current instant as the very last action of
-the callback that produces them.  When nothing else is pending at that
+the callback that produces them.  When nothing else is queued at that
 instant, the posted event is exactly the next one :meth:`SimKernel.run`
-would dispatch: every other pending event lies strictly in the future.
+would dispatch: every other queued event lies strictly in the future.
 :meth:`SimKernel._tail` runs such a continuation inline in that case and
 posts it otherwise.  The inline call happens-before the same set of
 events, at the same ``now``, as the posted one would, so the simulated
@@ -40,10 +57,9 @@ returns, and the same holds for every frame between it and the kernel's
 dispatch; call sites are therefore restricted to audited tail positions
 (``PsCpu._complete_next``, ``Signal.succeed_tail`` and its callers).
 ``_tail`` runs inline only while :meth:`SimKernel.run` is active and
-:meth:`SimKernel.stop` has not been called, and only when the timestamp
-``now`` has no index entry or its bucket is fully drained; under
-:meth:`SimKernel.step`, after ``stop()`` or with a same-instant event
-pending (cancelled or not) it posts.
+:meth:`SimKernel.stop` has not been called, and only when the FIFO is
+empty; under :meth:`SimKernel.step`, after ``stop()`` or with a
+same-instant event queued (cancelled or not) it posts.
 
 ``events_processed`` counts dispatched events only; ``tail_dispatched``
 counts inline continuations.  Their sum equals the ``events_processed``
@@ -54,10 +70,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Any, Callable, Optional
 
-#: maximum number of recycled Event objects kept per kernel
-_FREELIST_CAP = 1024
+_INF = float("inf")
+
+#: ``fn`` of a heap entry whose ``args`` is a bucket of ``(fn, args)`` pairs
+_BUCKET = object()
 
 
 class SimulationError(RuntimeError):
@@ -65,23 +84,20 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A cancellable scheduled callback.
 
     Events are returned by :meth:`SimKernel.schedule` and can be cancelled
-    with :meth:`cancel` (cancellation is O(1): the entry is tombstoned and
-    skipped when popped).
+    with :meth:`cancel` (cancellation is O(1): the queued entry becomes a
+    tombstone, skipped when reached).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "pooled")
+    __slots__ = ("time", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, fn: Callable[..., Any], args: tuple):
         self.time = time
-        self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
         self.cancelled = False
-        #: internal fire-and-forget event, recycled after execution
-        self.pooled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing; idempotent."""
@@ -89,47 +105,16 @@ class Event:
         self.fn = None  # drop references early
         self.args = ()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Hot path: avoid building (time, seq) tuples per comparison.
-        t, u = self.time, other.time
-        if t != u:
-            return t < u
-        return self.seq < other.seq
+    def _take(self) -> tuple:
+        """The callback and its arguments, dropping the references (the
+        event is being dispatched)."""
+        fn, args = self.fn, self.args
+        self.fn, self.args = None, ()
+        return fn, args
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} seq={self.seq} {state}>"
-
-
-class _Bucket:
-    """All events sharing one exact timestamp, in FIFO (seq) order.
-
-    The first event scheduled at a time sits in the heap on its own; the
-    second promotes the timestamp to a bucket.  Appends while the bucket is
-    pending — or while it is being drained (``call_soon`` at the current
-    instant) — are O(1) and preserve global FIFO order because appended
-    events always carry higher sequence numbers.
-    """
-
-    __slots__ = ("time", "seq", "events")
-
-    #: uniform interface with Event for the dispatch loop
-    cancelled = False
-    pooled = False
-
-    def __init__(self, time: float, seq: int):
-        self.time = time
-        self.seq = seq
-        self.events: list[Event] = []
-
-    def __lt__(self, other) -> bool:
-        t, u = self.time, other.time
-        if t != u:
-            return t < u
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Bucket t={self.time:.6f} n={len(self.events)}>"
+        return f"<Event t={self.time:.6f} {state}>"
 
 
 class SimKernel:
@@ -151,25 +136,21 @@ class SimKernel:
     """
 
     def __init__(self) -> None:
-        #: heap of (time, seq, Event | _Bucket): the key tuple is built once
-        #: per push so heap comparisons run entirely in C
+        #: entries of future instants (see the module docstring)
         self._heap: list = []
-        #: pending time -> open entry at that time (Event until promoted)
+        #: future time -> its lone heap entry, or the bucket queued behind it
         self._index: dict[float, Any] = {}
+        #: ``(fn, args)`` pairs due at ``now``, in dispatch order
+        self._fifo: deque = deque()
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         self._stopped = False
-        self._pending = 0
-        #: bucket currently being drained (persists across stop()/step())
-        self._cur_bucket: Optional[_Bucket] = None
-        self._cur_i = 0
-        self._freelist: list[Event] = []
         #: callbacks dispatched from the queue
         self.events_processed = 0
         #: continuations run inline by :meth:`_tail` instead of posted
         self.tail_dispatched = 0
-        #: cancelled events discarded when they reached the heap head
+        #: cancelled events discarded when the kernel reached them
         #: (``pending`` counts them until then; they never count in
         #: ``events_processed``)
         self.tombstones_skipped = 0
@@ -182,7 +163,11 @@ class SimKernel:
     @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return self._pending
+        return (
+            len(self._fifo)
+            + sum(fn is not _BUCKET for _, _, fn, _ in self._heap)
+            + sum(len(v) for v in self._index.values() if type(v) is list)
+        )
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -199,23 +184,23 @@ class SimKernel:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
-        ev = Event(time, next(self._seq), fn, args)
-        self._enqueue(ev)
+        ev = Event(time, fn, args)
+        self._post_at(time, None, ev)
         return ev
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current time (after pending events
         already scheduled for this instant)."""
-        ev = Event(self._now, next(self._seq), fn, args)
-        self._enqueue(ev)
+        ev = Event(self._now, fn, args)
+        self._fifo.append((None, ev))
         return ev
 
     # -- fire-and-forget fast path -------------------------------------
     def post(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Like :meth:`call_soon` but returns no handle; the event object is
-        recycled through an internal freelist.  Use for callbacks that are
-        never cancelled (signal delivery, process resumption)."""
-        self._post_at(self._now, fn, args)
+        """Like :meth:`call_soon` but returns no handle, so it allocates
+        no :class:`Event`.  Use for callbacks that are never cancelled
+        (signal delivery, process resumption)."""
+        self._fifo.append((fn, args))
 
     def post_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Like :meth:`schedule` but returns no handle (see :meth:`post`)."""
@@ -233,32 +218,21 @@ class SimKernel:
             )
         self._post_at(time, fn, args)
 
-    def _post_at(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
-        free = self._freelist
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq = next(self._seq)
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq := next(self._seq), fn, args)
-            ev.pooled = True
-        # _enqueue inlined (hot path: signal delivery, process wake-ups).
+    def _post_at(self, time: float, fn: Any, args: Any) -> None:
+        """Queue ``fn(*args)`` at ``time >= now`` (``fn=None`` with an
+        :class:`Event` as ``args`` queues the event)."""
+        if time <= self._now:
+            self._fifo.append((fn, args))
+            return
         index = self._index
         cur = index.get(time)
         if cur is None:
-            index[time] = ev
-            heapq.heappush(self._heap, (time, seq, ev))
-        elif type(cur) is _Bucket:
-            cur.events.append(ev)
+            index[time] = entry = (time, next(self._seq), fn, args)
+            heapq.heappush(self._heap, entry)
+        elif type(cur) is list:
+            cur.append((fn, args))
         else:
-            bucket = _Bucket(time, seq)
-            bucket.events.append(ev)
-            index[time] = bucket
-            heapq.heappush(self._heap, (time, seq, bucket))
-        self._pending += 1
+            index[time] = [(fn, args)]
 
     def _tail(self, fn: Callable[..., Any], args: tuple) -> None:
         """Post ``fn(*args)`` at the current instant, or run it inline when
@@ -266,31 +240,11 @@ class SimKernel:
         module docstring).  Only call this as the last action of a
         callback dispatched by :meth:`run`: nothing may follow it, in the
         caller or in any frame up to the kernel."""
-        if self._running and not self._stopped:
-            cur = self._index.get(self._now)
-            if cur is None or (
-                cur is self._cur_bucket and self._cur_i >= len(cur.events)
-            ):
-                self.tail_dispatched += 1
-                fn(*args)
-                return
-        self._post_at(self._now, fn, args)
-
-    def _enqueue(self, ev: Event) -> None:
-        index = self._index
-        time = ev.time
-        cur = index.get(time)
-        if cur is None:
-            index[time] = ev
-            heapq.heappush(self._heap, (time, ev.seq, ev))
-        elif type(cur) is _Bucket:
-            cur.events.append(ev)
-        else:
-            bucket = _Bucket(time, ev.seq)
-            bucket.events.append(ev)
-            index[time] = bucket
-            heapq.heappush(self._heap, (time, bucket.seq, bucket))
-        self._pending += 1
+        if self._running and not self._stopped and not self._fifo:
+            self.tail_dispatched += 1
+            fn(*args)
+            return
+        self._fifo.append((fn, args))
 
     def every(
         self,
@@ -311,154 +265,113 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _recycle(self, ev: Event) -> None:
-        ev.fn = None
-        ev.args = ()
-        if len(self._freelist) < _FREELIST_CAP:
-            self._freelist.append(ev)
+    def _advance(self, horizon: float) -> bool:
+        """Advance ``now`` to the earliest queued future instant at or
+        before ``horizon`` and move its entries into the (empty) FIFO.
+
+        A cancelled entry at the heap head is discarded, even past the
+        horizon, and so are the cancelled entries of a bucket at the head
+        past it, so that ``pending`` then counts live events only.
+        Returns False when no instant is due."""
+        heap = self._heap
+        index = self._index
+        fifo = self._fifo
+        while heap:
+            entry = heap[0]
+            time, _, fn, args = entry
+            if fn is None and args.cancelled:
+                heapq.heappop(heap)
+                self.tombstones_skipped += 1
+                bucket = index[time]
+                if bucket is entry:
+                    del index[time]
+                else:  # the bucket behind it enters the heap in its place
+                    heapq.heappush(heap, (time, next(self._seq), _BUCKET, bucket))
+                continue
+            if time > horizon:
+                if fn is not _BUCKET:
+                    return False
+                live = [e for e in args if e[0] is not None or not e[1].cancelled]
+                self.tombstones_skipped += len(args) - len(live)
+                if live:
+                    args[:] = live
+                    return False
+                heapq.heappop(heap)
+                del index[time]
+                continue
+            heapq.heappop(heap)
+            self._now = time
+            bucket = index.pop(time)
+            if fn is not _BUCKET:
+                fifo.append((fn, args))
+            if bucket is not entry:
+                fifo.extend(bucket)
+            return True
+        return False
 
     def step(self) -> bool:
         """Run the next pending event. Returns False when the queue is empty."""
-        heap = self._heap
-        index = self._index
-        while True:
-            bucket = self._cur_bucket
-            if bucket is not None:
-                events = bucket.events
-                i = self._cur_i
-                if i < len(events):
-                    ev = events[i]
-                    self._cur_i = i + 1
-                    self._pending -= 1
-                    if ev.cancelled:
-                        self.tombstones_skipped += 1
-                        continue
-                    fn, args = ev.fn, ev.args
-                    if ev.pooled:
-                        self._recycle(ev)
-                    else:
-                        ev.fn, ev.args = None, ()
-                    assert fn is not None
-                    fn(*args)
-                    self.events_processed += 1
-                    return True
-                if index.get(bucket.time) is bucket:
-                    del index[bucket.time]
-                self._cur_bucket = None
-                continue
-            if not heap:
-                return False
-            head = heap[0][2]
-            if head.cancelled:
-                heapq.heappop(heap)
-                self._pending -= 1
-                self.tombstones_skipped += 1
-                if index.get(head.time) is head:
-                    del index[head.time]
-                continue
-            heapq.heappop(heap)
-            self._now = head.time
-            if type(head) is _Bucket:
-                self._cur_bucket = head
-                self._cur_i = 0
-                continue
-            if index.get(head.time) is head:
-                del index[head.time]
-            self._pending -= 1
-            fn, args = head.fn, head.args
-            if head.pooled:
-                self._recycle(head)
-            else:
-                head.fn, head.args = None, ()
-            assert fn is not None
+        fifo = self._fifo
+        while fifo or self._advance(_INF):
+            fn, args = fifo.popleft()
+            if fn is None:
+                fn, args = args._take()
+                if fn is None:  # cancelled
+                    self.tombstones_skipped += 1
+                    continue
             fn(*args)
             self.events_processed += 1
             return True
+        return False
 
     def run(self, until: Optional[float] = None) -> None:
         """Run events until the queue drains or simulated time reaches
         ``until`` (events at exactly ``until`` are executed; time is advanced
-        to ``until`` even if the queue drains earlier)."""
+        to ``until`` even if the queue drains earlier).  A horizon already
+        passed runs nothing."""
         if self._running:
             raise SimulationError("kernel is already running")
-        self._running = True
         self._stopped = False
+        horizon = _INF if until is None else until
+        if horizon < self._now:
+            return
+        self._running = True
         heap = self._heap
         index = self._index
+        fifo = self._fifo
+        popleft = fifo.popleft
         heappop = heapq.heappop
-        freelist = self._freelist
+        dispatched = 0
         try:
             while not self._stopped:
-                bucket = self._cur_bucket
-                if bucket is not None:
-                    if until is not None and bucket.time > until:
-                        break  # resumed with an earlier horizon
-                    events = bucket.events
-                    i = self._cur_i
-                    if i < len(events):
-                        ev = events[i]
-                        self._cur_i = i + 1
-                        self._pending -= 1
-                        if ev.cancelled:
+                if fifo:
+                    fn, args = popleft()
+                    if fn is None:
+                        fn, args = args._take()
+                        if fn is None:  # cancelled
                             self.tombstones_skipped += 1
                             continue
-                        fn, args = ev.fn, ev.args
-                        ev.fn, ev.args = None, ()
-                        if ev.pooled and len(freelist) < _FREELIST_CAP:
-                            freelist.append(ev)
-                        fn(*args)
-                        self.events_processed += 1
-                        continue
-                    if index.get(bucket.time) is bucket:
-                        del index[bucket.time]
-                    self._cur_bucket = None
-                    continue
-                if not heap:
-                    break
-                head = heap[0][2]
-                if head.cancelled:
-                    # Discard tombstones even past the horizon so ``pending``
-                    # reflects live events only.
-                    heappop(heap)
-                    self._pending -= 1
-                    self.tombstones_skipped += 1
-                    if index.get(head.time) is head:
-                        del index[head.time]
-                    continue
-                if until is not None and head.time > until:
-                    if type(head) is _Bucket:
-                        # Compact tombstones inside the out-of-horizon bucket
-                        # so ``pending`` reflects live events only.
-                        live = [e for e in head.events if not e.cancelled]
-                        dropped = len(head.events) - len(live)
-                        if dropped:
-                            self.tombstones_skipped += dropped
-                            self._pending -= dropped
-                            head.events[:] = live
-                        if not live:
-                            heappop(heap)
-                            if index.get(head.time) is head:
-                                del index[head.time]
+                elif heap:
+                    # _advance inlined for a lone post within the horizon
+                    # (hot path: CPU wakes, think times, network hops).
+                    entry = heap[0]
+                    time, _, fn, args = entry
+                    if time > horizon or fn is None or fn is _BUCKET:
+                        if self._advance(horizon):
                             continue
+                        break
+                    heappop(heap)
+                    self._now = time
+                    bucket = index.pop(time)
+                    if bucket is not entry:
+                        fifo.extend(bucket)
+                else:
                     break
-                heappop(heap)
-                self._now = head.time
-                if type(head) is _Bucket:
-                    self._cur_bucket = head
-                    self._cur_i = 0
-                    continue
-                cur = index.pop(head.time, None)
-                if cur is not head and cur is not None:
-                    index[head.time] = cur  # head was promoted away; restore
-                self._pending -= 1
-                fn, args = head.fn, head.args
-                head.fn, head.args = None, ()
-                if head.pooled and len(freelist) < _FREELIST_CAP:
-                    freelist.append(head)
                 fn(*args)
-                self.events_processed += 1
+                dispatched += 1
         finally:
             self._running = False
+            self.events_processed += dispatched
         if until is not None and self._now < until and not self._stopped:
             self._now = until
 

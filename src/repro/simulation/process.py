@@ -178,8 +178,8 @@ class Process:
     def _dispatch(self, command: Any) -> None:
         if isinstance(command, _Sleep):
             # Fire-and-forget: a sleeping process is resumed, never cancelled
-            # (kill() flips ``alive`` and the resume no-ops), so the pooled
-            # path avoids one Event allocation per think-time.
+            # (kill() flips ``alive`` and the resume no-ops), so a
+            # handle-free post avoids one Event allocation per think-time.
             self._kernel.post_in(command.duration, self._resume, None, None)
         elif isinstance(command, _Wait):
             command.signal.add_callback(self._on_signal)

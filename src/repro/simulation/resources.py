@@ -326,6 +326,7 @@ class PsCpu(CpuResource):
             if self._live > 0:
                 self.busy_integral += now - self._last_update
             self._last_update = now
+        vnow = self._vnow
         if now > self._vlast:
             n = self._live
             if n:
@@ -334,28 +335,30 @@ class PsCpu(CpuResource):
                     if n <= self._knee
                     else self._espeed * self.capacity_model(n) / n
                 )
-                self._vnow += (now - self._vlast) * rate
+                vnow += (now - self._vlast) * rate
+                self._vnow = vnow
         self._vlast = now
         job.submitted_at = now
         weight = job.weight
-        if job.demand == 0.0:
+        demand = job.demand
+        if demand == 0.0:
             job.completed_at = now
             self.completed += weight
             job._settle(kernel)
             return job
-        vfinish = self._vnow + (job.demand / weight if weight != 1 else job.demand)
+        vfinish = vnow + (demand / weight if weight != 1 else demand)
         job._vfinish = vfinish
-        heapq.heappush(self._heap, (vfinish, next(self._seq), job))
-        self._live += weight
+        heap = self._heap
+        heapq.heappush(heap, (vfinish, next(self._seq), job))
+        self._live = n = self._live + weight
         # Wake-up fast path: reschedule only if the new job preempts the
         # pending wake; otherwise the (now early) wake recomputes lazily.
-        n = self._live
         rate = (
             self._espeed / n
             if n <= self._knee
             else self._espeed * self.capacity_model(n) / n
         )
-        wake = now + (self._heap[0][0] - self._vnow) / rate
+        wake = now + (heap[0][0] - vnow) / rate
         if wake < self._wake_at:
             self._wake_token += 1
             self._wake_at = wake

@@ -57,7 +57,9 @@ class ClientEmulator:
         self.collector = collector
         self.streams = streams
         self.cal = calibration
-        self.model = RubisModel(kernel, calibration, streams.get("rubis-demands"))
+        self.model = RubisModel(
+            kernel, calibration, streams.get("rubis-demands"), unit_weight=cohort == 1
+        )
         self._navigator_factory = navigator_factory or (
             lambda cid: MixNavigator(streams.get(f"client-nav-{cid}"))
         )
@@ -74,6 +76,9 @@ class ClientEmulator:
         self.cohort = cohort
         self.abandoned = 0
         self._clients: list[ClientCohort] = []
+        #: summed weight of the active cohorts (kept wherever ``active``
+        #: flips, so reading it does not walk every cohort ever spawned)
+        self._active_weight = 0
         self._next_client_id = 0
         self._task: Optional[PeriodicTask] = None
         self.requests_issued = 0
@@ -82,7 +87,7 @@ class ClientEmulator:
     @property
     def active_clients(self) -> int:
         """Simulated browsers currently active (sum of cohort weights)."""
-        return sum(c.weight for c in self._clients if c.active)
+        return self._active_weight
 
     def start(self) -> None:
         """Spawn the initial population and the profile follower."""
@@ -96,6 +101,7 @@ class ClientEmulator:
             self._task = None
         for client in self._clients:
             client.active = False
+        self._active_weight = 0
 
     def distill(self) -> None:
         """Distilled engine stats (none for the discrete emulator)."""
@@ -124,6 +130,7 @@ class ClientEmulator:
                     break
                 if client.active:
                     client.active = False
+                    self._active_weight -= client.weight
                     to_stop -= client.weight
         self.collector.record_workload(self.kernel.now, self.active_clients)
 
@@ -132,6 +139,7 @@ class ClientEmulator:
         self._next_client_id += 1
         client = ClientCohort(cid, weight)
         self._clients.append(client)
+        self._active_weight += weight
         client.process = Process(
             self.kernel, client.session(self), name=f"client-{cid}"
         )

@@ -30,10 +30,12 @@ makes the same decisions as the calibrated 500-client testbed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from repro.legacy.requests import WebRequest
 from repro.simulation.process import Process, sleep, wait
+from repro.workload.rubis import CLIENT_BLOCK, block_draws
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.clients import ClientEmulator
@@ -64,10 +66,17 @@ class ClientCohort:
         collector = emulator.collector
         weight = self.weight
         rng = emulator.streams.get(f"client-think-{self.client_id}")
+        if cal.static_fraction > 0.0:
+            # A uniform draw interleaves with the thinks on this stream.
+            def draw_think():
+                return float(rng.exponential(cal.think_time_mean_s))
+        else:
+            draw_think = block_draws(
+                partial(rng.exponential, cal.think_time_mean_s), CLIENT_BLOCK
+            ).__next__
         navigator = emulator._navigator_factory(self.client_id)
         while self.active:
-            think = float(rng.exponential(cal.think_time_mean_s))
-            yield sleep(think)
+            yield sleep(draw_think())
             if not self.active:
                 break
             if (

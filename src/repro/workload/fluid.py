@@ -592,6 +592,7 @@ class HybridWorkload(ClientEmulator):
                 self.handoffs_to_fluid += 1
                 for client in self._clients:
                     client.active = False
+                self._active_weight = 0
             before = self.engine.completions
             self.engine.tick(target, self.adjust_period_s)
             self.requests_issued += self.engine.completions - before

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -113,19 +114,50 @@ def interaction(name: str) -> Interaction:
     return _BY_NAME[name]
 
 
+#: values drawn per block from a client's navigation or think stream
+CLIENT_BLOCK = 16
+#: values drawn per block from the shared demand stream
+DEMAND_BLOCK = 512
+
+
+def block_draws(draw: Callable[..., np.ndarray], size: int) -> Iterator[float]:
+    """The values of ``draw()``, one at a time, drawn ``size`` at a time.
+
+    numpy fills an array by making the scalar draws in sequence, and
+    ``Generator.gamma(k, s)`` is ``s * standard_gamma(k)`` and
+    ``exponential(m)`` is ``m * standard_exponential()`` element by
+    element, so the values are bit-identical to calling ``draw()`` once
+    for each.  The stream runs up to ``size - 1`` draws ahead of the
+    values handed out, so it must have no other consumer."""
+    while True:
+        yield from draw(size=size).tolist()
+
+
 class RubisModel:
     """Builds :class:`WebRequest` objects for interactions, applying the
-    calibrated demands and (optionally) Gamma demand variability."""
+    calibrated demands and (optionally) Gamma demand variability.
+
+    ``unit_weight`` promises that every draw is for one request
+    (``weight == 1``), so every Gamma draw has the calibrated shape and
+    the model draws them in blocks (:func:`block_draws`); a
+    ``weight > 1`` draw then raises."""
 
     def __init__(
         self,
         kernel: SimKernel,
         calibration: Calibration = DEFAULT_CALIBRATION,
         rng: Optional[np.random.Generator] = None,
+        unit_weight: bool = False,
     ) -> None:
         self.kernel = kernel
         self.cal = calibration
         self.rng = rng if rng is not None else np.random.default_rng(0)
+        shape = calibration.demand_gamma_shape
+        self._gammas: Optional[Callable[[], float]] = None
+        if unit_weight and 0.0 < shape < self.GAUSSIAN_LIMIT_SHAPE:
+            self._gammas = block_draws(
+                partial(self.rng.standard_gamma, shape), DEMAND_BLOCK
+            ).__next__
 
     #: aggregate shape above which the Gamma draw switches to its Gaussian
     #: limit.  At the default per-request shape of 4 this is cohorts of
@@ -142,7 +174,9 @@ class RubisModel:
         """Draw one demand — or, for ``weight > 1``, the *sum* of ``weight``
         i.i.d. demands in a single draw (Gamma additivity: the sum of ``w``
         ``Gamma(shape, scale)`` variates is ``Gamma(w * shape, scale)``).
-        At ``weight == 1`` the RNG consumption is unchanged.
+        At ``weight == 1`` the RNG consumption is unchanged; a
+        ``unit_weight`` model takes the variate from its block, which
+        holds the same floats.
 
         Valid range: any ``weight`` with finite ``shape * weight`` and
         ``mean * weight``.  Aggregate shapes at or above
@@ -150,6 +184,11 @@ class RubisModel:
         draw, clipped at zero); non-finite aggregates raise instead of
         producing a silent ``inf`` demand."""
         shape = self.cal.demand_gamma_shape
+        if self._gammas is not None:
+            if weight != 1:
+                raise ValueError("a unit-weight RubisModel draws weight 1 only")
+            if 0.0 < mean < math.inf:
+                return mean / shape * self._gammas()
         if not shape or mean <= 0.0:
             return mean * weight
         k = shape * weight
@@ -199,15 +238,19 @@ def choice_cdf(p: np.ndarray) -> list[float]:
 
 
 class MixNavigator:
-    """Draws each next interaction i.i.d. from the stationary mix."""
+    """Draws each next interaction i.i.d. from the stationary mix.
+
+    Uniforms are drawn in blocks (:func:`block_draws`), so ``rng`` must
+    be the navigator's own stream."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
+        self._uniform = block_draws(rng.random, CLIENT_BLOCK).__next__
         weights = np.asarray([i.mix_weight for i in INTERACTIONS])
         self._cdf = choice_cdf(weights / weights.sum())
 
     def next_interaction(self) -> Interaction:
-        return INTERACTIONS[bisect_right(self._cdf, self.rng.random())]
+        return INTERACTIONS[bisect_right(self._cdf, self._uniform())]
 
     def reset(self) -> None:
         """Sessions are memoryless; nothing to reset."""
@@ -261,10 +304,13 @@ _TRANSITIONS: dict[str, list[tuple[str, float]]] = {
 
 
 class MarkovNavigator:
-    """Walks the RUBiS session graph; starts (and restarts) at Home."""
+    """Walks the RUBiS session graph; starts (and restarts) at Home.
+
+    Uniforms are drawn in blocks, as by :class:`MixNavigator`."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
+        self._uniform = block_draws(rng.random, CLIENT_BLOCK).__next__
         self.state = "Home"
         # Precompute the transition CDFs.
         self._table: dict[str, tuple[list[str], list[float]]] = {}
@@ -276,7 +322,7 @@ class MarkovNavigator:
     def next_interaction(self) -> Interaction:
         current = interaction(self.state)
         names, cdf = self._table[self.state]
-        self.state = names[bisect_right(cdf, self.rng.random())]
+        self.state = names[bisect_right(cdf, self._uniform())]
         return current
 
     def reset(self) -> None:

@@ -24,7 +24,7 @@ from repro.simulation.kernel import SimKernel
 from repro.simulation.rng import RngStreams
 from repro.workload.clients import ClientEmulator
 from repro.workload.cohort import ClientCohort
-from repro.workload.profiles import ConstantProfile
+from repro.workload.profiles import ConstantProfile, RampProfile
 from repro.workload.rubis import RubisModel
 
 
@@ -97,6 +97,34 @@ class TestCohortBasics:
         assert emulator.active_clients == 25
         weights = sorted(c.weight for c in emulator._clients if c.active)
         assert weights == [5, 10, 10]
+
+    @pytest.mark.parametrize("cohort", [1, 7])
+    def test_active_total_matches_sum_over_cohorts(self, kernel, cohort):
+        """The running active total equals the sum over active cohorts
+        at every adjustment up and down a ramp, and after stop()."""
+        profile = RampProfile(
+            base=10, peak=80, step_clients=9, step_period_s=4.0,
+            warmup_s=4.0, cooldown_s=4.0,
+        )
+        emulator, _, collector = make_emulator(kernel, profile, cohort=cohort)
+        adjust = emulator._adjust
+        totals = []
+
+        def checked_adjust():
+            adjust()
+            brute = sum(c.weight for c in emulator._clients if c.active)
+            recorded = collector.workload.value_at(kernel.now)
+            totals.append((emulator.active_clients, brute, recorded))
+
+        emulator._adjust = checked_adjust
+        emulator.start()
+        kernel.run(until=profile.duration_s)
+        assert all(t == b == r for t, b, r in totals)
+        assert max(b for _, b, _ in totals) == 80
+        assert totals[-1][1] < 10 + cohort
+        emulator.stop()
+        assert emulator.active_clients == 0
+        assert not any(c.active for c in emulator._clients)
 
     def test_requests_carry_cohort_weight(self, kernel):
         emulator, entry, collector = make_emulator(

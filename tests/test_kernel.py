@@ -158,6 +158,19 @@ class TestTombstones:
         assert kernel.pending == 0
         assert kernel.tombstones_skipped == 1
 
+    def test_cancelled_instant_compacted_past_until(self, kernel):
+        """Past the horizon, a cancelled head is discarded, and so are the
+        cancelled events queued behind it at its instant."""
+        first = kernel.schedule(10.0, lambda: None)
+        second = kernel.schedule(10.0, lambda: None)
+        kernel.schedule(10.0, lambda: None)
+        first.cancel()
+        second.cancel()
+        kernel.run(until=5.0)
+        assert kernel.pending == 1
+        assert kernel.tombstones_skipped == 2
+        assert kernel.now == 5.0
+
     def test_live_event_past_until_stays_pending(self, kernel):
         kernel.schedule(10.0, lambda: None)
         kernel.run(until=5.0)
@@ -268,8 +281,8 @@ class TestPeriodicTask:
 
 
 class TestFastPaths:
-    """The allocation-avoiding hot paths: pooled posts, same-timestamp
-    buckets, and the event freelist."""
+    """The allocation-avoiding hot paths: handle-free posts and
+    same-timestamp buckets."""
 
     def test_post_orders_with_scheduled_events(self, kernel):
         """Posts and schedules at the same timestamp run in submission
@@ -299,9 +312,19 @@ class TestFastPaths:
         assert kernel.pending == 0
         assert kernel.events_processed == 3
 
-    def test_freelist_recycles_posted_events(self, kernel):
-        """Pooled events return to the freelist after firing, so a long
-        chain of posts reuses a bounded set of Event objects."""
+    def test_post_chain_allocates_no_event_handles(self, kernel, monkeypatch):
+        """A long chain of posts builds no Event handle and leaves
+        nothing queued."""
+        import repro.simulation.kernel as kernel_module
+
+        handles = [0]
+        real_event = kernel_module.Event
+
+        def counting_event(*args):
+            handles[0] += 1
+            return real_event(*args)
+
+        monkeypatch.setattr(kernel_module, "Event", counting_event)
         count = [0]
 
         def tick():
@@ -312,8 +335,17 @@ class TestFastPaths:
         kernel.post_in(0.1, tick)
         kernel.run()
         assert count[0] == 500
-        assert len(kernel._freelist) >= 1
-        assert len(kernel._freelist) <= 500
+        assert kernel.pending == 0
+        assert kernel.events_processed == 500
+        assert handles[0] == 0
+
+    def test_co_timed_schedules_share_one_heap_entry(self, kernel):
+        """Events scheduled at one future timestamp coalesce into a
+        single heap entry."""
+        for _ in range(300):
+            kernel.schedule_at(2.0, lambda: None)
+        assert kernel.pending == 300
+        assert len(kernel._heap) == 1
 
     def test_bucket_fifo_across_many_ties(self, kernel):
         """Hundreds of events on one timestamp drain in submission order
@@ -551,6 +583,202 @@ def test_tail_dispatch_preserves_callback_order(program):
     assert kernel.events_processed + kernel.tail_dispatched == ref.events_processed
     assert kernel.tombstones_skipped == ref.tombstones_skipped
     assert kernel.now == ref.now
+
+
+# -- the kernel against a reference queue ------------------------------
+
+
+class _RefQueue:
+    """The kernel's contract as a list sorted by ``(time, seq)``, with no
+    buckets and no tail dispatch (``_tail`` posts).
+
+    Two rules of the contract depend on how an instant's events were
+    queued.  The first event queued at a future instant with nothing
+    else queued there is its *lone* event; the rest of the instant
+    follows it.  A cancelled lone event is discarded when it leads the
+    queue, even past a horizon, without moving ``now``; reaching any
+    other cancelled event moves ``now`` to its instant.  A run stopped
+    by its horizon discards every cancelled event of the leading
+    instant once its lone event is gone."""
+
+    class Entry:
+        def __init__(self, time, seq, fn, lone):
+            self.time, self.seq, self.fn, self.lone = time, seq, fn, lone
+            self.cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self.q, self.seq, self.now, self.stopped = [], 0, 0.0, False
+        self.events_processed = self.tombstones_skipped = self.tail_dispatched = 0
+
+    @property
+    def pending(self):
+        return len(self.q)
+
+    def schedule_at(self, time, fn):
+        self.seq += 1
+        lone = time > self.now and all(e.time != time for e in self.q)
+        entry = self.Entry(time, self.seq, fn, lone)
+        self.q.append(entry)
+        self.q.sort(key=lambda e: (e.time, e.seq))
+        return entry
+
+    post_at = schedule_at
+
+    def schedule(self, delay, fn):
+        return self.schedule_at(self.now + delay, fn)
+
+    post_in = schedule
+
+    def call_soon(self, fn):
+        return self.schedule_at(self.now, fn)
+
+    post = call_soon
+
+    def _tail(self, fn, args):
+        self.schedule_at(self.now, lambda: fn(*args))
+
+    def stop(self):
+        self.stopped = True
+
+    def _next(self, horizon):
+        """Pop up to the next live event due by ``horizon``."""
+        while self.q:
+            head = self.q[0]
+            if head.time > horizon and not (head.cancelled and head.lone):
+                if head.lone:
+                    return None
+                instant = [e for e in self.q if e.time == head.time]
+                dropped = [e for e in instant if e.cancelled]
+                self.tombstones_skipped += len(dropped)
+                self.q = [e for e in self.q if e not in dropped]
+                if len(dropped) < len(instant):
+                    return None
+                continue
+            self.q.pop(0)
+            if not head.cancelled:
+                self.now = head.time
+                return head
+            self.tombstones_skipped += 1
+            if not head.lone:
+                self.now = head.time
+        return None
+
+    def step(self):
+        head = self._next(float("inf"))
+        if head is not None:
+            head.fn()
+            self.events_processed += 1
+        return head is not None
+
+    def run(self, until=None):
+        horizon = float("inf") if until is None else until
+        self.stopped = False
+        while not self.stopped and (head := self._next(horizon)) is not None:
+            head.fn()
+            self.events_processed += 1
+        if until is not None and self.now < until and not self.stopped:
+            self.now = until
+
+
+#: the operations that return a cancellable handle
+_HANDLE_OPS = ("schedule", "schedule_at", "call_soon")
+_CALLBACK_OPS = _HANDLE_OPS + ("post", "post_in", "post_at", "cancel", "tail", "stop")
+
+
+@st.composite
+def _kernel_programs(draw):
+    """A forest of callbacks (node ``i`` is an action of its parent's
+    callback, or with parent -1 of the test before the first call) and
+    the sequence of ``step``/``run`` calls that advances the kernel."""
+    nodes = []
+    for i in range(draw(st.integers(1, 40))):
+        nodes.append((
+            draw(st.integers(-1, i - 1)),
+            # extra weight on "cancel": tombstones at a horizon need two
+            # cancelled events queued at one instant
+            draw(st.sampled_from(_CALLBACK_OPS + ("cancel", "cancel"))),
+            draw(st.sampled_from((0.0, 0.5, 1.0))),
+            draw(st.integers(0, max(i - 1, 0))),  # what a "cancel" cancels
+        ))
+    calls = draw(st.lists(st.sampled_from(("step", 0.0, 0.5, 1.5, None)), max_size=6))
+    return nodes, calls
+
+
+def _drive(program, kernel):
+    """Run ``program`` on ``kernel``; returns the dispatch log and the
+    counters after each ``step``/``run`` call."""
+    nodes, calls = program
+    children = {i: [] for i in range(-1, len(nodes))}
+    for i, (parent, *_) in enumerate(nodes):
+        children[parent].append(i)
+    handles, log = {}, []
+
+    def act(i):
+        tail = None
+        for j in children[i]:
+            _, op, delay, target = nodes[j]
+            now = kernel.now
+            if op in ("schedule", "post_in"):
+                handles[j] = getattr(kernel, op)(delay, callback(j))
+            elif op in ("schedule_at", "post_at"):
+                handles[j] = getattr(kernel, op)(now + delay, callback(j))
+            elif op in ("call_soon", "post"):
+                handles[j] = getattr(kernel, op)(callback(j))
+            elif op == "cancel":
+                if target in handles and nodes[target][1] in _HANDLE_OPS:
+                    handles[target].cancel()
+            elif op == "stop":
+                kernel.stop()
+            elif tail is None:
+                tail = j
+            else:  # one tail call per callback: post the others
+                kernel.post(callback(j))
+        if tail is not None:
+            kernel._tail(callback(tail), ())  # the last action
+
+    def callback(i):
+        def cb():
+            log.append((i, kernel.now))
+            act(i)
+
+        return cb
+
+    act(-1)
+    states = []
+
+    def record(call):
+        states.append((
+            call, kernel.now, kernel.pending, kernel.tombstones_skipped,
+            kernel.events_processed + kernel.tail_dispatched, len(log),
+        ))
+
+    for call in calls:
+        if call == "step":
+            kernel.step()
+        else:
+            kernel.run(until=None if call is None else kernel.now + call)
+        record(call)
+    while kernel.pending:
+        kernel.run()
+        record("drain")
+    return log, states
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_programs())
+def test_kernel_matches_reference_queue(program):
+    """Dispatch order, ``now`` and the counters of the kernel equal
+    those of the reference queue, whatever mix of scheduling, posting,
+    cancelling, tail calls, steps, horizons and stops a program makes."""
+    log, states = _drive(program, SimKernel())
+    ref_log, ref_states = _drive(program, _RefQueue())
+    assert log == ref_log
+    assert states == ref_states
+    for *_, counted, ran in states:
+        assert counted == ran
 
 
 def _collector_digest(col) -> str:

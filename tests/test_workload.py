@@ -16,7 +16,12 @@ from repro.workload import (
     RampProfile,
     RubisModel,
 )
-from repro.workload.rubis import interaction, transition_table
+from repro.workload.rubis import (
+    CLIENT_BLOCK,
+    block_draws,
+    interaction,
+    transition_table,
+)
 
 
 class TestInteractionTable:
@@ -145,6 +150,90 @@ class TestCdfDrawBitIdentity:
             assert got == expected, f"seed {seed}"
             assert nav.state == state
             assert nav.rng.random() == ref.random()
+
+
+class TestBlockDraws:
+    """Values drawn in blocks equal the scalar draws they replace, and
+    the emulator's request streams are those of the scalar draws."""
+
+    SEEDS = (0, 1, 2, 7, 12345)
+    DRAWS = 20_000
+
+    def test_gamma_blocks_match_scalar_draws(self, kernel):
+        # 0.0 draws nothing; the rest are calibrated per-interaction means
+        means = (0.0123, 0.0, 0.0041, 0.031)
+        for seed in self.SEEDS:
+            block = RubisModel(kernel, rng=np.random.default_rng(seed), unit_weight=True)
+            scalar = RubisModel(kernel, rng=np.random.default_rng(seed))
+            assert block._gammas is not None and scalar._gammas is None
+            got = [block._vary(means[i % 4]) for i in range(self.DRAWS)]
+            expected = [scalar._vary(means[i % 4]) for i in range(self.DRAWS)]
+            assert got == expected, f"seed {seed}"
+
+    def test_exponential_blocks_match_scalar_draws(self):
+        from functools import partial
+
+        for seed in self.SEEDS:
+            ref = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            draw = block_draws(partial(rng.exponential, 6.5), CLIENT_BLOCK)
+            got = [next(draw) for _ in range(self.DRAWS)]
+            assert got == [float(ref.exponential(6.5)) for _ in range(self.DRAWS)]
+
+    def test_uniform_blocks_match_scalar_draws(self):
+        for seed in self.SEEDS:
+            ref = np.random.default_rng(seed)
+            draw = block_draws(np.random.default_rng(seed).random, CLIENT_BLOCK)
+            got = [next(draw) for _ in range(self.DRAWS)]
+            assert got == [ref.random() for _ in range(self.DRAWS)]
+
+    def test_unit_weight_model_rejects_batched_draws(self, kernel):
+        model = RubisModel(kernel, unit_weight=True)
+        with pytest.raises(ValueError):
+            model._vary(0.01, 3)
+
+    #: sha256 of each request stream below, recorded with scalar draws
+    STREAMS = {
+        (1, 0.0): (524, "e3d096113367ceccec31e958e3b8ba0872be823879e469035a69a07ed6c8405c"),
+        (3, 0.0): (178, "83050cfd1e4771202db336f7c6eb4917f0da09d435ee31a3523d836cae701cad"),
+        (1, 0.4): (556, "521858f819b8b4748dc4b62579c323d74400596e1a6563499dd182a59a7ff073"),
+        (3, 0.4): (176, "f983ab2ede28e114d0f5c126fbbece6bd79e65d0df9c6d240b061d464177b35f"),
+    }
+
+    @pytest.mark.parametrize("cohort,static_fraction", sorted(STREAMS))
+    def test_request_streams_unchanged(self, cohort, static_fraction):
+        """Per-client (blocks), cohort (scalar demands) and three-tier
+        (scalar thinks) emulators issue the requests they issued with
+        scalar draws only, demand for demand."""
+        import hashlib
+        from dataclasses import replace
+
+        calibration = replace(
+            DEFAULT_CALIBRATION, static_fraction=static_fraction, static_demand_s=0.030
+        ) if static_fraction else DEFAULT_CALIBRATION
+        kernel = SimKernel()
+        log = []
+
+        def entry(req):
+            log.append((
+                kernel.now, req.client_id, req.weight, req.interaction,
+                req.app_demand_pre, req.app_demand_post, req.db_demand,
+                req.static_demand,
+            ))
+            kernel.schedule(0.05, req.complete, kernel)
+
+        profile = RampProfile(
+            base=6, peak=30, step_clients=6, step_period_s=20.0,
+            warmup_s=20.0, cooldown_s=20.0,
+        )
+        emulator = ClientEmulator(
+            kernel, entry, profile, MetricsCollector(), RngStreams(5),
+            calibration=calibration, cohort=cohort,
+        )
+        emulator.start()
+        kernel.run(until=profile.duration_s)
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()
+        assert (len(log), digest) == self.STREAMS[cohort, static_fraction]
 
 
 class TestRubisModel:
