@@ -11,6 +11,7 @@ oscillation and widens its own dead band until the system settles.
 
 from repro.jade.self_optimization import LoopConfig
 from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.policy import PolicyConfig
 from repro.workload.profiles import PiecewiseProfile
 
 from benchmarks._shared import emit
@@ -18,18 +19,19 @@ from benchmarks._shared import emit
 
 def run_reactor(adaptive: bool) -> dict:
     profile = PiecewiseProfile([(0.0, 230)], duration_s=1800.0)
+    policy = PolicyConfig("adaptive-threshold") if adaptive else None
     loop = LoopConfig(
         window_s=20.0,
         max_threshold=0.66,
         min_threshold=0.52,   # deliberately narrow: oscillation-prone
-        adaptive=adaptive,
+        policy=policy,
     )
     cfg = ExperimentConfig(
         profile=profile,
         seed=5,
         inhibition_s=30.0,
         db_loop=loop,
-        app_loop=LoopConfig(window_s=60.0, adaptive=adaptive),
+        app_loop=LoopConfig(window_s=60.0, policy=policy),
     )
     system = ManagedSystem(cfg)
     col = system.run()
@@ -40,6 +42,8 @@ def run_reactor(adaptive: bool) -> dict:
         if (b - a) * (c - b) < 0
     )
     reactor = system.optimizer.loops["db"].reactor
+    # the adaptive policy keeps its live (adapted) band in its state
+    live = reactor.policy_state if adaptive else reactor.policy
     # Reconfigurations in the final third: has the system settled?
     late = [t for t, _ in changes if t > 1200.0]
     return {
@@ -47,8 +51,8 @@ def run_reactor(adaptive: bool) -> dict:
         "reconfigs": len(changes) - 1,
         "flips": flips,
         "late_reconfigs": len(late),
-        "final_min_threshold": reactor.min_threshold,
-        "adaptations": getattr(reactor, "adaptations", 0),
+        "final_min_threshold": live.min_threshold,
+        "adaptations": live.adaptations if adaptive else 0,
         "latency_ms": col.latency_summary()["mean"] * 1e3,
     }
 

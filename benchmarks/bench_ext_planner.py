@@ -1,7 +1,7 @@
 """Extension — reactive thresholds vs model-based capacity planning.
 
 The paper's reactor waits for a threshold crossing and moves one replica at
-a time.  The :class:`~repro.jade.planner.PlannerReactor` instead computes
+a time.  The ``target-utilization`` policy instead computes
 the replica count that places utilization at a target and steers toward it
 — one fewer hand-tuned parameter pair per tier, and better behaviour under
 *abrupt* load steps (the threshold reactor needs one inhibition window per
@@ -10,6 +10,7 @@ replica; the planner's intent is known from the first reading).
 
 from repro.jade.self_optimization import LoopConfig
 from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.policy import PolicyConfig
 from repro.workload.profiles import PiecewiseProfile
 
 from benchmarks._shared import emit
@@ -20,8 +21,9 @@ PROFILE = PiecewiseProfile([(0.0, 80), (120.0, 420), (900.0, 80)], duration_s=14
 
 def run_case(planner: bool) -> dict:
     if planner:
-        db = LoopConfig(window_s=90.0, planner=True, planner_target=0.55)
-        app = LoopConfig(window_s=60.0, planner=True, planner_target=0.55)
+        pc = PolicyConfig.parse("target-utilization:target_utilization=0.55")
+        db = LoopConfig(window_s=90.0, policy=pc)
+        app = LoopConfig(window_s=60.0, policy=pc)
     else:
         db = LoopConfig(window_s=90.0, max_threshold=0.75, min_threshold=0.40)
         app = LoopConfig(window_s=60.0, max_threshold=0.80, min_threshold=0.38)

@@ -3,7 +3,7 @@
 §7: "apply our self-optimization techniques on other use cases to show the
 genericity of our approach."  Here the *web* tier (L4 switch + Apache
 replicas, a tier the paper only managed qualitatively) gets its own control
-loop, using the unchanged generic TierManager/CpuProbe/ThresholdReactor —
+loop, using the unchanged generic TierManager/CpuProbe/PolicyReactor —
 the only difference is wiring (balancer = the L4 switch, replica factory =
 the Apache wrapper, bindings template = the two Tomcats' AJP interfaces).
 """

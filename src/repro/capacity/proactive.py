@@ -14,12 +14,12 @@ what-if evaluated, proactive decision), so a timeline shows *why* capacity
 arrived before the threshold crossing the reactive loop would have waited
 for.
 
-The utilization projection is the planner's linear model
-(:mod:`repro.jade.planner`): with fixed replicas, tier utilization scales
-with offered load, so ``U_pred = U_now * L_peak / L_now``.  It is only a
-*trigger filter* — the actual grow/shrink choice is made on simulated
-branch outcomes (or directly on the projection when ``use_whatif`` is
-off).
+The utilization projection is the sizing policies' linear model
+(:mod:`repro.policy.queue_model`): with fixed replicas, tier utilization
+scales with offered load, so ``U_pred = U_now * L_peak / L_now``.  It is
+only a *trigger filter* — the actual grow/shrink choice is made on
+simulated branch outcomes (or directly on the projection when
+``use_whatif`` is off).
 """
 
 from __future__ import annotations

@@ -1396,55 +1396,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             micro["ps_cpu_5k_jobs"]["speedup_vs_baseline"],
         )
     )
-    if "ramp" in report:
-        ramp = report["ramp"]
-        print(
-            f"\nRamp pair x{len(ramp['seeds'])} seeds (scale {ramp['scale']}): "
-            f"{ramp['parallel_elapsed_s']:.1f}s elapsed "
-            f"(serial estimate {ramp['serial_estimate_s']:.1f}s)"
-        )
-        for arm, stats in ramp["arms"].items():
-            thr = stats["throughput_rps"]
-            lat = stats["latency_mean_ms"]
-            print(
-                f"  {arm:<8s} throughput {thr['mean']:.2f} +/- {thr['ci95']:.2f} "
-                f"req/s, latency {lat['mean']:.1f} +/- {lat['ci95']:.1f} ms"
-            )
-        if "cache" in ramp:
-            c = ramp["cache"]
-            print(
-                f"  cache: cold {c['cold']['hits']} hits / "
-                f"{c['cold']['misses']} misses, warm {c['warm']['hits']} hits "
-                f"/ {c['warm']['misses']} misses ({c['dir']})"
-            )
-    if "whatif" in report:
-        w = report["whatif"]
-        print(
-            f"\nWhat-if {w['candidates']}-candidate decision: "
-            f"serial {w['serial_s']:.2f}s, parallel cold "
-            f"{w['parallel_cold_s']:.2f}s ({w['speedup_parallel']:.2f}x), "
-            f"memoized {w['memoized_s']:.3f}s ({w['speedup_memoized']:.1f}x); "
-            f"byte-identical: {w['byte_identical']}, winner {w['winner']}"
-        )
-    if "sweep" in report:
-        s = report["sweep"]
-        print(
-            f"Sweep {s['spec']['cells']} cells: cold "
-            f"{s['cold']['rows_per_s']:.1f} rows/s, warm "
-            f"{s['warm']['rows_per_s']:.0f} rows/s (cache-resolved)"
-        )
-    for name, module in (
-        ("chaos", "repro.chaos.bench"),
-        ("deploy", "repro.deploy.bench"),
-        ("market", "repro.market.bench"),
-        ("fluid", "repro.workload.fluid_bench"),
-    ):
+    for name, section in SECTIONS.items():
         if name in report:
-            import importlib
-
-            render = importlib.import_module(module).render_section
-            print()
-            print(render(report[name]))
+            print(section.render(report[name]))
     if args.out:
         print(f"\nReport written to {args.out}")
     return 0

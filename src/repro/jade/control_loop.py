@@ -21,7 +21,7 @@ from typing import Optional
 from repro.fractal.component import Component
 from repro.fractal.interfaces import CLIENT, MANDATORY, SERVER, InterfaceType
 from repro.jade.actuators import TierManager
-from repro.jade.reactors import ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe, CpuReading
 from repro.obs.events import InhibitionAcquired, InhibitionRejected
 from repro.simulation.kernel import SimKernel
@@ -95,9 +95,9 @@ class _SensorShell:
 
 class _ReactorShell:
     """Content of a reactor component: receives readings on its ``readings``
-    server interface and delegates decisions to the threshold logic."""
+    server interface and delegates decisions to the policy reactor."""
 
-    def __init__(self, reactor: ThresholdReactor) -> None:
+    def __init__(self, reactor: PolicyReactor) -> None:
         self.reactor = reactor
 
     def on_reading(self, reading: CpuReading) -> None:
@@ -151,7 +151,7 @@ class ControlLoop:
         self,
         composite: Component,
         probe: CpuProbe,
-        reactor: ThresholdReactor,
+        reactor: PolicyReactor,
         tier: TierManager,
     ) -> None:
         self.composite = composite
@@ -165,7 +165,7 @@ class ControlLoop:
         kernel: SimKernel,
         name: str,
         probe: CpuProbe,
-        reactor: ThresholdReactor,
+        reactor: PolicyReactor,
         tier: TierManager,
     ) -> "ControlLoop":
         """Assemble sensor → reactor → actuator components in a composite."""

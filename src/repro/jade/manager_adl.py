@@ -44,8 +44,9 @@ from repro.jade.control_loop import (
     SensorShell,
     TierThroughInterface,
 )
-from repro.jade.reactors import AdaptiveThresholdReactor, ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
+from repro.policy import AdaptiveThresholdPolicy, ThresholdPolicy
 
 #: the paper's self-optimization manager, as an ADL document
 SELF_OPTIMIZATION_ADL = """
@@ -140,14 +141,16 @@ def make_threshold_reactor(
     for the self-adjusting variant)."""
     tier = _tier_from(attributes, tiers)
     adaptive = str(attributes.get("adaptive", "false")).lower() in ("true", "1")
-    cls = AdaptiveThresholdReactor if adaptive else ThresholdReactor
+    cls = AdaptiveThresholdPolicy if adaptive else ThresholdPolicy
     window = float(attributes.get("window_s", 60.0))
-    reactor = cls(
+    reactor = PolicyReactor(
         kernel,
         tier,
         inhibition,
-        max_threshold=float(attributes.get("max_threshold", 0.80)),
-        min_threshold=float(attributes.get("min_threshold", 0.35)),
+        cls(
+            max_threshold=float(attributes.get("max_threshold", 0.80)),
+            min_threshold=float(attributes.get("min_threshold", 0.35)),
+        ),
         min_replicas=int(attributes.get("min_replicas", 1)),
         fresh_samples_required=min(30, max(1, int(window))),
     )

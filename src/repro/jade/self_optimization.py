@@ -2,8 +2,8 @@
 
 Two control loops — one for the replicated application-server tier, one for
 the replicated database tier — each assembled from a CPU probe (1 s period,
-60 s / 90 s moving averages), a threshold reactor (0.80 / 0.35 defaults)
-and the generic tier actuator.  The loops run independently but share one
+60 s / 90 s moving averages), a policy reactor (the ``threshold`` rule
+unless ``LoopConfig.policy`` names another) and the generic tier actuator.  The loops run independently but share one
 :class:`~repro.jade.control_loop.InhibitionLock` (60 s), exactly as in
 §5.2.
 """
@@ -16,11 +16,7 @@ from typing import Optional
 from repro.fractal.component import Component
 from repro.jade.actuators import TierManager
 from repro.jade.control_loop import ControlLoop, InhibitionLock
-from repro.jade.reactors import (
-    AdaptiveThresholdReactor,
-    PolicyReactor,
-    ThresholdReactor,
-)
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
 from repro.policy import PolicyConfig
 from repro.simulation.kernel import SimKernel
@@ -38,13 +34,8 @@ class LoopConfig:
     min_replicas: int = 1
     max_replicas: Optional[int] = None
     probe_demand_s: float = 0.0004
-    adaptive: bool = False          # use the AdaptiveThresholdReactor
-    planner: bool = False           # use the model-based PlannerReactor
-    planner_target: float = 0.60    # its target utilization
-    planner_hysteresis: float = 0.12
     #: named policy plugin with parameter overrides (``repro.policy``);
-    #: None = the legacy flags above pick the reactor.  Takes precedence
-    #: over ``adaptive``/``planner`` when set.
+    #: None = the paper's ``threshold`` rule on the band above
     policy: Optional[PolicyConfig] = None
 
 
@@ -93,96 +84,33 @@ class SelfOptimizationManager:
             probe_demand_s=cfg.probe_demand_s,
             name=f"probe-{label}",
         )
-        reactor_cls = AdaptiveThresholdReactor if cfg.adaptive else ThresholdReactor
-        # The post-reconfiguration fresh-evidence gate can never exceed the
-        # number of samples the window can hold.
-        fresh = min(30, max(1, int(cfg.window_s / cfg.period_s)))
-        if cfg.policy is not None:
-            reactor = self._policy_reactor(label, tier, cfg, fresh)
-        elif cfg.planner:
-            from repro.jade.planner import PlannerReactor
-
-            reactor = PlannerReactor(
-                self.kernel,
-                tier,
-                self.inhibition,
-                target_utilization=cfg.planner_target,
-                hysteresis=cfg.planner_hysteresis,
-                min_replicas=cfg.min_replicas,
-                max_replicas=cfg.max_replicas,
-                fresh_samples_required=fresh,
-            )
-        else:
-            reactor = reactor_cls(
-                self.kernel,
-                tier,
-                self.inhibition,
-                max_threshold=cfg.max_threshold,
-                min_threshold=cfg.min_threshold,
-                min_replicas=cfg.min_replicas,
-                max_replicas=cfg.max_replicas,
-                fresh_samples_required=fresh,
-            )
-        loop = ControlLoop.build(self.kernel, f"resize-{label}", probe, reactor, tier)
-        self.loops[label] = loop
-        self.composite.content_controller.add(loop.composite)
-
-    def _policy_reactor(
-        self, label: str, tier: TierManager, cfg: LoopConfig, fresh: int
-    ):
-        """Build the reactor for an explicit :class:`PolicyConfig`.
-
-        The named threshold policies keep the dedicated reactor shells
-        (their thresholds default to the loop's own band); every other
-        plugin rides the generic :class:`PolicyReactor`, with model
-        parameters defaulted from this loop's tier and the calibration.
-        """
-        pc = cfg.policy
-        overrides = pc.as_dict()
-        common = dict(
-            min_replicas=cfg.min_replicas,
-            max_replicas=cfg.max_replicas,
-            fresh_samples_required=fresh,
-        )
-        if pc.name == "threshold":
-            return ThresholdReactor(
-                self.kernel,
-                tier,
-                self.inhibition,
-                max_threshold=overrides.pop("max_threshold", cfg.max_threshold),
-                min_threshold=overrides.pop("min_threshold", cfg.min_threshold),
-                **common,
-                **overrides,
-            )
-        if pc.name == "adaptive-threshold":
-            return AdaptiveThresholdReactor(
-                self.kernel,
-                tier,
-                self.inhibition,
-                max_threshold=overrides.pop("max_threshold", cfg.max_threshold),
-                min_threshold=overrides.pop("min_threshold", cfg.min_threshold),
-                **common,
-                **overrides,
-            )
-        defaults: dict = {}
-        if pc.name == "queue-model":
-            # Per-tier service demand from the calibrated mix: the app
-            # tier's servlet work, the DB tier's read/write blend.
-            cal = self.calibration
-            defaults["service_demand_s"] = (
+        # Each policy takes the loop context it declares: the band above
+        # (threshold, adaptive-threshold, forecast) or the tier's
+        # calibrated service demand (queue-model: the app tier's servlet
+        # work, the DB tier's read/write blend).
+        cal = self.calibration
+        policy = (cfg.policy or PolicyConfig("threshold")).build(
+            max_threshold=cfg.max_threshold,
+            min_threshold=cfg.min_threshold,
+            service_demand_s=(
                 cal.app_demand_total() if label == "app"
                 else cal.effective_db_demand()
-            )
-        elif pc.name == "forecast":
-            defaults["max_threshold"] = cfg.max_threshold
-            defaults["min_threshold"] = cfg.min_threshold
-        return PolicyReactor(
+            ),
+        )
+        reactor = PolicyReactor(
             self.kernel,
             tier,
             self.inhibition,
-            pc.build(**defaults),
-            **common,
+            policy,
+            min_replicas=cfg.min_replicas,
+            max_replicas=cfg.max_replicas,
+            # The post-reconfiguration fresh-evidence gate can never exceed
+            # the number of samples the window can hold.
+            fresh_samples_required=min(30, max(1, int(cfg.window_s / cfg.period_s))),
         )
+        loop = ControlLoop.build(self.kernel, f"resize-{label}", probe, reactor, tier)
+        self.loops[label] = loop
+        self.composite.content_controller.add(loop.composite)
 
     # ------------------------------------------------------------------
     def start(self) -> None:

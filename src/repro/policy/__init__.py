@@ -4,6 +4,7 @@ Importing the package populates the registry with the built-in plugins:
 
 * ``threshold`` — the paper's rule (the default of every CPU loop);
 * ``adaptive-threshold`` — the §7 oscillation-damping extension;
+* ``target-utilization`` — sizing to a fixed utilization target;
 * ``queue-model`` — M/G/1-PS sizing from the calibrated demand mix;
 * ``forecast`` — feedforward on predicted utilization;
 * ``latency-band`` — the latency-SLO band of the SloReactor.
@@ -24,7 +25,7 @@ from repro.policy.api import (
     register,
 )
 from repro.policy.feedforward import ForecastFeedforwardPolicy
-from repro.policy.queue_model import QueueModelPolicy
+from repro.policy.queue_model import QueueModelPolicy, TargetUtilizationPolicy
 from repro.policy.threshold import (
     AdaptiveThresholdPolicy,
     LatencyBandPolicy,
@@ -43,6 +44,7 @@ __all__ = [
     "PolicyDecision",
     "PolicyInputs",
     "QueueModelPolicy",
+    "TargetUtilizationPolicy",
     "ThresholdPolicy",
     "make_policy",
     "register",

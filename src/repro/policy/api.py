@@ -29,6 +29,7 @@ inhibition lock, actuation, tracing, counters — stay in
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -123,14 +124,22 @@ def register(cls):
     return cls
 
 
-def make_policy(name: str, **params) -> Policy:
+def _registered(name: str) -> type:
     try:
-        cls = POLICIES[name]
+        return POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown policy {name!r} (have: {sorted(POLICIES)})"
         ) from None
-    return cls(**params)
+
+
+def _fields(name: str) -> frozenset[str]:
+    """The parameter names the policy registered as ``name`` declares."""
+    return frozenset(f.name for f in dataclasses.fields(_registered(name)))
+
+
+def make_policy(name: str, **params) -> Policy:
+    return _registered(name)(**params)
 
 
 def _coerce(text: str):
@@ -152,7 +161,10 @@ class PolicyConfig:
     sweep cells, and the result cache.
 
     ``params`` is a sorted tuple of ``(key, value)`` pairs so two configs
-    with the same overrides hash and canonicalize identically.
+    with the same overrides hash and canonicalize identically.  An
+    unregistered name, or a parameter the policy does not declare, is a
+    ``ValueError`` here, where the config is written, not later inside a
+    (possibly pooled) run.
     """
 
     name: str = "threshold"
@@ -160,6 +172,13 @@ class PolicyConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        fields = _fields(self.name)
+        unknown = sorted(k for k, _ in self.params if k not in fields)
+        if unknown:
+            raise ValueError(
+                f"policy {self.name!r} has no parameter {', '.join(unknown)} "
+                f"(have: {sorted(fields)})"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "PolicyConfig":
@@ -190,7 +209,11 @@ class PolicyConfig:
         return dict(self.params)
 
     def build(self, **defaults) -> Policy:
-        """Instantiate: ``defaults`` (e.g. calibrated service demands)
-        are overridden by this config's explicit params."""
-        merged = {**defaults, **dict(self.params)}
+        """Instantiate: ``defaults`` are the loop's context (its threshold
+        band, the tier's calibrated service demand); the policy takes the
+        ones it declares, and this config's explicit params override
+        them."""
+        fields = _fields(self.name)
+        merged = {k: v for k, v in defaults.items() if k in fields}
+        merged.update(self.params)
         return make_policy(self.name, **merged)

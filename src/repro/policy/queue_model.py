@@ -1,31 +1,40 @@
-"""Queue-model sizing policy (M/G/1-PS).
+"""Sizing policies: jump the tier to the replica count a utilization
+target calls for.
 
-Each replica is a processor-sharing server (the testbed's PsCpu), so a
-request with service demand ``d`` at utilization ``rho`` sees a mean
-response time
+With ``k`` replicas at measured (smoothed) utilization ``U`` the offered
+CPU demand is ``U * k`` replica-equivalents, so running at utilization
+``rho`` needs
+
+    k* = ceil(U * k / rho)
+
+replicas (:func:`sized_target`).  Unlike the paper's threshold rule, a
+sizing policy knows its destination from the first reading; the reactor
+still moves one replica per decision.  The two plugins differ in where
+``rho`` comes from.
+
+``target-utilization`` (§7's "improving the self-optimizing algorithm":
+model-based planning) fixes ``rho`` by hand and holds while utilization
+stays within a hysteresis band around it, so plan boundaries do not
+ping-pong.
+
+``queue-model`` derives it.  Each replica is a processor-sharing server
+(the testbed's PsCpu), so a request with service demand ``d`` at
+utilization ``rho`` sees a mean response time
 
     R = d / (1 - rho)            (M/G/1-PS)
 
-Solving ``R <= R_slo`` for the utilization gives the *highest* load a
-replica may run at while still meeting the per-tier latency budget:
+Solving ``R <= R_slo`` gives the *highest* load a replica may run at
+while still meeting the per-tier latency budget:
 
     rho* = 1 - d / R_slo
 
-Unlike :class:`~repro.jade.planner.PlannerReactor` — whose fixed
-``target_utilization`` is one more hand-tuned constant — the operating
-point here is *derived* from the calibrated demand mix
-(:mod:`repro.workload.calibration`) and the SLO: the app tier's ``d`` is
-``app_demand_total()``, the DB tier's the read/write blend of
-``effective_db_demand()``.  The tier is then sized directly: with ``k``
-replicas at measured utilization ``U`` the offered demand is ``U * k``
-replica-equivalents, so the policy wants
-
-    k* = ceil(U * k / rho*)
-
-and grows towards it whenever ``k* > k``.  Shrinking uses an asymmetric
-guard: only when utilization has fallen below
-``rho* * (1 - shrink_margin)`` *and* the model agrees a smaller tier
-still fits — releasing capacity is cheap to defer and expensive to
+with ``d`` from the calibrated demand mix
+(:mod:`repro.workload.calibration`): the app tier's
+``app_demand_total()``, the DB tier's read/write blend of
+``effective_db_demand()``.  It grows towards ``k*`` whenever ``k* > k``.
+Shrinking uses an asymmetric guard: only when utilization has fallen
+below ``rho* * (1 - shrink_margin)`` *and* the model agrees a smaller
+tier still fits — releasing capacity is cheap to defer and expensive to
 regret (the paper's own reasoning for the inhibition period).
 """
 
@@ -43,6 +52,53 @@ from repro.policy.api import (
     PolicyInputs,
     register,
 )
+
+
+def sized_target(inputs: PolicyInputs, rho: float) -> int:
+    """``ceil(U * k / rho)`` within the loop's replica bounds.  The
+    epsilon absorbs float noise so an exactly-at-target tier is not
+    rounded up (0.2 * 3 / 0.6 must be 1, not 2)."""
+    k = math.ceil(inputs.smoothed * inputs.replicas / rho - 1e-9)
+    k = max(1, inputs.min_replicas, k)
+    return k if inputs.max_replicas is None else min(k, inputs.max_replicas)
+
+
+def _step_towards(target: int, inputs: PolicyInputs) -> PolicyDecision:
+    if target > inputs.replicas:
+        return PolicyDecision(
+            DecisionAction.GROW, DecisionReason.ABOVE_MAX, target=target
+        )
+    return PolicyDecision(
+        DecisionAction.SHRINK, DecisionReason.BELOW_MIN, target=target
+    )
+
+
+@register
+@dataclass(frozen=True)
+class TargetUtilizationPolicy(Policy):
+    """Size the tier so utilization sits at a fixed target."""
+
+    name: ClassVar[str] = "target-utilization"
+
+    target_utilization: float = 0.60
+    #: half-width of the hold band around the target
+    hysteresis: float = 0.12
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.target_utilization < 1.0:
+            raise ValueError("target utilization must be in (0, 1)")
+        if self.hysteresis < 0.0:
+            raise ValueError("hysteresis must be >= 0")
+
+    def decide(self, inputs: PolicyInputs, state) -> PolicyDecision:
+        low = self.target_utilization - self.hysteresis
+        high = self.target_utilization + self.hysteresis
+        if low <= inputs.smoothed <= high:
+            return HOLD
+        target = sized_target(inputs, self.target_utilization)
+        if target == inputs.replicas:
+            return HOLD
+        return _step_towards(target, inputs)
 
 
 @register
@@ -78,26 +134,11 @@ class QueueModelPolicy(Policy):
         rho = 1.0 - self.service_demand_s / self.slo_latency_s
         return min(self.rho_cap, max(self.rho_floor, rho))
 
-    def desired_replicas(self, utilization: float, replicas: int) -> int:
-        """``ceil(U * k / rho*)`` — the epsilon absorbs float noise so an
-        exactly-at-target tier is not rounded up."""
-        demand = utilization * replicas
-        return max(1, math.ceil(demand / self.rho_target - 1e-9))
-
     def decide(self, inputs: PolicyInputs, state) -> PolicyDecision:
-        target = self.desired_replicas(inputs.smoothed, inputs.replicas)
-        target = max(target, inputs.min_replicas)
-        if inputs.max_replicas is not None:
-            target = min(target, inputs.max_replicas)
-        if target > inputs.replicas:
-            return PolicyDecision(
-                DecisionAction.GROW, DecisionReason.ABOVE_MAX, target=target
-            )
-        if (
+        target = sized_target(inputs, self.rho_target)
+        if target > inputs.replicas or (
             target < inputs.replicas
             and inputs.smoothed < self.rho_target * (1.0 - self.shrink_margin)
         ):
-            return PolicyDecision(
-                DecisionAction.SHRINK, DecisionReason.BELOW_MIN, target=target
-            )
+            return _step_towards(target, inputs)
         return HOLD

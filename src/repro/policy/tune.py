@@ -85,7 +85,7 @@ class TunePoint:
         if self.window_scale <= 0 or self.inhibition_s < 0:
             raise ValueError("need window_scale > 0 and inhibition_s >= 0")
         if self.controller != "default":
-            PolicyConfig.parse(self.controller)  # validates the syntax
+            PolicyConfig.parse(self.controller)  # validates name and params
 
     @property
     def label(self) -> str:

@@ -4,7 +4,8 @@ The always-on **micro** layer times the kernel and PS-CPU scenarios from
 ``benchmarks/bench_micro_engine.py`` best-of-N against the committed
 pre-optimization baselines (events/s, jobs/s, speedups).  Every other
 section of BENCH_engine.json — ramp, whatif, sweep, chaos, deploy,
-market, fluid — lives in the :data:`SECTIONS` registry and is skipped
+market, fluid, policy, federation — lives in the :data:`SECTIONS`
+registry, which also says how ``repro bench`` prints it, and is skipped
 through the single ``skip`` parameter (``repro bench --skip NAME``;
 ``--micro-only`` skips them all), so a full committed report is one
 ``repro bench --out BENCH_engine.json`` invocation.
@@ -16,11 +17,12 @@ committed numbers.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -422,21 +424,80 @@ def _section_federation(ctx: dict) -> dict:
     )
 
 
+def _render_ramp(ramp: dict) -> str:
+    lines = [
+        f"\nRamp pair x{len(ramp['seeds'])} seeds (scale {ramp['scale']}): "
+        f"{ramp['parallel_elapsed_s']:.1f}s elapsed "
+        f"(serial estimate {ramp['serial_estimate_s']:.1f}s)"
+    ]
+    for arm, stats in ramp["arms"].items():
+        thr = stats["throughput_rps"]
+        lat = stats["latency_mean_ms"]
+        lines.append(
+            f"  {arm:<8s} throughput {thr['mean']:.2f} +/- {thr['ci95']:.2f} "
+            f"req/s, latency {lat['mean']:.1f} +/- {lat['ci95']:.1f} ms"
+        )
+    if "cache" in ramp:
+        c = ramp["cache"]
+        lines.append(
+            f"  cache: cold {c['cold']['hits']} hits / "
+            f"{c['cold']['misses']} misses, warm {c['warm']['hits']} hits "
+            f"/ {c['warm']['misses']} misses ({c['dir']})"
+        )
+    return "\n".join(lines)
+
+
+def _render_whatif(w: dict) -> str:
+    return (
+        f"\nWhat-if {w['candidates']}-candidate decision: "
+        f"serial {w['serial_s']:.2f}s, parallel cold "
+        f"{w['parallel_cold_s']:.2f}s ({w['speedup_parallel']:.2f}x), "
+        f"memoized {w['memoized_s']:.3f}s ({w['speedup_memoized']:.1f}x); "
+        f"byte-identical: {w['byte_identical']}, winner {w['winner']}"
+    )
+
+
+def _render_sweep(s: dict) -> str:
+    return (
+        f"Sweep {s['spec']['cells']} cells: cold "
+        f"{s['cold']['rows_per_s']:.1f} rows/s, warm "
+        f"{s['warm']['rows_per_s']:.0f} rows/s (cache-resolved)"
+    )
+
+
+def _render_with(module: str) -> Callable[[dict], str]:
+    """A subsystem bench module's ``render_section``, imported on use."""
+
+    def render(section: dict) -> str:
+        return "\n" + importlib.import_module(module).render_section(section)
+
+    return render
+
+
+class Section(NamedTuple):
+    """One BENCH_engine.json section: how to run it, how to print it."""
+
+    run: Callable[[dict], dict]
+    render: Callable[[dict], str]
+
+
 #: every BENCH_engine.json section beyond the always-on ``micro`` block,
 #: in report order.  ``run_bench(skip=...)`` names entries here — the one
 #: skip mechanism for all subsystem benches (``--micro-only`` == skip all).
 #: ``federation`` runs last so its shared-pool snapshot reflects every
 #: fan-out the earlier sections made.
 SECTIONS = {
-    "ramp": _section_ramp,
-    "whatif": _section_whatif,
-    "sweep": _section_sweep,
-    "chaos": _section_chaos,
-    "deploy": _section_deploy,
-    "market": _section_market,
-    "fluid": _section_fluid,
-    "policy": _section_policy,
-    "federation": _section_federation,
+    "ramp": Section(_section_ramp, _render_ramp),
+    "whatif": Section(_section_whatif, _render_whatif),
+    "sweep": Section(_section_sweep, _render_sweep),
+    "chaos": Section(_section_chaos, _render_with("repro.chaos.bench")),
+    "deploy": Section(_section_deploy, _render_with("repro.deploy.bench")),
+    "market": Section(_section_market, _render_with("repro.market.bench")),
+    "fluid": Section(_section_fluid, _render_with("repro.workload.fluid_bench")),
+    "policy": Section(_section_policy, _render_with("repro.policy.bench")),
+    "federation": Section(
+        _section_federation, _render_with("repro.federation.bench")
+    ),
 }
 
 
@@ -477,7 +538,7 @@ def run_bench(
     report: dict = {"micro": run_micro(rounds)}
     for name, section in SECTIONS.items():
         if name not in skip:
-            report[name] = section(ctx)
+            report[name] = section.run(ctx)
     if out_path:
         Path(out_path).write_text(
             json.dumps(report, indent=2, default=float) + "\n"

@@ -107,14 +107,12 @@ class SweepPoint:
                     "controller policies need managed loops "
                     "(policy 'managed' or 'proactive')"
                 )
-            from repro.policy import POLICIES as PLUGINS, PolicyConfig
+            from repro.policy import PolicyConfig
 
-            name = PolicyConfig.parse(self.controller).name
-            if name not in PLUGINS:
-                raise ValueError(
-                    f"unknown controller policy {name!r} "
-                    f"(have: {sorted(PLUGINS)})"
-                )
+            try:
+                PolicyConfig.parse(self.controller)
+            except ValueError as exc:
+                raise ValueError(f"unknown controller: {exc}") from None
 
     @property
     def label(self) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cluster import Lan, make_nodes
@@ -21,6 +23,19 @@ from repro.legacy.configfiles import (
     ServerXml,
 )
 from repro.simulation import SimKernel
+
+
+def collector_digest(col) -> str:
+    """Fingerprint of a run's simulated outputs: the latency, failure and
+    node-CPU series, every tier's replica changes and the
+    reconfiguration log."""
+    h = hashlib.sha256()
+    for series in (col.latencies, col.failures, col.node_cpu):
+        h.update(series.times.astype("<f8").tobytes())
+        h.update(series.values.astype("<f8").tobytes())
+    h.update(repr({t: col.replica_changes(t) for t in sorted(col.tier_replicas)}).encode())
+    h.update(repr(col.reconfigurations).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture

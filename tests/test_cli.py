@@ -253,6 +253,32 @@ class TestScalingAndBenchFlags:
         assert "ramp" not in report
         assert "whatif" not in report
 
+    def test_bench_prints_every_section_it_ran(self, capsys, monkeypatch):
+        """Each registry entry renders its own section: the policy and
+        federation sections print too (replayed from the committed
+        report instead of re-run)."""
+        from pathlib import Path
+
+        import repro.runner.bench as bench
+
+        committed = json.loads(
+            (Path(__file__).parent.parent / "BENCH_engine.json").read_text()
+        )
+        monkeypatch.setattr(bench, "run_micro", lambda rounds: committed["micro"])
+        monkeypatch.setattr(
+            bench,
+            "SECTIONS",
+            {
+                name: section._replace(run=lambda ctx, name=name: committed[name])
+                for name, section in bench.SECTIONS.items()
+            },
+        )
+        assert main(["bench", "--rounds", "1"]) == 0
+        out = capsys.readouterr().out
+        for name, section in bench.SECTIONS.items():
+            assert section.render(committed[name]) in out, name
+        assert "Controller autotuning" in out and "federation:" in out
+
     def test_bench_whatif_flags(self):
         args = build_parser().parse_args(
             ["bench", "--check-whatif", "BENCH_engine.json",

@@ -4,8 +4,9 @@ import pytest
 
 from repro.fractal import architecture_report, iter_components, verify_architecture
 from repro.jade.control_loop import ControlLoop, InhibitionLock
-from repro.jade.reactors import ThresholdReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
+from repro.policy import ThresholdPolicy
 from repro.cluster import make_nodes
 
 
@@ -40,10 +41,11 @@ def loop(kernel):
     nodes = make_nodes(kernel, 1)
     tier = FakeTier(nodes)
     probe = CpuProbe(kernel, tier.active_nodes, window_s=5.0)
-    reactor = ThresholdReactor(
+    reactor = PolicyReactor(
         kernel,
         tier,
         InhibitionLock(kernel, 10.0),
+        ThresholdPolicy(),
         warmup_samples=0,
         fresh_samples_required=3,
     )

@@ -121,6 +121,23 @@ class TestSloReactor:
         assert a.calls == ["grow"]
         assert reactor.decisions_suppressed == 1
 
+    def test_lock_trace_names_the_slo_loop(self, kernel):
+        from repro.obs.tracer import Tracer
+
+        a = FakeTier("app", 0.9)
+        reactor = self.make(kernel, [a])
+        tracer = reactor.inhibition.tracer = Tracer(run_id="slo")
+        reactor.on_reading(self.reading(kernel, 1.0))  # acquires
+        reactor.on_reading(self.reading(kernel, 1.0))  # rejected
+        lock_events = [
+            r for r in tracer.records() if r["kind"].startswith("inhibition-")
+        ]
+        assert [r["kind"] for r in lock_events] == [
+            "inhibition-acquired",
+            "inhibition-rejected",
+        ]
+        assert all(r["by"] == "slo" for r in lock_events)
+
     def test_validation(self, kernel):
         with pytest.raises(ValueError):
             SloReactor(kernel, [FakeTier("a", 0.1)], InhibitionLock(kernel, 1.0),

@@ -1,12 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
-import hashlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.kernel import SimKernel, SimulationError
+from tests.conftest import collector_digest
 
 
 def test_initial_time_is_zero(kernel):
@@ -781,16 +780,6 @@ def test_kernel_matches_reference_queue(program):
         assert counted == ran
 
 
-def _collector_digest(col) -> str:
-    h = hashlib.sha256()
-    for series in (col.latencies, col.failures, col.node_cpu):
-        h.update(series.times.astype("<f8").tobytes())
-        h.update(series.values.astype("<f8").tobytes())
-    h.update(repr({t: col.replica_changes(t) for t in sorted(col.tier_replicas)}).encode())
-    h.update(repr(col.reconfigurations).encode())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("managed", [True, False], ids=["managed", "static"])
 def test_tail_dispatch_ramp_matches_always_post(managed, monkeypatch):
     """The Fig. 9 ramp at scale 0.05 produces the same outputs with tail
@@ -806,7 +795,7 @@ def test_tail_dispatch_ramp_matches_always_post(managed, monkeypatch):
         )
         system = ManagedSystem(ExperimentConfig(profile=profile, seed=1, managed=managed))
         collector = system.run()
-        return _collector_digest(collector), collector.completed_requests, system.kernel
+        return collector_digest(collector), collector.completed_requests, system.kernel
 
     digest, completed, kernel = run()
     with monkeypatch.context() as m:

@@ -1,12 +1,15 @@
-"""Tests for the model-based capacity planner."""
+"""Tests for the ``target-utilization`` sizing policy (the model-based
+capacity planner) on the generic policy reactor."""
 
 import pytest
 
 from repro.jade.control_loop import InhibitionLock
-from repro.jade.planner import PlannerReactor
+from repro.jade.reactors import PolicyReactor
 from repro.jade.self_optimization import LoopConfig
 from repro.jade.sensors import CpuReading
 from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.obs.tracer import Tracer
+from repro.policy import PolicyConfig, PolicyInputs, TargetUtilizationPolicy
 from repro.workload.profiles import PiecewiseProfile
 
 
@@ -26,11 +29,18 @@ class FakeTier:
         return True
 
 
-def make(kernel, tier=None, **kw):
+def make(kernel, tier=None, min_replicas=1, max_replicas=None, **policy):
     tier = tier or FakeTier()
-    kw.setdefault("warmup_samples", 0)
-    kw.setdefault("target_utilization", 0.60)
-    reactor = PlannerReactor(kernel, tier, InhibitionLock(kernel, 60.0), **kw)
+    policy.setdefault("target_utilization", 0.60)
+    reactor = PolicyReactor(
+        kernel,
+        tier,
+        InhibitionLock(kernel, 60.0),
+        TargetUtilizationPolicy(**policy),
+        min_replicas=min_replicas,
+        max_replicas=max_replicas,
+        warmup_samples=0,
+    )
     return reactor, tier
 
 
@@ -38,24 +48,35 @@ def reading(kernel, value):
     return CpuReading(kernel.now, value, value, 1)
 
 
-class TestPlanMath:
-    def test_desired_replicas_from_demand(self, kernel):
-        reactor, _ = make(kernel)
-        # U=0.9 on 2 replicas -> demand 1.8 -> at target 0.6 need 3.
-        assert reactor.desired_replicas(0.9, 2) == 3
-        # U=0.2 on 3 replicas -> demand 0.6 -> 1 replica suffices.
-        assert reactor.desired_replicas(0.2, 3) == 1
+def target(utilization, replicas, min_replicas=1, max_replicas=None, **policy):
+    inputs = PolicyInputs(
+        t=0.0,
+        smoothed=utilization,
+        raw=utilization,
+        node_count=replicas,
+        replicas=replicas,
+        min_replicas=min_replicas,
+        max_replicas=max_replicas,
+    )
+    return TargetUtilizationPolicy(**policy).decide(inputs, None).target
 
-    def test_floor_and_ceiling(self, kernel):
-        reactor, _ = make(kernel, min_replicas=2, max_replicas=4)
-        assert reactor.desired_replicas(0.01, 2) == 2
-        assert reactor.desired_replicas(1.0, 4) == 4
+
+class TestPlanMath:
+    def test_desired_replicas_from_demand(self):
+        # U=0.9 on 2 replicas -> demand 1.8 -> at target 0.6 need 3.
+        assert target(0.9, 2) == 3
+        # U=0.2 on 3 replicas -> demand 0.6 -> 1 replica suffices.
+        assert target(0.2, 3) == 1
+
+    def test_floor_and_ceiling(self):
+        assert target(0.01, 3, min_replicas=2, max_replicas=4) == 2
+        assert target(1.0, 3, min_replicas=2, max_replicas=4) == 4
 
     def test_validation(self, kernel):
         with pytest.raises(ValueError):
-            make(kernel, target_utilization=1.5)
+            TargetUtilizationPolicy(target_utilization=1.5)
         with pytest.raises(ValueError):
-            make(kernel, hysteresis=-0.1)
+            TargetUtilizationPolicy(hysteresis=-0.1)
         with pytest.raises(ValueError):
             make(kernel, min_replicas=0)
 
@@ -63,9 +84,12 @@ class TestPlanMath:
 class TestPlannerDecisions:
     def test_grows_when_above_band(self, kernel):
         reactor, tier = make(kernel)
+        tracer = reactor.tracer = Tracer(run_id="planner")
         reactor.on_reading(reading(kernel, 0.9))
         assert tier.calls == ["grow"]
-        assert reactor.plans == [(0.0, 1, 2)]
+        (verdict,) = [r for r in tracer.records() if r["kind"] == "policy-decided"]
+        assert verdict["policy"] == "target-utilization"
+        assert verdict["action"] == "grow" and verdict["reason"] == "above-max"
 
     def test_shrinks_when_below_band(self, kernel):
         reactor, tier = make(kernel, tier=FakeTier(replicas=3))
@@ -98,11 +122,12 @@ class TestPlannerEndToEnd:
         profile = PiecewiseProfile(
             [(0.0, 80), (120.0, 400), (900.0, 80)], duration_s=1400.0
         )
+        planner = PolicyConfig.parse("target-utilization:target_utilization=0.55")
         cfg = ExperimentConfig(
             profile=profile,
             seed=14,
-            db_loop=LoopConfig(window_s=90.0, planner=True, planner_target=0.55),
-            app_loop=LoopConfig(window_s=60.0, planner=True, planner_target=0.55),
+            db_loop=LoopConfig(window_s=90.0, policy=planner),
+            app_loop=LoopConfig(window_s=60.0, policy=planner),
         )
         system = ManagedSystem(cfg)
         col = system.run()

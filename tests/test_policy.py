@@ -3,10 +3,13 @@
 
 The load-bearing guarantees:
 
-* the refactored default path is **byte-identical** to the pre-refactor
-  reactors — an explicit ``PolicyConfig("threshold")`` run reproduces the
-  legacy-flag run exactly (latency stream, summary, reconfiguration
-  counts), ditto ``adaptive-threshold`` vs. the ``adaptive`` flag;
+* the default path is **byte-identical** to an explicit
+  ``PolicyConfig("threshold")`` run (latency stream, summary,
+  reconfiguration counts), and every CPU-loop policy's outputs on a short
+  ramp match digests recorded before the dedicated reactor classes were
+  folded into ``PolicyReactor``;
+* a ``PolicyConfig`` naming an unregistered policy or an undeclared
+  parameter fails where it is written;
 * every plugin's decision table does what its docstring says;
 * the ``AdaptiveThresholdPolicy`` can no longer widen ``min_threshold``
   below zero, however large ``widen_step`` is (the clamp regression);
@@ -53,6 +56,7 @@ from repro.policy.tune import (
 )
 from repro.runner import ExperimentRunner, ResultCache, SweepPoint
 from repro.workload.profiles import RampProfile
+from tests.conftest import collector_digest
 
 SCALE = 0.05
 
@@ -97,6 +101,7 @@ class TestRegistry:
         assert set(POLICIES) >= {
             "threshold",
             "adaptive-threshold",
+            "target-utilization",
             "latency-band",
             "queue-model",
             "forecast",
@@ -145,6 +150,21 @@ class TestPolicyConfig:
             PolicyConfig.parse("threshold:max_threshold")
         with pytest.raises(ValueError):
             PolicyConfig.parse("")
+
+    def test_unknown_policy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown policy 'no-such-policy'"):
+            PolicyConfig.parse("no-such-policy")
+
+    def test_unknown_parameter_rejected_at_construction(self):
+        # a typo fails in the config, not as a TypeError inside a run
+        with pytest.raises(ValueError, match="no parameter max_thresold"):
+            TunePoint(controller="threshold:max_thresold=0.9")
+
+    def test_build_takes_only_declared_defaults(self):
+        p = PolicyConfig("queue-model").build(
+            max_threshold=0.9, service_demand_s=0.01
+        )
+        assert p.service_demand_s == 0.01
 
     def test_build_defaults_lose_to_overrides(self):
         pc = PolicyConfig.parse("threshold:max_threshold=0.7")
@@ -217,7 +237,7 @@ class TestAdaptiveThresholdPolicy:
         # The satellite fix observed from the reactor API, where the
         # original bug surfaced.
         from repro.jade.control_loop import InhibitionLock
-        from repro.jade.reactors import AdaptiveThresholdReactor
+        from repro.jade.reactors import PolicyReactor
 
         class FakeTier:
             name = "tier"
@@ -229,18 +249,17 @@ class TestAdaptiveThresholdPolicy:
             def shrink(self):
                 return True
 
-        reactor = AdaptiveThresholdReactor(
+        reactor = PolicyReactor(
             kernel,
             FakeTier(),
             InhibitionLock(kernel, 0.0),
+            AdaptiveThresholdPolicy(oscillation_window_s=1e9, widen_step=5.0),
             warmup_samples=0,
-            oscillation_window_s=1e9,
-            widen_step=5.0,
         )
         for _ in range(6):
             reactor.policy.on_actuated("grow", kernel.now, reactor.policy_state)
             reactor.policy.on_actuated("shrink", kernel.now, reactor.policy_state)
-        assert reactor.min_threshold >= 0.0
+        assert reactor.policy_state.min_threshold >= 0.0
 
 
 class TestQueueModelPolicy:
@@ -347,7 +366,7 @@ class TestLatencyBandPolicy:
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: the refactored default path vs. the legacy flags
+# Byte-identity: the default path vs. an explicit policy, and pinned digests
 # ----------------------------------------------------------------------
 class TestByteIdentity:
     def pair(self, legacy_cfg, policy_cfg):
@@ -374,15 +393,36 @@ class TestByteIdentity:
         policy.db_loop = replace(policy.db_loop, policy=pc)
         self.assert_identical(*self.pair(legacy, policy))
 
-    def test_explicit_adaptive_policy_matches_adaptive_flag(self):
-        legacy = ramp_config(seed=2)
-        legacy.app_loop = replace(legacy.app_loop, adaptive=True)
-        legacy.db_loop = replace(legacy.db_loop, adaptive=True)
-        pc = PolicyConfig.parse("adaptive-threshold")
-        policy = ramp_config(seed=2)
-        policy.app_loop = replace(policy.app_loop, policy=pc)
-        policy.db_loop = replace(policy.db_loop, policy=pc)
-        self.assert_identical(*self.pair(legacy, policy))
+    # Collector digests of the scale-0.1 ramp (seed 1), recorded before the
+    # threshold, adaptive and planner reactor classes were folded into
+    # PolicyReactor; the target-utilization digest was recorded through
+    # the planner reactor with its target at 0.55.
+    GOLDEN = {
+        None: "2dd07b080a773669e5c3dd130c70adcea75bd4aa75e38de69bf7ea28430c7c60",
+        "adaptive-threshold":
+            "2dd07b080a773669e5c3dd130c70adcea75bd4aa75e38de69bf7ea28430c7c60",
+        "target-utilization:target_utilization=0.55":
+            "b03906f51b42486a190808cd05eb42fc12197ff4762f117abe723ad222a59d31",
+        "queue-model":
+            "e48e530a35e9ef7fdb885711fe89f3fe534ec466f2fedd67be31547f738f5109",
+        "forecast":
+            "6481db38b7ddb0dc89a63d4540b2e952b4e5b974a5968ab70965281a6d7eb3fb",
+    }
+
+    @pytest.mark.parametrize(
+        "controller", list(GOLDEN), ids=lambda c: c or "default"
+    )
+    def test_cpu_loop_policy_outputs_pinned(self, controller):
+        cfg = ramp_config(seed=1, scale=0.1)
+        if controller is not None:
+            pc = PolicyConfig.parse(controller)
+            cfg.app_loop = replace(cfg.app_loop, policy=pc)
+            cfg.db_loop = replace(cfg.db_loop, policy=pc)
+        system = ManagedSystem(cfg)
+        assert collector_digest(system.run()) == self.GOLDEN[controller]
+        if controller == "adaptive-threshold":
+            # the adaptive path really ran: the DB loop widened its band
+            assert system.optimizer.db_loop.reactor.policy_state.adaptations == 1
 
 
 # ----------------------------------------------------------------------
