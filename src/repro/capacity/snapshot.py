@@ -1,7 +1,8 @@
 """Point-in-time capture of a managed system.
 
-A what-if fork does not copy the live object graph (client sessions are
-mid-generator and unpicklable); it captures the *observable* state the
+A what-if fork does not copy the live object graph (queued kernel
+callbacks, in-flight requests and actuator processes suspended
+mid-generator are unpicklable); it captures the *observable* state the
 branch needs — replica counts, client population, pool headroom, hardware
 parameters, and the experiment seed — and the engine rebuilds a
 deterministic branch system from it.  Capturing is read-only by

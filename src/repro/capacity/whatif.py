@@ -20,8 +20,9 @@ Two properties are load-bearing and tested:
   with what-if evaluations in the middle finishes with metrics identical
   to one without.
 
-The fork is a *state projection*, not an object-graph copy: live client
-sessions are mid-generator (unpicklable and uncopyable), so the branch
+The fork is a *state projection*, not an object-graph copy: the live
+graph (queued kernel callbacks, in-flight requests, actuator processes
+suspended mid-generator) is unpicklable and uncopyable, so the branch
 restarts a fresh closed-loop population at the snapshot's observed size
 and lets it warm up for ``warmup_s`` before the measurement window opens.
 

@@ -88,12 +88,14 @@ class Node:
         demand: float,
         tag: object = None,
         weight: int = 1,
-        then: Optional[Callable[[], None]] = None,
-        fail: Optional[Callable[[BaseException], None]] = None,
+        then: Optional[Callable[..., None]] = None,
+        fail: Optional[Callable[..., None]] = None,
+        args: tuple = (),
     ) -> CpuJob:
         """Submit CPU work of ``demand`` seconds (at unit speed) and return
-        the job.  With a continuation, ``then()`` runs on completion and
-        ``fail(error)`` on abort; without one, ``job.done`` fires.
+        the job.  With a continuation, ``then(*args)`` runs on completion
+        and ``fail(*args, error)`` on abort; without one, ``job.done``
+        fires.
         ``weight`` batches that many identical requests into one job (see
         :class:`~repro.simulation.resources.CpuJob`).
 
@@ -101,10 +103,12 @@ class Node:
         :class:`NodeDown`; a continuation job is failed asynchronously
         with it instead, exactly like work aborted by the crash."""
         if self.up and not self.isolated:
-            return self.cpu.submit(CpuJob(self.kernel, demand, tag, weight, then, fail))
+            return self.cpu.submit(
+                CpuJob(self.kernel, demand, tag, weight, then, fail, args)
+            )
         if not self.up and then is None:
             raise NodeDown(self.name)
-        job = CpuJob(self.kernel, demand, tag, weight, then, fail)
+        job = CpuJob(self.kernel, demand, tag, weight, then, fail, args)
         if not self.up:
             job._settle(self.kernel, NodeDown(self.name))
             return job

@@ -102,8 +102,8 @@ class ExperimentConfig:
     #: CPU speed of every node relative to the calibrated 2006-era machine
     #: (2.0 = hardware twice as fast; shifts every scaling point)
     node_speed: float = 1.0
-    #: emulate clients in batches of this size (one ClientCohort process
-    #: stands for ``cohort`` identical browsers); 1 = per-client processes
+    #: emulate clients in batches of this size (one ClientCohort session
+    #: stands for ``cohort`` identical browsers); 1 = per-client sessions
     cohort: int = 1
     #: scale node speed, memory, and the thrashing knee together (weak
     #: scaling: hardware_scale == cohort keeps per-constituent utilization

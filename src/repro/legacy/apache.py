@@ -72,21 +72,22 @@ class ApacheServer(LegacyServer):
             return
         request.trace(self.name)
         weight = request.weight
+        self._begin(weight)
         if request.is_static:
-            self._begin(weight)
             self._run_then(
                 request.static_demand,
-                lambda: self._finish_static(request),
-                lambda err: self._abort(request, f"static serve aborted: {err}"),
-                weight=weight,
+                weight,
+                self._finish_static,
+                self._static_aborted,
+                request,
             )
         else:
-            self._begin(weight)
             self._run_then(
                 self.proxy_demand * weight,
-                lambda: self._forward(request),
-                lambda err: self._abort(request, f"mod_jk aborted: {err}"),
-                weight=weight,
+                weight,
+                self._forward,
+                self._modjk_aborted,
+                request,
             )
 
     def _finish_static(self, request: WebRequest) -> None:
@@ -109,6 +110,12 @@ class ApacheServer(LegacyServer):
         self.dynamic_forwarded += request.weight
         self._end(weight=request.weight)
         self._after_hop(server.handle, request)
+
+    def _static_aborted(self, request: WebRequest, err: BaseException) -> None:
+        self._abort(request, f"static serve aborted: {err}")
+
+    def _modjk_aborted(self, request: WebRequest, err: BaseException) -> None:
+        self._abort(request, f"mod_jk aborted: {err}")
 
     def _abort(self, request: WebRequest, reason: str) -> None:
         self._end(ok=False, weight=request.weight)

@@ -27,7 +27,8 @@ the paper's actuators drive through the MySQL/C-JDBC wrappers:
 from __future__ import annotations
 
 import enum
-from typing import Optional
+import operator
+from typing import Callable, Optional
 
 from repro.cluster.network import Lan
 from repro.cluster.node import Node
@@ -106,7 +107,7 @@ class CJdbcController(LegacyServer):
         self.conf = CjdbcXml.parse(text)
         self._policy = make_policy(
             self.conf.policy,
-            pending_fn=lambda handle: handle.inflight,
+            pending_fn=operator.attrgetter("inflight"),
         )
 
     def _endpoints(self) -> list[tuple[str, int]]:
@@ -216,92 +217,160 @@ class CJdbcController(LegacyServer):
     # ------------------------------------------------------------------
     # Query routing (the JDBC surface Tomcat talks to)
     # ------------------------------------------------------------------
-    def execute(self, request: WebRequest) -> Signal:
-        """Route one query; the signal fires when the result is ready."""
-        sig = Signal(self.kernel)
+    def execute(
+        self,
+        request: WebRequest,
+        then: Optional[Callable[..., None]] = None,
+        fail: Optional[Callable[..., None]] = None,
+    ) -> Optional[Signal]:
+        """Route one query.
+
+        With a continuation, ``then(request)`` runs when the result is
+        ready and ``fail(request, error)`` when the query fails, each
+        delivered as the signal would deliver to a lone waiter: a read's
+        answer through the kernel's tail dispatch, a write's answer and
+        every failure posted.  Without one, the returned signal fires with
+        the controller (or fails with the error)."""
+        sig = Signal(self.kernel) if then is None else None
         if not self.running:
-            sig.fail(ServerNotRunning(self.name))
+            self._query_failed(sig, fail, (request,), ServerNotRunning(self.name))
             return sig
         request.trace(self.name)
-        self._begin(request.weight)
+        weight = request.weight
+        self._begin(weight)
         self._run_then(
-            self.route_demand * request.weight,
-            lambda: self._route(request, sig),
-            lambda err: self._fail(sig, err, request.weight),
-            weight=request.weight,
+            self.route_demand * weight, weight, self._route, self._fail,
+            request, then, fail, sig,
         )
         return sig
 
-    def _route(self, request: WebRequest, sig: Signal) -> None:
+    def _route(self, request: WebRequest, then, fail, sig) -> None:
         if request.is_write:
-            self._route_write(request, sig)
+            self._route_write(request, then, fail, sig)
         else:
-            self._route_read(request, sig)
+            self._route_read(request, then, fail, sig)
 
-    def _route_read(self, request: WebRequest, sig: Signal) -> None:
+    def _route_read(self, request: WebRequest, then, fail, sig) -> None:
         enabled = self.enabled_backends()
-        weight = request.weight
         if not enabled:
             self._fail(
-                sig, ServerNotRunning(f"{self.name}: no enabled backend"), weight
+                request, then, fail, sig,
+                ServerNotRunning(f"{self.name}: no enabled backend"),
             )
             return
         assert self._policy is not None
         handle = self._policy.choose(enabled)
+        weight = request.weight
         self.reads_routed += weight
         handle.inflight += weight
+        self._after_hop(self._dispatch_read, handle, request, then, fail, sig)
 
-        def answered(s: Signal) -> None:
-            handle.inflight -= weight
-            self._relay(s, sig, weight)
+    def _dispatch_read(
+        self, handle: BackendHandle, request: WebRequest, then, fail, sig
+    ) -> None:
+        handle.server.execute_read(
+            request.db_demand,
+            request.weight,
+            self._answered,
+            self._unanswered,
+            (handle, request, then, fail, sig),
+        )
 
-        def dispatch() -> None:
-            inner = handle.server.execute_read(request.db_demand, weight)
-            inner.add_callback(answered)
-
-        self._after_hop(dispatch)
-
-    def _route_write(self, request: WebRequest, sig: Signal) -> None:
-        enabled = self.enabled_backends()
+    def _answered(
+        self, handle: BackendHandle, request: WebRequest, then, fail, sig
+    ) -> None:
+        # Only ever the tail of MySQL's read reply.
         weight = request.weight
-        if not enabled:
-            self._fail(
-                sig, ServerNotRunning(f"{self.name}: no enabled backend"), weight
-            )
-            return
-        entry = self.log.append(request.interaction, request.db_demand, weight)
-        self.writes_routed += weight
-        remaining = len(enabled)
-        failed: list[BaseException] = []
-
-        def one_done(s: Signal) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if s.error is not None:
-                failed.append(s.error)
-            if remaining == 0:
-                if failed and len(failed) == len(enabled):
-                    # Every replica failed the write: surface the error.
-                    self._fail(sig, failed[0], weight)
-                else:
-                    # Quorum semantics of RAIDb-1: the write succeeded on
-                    # the surviving replicas; dead ones are repaired later.
-                    self._end(weight=weight)
-                    sig.succeed(self)
-
-        for handle in enabled:
-            self._after_hop(
-                lambda h=handle: h.server.execute_write(entry).add_callback(one_done)
-            )
-
-    def _relay(self, inner: Signal, sig: Signal, weight: int = 1) -> None:
-        # Only ever the last statement of a signal callback (``answered``).
-        if inner.error is not None:
-            self._fail(sig, inner.error, weight)
+        handle.inflight -= weight
+        self._end(weight=weight)
+        if sig is None:
+            self.kernel._tail(then, (request,))
         else:
-            self._end(weight=weight)
             sig.succeed_tail(self)
 
-    def _fail(self, sig: Signal, err: BaseException, weight: int = 1) -> None:
-        self._end(ok=False, weight=weight)
-        sig.fail(err)
+    def _unanswered(
+        self, handle: BackendHandle, request: WebRequest, then, fail, sig, err
+    ) -> None:
+        handle.inflight -= request.weight
+        self._fail(request, then, fail, sig, err)
+
+    def _route_write(self, request: WebRequest, then, fail, sig) -> None:
+        enabled = self.enabled_backends()
+        if not enabled:
+            self._fail(
+                request, then, fail, sig,
+                ServerNotRunning(f"{self.name}: no enabled backend"),
+            )
+            return
+        weight = request.weight
+        entry = self.log.append(request.interaction, request.db_demand, weight)
+        self.writes_routed += weight
+        barrier = _WriteBarrier(request, then, fail, sig, len(enabled))
+        for handle in enabled:
+            self._after_hop(self._send_write, handle, entry, barrier)
+
+    def _send_write(
+        self, handle: BackendHandle, entry, barrier: "_WriteBarrier"
+    ) -> None:
+        handle.server.execute_write(
+            entry, self._write_settled, self._write_settled, (barrier,)
+        )
+
+    def _write_settled(
+        self, barrier: "_WriteBarrier", err: Optional[BaseException] = None
+    ) -> None:
+        """One replica answered the write (``err`` when it failed); answer
+        the query once all have."""
+        barrier.remaining -= 1
+        if err is not None:
+            barrier.failed += 1
+            if barrier.error is None:
+                barrier.error = err
+        if barrier.remaining:
+            return
+        request = barrier.request
+        if barrier.failed == barrier.replicas:
+            # Every replica failed the write: surface the error.
+            self._fail(
+                request, barrier.then, barrier.fail, barrier.sig, barrier.error
+            )
+            return
+        # Quorum semantics of RAIDb-1: the write succeeded on the
+        # surviving replicas; dead ones are repaired later.
+        self._end(weight=request.weight)
+        if barrier.sig is None:
+            self.kernel.post(barrier.then, request)
+        else:
+            barrier.sig.succeed(self)
+
+    def _fail(
+        self, request: WebRequest, then, fail, sig, err: BaseException
+    ) -> None:
+        self._end(ok=False, weight=request.weight)
+        self._query_failed(sig, fail, (request,), err)
+
+
+class _WriteBarrier:
+    """A write fanned out to every ENABLED replica, answered once all of
+    them have (full-mirroring write barrier)."""
+
+    __slots__ = (
+        "request",
+        "then",
+        "fail",
+        "sig",
+        "replicas",
+        "remaining",
+        "failed",
+        "error",
+    )
+
+    def __init__(self, request: WebRequest, then, fail, sig, replicas: int) -> None:
+        self.request = request
+        self.then = then
+        self.fail = fail
+        self.sig = sig
+        self.replicas = replicas
+        self.remaining = replicas
+        self.failed = 0
+        self.error: Optional[BaseException] = None

@@ -79,11 +79,13 @@ class PlbBalancer(LegacyServer):
             return
         request.trace(self.name)
         self._begin(request.weight)
+        weight = request.weight
         self._run_then(
-            self.proxy_demand * request.weight,
-            lambda: self._forward(request),
-            lambda err: self._abort(request, f"proxy aborted: {err}"),
-            weight=request.weight,
+            self.proxy_demand * weight,
+            weight,
+            self._forward,
+            self._proxy_aborted,
+            request,
         )
 
     def _forward(self, request: WebRequest) -> None:
@@ -107,6 +109,9 @@ class PlbBalancer(LegacyServer):
         self.forwarded += request.weight
         self._end(weight=request.weight)
         self._after_hop(chosen.handle, request)
+
+    def _proxy_aborted(self, request: WebRequest, err: BaseException) -> None:
+        self._abort(request, f"proxy aborted: {err}")
 
     def _abort(self, request: WebRequest, reason: str) -> None:
         self._end(ok=False, weight=request.weight)

@@ -16,6 +16,7 @@ from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.legacy.directory import Directory
 from repro.simulation.kernel import SimKernel
+from repro.simulation.process import Signal
 
 
 class ServerNotRunning(RuntimeError):
@@ -164,6 +165,22 @@ class LegacyServer:
         else:
             self.failures += weight
 
+    def _query_failed(
+        self,
+        sig: Optional[Signal],
+        fail: Optional[Callable[..., None]],
+        args: tuple,
+        error: BaseException,
+    ) -> None:
+        """Answer a datasource query with ``error``: fail ``sig``, or, for
+        a caller that passed a continuation instead, post ``fail(*args,
+        error)`` at the current instant, where the signal would have
+        posted its lone waiter."""
+        if sig is None:
+            self.kernel.post(fail, *args, error)
+        else:
+            sig.fail(error)
+
     def _after_hop(self, fn: Callable[..., None], *args) -> None:
         """Run ``fn`` after a simulated network hop (immediately if no LAN
         model was provided)."""
@@ -177,13 +194,16 @@ class LegacyServer:
     def _run_then(
         self,
         demand: float,
-        fn: Callable[[], None],
-        fail: Callable[[BaseException], None],
-        weight: int = 1,
+        weight: int,
+        fn: Callable[..., None],
+        fail: Callable[..., None],
+        *args,
     ) -> None:
-        """Consume ``demand`` seconds of CPU on our node, then call ``fn``;
-        on CPU abort (node crash) call ``fail``.  ``weight`` is the number
-        of batched identical requests the demand sums over (cohorts): the
+        """Consume ``demand`` seconds of CPU on our node, then call
+        ``fn(*args)``; on CPU abort (node crash) call ``fail(*args,
+        error)``.  Callers pass bound methods and the request as ``args``,
+        so a hop allocates no closure.  ``weight`` is the number of
+        batched identical requests the demand sums over (cohorts): the
         CPU sees ``weight`` concurrent requests of ``demand / weight``
         each.  If our node has already crashed, ``fail`` receives
         :class:`~repro.cluster.node.NodeDown` asynchronously, as if the
@@ -195,9 +215,9 @@ class LegacyServer:
         then either itself in tail position or fires a signal that has no
         waiter yet, so such a tail call stays exact."""
         if demand <= 0.0:
-            fn()
+            fn(*args)
             return
-        self.node.run_job(demand, self.name, weight, fn, fail)
+        self.node.run_job(demand, self.name, weight, fn, fail, args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else "stopped"

@@ -23,7 +23,6 @@ from repro.legacy.directory import Directory, EndpointNotFound
 from repro.legacy.requests import WebRequest
 from repro.legacy.server import LegacyServer, ServerNotRunning
 from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Signal
 
 _JDBC_URL = re.compile(r"^jdbc:(?P<driver>[\w-]+)://(?P<host>[\w.-]+):(?P<port>\d+)/(?P<db>\w+)$")
 
@@ -90,12 +89,14 @@ class TomcatServer(LegacyServer):
             request.fail(self.kernel, f"{self.name}: 500 injected fault")
             return
         request.trace(self.name)
-        self._begin(request.weight)
+        weight = request.weight
+        self._begin(weight)
         self._run_then(
             request.app_demand_pre,
-            lambda: self._query_db(request),
-            lambda err: self._abort(request, f"servlet aborted: {err}"),
-            weight=request.weight,
+            weight,
+            self._query_db,
+            self._servlet_aborted,
+            request,
         )
 
     def _query_db(self, request: WebRequest) -> None:
@@ -107,28 +108,30 @@ class TomcatServer(LegacyServer):
         except EndpointNotFound:
             self._abort(request, "datasource connection refused")
             return
-        sig: Signal = datasource.execute(request)
-
-        def _db_done(s: Signal) -> None:
-            if s.error is not None:
-                self._abort(request, f"SQL error: {s.error}")
-            else:
-                self._respond(request)
-
-        sig.add_callback(_db_done)
+        datasource.execute(request, self._respond, self._db_failed)
 
     def _respond(self, request: WebRequest) -> None:
         self._run_then(
             request.app_demand_post,
-            lambda: self._finish(request),
-            lambda err: self._abort(request, f"response generation aborted: {err}"),
-            weight=request.weight,
+            request.weight,
+            self._finish,
+            self._response_aborted,
+            request,
         )
 
     def _finish(self, request: WebRequest) -> None:
         self._end(weight=request.weight)
         self._observe(request, True)
         request.complete(self.kernel)
+
+    def _servlet_aborted(self, request: WebRequest, err: BaseException) -> None:
+        self._abort(request, f"servlet aborted: {err}")
+
+    def _db_failed(self, request: WebRequest, err: BaseException) -> None:
+        self._abort(request, f"SQL error: {err}")
+
+    def _response_aborted(self, request: WebRequest, err: BaseException) -> None:
+        self._abort(request, f"response generation aborted: {err}")
 
     def _abort(self, request: WebRequest, reason: str) -> None:
         self._end(ok=False, weight=request.weight)

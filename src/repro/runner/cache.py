@@ -14,6 +14,9 @@ Layout (under ``$REPRO_CACHE_DIR``, default ``~/.cache/repro-jade``)::
     <key>.pkl    pickled payload (CompletedRun, BranchOutcome, ...)
     <key>.json   metadata sidecar: description, fingerprint, wall time,
                  summary — greppable without unpickling
+    quarantine/  entries whose payload failed to unpickle, moved aside
+                 for inspection (a load of one is a miss: the caller
+                 recomputes and stores a fresh entry)
 
 Entries are immutable; invalidation is by key change only, so ``rm -r``
 on the directory is always safe.  The cache is size-capped: every store
@@ -105,6 +108,8 @@ class ResultCache:
         self.max_bytes = default_max_bytes() if max_bytes is None else max_bytes
         self.hits = 0
         self.misses = 0
+        #: corrupt entries moved to ``quarantine/`` (each also a miss)
+        self.quarantined = 0
 
     # ------------------------------------------------------------------
     def key_for(self, config, fingerprint: Optional[str] = None) -> str:
@@ -133,11 +138,20 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def load(self, key: str):
-        payload, _ = self._paths(key)
+        """The payload stored under ``key``, or None on a miss.  A payload
+        that fails to unpickle, for whatever reason (truncated, garbage,
+        a class that no longer exists), is quarantined and is a miss."""
+        payload, sidecar = self._paths(key)
         try:
-            with open(payload, "rb") as fh:
+            fh = open(payload, "rb")
+        except OSError:
+            self.misses += 1
+            return None
+        try:
+            with fh:
                 run = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError):
+        except Exception:
+            self._quarantine(payload, sidecar)
             self.misses += 1
             return None
         self.hits += 1
@@ -146,6 +160,18 @@ class ResultCache:
         except OSError:
             pass
         return run
+
+    def _quarantine(self, payload: Path, sidecar: Path) -> None:
+        """Move a corrupt entry into ``quarantine/`` so it is never read
+        again (a racing reader may have moved it first)."""
+        self.quarantined += 1
+        target = self.root / "quarantine"
+        target.mkdir(parents=True, exist_ok=True)
+        for path in (payload, sidecar):
+            try:
+                os.replace(path, target / path.name)
+            except OSError:
+                pass
 
     def store(self, key: str, run, config=None) -> Path:
         """Persist atomically (write-rename, so readers never see a torn
@@ -218,6 +244,7 @@ class ResultCache:
             "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
+            "quarantined": self.quarantined,
         }
 
     def prune(self, max_bytes: Optional[int] = None) -> list[str]:

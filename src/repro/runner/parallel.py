@@ -136,8 +136,11 @@ def fanout_map(
     Runs in-process (same results, no pool) when ``parallel`` is off,
     fewer than two items or workers are available, ``REPRO_RUNNER_SERIAL``
     is set, or the caller is itself a pool worker.  The executor persists
-    across calls (see :func:`_get_pool`); a broken pool — a worker killed
-    mid-task — is torn down and the fan-out retried once on a fresh one.
+    across calls (see :func:`_get_pool`).  Each item is its own future: if
+    the pool breaks (a worker killed mid-task), the results that had
+    already arrived are kept, the pool is torn down, and only the
+    unfinished items run again, once, on a fresh pool; a second break
+    propagates.
     """
     items = list(items)
     if max_workers is None:
@@ -151,11 +154,25 @@ def fanout_map(
     ):
         return [fn(item) for item in items]
     POOL_STATS["fanouts"] += 1
+    futures = []
     try:
-        return list(_get_pool(workers).map(fn, items))
+        pool = _get_pool(workers)
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
     except BrokenProcessPool:
-        shutdown_pool()
-        return list(_get_pool(workers).map(fn, items))
+        pass
+    results = {
+        i: future.result()
+        for i, future in enumerate(futures)
+        if future.done() and not future.cancelled() and future.exception() is None
+    }
+    shutdown_pool()
+    unfinished = [i for i in range(len(items)) if i not in results]
+    pool = _get_pool(min(workers, len(unfinished)))
+    retried = [pool.submit(fn, items[i]) for i in unfinished]
+    for i, future in zip(unfinished, retried):
+        results[i] = future.result()
+    return [results[i] for i in range(len(items))]
 
 
 def execute_config(config) -> CompletedRun:

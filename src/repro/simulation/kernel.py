@@ -42,9 +42,9 @@ Fire-and-forget posts (:meth:`SimKernel.post`, :meth:`~SimKernel.post_in`,
 Tail dispatch
 -------------
 Most continuations on the request path (a CPU job's completion handler,
-a signal relayed from one server to the next, a client resumed by its
-response) are posted at the current instant as the very last action of
-the callback that produces them.  When nothing else is queued at that
+a datasource's answer relayed to the server that queried it, a client's
+completion callback) are posted at the current instant as the very last
+action of the callback that produces them.  When nothing else is queued at that
 instant, the posted event is exactly the next one :meth:`SimKernel.run`
 would dispatch: every other queued event lies strictly in the future.
 :meth:`SimKernel._tail` runs such a continuation inline in that case and
@@ -55,7 +55,8 @@ order of actions — and every output — is unchanged.
 The rule is exact only if the caller does nothing after ``_tail``
 returns, and the same holds for every frame between it and the kernel's
 dispatch; call sites are therefore restricted to audited tail positions
-(``PsCpu._complete_next``, ``Signal.succeed_tail`` and its callers).
+(``PsCpu._complete_next``, ``Signal.succeed_tail`` and its callers, and
+the read answers of ``MySqlServer`` and ``CJdbcController``).
 ``_tail`` runs inline only while :meth:`SimKernel.run` is active and
 :meth:`SimKernel.stop` has not been called, and only when the FIFO is
 empty; under :meth:`SimKernel.step`, after ``stop()`` or with a

@@ -1,12 +1,17 @@
 """Generator-based simulated processes.
 
-Client emulators, state-reconciliation tasks and other sequential behaviours
-are easiest to express as straight-line code interleaved with waits.  A
-:class:`Process` drives a Python generator; the generator yields *commands*:
+Actuator sequences (node allocation, install, start), C-JDBC's
+recovery-log replay, deployment bounces and chaos schedules are easiest to
+express as straight-line code interleaved with waits.  A :class:`Process`
+drives a Python generator; the generator yields *commands*:
 
 * ``sleep(dt)`` — suspend for ``dt`` seconds of simulated time;
 * ``wait(signal)`` — suspend until a :class:`Signal` fires; the signal's
   value is returned by the ``yield`` expression.
+
+The per-request path uses no process: emulated clients are callback state
+machines (:class:`~repro.workload.cohort.ClientCohort`) and the servers
+pass bound-method continuations, so a request resumes no generator.
 
 Example
 -------

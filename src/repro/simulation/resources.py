@@ -84,10 +84,12 @@ class CpuJob:
     actually takes.
 
     Completion is announced in one of two ways.  A job built with a
-    continuation calls ``then()`` when service completes and
-    ``fail(error)`` when it is aborted; it has no ``done`` signal.  A job
-    built without one carries ``done``, a :class:`Signal` that fires with
-    the job (or fails with the error).  Either way the announcement is one
+    continuation calls ``then(*args)`` when service completes and
+    ``fail(*args, error)`` when it is aborted; it has no ``done`` signal.
+    ``args`` is a tuple, so a server passes a bound method and the request
+    instead of building a closure per hop.  A job built without a
+    continuation carries ``done``, a :class:`Signal` that fires with the
+    job (or fails with the error).  Either way the announcement is one
     kernel event at the completion instant, except that
     :meth:`PsCpu._complete_next` may hand a lone continuation to the
     kernel's tail dispatch.
@@ -105,6 +107,7 @@ class CpuJob:
         "done",
         "then",
         "fail",
+        "args",
         "finished",
         "tag",
         "submitted_at",
@@ -118,8 +121,9 @@ class CpuJob:
         demand: float,
         tag: object = None,
         weight: int = 1,
-        then: Optional[Callable[[], None]] = None,
-        fail: Optional[Callable[[BaseException], None]] = None,
+        then: Optional[Callable[..., None]] = None,
+        fail: Optional[Callable[..., None]] = None,
+        args: tuple = (),
     ):
         if demand < 0:
             raise ValueError("demand must be >= 0")
@@ -131,6 +135,7 @@ class CpuJob:
         self.weight = weight
         self.then = then
         self.fail = fail
+        self.args = args
         self.done: Optional[Signal] = Signal(kernel) if then is None else None
         #: completed or aborted (the continuation is announced)
         self.finished = False
@@ -149,9 +154,9 @@ class CpuJob:
             else:
                 self.done.fail(error)
         elif error is None:
-            kernel._post_at(kernel._now, self.then, ())
+            kernel._post_at(kernel._now, self.then, self.args)
         else:
-            kernel._post_at(kernel._now, self.fail, (error,))
+            kernel._post_at(kernel._now, self.fail, self.args + (error,))
 
     @property
     def sojourn(self) -> Optional[float]:
@@ -454,7 +459,7 @@ class PsCpu(CpuResource):
                 held.finished = True
                 if heap:
                     kernel._post_at(wake, self._complete_next, (self._wake_token,))
-                kernel._tail(held.then, ())
+                kernel._tail(held.then, held.args)
                 return
             held._settle(kernel)
         if heap:

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 from repro.legacy.requests import WebRequest
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import PeriodicTask, SimKernel
-from repro.simulation.process import Process
 from repro.simulation.rng import RngStreams
 from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.workload.cohort import ClientCohort
@@ -140,6 +139,4 @@ class ClientEmulator:
         client = ClientCohort(cid, weight)
         self._clients.append(client)
         self._active_weight += weight
-        client.process = Process(
-            self.kernel, client.session(self), name=f"client-{cid}"
-        )
+        client.start(self)

@@ -13,19 +13,25 @@ The tests pin the two load-bearing properties:
   and (weighted) completion counts.
 """
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.legacy.requests import WebRequest
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import SimKernel
+from repro.simulation.process import Process, sleep, wait
 from repro.simulation.rng import RngStreams
+from repro.workload.calibration import DEFAULT_CALIBRATION
 from repro.workload.clients import ClientEmulator
 from repro.workload.cohort import ClientCohort
-from repro.workload.profiles import ConstantProfile, RampProfile
-from repro.workload.rubis import RubisModel
+from repro.workload.profiles import ConstantProfile, PiecewiseProfile, RampProfile
+from repro.workload.rubis import CLIENT_BLOCK, RubisModel, block_draws
 
 
 @pytest.fixture
@@ -265,3 +271,209 @@ def test_vary_weight_scales_mean(weight, mean):
     # CV of the sample mean: 0.5 / sqrt(weight) / sqrt(n); allow 6 sigma.
     tol = 6 * 0.5 / np.sqrt(weight * n)
     assert abs(draws.mean() / expected - 1.0) < max(tol, 0.01)
+
+
+# ----------------------------------------------------------------------
+# Exactness of the callback session against the generator session
+# ----------------------------------------------------------------------
+def reference_session(cohort, emulator):
+    """The closed loop as a generator under :class:`Process`, the way
+    every cohort ran before the callback state machine (reference copy,
+    kept in the tests only)."""
+    kernel = emulator.kernel
+    cal = emulator.cal
+    model = emulator.model
+    collector = emulator.collector
+    weight = cohort.weight
+    rng = emulator.streams.get(f"client-think-{cohort.client_id}")
+    if cal.static_fraction > 0.0:
+
+        def draw_think():
+            return float(rng.exponential(cal.think_time_mean_s))
+
+    else:
+        draw_think = block_draws(
+            partial(rng.exponential, cal.think_time_mean_s), CLIENT_BLOCK
+        ).__next__
+    navigator = emulator._navigator_factory(cohort.client_id)
+    while cohort.active:
+        yield sleep(draw_think())
+        if not cohort.active:
+            break
+        if cal.static_fraction > 0.0 and rng.random() < cal.static_fraction:
+            request = WebRequest(
+                kernel,
+                "StaticDocument",
+                is_static=True,
+                static_demand=model._vary(cal.static_demand_s, weight),
+                client_id=cohort.client_id,
+                weight=weight,
+            )
+        else:
+            inter = navigator.next_interaction()
+            request = model.make_request(
+                inter, client_id=cohort.client_id, weight=weight
+            )
+        emulator.requests_issued += weight
+        emulator.entry(request)
+        timeout_event = None
+        if emulator.request_timeout_s is not None:
+
+            def abandon(req=request):
+                emulator.abandoned += weight
+                req.fail(kernel, "client timeout")
+
+            timeout_event = kernel.schedule(emulator.request_timeout_s, abandon)
+        try:
+            yield wait(request.completion)
+        except Exception:
+            collector.record_failure(kernel.now, weight)
+            continue
+        finally:
+            if timeout_event is not None:
+                timeout_event.cancel()
+        latency = request.latency
+        assert latency is not None
+        collector.record_latency(kernel.now, latency, weight)
+
+
+class ReferenceEmulator(ClientEmulator):
+    """Spawns every cohort as a generator :class:`Process`."""
+
+    def _spawn_client(self, weight: int = 1) -> None:
+        cid = self._next_client_id
+        self._next_client_id += 1
+        client = ClientCohort(cid, weight)
+        self._clients.append(client)
+        self._active_weight += weight
+        Process(self.kernel, reference_session(client, self), name=f"client-{cid}")
+
+
+class ScriptedEntry:
+    """Entry point that answers the i-th request as ``plan[i]`` says:
+    complete or fail after a delay, or complete or fail inside the call."""
+
+    def __init__(self, kernel, plan):
+        self.kernel = kernel
+        self.plan = plan
+        self.log = []
+
+    def __call__(self, request):
+        kernel = self.kernel
+        kind, delay = self.plan[len(self.log) % len(self.plan)]
+        self.log.append(
+            (
+                kernel.now,
+                request.client_id,
+                request.weight,
+                request.interaction,
+                request.is_static,
+                request.app_demand_pre,
+                request.app_demand_post,
+                request.db_demand,
+                request.static_demand,
+            )
+        )
+        if kind == "complete":
+            kernel.schedule(delay, request.complete, kernel)
+        elif kind == "complete-now":
+            request.complete(kernel)
+        elif kind == "fail-now":
+            request.fail(kernel, "refused")
+        else:
+            kernel.schedule(delay, request.fail, kernel, "late failure")
+
+
+def _run_session(emulator_cls, setup):
+    kernel = SimKernel()
+    entry = ScriptedEntry(kernel, setup["plan"])
+    collector = MetricsCollector()
+    emulator = emulator_cls(
+        kernel,
+        entry=entry,
+        profile=PiecewiseProfile(setup["steps"], setup["duration"]),
+        collector=collector,
+        streams=RngStreams(setup["seed"]),
+        calibration=dataclasses.replace(
+            DEFAULT_CALIBRATION,
+            think_time_mean_s=1.0,
+            static_fraction=setup["static_fraction"],
+        ),
+        request_timeout_s=setup["timeout"],
+        cohort=setup["cohort"],
+    )
+    emulator.start()
+    if setup["stop_at"] is not None:
+        kernel.schedule(setup["stop_at"], emulator.stop)
+    kernel.run(until=setup["duration"] + 10.0)
+    return {
+        "requests": entry.log,
+        "latency_t": collector.latencies.times.tolist(),
+        "latency_v": collector.latencies.values.tolist(),
+        "failure_t": collector.failures.times.tolist(),
+        "failure_v": collector.failures.values.tolist(),
+        "completed": collector.completed_requests,
+        "failed": collector.failed_requests,
+        "issued": emulator.requests_issued,
+        "abandoned": emulator.abandoned,
+        "work": kernel.events_processed + kernel.tail_dispatched,
+    }
+
+
+_answers = st.tuples(
+    st.sampled_from(["complete", "complete-now", "fail-now", "fail-late"]),
+    st.floats(min_value=0.0, max_value=1.5),
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    cohort=st.sampled_from([1, 3]),
+    static_fraction=st.sampled_from([0.0, 0.4]),
+    timeout=st.sampled_from([None, 0.5]),
+    plan=st.lists(_answers, min_size=1, max_size=6),
+    steps=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=30.0), st.integers(0, 8)
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    stop_at=st.one_of(st.none(), st.floats(min_value=1.0, max_value=40.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_callback_session_matches_generator_session(
+    seed, cohort, static_fraction, timeout, plan, steps, stop_at
+):
+    """The state machine issues the same requests at the same instants,
+    records the same latencies and failures, abandons the same requests
+    and does the same kernel work as the generator it replaced, under
+    random populations (deactivations included), cohort sizes, static
+    documents, timeouts and entry-point outcomes."""
+    setup = {
+        "seed": seed,
+        "cohort": cohort,
+        "static_fraction": static_fraction,
+        "timeout": timeout,
+        "plan": plan,
+        "steps": steps,
+        "duration": 40.0,
+        "stop_at": stop_at,
+    }
+    ours = _run_session(ClientEmulator, setup)
+    reference = _run_session(ReferenceEmulator, setup)
+    assert ours == reference
+
+
+def test_cohort_runs_without_generators():
+    """The per-request client path resumes no generator: no cohort method
+    is a generator function and the emulator builds no Process."""
+    import inspect
+
+    import repro.workload.clients
+    import repro.workload.cohort
+
+    methods = inspect.getmembers(ClientCohort, inspect.isfunction)
+    assert not any(inspect.isgeneratorfunction(fn) for _, fn in methods)
+    for module in (repro.workload.clients, repro.workload.cohort):
+        assert not hasattr(module, "Process")

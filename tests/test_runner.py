@@ -1,6 +1,10 @@
 """The parallel cached experiment runner."""
 
 import json
+import os
+import pickle
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -16,7 +20,30 @@ from repro.runner import (
 )
 from repro.metrics.aggregates import mean_ci
 from repro.runner.bench import check_against
+from repro.runner.parallel import fanout_map, shutdown_pool
 from repro.workload.profiles import ConstantProfile
+
+
+def _crash_once(item):
+    """Pool task ``(dir, i, crash_on)``: returns ``i * i`` and logs the
+    run; the first attempt at ``crash_on`` kills its worker process after
+    the other items have had time to finish."""
+    directory, i, crash_on = item
+    if i == crash_on:
+        marker = os.path.join(directory, "crashed")
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            time.sleep(0.5)
+            os._exit(1)
+    with open(os.path.join(directory, f"ran-{i}"), "a") as fh:
+        fh.write("x")
+    return i * i
+
+
+def _crash_always(i):
+    if i == 1:
+        os._exit(1)
+    return i
 
 
 def tiny_config(seed=1, managed=True, clients=10, duration=60.0):
@@ -104,6 +131,39 @@ class TestResultCache:
         cache.root.mkdir(parents=True, exist_ok=True)
         (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
         assert cache.load(key) is None
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            # names a class that does not exist: AttributeError
+            b"crepro.runner.cache\nNoSuchClass\n.",
+            # garbage claiming a 1 TiB frame: MemoryError
+            b"\x80\x04\x95" + (1 << 40).to_bytes(8, "little"),
+            # a payload cut short: UnpicklingError
+            pickle.dumps({"blob": list(range(100))})[:-7],
+        ],
+        ids=["missing-class", "garbage", "truncated"],
+    )
+    def test_corrupt_entry_is_quarantined(self, tmp_path, blob):
+        """Any payload that fails to unpickle is a miss, never an
+        exception; the entry moves to quarantine/ and is not read again,
+        and the recomputed result stores and loads normally."""
+        cache = ResultCache(root=tmp_path, max_bytes=0)
+        key = "f" * 64
+        cache.store(key, {"stale": True})
+        (tmp_path / f"{key}.pkl").write_bytes(blob)
+        assert cache.load(key) is None
+        assert (cache.quarantined, cache.misses, cache.hits) == (1, 1, 0)
+        assert not (tmp_path / f"{key}.pkl").exists()
+        assert not (tmp_path / f"{key}.json").exists()
+        quarantine = tmp_path / "quarantine"
+        assert (quarantine / f"{key}.pkl").read_bytes() == blob
+        assert (quarantine / f"{key}.json").exists()
+        assert cache.load(key) is None  # now a plain miss
+        assert (cache.quarantined, cache.misses) == (1, 2)
+        assert cache.stats()["entries"] == 0
+        cache.store(key, {"fresh": True})
+        assert cache.load(key) == {"fresh": True}
 
 
 # ----------------------------------------------------------------------
@@ -266,3 +326,33 @@ class TestBench:
         ok, lines = check_against(str(ref), tolerance=0.25, rounds=1)
         assert not ok
         assert any("REGRESSION" in line for line in lines)
+
+
+# ----------------------------------------------------------------------
+# Fan-out over a pool that breaks
+# ----------------------------------------------------------------------
+class TestFanoutBrokenPool:
+    def test_retries_only_unfinished_items(self, tmp_path, monkeypatch):
+        """A worker dying mid-fan-out costs a rerun of the unfinished
+        items only: every result arrives in order, and an item that had
+        completed before the break ran exactly once."""
+        monkeypatch.delenv("REPRO_RUNNER_SERIAL", raising=False)
+        crash_on = 5
+        items = [(str(tmp_path), i, crash_on) for i in range(6)]
+        try:
+            assert fanout_map(_crash_once, items, max_workers=2) == [
+                i * i for i in range(6)
+            ]
+        finally:
+            shutdown_pool()
+        assert (tmp_path / "crashed").exists()
+        for i in range(6):
+            assert (tmp_path / f"ran-{i}").read_text() == "x"
+
+    def test_second_break_propagates(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RUNNER_SERIAL", raising=False)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                fanout_map(_crash_always, [0, 1, 2], max_workers=2)
+        finally:
+            shutdown_pool()
