@@ -91,11 +91,13 @@ class WebRequest:
         <repro.simulation.process.Signal.succeed_tail>`, so call this only
         as the last action of a kernel-dispatched callback chain (as
         ``TomcatServer._finish`` and ``ApacheServer._finish_static`` do)
-        or before anyone waits on the completion."""
+        or before anyone waits on the completion.  It carries no value:
+        the request as its value would make every completed request a
+        reference cycle, left for the cyclic collector."""
         if self.completion.fired:
             return
         self.completed_at = kernel.now
-        self.completion.succeed_tail(self)
+        self.completion.succeed_tail()
 
     def fail(self, kernel: SimKernel, reason: str) -> None:
         """Mark failure and fire the completion signal with an error."""

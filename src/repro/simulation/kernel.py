@@ -175,13 +175,13 @@ class SimKernel:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too: it would corrupt the heap order
             raise SimulationError(f"cannot schedule {delay} s in the past")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
@@ -205,7 +205,7 @@ class SimKernel:
 
     def post_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Like :meth:`schedule` but returns no handle (see :meth:`post`)."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
         self._post_at(self._now + delay, fn, args)
 
@@ -213,7 +213,7 @@ class SimKernel:
         """Like :meth:`schedule_at` but returns no handle (see :meth:`post`).
         Callers that need to revoke a posted callback should guard it with
         their own generation token instead of cancelling."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
@@ -221,7 +221,9 @@ class SimKernel:
 
     def _post_at(self, time: float, fn: Any, args: Any) -> None:
         """Queue ``fn(*args)`` at ``time >= now`` (``fn=None`` with an
-        :class:`Event` as ``args`` queues the event)."""
+        :class:`Event` as ``args`` queues the event).  Unchecked: the
+        public entry points reject a past or NaN time, which would
+        silently reorder the heap."""
         if time <= self._now:
             self._fifo.append((fn, args))
             return
@@ -259,7 +261,7 @@ class SimKernel:
         ``start`` is the absolute time of the first firing (defaults to
         ``now + period``).
         """
-        if period <= 0:
+        if not period > 0:
             raise SimulationError("period must be positive")
         return PeriodicTask(self, period, fn, args, start)
 

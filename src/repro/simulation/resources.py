@@ -76,6 +76,22 @@ class ThrashingCurve:
         return f"ThrashingCurve(knee={self.knee}, slope={self.slope}, floor={self.floor})"
 
 
+#: knee of an ideal CPU: every concurrency is below it
+_NO_KNEE = sys.maxsize
+
+
+def capacity_knee(model: CapacityModel) -> int:
+    """Concurrency up to which ``model(n)`` is exactly 1.0, so a rate
+    computation may skip the call: unbounded for :func:`constant_capacity`,
+    the knee of a :class:`ThrashingCurve`, and -1 for an opaque model
+    (always call it)."""
+    if model is constant_capacity:
+        return _NO_KNEE
+    if type(model) is ThrashingCurve:
+        return model.knee
+    return -1
+
+
 class CpuJob:
     """A unit of CPU work submitted to a resource.
 
@@ -85,7 +101,7 @@ class CpuJob:
 
     Completion is announced in one of two ways.  A job built with a
     continuation calls ``then(*args)`` when service completes and
-    ``fail(*args, error)`` when it is aborted; it has no ``done`` signal.
+    ``fail(*args, error)`` when it is aborted; its ``done`` is None.
     ``args`` is a tuple, so a server passes a bound method and the request
     instead of building a closure per hop.  A job built without a
     continuation carries ``done``, a :class:`Signal` that fires with the
@@ -93,6 +109,14 @@ class CpuJob:
     kernel event at the completion instant, except that
     :meth:`PsCpu._complete_next` may hand a lone continuation to the
     kernel's tail dispatch.
+
+    ``done`` is built on first access.  Most such jobs are busy time that
+    nobody waits on (probe costs, fluid load), and firing a signal with no
+    waiter posts nothing, so a job settled before anyone looks needs no
+    signal at all: the first access then returns one already fired with
+    the job, and :meth:`Signal.add_callback` on it posts the callback, as
+    on any fired signal.  An aborted job builds its signal when it fails,
+    to keep the error.
 
     ``weight`` models a *cohort* of identical concurrent requests as one
     job: a job of weight ``w`` counts as ``w`` concurrent requests for
@@ -104,7 +128,7 @@ class CpuJob:
     __slots__ = (
         "demand",
         "weight",
-        "done",
+        "_done",
         "then",
         "fail",
         "args",
@@ -125,8 +149,8 @@ class CpuJob:
         fail: Optional[Callable[..., None]] = None,
         args: tuple = (),
     ):
-        if demand < 0:
-            raise ValueError("demand must be >= 0")
+        if not demand >= 0:  # NaN fails too
+            raise ValueError(f"demand must be >= 0, got {demand}")
         if weight < 1:
             raise ValueError("weight must be >= 1")
         if (then is None) != (fail is None):
@@ -136,7 +160,8 @@ class CpuJob:
         self.then = then
         self.fail = fail
         self.args = args
-        self.done: Optional[Signal] = Signal(kernel) if then is None else None
+        #: the kernel until ``done`` is built (see the class docstring)
+        self._done: "SimKernel | Signal" = kernel
         #: completed or aborted (the continuation is announced)
         self.finished = False
         self.tag = tag
@@ -144,15 +169,31 @@ class CpuJob:
         self.completed_at: Optional[float] = None
         self._vfinish = 0.0
 
+    @property
+    def done(self) -> Optional[Signal]:
+        """The completion signal of a job without a continuation (None
+        with one), built on first access."""
+        if self.then is not None:
+            return None
+        done = self._done
+        if type(done) is not Signal:
+            self._done = done = Signal(done)
+            if self.finished:  # an aborted job already holds its signal
+                done.succeed(self)
+        return done
+
     def _settle(self, kernel: SimKernel, error: Optional[BaseException] = None) -> None:
         """Mark the job finished and announce it: post the continuation, or
-        fire ``done``."""
+        fire ``done`` if it has been built."""
         self.finished = True
         if self.then is None:
-            if error is None:
-                self.done.succeed(self)
-            else:
-                self.done.fail(error)
+            done = self._done
+            if error is not None:
+                if type(done) is not Signal:
+                    self._done = done = Signal(kernel)
+                done.fail(error)
+            elif type(done) is Signal:
+                done.succeed(self)
         elif error is None:
             kernel._post_at(kernel._now, self.then, self.args)
         else:
@@ -230,9 +271,6 @@ class CpuResource:
 
 _INF = float("inf")
 
-#: ``PsCpu._knee`` of an ideal CPU: every concurrency is below the knee
-_NO_KNEE = sys.maxsize
-
 
 class PsCpu(CpuResource):
     """Processor-sharing CPU with optional capacity degradation.
@@ -266,15 +304,8 @@ class PsCpu(CpuResource):
     ):
         super().__init__(kernel, speed, name)
         self.capacity_model = capacity_model
-        # Concurrency up to which capacity_model(n) == 1.0: rate
-        # computations below it skip the capacity-model call.  -1 for an
-        # opaque model (always call it).
-        if capacity_model is constant_capacity:
-            self._knee = _NO_KNEE
-        elif type(capacity_model) is ThrashingCurve:
-            self._knee = capacity_model.knee
-        else:
-            self._knee = -1
+        # Rate computations at or below the knee skip the model call.
+        self._knee = capacity_knee(capacity_model)
         self._vnow = 0.0
         self._vlast = kernel.now  # real time of last virtual-time update
         self._heap: list[tuple[float, int, CpuJob]] = []

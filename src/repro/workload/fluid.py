@@ -54,16 +54,29 @@ of both tiers.
 Incremental tick
 ----------------
 
-Two shortcuts skip work whose result is already known; both are exact
+Three shortcuts skip work whose result is already known; all are exact
 (outputs bit-identical to recomputing, asserted in
 ``tests/test_fluid.py``):
 
 * **Capacity fixed-point exit.**  Each round of the damped iteration in
-  :meth:`_TierFlow.solve` recomputes ``rho`` and ``conc`` from ``se``,
-  then ``se`` from ``conc``.  A round that leaves every ``se[i]``
+  :meth:`_TierFlow.evaluate` recomputes ``rho`` and ``conc`` from
+  ``se``, then ``se`` from ``conc``.  A round that leaves every ``se[i]``
   unchanged (``==``) would be repeated bit for bit by every later round,
   so the loop stops there.  Below a ``ThrashingCurve`` knee ``se[i] =
   0.5 * (s + s * 1.0) == s`` on the first round — the common case.
+* **One-pass residual.**  A residual evaluation runs round one of each
+  tier's fixed point and that tier's sojourn sums in one loop.  Round
+  one starts from the raw speeds, so its total speed, the shares, the
+  even sojourn's service sum and the barrier's ``d / s`` are fixed
+  within a step and computed when the step builds its tiers, as are the
+  LAN delay, the balancers' speeds and ``dreq / s``, and the tier
+  demands.  When every station is at or below its knee
+  (:func:`~repro.simulation.resources.capacity_knee`) no capacity model
+  is called and the sojourns come straight out of that loop; past a
+  knee the evaluation continues into the damped rounds.  The floats are
+  produced by the same operations in the same order as separate
+  solve-then-sojourn passes (explicit accumulation loops, never the
+  builtin ``sum()``, which is compensated on Python 3.12).
 * **Step memo.**  A solved :meth:`FluidEngine.step` is a pure function of
   its key (:meth:`FluidEngine._step_key`): population, ``dt``, the
   in-flight level, the warm-start throughput, the LAN delay, each live
@@ -84,7 +97,9 @@ sized so its busy time over the tick equals ``rho * dt`` (``w`` is the
 solved per-node concurrency, so the node's own capacity model and the
 ``per_job_mb`` memory accounting see the true load).  The utilization
 samplers measure busy-time deltas over whole ticks, so within-tick
-placement is invisible to the probes.  Completions flow into
+placement is invisible to the probes.  Nobody waits on these jobs, so
+they never build their ``done`` signal (see
+:class:`~repro.simulation.resources.CpuJob`).  Completions flow into
 ``MetricsCollector.record_latency`` at rate ``X`` with an integer-carry
 accumulator (no request is lost to rounding, even across mode handoffs).
 
@@ -110,6 +125,7 @@ from repro.cluster.network import Lan
 from repro.cluster.node import Node, NodeDown
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import SimKernel
+from repro.simulation.resources import capacity_knee
 from repro.simulation.rng import RngStreams
 from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.workload.clients import ClientEmulator, EntryPoint
@@ -152,83 +168,153 @@ def _replicas_key(nodes: Sequence[Node]) -> tuple:
 
 
 class _TierFlow:
-    """Scratch flow state for one tier: speeds, capacity feedback, load."""
+    """Flow state of one tier within a step: speeds, capacity feedback, load.
 
-    __slots__ = ("nodes", "raw", "caps", "se", "rho", "conc")
+    ``d_even`` is demand balanced across replicas proportionally to
+    effective speed (reads / servlet work); ``d_per`` is demand every
+    replica pays per request (full-mirrored writes).  ``s_even`` and
+    ``s_per`` are the per-request demands whose sojourns the tier reports:
+    speed-balanced service, and the mirrored barrier.  All four are fixed
+    within a step, and so is everything derived from them and from the
+    replicas' raw speeds (see :meth:`evaluate`).
+    """
 
-    def __init__(self, nodes: Sequence[Node]) -> None:
+    __slots__ = (
+        "nodes", "raw", "caps", "knees", "d_even", "d_per", "s_even", "s_per",
+        "total", "shares", "per_s", "service", "pooled", "se", "rho", "conc",
+    )
+
+    def __init__(
+        self,
+        nodes: Sequence[Node],
+        d_even: float,
+        d_per: float,
+        s_even: float,
+        s_per: float = 0.0,
+    ) -> None:
         self.nodes = nodes
-        self.raw = [n.cpu.speed * n.cpu.degradation for n in nodes]
+        self.raw = raw = [n.cpu.speed * n.cpu.degradation for n in nodes]
         self.caps = [n.cpu.capacity_model for n in nodes]
-        self.se = list(self.raw)
+        self.knees = [capacity_knee(cap) for cap in self.caps]
+        self.d_even = d_even
+        self.d_per = d_per
+        self.s_even = s_even
+        self.s_per = s_per
+        # Round one runs at se == raw: its totals and shares, and the
+        # sojourns' service terms there, are step invariants.
+        total = 0.0
+        for s in raw:
+            total += s
+        self.total = total
+        self.shares = [s / total for s in raw]
+        service = 0.0
+        for share, s in zip(self.shares, raw):
+            service += share * (s_even / s)
+        self.service = service
+        self.pooled = s_even / total
+        self.per_s = [s_per / s for s in raw] if s_per else None
+        self.se = raw
         self.rho: list[float] = [0.0] * len(nodes)
         self.conc: list[float] = [0.0] * len(nodes)
 
-    def solve(self, X: float, d_even: float, d_per: float, conc_cap: float) -> None:
-        """Damped fixed point of utilization vs the capacity model.
+    def evaluate(self, X: float, conc_cap: float) -> tuple[float, float]:
+        """Solve the tier at throughput ``X``; return the mean sojourn of
+        ``s_even`` and of ``s_per``, leaving ``se``/``rho``/``conc`` at
+        that operating point.
 
-        ``d_even`` is demand balanced across replicas proportionally to
-        effective speed (reads / servlet work); ``d_per`` is demand every
-        replica pays per request (full-mirrored writes).  ``conc_cap``
-        bounds the per-node concurrency fed to the capacity model (a
-        station can never hold more jobs than are in flight system-wide).
+        Effective speeds ``se`` are the damped fixed point of utilization
+        vs the capacity model, starting from the raw speeds.  Each round
+        recomputes ``rho`` and ``conc`` from ``se``, then ``se[i] =
+        0.5 * (se[i] + raw[i] * cap(conc[i]))``.  ``conc_cap`` bounds the
+        concurrency fed to the capacity model (a station never holds more
+        jobs than are in flight system-wide).
+
+        Round one runs inline with the sojourns.  If every station's
+        concurrency is at or below its knee (:func:`capacity_knee`),
+        ``cap`` is exactly 1.0 and ``0.5 * (s + s) == s``: ``se`` stays
+        ``raw``, the fixed point is reached, and the sojourns are read off
+        the same loop from the step invariants.  Otherwise the damped
+        rounds continue from there, stopping at the first round that
+        leaves every ``se[i]`` unchanged (every later round would repeat
+        it bit for bit), and the sojourns are taken at the final ``se``.
+
+        The even sojourn runs on one replica at that replica's speed; its
+        queueing term uses the *pooled* tier capacity, because the
+        balancers route least-pending-first (JSQ), which achieves
+        near-full resource pooling in heavy traffic.  At one replica this
+        is exactly the M/G/1-PS sojourn ``(d/s) / (1 - rho)``.  Mirrored
+        demand completes when the slowest replica has applied it (RAIDb-1
+        write barrier).
         """
-        raw, caps = self.raw, self.caps
+        raw, knees, rho, conc = self.raw, self.knees, self.rho, self.conc
+        d_even, d_per, per_s = self.d_even, self.d_per, self.per_s
+        shares = self.shares
+        xper = X * d_per
+        even = X * d_even / self.total
+        below = True
+        queue = 0.0
+        worst = 0.0
+        for i, s in enumerate(raw):
+            r = even + xper / s if d_per else even
+            if r > _RHO_MAX:
+                r = _RHO_MAX
+            rho[i] = r
+            c = r / (1.0 - r)
+            q = c if c < conc_cap else conc_cap
+            conc[i] = q
+            if not q <= knees[i]:
+                below = False
+            queue += shares[i] * c
+            if per_s is not None:
+                t = per_s[i] / (1.0 - r)
+                if t > worst:
+                    worst = t
+        if below:
+            self.se = raw
+            return self.service + self.pooled * queue, worst
+
+        # Past a knee: the damped rounds, continuing round one.
+        caps = self.caps
         se = list(raw)
-        rho = self.rho
-        conc = self.conc
-        for _ in range(_CAP_ITERS + 1):
-            total = 0.0
-            for s in se:
-                total += s
-            even = X * d_even / total
-            for i, s in enumerate(se):
-                r = even + X * d_per / s if d_per else even
-                if r > _RHO_MAX:
-                    r = _RHO_MAX
-                rho[i] = r
-                c = r / (1.0 - r)
-                conc[i] = c if c < conc_cap else conc_cap
+        for round_ in range(_CAP_ITERS + 1):
+            if round_:
+                total = 0.0
+                for s in se:
+                    total += s
+                even = X * d_even / total
+                for i, s in enumerate(se):
+                    r = even + xper / s if d_per else even
+                    if r > _RHO_MAX:
+                        r = _RHO_MAX
+                    rho[i] = r
+                    c = r / (1.0 - r)
+                    conc[i] = c if c < conc_cap else conc_cap
             fixed = True
-            for i, (s, cap) in enumerate(zip(raw, caps)):
-                v = 0.5 * (se[i] + s * cap(conc[i]))
+            for i, s in enumerate(raw):
+                c = conc[i]
+                v = 0.5 * (se[i] + (s if c <= knees[i] else s * caps[i](c)))
                 if v != se[i]:
                     fixed = False
                 se[i] = v
             if fixed:
-                # Every later round would recompute these same values.
                 break
         self.se = se
-
-    def sojourn_even(self, d_even: float) -> float:
-        """Mean sojourn of speed-balanced demand across the tier.
-
-        Service runs on one replica at that replica's speed; the queueing
-        term uses the *pooled* tier capacity, because the balancers route
-        least-pending-first (JSQ), which achieves near-full resource
-        pooling in heavy traffic.  At one replica this is exactly the
-        M/G/1-PS sojourn ``(d/s) / (1 - rho)``.
-        """
+        s_even, s_per = self.s_even, self.s_per
         total = 0.0
-        for s in self.se:
+        for s in se:
             total += s
         service = 0.0
         queue = 0.0
-        for s, r in zip(self.se, self.rho):
-            share = s / total
-            service += share * (d_even / s)
-            queue += share * (r / (1.0 - r))
-        return service + (d_even / total) * queue
-
-    def sojourn_barrier(self, d_per: float) -> float:
-        """Sojourn of mirrored demand: complete when the slowest replica
-        has applied it (RAIDb-1 write barrier)."""
         worst = 0.0
-        for s, r in zip(self.se, self.rho):
-            t = (d_per / s) / (1.0 - r)
-            if t > worst:
-                worst = t
-        return worst
+        for s, r in zip(se, rho):
+            share = s / total
+            service += share * (s_even / s)
+            queue += share * (r / (1.0 - r))
+            if per_s is not None:
+                t = (s_per / s) / (1.0 - r)
+                if t > worst:
+                    worst = t
+        return service + (s_even / total) * queue, worst
 
     def mean_util(self) -> float:
         return sum(self.rho) / len(self.rho) if self.rho else 0.0
@@ -299,43 +385,80 @@ class FluidEngine:
             if n.up and not n.isolated and n.cpu.speed * n.cpu.degradation > 0.0
         ]
 
-    def _response(
-        self, X: float, app: _TierFlow, db: _TierFlow, conc_cap: float
-    ) -> float:
-        """Mean service-network sojourn at throughput ``X`` (no think
-        time); leaves the tier flow states at that operating point."""
+    def _tiers(
+        self, app_live: Sequence[Node], db_live: Sequence[Node]
+    ) -> tuple[_TierFlow, _TierFlow]:
+        """The app tier (servlet work, speed-balanced) and the DB tier
+        (reads balanced, writes mirrored to every backend) for one step."""
         cal = self.cal
-        R = self._network_delay()
+        d_app = cal.app_demand_total()
+        wf = cal.write_fraction
+        app = _TierFlow(app_live, d_app, 0.0, d_app)
+        db = _TierFlow(
+            db_live,
+            (1.0 - wf) * cal.db_read_demand_s,
+            wf * cal.db_write_demand_s,
+            cal.db_read_demand_s,
+            cal.db_write_demand_s,
+        )
+        return app, db
+
+    def _stations(self) -> list[tuple[float, float, float]]:
+        """``(dreq, s, dreq / s)`` of each live balancer (fixed within a
+        step: no kernel event runs inside one)."""
+        out = []
         for node, dreq in self.balancers:
             s = node.cpu.speed * node.cpu.degradation
             if not node.up or node.isolated or s <= 0.0:
                 continue
-            rho = min(X * dreq / s, _RHO_MAX)
-            R += (dreq / s) / (1.0 - rho)
-        d_app = cal.app_demand_total()
-        app.solve(X, d_app, 0.0, conc_cap)
-        R += app.sojourn_even(d_app)
-        wf = cal.write_fraction
-        db.solve(
-            X, (1.0 - wf) * cal.db_read_demand_s, wf * cal.db_write_demand_s,
-            conc_cap,
-        )
-        R += (1.0 - wf) * db.sojourn_even(cal.db_read_demand_s)
-        R += wf * db.sojourn_barrier(cal.db_write_demand_s)
+            out.append((dreq, s, dreq / s))
+        return out
+
+    def _response(
+        self,
+        X: float,
+        app: _TierFlow,
+        db: _TierFlow,
+        conc_cap: float,
+        net: float,
+        stations: list[tuple[float, float, float]],
+    ) -> float:
+        """Mean service-network sojourn at throughput ``X`` (no think
+        time); leaves the tier flow states at that operating point.
+        ``net`` and ``stations`` are the step's LAN delay and
+        :meth:`_stations`."""
+        R = net
+        for dreq, s, service in stations:
+            rho = X * dreq / s
+            if rho > _RHO_MAX:
+                rho = _RHO_MAX
+            R += service / (1.0 - rho)
+        even, _ = app.evaluate(X, conc_cap)
+        R += even
+        even, worst = db.evaluate(X, conc_cap)
+        wf = self.cal.write_fraction
+        R += (1.0 - wf) * even
+        R += wf * worst
         return R
 
     def _step_key(
-        self, population: int, dt: float, app_live: list[Node], db_live: list[Node]
+        self,
+        population: int,
+        dt: float,
+        app_live: list[Node],
+        db_live: list[Node],
+        net: float,
     ) -> tuple:
-        """Everything a solved :meth:`step` reads.  Capacity models are
-        compared by identity (none is mutated after construction) and
-        ``cal`` is frozen, so equal keys give bit-identical solves."""
+        """Everything a solved :meth:`step` reads (``net`` is the LAN
+        delay).  Capacity models are compared by identity (none is
+        mutated after construction) and ``cal`` is frozen, so equal keys
+        give bit-identical solves."""
         return (
             population,
             dt,
             self.level,
             self._last_x,
-            self._network_delay(),
+            net,
             _replicas_key(app_live),
             _replicas_key(db_live),
             tuple(
@@ -383,13 +506,14 @@ class FluidEngine:
         if n <= 0.0 and self.level <= 0.0:
             self._last_x = None
             return self._empty_state(population, len(app_live), len(db_live)), None, None
-        key = self._step_key(population, dt, app_live, db_live)
+        net = self._network_delay()
+        key = self._step_key(population, dt, app_live, db_live, net)
         hit = self._recall(key)
         if hit is not None:
             state, app, db, self.level, self._last_x = hit
             return state, app, db
-        app = _TierFlow(app_live)
-        db = _TierFlow(db_live)
+        app, db = self._tiers(app_live, db_live)
+        stations = self._stations()
         Z = self.cal.think_time_mean_s
         target = self.level + dt * n / Z
         gain = 1.0 + dt / Z
@@ -397,7 +521,7 @@ class FluidEngine:
         conc_cap = max(target, 1.0)
 
         def phi(x: float) -> float:
-            r = self._response(x, app, db, conc_cap)
+            r = self._response(x, app, db, conc_cap, net, stations)
             return x * r * gain + dt * x - target
 
         lo, f_lo = 0.0, -target
@@ -433,7 +557,7 @@ class FluidEngine:
                 f_lo *= 0.5
                 hi, f_hi = x, f
         x = 0.5 * (lo + hi)
-        self._response(x, app, db, conc_cap)  # leave tiers at the root
+        self._response(x, app, db, conc_cap, net, stations)  # leave tiers at the root
         level = max((target - dt * x) / gain, 0.0)
         latency = level / x if x > 0.0 else 0.0
         self.level = level

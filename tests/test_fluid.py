@@ -8,6 +8,7 @@ large-cohort numeric-stability fix in the Gamma demand draws.
 """
 
 import math
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from repro.jade.system import ExperimentConfig
 from repro.metrics.collector import MetricsCollector
 from repro.runner import ExperimentRunner, ResultCache
-from repro.simulation.resources import ThrashingCurve
-from repro.workload.fluid import _CAP_ITERS, _RHO_MAX, FluidEngine, _TierFlow
+from repro.simulation.resources import ThrashingCurve, constant_capacity
+from repro.workload.calibration import DEFAULT_CALIBRATION
+from repro.workload.fluid import _CAP_ITERS, _RHO_MAX, FluidEngine
 from repro.workload.fluid_bench import TOLERANCES, run_accuracy_gate
 from repro.workload.profiles import RampProfile
 from repro.workload.rubis import RubisModel
@@ -320,52 +322,198 @@ def always_five_rounds(tier, X, d_even, d_per, conc_cap):
     tier.se = se
 
 
-capacity_models = st.one_of(
-    st.just(lambda n: 1.0),
-    st.builds(
-        ThrashingCurve,
-        knee=st.integers(0, 64),
-        slope=st.floats(0.0, 2.0),
-        floor=st.floats(0.01, 1.0),
-    ),
-)
-replicas = st.lists(
-    st.builds(
-        lambda speed, degradation, cap: SimpleNamespace(
-            cpu=SimpleNamespace(
-                speed=speed, degradation=degradation, capacity_model=cap
-            )
-        ),
+class ReferenceTier:
+    """The tier solve and sojourns as separate passes (reference for
+    :meth:`_TierFlow.evaluate`): the damped fixed point with its exit,
+    then the even and barrier sojourns from the solved state."""
+
+    def __init__(self, nodes):
+        self.raw = [n.cpu.speed * n.cpu.degradation for n in nodes]
+        self.caps = [n.cpu.capacity_model for n in nodes]
+        self.se = list(self.raw)
+        self.rho = [0.0] * len(nodes)
+        self.conc = [0.0] * len(nodes)
+
+    def solve(self, X, d_even, d_per, conc_cap):
+        raw, caps = self.raw, self.caps
+        se = list(raw)
+        rho = self.rho
+        conc = self.conc
+        for _ in range(_CAP_ITERS + 1):
+            total = 0.0
+            for s in se:
+                total += s
+            even = X * d_even / total
+            for i, s in enumerate(se):
+                r = even + X * d_per / s if d_per else even
+                if r > _RHO_MAX:
+                    r = _RHO_MAX
+                rho[i] = r
+                c = r / (1.0 - r)
+                conc[i] = c if c < conc_cap else conc_cap
+            fixed = True
+            for i, (s, cap) in enumerate(zip(raw, caps)):
+                v = 0.5 * (se[i] + s * cap(conc[i]))
+                if v != se[i]:
+                    fixed = False
+                se[i] = v
+            if fixed:
+                break
+        self.se = se
+
+    def sojourn_even(self, d_even):
+        total = 0.0
+        for s in self.se:
+            total += s
+        service = 0.0
+        queue = 0.0
+        for s, r in zip(self.se, self.rho):
+            share = s / total
+            service += share * (d_even / s)
+            queue += share * (r / (1.0 - r))
+        return service + (d_even / total) * queue
+
+    def sojourn_barrier(self, d_per):
+        worst = 0.0
+        for s, r in zip(self.se, self.rho):
+            t = (d_per / s) / (1.0 - r)
+            if t > worst:
+                worst = t
+        return worst
+
+
+def reference_response(engine, X, app, db, conc_cap):
+    """``FluidEngine._response`` recomputing every step invariant per call
+    (reference)."""
+    cal = engine.cal
+    R = engine._network_delay()
+    for node, dreq in engine.balancers:
+        s = node.cpu.speed * node.cpu.degradation
+        if not node.up or node.isolated or s <= 0.0:
+            continue
+        rho = min(X * dreq / s, _RHO_MAX)
+        R += (dreq / s) / (1.0 - rho)
+    d_app = cal.app_demand_total()
+    app.solve(X, d_app, 0.0, conc_cap)
+    R += app.sojourn_even(d_app)
+    wf = cal.write_fraction
+    db.solve(
+        X, (1.0 - wf) * cal.db_read_demand_s, wf * cal.db_write_demand_s, conc_cap
+    )
+    R += (1.0 - wf) * db.sojourn_even(cal.db_read_demand_s)
+    R += wf * db.sojourn_barrier(cal.db_write_demand_s)
+    return R
+
+
+def opaque_unit(n):
+    return 1.0
+
+
+def cpu_node(speed, degradation, cap=constant_capacity, up=True, isolated=False):
+    return SimpleNamespace(
+        up=up,
+        isolated=isolated,
+        cpu=SimpleNamespace(speed=speed, degradation=degradation, capacity_model=cap),
+    )
+
+
+#: (speed, degradation, capacity kind, knee offset from the solved
+#: concurrency, thrashing slope, thrashing floor)
+station_specs = st.lists(
+    st.tuples(
         st.floats(0.1, 8.0),
         st.floats(0.01, 1.0),
-        capacity_models,
+        st.sampled_from(["constant", "thrashing", "opaque-unit", "opaque-curve"]),
+        st.integers(-3, 3),
+        st.floats(0.0, 2.0),
+        st.floats(0.01, 1.0),
     ),
     min_size=1,
-    max_size=5,
+    max_size=6,
 )
+
+
+def build_tier(specs, concs):
+    """Nodes for ``specs``; a thrashing knee sits ``offset`` away from the
+    concurrency the station reaches at full speed (``concs``), so it
+    straddles the solved operating point."""
+    nodes = []
+    for (speed, degradation, kind, offset, slope, floor), c in zip(specs, concs):
+        knee = max(0, int(min(c, 1e6)) + offset)
+        curve = ThrashingCurve(knee=knee, slope=slope, floor=floor)
+        cap = {
+            "constant": constant_capacity,
+            "thrashing": curve,
+            "opaque-unit": opaque_unit,
+            "opaque-curve": lambda n, curve=curve: curve(n),
+        }[kind]
+        nodes.append(cpu_node(speed, degradation, cap))
+    return nodes
 
 
 def bits(values):
     return [float(v).hex() for v in values]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
-    nodes=replicas,
+    app_specs=station_specs,
+    db_specs=station_specs,
     X=st.floats(1e-3, 5e3),
-    d_even=st.floats(1e-4, 0.1),
-    d_per=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
     conc_cap=st.floats(1.0, 1e5),
+    write_fraction=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    balancers=st.lists(
+        st.tuples(st.floats(0.1, 4.0), st.booleans(), st.booleans()), max_size=3
+    ),
+    lan=st.booleans(),
 )
-def test_fixed_point_exit_is_bit_identical(nodes, X, d_even, d_per, conc_cap):
-    fast, slow = _TierFlow(nodes), _TierFlow(nodes)
-    fast.solve(X, d_even, d_per, conc_cap)
-    always_five_rounds(slow, X, d_even, d_per, conc_cap)
-    for attr in ("se", "rho", "conc"):
-        assert bits(getattr(fast, attr)) == bits(getattr(slow, attr)), attr
-    assert bits([fast.sojourn_even(d_even), fast.sojourn_barrier(d_per)]) == bits(
-        [slow.sojourn_even(d_even), slow.sojourn_barrier(d_per)]
+def test_fixed_point_exit_is_bit_identical(
+    app_specs, db_specs, X, conc_cap, write_fraction, balancers, lan
+):
+    """One ``_response`` evaluation (round one inline, damped rounds past a
+    knee, hoisted step invariants) equals the separate solve/sojourn
+    passes bit for bit: ``R``, and every tier's ``rho``, ``conc``, ``se``;
+    and the solve's early exit equals always running every round."""
+    cal = replace(DEFAULT_CALIBRATION, write_fraction=write_fraction)
+    engine = FluidEngine(
+        None,
+        None,
+        calibration=cal,
+        balancers=[
+            (cpu_node(speed, 1.0, up=up, isolated=isolated), 0.0005)
+            for speed, up, isolated in balancers
+        ],
+        lan=SimpleNamespace(latency_s=1e-4, extra_latency_s=0.0, bandwidth_mbps=100.0)
+        if lan
+        else None,
     )
+    # Where each station's concurrency lands at full speed: the knees
+    # are placed around it.
+    probe_app, probe_db = engine._tiers(
+        build_tier(app_specs, [0.0] * len(app_specs)),
+        build_tier(db_specs, [0.0] * len(db_specs)),
+    )
+    for tier, specs in ((probe_app, app_specs), (probe_db, db_specs)):
+        tier.knees = [sys.maxsize] * len(specs)
+        tier.evaluate(X, conc_cap)
+    app_nodes = build_tier(app_specs, probe_app.conc)
+    db_nodes = build_tier(db_specs, probe_db.conc)
+
+    app, db = engine._tiers(app_nodes, db_nodes)
+    R = engine._response(
+        X, app, db, conc_cap, engine._network_delay(), engine._stations()
+    )
+    ref_app, ref_db = ReferenceTier(app_nodes), ReferenceTier(db_nodes)
+    R_ref = reference_response(engine, X, ref_app, ref_db, conc_cap)
+    assert R.hex() == R_ref.hex()
+    for fast, ref in ((app, ref_app), (db, ref_db)):
+        for attr in ("se", "rho", "conc"):
+            assert bits(getattr(fast, attr)) == bits(getattr(ref, attr)), attr
+
+    slow = ReferenceTier(db_nodes)
+    always_five_rounds(slow, X, db.d_even, db.d_per, conc_cap)
+    for attr in ("se", "rho", "conc"):
+        assert bits(getattr(ref_db, attr)) == bits(getattr(slow, attr)), attr
 
 
 def collector_bytes(col) -> bytes:

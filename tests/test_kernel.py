@@ -49,6 +49,35 @@ def test_schedule_at_in_past_rejected(kernel):
         kernel.schedule_at(1.0, lambda: None)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: k.schedule(NAN, lambda: None),
+        lambda k: k.schedule_at(NAN, lambda: None),
+        lambda k: k.post_in(NAN, lambda: None),
+        lambda k: k.post_at(NAN, lambda: None),
+        lambda k: k.every(NAN, lambda: None),
+        lambda k: k.every(1.0, lambda: None, start=NAN),
+    ],
+    ids=["schedule", "schedule_at", "post_in", "post_at", "every", "every-start"],
+)
+def test_nan_time_rejected(kernel, call):
+    """A NaN time compares false both ways: queued, it would sit in the
+    heap and reorder the events around it."""
+    out = []
+    kernel.post_at(1.0, out.append, 1.0)
+    kernel.post_at(2.0, out.append, 2.0)
+    with pytest.raises(SimulationError):
+        call(kernel)
+    kernel.post_at(0.5, out.append, 0.5)
+    assert kernel.pending == 3
+    kernel.run()
+    assert out == [0.5, 1.0, 2.0]
+
+
 def test_cancel_prevents_execution(kernel):
     out = []
     ev = kernel.schedule(1.0, out.append, "x")

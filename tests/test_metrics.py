@@ -180,6 +180,18 @@ class TestAggregates:
         assert spatial_average([0.2, 0.4]) == pytest.approx(0.3)
         assert math.isnan(spatial_average([]))
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.floats(-1e15, 1e15)),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_spatial_average_is_numpy_mean_bit_for_bit(self, values):
+        expected = float(np.asarray(values, dtype=np.float64).mean())
+        assert spatial_average(iter(values)).hex() == expected.hex()
+
     def test_summarize(self):
         stats = summarize([1.0, 2.0, 3.0, 4.0])
         assert stats["count"] == 4

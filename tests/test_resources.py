@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import CpuJob, FifoCpu, PsCpu, SimKernel, ThrashingCurve
+from repro.cluster.node import Node, NodeDown, NodeIsolated
 from repro.simulation.resources import ResourceStopped, constant_capacity
 
 
@@ -105,6 +106,13 @@ class TestPsCpu:
         with pytest.raises(ValueError):
             CpuJob(kernel, -1.0)
 
+    def test_nan_demand_rejected(self, kernel):
+        """A NaN demand would never complete and never fail."""
+        with pytest.raises(ValueError):
+            CpuJob(kernel, float("nan"))
+        with pytest.raises(ValueError):
+            CpuJob(kernel, float("nan"), then=lambda: None, fail=lambda e: None)
+
     def test_thrashing_slows_service(self, kernel):
         curve = ThrashingCurve(knee=2, slope=1.0, floor=0.01)
         cpu = PsCpu(kernel, capacity_model=curve)
@@ -199,6 +207,103 @@ class TestContinuationJobs:
         assert log == [] and job.finished
         kernel.run()
         assert log == [("a", "ResourceStopped")]
+
+
+class TestLazyDone:
+    """``done`` of a job without a continuation is built on first access;
+    it must look exactly like a signal built at construction."""
+
+    def _callback_times(self, kernel, job):
+        seen = []
+        job.done.add_callback(lambda s: seen.append((kernel.now, s.value, s.error)))
+        return seen
+
+    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    def test_accessed_before_completion(self, factory, kernel):
+        cpu = factory(kernel)
+        job = CpuJob(kernel, 1.0)
+        cpu.submit(job)
+        assert not job.done.fired
+        seen = self._callback_times(kernel, job)
+        kernel.run()
+        assert seen == [(1.0, job, None)]
+        assert job.done.value is job and job.done.error is None
+
+    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    def test_accessed_after_completion(self, factory, kernel):
+        cpu = factory(kernel)
+        job = CpuJob(kernel, 1.0)
+        cpu.submit(job)
+        kernel.run(until=5.0)
+        done = job.done
+        assert done.fired and done.value is job and done.error is None
+        assert job.done is done
+        events = kernel.events_processed
+        seen = self._callback_times(kernel, job)
+        assert seen == []  # posted, not run inline
+        kernel.run()
+        assert seen == [(5.0, job, None)]
+        assert kernel.events_processed == events + 1
+
+    def test_zero_demand_accessed_after_submit(self, kernel):
+        job = PsCpu(kernel).submit(CpuJob(kernel, 0.0))
+        assert job.done.fired and job.done.value is job
+
+    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    def test_accessed_after_abort(self, factory, kernel):
+        cpu = factory(kernel)
+        job = CpuJob(kernel, 5.0)
+        cpu.submit(job)
+        kernel.run(until=1.0)
+        cpu.abort_all()
+        done = job.done
+        assert done.fired and done.value is None
+        assert isinstance(done.error, ResourceStopped)
+        seen = self._callback_times(kernel, job)
+        kernel.run()
+        assert seen == [(1.0, None, done.error)]
+
+    def test_down_node(self, kernel):
+        node = Node(kernel, "n1")
+        job = node.run_job(10.0)
+        kernel.schedule(1.0, node.crash)
+        kernel.run(until=5.0)
+        assert job.done.fired and isinstance(job.done.error, NodeDown)
+        seen = self._callback_times(kernel, job)
+        kernel.run()
+        assert seen == [(5.0, None, job.done.error)]
+        with pytest.raises(NodeDown):
+            node.run_job(1.0)
+
+    def test_isolated_node(self, kernel):
+        node = Node(kernel, "n1")
+        kernel.run(until=2.0)
+        node.isolate()
+        job = node.run_job(1.0)
+        assert job.finished and job.done.fired
+        assert isinstance(job.done.error, NodeIsolated)
+        seen = self._callback_times(kernel, job)
+        assert seen == []
+        kernel.run()
+        assert seen == [(2.0, None, job.done.error)]
+
+    def test_same_events_as_when_accessed_up_front(self):
+        """Building ``done`` late, or never, leaves the kernel's work
+        unchanged."""
+
+        def run(access):
+            kernel = SimKernel()
+            cpu = PsCpu(kernel)
+            jobs = [CpuJob(kernel, d) for d in (1.0, 0.5, 0.0, 2.0)]
+            for t, job in zip((0.0, 0.2, 0.3, 0.4), jobs):
+                kernel.schedule_at(t, cpu.submit, job)
+                if access:
+                    _ = job.done  # builds the signal
+            kernel.schedule_at(0.6, cpu.abort_all)
+            kernel.run()
+            return [j.finished for j in jobs], kernel.events_processed, kernel.tail_dispatched
+
+        assert run(access=True) == run(access=False)
 
 
 class TestFifoCpu:
