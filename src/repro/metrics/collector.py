@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.metrics.aggregates import summarize
-from repro.metrics.series import StepSeries, TimeSeries
+from repro.metrics.series import StepSeries, TimeSeries, copy_out, float_column
 
 
 class MetricsCollector:
@@ -38,7 +38,7 @@ class MetricsCollector:
         #: per-latency-sample weights (cohort completions record one sample
         #: for ``weight`` identical constituent requests); parallel to
         #: ``latencies``
-        self._latency_weights: list[float] = []
+        self._latency_weights = float_column()
 
     # ------------------------------------------------------------------
     # Recording
@@ -49,7 +49,7 @@ class MetricsCollector:
         sample once; counts and throughput are weighted."""
         self.completed_requests += weight
         self.latencies.append(t, latency_s)
-        self._latency_weights.append(float(weight))
+        self._latency_weights.append(weight)
 
     def record_failure(self, t: float, weight: int = 1) -> None:
         self.failed_requests += weight
@@ -90,7 +90,7 @@ class MetricsCollector:
             raise ValueError("empty interval")
         t = self.latencies.times
         mask = (t >= t_start) & (t < t_end)
-        w = np.asarray(self._latency_weights)
+        w = copy_out(self._latency_weights)
         if len(w) == len(t):
             n = float(w[mask].sum())
         else:  # defensive: direct appends to ``latencies`` bypass weights

@@ -1,14 +1,37 @@
 """Time-series containers.
 
-Append-heavy Python lists internally; NumPy views on demand (the guides'
-rule: simple code on the hot path, vectorized math at analysis time).
+Every column is a packed ``array("d")`` (:func:`float_column`): one
+8-byte double per sample instead of a boxed Python float plus a list
+slot, so a run's records cost ~24 B per latency sample and pickle as
+raw bytes.  An append costs a little more than a list's (it converts to
+a C double); a request makes about three.  Storing coerces to float: an
+int, bool or ``np.float64`` reads back as a plain Python float.
+
+NumPy sees a column only through :func:`copy_out`.  A zero-copy view
+(``np.asarray`` on the array) would pin the buffer, and the next append
+would raise ``BufferError`` while the view lives; the what-if and
+federation code read series mid-run and keep running, so "copy out,
+never view" is a correctness rule, not a style choice.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
+
+
+def float_column(values: Iterable[float] = ()) -> array:
+    """A packed, appendable float64 column — the storage of every series
+    (and of the collector's latency weights)."""
+    return array("d", values)
+
+
+def copy_out(column: array) -> np.ndarray:
+    """A float64 NumPy *copy* of a column; never a view (module docstring)."""
+    return np.array(column, dtype=np.float64)
 
 
 class TimeSeries:
@@ -16,15 +39,20 @@ class TimeSeries:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._t: list[float] = []
-        self._v: list[float] = []
+        self._t = float_column()
+        self._v = float_column()
 
     def append(self, t: float, value: float) -> None:
-        if self._t and t < self._t[-1]:
-            raise ValueError(
-                f"{self.name or 'series'}: non-monotonic append "
-                f"({t} after {self._t[-1]})"
-            )
+        # ``not >=``, not ``<``: a NaN time compares False both ways and
+        # would otherwise slip in and break the order for every later read
+        if self._t:
+            if not t >= self._t[-1]:
+                raise ValueError(
+                    f"{self.name or 'series'}: non-monotonic append "
+                    f"({t} after {self._t[-1]})"
+                )
+        elif t != t:
+            raise ValueError(f"{self.name or 'series'}: NaN time")
         self._t.append(t)
         self._v.append(value)
 
@@ -36,11 +64,11 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self._t, dtype=np.float64)
+        return copy_out(self._t)
 
     @property
     def values(self) -> np.ndarray:
-        return np.asarray(self._v, dtype=np.float64)
+        return copy_out(self._v)
 
     def last(self) -> Optional[tuple[float, float]]:
         if not self._t:
@@ -74,20 +102,22 @@ class TimeSeries:
     def window(self, t0: float, t1: float) -> "TimeSeries":
         """Sub-series with t0 <= t < t1."""
         out = TimeSeries(f"{self.name}/window")
-        for t, v in zip(self._t, self._v):
-            if t0 <= t < t1:
-                out.append(t, v)
+        if t0 < t1:  # also False for a NaN bound, which no sample satisfies
+            lo = bisect_left(self._t, t0)
+            hi = bisect_left(self._t, t1, lo)
+            out._t = self._t[lo:hi]
+            out._v = self._v[lo:hi]
         return out
 
     def mean(self) -> float:
         if not self._v:
             return float("nan")
-        return float(np.mean(self._v))
+        return float(np.mean(self.values))
 
     def max(self) -> float:
         if not self._v:
             return float("nan")
-        return float(np.max(self._v))
+        return float(np.max(self.values))
 
 
 class StepSeries:
@@ -96,11 +126,11 @@ class StepSeries:
 
     def __init__(self, name: str = "", initial: float = 0.0) -> None:
         self.name = name
-        self._t: list[float] = [0.0]
-        self._v: list[float] = [initial]
+        self._t = float_column((0.0,))
+        self._v = float_column((initial,))
 
     def set(self, t: float, value: float) -> None:
-        if t < self._t[-1]:
+        if not t >= self._t[-1]:  # rejects a NaN time too
             raise ValueError(f"{self.name or 'step series'}: non-monotonic set")
         if value == self._v[-1]:
             return
@@ -108,8 +138,7 @@ class StepSeries:
         self._v.append(value)
 
     def value_at(self, t: float) -> float:
-        i = int(np.searchsorted(np.asarray(self._t), t, side="right")) - 1
-        return self._v[max(i, 0)]
+        return self._v[max(bisect_right(self._t, t) - 1, 0)]
 
     @property
     def changes(self) -> list[tuple[float, float]]:
@@ -117,13 +146,13 @@ class StepSeries:
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at the given times."""
-        ts = np.asarray(self._t)
-        vs = np.asarray(self._v)
+        ts = copy_out(self._t)
+        vs = copy_out(self._v)
         idx = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, len(vs) - 1)
         return vs[idx]
 
     def max(self) -> float:
-        return float(np.max(self._v))
+        return float(np.max(copy_out(self._v)))
 
     def integral(self, t0: float, t1: float) -> float:
         """Integral of the step function over ``[t0, t1)`` — e.g. the
@@ -143,8 +172,8 @@ class StepSeries:
     def time_weighted_mean(self, t_end: float) -> float:
         """Mean value over [0, t_end], weighting by how long each level
         held — e.g. the average number of allocated nodes."""
-        ts = np.append(np.asarray(self._t, dtype=float), t_end)
-        vs = np.asarray(self._v, dtype=float)
+        ts = np.append(copy_out(self._t), t_end)
+        vs = copy_out(self._v)
         durations = np.diff(ts)
         if durations.sum() <= 0:
             return float(vs[-1])

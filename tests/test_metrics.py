@@ -1,6 +1,7 @@
 """Tests for the metrics containers, aggregates and collector."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,48 @@ class TestTimeSeries:
         assert math.isnan(s.max())
         assert s.last() is None
 
+    def test_nan_time_rejected(self):
+        s = TimeSeries()
+        with pytest.raises(ValueError):
+            s.append(float("nan"), 1.0)  # the first sample too
+        s.append(1.0, 1.0)
+        with pytest.raises(ValueError):
+            s.append(float("nan"), 2.0)
+        with pytest.raises(ValueError):
+            s.append(0.5, 3.0)
+        assert list(s) == [(1.0, 1.0)]
+        assert len(s.window(0.0, 2.0)) == 1
+
+    def test_append_after_copy_out(self):
+        """``times``/``values`` are copies: later appends neither raise
+        (no exported buffer pins the column) nor show up in them."""
+        s = TimeSeries()
+        s.append(1.0, 10.0)
+        times, values = s.times, s.values
+        s.append(2.0, 20.0)
+        times[0] = values[0] = -1.0
+        assert list(times) == [-1.0] and list(values) == [-1.0]
+        assert list(s.times) == [1.0, 2.0]
+        assert list(s.values) == [10.0, 20.0]
+
+    def test_reads_hold_no_view(self):
+        """Every read, like the mid-run reads of the what-if and
+        federation code, leaves the series appendable."""
+        s = TimeSeries()
+        for t in range(5):
+            s.append(float(t), float(t))
+        s.mean(), s.max(), s.window(1.0, 3.0), s.bucket_mean(2.0)
+        s.tail_since(2), s.last(), list(s)
+        s.append(5.0, 5.0)
+        assert len(s) == 6
+
+    def test_values_stored_as_float(self):
+        s = TimeSeries()
+        s.append(1, True)
+        s.append(np.float64(2.0), np.int64(3))
+        assert s.last() == (2.0, 3.0)
+        assert all(type(x) is float for sample in s for x in sample)
+
 
 class TestStepSeries:
     def test_value_at(self):
@@ -105,6 +148,23 @@ class TestStepSeries:
         s.set(1.0, 7.0)
         s.set(2.0, 3.0)
         assert s.max() == 7.0
+
+    def test_nan_time_rejected(self):
+        s = StepSeries(initial=1.0)
+        s.set(1.0, 2.0)
+        with pytest.raises(ValueError):
+            s.set(float("nan"), 3.0)
+        with pytest.raises(ValueError):
+            s.set(0.5, 4.0)
+        assert s.changes == [(0.0, 1.0), (1.0, 2.0)]
+
+    def test_reads_hold_no_view(self):
+        s = StepSeries(initial=1.0)
+        s.set(10.0, 2.0)
+        s.value_at(5.0), s.sample(np.array([1.0, 11.0])), s.max()
+        s.integral(0.0, 20.0), s.time_weighted_mean(20.0), s.changes
+        s.set(20.0, 3.0)
+        assert s.value_at(25.0) == 3.0
 
 
 class TestMovingAverage:
@@ -242,6 +302,22 @@ class TestCollector:
         c.record_tier_cpu("db", 1.0, 0.5, 0.6)
         assert list(c.tier_cpu["db"].values) == [0.5]
         assert list(c.tier_cpu_raw["db"].values) == [0.6]
+
+    def test_latency_records_are_packed(self):
+        """A latency sample costs its three packed doubles (time, value,
+        weight) plus column slack; boxed floats in lists cost ~96 B."""
+        c = MetricsCollector()
+        n = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                c.record_latency(i * 0.01, 0.05 + (i % 7) * 1e-3)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(c.latencies) == n
+        assert retained / n < 32
 
     def test_reconfiguration_log(self):
         c = MetricsCollector()

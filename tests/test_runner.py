@@ -22,6 +22,7 @@ from repro.metrics.aggregates import mean_ci
 from repro.runner.bench import check_against
 from repro.runner.parallel import fanout_map, shutdown_pool
 from repro.workload.profiles import ConstantProfile
+from tests.conftest import collector_digest
 
 
 def _crash_once(item):
@@ -282,6 +283,18 @@ class TestExperimentRunner:
         assert run.config.seed == 1
         assert run.events_processed > 0
         assert run.summary()["completed"] == run.collector.completed_requests
+
+    def test_completed_run_survives_pickle(self):
+        """The cache, the pool and federation pipes pickle runs: packed
+        series round-trip with every simulated output intact and stay
+        appendable."""
+        run = execute_config(tiny_config())
+        clone = pickle.loads(pickle.dumps(run))
+        assert collector_digest(clone.collector) == collector_digest(run.collector)
+        assert clone.summary() == run.summary()
+        t_end, _ = clone.collector.latencies.last()
+        clone.collector.record_latency(t_end + 1.0, 0.1, weight=2)
+        assert clone.collector.completed_requests == run.collector.completed_requests + 2
 
 
 # ----------------------------------------------------------------------

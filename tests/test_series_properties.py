@@ -117,3 +117,57 @@ def test_step_series_riemann_sum_equals_weighted_mean(changes):
     grid = np.linspace(0.0, horizon, 20_001)[:-1]  # left Riemann sum
     dense = series.sample(grid).mean()
     assert series.time_weighted_mean(horizon) == pytest.approx(dense, abs=0.02)
+
+
+# ----------------------------------------------------------------------
+# Bisection reads against the linear/NumPy implementations they replaced
+# ----------------------------------------------------------------------
+def reference_window(series, t0, t1):
+    """``TimeSeries.window`` before bisection: re-append every sample
+    with ``t0 <= t < t1``."""
+    out = TimeSeries(f"{series.name}/window")
+    for t, v in series:
+        if t0 <= t < t1:
+            out.append(t, v)
+    return out
+
+
+def reference_value_at(series, t):
+    """``StepSeries.value_at`` before bisection."""
+    ts, vs = zip(*series.changes)
+    i = int(np.searchsorted(np.asarray(ts), t, side="right")) - 1
+    return vs[max(i, 0)]
+
+
+# few distinct times, so ties are common
+monotone_times = st.lists(
+    st.integers(min_value=0, max_value=12).map(lambda k: k * 0.5),
+    max_size=40,
+).map(sorted)
+any_bound = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(times=monotone_times, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_window_matches_reference(times, data):
+    series = TimeSeries("s")
+    for i, t in enumerate(times):
+        series.append(t, float(i))
+    bound = st.one_of(st.sampled_from(times), any_bound) if times else any_bound
+    t0, t1 = data.draw(bound), data.draw(bound)
+    got, want = series.window(t0, t1), reference_window(series, t0, t1)
+    assert got.name == want.name
+    assert list(got) == list(want)
+
+
+@given(times=monotone_times, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_value_at_matches_reference(times, data):
+    series = StepSeries("s", initial=-1.0)
+    for i, t in enumerate(times):
+        series.set(t, float(i % 3))
+    queries = data.draw(
+        st.lists(st.one_of(st.sampled_from([0.0] + times), any_bound), max_size=10)
+    )
+    for q in queries:
+        assert series.value_at(q) == reference_value_at(series, q)
