@@ -1,6 +1,6 @@
 # Convenience targets for the Jade reproduction.
 
-.PHONY: install test lint bench bench-quick bench-smoke bench-engine bench-engine-check bench-whatif-check chaos-demo chaos-smoke deploy-demo deploy-smoke market-demo market-smoke fluid-demo fluid-smoke federate-demo federation-smoke tune-demo tune-smoke figures examples trace-demo whatif-demo sweep-demo clean
+.PHONY: install test lint bench bench-quick bench-smoke bench-engine bench-engine-check bench-whatif-check chaos-demo deploy-demo market-demo fluid-demo federate-demo tune-demo figures examples trace-demo whatif-demo sweep-demo clean
 
 install:
 	pip install -e .
@@ -46,10 +46,6 @@ chaos-demo:
 		--duration 420 --json /tmp/repro-chaos.json
 	@echo "canonical scorecard: /tmp/repro-chaos.json"
 
-# Fast resilience gate used by CI: one-seed campaigns + assertions.
-chaos-smoke:
-	python benchmarks/bench_chaos.py --smoke
-
 # Zero-downtime deployment demo: a bad push caught by the canary and
 # rolled back automatically, then a clean crossover bounce with the
 # per-step event log, and the canonical scorecard.
@@ -61,11 +57,6 @@ deploy-demo:
 		--json /tmp/repro-deploy.json
 	@echo "canonical scorecard: /tmp/repro-deploy.json"
 
-# Fast deployment gate used by CI: one-seed bad-push rollback +
-# crossover-vs-brutal assertions.
-deploy-smoke:
-	python benchmarks/bench_deploy.py --smoke
-
 # Heterogeneous fleet demo: the spot-heavy fleet on the Fig. 9 ramp with
 # its rebalance/interruption log, the fleet-mix what-if comparison, and
 # the canonical scorecard.
@@ -76,11 +67,6 @@ market-demo:
 		--json /tmp/repro-market.json
 	@echo "canonical scorecard: /tmp/repro-market.json"
 
-# Fast fleet-cost gate used by CI: one seed, same-SLO >=15% savings
-# assertions.
-market-smoke:
-	python benchmarks/bench_market.py --smoke
-
 # Fluid workload demo: the paper's ramp on the flow engine, a hybrid
 # run switching between cohorts and fluid at 300 users, and the
 # million-user ramp.
@@ -88,12 +74,6 @@ fluid-demo:
 	python -m repro ramp --fluid --scale 0.25
 	python -m repro ramp --fluid --fluid-threshold 300 --scale 0.25
 	python -m repro ramp --fluid --cohort 2000 --peak 1000000
-
-# Fast fluid gate used by CI: full-scale accuracy gate (identical
-# replica trajectories, latency/CPU within tolerance) + the 1M-user
-# wall-clock budget.
-fluid-smoke:
-	python benchmarks/bench_fluid.py --smoke
 
 # Multi-region federation demo: a 3-region follow-the-sun cycle, a
 # 2-region evacuation with the epoch routing log, and the 4-region
@@ -106,11 +86,6 @@ federate-demo:
 		--json /tmp/repro-federation.json
 	@echo "canonical scorecard: /tmp/repro-federation.json"
 
-# Fast federation gate used by CI: 2 regions, serial-vs-parallel
-# byte-identity + critical-path speedup floor.
-federation-smoke:
-	python benchmarks/bench_federation.py --smoke
-
 # Controller autotuning demo: a small threshold/inhibition grid through
 # the cached runner, winner written as a tuned config (re-run it: the
 # second pass resolves from the cache).
@@ -120,15 +95,11 @@ tune-demo:
 		--seeds 1 --out /tmp/repro-tuned.json
 	@echo "tuned config: /tmp/repro-tuned.json"
 
-# Fast autotuner gate used by CI: the 2x2 tuner-ranking smoke (the
-# known-bad never-grow cell must rank last) + the one-seed
-# tuned-vs-default comparison.
-tune-smoke:
-	python benchmarks/bench_policy.py --smoke
-
 # Engine benchmark: every BENCH_engine.json section (micro, ramp,
 # whatif, sweep, chaos, deploy, market, fluid, policy, federation) in
-# one run; refreshes the committed report.
+# one run; refreshes the committed report.  A subsystem's CI gate is
+# `python -m repro bench --only NAME --smoke`; one section is
+# re-recorded in place with `--only NAME --out BENCH_engine.json`.
 bench-engine:
 	python -m repro bench --out BENCH_engine.json
 

@@ -6,41 +6,19 @@ performance regressions in the hot paths: the event kernel, the
 processor-sharing resource, and recovery-log replay.
 """
 
-import numpy as np
-
 from repro.legacy.recovery_log import RecoveryLog
-from repro.simulation import CpuJob, PsCpu, SimKernel
+from repro.runner.bench import ps_workload, scenario_kernel, scenario_ps
 
 
 def bench_kernel_schedule_run(benchmark):
-    """Schedule + dispatch 10k events."""
-
-    def scenario():
-        kernel = SimKernel()
-        sink = []
-        for i in range(10_000):
-            kernel.schedule(float(i % 100) * 0.01, sink.append, i)
-        kernel.run()
-        return len(sink)
-
-    assert benchmark(scenario) == 10_000
+    """Schedule + dispatch 10k events (``repro bench``'s micro scenario)."""
+    assert benchmark(scenario_kernel) == 10_000
 
 
 def bench_ps_cpu_churn(benchmark):
-    """5k staggered jobs through one processor-sharing CPU."""
-    rng = np.random.default_rng(0)
-    arrivals = np.cumsum(rng.exponential(0.01, size=5000))
-    demands = rng.gamma(4.0, 0.01 / 4.0, size=5000)
-
-    def scenario():
-        kernel = SimKernel()
-        cpu = PsCpu(kernel)
-        for t, d in zip(arrivals, demands):
-            kernel.schedule_at(float(t), cpu.submit, CpuJob(kernel, float(d)))
-        kernel.run()
-        return cpu.completed
-
-    assert benchmark(scenario) == 5000
+    """5k staggered jobs through one processor-sharing CPU (``repro
+    bench``'s micro scenario)."""
+    assert benchmark(scenario_ps, *ps_workload()) == 5000
 
 
 def bench_recovery_log_append_replay(benchmark):

@@ -18,7 +18,7 @@ scripted crash into a reproducible resilience test harness:
   failures the ``up``-flag heartbeat misses;
 * :mod:`repro.chaos.scorecard` — per-campaign MTTR, availability,
   goodput and SLO-violation-under-fault with multi-seed confidence
-  intervals (recorded by ``benchmarks/bench_chaos.py``).
+  intervals (recorded by :mod:`repro.chaos.bench`).
 """
 
 from repro.chaos.campaign import (

@@ -4,11 +4,8 @@ Runs the crash, fail-slow and correlated campaigns across seeds and
 records MTTR / detection latency / availability with 95 % confidence
 intervals, plus the gray-failure detection comparison (the legacy
 ``up``-flag heartbeat misses a crawling replica; the phi-accrual
-detector repairs it).
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_chaos.py`` is the
-CLI/pytest wrapper.
+detector repairs it).  ``repro bench --only chaos --smoke`` is the CI
+gate (one seed).
 """
 
 from __future__ import annotations
@@ -20,12 +17,15 @@ from repro.chaos import PRESETS, campaign_config, score_campaign
 
 #: campaigns whose MTTR the committed report tracks with CIs
 MTTR_CAMPAIGNS = ("crash", "fail-slow", "correlated")
+#: campaign geometry: concurrent clients and run length (s)
+CLIENTS = 60
+DURATION_S = 420.0
 
 
-def _runs(runner, campaign, seeds, clients, duration_s):
+def _runs(runner, campaign, seeds):
     runs = runner.run_seeds(
         lambda seed: campaign_config(
-            campaign, seed=seed, clients=clients, duration_s=duration_s
+            campaign, seed=seed, clients=CLIENTS, duration_s=DURATION_S
         ),
         seeds,
         prefix=f"chaos-{campaign.name}-{campaign.detector}",
@@ -33,14 +33,15 @@ def _runs(runner, campaign, seeds, clients, duration_s):
     return [runs[s] for s in seeds]
 
 
-def run_chaos_section(
+def run_section(
+    *,
     seeds: Sequence[int] = (1, 2, 3),
-    clients: int = 60,
-    duration_s: float = 420.0,
     parallel: bool = True,
     use_cache: bool = False,
+    smoke: bool = False,
 ) -> dict:
-    """The ``"chaos"`` section of BENCH_engine.json."""
+    """The ``"chaos"`` section of BENCH_engine.json (the CI smoke is one
+    seed, which the caller passes)."""
     from repro.runner import ExperimentRunner, ResultCache
 
     runner = ExperimentRunner(
@@ -51,7 +52,7 @@ def run_chaos_section(
     for name in MTTR_CAMPAIGNS:
         campaign = PRESETS[name]()
         card = score_campaign(
-            campaign, _runs(runner, campaign, seeds, clients, duration_s)
+            campaign, _runs(runner, campaign, seeds)
         )
         agg = card["aggregate"]
         campaigns[name] = {
@@ -70,7 +71,7 @@ def run_chaos_section(
     for detector in ("legacy", "phi"):
         campaign = dataclasses.replace(gray, detector=detector)
         card = score_campaign(
-            campaign, _runs(runner, campaign, seeds, clients, duration_s)
+            campaign, _runs(runner, campaign, seeds)
         )
         arms[detector] = {
             "repairs": sum(r["repairs_completed"] for r in card["per_seed"]),
@@ -81,8 +82,8 @@ def run_chaos_section(
         }
     return {
         "seeds": list(seeds),
-        "clients": clients,
-        "duration_s": duration_s,
+        "clients": CLIENTS,
+        "duration_s": DURATION_S,
         "campaigns": campaigns,
         "gray_detection": {
             **arms,
@@ -128,7 +129,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest and --smoke."""
+    """The load-bearing assertions shared by pytest and the CI smoke."""
     n_seeds = len(section["seeds"])
     for name in MTTR_CAMPAIGNS:
         c = section["campaigns"][name]

@@ -511,12 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="engine benchmark: micro scenarios + multi-seed ramp pair "
-        "through the parallel cached runner",
+        help="engine benchmark: run, gate or re-record the sections of "
+        "BENCH_engine.json",
     )
     bench.add_argument(
         "--out", metavar="FILE", default=None,
-        help="write the benchmark report JSON (e.g. BENCH_engine.json)",
+        help="merge the sections run into this report JSON (e.g. "
+        "BENCH_engine.json; its other keys and their order are kept)",
     )
     bench.add_argument(
         "--check", metavar="FILE", default=None,
@@ -556,6 +557,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECTION",
         help="skip one report section (repeatable; choices: "
         f"{', '.join(SECTIONS)})",
+    )
+    bench.add_argument(
+        "--only", action="append", default=[], choices=sorted(SECTIONS),
+        metavar="SECTION",
+        help="run only this section, without the micro scenarios "
+        "(repeatable)",
+    )
+    bench.add_argument(
+        "--smoke", action="store_true",
+        help="with --only: the CI gate -- each section at its CI size "
+        "(seed 1, no cache), then its assertions; exit 1 on failure",
     )
     _add_fluid(bench)
     bench.add_argument(
@@ -1365,41 +1377,54 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("perf-smoke:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
-    from repro.runner.bench import SECTIONS
+    from repro.runner.bench import SECTIONS, merge_report
 
     skip = set(SECTIONS) if args.micro_only else set(args.skip)
     report = run_bench(
-        out_path=args.out,
         seeds=tuple(range(1, args.seeds + 1)),
         scale=args.scale,
         rounds=args.rounds,
         parallel=not args.serial,
         use_cache=not args.no_cache,
         skip=skip,
+        only=args.only,
+        smoke=args.smoke,
         whatif_candidates=args.whatif_candidates,
         fluid=args.fluid,
         fluid_threshold=args.fluid_threshold,
     )
-    micro = report["micro"]
-    print("Micro scenarios (best of {}):".format(args.rounds))
-    print(
-        "  kernel 10k events : {:.2f} ms  ({:,.0f} events/s, {:.2f}x baseline)".format(
-            micro["kernel_10k_events"]["best_s"] * 1e3,
-            micro["kernel_10k_events"]["events_per_s"],
-            micro["kernel_10k_events"]["speedup_vs_baseline"],
+    micro = report.get("micro")
+    if micro is not None:
+        print("Micro scenarios (best of {}):".format(args.rounds))
+        print(
+            "  kernel 10k events : {:.2f} ms  ({:,.0f} events/s, {:.2f}x baseline)".format(
+                micro["kernel_10k_events"]["best_s"] * 1e3,
+                micro["kernel_10k_events"]["events_per_s"],
+                micro["kernel_10k_events"]["speedup_vs_baseline"],
+            )
         )
-    )
-    print(
-        "  PS-CPU 5k jobs    : {:.2f} ms  ({:,.0f} jobs/s, {:.2f}x baseline)".format(
-            micro["ps_cpu_5k_jobs"]["best_s"] * 1e3,
-            micro["ps_cpu_5k_jobs"]["jobs_per_s"],
-            micro["ps_cpu_5k_jobs"]["speedup_vs_baseline"],
+        print(
+            "  PS-CPU 5k jobs    : {:.2f} ms  ({:,.0f} jobs/s, {:.2f}x baseline)".format(
+                micro["ps_cpu_5k_jobs"]["best_s"] * 1e3,
+                micro["ps_cpu_5k_jobs"]["jobs_per_s"],
+                micro["ps_cpu_5k_jobs"]["speedup_vs_baseline"],
+            )
         )
-    )
     for name, section in SECTIONS.items():
-        if name in report:
-            print(section.render(report[name]))
+        if name not in report:
+            continue
+        if not args.smoke:
+            print()
+        print(section.render_section(report[name]))
+        if args.smoke:
+            try:
+                section.check_section(report[name])
+            except AssertionError as exc:
+                print(f"{name}-smoke: FAIL: {exc}")
+                return 1
+            print(f"{name}-smoke: PASS")
     if args.out:
+        merge_report(args.out, report)
         print(f"\nReport written to {args.out}")
     return 0
 
@@ -1419,6 +1444,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fluid_threshold", 0) and not args.fluid:
         parser.error("--fluid-threshold requires --fluid")
+    if getattr(args, "smoke", False):
+        from repro.runner.bench import SECTIONS
+
+        if not args.only or any(SECTIONS[n].check_section is None for n in args.only):
+            parser.error("--smoke needs --only sections that have a check")
     handlers = {
         "ramp": cmd_ramp,
         "steady": cmd_steady,

@@ -1,8 +1,8 @@
 """Simulated cluster node.
 
-A node bundles a CPU resource (processor-sharing by default), a simple
-memory model, a filesystem and a registry of the server processes running on
-it.  Memory is accounted as::
+A node bundles a processor-sharing CPU resource, a simple memory model, a
+filesystem and a registry of the server processes running on it.  Memory is
+accounted as::
 
     used = base_os + sum(static footprints) + per_job * active_cpu_jobs
 
@@ -20,7 +20,6 @@ from repro.simulation.kernel import SimKernel
 from repro.simulation.resources import (
     CapacityModel,
     CpuJob,
-    CpuResource,
     PsCpu,
     constant_capacity,
 )
@@ -50,7 +49,6 @@ class Node:
         memory_mb: float = 1024.0,
         base_os_mb: float = 96.0,
         per_job_mb: float = 1.5,
-        cpu_factory: Optional[Callable[..., CpuResource]] = None,
         instance: Optional[object] = None,
         market: str = "on-demand",
     ) -> None:
@@ -63,8 +61,7 @@ class Node:
         #: which market the node was bought on ("on-demand" or "spot");
         #: spot nodes can receive interruption notices
         self.market = market
-        factory = cpu_factory or PsCpu
-        self.cpu: CpuResource = factory(
+        self.cpu = PsCpu(
             kernel, speed=cpu_speed, capacity_model=capacity_model, name=f"{name}.cpu"
         )
         self.memory_mb = memory_mb

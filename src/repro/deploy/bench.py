@@ -1,6 +1,7 @@
 """The ``"deploy"`` section of BENCH_engine.json (shared logic).
 
-Two headline claims, asserted by the CI deploy-smoke job:
+Two headline claims, asserted by ``repro bench --only deploy --smoke``
+(the CI gate, one seed):
 
 * **bad push** — the canary catches a regression (4x demand, 30 % 500s)
   and rolls back automatically; post-rollback goodput is within 5 % of
@@ -8,10 +9,6 @@ Two headline claims, asserted by the CI deploy-smoke job:
 * **clean bounce** — the ``crossover`` strategy keeps SLO violation
   seconds strictly below ``brutal`` during a clean fleet bounce (and
   never drops below one serving replica, where brutal blacks out).
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_deploy.py`` is the
-CLI/pytest wrapper.
 """
 
 from __future__ import annotations
@@ -21,11 +18,14 @@ from typing import Sequence
 from repro.deploy.scenario import PRESETS, deploy_config, with_strategy
 from repro.deploy.scorecard import score_scenario
 
+#: scenario geometry: concurrent clients and run length (s)
+CLIENTS = 120
+DURATION_S = 540.0
 
-def _runs(runner, scenario, seeds, clients, duration_s):
+def _runs(runner, scenario, seeds):
     runs = runner.run_seeds(
         lambda seed: deploy_config(
-            scenario, seed=seed, clients=clients, duration_s=duration_s
+            scenario, seed=seed, clients=CLIENTS, duration_s=DURATION_S
         ),
         seeds,
         prefix=f"deploy-{scenario.name}-{scenario.strategy}",
@@ -33,14 +33,15 @@ def _runs(runner, scenario, seeds, clients, duration_s):
     return [runs[s] for s in seeds]
 
 
-def run_deploy_section(
+def run_section(
+    *,
     seeds: Sequence[int] = (1, 2, 3),
-    clients: int = 120,
-    duration_s: float = 540.0,
     parallel: bool = True,
     use_cache: bool = False,
+    smoke: bool = False,
 ) -> dict:
-    """The ``"deploy"`` section of BENCH_engine.json."""
+    """The ``"deploy"`` section of BENCH_engine.json (the CI smoke is one
+    seed, which the caller passes)."""
     from repro.runner import ExperimentRunner, ResultCache
 
     runner = ExperimentRunner(
@@ -49,20 +50,20 @@ def run_deploy_section(
     seeds = tuple(seeds)
 
     bad = PRESETS["bad-push"]()
-    bad_card = score_scenario(bad, _runs(runner, bad, seeds, clients, duration_s))
+    bad_card = score_scenario(bad, _runs(runner, bad, seeds))
 
     clean = PRESETS["clean-bounce"]()
     arms = {}
     for strategy in ("crossover", "brutal"):
         scenario = with_strategy(clean, strategy)
         arms[strategy] = score_scenario(
-            scenario, _runs(runner, scenario, seeds, clients, duration_s)
+            scenario, _runs(runner, scenario, seeds)
         )
 
     return {
         "seeds": list(seeds),
-        "clients": clients,
-        "duration_s": duration_s,
+        "clients": CLIENTS,
+        "duration_s": DURATION_S,
         "bad_push": bad_card,
         "clean_bounce": arms,
         "headline": {
@@ -105,7 +106,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest, --smoke and CI."""
+    """The load-bearing assertions shared by pytest and the CI smoke."""
     h = section["headline"]
     assert h["rollbacks"] == h["runs"], (
         f"bad push not always rolled back: {h['rollbacks']}/{h['runs']}"

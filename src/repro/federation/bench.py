@@ -30,13 +30,16 @@ from __future__ import annotations
 
 import os
 import time
+from typing import Sequence
 
 from repro.federation.coordinator import run_federation
 from repro.federation.spec import evacuation, follow_the_sun, global_ramp
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import pool_stats
 
-#: committed-gate floors (4-region full section)
+#: committed-gate geometry and floor (4-region full section)
+REGIONS = 4
+SCALE = 0.3
 MIN_SPEEDUP = 3.0
 #: smoke floor (2-region CI gate; shared runners jitter the per-epoch
 #: busy maxima, so the floor sits well under the ~1.6x typically seen)
@@ -128,15 +131,18 @@ def _follow_the_sun_block(scale: float, seed: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-def run_federation_section(
-    seed: int = 1,
-    scale: float = 0.3,
-    regions: int = 4,
+def run_section(
+    *,
+    seeds: Sequence[int] = (1,),
+    parallel: bool = True,
     use_cache: bool = False,
     smoke: bool = False,
-    parallel: bool = True,  # accepted for registry symmetry; both modes
-) -> dict:  # always run (the comparison *is* the benchmark)
-    """Build the BENCH_engine ``federation`` block."""
+) -> dict:
+    """Build the BENCH_engine ``federation`` block on the first seed;
+    ``smoke`` shrinks it to 2 regions at scale 0.1.  Serial and parallel
+    always both run (the comparison *is* the benchmark), so ``parallel``
+    changes nothing."""
+    seed, regions, scale = seeds[0], REGIONS, SCALE
     if smoke:
         regions, scale = 2, min(scale, 0.1)
     spec = global_ramp(regions=regions, scale=scale, seed=seed)

@@ -52,7 +52,7 @@ from repro.legacy.directory import Directory
 from repro.obs.events import KernelStats
 from repro.obs.tracer import Tracer
 from repro.simulation.kernel import SimKernel
-from repro.simulation.resources import ThrashingCurve
+from repro.simulation.resources import ThrashingCurve, constant_capacity
 from repro.simulation.rng import RngStreams
 from repro.wrappers import default_factory_registry
 from repro.wrappers.mysql import make_mysql_component
@@ -223,7 +223,7 @@ class ManagedSystem:
                 cal.db_thrash_floor,
             )
             if cfg.thrashing
-            else (lambda n: 1.0)
+            else constant_capacity
         )
         self.market = None
         if cfg.market is not None:

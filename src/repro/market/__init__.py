@@ -14,7 +14,7 @@ parallel runner, a fleet-cost scorecard (:mod:`~repro.market.costs`) and
 a fleet-mix what-if (:mod:`~repro.market.whatif`).
 
 Headline: the Fig. 9 ramp at the same SLO for measurably lower fleet
-cost than the uniform on-demand pool (see ``benchmarks/bench_market.py``).
+cost than the uniform on-demand pool (see :mod:`repro.market.bench`).
 """
 
 from repro.market.catalog import (

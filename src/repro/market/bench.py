@@ -1,15 +1,11 @@
 """The ``"market"`` section of BENCH_engine.json (shared logic).
 
-One headline claim, asserted by the CI market-smoke job: on the Fig. 9
-ramp, the cost-aware fleet allocator with the ``spot-heavy`` policy meets
-the **same SLO-violation budget** as the paper's uniform on-demand pool
-at **>= 15 % lower total fleet cost**, with 95 % confidence intervals
-across seeds.  The ``balanced`` arm rides along to show the
-floor/savings trade-off.
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_market.py`` is the
-CLI/pytest wrapper.
+One headline claim, asserted by ``repro bench --only market --smoke``
+(the CI gate, one seed): on the Fig. 9 ramp, the cost-aware fleet
+allocator with the ``spot-heavy`` policy meets the **same SLO-violation
+budget** as the paper's uniform on-demand pool at **>= 15 % lower total
+fleet cost**, with 95 % confidence intervals across seeds.  The
+``balanced`` arm rides along to show the floor/savings trade-off.
 """
 
 from __future__ import annotations
@@ -24,17 +20,22 @@ from repro.market.scenario import PRESETS, market_config
 MIN_SAVINGS_PCT = 15.0
 #: how far (s) the mean SLO violation may exceed the uniform pool's
 SLO_TOLERANCE_S = 10.0
+#: ramp geometry: peak clients and time compression
+PEAK = 500
+SCALE = 0.15
+#: per-request latency (s) above which a second counts as an SLO violation
+SLO_LATENCY_S = 0.5
 
 
-def run_market_section(
+def run_section(
+    *,
     seeds: Sequence[int] = (1, 2, 3),
-    peak: int = 500,
-    scale: float = 0.15,
     parallel: bool = True,
     use_cache: bool = False,
-    slo_latency_s: float = 0.5,
+    smoke: bool = False,
 ) -> dict:
-    """The ``"market"`` section of BENCH_engine.json."""
+    """The ``"market"`` section of BENCH_engine.json (the CI smoke is one
+    seed, which the caller passes)."""
     from repro.runner import ExperimentRunner, ResultCache
 
     runner = ExperimentRunner(
@@ -47,11 +48,11 @@ def run_market_section(
     for name, scenario in arms.items():
         for seed in seeds:
             labelled[f"{name}-s{seed}"] = market_config(
-                scenario, seed=seed, peak=peak, scale=scale
+                scenario, seed=seed, peak=PEAK, scale=SCALE
             )
     for seed in seeds:
         labelled[f"uniform-s{seed}"] = replace(
-            market_config(arms["spot-heavy"], seed=seed, peak=peak, scale=scale),
+            market_config(arms["spot-heavy"], seed=seed, peak=PEAK, scale=SCALE),
             market=None,
         )
     results = runner.run_many(labelled)
@@ -60,14 +61,14 @@ def run_market_section(
         name: score_scenario(
             scenario,
             [results[f"{name}-s{s}"] for s in seeds],
-            slo_latency_s=slo_latency_s,
+            slo_latency_s=SLO_LATENCY_S,
         )
         for name, scenario in arms.items()
     }
     uniform = score_scenario(
         None,
         [results[f"uniform-s{s}"] for s in seeds],
-        slo_latency_s=slo_latency_s,
+        slo_latency_s=SLO_LATENCY_S,
         uniform=True,
     )
 
@@ -75,9 +76,9 @@ def run_market_section(
     uni = uniform["aggregate"]
     return {
         "seeds": list(seeds),
-        "peak": peak,
-        "scale": scale,
-        "slo_latency_s": slo_latency_s,
+        "peak": PEAK,
+        "scale": SCALE,
+        "slo_latency_s": SLO_LATENCY_S,
         "slo_tolerance_s": SLO_TOLERANCE_S,
         "min_savings_pct": MIN_SAVINGS_PCT,
         "arms": cards,
@@ -132,7 +133,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest, --smoke and CI."""
+    """The load-bearing assertions shared by pytest and the CI smoke."""
     h = section["headline"]
     savings = h["savings_pct"]["mean"]
     assert savings >= section["min_savings_pct"], (

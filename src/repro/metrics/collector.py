@@ -59,8 +59,12 @@ class MetricsCollector:
         self.workload.set(t, float(clients))
 
     def record_tier_cpu(self, tier: str, t: float, smoothed: float, raw: float) -> None:
-        self.tier_cpu.setdefault(tier, TimeSeries(f"cpu[{tier}]")).append(t, smoothed)
-        self.tier_cpu_raw.setdefault(tier, TimeSeries(f"cpu_raw[{tier}]")).append(t, raw)
+        series = self.tier_cpu.get(tier)
+        if series is None:  # build the pair once, not on every reading
+            series = self.tier_cpu[tier] = TimeSeries(f"cpu[{tier}]")
+            self.tier_cpu_raw[tier] = TimeSeries(f"cpu_raw[{tier}]")
+        series.append(t, smoothed)
+        self.tier_cpu_raw[tier].append(t, raw)
 
     def record_replicas(self, tier: str, t: float, count: int) -> None:
         series = self.tier_replicas.get(tier)

@@ -7,28 +7,25 @@ The gate is the operator's bargain — the tuned cell must cut SLO
 violation seconds without buying the win with capacity (node-hours
 within +2 % of the defaults).
 
-Also hosts the tuner's own CI smoke (``make tune-smoke``): a tiny 2×2
+Also hosts the tuner's own smoke, which ``repro bench --only policy
+--smoke`` (the CI gate) runs before the one-seed comparison: a tiny 2×2
 threshold grid where the one sane cell (paper-default thresholds) must
 rank first and every known-bad cell (a grow threshold at 0.99, so that
 tier never scales up) must score strictly worse.
-
-Lives inside the package (not ``benchmarks/``) so ``repro bench`` can
-import it from an installed tree; ``benchmarks/bench_policy.py`` is the
-CLI/pytest wrapper.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.metrics.aggregates import mean_ci
 from repro.policy.tune import (
     PAPER_DEFAULT,
     TuneObjective,
-    TunePoint,
     TuneSpec,
     load_tuned_point,
+    render_report,
     run_tune,
     score_run,
 )
@@ -40,24 +37,30 @@ TUNED_CONFIG_PATH = (
 
 #: node-hours gate: the tuned cell may cost at most +2 % capacity
 NODE_HOURS_MARGIN = 1.02
+#: time compression of the Fig. 9 ramp both arms run
+SCALE = 0.15
 
 
-def run_policy_section(
+def run_section(
+    *,
     seeds: Sequence[int] = (1, 2, 3),
-    scale: float = 0.15,
     parallel: bool = True,
     use_cache: bool = False,
-    tuned: Optional[TunePoint] = None,
+    smoke: bool = False,
 ) -> dict:
-    """The ``"policy"`` section of BENCH_engine.json."""
+    """The ``"policy"`` section of BENCH_engine.json.  With ``smoke`` the
+    tuner smoke (:func:`run_tune_smoke`) runs first and its report rides
+    along under ``"tune_smoke"``."""
     from repro.runner import ExperimentRunner, ResultCache
 
+    tune_smoke = (
+        run_tune_smoke(parallel=parallel, use_cache=use_cache) if smoke else None
+    )
     runner = ExperimentRunner(
         cache=ResultCache() if use_cache else None, parallel=parallel
     )
-    seeds = tuple(seeds)
-    if tuned is None:
-        tuned = load_tuned_point(TUNED_CONFIG_PATH)
+    seeds, scale = tuple(seeds), SCALE
+    tuned = load_tuned_point(TUNED_CONFIG_PATH)
     objective = TuneObjective()
     arms = {"default": PAPER_DEFAULT, "tuned": tuned}
     configs = {
@@ -99,11 +102,16 @@ def run_policy_section(
             <= default["node_hours"]["mean"] * NODE_HOURS_MARGIN
         ),
     }
+    if tune_smoke is not None:
+        section["tune_smoke"] = tune_smoke
     return section
 
 
 def render_section(section: dict) -> str:
-    lines = [
+    lines = []
+    if "tune_smoke" in section:
+        lines += [render_report(section["tune_smoke"], top=4), ""]
+    lines += [
         f"Controller autotuning: Fig. 9 ramp at scale "
         f"{section['scale']:g}, seeds "
         f"{', '.join(str(s) for s in section['seeds'])}",
@@ -138,7 +146,7 @@ def render_section(section: dict) -> str:
 
 
 def check_section(section: dict) -> None:
-    """The load-bearing assertions shared by pytest and --smoke."""
+    """The load-bearing assertions shared by pytest and the CI smoke."""
     n_seeds = len(section["seeds"])
     for arm in ("default", "tuned"):
         a = section["arms"][arm]
@@ -154,7 +162,7 @@ def check_section(section: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Tuner smoke (make tune-smoke)
+# Tuner smoke (the first half of the CI policy gate)
 # ----------------------------------------------------------------------
 def smoke_spec(scale: float = 0.15) -> TuneSpec:
     """2×2 grid: both grow thresholds at paper default vs. at 0.99."""

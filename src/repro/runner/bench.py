@@ -1,14 +1,17 @@
-"""The ``repro bench`` engine benchmark.
+"""The ``repro bench`` engine benchmark: the one entry point that runs,
+gates and re-records every section of BENCH_engine.json.
 
 The always-on **micro** layer times the kernel and PS-CPU scenarios from
 ``benchmarks/bench_micro_engine.py`` best-of-N against the committed
 pre-optimization baselines (events/s, jobs/s, speedups).  Every other
-section of BENCH_engine.json — ramp, whatif, sweep, chaos, deploy,
-market, fluid, policy, federation — lives in the :data:`SECTIONS`
-registry, which also says how ``repro bench`` prints it, and is skipped
-through the single ``skip`` parameter (``repro bench --skip NAME``;
-``--micro-only`` skips them all), so a full committed report is one
-``repro bench --out BENCH_engine.json`` invocation.
+section — ramp, whatif, sweep, chaos, deploy, market, fluid, policy,
+federation — lives in the :data:`SECTIONS` registry, which also says how
+``repro bench`` prints and gates it.  A full committed report is one
+``repro bench --out BENCH_engine.json`` invocation; ``--skip NAME``
+leaves a section out (``--micro-only`` leaves them all out), and
+``--only NAME --out BENCH_engine.json`` re-records one section in place.
+``repro bench --only NAME --smoke`` is a subsystem's CI gate: the section
+at its CI size, its render, its assertions and ``NAME-smoke: PASS``.
 
 The CI perf-smoke job runs ``repro bench --check BENCH_engine.json`` and
 fails if the fresh micro timings drift more than the tolerance from the
@@ -17,7 +20,6 @@ committed numbers.
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 import time
@@ -26,9 +28,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.chaos import bench as chaos_bench
+from repro.deploy import bench as deploy_bench
+from repro.federation import bench as federation_bench
+from repro.market import bench as market_bench
 from repro.metrics.aggregates import mean_ci
+from repro.policy import bench as policy_bench
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import ExperimentRunner
+from repro.workload import fluid_bench
 
 #: wall-clock of the micro scenarios before the engine fast-path work
 #: (event freelist, bucketed timers, token-guarded PS wakes), measured
@@ -41,9 +49,10 @@ BASELINES_S = {
 
 
 # ----------------------------------------------------------------------
-# Micro scenarios (mirror benchmarks/bench_micro_engine.py)
+# Micro scenarios (benchmarks/bench_micro_engine.py times the same ones)
 # ----------------------------------------------------------------------
-def _scenario_kernel() -> int:
+def scenario_kernel() -> int:
+    """Schedule + dispatch 10k events."""
     from repro.simulation import SimKernel
 
     kernel = SimKernel()
@@ -54,7 +63,15 @@ def _scenario_kernel() -> int:
     return len(sink)
 
 
-def _scenario_ps(arrivals, demands) -> int:
+def ps_workload() -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times and demands of 5k staggered jobs (seeded)."""
+    rng = np.random.default_rng(0)
+    arrivals = np.cumsum(rng.exponential(0.01, size=5000))
+    return arrivals, rng.gamma(4.0, 0.01 / 4.0, size=5000)
+
+
+def scenario_ps(arrivals, demands) -> int:
+    """Run a :func:`ps_workload` through one processor-sharing CPU."""
     from repro.simulation import CpuJob, PsCpu, SimKernel
 
     kernel = SimKernel()
@@ -76,12 +93,9 @@ def _best_of(fn, rounds: int) -> float:
 
 def run_micro(rounds: int = 10) -> dict[str, dict[str, float]]:
     """Time both micro scenarios; returns the BENCH_engine ``micro`` block."""
-    rng = np.random.default_rng(0)
-    arrivals = np.cumsum(rng.exponential(0.01, size=5000))
-    demands = rng.gamma(4.0, 0.01 / 4.0, size=5000)
-
-    kernel_s = _best_of(_scenario_kernel, rounds)
-    ps_s = _best_of(lambda: _scenario_ps(arrivals, demands), rounds)
+    arrivals, demands = ps_workload()
+    kernel_s = _best_of(scenario_kernel, rounds)
+    ps_s = _best_of(lambda: scenario_ps(arrivals, demands), rounds)
     return {
         "kernel_10k_events": {
             "baseline_s": BASELINES_S["kernel_10k_events"],
@@ -341,92 +355,20 @@ def run_sweep_bench() -> dict:
 # ----------------------------------------------------------------------
 # Section registry + entry points
 # ----------------------------------------------------------------------
-def _section_ramp(ctx: dict) -> dict:
+def _run_ramp(
+    *, seeds, parallel, use_cache, scale, fluid, fluid_threshold, **_
+) -> dict:
     runner = ExperimentRunner(
-        cache=ResultCache() if ctx["use_cache"] else None,
-        parallel=ctx["parallel"],
+        cache=ResultCache() if use_cache else None, parallel=parallel
     )
     return run_ramp_replication(
-        ctx["seeds"],
-        ctx["scale"],
-        runner,
-        fluid=ctx["fluid"],
-        fluid_threshold=ctx["fluid_threshold"],
-    )
-
-
-def _section_whatif(ctx: dict) -> dict:
-    return run_whatif_bench(candidates=ctx["whatif_candidates"])
-
-
-def _section_sweep(ctx: dict) -> dict:
-    return run_sweep_bench()
-
-
-def _section_chaos(ctx: dict) -> dict:
-    from repro.chaos.bench import run_chaos_section
-
-    return run_chaos_section(
-        seeds=ctx["seeds"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_deploy(ctx: dict) -> dict:
-    from repro.deploy.bench import run_deploy_section
-
-    return run_deploy_section(
-        seeds=ctx["seeds"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_market(ctx: dict) -> dict:
-    from repro.market.bench import run_market_section
-
-    return run_market_section(
-        seeds=ctx["seeds"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_fluid(ctx: dict) -> dict:
-    from repro.workload.fluid_bench import run_fluid_section
-
-    return run_fluid_section(
-        seed=ctx["seeds"][0],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_policy(ctx: dict) -> dict:
-    from repro.policy.bench import run_policy_section
-
-    return run_policy_section(
-        seeds=ctx["seeds"],
-        scale=ctx["scale"],
-        parallel=ctx["parallel"],
-        use_cache=ctx["use_cache"],
-    )
-
-
-def _section_federation(ctx: dict) -> dict:
-    from repro.federation.bench import run_federation_section
-
-    return run_federation_section(
-        seed=ctx["seeds"][0],
-        use_cache=ctx["use_cache"],
-        parallel=ctx["parallel"],
+        seeds, scale, runner, fluid=fluid, fluid_threshold=fluid_threshold
     )
 
 
 def _render_ramp(ramp: dict) -> str:
     lines = [
-        f"\nRamp pair x{len(ramp['seeds'])} seeds (scale {ramp['scale']}): "
+        f"Ramp pair x{len(ramp['seeds'])} seeds (scale {ramp['scale']}): "
         f"{ramp['parallel_elapsed_s']:.1f}s elapsed "
         f"(serial estimate {ramp['serial_estimate_s']:.1f}s)"
     ]
@@ -449,7 +391,7 @@ def _render_ramp(ramp: dict) -> str:
 
 def _render_whatif(w: dict) -> str:
     return (
-        f"\nWhat-if {w['candidates']}-candidate decision: "
+        f"What-if {w['candidates']}-candidate decision: "
         f"serial {w['serial_s']:.2f}s, parallel cold "
         f"{w['parallel_cold_s']:.2f}s ({w['speedup_parallel']:.2f}x), "
         f"memoized {w['memoized_s']:.3f}s ({w['speedup_memoized']:.1f}x); "
@@ -465,85 +407,94 @@ def _render_sweep(s: dict) -> str:
     )
 
 
-def _render_with(module: str) -> Callable[[dict], str]:
-    """A subsystem bench module's ``render_section``, imported on use."""
-
-    def render(section: dict) -> str:
-        return "\n" + importlib.import_module(module).render_section(section)
-
-    return render
-
-
 class Section(NamedTuple):
-    """One BENCH_engine.json section: how to run it, how to print it."""
+    """A section defined in this module.  Each subsystem section is a
+    whole module with the same three names."""
 
-    run: Callable[[dict], dict]
-    render: Callable[[dict], str]
+    run_section: Callable[..., dict]
+    render_section: Callable[[dict], str]
+    #: the section's CI gate; ``None`` means ``--smoke`` rejects it
+    check_section: Optional[Callable[[dict], None]] = None
 
 
 #: every BENCH_engine.json section beyond the always-on ``micro`` block,
-#: in report order.  ``run_bench(skip=...)`` names entries here — the one
-#: skip mechanism for all subsystem benches (``--micro-only`` == skip all).
-#: ``federation`` runs last so its shared-pool snapshot reflects every
-#: fan-out the earlier sections made.
+#: in report order.  Each entry runs with ``run_section(seeds=...,
+#: parallel=..., use_cache=..., smoke=...)``, prints with
+#: ``render_section`` and gates with ``check_section``.  ``federation``
+#: runs last so its shared-pool snapshot reflects every fan-out the
+#: earlier sections made.
 SECTIONS = {
-    "ramp": Section(_section_ramp, _render_ramp),
-    "whatif": Section(_section_whatif, _render_whatif),
-    "sweep": Section(_section_sweep, _render_sweep),
-    "chaos": Section(_section_chaos, _render_with("repro.chaos.bench")),
-    "deploy": Section(_section_deploy, _render_with("repro.deploy.bench")),
-    "market": Section(_section_market, _render_with("repro.market.bench")),
-    "fluid": Section(_section_fluid, _render_with("repro.workload.fluid_bench")),
-    "policy": Section(_section_policy, _render_with("repro.policy.bench")),
-    "federation": Section(
-        _section_federation, _render_with("repro.federation.bench")
+    "ramp": Section(_run_ramp, _render_ramp),
+    "whatif": Section(
+        lambda *, candidates, **_: run_whatif_bench(candidates), _render_whatif
     ),
+    "sweep": Section(lambda **_: run_sweep_bench(), _render_sweep),
+    "chaos": chaos_bench,
+    "deploy": deploy_bench,
+    "market": market_bench,
+    "fluid": fluid_bench,
+    "policy": policy_bench,
+    "federation": federation_bench,
 }
 
 
 def run_bench(
-    out_path: Optional[str] = None,
     seeds: Sequence[int] = (1, 2, 3),
     scale: float = 0.15,
     rounds: int = 10,
     parallel: bool = True,
     use_cache: bool = True,
     skip: Sequence[str] = (),
+    only: Sequence[str] = (),
+    smoke: bool = False,
     whatif_candidates: int = 8,
     fluid: bool = False,
     fluid_threshold: int = 0,
 ) -> dict:
-    """Run the full engine benchmark; optionally write BENCH_engine.json.
+    """Run the engine benchmark; returns the report.
 
-    ``skip`` names :data:`SECTIONS` entries to leave out; everything else
-    runs in registry order after the micro scenarios.  ``fluid`` /
-    ``fluid_threshold`` switch the ramp-replication arms onto the hybrid
-    fluid workload engine (the dedicated ``fluid`` section always
-    benchmarks both modes)."""
-    unknown = set(skip) - set(SECTIONS)
+    By default the micro scenarios are timed, then every :data:`SECTIONS`
+    entry not named in ``skip`` runs in registry order.  ``only`` runs
+    just the named sections, in registry order, and leaves the micro
+    scenarios out.  ``smoke`` runs each section at its CI size: seed 1, no
+    cache.  ``fluid`` / ``fluid_threshold`` switch the ramp-replication
+    arms onto the hybrid fluid workload engine (the dedicated ``fluid``
+    section always benchmarks both modes)."""
+    unknown = (set(skip) | set(only)) - set(SECTIONS)
     if unknown:
         raise ValueError(
             f"unknown bench section(s) {sorted(unknown)}; "
             f"choose from {list(SECTIONS)}"
         )
-    ctx = {
+    if smoke:
+        seeds, use_cache = (1,), False
+    common = {
         "seeds": tuple(seeds),
-        "scale": scale,
         "parallel": parallel,
         "use_cache": use_cache,
-        "whatif_candidates": whatif_candidates,
-        "fluid": fluid,
-        "fluid_threshold": fluid_threshold,
+        "smoke": smoke,
     }
-    report: dict = {"micro": run_micro(rounds)}
-    for name, section in SECTIONS.items():
-        if name not in skip:
-            report[name] = section.run(ctx)
-    if out_path:
-        Path(out_path).write_text(
-            json.dumps(report, indent=2, default=float) + "\n"
-        )
+    extras = {
+        "ramp": {"scale": scale, "fluid": fluid, "fluid_threshold": fluid_threshold},
+        "whatif": {"candidates": whatif_candidates},
+    }
+    report: dict = {} if only else {"micro": run_micro(rounds)}
+    for name in SECTIONS:
+        if (name in only) if only else (name not in skip):
+            report[name] = SECTIONS[name].run_section(
+                **common, **extras.get(name, {})
+            )
     return report
+
+
+def merge_report(path: str, sections: dict) -> None:
+    """Write ``sections`` into the JSON report at ``path``: an existing
+    report keeps its other keys and their order; a missing one is created
+    with just ``sections``."""
+    target = Path(path)
+    report = json.loads(target.read_text()) if target.exists() else {}
+    report.update(sections)
+    target.write_text(json.dumps(report, indent=2, default=float) + "\n")
 
 
 def check_against(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -269,14 +270,18 @@ class TestScalingAndBenchFlags:
             bench,
             "SECTIONS",
             {
-                name: section._replace(run=lambda ctx, name=name: committed[name])
+                name: SimpleNamespace(
+                    run_section=lambda name=name, **_: committed[name],
+                    render_section=section.render_section,
+                    check_section=section.check_section,
+                )
                 for name, section in bench.SECTIONS.items()
             },
         )
         assert main(["bench", "--rounds", "1"]) == 0
         out = capsys.readouterr().out
         for name, section in bench.SECTIONS.items():
-            assert section.render(committed[name]) in out, name
+            assert section.render_section(committed[name]) in out, name
         assert "Controller autotuning" in out and "federation:" in out
 
     def test_bench_whatif_flags(self):
@@ -318,6 +323,85 @@ class TestScalingAndBenchFlags:
         assert args.dir == "/tmp/c"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "bogus"])
+
+
+class TestBenchSections:
+    """``repro bench --only NAME [--smoke] [--out FILE]`` on a cheap
+    stand-in section."""
+
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        import repro.runner.bench as bench
+
+        def no_micro(rounds):
+            raise AssertionError("--only must not re-time micro")
+
+        calls = []
+        section = SimpleNamespace(
+            run_section=lambda **kw: calls.append(kw) or {"value": 3},
+            render_section=lambda block: f"toy value {block['value']}",
+            check_section=lambda block: None,
+            calls=calls,
+        )
+        monkeypatch.setattr(bench, "run_micro", no_micro)
+        monkeypatch.setitem(bench.SECTIONS, "toy", section)
+        return section
+
+    def test_smoke_runs_renders_and_passes(self, toy, capsys):
+        assert main(["bench", "--only", "toy", "--smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "toy value 3" in out
+        assert out.rstrip().endswith("toy-smoke: PASS")
+        assert toy.calls == [
+            {"seeds": (1,), "parallel": True, "use_cache": False, "smoke": True}
+        ]
+
+    def test_smoke_exits_1_on_failed_check(self, toy, capsys):
+        def fail(block):
+            raise AssertionError("value drifted")
+
+        toy.check_section = fail
+        assert main(["bench", "--only", "toy", "--smoke"]) == 1
+        out = capsys.readouterr().out
+        assert "toy-smoke: FAIL: value drifted" in out
+        assert "PASS" not in out
+
+    def test_out_merges_into_existing_report(self, toy, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(
+            json.dumps({"micro": {"a": 1}, "toy": {"value": 0}, "z": [2]})
+        )
+        assert main(["bench", "--only", "toy", "--out", str(report)]) == 0
+        merged = json.loads(report.read_text())
+        assert list(merged) == ["micro", "toy", "z"]
+        assert merged == {"micro": {"a": 1}, "toy": {"value": 3}, "z": [2]}
+
+    def test_out_creates_missing_report(self, toy, tmp_path):
+        report = tmp_path / "new.json"
+        assert main(["bench", "--only", "toy", "--out", str(report)]) == 0
+        assert json.loads(report.read_text()) == {"toy": {"value": 3}}
+
+    def test_only_keeps_the_bench_options(self, toy):
+        assert main(["bench", "--only", "toy", "--seeds", "2", "--serial",
+                     "--no-cache"]) == 0
+        assert toy.calls == [
+            {"seeds": (1, 2), "parallel": False, "use_cache": False,
+             "smoke": False}
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--only", "nope"],
+            ["bench", "--smoke"],
+            ["bench", "--only", "ramp", "--smoke"],
+        ],
+        ids=["unknown-section", "smoke-without-only", "smoke-without-check"],
+    )
+    def test_rejected(self, toy, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestCacheCommand:

@@ -662,12 +662,9 @@ class TestExactIncrementalTick:
 # ----------------------------------------------------------------------
 class TestAccuracyGateEndToEnd:
     def test_fig9_gate_and_million_budget(self):
-        from repro.workload.fluid_bench import (
-            check_section,
-            run_fluid_section,
-        )
+        from repro.workload.fluid_bench import check_section, run_section
 
-        section = run_fluid_section(use_cache=False)
+        section = run_section(use_cache=False)
         check_section(section)  # replica identity, tolerances, 1M budget
         gate = section["accuracy"]
         assert gate["replica_sequences"]["database"]["fluid"][-1] == 1

@@ -303,6 +303,26 @@ class TestCollector:
         assert list(c.tier_cpu["db"].values) == [0.5]
         assert list(c.tier_cpu_raw["db"].values) == [0.6]
 
+    def test_tier_cpu_builds_each_series_once(self, monkeypatch):
+        """A reading appends to the tier's two series; only a tier's first
+        reading constructs them."""
+        import repro.metrics.collector as collector
+
+        built = []
+
+        class CountingSeries(TimeSeries):
+            def __init__(self, name):
+                built.append(name)
+                super().__init__(name)
+
+        monkeypatch.setattr(collector, "TimeSeries", CountingSeries)
+        c = MetricsCollector()
+        built.clear()  # the collector's own latency/failure/node series
+        for i in range(100):
+            c.record_tier_cpu(("app", "db")[i % 2], float(i), 0.5, 0.6)
+        assert sorted(built) == ["cpu[app]", "cpu[db]", "cpu_raw[app]", "cpu_raw[db]"]
+        assert len(c.tier_cpu["db"]) == len(c.tier_cpu_raw["app"]) == 50
+
     def test_latency_records_are_packed(self):
         """A latency sample costs its three packed doubles (time, value,
         weight) plus column slack; boxed floats in lists cost ~96 B."""

@@ -250,3 +250,50 @@ class TestExtensionSeam:
         assert loaded.isdisjoint(
             {"chaos", "deploy", "market", "capacity", "runner"}
         ), loaded
+
+
+class TestIdealCapacity:
+    """``thrashing=False`` gives worker nodes the named ideal capacity
+    model: picklable, and a knee the PS-CPU and fluid fast paths see."""
+
+    # Collector digests of the thrashing-free scale-0.1 managed ramp
+    # (seed 1), recorded while the model was an opaque ``lambda n: 1.0``.
+    GOLDEN = {
+        False: "a7f276e309e8bdc01c97c688cbf2140f4e6f2526ecb53364df8689e6a361d5d6",
+        True: "aee82f2a397eea19ad9275678c1899f2e2abc41bc728cc0e8d1e85ad9a0a1383",
+    }
+
+    @staticmethod
+    def config(fluid: bool = False) -> ExperimentConfig:
+        from repro.workload.profiles import RampProfile
+
+        scale = 0.1
+        return ExperimentConfig(
+            profile=RampProfile(
+                warmup_s=300.0 * scale,
+                step_period_s=60.0 * scale,
+                cooldown_s=300.0 * scale,
+            ),
+            seed=1,
+            managed=True,
+            thrashing=False,
+            fluid=fluid,
+        )
+
+    def test_capacity_model_is_named_and_pickles(self):
+        import pickle
+
+        from repro.simulation.resources import capacity_knee, constant_capacity
+
+        system = ManagedSystem(self.config())
+        model = system.nodes[0].cpu.capacity_model
+        assert model is constant_capacity
+        assert pickle.loads(pickle.dumps(model)) is constant_capacity
+        assert capacity_knee(model) > 0
+
+    @pytest.mark.parametrize("fluid", [False, True], ids=["discrete", "fluid"])
+    def test_outputs_unchanged(self, fluid):
+        from tests.conftest import collector_digest
+
+        collector = ManagedSystem(self.config(fluid)).run()
+        assert collector_digest(collector) == self.GOLDEN[fluid]
