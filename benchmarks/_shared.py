@@ -18,7 +18,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.jade.system import ExperimentConfig
-from repro.runner import CompletedRun, ExperimentRunner, ResultCache
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
+from repro.runner.results import CompletedRun
 from repro.workload.profiles import ConstantProfile, RampProfile
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -126,7 +128,8 @@ def proactive_ramp(seed: Optional[int] = None) -> CompletedRun:
     Tuned for the extension benchmark: a 0.25 s SLO in the cost model (the
     ramp's reactive-growth transients sit in the 0.2–0.35 s band) and a
     lower grow margin so the planner arms one inhibition window ahead."""
-    from repro.capacity import CostModel, ProactiveConfig
+    from repro.capacity.cost import CostModel
+    from repro.capacity.proactive import ProactiveConfig
 
     seed = _seed() if seed is None else seed
     key = f"proactive-{seed}"

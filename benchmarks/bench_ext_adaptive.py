@@ -11,7 +11,7 @@ oscillation and widens its own dead band until the system settles.
 
 from repro.jade.self_optimization import LoopConfig
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.policy import PolicyConfig
+from repro.policy.api import PolicyConfig
 from repro.workload.profiles import PiecewiseProfile
 
 from benchmarks._shared import emit

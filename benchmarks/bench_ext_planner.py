@@ -10,7 +10,7 @@ replica; the planner's intent is known from the first reading).
 
 from repro.jade.self_optimization import LoopConfig
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.policy import PolicyConfig
+from repro.policy.api import PolicyConfig
 from repro.workload.profiles import PiecewiseProfile
 
 from benchmarks._shared import emit

@@ -11,11 +11,13 @@ legacy file) and measures it, and also reports the *expressed complexity*:
 management operations vs legacy-level steps and config lines touched.
 """
 
-from repro.cluster import Lan, make_nodes
-from repro.legacy import Directory
+from repro.cluster.network import Lan
+from repro.cluster.node import make_nodes
+from repro.legacy.directory import Directory
 from repro.legacy.configfiles import WorkerProperties
-from repro.simulation import SimKernel
-from repro.wrappers import make_apache_component, make_tomcat_component
+from repro.simulation.kernel import SimKernel
+from repro.wrappers.apache import make_apache_component
+from repro.wrappers.tomcat import make_tomcat_component
 
 from benchmarks._shared import emit
 

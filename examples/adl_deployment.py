@@ -11,18 +11,17 @@ components, bindings fan out over replicas).
 Run:  python examples/adl_deployment.py
 """
 
-from repro.cluster import (
-    ClusterManager,
-    Lan,
-    Package,
-    SoftwareInstallationService,
-    make_nodes,
-)
-from repro.fractal import architecture_report, parse_adl, verify_architecture
+from repro.cluster.allocator import ClusterManager
+from repro.cluster.installer import Package, SoftwareInstallationService
+from repro.cluster.network import Lan
+from repro.cluster.node import make_nodes
+from repro.fractal.adl import parse_adl
+from repro.fractal.introspection import architecture_report, verify_architecture
 from repro.jade.deployment import DeploymentService
-from repro.legacy import Directory, WebRequest
-from repro.simulation import SimKernel
-from repro.wrappers import default_factory_registry
+from repro.legacy.directory import Directory
+from repro.legacy.requests import WebRequest
+from repro.simulation.kernel import SimKernel
+from repro.wrappers.registry import default_factory_registry
 
 FIG2_ADL = """
 <definition name="figure2-j2ee">
@@ -61,7 +60,7 @@ def main() -> None:
 
     # §3.2: the same components, seen from the network-topology point of
     # view (composites per node, holding *shared* references).
-    from repro.fractal import topology_view
+    from repro.fractal.views import topology_view
 
     print("\nTopology view (same components, grouped by node):\n")
     print(architecture_report(topology_view(app.root)))

@@ -15,13 +15,10 @@ Walks the full proactive pipeline from :mod:`repro.capacity`:
 Run:  python examples/capacity_planning.py
 """
 
-from repro.capacity import (
-    CostModel,
-    LinearTrendForecaster,
-    ProactiveConfig,
-    WhatIfEngine,
-    run_to_fork,
-)
+from repro.capacity.cost import CostModel
+from repro.capacity.forecast import LinearTrendForecaster
+from repro.capacity.proactive import ProactiveConfig
+from repro.capacity.whatif import WhatIfEngine, run_to_fork
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.workload.profiles import RampProfile
 

@@ -10,8 +10,8 @@ shrink.
 Run:  python examples/latency_slo.py
 """
 
-from repro import ExperimentConfig, ManagedSystem
-from repro.workload import PiecewiseProfile
+from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.workload.profiles import PiecewiseProfile
 
 
 def main() -> None:

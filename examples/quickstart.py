@@ -5,9 +5,9 @@ Jade management, and print the headline numbers.
 Run:  python examples/quickstart.py
 """
 
-from repro import ExperimentConfig, ManagedSystem
-from repro.fractal import architecture_report
-from repro.workload import ConstantProfile
+from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.fractal.introspection import architecture_report
+from repro.workload.profiles import ConstantProfile
 
 
 def main() -> None:

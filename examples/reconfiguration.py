@@ -12,10 +12,12 @@ rewrites the legacy file for you.
 Run:  python examples/reconfiguration.py
 """
 
-from repro.cluster import Lan, make_nodes
-from repro.legacy import Directory
-from repro.simulation import SimKernel
-from repro.wrappers import make_apache_component, make_tomcat_component
+from repro.cluster.network import Lan
+from repro.cluster.node import make_nodes
+from repro.legacy.directory import Directory
+from repro.simulation.kernel import SimKernel
+from repro.wrappers.apache import make_apache_component
+from repro.wrappers.tomcat import make_tomcat_component
 
 
 def show(title: str, text: str) -> None:

@@ -9,8 +9,8 @@ is re-enabled, so its state digest matches the survivor exactly.
 Run:  python examples/self_recovery.py
 """
 
-from repro import ExperimentConfig, ManagedSystem
-from repro.workload import ConstantProfile
+from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.workload.profiles import ConstantProfile
 
 
 def main() -> None:

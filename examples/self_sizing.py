@@ -12,8 +12,8 @@ Run:  python examples/self_sizing.py            (full 3000 s ramp, ~1 min)
 
 import sys
 
-from repro import ExperimentConfig, ManagedSystem
-from repro.workload import RampProfile
+from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.workload.profiles import RampProfile
 
 
 def ascii_plot(series, thresholds, width=72, height=12, t_end=3000.0):

@@ -10,9 +10,9 @@ actuator components, just wired differently.
 Run:  python examples/three_tier.py
 """
 
-from repro.fractal import architecture_report
+from repro.fractal.introspection import architecture_report
 from repro.jade.three_tier import ThreeTierSystem
-from repro.workload import RampProfile
+from repro.workload.profiles import RampProfile
 
 
 def main() -> None:

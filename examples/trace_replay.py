@@ -12,8 +12,9 @@ Run:  python examples/trace_replay.py
 import tempfile
 
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.metrics import MetricsCollector
-from repro.workload import ConstantProfile, TraceRecorder, TraceReplayer, WorkloadTrace
+from repro.metrics.collector import MetricsCollector
+from repro.workload.profiles import ConstantProfile
+from repro.workload.traces import TraceRecorder, TraceReplayer, WorkloadTrace
 
 
 def capture() -> WorkloadTrace:

@@ -8,6 +8,9 @@ actuators) on top — demonstrated by self-optimizing a clustered J2EE
 application (dynamic resizing of the Tomcat and MySQL tiers under a RUBiS
 workload).
 
+Each package's ``__init__`` is documentation only: import a name from the
+module that defines it, as the quickstart does.
+
 Package map
 -----------
 ================================  =============================================
@@ -19,12 +22,20 @@ Package map
 :mod:`repro.jade`                 deployment, control loops, managers, harness
 :mod:`repro.workload`             RUBiS interactions, clients, ramp profiles
 :mod:`repro.metrics`              time series, moving averages, collector
+:mod:`repro.obs`                  typed decision trace, tracer, timeline
+:mod:`repro.runner`               result cache, process-pool runner, sweeps
+:mod:`repro.capacity`             forecasters, what-if engine, proactive loop
+:mod:`repro.policy`               pluggable control-loop policies, autotuner
+:mod:`repro.chaos`                fault models, campaigns, phi detector
+:mod:`repro.deploy`               bounce strategies, canary, rollback
+:mod:`repro.market`               instance catalog, spot market, fleet costs
+:mod:`repro.federation`           multi-region epochs, global load balancer
 ================================  =============================================
 
 Quickstart
 ----------
->>> from repro import ExperimentConfig, ManagedSystem
->>> from repro.workload import ConstantProfile
+>>> from repro.jade.system import ExperimentConfig, ManagedSystem
+>>> from repro.workload.profiles import ConstantProfile
 >>> system = ManagedSystem(ExperimentConfig(
 ...     profile=ConstantProfile(80, 120.0), seed=7))
 >>> collector = system.run()
@@ -32,8 +43,4 @@ Quickstart
 True
 """
 
-from repro.jade.system import ExperimentConfig, ManagedSystem
-
 __version__ = "1.0.0"
-
-__all__ = ["ExperimentConfig", "ManagedSystem", "__version__"]

@@ -15,51 +15,9 @@ package adds the predictive layer a production autoscaler grows into:
   simulations, without touching the parent run;
 * :mod:`repro.capacity.cost` — node-hours, reconfiguration and
   SLO-violation costs used to score candidate outcomes;
-* :mod:`repro.capacity.proactive` — the :class:`ProactiveManager` control
-  loop that proposes grow/shrink *ahead* of predicted threshold crossings,
+* :mod:`repro.capacity.proactive` — the
+  :class:`~repro.capacity.proactive.ProactiveManager` control loop that
+  proposes grow/shrink *ahead* of predicted threshold crossings,
   routed through the same inhibition/arbitration machinery as the
   reactive loops.
 """
-
-from repro.capacity.cost import CostBreakdown, CostModel, slo_violation_time
-from repro.capacity.forecast import (
-    EwmaForecaster,
-    Forecaster,
-    LinearTrendForecaster,
-    SeasonalForecaster,
-    make_forecaster,
-)
-from repro.capacity.proactive import ProactiveConfig, ProactiveManager
-from repro.capacity.snapshot import SystemSnapshot
-from repro.capacity.whatif import (
-    BranchOutcome,
-    BranchSpec,
-    Candidate,
-    WhatIfEngine,
-    default_candidates,
-    evaluate_branch,
-    run_to_fork,
-    warm_fingerprint,
-)
-
-__all__ = [
-    "BranchOutcome",
-    "BranchSpec",
-    "Candidate",
-    "CostBreakdown",
-    "CostModel",
-    "EwmaForecaster",
-    "Forecaster",
-    "LinearTrendForecaster",
-    "ProactiveConfig",
-    "ProactiveManager",
-    "SeasonalForecaster",
-    "SystemSnapshot",
-    "WhatIfEngine",
-    "default_candidates",
-    "evaluate_branch",
-    "make_forecaster",
-    "run_to_fork",
-    "slo_violation_time",
-    "warm_fingerprint",
-]

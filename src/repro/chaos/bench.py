@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.chaos import PRESETS, campaign_config, score_campaign
+from repro.chaos.campaign import PRESETS, campaign_config
+from repro.chaos.scorecard import score_campaign
 
 #: campaigns whose MTTR the committed report tracks with CIs
 MTTR_CAMPAIGNS = ("crash", "fail-slow", "correlated")
@@ -42,7 +43,8 @@ def run_section(
 ) -> dict:
     """The ``"chaos"`` section of BENCH_engine.json (the CI smoke is one
     seed, which the caller passes)."""
-    from repro.runner import ExperimentRunner, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
     runner = ExperimentRunner(
         cache=ResultCache() if use_cache else None, parallel=parallel
@@ -133,10 +135,24 @@ def check_section(section: dict) -> None:
     n_seeds = len(section["seeds"])
     for name in MTTR_CAMPAIGNS:
         c = section["campaigns"][name]
-        assert c["unrepaired"] == 0, f"{name}: unrepaired faults"
-        assert c["mttr_s"]["n"] == n_seeds
-        assert 0.0 < c["mttr_s"]["mean"] < 120.0
-        assert c["availability"]["mean"] > 0.9
+        if c["unrepaired"] != 0:
+            raise AssertionError(f"{name}: unrepaired faults")
+        if c["mttr_s"]["n"] != n_seeds:
+            raise AssertionError(
+                f"{name}: MTTR over {c['mttr_s']['n']} of {n_seeds} seeds"
+            )
+        if not 0.0 < c["mttr_s"]["mean"] < 120.0:
+            raise AssertionError(
+                f"{name}: mean MTTR {c['mttr_s']['mean']} s outside (0, 120)"
+            )
+        if not c["availability"]["mean"] > 0.9:
+            raise AssertionError(
+                f"{name}: availability {c['availability']['mean']} not above 0.9"
+            )
     g = section["gray_detection"]
-    assert g["phi_catches_gray"], "phi detector failed to catch gray failure"
-    assert g["phi"]["goodput_rps"]["mean"] > g["legacy"]["goodput_rps"]["mean"]
+    if not g["phi_catches_gray"]:
+        raise AssertionError("phi detector failed to catch gray failure")
+    if not g["phi"]["goodput_rps"]["mean"] > g["legacy"]["goodput_rps"]["mean"]:
+        raise AssertionError(
+            "phi detector did not raise goodput over the legacy heartbeat"
+        )

@@ -11,8 +11,8 @@ Everything here is a pure function of :class:`CompletedRun` plain data
 (the chaos event log, the recovery manager's detection log and the
 collector's reconfiguration log), so the scorecard of a cached or
 pool-worker run is byte-identical to a serial one —
-:func:`scorecard_json` canonicalizes (sorted keys, rounded floats) to
-make that testable.
+:func:`~repro.metrics.aggregates.scorecard_json` canonicalizes (sorted
+keys, rounded floats) to make that testable.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from repro.capacity.cost import slo_violation_time
 from repro.chaos.faults import DISRUPTIVE
 from repro.metrics.aggregates import format_ci, mean_ci
-from repro.metrics.aggregates import scorecard_json  # noqa: F401 (re-export)
 
 
 def _repairs_by_node(collector) -> dict[str, list[tuple[float, str, float]]]:

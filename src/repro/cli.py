@@ -723,8 +723,9 @@ def _run_profile(args: argparse.Namespace, profile, managed: bool) -> int:
 
 
 def cmd_whatif(args: argparse.Namespace) -> int:
-    from repro.capacity import CostModel, WhatIfEngine, make_forecaster, run_to_fork
-    from repro.capacity.whatif import default_candidates
+    from repro.capacity.cost import CostModel
+    from repro.capacity.forecast import make_forecaster
+    from repro.capacity.whatif import WhatIfEngine, default_candidates, run_to_fork
 
     profile = RampProfile(
         peak=args.peak,
@@ -890,7 +891,8 @@ def _fanout_seeds(args: argparse.Namespace) -> tuple[int, ...]:
 def _runner(args: argparse.Namespace):
     """The result-cached experiment runner ``--workers``/``--no-cache``/
     ``--serial`` describe."""
-    from repro.runner import ExperimentRunner, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
     return ExperimentRunner(
         max_workers=args.workers,
@@ -916,13 +918,9 @@ def _write_scorecard(path: Optional[str], text: str) -> None:
 def cmd_chaos(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.chaos import (
-        PRESETS,
-        campaign_config,
-        render_scorecard,
-        score_campaign,
-        scorecard_json,
-    )
+    from repro.chaos.campaign import PRESETS, campaign_config
+    from repro.chaos.scorecard import render_scorecard, score_campaign
+    from repro.metrics.aggregates import scorecard_json
 
     campaign = PRESETS[args.campaign]()
     if args.detector is not None:
@@ -972,14 +970,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
-    from repro.deploy import (
-        PRESETS,
-        deploy_config,
-        render_scorecard,
-        score_scenario,
-        scorecard_json,
-        with_strategy,
-    )
+    from repro.deploy.scenario import PRESETS, deploy_config, with_strategy
+    from repro.deploy.scorecard import render_scorecard, score_scenario
+    from repro.metrics.aggregates import scorecard_json
 
     scenario = PRESETS[args.scenario]()
     if args.strategy is not None:
@@ -1030,13 +1023,10 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 def cmd_market(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.market.costs import (
-        render_scorecard,
-        score_scenario,
-        scorecard_json,
-    )
+    from repro.market.costs import render_scorecard, score_scenario
     from repro.market.scenario import PRESETS, market_config
     from repro.market.whatif import evaluate_mixes, render_mixes
+    from repro.metrics.aggregates import scorecard_json
 
     seeds = _fanout_seeds(args)
     if not seeds:
@@ -1130,7 +1120,7 @@ def cmd_market(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.runner import (
+    from repro.runner.sweep import (
         SweepSpec,
         run_sweep,
         write_sweep_csv,
@@ -1237,7 +1227,7 @@ def cmd_federate(args: argparse.Namespace) -> int:
 
     from repro.federation.coordinator import run_federation
     from repro.federation.spec import PRESETS as FED_PRESETS
-    from repro.runner import ResultCache
+    from repro.runner.cache import ResultCache
 
     factory = FED_PRESETS[args.scenario]
     kwargs = {"scale": args.scale, "seed": args.seed}
@@ -1358,7 +1348,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runner.bench import check_against, check_whatif, run_bench
+    from repro.runner.bench import (
+        SECTIONS,
+        check_against,
+        check_whatif,
+        merge_report,
+        run_bench,
+    )
 
     if args.check or args.check_whatif:
         ok = True
@@ -1377,7 +1373,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("perf-smoke:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
-    from repro.runner.bench import SECTIONS, merge_report
 
     skip = set(SECTIONS) if args.micro_only else set(args.skip)
     report = run_bench(

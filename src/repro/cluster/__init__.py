@@ -8,24 +8,3 @@ pool, a :class:`~repro.cluster.installer.SoftwareInstallationService`
 installing packaged software onto nodes, a simple LAN model and a failure
 injector used by the self-recovery experiments.
 """
-
-from repro.cluster.allocator import ClusterManager, NoFreeNodeError
-from repro.cluster.failures import FailureInjector
-from repro.cluster.filesystem import FileNotFound, NodeFilesystem
-from repro.cluster.installer import Package, SoftwareInstallationService
-from repro.cluster.network import Lan
-from repro.cluster.node import Node, NodeDown, make_nodes
-
-__all__ = [
-    "ClusterManager",
-    "FailureInjector",
-    "FileNotFound",
-    "Lan",
-    "NoFreeNodeError",
-    "Node",
-    "NodeDown",
-    "NodeFilesystem",
-    "Package",
-    "SoftwareInstallationService",
-    "make_nodes",
-]

@@ -12,46 +12,3 @@ reconfiguration every clustered application lives with: shipping a new
 server configuration without dropping the site, and un-shipping it when
 the push was bad.
 """
-
-from repro.deploy.bounce import BounceOperation
-from repro.deploy.canary import CanaryController, DeployManager
-from repro.deploy.scenario import (
-    PRESETS,
-    STRATEGIES,
-    DeployScenario,
-    deploy_config,
-    with_strategy,
-)
-from repro.deploy.scorecard import (
-    render_scorecard,
-    score_run,
-    score_scenario,
-    scorecard_json,
-    violation_seconds,
-)
-from repro.deploy.versions import (
-    ServerVersion,
-    apply_version,
-    clear_version,
-    version_label,
-)
-
-__all__ = [
-    "BounceOperation",
-    "CanaryController",
-    "DeployManager",
-    "DeployScenario",
-    "PRESETS",
-    "STRATEGIES",
-    "ServerVersion",
-    "apply_version",
-    "clear_version",
-    "deploy_config",
-    "render_scorecard",
-    "score_run",
-    "score_scenario",
-    "scorecard_json",
-    "version_label",
-    "violation_seconds",
-    "with_strategy",
-]

@@ -42,7 +42,8 @@ def run_section(
 ) -> dict:
     """The ``"deploy"`` section of BENCH_engine.json (the CI smoke is one
     seed, which the caller passes)."""
-    from repro.runner import ExperimentRunner, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
     runner = ExperimentRunner(
         cache=ResultCache() if use_cache else None, parallel=parallel
@@ -108,24 +109,26 @@ def render_section(section: dict) -> str:
 def check_section(section: dict) -> None:
     """The load-bearing assertions shared by pytest and the CI smoke."""
     h = section["headline"]
-    assert h["rollbacks"] == h["runs"], (
-        f"bad push not always rolled back: {h['rollbacks']}/{h['runs']}"
-    )
-    assert h["rollback_latency_s"]["mean"] < 120.0, "rollback too slow"
-    for row in section["bad_push"]["per_seed"]:
-        assert abs(row["goodput_ratio"] - 1.0) <= 0.05, (
-            f"seed {row['seed']}: post-rollback goodput "
-            f"{row['goodput_ratio'] * 100:.1f} % of pre-push"
+    if h["rollbacks"] != h["runs"]:
+        raise AssertionError(
+            f"bad push not always rolled back: {h['rollbacks']}/{h['runs']}"
         )
+    if not h["rollback_latency_s"]["mean"] < 120.0:
+        raise AssertionError("rollback too slow")
+    for row in section["bad_push"]["per_seed"]:
+        if not abs(row["goodput_ratio"] - 1.0) <= 0.05:
+            raise AssertionError(
+                f"seed {row['seed']}: post-rollback goodput "
+                f"{row['goodput_ratio'] * 100:.1f} % of pre-push"
+            )
     crossover = h["crossover_slo_violation_s"]["mean"]
     brutal = h["brutal_slo_violation_s"]["mean"]
-    assert crossover < brutal, (
-        f"crossover SLO violation ({crossover:.1f} s) not below "
-        f"brutal ({brutal:.1f} s)"
-    )
-    assert h["crossover_min_serving"]["mean"] >= 3.0, (
-        "crossover dipped below the fleet size"
-    )
-    assert h["brutal_blackout_s"]["mean"] > 0.0, (
-        "brutal bounce did not black out (model drifted?)"
-    )
+    if not crossover < brutal:
+        raise AssertionError(
+            f"crossover SLO violation ({crossover:.1f} s) not below "
+            f"brutal ({brutal:.1f} s)"
+        )
+    if not h["crossover_min_serving"]["mean"] >= 3.0:
+        raise AssertionError("crossover dipped below the fleet size")
+    if not h["brutal_blackout_s"]["mean"] > 0.0:
+        raise AssertionError("brutal bounce did not black out (model drifted?)")

@@ -27,7 +27,6 @@ import math
 from typing import Sequence
 
 from repro.metrics.aggregates import format_ci, mean_ci
-from repro.metrics.aggregates import scorecard_json  # noqa: F401 (re-export)
 
 
 def violation_seconds(

@@ -8,11 +8,13 @@ own kernel, RNG streams, workload, and control loops — and regions
 interact **only** through typed messages exchanged at epoch barriers:
 
 * regions advance in lockstep epochs (one adjust period by default);
-* at each barrier every region flushes a :class:`RegionReport`
-  (latency/capacity observed over the epoch);
-* the coordinator's :class:`GlobalLoadBalancer` turns the reports into
-  :class:`WeightUpdate` routing decisions (weights, spilled demand,
-  evacuations), delivered before the next epoch.
+* at each barrier every region flushes a
+  :class:`~repro.federation.messages.RegionReport` (latency/capacity
+  observed over the epoch);
+* the coordinator's :class:`~repro.federation.routing.GlobalLoadBalancer`
+  turns the reports into :class:`~repro.federation.messages.WeightUpdate`
+  routing decisions (weights, spilled demand, evacuations), delivered
+  before the next epoch.
 
 Because a region's trajectory depends only on (its config, the inbound
 messages per epoch) and routing is a pure function of the sorted
@@ -22,23 +24,3 @@ federations.  In parallel mode each region owns a persistent worker
 process (one core per region), so wall-clock approaches
 ``max(region)`` instead of ``sum(regions)``.
 """
-
-from repro.federation.messages import RegionReport, WeightUpdate
-from repro.federation.routing import GlobalLoadBalancer, RoutedProfile
-from repro.federation.spec import (
-    PRESETS,
-    FederationSpec,
-    RegionSpec,
-    region_seed,
-)
-
-__all__ = [
-    "FederationSpec",
-    "RegionSpec",
-    "RegionReport",
-    "WeightUpdate",
-    "GlobalLoadBalancer",
-    "RoutedProfile",
-    "PRESETS",
-    "region_seed",
-]

@@ -185,22 +185,20 @@ def render_section(section: dict) -> str:
 def check_section(section: dict) -> None:
     """The federation gate (committed report and CI smoke)."""
     floor = SMOKE_MIN_SPEEDUP if section["smoke"] else MIN_SPEEDUP
-    assert section["byte_identical"] is True, (
-        "serial and parallel federation scorecards diverged"
-    )
-    assert section["speedup"] >= floor, (
-        f"critical-path speedup {section['speedup']:.2f}x below the "
-        f"{floor:.1f}x floor"
-    )
+    if section["byte_identical"] is not True:
+        raise AssertionError("serial and parallel federation scorecards diverged")
+    if not section["speedup"] >= floor:
+        raise AssertionError(
+            f"critical-path speedup {section['speedup']:.2f}x below the "
+            f"{floor:.1f}x floor"
+        )
     evac = section["evacuation"]
-    assert evac["drained"] is True, "hit region was never evacuated"
-    assert evac["hit_final_active_clients"] == 0, (
-        "evacuated region still had active clients at the end"
-    )
-    assert evac["survivor_spill_peak"] > 0, (
-        "survivor absorbed no spilled demand"
-    )
+    if evac["drained"] is not True:
+        raise AssertionError("hit region was never evacuated")
+    if evac["hit_final_active_clients"] != 0:
+        raise AssertionError("evacuated region still had active clients at the end")
+    if not evac["survivor_spill_peak"] > 0:
+        raise AssertionError("survivor absorbed no spilled demand")
     fts = section["follow_the_sun"]
-    assert fts["distinct_peaks"] >= 2, (
-        "follow-the-sun peaks did not move across regions"
-    )
+    if not fts["distinct_peaks"] >= 2:
+        raise AssertionError("follow-the-sun peaks did not move across regions")

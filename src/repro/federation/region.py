@@ -26,8 +26,12 @@ from typing import Optional
 
 import numpy as np
 
+# The phi detector a chaos campaign selects is imported lazily by
+# ManagedSystem; loading it here keeps it out of forked region workers.
+import repro.chaos.detectors  # noqa: F401
 from repro.federation.messages import RegionReport, WeightUpdate
 from repro.federation.spec import FederationSpec, RegionSpec, build_region_config
+from repro.jade.system import ManagedSystem
 from repro.runner.results import CompletedRun
 
 
@@ -93,8 +97,6 @@ class RegionRuntime:
         spec: RegionSpec,
         trace_jsonl: Optional[str] = None,
     ) -> None:
-        from repro.jade.system import ManagedSystem
-
         self.fed = fed
         self.spec = spec
         self.name = spec.name

@@ -15,77 +15,3 @@ package implements the subset the paper relies on, faithfully:
 * an XML Architecture Description Language (§3.3) with a component-factory
   registry, interpreted at deployment time.
 """
-
-from repro.fractal.adl import AdlError, AdlParser, ComponentFactoryRegistry, parse_adl
-from repro.fractal.bindings import CompositeBinding
-from repro.fractal.component import Component, Membrane
-from repro.fractal.controllers import (
-    AttributeController,
-    BindingController,
-    ContentController,
-    LifecycleController,
-    LifecycleState,
-    NameController,
-)
-from repro.fractal.errors import (
-    FractalError,
-    IllegalBindingError,
-    IllegalContentError,
-    IllegalLifecycleError,
-    NoSuchAttributeError,
-    NoSuchInterfaceError,
-)
-from repro.fractal.interfaces import (
-    CLIENT,
-    COLLECTION,
-    MANDATORY,
-    OPTIONAL,
-    SERVER,
-    SINGLETON,
-    Interface,
-    InterfaceType,
-)
-from repro.fractal.introspection import (
-    architecture_report,
-    find_components,
-    iter_components,
-    verify_architecture,
-)
-from repro.fractal.views import build_view, software_view, topology_view
-
-__all__ = [
-    "AdlError",
-    "AdlParser",
-    "AttributeController",
-    "BindingController",
-    "CLIENT",
-    "COLLECTION",
-    "Component",
-    "ComponentFactoryRegistry",
-    "CompositeBinding",
-    "ContentController",
-    "FractalError",
-    "IllegalBindingError",
-    "IllegalContentError",
-    "IllegalLifecycleError",
-    "Interface",
-    "InterfaceType",
-    "LifecycleController",
-    "LifecycleState",
-    "MANDATORY",
-    "Membrane",
-    "NameController",
-    "NoSuchAttributeError",
-    "NoSuchInterfaceError",
-    "OPTIONAL",
-    "SERVER",
-    "SINGLETON",
-    "architecture_report",
-    "build_view",
-    "find_components",
-    "iter_components",
-    "parse_adl",
-    "software_view",
-    "topology_view",
-    "verify_architecture",
-]

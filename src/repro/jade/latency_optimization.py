@@ -26,7 +26,8 @@ from repro.jade.control_loop import InhibitionLock
 from repro.jade.sensors import LatencyReading, LatencySensor, UtilizationSampler
 from repro.metrics.collector import MetricsCollector
 from repro.obs.events import DecisionAction
-from repro.policy import LatencyBandPolicy, Policy, PolicyInputs
+from repro.policy.api import Policy, PolicyInputs
+from repro.policy.threshold import LatencyBandPolicy
 from repro.simulation.kernel import SimKernel
 
 
@@ -35,9 +36,9 @@ class SloReactor:
     localization.
 
     The *judgment* (is the smoothed latency out of band?) is delegated to
-    a :class:`~repro.policy.LatencyBandPolicy` plugin; the localization —
-    *which* tier grows or shrinks — stays here, because latency is not
-    attributable to a single tier.
+    a :class:`~repro.policy.threshold.LatencyBandPolicy` plugin; the
+    localization — *which* tier grows or shrinks — stays here, because
+    latency is not attributable to a single tier.
     """
 
     def __init__(

@@ -46,7 +46,7 @@ from repro.jade.control_loop import (
 )
 from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
-from repro.policy import AdaptiveThresholdPolicy, ThresholdPolicy
+from repro.policy.threshold import AdaptiveThresholdPolicy, ThresholdPolicy
 
 #: the paper's self-optimization manager, as an ADL document
 SELF_OPTIMIZATION_ADL = """

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.jade.sensors import CpuReading
 from repro.obs.events import Decision, DecisionAction, DecisionReason, PolicyDecided
-from repro.policy import Policy, PolicyDecision, PolicyInputs
+from repro.policy.api import Policy, PolicyDecision, PolicyInputs
 from repro.simulation.kernel import SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class PolicyReactor:
     """Generic analysis/decision component for one tier.
 
-    Feeds every sensor reading through a :class:`repro.policy.Policy`
+    Feeds every sensor reading through a :class:`repro.policy.api.Policy`
     plugin and executes its verdict:
 
     * ``grow``   → one replica added (never above ``max_replicas``);

@@ -18,7 +18,7 @@ from repro.jade.actuators import TierManager
 from repro.jade.control_loop import ControlLoop, InhibitionLock
 from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
-from repro.policy import PolicyConfig
+from repro.policy.api import PolicyConfig
 from repro.simulation.kernel import SimKernel
 from repro.workload.calibration import DEFAULT_CALIBRATION, Calibration
 

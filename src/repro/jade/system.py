@@ -27,6 +27,7 @@ reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.cluster.allocator import ClusterManager
@@ -54,7 +55,7 @@ from repro.obs.tracer import Tracer
 from repro.simulation.kernel import SimKernel
 from repro.simulation.resources import ThrashingCurve, constant_capacity
 from repro.simulation.rng import RngStreams
-from repro.wrappers import default_factory_registry
+from repro.wrappers.registry import default_factory_registry
 from repro.wrappers.mysql import make_mysql_component
 from repro.wrappers.tomcat import make_tomcat_component
 from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
@@ -318,15 +319,6 @@ class ManagedSystem:
             arbitration=self.arbitration,
             name_prefix="tomcat",
         )
-        controller = self.cjdbc.content.controller
-
-        def _db_ready(record) -> bool:
-            try:
-                handle = controller.backend(record.binding_instance)
-            except KeyError:
-                return True  # detached (crashed) — do not wait forever
-            return handle.state is BackendState.ENABLED
-
         self.db_tier = TierManager(
             self.kernel,
             "database",
@@ -340,7 +332,7 @@ class ManagedSystem:
             package="mysql",
             factory_context=factory_context,
             collector=self.collector,
-            ready_check=_db_ready,
+            ready_check=self._db_ready,
             arbitration=self.arbitration,
             name_prefix="mysql",
         )
@@ -460,7 +452,9 @@ class ManagedSystem:
                 self._passive_probes.append(probe)
             self._tier_probes = dict(zip(("app", "db"), self._passive_probes))
         for label, tier_name in (("app", "application"), ("db", "database")):
-            self._tier_probes[label].subscribe(self._tier_recorder(tier_name))
+            self._tier_probes[label].subscribe(
+                partial(self._record_tier_cpu, tier_name)
+            )
 
         # --- workload ----------------------------------------------------
         if cfg.fluid:
@@ -609,15 +603,18 @@ class ManagedSystem:
         """The system's front door (what the emulated browsers hit)."""
         self.plb.content.balancer.handle(request)
 
-    def _tier_recorder(self, tier_name: str):
-        collector = self.collector
+    def _db_ready(self, record) -> bool:
+        """A new database replica is ready once C-JDBC enables it."""
+        try:
+            handle = self.cjdbc.content.controller.backend(record.binding_instance)
+        except KeyError:
+            return True  # detached (crashed) — do not wait forever
+        return handle.state is BackendState.ENABLED
 
-        def record(reading) -> None:
-            collector.record_tier_cpu(
-                tier_name, reading.t, reading.smoothed, reading.raw
-            )
-
-        return record
+    def _record_tier_cpu(self, tier_name: str, reading) -> None:
+        self.collector.record_tier_cpu(
+            tier_name, reading.t, reading.smoothed, reading.raw
+        )
 
     def involved_nodes(self) -> list[Node]:
         """Nodes participating in the experiment right now: the balancers'

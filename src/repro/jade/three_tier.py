@@ -35,10 +35,10 @@ from repro.jade.sensors import CpuProbe
 from repro.legacy.cjdbc import BackendState
 from repro.legacy.directory import Directory
 from repro.metrics.collector import MetricsCollector
-from repro.policy import ThresholdPolicy
+from repro.policy.threshold import ThresholdPolicy
 from repro.simulation.kernel import SimKernel
 from repro.simulation.rng import RngStreams
-from repro.wrappers import default_factory_registry
+from repro.wrappers.registry import default_factory_registry
 from repro.wrappers.apache import make_apache_component
 from repro.wrappers.mysql import make_mysql_component
 from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION

@@ -17,44 +17,3 @@ consumes CPU on its node for every request.  None of them knows anything
 about Jade — the management layer only touches them through wrappers, as in
 the paper.
 """
-
-from repro.legacy.apache import ApacheServer
-from repro.legacy.cjdbc import BackendState, CJdbcController
-from repro.legacy.directory import Directory, EndpointNotFound
-from repro.legacy.l4switch import L4Switch
-from repro.legacy.mysql import MySqlServer
-from repro.legacy.plb import PlbBalancer
-from repro.legacy.policies import (
-    LeastPendingPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    WeightedRoundRobinPolicy,
-    make_policy,
-)
-from repro.legacy.recovery_log import RecoveryLog
-from repro.legacy.requests import RequestFailed, WebRequest
-from repro.legacy.server import LegacyServer, ServerNotRunning
-from repro.legacy.tomcat import TomcatServer, parse_jdbc_url
-
-__all__ = [
-    "ApacheServer",
-    "BackendState",
-    "CJdbcController",
-    "Directory",
-    "EndpointNotFound",
-    "L4Switch",
-    "LeastPendingPolicy",
-    "LegacyServer",
-    "MySqlServer",
-    "PlbBalancer",
-    "RandomPolicy",
-    "RecoveryLog",
-    "RequestFailed",
-    "RoundRobinPolicy",
-    "ServerNotRunning",
-    "TomcatServer",
-    "WeightedRoundRobinPolicy",
-    "WebRequest",
-    "make_policy",
-    "parse_jdbc_url",
-]

@@ -16,36 +16,3 @@ a fleet-mix what-if (:mod:`~repro.market.whatif`).
 Headline: the Fig. 9 ramp at the same SLO for measurably lower fleet
 cost than the uniform on-demand pool (see :mod:`repro.market.bench`).
 """
-
-from repro.market.catalog import (
-    DEFAULT_CATALOG,
-    MARKETS,
-    InstanceType,
-    by_name,
-    price_book,
-)
-from repro.market.allocator import FleetAllocator, Offer
-from repro.market.engine import MarketEngine
-from repro.market.scenario import (
-    POLICIES,
-    PRESETS,
-    MarketScenario,
-    market_config,
-)
-from repro.market.spot import SpotMarket
-
-__all__ = [
-    "DEFAULT_CATALOG",
-    "MARKETS",
-    "POLICIES",
-    "PRESETS",
-    "FleetAllocator",
-    "InstanceType",
-    "MarketEngine",
-    "MarketScenario",
-    "Offer",
-    "SpotMarket",
-    "by_name",
-    "market_config",
-    "price_book",
-]

@@ -36,7 +36,8 @@ def run_section(
 ) -> dict:
     """The ``"market"`` section of BENCH_engine.json (the CI smoke is one
     seed, which the caller passes)."""
-    from repro.runner import ExperimentRunner, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
     runner = ExperimentRunner(
         cache=ResultCache() if use_cache else None, parallel=parallel
@@ -136,23 +137,27 @@ def check_section(section: dict) -> None:
     """The load-bearing assertions shared by pytest and the CI smoke."""
     h = section["headline"]
     savings = h["savings_pct"]["mean"]
-    assert savings >= section["min_savings_pct"], (
-        f"spot-heavy savings {savings:.1f} % below the "
-        f"{section['min_savings_pct']:.0f} % headline floor"
-    )
-    assert h["slo_delta_s"] <= section["slo_tolerance_s"], (
-        f"spot-heavy SLO violation exceeds the uniform pool's by "
-        f"{h['slo_delta_s']:.1f} s (budget {section['slo_tolerance_s']:.0f} s)"
-    )
+    if not savings >= section["min_savings_pct"]:
+        raise AssertionError(
+            f"spot-heavy savings {savings:.1f} % below the "
+            f"{section['min_savings_pct']:.0f} % headline floor"
+        )
+    if not h["slo_delta_s"] <= section["slo_tolerance_s"]:
+        raise AssertionError(
+            f"spot-heavy SLO violation exceeds the uniform pool's by "
+            f"{h['slo_delta_s']:.1f} s (budget {section['slo_tolerance_s']:.0f} s)"
+        )
     # the savings must come from the market, not from serving less work
     good = h["goodput_rps"]["mean"]
     uni_good = h["uniform_goodput_rps"]["mean"]
-    assert good >= 0.95 * uni_good, (
-        f"spot-heavy goodput {good:.2f} req/s fell below 95 % of the "
-        f"uniform pool's {uni_good:.2f} req/s"
-    )
-    for row in section["arms"]["spot-heavy"]["per_seed"]:
-        assert row["fleet_cost"] < row["uniform_cost"], (
-            f"seed {row['seed']}: fleet cost {row['fleet_cost']:.3f} not "
-            f"below uniform {row['uniform_cost']:.3f}"
+    if not good >= 0.95 * uni_good:
+        raise AssertionError(
+            f"spot-heavy goodput {good:.2f} req/s fell below 95 % of the "
+            f"uniform pool's {uni_good:.2f} req/s"
         )
+    for row in section["arms"]["spot-heavy"]["per_seed"]:
+        if not row["fleet_cost"] < row["uniform_cost"]:
+            raise AssertionError(
+                f"seed {row['seed']}: fleet cost {row['fleet_cost']:.3f} not "
+                f"below uniform {row['uniform_cost']:.3f}"
+            )

@@ -22,7 +22,6 @@ from typing import Sequence
 
 from repro.capacity.cost import slo_violation_time
 from repro.metrics.aggregates import format_ci, mean_ci
-from repro.metrics.aggregates import scorecard_json  # noqa: F401 (re-export)
 
 #: hourly price of the uniform pool's calibrated machine (std.small ==
 #: CostModel.node_hour_cost — see repro.market.catalog)

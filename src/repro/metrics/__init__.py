@@ -5,21 +5,3 @@ averaging the paper's sensors perform (:mod:`~repro.metrics.aggregates`),
 and the experiment-wide collector the benchmark harness reads figures from
 (:mod:`~repro.metrics.collector`).
 """
-
-from repro.metrics.aggregates import MovingAverage, spatial_average, summarize
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.export import series_rows, to_json_dict, write_csv, write_json
-from repro.metrics.series import StepSeries, TimeSeries
-
-__all__ = [
-    "MetricsCollector",
-    "MovingAverage",
-    "StepSeries",
-    "TimeSeries",
-    "series_rows",
-    "spatial_average",
-    "summarize",
-    "to_json_dict",
-    "write_csv",
-    "write_json",
-]

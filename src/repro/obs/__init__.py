@@ -14,42 +14,3 @@ Tracing is opt-in (``ExperimentConfig(trace=True)`` or ``--trace FILE``)
 and zero-cost when off: emission points hold ``tracer = None`` and every
 site guards with one attribute test.
 """
-
-from repro.obs.events import (
-    Decision,
-    DecisionAction,
-    DecisionReason,
-    InhibitionAcquired,
-    InhibitionRejected,
-    KernelStats,
-    NodeAllocated,
-    NodeFailed,
-    NodeReleased,
-    ProbeReading,
-    ReconfigCompleted,
-    ReconfigStarted,
-    TraceEvent,
-)
-from repro.obs.tracer import Tracer, causal_chain, load_jsonl
-from repro.obs.timeline import render_timeline, render_timeline_file
-
-__all__ = [
-    "Decision",
-    "DecisionAction",
-    "DecisionReason",
-    "InhibitionAcquired",
-    "InhibitionRejected",
-    "KernelStats",
-    "NodeAllocated",
-    "NodeFailed",
-    "NodeReleased",
-    "ProbeReading",
-    "ReconfigCompleted",
-    "ReconfigStarted",
-    "TraceEvent",
-    "Tracer",
-    "causal_chain",
-    "load_jsonl",
-    "render_timeline",
-    "render_timeline_file",
-]

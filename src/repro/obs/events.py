@@ -109,7 +109,7 @@ class PolicyDecided(TraceEvent):
     mechanics (inhibition, caps, the actuator) weigh in; the
     :class:`Decision` that follows records what actually happened to the
     verdict.  ``inputs_digest`` is a
-    short fingerprint of the exact :class:`~repro.policy.PolicyInputs`
+    short fingerprint of the exact :class:`~repro.policy.api.PolicyInputs`
     snapshot, so identical situations are identifiable across runs
     without logging every field."""
 

@@ -13,39 +13,5 @@ See :mod:`repro.policy.api` for the contract and
 :mod:`repro.policy.tune` for the autotuner.
 """
 
-from repro.policy.api import (
-    HOLD,
-    IN_BAND,
-    POLICIES,
-    Policy,
-    PolicyConfig,
-    PolicyDecision,
-    PolicyInputs,
-    make_policy,
-    register,
-)
-from repro.policy.feedforward import ForecastFeedforwardPolicy
-from repro.policy.queue_model import QueueModelPolicy, TargetUtilizationPolicy
-from repro.policy.threshold import (
-    AdaptiveThresholdPolicy,
-    LatencyBandPolicy,
-    ThresholdPolicy,
-)
-
-__all__ = [
-    "HOLD",
-    "IN_BAND",
-    "POLICIES",
-    "AdaptiveThresholdPolicy",
-    "ForecastFeedforwardPolicy",
-    "LatencyBandPolicy",
-    "Policy",
-    "PolicyConfig",
-    "PolicyDecision",
-    "PolicyInputs",
-    "QueueModelPolicy",
-    "TargetUtilizationPolicy",
-    "ThresholdPolicy",
-    "make_policy",
-    "register",
-]
+# Importing the built-in plugins registers them.
+from repro.policy import feedforward, queue_model, threshold  # noqa: F401

@@ -51,7 +51,8 @@ def run_section(
     """The ``"policy"`` section of BENCH_engine.json.  With ``smoke`` the
     tuner smoke (:func:`run_tune_smoke`) runs first and its report rides
     along under ``"tune_smoke"``."""
-    from repro.runner import ExperimentRunner, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
     tune_smoke = (
         run_tune_smoke(parallel=parallel, use_cache=use_cache) if smoke else None
@@ -150,15 +151,20 @@ def check_section(section: dict) -> None:
     n_seeds = len(section["seeds"])
     for arm in ("default", "tuned"):
         a = section["arms"][arm]
-        assert a["slo_violation_s"]["n"] == n_seeds
-        assert a["node_hours"]["mean"] > 0
-    assert section["gate"]["slo_ok"], (
-        "tuned controller lost to the paper defaults on SLO violation "
-        "seconds"
-    )
-    assert section["gate"]["node_hours_ok"], (
-        "tuned controller exceeded the +2% node-hours budget"
-    )
+        if a["slo_violation_s"]["n"] != n_seeds:
+            raise AssertionError(
+                f"{arm}: SLO violation over {a['slo_violation_s']['n']} "
+                f"of {n_seeds} seeds"
+            )
+        if not a["node_hours"]["mean"] > 0:
+            raise AssertionError(f"{arm}: no node-hours recorded")
+    if not section["gate"]["slo_ok"]:
+        raise AssertionError(
+            "tuned controller lost to the paper defaults on SLO violation "
+            "seconds"
+        )
+    if not section["gate"]["node_hours_ok"]:
+        raise AssertionError("tuned controller exceeded the +2% node-hours budget")
 
 
 # ----------------------------------------------------------------------
@@ -180,13 +186,15 @@ def run_tune_smoke(
     scale: float = 0.15, parallel: bool = True, use_cache: bool = False
 ) -> dict:
     """Run the smoke grid and assert the tuner's ranking is sane."""
-    from repro.runner import ExperimentRunner, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
     runner = ExperimentRunner(
         cache=ResultCache() if use_cache else None, parallel=parallel
     )
     report = run_tune(smoke_spec(scale), runner=runner)
-    assert len(report["cells"]) == 4
+    if len(report["cells"]) != 4:
+        raise AssertionError(f"expected 4 tuner cells, got {len(report['cells'])}")
     # The one sane cell (paper-default thresholds) must win outright;
     # every crippled never-grow (0.99) cell must score strictly worse.
     # (Note "worse" is about score, not rank-last: a never-grow tier
@@ -194,14 +202,17 @@ def run_tune_smoke(
     # rather than maximally expensive.)
     ranked = report["cells"]
     best = ranked[0]["point"]
-    assert best["app_max"] == 0.80 and best["db_max"] == 0.75, (
-        f"tuner failed to rank the sane cell first: got {best}"
-    )
+    if not (best["app_max"] == 0.80 and best["db_max"] == 0.75):
+        raise AssertionError(f"tuner failed to rank the sane cell first: got {best}")
     for cell in ranked[1:]:
         p = cell["point"]
-        assert p["app_max"] == 0.99 or p["db_max"] == 0.99
-        assert cell["score"]["mean"] > ranked[0]["score"]["mean"], (
-            f"crippled cell {cell['label']} did not score worse than "
-            "the sane cell"
-        )
+        if not (p["app_max"] == 0.99 or p["db_max"] == 0.99):
+            raise AssertionError(
+                f"uncrippled cell {cell['label']} ranked behind the best"
+            )
+        if not cell["score"]["mean"] > ranked[0]["score"]["mean"]:
+            raise AssertionError(
+                f"crippled cell {cell['label']} did not score worse than "
+                "the sane cell"
+            )
     return report

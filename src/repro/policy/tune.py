@@ -4,7 +4,7 @@ The paper hand-set its controller constants "experimentally through
 specific benchmarks" (§5.2).  This module mechanizes that experiment:
 a grid (or random subsample) over policy parameters — thresholds,
 moving-average windows, the inhibition period, or any
-:class:`~repro.policy.PolicyConfig` plugin — where every cell is the
+:class:`~repro.policy.api.PolicyConfig` plugin — where every cell is the
 standard Fig. 9 ramp replicated across seeds, fanned out through the
 :class:`~repro.runner.parallel.ExperimentRunner` (process pool +
 content-addressed cache: re-tuning an overlapping grid only computes the
@@ -150,7 +150,7 @@ class TunePoint:
         """The optional resilience arm: the chaos campaign's constant-load
         run with this point's controller active (repairs and scaling then
         compete for the same machinery, which is what MTTR should feel)."""
-        from repro.chaos import campaign_config
+        from repro.chaos.campaign import campaign_config
 
         cfg = campaign_config(
             campaign,
@@ -287,7 +287,7 @@ def run_tune(
 
     campaign = None
     if spec.chaos:
-        from repro.chaos import PRESETS
+        from repro.chaos.campaign import PRESETS
 
         campaign = PRESETS[spec.chaos]()
 
@@ -325,7 +325,7 @@ def run_tune(
             "score": mean_ci([s["score"] for s in per_seed]),
         }
         if campaign is not None:
-            from repro.chaos import score_campaign
+            from repro.chaos.scorecard import score_campaign
 
             card = score_campaign(
                 campaign,

@@ -53,7 +53,7 @@ BASELINES_S = {
 # ----------------------------------------------------------------------
 def scenario_kernel() -> int:
     """Schedule + dispatch 10k events."""
-    from repro.simulation import SimKernel
+    from repro.simulation.kernel import SimKernel
 
     kernel = SimKernel()
     sink = []
@@ -72,7 +72,8 @@ def ps_workload() -> tuple[np.ndarray, np.ndarray]:
 
 def scenario_ps(arrivals, demands) -> int:
     """Run a :func:`ps_workload` through one processor-sharing CPU."""
-    from repro.simulation import CpuJob, PsCpu, SimKernel
+    from repro.simulation.kernel import SimKernel
+    from repro.simulation.resources import CpuJob, PsCpu
 
     kernel = SimKernel()
     cpu = PsCpu(kernel)

@@ -24,7 +24,7 @@ The optional **controller** axis crosses every cell with a named
 control-loop policy plugin (``--controllers
 "default,queue-model,forecast:lead_s=90"``): ``default`` keeps each
 cell's legacy reactor selection, any other value is a
-:meth:`repro.policy.PolicyConfig.parse` string installed on both tier
+:meth:`repro.policy.api.PolicyConfig.parse` string installed on both tier
 loops.  Like the fleet/fluid axes, the label only grows a suffix off the
 default, so pre-existing sweep labels (and cache keys) survive.
 """
@@ -107,7 +107,7 @@ class SweepPoint:
                     "controller policies need managed loops "
                     "(policy 'managed' or 'proactive')"
                 )
-            from repro.policy import PolicyConfig
+            from repro.policy.api import PolicyConfig
 
             try:
                 PolicyConfig.parse(self.controller)
@@ -180,7 +180,7 @@ class SweepPoint:
         if self.controller != "default":
             from dataclasses import replace
 
-            from repro.policy import PolicyConfig
+            from repro.policy.api import PolicyConfig
 
             pc = PolicyConfig.parse(self.controller)
             cfg.app_loop = replace(cfg.app_loop, policy=pc)

@@ -14,31 +14,3 @@ averages, a 3000 s workload ramp); simulating time lets a full experiment run
 in seconds of wall-clock while keeping every temporal constant identical to
 the paper's.
 """
-
-from repro.simulation.kernel import Event, SimKernel
-from repro.simulation.process import Process, Signal, sleep, wait
-from repro.simulation.resources import (
-    CpuJob,
-    CpuResource,
-    FifoCpu,
-    PsCpu,
-    ThrashingCurve,
-    constant_capacity,
-)
-from repro.simulation.rng import RngStreams
-
-__all__ = [
-    "CpuJob",
-    "CpuResource",
-    "Event",
-    "FifoCpu",
-    "Process",
-    "PsCpu",
-    "RngStreams",
-    "Signal",
-    "SimKernel",
-    "ThrashingCurve",
-    "constant_capacity",
-    "sleep",
-    "wait",
-]

@@ -15,7 +15,8 @@ pass bound-method continuations, so a request resumes no generator.
 
 Example
 -------
->>> from repro.simulation import SimKernel, Process, Signal, sleep, wait
+>>> from repro.simulation.kernel import SimKernel
+>>> from repro.simulation.process import Process, Signal, sleep, wait
 >>> k = SimKernel()
 >>> done = Signal(k)
 >>> def worker():

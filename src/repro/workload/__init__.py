@@ -12,44 +12,3 @@ calibration matching the paper's operating points
 exponential think times (:mod:`~repro.workload.clients`) and the
 80→500→80 ramp profile (:mod:`~repro.workload.profiles`).
 """
-
-from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.workload.clients import ClientEmulator
-from repro.workload.profiles import (
-    ConstantProfile,
-    PiecewiseProfile,
-    RampProfile,
-    WorkloadProfile,
-)
-from repro.workload.rubis import (
-    INTERACTIONS,
-    Interaction,
-    MarkovNavigator,
-    MixNavigator,
-    RubisModel,
-)
-from repro.workload.traces import (
-    RequestRecord,
-    TraceRecorder,
-    TraceReplayer,
-    WorkloadTrace,
-)
-
-__all__ = [
-    "RequestRecord",
-    "TraceRecorder",
-    "TraceReplayer",
-    "WorkloadTrace",
-    "Calibration",
-    "ClientEmulator",
-    "ConstantProfile",
-    "DEFAULT_CALIBRATION",
-    "INTERACTIONS",
-    "Interaction",
-    "MarkovNavigator",
-    "MixNavigator",
-    "PiecewiseProfile",
-    "RampProfile",
-    "RubisModel",
-    "WorkloadProfile",
-]

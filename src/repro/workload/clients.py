@@ -59,9 +59,7 @@ class ClientEmulator:
         self.model = RubisModel(
             kernel, calibration, streams.get("rubis-demands"), unit_weight=cohort == 1
         )
-        self._navigator_factory = navigator_factory or (
-            lambda cid: MixNavigator(streams.get(f"client-nav-{cid}"))
-        )
+        self._navigator_factory = navigator_factory or self._mix_navigator
         self.adjust_period_s = adjust_period_s
         #: when set, a browser gives up on a request after this many
         #: seconds (abandonment); the request is recorded as failed.  None
@@ -105,6 +103,11 @@ class ClientEmulator:
     def distill(self) -> None:
         """Distilled engine stats (none for the discrete emulator)."""
         return None
+
+    def _mix_navigator(self, client_id: int) -> MixNavigator:
+        """The default navigator: the stationary mix on the client's own
+        stream."""
+        return MixNavigator(self.streams.get(f"client-nav-{client_id}"))
 
     # ------------------------------------------------------------------
     def _adjust(self) -> None:

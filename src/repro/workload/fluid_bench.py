@@ -217,7 +217,8 @@ def run_section(
     (scale 1.0) ramp pair and the million-user ramp, all on the first
     seed; ``smoke`` relaxes the million-user wall budget to
     :data:`SMOKE_BUDGET_S`."""
-    from repro.runner import ExperimentRunner, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.parallel import ExperimentRunner
 
     seed, scale = seeds[0], 1.0
     million_budget_s = SMOKE_BUDGET_S if smoke else MILLION_BUDGET_S
@@ -322,21 +323,21 @@ def render_section(section: dict) -> str:
 def check_section(section: dict) -> None:
     """The load-bearing assertions shared by pytest and the CI smoke."""
     g = section["accuracy"]
-    assert g["replica_sequences_identical"], (
-        f"replica trajectories diverged: {g['replica_sequences']}"
-    )
+    if not g["replica_sequences_identical"]:
+        raise AssertionError(f"replica trajectories diverged: {g['replica_sequences']}")
     for name, passed in g["checks"].items():
-        assert passed, f"accuracy gate check failed: {name} ({g})"
-    assert g["passed"]
+        if not passed:
+            raise AssertionError(f"accuracy gate check failed: {name} ({g})")
+    if not g["passed"]:
+        raise AssertionError(f"accuracy gate failed ({g})")
     m = section["million"]
-    assert m["wall_s"] <= m["budget_s"], (
-        f"1M-user ramp took {m['wall_s']:.1f} s "
-        f"(budget {m['budget_s']:.0f} s)"
-    )
-    assert m["app_replicas_max"] >= 2 and m["db_replicas_max"] >= 2, (
-        "managers did not scale out under the 1M ramp"
-    )
+    if not m["wall_s"] <= m["budget_s"]:
+        raise AssertionError(
+            f"1M-user ramp took {m['wall_s']:.1f} s "
+            f"(budget {m['budget_s']:.0f} s)"
+        )
+    if not (m["app_replicas_max"] >= 2 and m["db_replicas_max"] >= 2):
+        raise AssertionError("managers did not scale out under the 1M ramp")
     s = section["speedup"]
-    assert s["speedup"] > 1.0, (
-        f"fluid slower than discrete ({s['speedup']:.2f}x)"
-    )
+    if not s["speedup"] > 1.0:
+        raise AssertionError(f"fluid slower than discrete ({s['speedup']:.2f}x)")

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -120,17 +120,34 @@ CLIENT_BLOCK = 16
 DEMAND_BLOCK = 512
 
 
-def block_draws(draw: Callable[..., np.ndarray], size: int) -> Iterator[float]:
-    """The values of ``draw()``, one at a time, drawn ``size`` at a time.
+class block_draws:
+    """Iterator over the values of ``draw()``, drawn ``size`` at a time.
 
     numpy fills an array by making the scalar draws in sequence, and
     ``Generator.gamma(k, s)`` is ``s * standard_gamma(k)`` and
     ``exponential(m)`` is ``m * standard_exponential()`` element by
     element, so the values are bit-identical to calling ``draw()`` once
     for each.  The stream runs up to ``size - 1`` draws ahead of the
-    values handed out, so it must have no other consumer."""
-    while True:
-        yield from draw(size=size).tolist()
+    values handed out, so it must have no other consumer.  Unlike a
+    generator it pickles, with its pending values, so a paused system
+    can be copied."""
+
+    __slots__ = ("_draw", "_size", "_pending")
+
+    def __init__(self, draw: Callable[..., np.ndarray], size: int) -> None:
+        self._draw = draw
+        self._size = size
+        #: the undrawn rest of the current block, next value last
+        self._pending: list[float] = []
+
+    def __iter__(self) -> "block_draws":
+        return self
+
+    def __next__(self) -> float:
+        pending = self._pending
+        if not pending:
+            pending.extend(self._draw(size=self._size)[::-1].tolist())
+        return pending.pop()
 
 
 class RubisModel:

@@ -13,30 +13,3 @@ proprietary world of its legacy program: writing ``httpd.conf`` or
 administrative backend API.  Management programs never see any of that —
 they see components.
 """
-
-from repro.wrappers.apache import ApacheWrapper, make_apache_component
-from repro.wrappers.base import LegacyWrapper, WrapperError
-from repro.wrappers.cjdbc import CJdbcWrapper, make_cjdbc_component
-from repro.wrappers.l4switch import L4SwitchWrapper, make_l4switch_component
-from repro.wrappers.mysql import MySqlWrapper, make_mysql_component
-from repro.wrappers.plb import PlbWrapper, make_plb_component
-from repro.wrappers.registry import default_factory_registry
-from repro.wrappers.tomcat import TomcatWrapper, make_tomcat_component
-
-__all__ = [
-    "ApacheWrapper",
-    "CJdbcWrapper",
-    "L4SwitchWrapper",
-    "LegacyWrapper",
-    "MySqlWrapper",
-    "PlbWrapper",
-    "TomcatWrapper",
-    "WrapperError",
-    "default_factory_registry",
-    "make_apache_component",
-    "make_cjdbc_component",
-    "make_l4switch_component",
-    "make_mysql_component",
-    "make_plb_component",
-    "make_tomcat_component",
-]

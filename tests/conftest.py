@@ -6,15 +6,14 @@ import hashlib
 
 import pytest
 
-from repro.cluster import Lan, make_nodes
-from repro.legacy import (
-    CJdbcController,
-    Directory,
-    MySqlServer,
-    PlbBalancer,
-    TomcatServer,
-    WebRequest,
-)
+from repro.cluster.network import Lan
+from repro.cluster.node import make_nodes
+from repro.legacy.cjdbc import CJdbcController
+from repro.legacy.directory import Directory
+from repro.legacy.mysql import MySqlServer
+from repro.legacy.plb import PlbBalancer
+from repro.legacy.requests import WebRequest
+from repro.legacy.tomcat import TomcatServer
 from repro.legacy.configfiles import (
     CjdbcBackend,
     CjdbcXml,
@@ -22,7 +21,7 @@ from repro.legacy.configfiles import (
     PlbConf,
     ServerXml,
 )
-from repro.simulation import SimKernel
+from repro.simulation.kernel import SimKernel
 
 
 def collector_digest(col) -> str:

@@ -33,7 +33,7 @@ class TestGrow:
         kernel = system.kernel
         controller = system.cjdbc.content.controller
         # Put some writes in the recovery log first.
-        from repro.legacy import WebRequest
+        from repro.legacy.requests import WebRequest
 
         for _ in range(20):
             req = WebRequest(kernel, "StoreBid", is_write=True, db_demand=0.01)
@@ -96,7 +96,7 @@ class TestShrink:
         controller = system.cjdbc.content.controller
         system.db_tier.grow()
         kernel.run(until=60.0)
-        from repro.legacy import WebRequest
+        from repro.legacy.requests import WebRequest
 
         for _ in range(5):
             controller.execute(WebRequest(kernel, "w", is_write=True, db_demand=0.01))
@@ -136,7 +136,7 @@ class TestRepair:
     def test_repair_db_replica_resyncs_state(self, system):
         kernel = system.kernel
         controller = system.cjdbc.content.controller
-        from repro.legacy import WebRequest
+        from repro.legacy.requests import WebRequest
 
         for _ in range(10):
             controller.execute(WebRequest(kernel, "w", is_write=True, db_demand=0.01))
@@ -153,6 +153,6 @@ class TestRepair:
         assert len({b.server.state_digest for b in backends}) == 1
 
     def test_repair_unknown_component_refused(self, system):
-        from repro.fractal import Component
+        from repro.fractal.component import Component
 
         assert not system.app_tier.repair(Component("ghost"))

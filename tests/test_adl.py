@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.fractal import AdlError, ComponentFactoryRegistry, parse_adl
-from repro.fractal.adl import BindingSpec, ComponentSpec
+from repro.fractal.adl import (
+    AdlError,
+    BindingSpec,
+    ComponentFactoryRegistry,
+    ComponentSpec,
+    parse_adl,
+)
 from repro.fractal.component import Component
 
 GOOD = """

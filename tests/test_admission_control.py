@@ -54,8 +54,9 @@ class TestMySqlAdmission:
 
 class TestWrapperPlumbing:
     def test_enforce_limits_attribute(self, kernel, lan, directory):
-        from repro.cluster import make_nodes
-        from repro.wrappers import make_mysql_component, make_tomcat_component
+        from repro.cluster.node import make_nodes
+        from repro.wrappers.mysql import make_mysql_component
+        from repro.wrappers.tomcat import make_tomcat_component
 
         nodes = make_nodes(kernel, 2)
         kw = dict(kernel=kernel, directory=directory, lan=lan)
@@ -77,8 +78,8 @@ class TestWrapperPlumbing:
         assert tomcat.content.server.admission_limit == 9
 
     def test_limit_follows_attribute_update(self, kernel, lan, directory):
-        from repro.cluster import make_nodes
-        from repro.wrappers import make_mysql_component
+        from repro.cluster.node import make_nodes
+        from repro.wrappers.mysql import make_mysql_component
 
         node = make_nodes(kernel, 1)[0]
         mysql = make_mysql_component(

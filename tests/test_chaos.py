@@ -6,23 +6,20 @@ import pickle
 
 import pytest
 
-from repro.chaos import (
-    PRESETS,
-    ChaosCampaign,
-    FaultSpec,
-    PhiAccrualDetector,
-    campaign_config,
-    score_campaign,
-    score_run,
-    scorecard_json,
-)
+from repro.chaos.campaign import PRESETS, ChaosCampaign, campaign_config
+from repro.chaos.detectors import PhiAccrualDetector
+from repro.chaos.faults import FaultSpec
+from repro.chaos.scorecard import score_campaign, score_run
 from repro.chaos import faults as F
-from repro.cluster import Lan, make_nodes
+from repro.cluster.network import Lan
+from repro.cluster.node import NodeIsolated, make_nodes
 from repro.cluster.failures import FailureInjector
-from repro.cluster.node import NodeIsolated
 from repro.jade.system import ManagedSystem
-from repro.runner import CompletedRun, ExperimentRunner, ResultCache
-from repro.simulation import CpuJob, FifoCpu, PsCpu
+from repro.metrics.aggregates import scorecard_json
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
+from repro.runner.results import CompletedRun
+from repro.simulation.resources import CpuJob, FifoCpu, PsCpu
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,14 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from hypothesis import strategies as st
 
-from repro.cluster import Lan, Node
-from repro.legacy import CJdbcController, Directory, MySqlServer, WebRequest
+from repro.cluster.network import Lan
+from repro.cluster.node import Node
+from repro.legacy.cjdbc import CJdbcController
+from repro.legacy.directory import Directory
+from repro.legacy.mysql import MySqlServer
+from repro.legacy.requests import WebRequest
 from repro.legacy.configfiles import CjdbcBackend, CjdbcXml, MyCnf
-from repro.simulation import SimKernel
+from repro.simulation.kernel import SimKernel
 
 
 class CJdbcMachine(RuleBasedStateMachine):

@@ -4,19 +4,12 @@ installer, LAN, failure injection."""
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterManager,
-    FailureInjector,
-    FileNotFound,
-    Lan,
-    NoFreeNodeError,
-    Node,
-    NodeDown,
-    NodeFilesystem,
-    Package,
-    SoftwareInstallationService,
-    make_nodes,
-)
+from repro.cluster.allocator import ClusterManager, NoFreeNodeError
+from repro.cluster.failures import FailureInjector
+from repro.cluster.filesystem import FileNotFound, NodeFilesystem
+from repro.cluster.installer import Package, SoftwareInstallationService
+from repro.cluster.network import Lan
+from repro.cluster.node import Node, NodeDown, make_nodes
 
 
 class TestFilesystem:

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.fractal import architecture_report, iter_components, verify_architecture
+from repro.fractal.introspection import (
+    architecture_report,
+    iter_components,
+    verify_architecture,
+)
 from repro.jade.control_loop import ControlLoop, InhibitionLock
 from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe
-from repro.policy import ThresholdPolicy
-from repro.cluster import make_nodes
+from repro.policy.threshold import ThresholdPolicy
+from repro.cluster.node import make_nodes
 
 
 class FakeTier:

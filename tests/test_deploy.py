@@ -9,24 +9,27 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.deploy import (
+from repro.deploy.scenario import (
     PRESETS,
     STRATEGIES,
     DeployScenario,
+    deploy_config,
+    with_strategy,
+)
+from repro.deploy.scorecard import score_run, score_scenario
+from repro.deploy.versions import (
     ServerVersion,
     apply_version,
     clear_version,
-    deploy_config,
-    score_run,
-    score_scenario,
-    scorecard_json,
     version_label,
-    with_strategy,
 )
 from repro.deploy.canary import CanaryController
 from repro.jade.rolling import RollingRebind, rolling_rebind
 from repro.jade.system import ManagedSystem
-from repro.runner import CompletedRun, ExperimentRunner, ResultCache
+from repro.metrics.aggregates import scorecard_json
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
+from repro.runner.results import CompletedRun
 from repro.simulation.process import Process
 from repro.workload.profiles import PiecewiseProfile
 
@@ -131,7 +134,7 @@ class TestScenario:
         assert cfg.chaos.faults[0].target == "db"
 
     def test_config_is_cacheable(self, tmp_path):
-        from repro.runner import describe_config
+        from repro.runner.cache import describe_config
 
         cfg = deploy_config(PRESETS["bad-push"](), seed=3)
         a = describe_config(cfg)
@@ -398,8 +401,9 @@ class TestExportCollision:
 
 class TestRollingRebindEdges:
     def _build_web(self, kernel, lan, directory, n_apaches=3):
-        from repro.cluster import make_nodes
-        from repro.wrappers import make_apache_component, make_tomcat_component
+        from repro.cluster.node import make_nodes
+        from repro.wrappers.apache import make_apache_component
+        from repro.wrappers.tomcat import make_tomcat_component
 
         nodes = make_nodes(kernel, n_apaches + 2, prefix="w")
         kw = dict(kernel=kernel, directory=directory, lan=lan)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.cluster import ClusterManager, NoFreeNodeError, Package, SoftwareInstallationService, make_nodes
-from repro.fractal import AdlError, parse_adl
+from repro.cluster.allocator import ClusterManager, NoFreeNodeError
+from repro.cluster.installer import Package, SoftwareInstallationService
+from repro.cluster.node import make_nodes
+from repro.fractal.adl import AdlError, parse_adl
 from repro.jade.deployment import DeploymentService
-from repro.wrappers import default_factory_registry
+from repro.wrappers.registry import default_factory_registry
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ Only the fast examples run in the suite (the heavy ramp ones are exercised
 by the benchmarks); each runs in a subprocess so module state cannot leak.
 """
 
+import ast
+import os
 import pathlib
 import subprocess
 import sys
@@ -64,3 +66,25 @@ def test_example_files_compile(name):
     """The heavy examples at least byte-compile (they run in benchmarks)."""
     source = (EXAMPLES / name).read_text()
     compile(source, name, "exec")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda p: p.name
+)
+def test_example_imports_resolve(path):
+    """Every example's top-level imports run (cheap: nothing simulates)."""
+    tree = ast.parse(path.read_text())
+    imports = [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    src = str(EXAMPLES.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", "\n".join(imports)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr

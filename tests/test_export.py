@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.metrics import MetricsCollector
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.export import series_rows, to_json_dict, write_csv, write_json
 
 

@@ -9,7 +9,7 @@ from repro.jade.rolling import RollingRebind, rolling_rebind
 from repro.jade.sensors import LatencySensor
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.jade.three_tier import ThreeTierSystem
-from repro.metrics import TimeSeries
+from repro.metrics.series import TimeSeries
 from repro.workload.profiles import PiecewiseProfile, RampProfile
 
 
@@ -209,8 +209,9 @@ class TestThreeTier:
 
 class TestRollingRebind:
     def build_web(self, kernel, lan, directory, n_apaches=3):
-        from repro.cluster import make_nodes
-        from repro.wrappers import make_apache_component, make_tomcat_component
+        from repro.cluster.node import make_nodes
+        from repro.wrappers.apache import make_apache_component
+        from repro.wrappers.tomcat import make_tomcat_component
 
         nodes = make_nodes(kernel, n_apaches + 2, prefix="w")
         kw = dict(kernel=kernel, directory=directory, lan=lan)

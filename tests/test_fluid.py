@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.jade.system import ExperimentConfig
 from repro.metrics.collector import MetricsCollector
-from repro.runner import ExperimentRunner, ResultCache
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
 from repro.simulation.resources import ThrashingCurve, constant_capacity
 from repro.workload.calibration import DEFAULT_CALIBRATION
 from repro.workload.fluid import _CAP_ITERS, _RHO_MAX, FluidEngine
@@ -48,7 +49,7 @@ def fluid_ramp_config(seed=1, scale=0.05, fluid=True, threshold=0, **kw):
 # ----------------------------------------------------------------------
 class TestVaryLargeCohorts:
     def model(self, seed=42):
-        from repro.simulation import SimKernel
+        from repro.simulation.kernel import SimKernel
 
         return RubisModel(SimKernel(), rng=np.random.default_rng(seed))
 
@@ -233,7 +234,7 @@ class TestRngIndependence:
         assert d.price_history == f.price_history
 
     def test_chaos_fault_schedule_unperturbed(self):
-        from repro.chaos import PRESETS, campaign_config
+        from repro.chaos.campaign import PRESETS, campaign_config
 
         base = campaign_config(
             PRESETS["crash"](), seed=3, clients=40, duration_s=240.0
@@ -287,7 +288,7 @@ class TestFluidByteIdentity:
         assert "fluid" in out2["fluid"].extensions
 
     def test_fluid_knobs_distinguish_cache_keys(self):
-        from repro.runner import describe_config
+        from repro.runner.cache import describe_config
 
         base = describe_config(fluid_ramp_config(fluid=False))
         assert describe_config(fluid_ramp_config()) != base
@@ -556,7 +557,7 @@ def run_ticks(config, monkeypatch, memo):
 
 
 def composed_chaos_market_config():
-    from repro.chaos import ChaosCampaign
+    from repro.chaos.campaign import ChaosCampaign
     from repro.chaos import faults as F
     from repro.market.scenario import PRESETS, market_config
 
@@ -625,9 +626,9 @@ class TestExactIncrementalTick:
         ],
     )
     def test_changed_input_recomputes(self, mutate):
-        from repro.cluster import Lan
+        from repro.cluster.network import Lan
         from repro.cluster.node import Node
-        from repro.simulation import SimKernel
+        from repro.simulation.kernel import SimKernel
 
         kernel = SimKernel()
         curve = ThrashingCurve(knee=40, slope=0.05, floor=0.05)

@@ -2,27 +2,31 @@
 
 import pytest
 
-from repro.fractal import (
-    CLIENT,
-    COLLECTION,
-    Component,
-    CompositeBinding,
+from repro.fractal.bindings import CompositeBinding
+from repro.fractal.component import Component
+from repro.fractal.controllers import LifecycleState
+from repro.fractal.errors import (
     IllegalBindingError,
     IllegalContentError,
     IllegalLifecycleError,
-    InterfaceType,
-    LifecycleState,
-    MANDATORY,
     NoSuchAttributeError,
     NoSuchInterfaceError,
+)
+from repro.fractal.interfaces import (
+    CLIENT,
+    COLLECTION,
+    InterfaceType,
+    MANDATORY,
     OPTIONAL,
     SERVER,
+)
+from repro.fractal.introspection import (
     architecture_report,
+    find_by_name,
     find_components,
     iter_components,
     verify_architecture,
 )
-from repro.fractal.introspection import find_by_name
 
 
 class EchoContent:
@@ -397,7 +401,7 @@ class TestCompositeBinding:
             cli.get_interface("out").invoke("ping", "x")
 
     def test_lan_delay_accounted(self):
-        from repro.cluster import Lan
+        from repro.cluster.network import Lan
 
         srv, _ = make_server()
         cli, _ = make_client(contingency=OPTIONAL)

@@ -1,0 +1,118 @@
+"""What a run imports, and when.
+
+Package ``__init__`` files are documentation only, so a module loads just
+what it imports.  These tests pin the consequences: the federation parent
+stays free of the what-if, sweep and pool stacks; every module a
+canonical run needs is loaded before the run starts (forked region
+workers and timed runs import nothing); and the section gates keep
+failing when ``python -O`` strips ``assert`` statements.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=300,
+    )
+
+
+#: loaded by neither a federation run nor its coordinator
+FEDERATION_UNUSED = (
+    "repro.capacity",
+    "repro.runner.sweep",
+    "repro.runner.parallel",
+    "repro.obs.timeline",
+    "repro.jade.three_tier",
+    "repro.workload.traces",
+    "concurrent.futures",
+)
+
+
+def test_federation_coordinator_leaves_unused_stacks_unloaded():
+    out = run_python(
+        "import sys\n"
+        "import repro.federation.coordinator\n"
+        f"print([m for m in {FEDERATION_UNUSED!r} if m in sys.modules])\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "workload", ["ramp-discrete", "ramp-fluid", "static-thrash", "federation-evac"]
+)
+def test_canonical_run_imports_nothing_after_build(workload):
+    code = (
+        "import sys\n"
+        "from benchmarks.e2e.workloads import WORKLOADS\n"
+        f"w = WORKLOADS[{workload!r}]\n"
+        "if w.federated:\n"
+        "    from repro.federation.coordinator import run_federation\n"
+        "    target = w.build(1, 0.02)\n"
+        "    call = lambda: run_federation(target, parallel=False)\n"
+        "else:\n"
+        "    from repro.jade.system import ManagedSystem\n"
+        "    call = ManagedSystem(w.build(1, 0.02)).run\n"
+        "loaded = {m for m in sys.modules if m.startswith('repro')}\n"
+        "call()\n"
+        "print(sorted({m for m in sys.modules if m.startswith('repro')} - loaded))\n"
+    )
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+#: a report breaking each section gate's first check
+BROKEN_REPORTS = {
+    "chaos": (
+        "repro.chaos.bench",
+        {"seeds": [1], "campaigns": {"crash": {"unrepaired": 1}}},
+    ),
+    "deploy": ("repro.deploy.bench", {"headline": {"rollbacks": 0, "runs": 1}}),
+    "market": (
+        "repro.market.bench",
+        {"headline": {"savings_pct": {"mean": 0.0}}, "min_savings_pct": 15.0},
+    ),
+    "fluid": (
+        "repro.workload.fluid_bench",
+        {"accuracy": {"replica_sequences_identical": False, "replica_sequences": []}},
+    ),
+    "policy": (
+        "repro.policy.bench",
+        {"seeds": [1], "arms": {"default": {"slo_violation_s": {"n": 0}}}},
+    ),
+    "federation": (
+        "repro.federation.bench",
+        {
+            "smoke": True,
+            "byte_identical": False,
+            "speedup": 0.0,
+            "evacuation": {},
+            "follow_the_sun": {},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("section", sorted(BROKEN_REPORTS))
+def test_section_gate_fails_under_optimize(section):
+    module, report = BROKEN_REPORTS[section]
+    out = run_python(
+        f"from {module} import check_section\ncheck_section({report!r})\n", "-O"
+    )
+    assert out.returncode != 0
+    assert "AssertionError" in out.stderr

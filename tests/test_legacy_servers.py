@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro.cluster import Node, make_nodes
-from repro.legacy import (
-    ApacheServer,
-    BackendState,
-    CJdbcController,
-    EndpointNotFound,
-    L4Switch,
-    MySqlServer,
-    PlbBalancer,
-    RequestFailed,
-    ServerNotRunning,
-    WebRequest,
-    parse_jdbc_url,
-)
+from repro.cluster.node import Node, make_nodes
+from repro.legacy.apache import ApacheServer
+from repro.legacy.cjdbc import BackendState, CJdbcController
+from repro.legacy.directory import EndpointNotFound
+from repro.legacy.l4switch import L4Switch
+from repro.legacy.mysql import MySqlServer
+from repro.legacy.plb import PlbBalancer
+from repro.legacy.requests import RequestFailed, WebRequest
+from repro.legacy.server import ServerNotRunning
+from repro.legacy.tomcat import parse_jdbc_url
 from repro.legacy.configfiles import (
     CjdbcBackend,
     CjdbcXml,

@@ -3,7 +3,8 @@
 
 import pytest
 
-from repro.fractal import architecture_report, parse_adl, verify_architecture
+from repro.fractal.adl import parse_adl
+from repro.fractal.introspection import architecture_report, verify_architecture
 from repro.jade.control_loop import InhibitionLock
 from repro.jade.deployment import DeploymentService
 from repro.jade.manager_adl import (

@@ -7,29 +7,25 @@ import pickle
 
 import pytest
 
-from repro.chaos import campaign_config, score_run as chaos_score_run
-from repro.chaos.campaign import PRESETS as CHAOS_PRESETS
-from repro.cluster import ClusterManager, Node
+from repro.chaos.campaign import PRESETS as CHAOS_PRESETS, campaign_config
+from repro.chaos.scorecard import score_run as chaos_score_run
+from repro.cluster.allocator import ClusterManager
+from repro.cluster.node import Node
 from repro.jade.system import ManagedSystem
-from repro.market import (
-    DEFAULT_CATALOG,
-    PRESETS,
-    InstanceType,
-    MarketScenario,
-    SpotMarket,
-    by_name,
-    market_config,
-    price_book,
-)
+from repro.market.catalog import DEFAULT_CATALOG, InstanceType, by_name, price_book
+from repro.market.scenario import PRESETS, MarketScenario, market_config
+from repro.market.spot import SpotMarket
 from repro.market.allocator import FleetAllocator
 from repro.market.costs import (
     score_scenario,
     score_uniform_run,
-    scorecard_json,
     uniform_fleet_cost,
 )
 from repro.market.engine import MarketEngine
-from repro.runner import CompletedRun, ExperimentRunner, ResultCache
+from repro.metrics.aggregates import scorecard_json
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
+from repro.runner.results import CompletedRun
 from repro.simulation.rng import RngStreams
 
 

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import (
-    MetricsCollector,
-    MovingAverage,
-    StepSeries,
-    TimeSeries,
-    spatial_average,
-    summarize,
-)
+from repro.metrics.aggregates import MovingAverage, spatial_average, summarize
+from repro.metrics.collector import MetricsCollector
+from repro.metrics.series import StepSeries, TimeSeries
 
 
 class TestTimeSeries:

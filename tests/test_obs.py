@@ -20,7 +20,7 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import Tracer, causal_chain, load_jsonl
 from repro.obs.timeline import render_timeline, render_timeline_file
-from repro.policy import ThresholdPolicy
+from repro.policy.threshold import ThresholdPolicy
 from repro.workload.profiles import ConstantProfile, PiecewiseProfile
 
 

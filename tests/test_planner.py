@@ -9,7 +9,8 @@ from repro.jade.self_optimization import LoopConfig
 from repro.jade.sensors import CpuReading
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.obs.tracer import Tracer
-from repro.policy import PolicyConfig, PolicyInputs, TargetUtilizationPolicy
+from repro.policy.api import PolicyConfig, PolicyInputs
+from repro.policy.queue_model import TargetUtilizationPolicy
 from repro.workload.profiles import PiecewiseProfile
 
 

@@ -31,18 +31,20 @@ import pytest
 
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.obs.tracer import load_jsonl
-from repro.policy import (
+from repro.policy.api import (
     HOLD,
     POLICIES,
-    AdaptiveThresholdPolicy,
-    ForecastFeedforwardPolicy,
-    LatencyBandPolicy,
     PolicyConfig,
     PolicyDecision,
     PolicyInputs,
-    QueueModelPolicy,
-    ThresholdPolicy,
     make_policy,
+)
+from repro.policy.feedforward import ForecastFeedforwardPolicy
+from repro.policy.queue_model import QueueModelPolicy
+from repro.policy.threshold import (
+    AdaptiveThresholdPolicy,
+    LatencyBandPolicy,
+    ThresholdPolicy,
 )
 from repro.policy.tune import (
     PAPER_DEFAULT,
@@ -54,7 +56,9 @@ from repro.policy.tune import (
     score_run,
     write_tuned_config,
 )
-from repro.runner import ExperimentRunner, ResultCache, SweepPoint
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
+from repro.runner.sweep import SweepPoint
 from repro.workload.profiles import RampProfile
 from tests.conftest import collector_digest
 
@@ -453,7 +457,7 @@ class TestPluginRunsAreEngineCitizens:
             )
 
     def test_policy_config_distinguishes_cache_keys(self):
-        from repro.runner import describe_config
+        from repro.runner.cache import describe_config
 
         assert describe_config(self.queue_model_config()) != describe_config(
             ramp_config(seed=1)

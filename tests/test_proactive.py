@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capacity import ProactiveConfig, ProactiveManager
+from repro.capacity.proactive import ProactiveConfig, ProactiveManager
 from repro.jade.control_loop import InhibitionLock
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.obs.events import DecisionReason

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import Process, Signal, sleep, wait
+from repro.simulation.process import Process, Signal, sleep, wait
 
 
 def test_sleep_suspends_for_duration(kernel):

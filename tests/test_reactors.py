@@ -6,7 +6,7 @@ import pytest
 from repro.jade.control_loop import InhibitionLock
 from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuReading
-from repro.policy import AdaptiveThresholdPolicy, ThresholdPolicy
+from repro.policy.threshold import AdaptiveThresholdPolicy, ThresholdPolicy
 
 
 class FakeTier:

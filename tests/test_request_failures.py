@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.legacy import TomcatServer, WebRequest
+from repro.legacy.requests import WebRequest
+from repro.legacy.tomcat import TomcatServer
 from repro.legacy.configfiles import ServerXml
 from tests.conftest import LegacyStack
 

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import CpuJob, FifoCpu, PsCpu, SimKernel, ThrashingCurve
+from repro.simulation.kernel import SimKernel
+from repro.simulation.resources import (
+    CpuJob,
+    FifoCpu,
+    PsCpu,
+    ResourceStopped,
+    ThrashingCurve,
+    constant_capacity,
+)
 from repro.cluster.node import Node, NodeDown, NodeIsolated
-from repro.simulation.resources import ResourceStopped, constant_capacity
 
 
 def run_jobs(cpu, kernel, demands, submit_times=None):

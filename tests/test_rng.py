@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation import RngStreams
+from repro.simulation.rng import RngStreams
 
 
 def test_same_seed_same_name_same_sequence():

@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 
 from repro.jade.system import ExperimentConfig
-from repro.runner import (
-    CompletedRun,
+from repro.runner.cache import ResultCache, describe_config
+from repro.runner.fingerprint import code_fingerprint
+from repro.runner.parallel import (
     ExperimentRunner,
-    ResultCache,
-    code_fingerprint,
-    describe_config,
     execute_config,
+    fanout_map,
+    shutdown_pool,
 )
+from repro.runner.results import CompletedRun
 from repro.metrics.aggregates import mean_ci
 from repro.runner.bench import check_against
-from repro.runner.parallel import fanout_map, shutdown_pool
 from repro.workload.profiles import ConstantProfile
 from tests.conftest import collector_digest
 

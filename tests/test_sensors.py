@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Node, make_nodes
+from repro.cluster.node import Node, make_nodes
 from repro.jade.sensors import (
     CpuProbe,
     HeartbeatSensor,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import StepSeries, TimeSeries
+from repro.metrics.series import StepSeries, TimeSeries
 
 times_and_values = st.lists(
     st.tuples(

@@ -6,9 +6,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.runner import (
-    ExperimentRunner,
-    ResultCache,
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
+from repro.runner.sweep import (
     SweepPoint,
     SweepSpec,
     run_sweep,

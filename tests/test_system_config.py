@@ -44,7 +44,7 @@ class TestConfigKnobs:
 
     def test_minimum_pool_rejected(self):
         cfg = ExperimentConfig(profile=ConstantProfile(10, 30.0), pool_nodes=3)
-        from repro.cluster import NoFreeNodeError
+        from repro.cluster.allocator import NoFreeNodeError
 
         with pytest.raises(NoFreeNodeError):
             ManagedSystem(cfg)
@@ -108,7 +108,7 @@ class TestConfigKnobs:
     def test_entry_routes_through_plb(self):
         cfg = ExperimentConfig(profile=ConstantProfile(5, 30.0), sample_nodes=False)
         system = ManagedSystem(cfg)
-        from repro.legacy import WebRequest
+        from repro.legacy.requests import WebRequest
 
         req = WebRequest(
             system.kernel, "ViewItem", app_demand_pre=0.01, db_demand=0.02
@@ -160,8 +160,8 @@ class TestExtensionSeam:
     def composed(self):
         import dataclasses
 
-        from repro.chaos import PRESETS as CHAOS
-        from repro.deploy import PRESETS as DEPLOY
+        from repro.chaos.campaign import PRESETS as CHAOS
+        from repro.deploy.scenario import PRESETS as DEPLOY
         from repro.market.scenario import PRESETS as MARKET
         from repro.runner.results import CompletedRun
 

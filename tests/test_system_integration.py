@@ -6,10 +6,13 @@ request flow, control loops, resizing, metrics.  Scenarios are shortened
 fast; the full-scale runs live in benchmarks/.
 """
 
+import pickle
+
 import pytest
 
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.workload.profiles import ConstantProfile, PiecewiseProfile
+from repro.workload.profiles import ConstantProfile, PiecewiseProfile, RampProfile
+from tests.conftest import collector_digest
 
 
 class TestMediumLoad:
@@ -43,7 +46,7 @@ class TestMediumLoad:
         assert 0.1 < run.collector.node_memory.mean() < 0.4
 
     def test_architecture_is_sound(self, run):
-        from repro.fractal import verify_architecture
+        from repro.fractal.introspection import verify_architecture
 
         assert verify_architecture(run.app.root) == []
 
@@ -119,6 +122,28 @@ class TestDeterminism:
             return ManagedSystem(cfg).run().latencies.values.sum()
 
         assert run_once(1) != run_once(2)
+
+    def test_paused_system_pickles_and_resumes(self):
+        """A managed ramp paused mid-run pickles (no live generator or
+        closure), and the copy finishes with the uninterrupted run's
+        outputs."""
+
+        def build():
+            scale = 0.1
+            profile = RampProfile(
+                warmup_s=300.0 * scale,
+                step_period_s=60.0 * scale,
+                cooldown_s=300.0 * scale,
+            )
+            return ManagedSystem(ExperimentConfig(profile=profile, seed=1))
+
+        reference = collector_digest(build().run())
+        system = build()
+        horizon = system.start_all()
+        system.advance(150.0)
+        copy = pickle.loads(pickle.dumps(system))
+        copy.advance(horizon)
+        assert collector_digest(copy.finish()) == reference
 
 
 class TestIntrusivity:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.metrics import MetricsCollector
-from repro.simulation import RngStreams, SimKernel
-from repro.workload import ClientEmulator, ConstantProfile
+from repro.metrics.collector import MetricsCollector
+from repro.simulation.kernel import SimKernel
+from repro.simulation.rng import RngStreams
+from repro.workload.clients import ClientEmulator
+from repro.workload.profiles import ConstantProfile
 from repro.workload.traces import (
     RequestRecord,
     TraceRecorder,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.fractal import (
-    Component,
-    IllegalContentError,
+from repro.fractal.component import Component
+from repro.fractal.errors import IllegalContentError
+from repro.fractal.introspection import (
     architecture_report,
     iter_components,
     verify_architecture,
@@ -100,10 +100,11 @@ class TestSharing:
 @pytest.fixture
 def deployed(kernel, lan, directory):
     """A small deployed application to build views over."""
-    from repro.cluster import ClusterManager, make_nodes
-    from repro.fractal import parse_adl
+    from repro.cluster.allocator import ClusterManager
+    from repro.cluster.node import make_nodes
+    from repro.fractal.adl import parse_adl
     from repro.jade.deployment import DeploymentService
-    from repro.wrappers import default_factory_registry
+    from repro.wrappers.registry import default_factory_registry
 
     cluster = ClusterManager(make_nodes(kernel, 6))
     deployer = DeploymentService(

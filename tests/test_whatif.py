@@ -11,22 +11,20 @@ import math
 
 import pytest
 
-from repro.capacity import (
-    CostModel,
-    LinearTrendForecaster,
-    SystemSnapshot,
-    WhatIfEngine,
-    run_to_fork,
-)
+from repro.capacity.cost import CostModel
+from repro.capacity.forecast import LinearTrendForecaster
+from repro.capacity.snapshot import SystemSnapshot
 from repro.capacity.whatif import (
     BALANCER_NODES,
     Candidate,
+    WhatIfEngine,
     default_candidates,
+    run_to_fork,
     warm_fingerprint,
 )
 from repro.runner.cache import ResultCache
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.workload import DEFAULT_CALIBRATION
+from repro.workload.calibration import DEFAULT_CALIBRATION
 from repro.workload.profiles import RampProfile
 
 #: a compressed ramp that crosses the DB grow threshold quickly
@@ -268,7 +266,7 @@ class TestEngineContract:
         # Regression: run_to_fork must start every extension (chaos,
         # deploy, market too), so a fork taken after a campaign's fault
         # time sees the fault.
-        from repro.chaos import PRESETS, campaign_config
+        from repro.chaos.campaign import PRESETS, campaign_config
 
         campaign = PRESETS["crash"]()
         fault_t = campaign.faults[0].at_s

@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.metrics import MetricsCollector
-from repro.simulation import RngStreams, SimKernel
-from repro.workload import (
-    ClientEmulator,
-    ConstantProfile,
-    DEFAULT_CALIBRATION,
+from repro.metrics.collector import MetricsCollector
+from repro.simulation.kernel import SimKernel
+from repro.simulation.rng import RngStreams
+from repro.workload.calibration import DEFAULT_CALIBRATION
+from repro.workload.clients import ClientEmulator
+from repro.workload.profiles import ConstantProfile, PiecewiseProfile, RampProfile
+from repro.workload.rubis import (
+    CLIENT_BLOCK,
     INTERACTIONS,
     MarkovNavigator,
     MixNavigator,
-    PiecewiseProfile,
-    RampProfile,
     RubisModel,
-)
-from repro.workload.rubis import (
-    CLIENT_BLOCK,
     block_draws,
     interaction,
     transition_table,
@@ -503,8 +500,8 @@ class TestAbandonment:
 
     def test_clients_abandon_slow_requests(self, kernel):
         from repro.workload.clients import ClientEmulator
-        from repro.simulation import RngStreams
-        from repro.metrics import MetricsCollector
+        from repro.simulation.rng import RngStreams
+        from repro.metrics.collector import MetricsCollector
 
         entry = self.make_slow_entry(kernel, delay=10.0)
         collector = MetricsCollector()
@@ -524,8 +521,8 @@ class TestAbandonment:
 
     def test_fast_requests_not_abandoned(self, kernel):
         from repro.workload.clients import ClientEmulator
-        from repro.simulation import RngStreams
-        from repro.metrics import MetricsCollector
+        from repro.simulation.rng import RngStreams
+        from repro.metrics.collector import MetricsCollector
 
         entry = self.make_slow_entry(kernel, delay=0.05)
         collector = MetricsCollector()
@@ -545,8 +542,8 @@ class TestAbandonment:
 
     def test_abandoning_client_continues_session(self, kernel):
         from repro.workload.clients import ClientEmulator
-        from repro.simulation import RngStreams
-        from repro.metrics import MetricsCollector
+        from repro.simulation.rng import RngStreams
+        from repro.metrics.collector import MetricsCollector
 
         entry = self.make_slow_entry(kernel, delay=10.0)
         collector = MetricsCollector()

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.cluster import make_nodes
-from repro.wrappers import (
-    WrapperError,
-    make_apache_component,
-    make_cjdbc_component,
-    make_mysql_component,
-    make_plb_component,
-    make_tomcat_component,
-)
-from repro.wrappers.base import LegacyWrapper
+from repro.cluster.node import make_nodes
+from repro.wrappers.apache import make_apache_component
+from repro.wrappers.base import LegacyWrapper, WrapperError
+from repro.wrappers.cjdbc import make_cjdbc_component
+from repro.wrappers.mysql import make_mysql_component
+from repro.wrappers.plb import make_plb_component
+from repro.wrappers.tomcat import make_tomcat_component
 
 
 @pytest.fixture

@@ -3,9 +3,9 @@ into the proprietary legacy configuration, and never bypass it."""
 
 import pytest
 
-from repro.cluster import make_nodes
-from repro.fractal import IllegalBindingError, IllegalLifecycleError
-from repro.legacy import WebRequest
+from repro.cluster.node import make_nodes
+from repro.fractal.errors import IllegalBindingError, IllegalLifecycleError
+from repro.legacy.requests import WebRequest
 from repro.legacy.cjdbc import BackendState
 from repro.legacy.configfiles import (
     CjdbcXml,
@@ -15,15 +15,13 @@ from repro.legacy.configfiles import (
     ServerXml,
     WorkerProperties,
 )
-from repro.wrappers import (
-    WrapperError,
-    make_apache_component,
-    make_cjdbc_component,
-    make_l4switch_component,
-    make_mysql_component,
-    make_plb_component,
-    make_tomcat_component,
-)
+from repro.wrappers.apache import make_apache_component
+from repro.wrappers.base import WrapperError
+from repro.wrappers.cjdbc import make_cjdbc_component
+from repro.wrappers.l4switch import make_l4switch_component
+from repro.wrappers.mysql import make_mysql_component
+from repro.wrappers.plb import make_plb_component
+from repro.wrappers.tomcat import make_tomcat_component
 
 
 @pytest.fixture
