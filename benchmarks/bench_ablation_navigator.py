@@ -25,7 +25,7 @@ def run_with_navigator(markov: bool) -> dict:
     if markov:
         streams = system.streams
         system.emulator._navigator_factory = lambda cid: MarkovNavigator(
-            streams.get(f"client-nav-{cid}")
+            streams.fresh(f"client-nav-{cid}")
         )
     col = system.run()
     events = {}

@@ -32,12 +32,11 @@ from repro.capacity.forecast import Forecaster, make_forecaster
 from repro.capacity.snapshot import SystemSnapshot
 from repro.capacity.whatif import Candidate, WhatIfEngine
 from repro.obs.events import (
-    DecisionAction,
-    DecisionReason,
     ForecastIssued,
     ProactiveDecision,
     WhatIfEvaluated,
 )
+from repro.policy.api import DecisionAction, DecisionReason
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover

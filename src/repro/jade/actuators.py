@@ -28,13 +28,6 @@ from repro.cluster.installer import SoftwareInstallationService
 from repro.cluster.node import Node
 from repro.fractal.component import Component
 from repro.metrics.collector import MetricsCollector
-from repro.obs.events import (
-    NodeAllocated,
-    NodeFailed,
-    NodeReleased,
-    ReconfigCompleted,
-    ReconfigStarted,
-)
 from repro.simulation.kernel import SimKernel
 from repro.simulation.process import Process, sleep, wait
 
@@ -188,6 +181,8 @@ class TierManager:
             self.grow_failures += 1
             self._event("grow-failed: no free node")
             if self.tracer is not None:
+                from repro.obs.events import NodeFailed
+
                 self.tracer.emit(
                     NodeFailed(
                         self.kernel.now,
@@ -200,6 +195,8 @@ class TierManager:
         self.busy = True
         start_seq = None
         if self.tracer is not None:
+            from repro.obs.events import NodeAllocated, ReconfigStarted
+
             self.tracer.emit(
                 NodeAllocated(
                     self.kernel.now,
@@ -259,6 +256,8 @@ class TierManager:
             self._record_count()
             self._event(f"grow: {name} active on {node.name}")
             if self.tracer is not None:
+                from repro.obs.events import ReconfigCompleted
+
                 self.tracer.emit(
                     ReconfigCompleted(
                         self.kernel.now,
@@ -279,6 +278,8 @@ class TierManager:
             except ValueError:
                 pass
             if self.tracer is not None:
+                from repro.obs.events import NodeReleased, ReconfigCompleted
+
                 self.tracer.emit(
                     NodeReleased(
                         self.kernel.now,
@@ -328,6 +329,8 @@ class TierManager:
             self.replicas.remove(record)
         start_seq = None
         if self.tracer is not None:
+            from repro.obs.events import ReconfigStarted
+
             start_seq = self.tracer.emit(
                 ReconfigStarted(
                     self.kernel.now,
@@ -361,6 +364,8 @@ class TierManager:
             self._record_count()
             self._event(f"shrink: {name} released {record.node.name}")
             if self.tracer is not None:
+                from repro.obs.events import NodeReleased, ReconfigCompleted
+
                 self.tracer.emit(
                     NodeReleased(
                         self.kernel.now,
@@ -406,6 +411,8 @@ class TierManager:
         self._event(f"repair: {record.component.name} failed on {record.node.name}")
         failed_seq = None
         if self.tracer is not None:
+            from repro.obs.events import NodeFailed
+
             failed_seq = self.tracer.emit(
                 NodeFailed(
                     self.kernel.now,

@@ -23,7 +23,6 @@ from repro.fractal.interfaces import CLIENT, MANDATORY, SERVER, InterfaceType
 from repro.jade.actuators import TierManager
 from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe, CpuReading
-from repro.obs.events import InhibitionAcquired, InhibitionRejected
 from repro.simulation.kernel import SimKernel
 
 
@@ -49,6 +48,8 @@ class InhibitionLock:
         if now < self._until:
             self.rejections += 1
             if self.tracer is not None:
+                from repro.obs.events import InhibitionRejected
+
                 self.tracer.emit(
                     InhibitionRejected(now, by=who, free_at=self._until)
                 )
@@ -56,6 +57,8 @@ class InhibitionLock:
         self._until = now + self.duration_s
         self.acquisitions += 1
         if self.tracer is not None:
+            from repro.obs.events import InhibitionAcquired
+
             self.tracer.emit(InhibitionAcquired(now, by=who, until=self._until))
         return True
 

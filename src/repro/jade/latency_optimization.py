@@ -25,8 +25,7 @@ from repro.jade.actuators import TierManager
 from repro.jade.control_loop import InhibitionLock
 from repro.jade.sensors import LatencyReading, LatencySensor, UtilizationSampler
 from repro.metrics.collector import MetricsCollector
-from repro.obs.events import DecisionAction
-from repro.policy.api import Policy, PolicyInputs
+from repro.policy.api import DecisionAction, Policy, PolicyInputs
 from repro.policy.threshold import LatencyBandPolicy
 from repro.simulation.kernel import SimKernel
 

@@ -21,8 +21,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.jade.sensors import CpuReading
-from repro.obs.events import Decision, DecisionAction, DecisionReason, PolicyDecided
-from repro.policy.api import Policy, PolicyDecision, PolicyInputs
+from repro.policy.api import (
+    DecisionAction,
+    DecisionReason,
+    Policy,
+    PolicyDecision,
+    PolicyInputs,
+)
 from repro.simulation.kernel import SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,6 +136,8 @@ class PolicyReactor:
     ) -> Optional[int]:
         if self.tracer is None:
             return None
+        from repro.obs.events import PolicyDecided
+
         return self.tracer.emit(
             PolicyDecided(
                 self.kernel.now,
@@ -152,6 +159,8 @@ class PolicyReactor:
     ) -> Optional[int]:
         if self.tracer is None:
             return None
+        from repro.obs.events import Decision
+
         return self.tracer.emit(
             Decision(
                 self.kernel.now,

@@ -20,7 +20,6 @@ from repro.fractal.component import Component
 from repro.jade.actuators import TierManager
 from repro.jade.sensors import HeartbeatSensor
 from repro.metrics.collector import MetricsCollector
-from repro.obs.events import NodeFailed
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
 
@@ -120,6 +119,8 @@ class SelfRecoveryManager:
                 f"[recovery] detected failure of {component.name}{suffix}",
             )
         if self.tracer is not None:
+            from repro.obs.events import NodeFailed
+
             node = getattr(server, "node", None)
             seq = self.tracer.emit(
                 NodeFailed(

@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Optional
 
 from repro.cluster.node import Node
 from repro.metrics.aggregates import MovingAverage, spatial_average
-from repro.obs.events import ProbeReading
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
 
@@ -135,6 +134,8 @@ class CpuProbe:
         smoothed = self.window.add(self.kernel.now, raw)
         reading = CpuReading(self.kernel.now, smoothed, raw, len(nodes))
         if self.tracer is not None:
+            from repro.obs.events import ProbeReading
+
             self.tracer.emit(
                 ProbeReading(
                     self.kernel.now,

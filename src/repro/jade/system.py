@@ -36,7 +36,6 @@ from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.fractal.adl import parse_adl
 from repro.jade.actuators import TierManager
-from repro.jade.arbitration import ArbitrationManager
 from repro.jade.control_loop import InhibitionLock
 from repro.jade.deployment import DeployedApplication, DeploymentService
 from repro.jade.self_optimization import (
@@ -50,8 +49,6 @@ from repro.jade.sensors import UtilizationSampler
 from repro.legacy.cjdbc import BackendState
 from repro.metrics.collector import MetricsCollector
 from repro.legacy.directory import Directory
-from repro.obs.events import KernelStats
-from repro.obs.tracer import Tracer
 from repro.simulation.kernel import SimKernel
 from repro.simulation.resources import ThrashingCurve, constant_capacity
 from repro.simulation.rng import RngStreams
@@ -67,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.campaign import ChaosCampaign
     from repro.deploy.scenario import DeployScenario
     from repro.market.scenario import MarketScenario
+    from repro.obs.tracer import Tracer
 
 #: ADL description of the initial RUBiS deployment (§5.2: "Initially, the
 #: J2EE system is deployed with one application server (Tomcat) and one
@@ -294,9 +292,11 @@ class ManagedSystem:
         self.app.start()
 
         # --- tier managers (actuators) ----------------------------------
-        self.arbitration = (
-            ArbitrationManager(self.kernel) if cfg.arbitration else None
-        )
+        self.arbitration = None
+        if cfg.arbitration:
+            from repro.jade.arbitration import ArbitrationManager
+
+            self.arbitration = ArbitrationManager(self.kernel)
         factory_context = {
             "kernel": self.kernel,
             "directory": self.directory,
@@ -582,6 +582,8 @@ class ManagedSystem:
         # --- decision tracing (opt-in; None everywhere when disabled) ----
         self.tracer = None
         if cfg.trace or cfg.trace_jsonl:
+            from repro.obs.tracer import Tracer
+
             self.tracer = Tracer(
                 run_id=cfg.trace_run_id or f"run-seed{cfg.seed}",
                 ring_size=cfg.trace_ring,
@@ -687,6 +689,8 @@ class ManagedSystem:
         for ext in self.extensions:
             ext.stop()
         if self.tracer is not None:
+            from repro.obs.events import KernelStats
+
             self.tracer.emit(
                 KernelStats(
                     self.kernel.now,

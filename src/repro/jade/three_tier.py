@@ -20,6 +20,7 @@ paper managed only the dynamic tiers).
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 from repro.cluster.allocator import ClusterManager
@@ -31,8 +32,8 @@ from repro.jade.actuators import TierManager
 from repro.jade.control_loop import ControlLoop, InhibitionLock
 from repro.jade.deployment import DeploymentService
 from repro.jade.reactors import PolicyReactor
+from repro.jade.system import ManagedSystem
 from repro.jade.sensors import CpuProbe
-from repro.legacy.cjdbc import BackendState
 from repro.legacy.directory import Directory
 from repro.metrics.collector import MetricsCollector
 from repro.policy.threshold import ThresholdPolicy
@@ -140,17 +141,6 @@ class ThreeTierSystem:
             self.l4.binding_controller.bound_instances("web")[0],
         )
         # --- db tier (same wiring as the main harness) -------------------
-        controller = self.cjdbc.content.controller
-
-        def _db_ready(record) -> bool:
-            try:
-                return (
-                    controller.backend(record.binding_instance).state
-                    is BackendState.ENABLED
-                )
-            except KeyError:
-                return True
-
         self.db_tier = TierManager(
             self.kernel,
             "database",
@@ -164,7 +154,7 @@ class ThreeTierSystem:
             package="mysql",
             factory_context=context,
             collector=self.collector,
-            ready_check=_db_ready,
+            ready_check=self._db_ready,
             name_prefix="mysql",
         )
         mysql1 = self.app.instance("mysql")
@@ -190,7 +180,7 @@ class ThreeTierSystem:
                     name=f"probe-{label}",
                 )
                 tier_name = "web" if label == "web" else "database"
-                probe.subscribe(self._tier_recorder(tier_name))
+                probe.subscribe(partial(self._record_tier_cpu, tier_name))
                 reactor = PolicyReactor(
                     self.kernel,
                     tier,
@@ -211,26 +201,41 @@ class ThreeTierSystem:
             calibration=calibration,
         )
         self.profile = profile
+        self._horizon: Optional[float] = None  # set by start_all()
 
-    def _tier_recorder(self, tier_name: str):
-        collector = self.collector
-
-        def record(reading) -> None:
-            collector.record_tier_cpu(
-                tier_name, reading.t, reading.smoothed, reading.raw
-            )
-
-        return record
+    # The main harness's database readiness check and CPU recorder (bound
+    # methods, not closures, so a paused run pickles into an independent
+    # copy)
+    _db_ready = ManagedSystem._db_ready
+    _record_tier_cpu = ManagedSystem._record_tier_cpu
 
     # ------------------------------------------------------------------
-    def run(self, duration_s: Optional[float] = None) -> MetricsCollector:
-        horizon = duration_s if duration_s is not None else self.profile.duration_s
+    # Lifecycle: run() == start_all() + finish(); pausing in between is
+    # ``kernel.run(until=t)``, as on ManagedSystem.
+    # ------------------------------------------------------------------
+    def start_all(self, duration_s: Optional[float] = None) -> float:
+        """Start the control loops and the emulator; returns the horizon."""
+        self._horizon = (
+            duration_s if duration_s is not None else self.profile.duration_s
+        )
         for loop in self.loops.values():
             loop.start()
         self.emulator.start()
+        return self._horizon
+
+    def finish(self) -> MetricsCollector:
+        """Run to the horizon, stop the emulator, drain a minute of tail
+        and stop the loops."""
+        horizon = self._horizon
+        if horizon is None:
+            raise RuntimeError("finish() before start_all()")
         self.kernel.run(until=horizon)
         self.emulator.stop()
         self.kernel.run(until=horizon + 60.0)
         for loop in self.loops.values():
             loop.stop()
         return self.collector
+
+    def run(self, duration_s: Optional[float] = None) -> MetricsCollector:
+        self.start_all(duration_s)
+        return self.finish()

@@ -9,6 +9,7 @@ wrapper rewrites when its ``ajp`` binding changes.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from repro.cluster.network import Lan
@@ -41,7 +42,7 @@ class ApacheServer(LegacyServer):
         super().__init__(kernel, name, node, directory, lan)
         self.conf: Optional[HttpdConf] = None
         self.workers: Optional[WorkerProperties] = None
-        self._policy = WeightedRoundRobinPolicy(lambda w: w.lbfactor)
+        self._policy = WeightedRoundRobinPolicy(operator.attrgetter("lbfactor"))
         self.static_served = 0
         self.dynamic_forwarded = 0
 

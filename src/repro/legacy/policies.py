@@ -88,31 +88,43 @@ class WeightedRoundRobinPolicy(BalancingPolicy):
 
     def __init__(self, weight_fn: WeightFn) -> None:
         self.weight_fn = weight_fn
-        self._current: dict[int, float] = {}
+        #: ``id(candidate) -> [candidate, current weight]``: candidates
+        #: need not be hashable, and keeping each one lets a pickled copy
+        #: re-key on its own objects
+        self._current: dict[int, list] = {}
 
     def choose(self, candidates: Sequence[T]) -> T:
         if not candidates:
             raise IndexError("no backend available")
+        current = self._current
         total = 0.0
         best = None
-        best_key = None
         for cand in candidates:
-            key = id(cand)
             weight = float(self.weight_fn(cand))
             if weight <= 0:
                 raise ValueError("weights must be positive")
-            value = self._current.get(key, 0.0) + weight
-            self._current[key] = value
+            slot = current.get(id(cand))
+            if slot is None:
+                slot = current[id(cand)] = [cand, 0.0]
+            slot[1] += weight
             total += weight
-            if best is None or value > self._current[best_key]:
-                best = cand
-                best_key = key
-        assert best is not None and best_key is not None
-        self._current[best_key] -= total
-        return best
+            if best is None or slot[1] > best[1]:
+                best = slot
+        assert best is not None
+        best[1] -= total
+        return best[0]
 
     def reset(self) -> None:
         self._current.clear()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_current"] = list(self._current.values())
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._current = {id(slot[0]): slot for slot in state["_current"]}
 
 
 def make_policy(

@@ -6,14 +6,22 @@ keep track of all the requests that affect the state of the database.
 Basically, all write requests are logged and indexed as strings in this
 recovery log." (§4.1)
 
-The log is an append-only sequence of :class:`WriteEntry`.  Inserting a new
-backend replays the suffix of the log it has not yet executed; removing a
-backend records the index of the last write it executed, so a later
-re-insertion replays only the gap.
+The log is an append-only sequence of writes.  Inserting a new backend
+replays the suffix of the log it has not yet executed; removing a backend
+records the index of the last write it executed, so a later re-insertion
+replays only the gap.
+
+The log holds no object per write: it stores three packed columns (the
+shared interaction-name strings, ``array("d")`` demands and
+``array("q")`` weights) and builds a :class:`WriteEntry` only when
+:meth:`RecoveryLog.append`, :meth:`~RecoveryLog.get` or
+:meth:`~RecoveryLog.entries_from` hands one out.  An entry's ``write_id``
+is always ``index + 1``, so neither is stored.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, Optional
 
 
@@ -40,36 +48,44 @@ class RecoveryLog:
     """Append-only indexed write log with per-backend checkpoints."""
 
     def __init__(self) -> None:
-        self._entries: list[WriteEntry] = []
+        self._sql: list[str] = []
+        self._demand = array("d")
+        self._weight = array("q")
         self._checkpoints: dict[str, int] = {}
-        self._next_write_id = 1
 
     # ------------------------------------------------------------------
     @property
     def next_index(self) -> int:
         """Index the next appended entry will receive (== current length)."""
-        return len(self._entries)
+        return len(self._sql)
 
     def append(self, sql: str, demand: float, weight: int = 1) -> WriteEntry:
         """Log a write request; returns the entry (with its index)."""
-        entry = WriteEntry(
-            len(self._entries), self._next_write_id, sql, demand, weight
-        )
-        self._next_write_id += 1
-        self._entries.append(entry)
-        return entry
+        index = len(self._sql)
+        self._sql.append(sql)
+        self._demand.append(demand)
+        self._weight.append(weight)
+        return WriteEntry(index, index + 1, sql, demand, weight)
 
     def get(self, index: int) -> WriteEntry:
-        return self._entries[index]
+        """The entry at ``index`` (built on each call, so equal to what
+        :meth:`append` returned but not the same object)."""
+        sql = self._sql[index]
+        if index < 0:
+            index += len(self._sql)
+        return WriteEntry(
+            index, index + 1, sql, self._demand[index], self._weight[index]
+        )
 
     def entries_from(self, index: int) -> Iterator[WriteEntry]:
-        """Iterate entries with index >= ``index`` (the replay suffix)."""
+        """Iterate entries with index >= ``index`` (the replay suffix, as
+        it stands when called)."""
         if index < 0:
             raise IndexError("index must be >= 0")
-        return iter(self._entries[index:])
+        return map(self.get, range(index, len(self._sql)))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._sql)
 
     # ------------------------------------------------------------------
     # Checkpoints ("the state is stored as the index value in the recovery
@@ -90,4 +106,4 @@ class RecoveryLog:
         self._checkpoints.pop(backend_name, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RecoveryLog({len(self._entries)} entries)"
+        return f"RecoveryLog({len(self._sql)} entries)"

@@ -12,7 +12,9 @@ paper's figures and tables are built from:
 
 from __future__ import annotations
 
-from typing import Optional
+from array import array
+from itertools import repeat
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,8 +39,9 @@ class MetricsCollector:
         self.failed_requests = 0
         #: per-latency-sample weights (cohort completions record one sample
         #: for ``weight`` identical constituent requests); parallel to
-        #: ``latencies``
-        self._latency_weights = float_column()
+        #: ``latencies``.  While every weight is 1 it is just their count;
+        #: the first other weight turns it into a packed column
+        self._latency_weights: Union[int, array] = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -49,7 +52,13 @@ class MetricsCollector:
         sample once; counts and throughput are weighted."""
         self.completed_requests += weight
         self.latencies.append(t, latency_s)
-        self._latency_weights.append(weight)
+        weights = self._latency_weights
+        if weights.__class__ is int:
+            if weight == 1:
+                self._latency_weights = weights + 1
+                return
+            weights = self._latency_weights = float_column(repeat(1.0, weights))
+        weights.append(weight)
 
     def record_failure(self, t: float, weight: int = 1) -> None:
         self.failed_requests += weight
@@ -94,12 +103,18 @@ class MetricsCollector:
             raise ValueError("empty interval")
         t = self.latencies.times
         mask = (t >= t_start) & (t < t_end)
-        w = copy_out(self._latency_weights)
-        if len(w) == len(t):
+        w = self._weights()
+        if w is not None and len(w) == len(t):
             n = float(w[mask].sum())
-        else:  # defensive: direct appends to ``latencies`` bypass weights
+        else:  # all unit weights, or direct appends to ``latencies``
             n = float(np.count_nonzero(mask))
         return n / (t_end - t_start)
+
+    def _weights(self) -> Optional[np.ndarray]:
+        """The latency weights as a float64 copy, or None while every
+        recorded weight is 1."""
+        weights = self._latency_weights
+        return None if weights.__class__ is int else copy_out(weights)
 
     def latency_buckets(self, width: float, t_end: Optional[float] = None) -> TimeSeries:
         return self.latencies.bucket_mean(width, t_end)

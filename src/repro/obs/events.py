@@ -21,36 +21,6 @@ from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Optional
 
 
-class DecisionAction:
-    """Machine-readable decision actions (``Decision.action``)."""
-
-    GROW = "grow"
-    SHRINK = "shrink"
-    NONE = "none"
-
-
-class DecisionReason:
-    """Machine-readable decision reasons (``Decision.reason``).
-
-    Executed decisions carry the trigger (``above-max`` / ``below-min``);
-    suppressed decisions carry why they did not actuate.
-    """
-
-    ABOVE_MAX = "above-max"        # smoothed CPU crossed the grow threshold
-    BELOW_MIN = "below-min"        # smoothed CPU crossed the shrink threshold
-    AT_CAP = "at-cap"              # already at max_replicas
-    AT_FLOOR = "at-floor"          # already at min_replicas
-    INHIBITED = "inhibited"        # the shared inhibition lock is held
-    ACTUATOR_BUSY = "actuator-busy"  # the tier rejected the operation
-    NO_DATA = "no-data"            # the reading was NaN (empty window/tier)
-    # Proactive-manager reasons: the trigger is a *predicted* crossing, not
-    # a measured one (repro.capacity.proactive).
-    PREDICTED_ABOVE_MAX = "predicted-above-max"
-    PREDICTED_BELOW_MIN = "predicted-below-min"
-
-    SUPPRESSIONS = (AT_CAP, AT_FLOOR, INHIBITED, ACTUATOR_BUSY, NO_DATA)
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     """Base record: simulated time plus an optional causal parent."""
@@ -86,7 +56,8 @@ class Decision(TraceEvent):
     """A reactor's verdict on one reading.
 
     ``executed`` means the actuation was started; a suppressed decision
-    names why in ``reason`` (one of :class:`DecisionReason.SUPPRESSIONS`).
+    names why in ``reason`` (one of
+    :attr:`repro.policy.api.DecisionReason.SUPPRESSIONS`).
     An executed decision that the actuator then rejects is followed by a
     second, suppressed :class:`Decision` with ``reason='actuator-busy'``
     and ``cause`` pointing at the retracted one.

@@ -34,7 +34,36 @@ import hashlib
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-from repro.obs.events import DecisionAction
+
+class DecisionAction:
+    """Machine-readable decision actions (``Decision.action``)."""
+
+    GROW = "grow"
+    SHRINK = "shrink"
+    NONE = "none"
+
+
+class DecisionReason:
+    """Machine-readable decision reasons (``Decision.reason``).
+
+    Executed decisions carry the trigger (``above-max`` / ``below-min``);
+    suppressed decisions carry why they did not actuate.
+    """
+
+    ABOVE_MAX = "above-max"        # smoothed CPU crossed the grow threshold
+    BELOW_MIN = "below-min"        # smoothed CPU crossed the shrink threshold
+    AT_CAP = "at-cap"              # already at max_replicas
+    AT_FLOOR = "at-floor"          # already at min_replicas
+    INHIBITED = "inhibited"        # the shared inhibition lock is held
+    ACTUATOR_BUSY = "actuator-busy"  # the tier rejected the operation
+    NO_DATA = "no-data"            # the reading was NaN (empty window/tier)
+    # Proactive-manager reasons: the trigger is a *predicted* crossing, not
+    # a measured one (repro.capacity.proactive).
+    PREDICTED_ABOVE_MAX = "predicted-above-max"
+    PREDICTED_BELOW_MIN = "predicted-below-min"
+
+    SUPPRESSIONS = (AT_CAP, AT_FLOOR, INHIBITED, ACTUATOR_BUSY, NO_DATA)
+
 
 #: reason string for a hold that is simply "inside the operating band"
 IN_BAND = "in-band"
@@ -69,7 +98,7 @@ class PolicyInputs:
 class PolicyDecision:
     """A policy's verdict on one set of inputs.
 
-    ``reason`` is a :class:`repro.obs.events.DecisionReason` string and
+    ``reason`` is a :class:`DecisionReason` string and
     flows into both the ``PolicyDecided`` trace event and the executed
     ``Decision`` event.  Sizing policies set ``target`` — the replica
     count they actually want; the reactor still actuates one step per

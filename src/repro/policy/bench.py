@@ -16,7 +16,9 @@ tier never scales up) must score strictly worse.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from typing import Sequence
 
 from repro.metrics.aggregates import mean_ci
@@ -54,12 +56,6 @@ def run_section(
     from repro.runner.cache import ResultCache
     from repro.runner.parallel import ExperimentRunner
 
-    tune_smoke = (
-        run_tune_smoke(parallel=parallel, use_cache=use_cache) if smoke else None
-    )
-    runner = ExperimentRunner(
-        cache=ResultCache() if use_cache else None, parallel=parallel
-    )
     seeds, scale = tuple(seeds), SCALE
     tuned = load_tuned_point(TUNED_CONFIG_PATH)
     objective = TuneObjective()
@@ -69,7 +65,22 @@ def run_section(
         for arm, point in arms.items()
         for seed in seeds
     }
-    results = runner.run_many(configs)
+    with ExitStack() as scratch:
+        cache = ResultCache() if use_cache else None
+        tune_smoke = None
+        if smoke:
+            if cache is None:
+                # The smoke grid's sane cell is the default arm's seed-1
+                # run (equal config digests): a throwaway cache shared by
+                # both batches simulates it once and reads no older entry.
+                cache = ResultCache(
+                    root=Path(scratch.enter_context(TemporaryDirectory()))
+                )
+            tune_smoke = run_tune_smoke(parallel=parallel, cache=cache)
+            if not use_cache:
+                del tune_smoke["cache"]  # the throwaway cache's counts
+        runner = ExperimentRunner(cache=cache, parallel=parallel)
+        results = runner.run_many(configs)
 
     section: dict = {
         "seeds": list(seeds),
@@ -182,16 +193,12 @@ def smoke_spec(scale: float = 0.15) -> TuneSpec:
     )
 
 
-def run_tune_smoke(
-    scale: float = 0.15, parallel: bool = True, use_cache: bool = False
-) -> dict:
-    """Run the smoke grid and assert the tuner's ranking is sane."""
-    from repro.runner.cache import ResultCache
+def run_tune_smoke(scale: float = 0.15, parallel: bool = True, cache=None) -> dict:
+    """Run the smoke grid (through ``cache``, a :class:`ResultCache` or
+    None) and assert the tuner's ranking is sane."""
     from repro.runner.parallel import ExperimentRunner
 
-    runner = ExperimentRunner(
-        cache=ResultCache() if use_cache else None, parallel=parallel
-    )
+    runner = ExperimentRunner(cache=cache, parallel=parallel)
     report = run_tune(smoke_spec(scale), runner=runner)
     if len(report["cells"]) != 4:
         raise AssertionError(f"expected 4 tuner cells, got {len(report['cells'])}")

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.obs.events import DecisionAction, DecisionReason
 from repro.policy.api import (
     HOLD,
+    DecisionAction,
+    DecisionReason,
     Policy,
     PolicyDecision,
     PolicyInputs,

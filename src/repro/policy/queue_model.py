@@ -44,9 +44,10 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.obs.events import DecisionAction, DecisionReason
 from repro.policy.api import (
     HOLD,
+    DecisionAction,
+    DecisionReason,
     Policy,
     PolicyDecision,
     PolicyInputs,

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-from repro.obs.events import DecisionAction, DecisionReason
 from repro.policy.api import (
     HOLD,
+    DecisionAction,
+    DecisionReason,
     Policy,
     PolicyDecision,
     PolicyInputs,

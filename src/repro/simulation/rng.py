@@ -34,6 +34,10 @@ class RngStreams:
     >>> a2 = RngStreams(seed=42).get("client-0")
     >>> float(a.random()) == float(a2.random())
     True
+
+    Per-client streams (``client-think-N``, ``client-nav-N``) are owned by
+    their cohort, not cached here: client ids are never reused, so each
+    is fetched once, with :meth:`fresh`, and freed with its cohort.
     """
 
     def __init__(self, seed: int = 0):

@@ -72,6 +72,8 @@ class ClientEmulator:
         #: stream (see :mod:`repro.workload.cohort`); 1 = per-client
         self.cohort = cohort
         self.abandoned = 0
+        #: the active cohorts, in spawn order (a deactivated cohort is
+        #: dropped at once: it finishes its request on its own)
         self._clients: list[ClientCohort] = []
         #: summed weight of the active cohorts (kept wherever ``active``
         #: flips, so reading it does not walk every cohort ever spawned)
@@ -96,8 +98,13 @@ class ClientEmulator:
         if self._task is not None:
             self._task.cancel()
             self._task = None
+        self._release_all()
+
+    def _release_all(self) -> None:
+        """Deactivate and drop every cohort."""
         for client in self._clients:
             client.active = False
+        self._clients = []
         self._active_weight = 0
 
     def distill(self) -> None:
@@ -107,7 +114,7 @@ class ClientEmulator:
     def _mix_navigator(self, client_id: int) -> MixNavigator:
         """The default navigator: the stationary mix on the client's own
         stream."""
-        return MixNavigator(self.streams.get(f"client-nav-{client_id}"))
+        return MixNavigator(self.streams.fresh(f"client-nav-{client_id}"))
 
     # ------------------------------------------------------------------
     def _adjust(self) -> None:
@@ -127,13 +134,12 @@ class ClientEmulator:
             # cohort deactivates whole, so the population may undershoot
             # by at most ``cohort - 1`` until the next adjustment.
             to_stop = current - target
-            for client in reversed(self._clients):
-                if to_stop <= 0:
-                    break
-                if client.active:
-                    client.active = False
-                    self._active_weight -= client.weight
-                    to_stop -= client.weight
+            clients = self._clients
+            while to_stop > 0 and clients:
+                client = clients.pop()
+                client.active = False
+                self._active_weight -= client.weight
+                to_stop -= client.weight
         self.collector.record_workload(self.kernel.now, self.active_clients)
 
     def _spawn_client(self, weight: int = 1) -> None:

@@ -100,7 +100,9 @@ class ClientCohort:
     def _begin(self) -> None:
         emulator = self._emulator
         cal = emulator.cal
-        rng = emulator.streams.get(f"client-think-{self.client_id}")
+        # Client ids are never reused, so the cohort owns its streams: a
+        # fresh generator is the first ``get`` without the cache entry.
+        rng = emulator.streams.fresh(f"client-think-{self.client_id}")
         if cal.static_fraction > 0.0:
             # A uniform draw interleaves with the thinks on this stream.
             self._static_rng = rng

@@ -714,9 +714,7 @@ class HybridWorkload(ClientEmulator):
                     # point the cohorts were at, not from an empty system.
                     self.engine.seed_equilibrium(target)
                 self.handoffs_to_fluid += 1
-                for client in self._clients:
-                    client.active = False
-                self._active_weight = 0
+                self._release_all()
             before = self.engine.completions
             self.engine.tick(target, self.adjust_period_s)
             self.requests_issued += self.engine.completions - before
@@ -729,11 +727,10 @@ class HybridWorkload(ClientEmulator):
                 self.handoffs_to_discrete += 1
                 # The residual fluid level drains implicitly: fresh
                 # cohorts re-establish the closed-loop population at once.
-                # Drop drained cohorts; fresh ones get fresh client ids
-                # (and therefore fresh deterministic RNG streams).
+                # Fresh cohorts get fresh client ids (and therefore fresh
+                # deterministic RNG streams).
                 self.engine.level = 0.0
                 self.engine._last_x = None
-                self._clients = [c for c in self._clients if c.active]
             super()._adjust()
 
     def distill(self) -> FluidStats:

@@ -254,6 +254,15 @@ def choice_cdf(p: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
+def _mix_cdf() -> tuple[float, ...]:
+    weights = np.asarray([i.mix_weight for i in INTERACTIONS])
+    return tuple(choice_cdf(weights / weights.sum()))
+
+
+#: the stationary mix's cumulative table, shared by every navigator
+_MIX_CDF = _mix_cdf()
+
+
 class MixNavigator:
     """Draws each next interaction i.i.d. from the stationary mix.
 
@@ -263,11 +272,9 @@ class MixNavigator:
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
         self._uniform = block_draws(rng.random, CLIENT_BLOCK).__next__
-        weights = np.asarray([i.mix_weight for i in INTERACTIONS])
-        self._cdf = choice_cdf(weights / weights.sum())
 
     def next_interaction(self) -> Interaction:
-        return INTERACTIONS[bisect_right(self._cdf, self._uniform())]
+        return INTERACTIONS[bisect_right(_MIX_CDF, self._uniform())]
 
     def reset(self) -> None:
         """Sessions are memoryless; nothing to reset."""

@@ -14,6 +14,8 @@ The tests pin the two load-bearing properties:
 """
 
 import dataclasses
+import gc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -131,6 +133,28 @@ class TestCohortBasics:
         emulator.stop()
         assert emulator.active_clients == 0
         assert not any(c.active for c in emulator._clients)
+
+    def test_departed_cohorts_are_released(self, kernel):
+        """After a ramp-down the emulator holds only its active cohorts,
+        no per-client stream stays cached, and a departed cohort is freed
+        once its last request and think have run out."""
+        profile = PiecewiseProfile([(0.0, 30), (60.0, 10)], 400.0)
+        emulator, _, _ = make_emulator(kernel, profile)
+        emulator.start()
+        kernel.run(until=50.0)
+        departed = next(c for c in emulator._clients if c.client_id == 20)
+        navigator = weakref.ref(departed._navigator)
+        del departed
+        kernel.run(until=300.0)
+        assert [c.client_id for c in emulator._clients] == list(range(10))
+        assert all(c.active for c in emulator._clients)
+        assert not [n for n in emulator.streams._cache if n.startswith("client-")]
+        gc.collect()
+        assert navigator() is None
+        alive = sorted(
+            o.client_id for o in gc.get_objects() if isinstance(o, ClientCohort)
+        )
+        assert alive == list(range(10))
 
     def test_requests_carry_cohort_weight(self, kernel):
         emulator, entry, collector = make_emulator(

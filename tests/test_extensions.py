@@ -1,6 +1,8 @@
 """Tests for the extensions: latency-SLO manager, three-tier harness,
 rolling rebind."""
 
+import pickle
+
 import pytest
 
 from repro.jade.latency_optimization import SloReactor
@@ -11,6 +13,7 @@ from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.jade.three_tier import ThreeTierSystem
 from repro.metrics.series import TimeSeries
 from repro.workload.profiles import PiecewiseProfile, RampProfile
+from tests.conftest import collector_digest
 
 
 class TestLatencySensor:
@@ -172,12 +175,26 @@ class TestSloManagerEndToEnd:
 
 
 class TestThreeTier:
+    PROFILE = RampProfile(warmup_s=150, step_period_s=30, cooldown_s=150)
+
     @pytest.fixture(scope="class")
     def run(self):
-        profile = RampProfile(warmup_s=150, step_period_s=30, cooldown_s=150)
-        system = ThreeTierSystem(profile, seed=2)
+        system = ThreeTierSystem(self.PROFILE, seed=2)
         system.run()
         return system
+
+    def test_paused_run_pickles_into_an_independent_copy(self, run):
+        """A copy of a paused run ends with the uninterrupted run's
+        outputs, and so does the original: no closure of the copy still
+        writes into the original's collector."""
+        paused = ThreeTierSystem(self.PROFILE, seed=2)
+        horizon = paused.start_all()
+        paused.kernel.run(until=horizon / 2)
+        assert paused.web_tier.grows_completed >= 1
+        clone = pickle.loads(pickle.dumps(paused))
+        expected = collector_digest(run.collector)
+        assert collector_digest(clone.finish()) == expected
+        assert collector_digest(paused.finish()) == expected
 
     def test_web_tier_scales(self, run):
         assert run.web_tier.grows_completed >= 1

@@ -4,10 +4,12 @@ Package ``__init__`` files are documentation only, so a module loads just
 what it imports.  These tests pin the consequences: the federation parent
 stays free of the what-if, sweep and pool stacks; every module a
 canonical run needs is loaded before the run starts (forked region
-workers and timed runs import nothing); and the section gates keep
-failing when ``python -O`` strips ``assert`` statements.
+workers and timed runs import nothing); an untraced run loads no trace
+events and no code it never calls; and the section gates keep failing
+when ``python -O`` strips ``assert`` statements.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -74,6 +76,55 @@ def test_canonical_run_imports_nothing_after_build(workload):
     out = run_python(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+#: trace-event classes, the wrappers and servers the managed RUBiS
+#: deployment has no use for, and the arbitration manager
+UNTRACED_UNUSED = (
+    "repro.obs.events",
+    "repro.obs.tracer",
+    "repro.wrappers.apache",
+    "repro.wrappers.l4switch",
+    "repro.legacy.apache",
+    "repro.legacy.l4switch",
+    "repro.jade.arbitration",
+)
+
+
+def loaded_after_run(workload: str, **knobs) -> list[str]:
+    """Which of :data:`UNTRACED_UNUSED` a scaled-down canonical run loads."""
+    code = (
+        "import dataclasses, json, sys\n"
+        "from benchmarks.e2e.workloads import WORKLOADS\n"
+        f"w = WORKLOADS[{workload!r}]\n"
+        "if w.federated:\n"
+        "    from repro.federation.coordinator import run_federation\n"
+        "    run_federation(w.build(1, 0.02), parallel=False)\n"
+        "else:\n"
+        "    from repro.jade.system import ManagedSystem\n"
+        f"    cfg = dataclasses.replace(w.build(1, 0.02), **{knobs!r})\n"
+        "    ManagedSystem(cfg).run()\n"
+        f"print(json.dumps([m for m in {UNTRACED_UNUSED!r} if m in sys.modules]))\n"
+    )
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "workload", ["ramp-discrete", "ramp-fluid", "static-thrash", "federation-evac"]
+)
+def test_untraced_run_leaves_trace_and_unused_code_unloaded(workload):
+    loaded = loaded_after_run(workload)
+    if workload == "federation-evac":
+        # chaos faults and detectors emit events, so they import them
+        loaded = [m for m in loaded if not m.startswith("repro.obs.")]
+    assert loaded == []
+
+
+def test_traced_run_loads_trace_events():
+    loaded = loaded_after_run("ramp-discrete", trace=True)
+    assert {"repro.obs.events", "repro.obs.tracer"} <= set(loaded)
 
 
 #: a report breaking each section gate's first check

@@ -1,6 +1,7 @@
 """Tests for the metrics containers, aggregates and collector."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.metrics.aggregates import MovingAverage, spatial_average, summarize
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.series import StepSeries, TimeSeries
+from repro.metrics.series import StepSeries, TimeSeries, float_column
 
 
 class TestTimeSeries:
@@ -333,6 +334,28 @@ class TestCollector:
             tracemalloc.stop()
         assert len(c.latencies) == n
         assert retained / n < 32
+
+    def test_unit_weights_counted_until_first_other_weight(self):
+        """Unit weights are stored as a count; a weight-3 sample turns the
+        count into a column.  Throughput equals that of an explicit
+        column either way, also after a pickle round trip."""
+        counted = MetricsCollector()
+        for t in range(10):
+            counted.record_latency(float(t), 0.01)
+        assert counted._latency_weights == 10
+        assert pickle.loads(pickle.dumps(counted)).throughput(0.0, 10.0) == 1.0
+        for t in range(10, 15):
+            counted.record_latency(float(t), 0.01, weight=3)
+        explicit = MetricsCollector()
+        for t in range(15):
+            explicit.record_latency(float(t), 0.01)
+        explicit._latency_weights = float_column([1.0] * 10 + [3.0] * 5)
+        windows = [(0.0, 15.0), (0.0, 10.0), (5.0, 12.0), (10.0, 15.0)]
+        expected = [explicit.throughput(*w) for w in windows]
+        assert expected[0] == pytest.approx(25 / 15)
+        for c in (counted, pickle.loads(pickle.dumps(counted))):
+            assert [c.throughput(*w) for w in windows] == expected
+        assert counted.completed_requests == 25
 
     def test_reconfiguration_log(self):
         c = MetricsCollector()

@@ -11,8 +11,6 @@ from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.obs.events import (
     EVENT_KINDS,
     Decision,
-    DecisionAction,
-    DecisionReason,
     NodeAllocated,
     ProbeReading,
     ReconfigCompleted,
@@ -20,6 +18,7 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import Tracer, causal_chain, load_jsonl
 from repro.obs.timeline import render_timeline, render_timeline_file
+from repro.policy.api import DecisionAction, DecisionReason
 from repro.policy.threshold import ThresholdPolicy
 from repro.workload.profiles import ConstantProfile, PiecewiseProfile
 

@@ -56,7 +56,7 @@ from repro.policy.tune import (
     score_run,
     write_tuned_config,
 )
-from repro.runner.cache import ResultCache
+from repro.runner.cache import ResultCache, describe_config
 from repro.runner.parallel import ExperimentRunner
 from repro.runner.sweep import SweepPoint
 from repro.workload.profiles import RampProfile
@@ -635,3 +635,38 @@ class TestTuner:
         scores = score_run(run, TuneObjective())
         assert all(math.isfinite(v) for v in scores.values())
         assert scores["node_hours"] > 0
+
+
+class TestPolicySmokeGate:
+    """``repro bench --only policy --smoke``: the tuner smoke's sane cell
+    and the section's default seed-1 arm are one config, simulated once."""
+
+    def test_sane_cell_is_the_default_arm(self):
+        from repro.policy import bench
+
+        sane = next(
+            p
+            for p in bench.smoke_spec().grid()
+            if p.app_max == 0.80 and p.db_max == 0.75
+        )
+        assert describe_config(sane.config(1, 0.15)) == describe_config(
+            PAPER_DEFAULT.config(1, bench.SCALE)
+        )
+
+    def test_smoke_gate_simulates_the_shared_run_once(self, monkeypatch):
+        import repro.runner.parallel as parallel
+        from repro.policy import bench
+
+        executed = []
+        execute = parallel.execute_config
+
+        def counting(config):
+            executed.append(describe_config(config))
+            return execute(config)
+
+        monkeypatch.setattr(parallel, "execute_config", counting)
+        section = bench.run_section(seeds=(1,), parallel=False, smoke=True)
+        bench.check_section(section)
+        configs = len(section["tune_smoke"]["cells"]) + len(section["arms"])
+        assert len(executed) == configs - 1 == len(set(executed))
+        assert "cache" not in section["tune_smoke"]

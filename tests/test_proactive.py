@@ -5,7 +5,7 @@ import pytest
 from repro.capacity.proactive import ProactiveConfig, ProactiveManager
 from repro.jade.control_loop import InhibitionLock
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.obs.events import DecisionReason
+from repro.policy.api import DecisionReason
 from repro.obs.tracer import Tracer
 from repro.simulation.kernel import SimKernel
 from repro.workload.profiles import RampProfile

@@ -4,8 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.legacy.mysql import advance_digest
+from repro.cluster.node import Node
+from repro.legacy.configfiles import MyCnf
+from repro.legacy.mysql import MySqlServer, advance_digest
 from repro.legacy.recovery_log import RecoveryLog
+
+
+def fields(entry):
+    return entry.index, entry.write_id, entry.sql, entry.demand, entry.weight
+
+
+def mysql(kernel, directory, host):
+    node = Node(kernel, host)
+    node.fs.write(MySqlServer.CONFIG_PATH, MyCnf().render())
+    server = MySqlServer(kernel, f"db-{host}", node, directory)
+    server.start()
+    return server
 
 
 class TestRecoveryLog:
@@ -25,7 +39,36 @@ class TestRecoveryLog:
         log = RecoveryLog()
         log.append("a", 0.01)
         entry = log.append("b", 0.02)
-        assert log.get(1) is entry
+        assert fields(log.get(1)) == fields(entry)
+
+    def test_stored_entries_equal_appended_ones(self):
+        log = RecoveryLog()
+        appended = [
+            log.append(f"w{i}", 0.01 * (i + 1), weight=1 + i % 3) for i in range(7)
+        ]
+        for entry in appended:
+            assert entry.write_id == entry.index + 1
+            assert fields(log.get(entry.index)) == fields(entry)
+        assert [fields(e) for e in log.entries_from(3)] == [
+            fields(e) for e in appended[3:]
+        ]
+        assert fields(log.get(-1)) == fields(appended[-1])
+        with pytest.raises(IndexError):
+            log.get(7)
+
+    def test_replayed_backend_reaches_live_digest(self, kernel, directory):
+        """A replica synced only from the stored columns ends in the state
+        of the one that applied the appended entries live."""
+        live, synced = (mysql(kernel, directory, host) for host in ("n1", "n2"))
+        log = RecoveryLog()
+        for i in range(12):
+            live.execute_write(log.append(f"w{i % 4}", 0.001 * (i + 1), 1 + i % 2))
+        kernel.run()
+        for entry in log.entries_from(0):
+            synced.replay_write(entry)
+        kernel.run()
+        assert synced.applied_index == live.applied_index == 12
+        assert synced.state_digest == live.state_digest
 
     def test_entries_from_suffix(self):
         log = RecoveryLog()
