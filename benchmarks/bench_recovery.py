@@ -6,6 +6,7 @@ replay, and total MTTR.  Also verifies the repaired replica is
 byte-identical (digest) to the survivors — the recovery log's purpose.
 """
 
+from repro.jade.self_recovery import recovery_metrics
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.workload.profiles import ConstantProfile
 
@@ -27,26 +28,15 @@ def run_crash_scenario() -> dict:
     victim = system.db_tier.replicas[-1]
     kernel.schedule_at(crash_t, victim.node.crash)
     col = system.run()
-
-    detect_t = next(
-        (t for t, d in col.reconfigurations if "detected failure" in d), None
-    )
-    repaired_t = next(
-        (
-            t
-            for t, d in col.reconfigurations
-            if t > crash_t and "grow:" in d and "active" in d
-        ),
-        None,
-    )
+    metrics = recovery_metrics(col, crash_t)
     controller = system.cjdbc.content.controller
     backends = controller.enabled_backends()
     digests = {b.server.state_digest for b in backends}
     replayed = sum(b.server.replays_applied for b in backends)
     return {
         "crash_t": crash_t,
-        "detect_latency_s": (detect_t - crash_t) if detect_t else float("nan"),
-        "mttr_s": (repaired_t - crash_t) if repaired_t else float("nan"),
+        "detect_latency_s": metrics["detect_latency_s"],
+        "mttr_s": metrics["mttr_s"],
         "replicas_after": len(backends),
         "digests_consistent": len(digests) == 1,
         "entries_replayed": replayed,

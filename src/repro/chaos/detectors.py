@@ -82,7 +82,9 @@ class PhiAccrualDetector:
         #: optional decision tracer (set by the assembled system)
         self.tracer = None
         self._listeners: list[SuspicionListener] = []
-        self._state: dict[int, dict] = {}
+        #: per-server state keyed by the server itself (servers hash by
+        #: identity) so a pickled copy keeps its keys
+        self._state: dict[object, dict] = {}
         self._task: Optional[PeriodicTask] = None
 
     def subscribe(self, listener: SuspicionListener) -> None:
@@ -106,7 +108,7 @@ class PhiAccrualDetector:
     # ------------------------------------------------------------------
     def phi(self, server: object) -> float:
         """Current suspicion level for ``server`` (0.0 if unknown/healthy)."""
-        st = self._state.get(id(server))
+        st = self._state.get(server)
         if st is None or getattr(server, "pending", 0) <= 0:
             return 0.0
         elapsed = self.kernel.now - st["last_progress"]
@@ -121,18 +123,17 @@ class PhiAccrualDetector:
                 node is not None and not node.up
             ):
                 continue  # plainly dead: the heartbeat sensor's job
-            sid = id(server)
-            seen.add(sid)
+            seen.add(server)
             served = getattr(server, "served", 0)
             failures = getattr(server, "failures", 0)
             pending = getattr(server, "pending", 0)
             cpu = getattr(node, "cpu", None)
             cpu_done = getattr(cpu, "completed", None) if cpu is not None else None
-            st = self._state.get(sid)
+            st = self._state.get(server)
             if st is None:
                 # First observation seeds the anchor (cf. the utilization
                 # sampler: no delta yet, no judgement yet).
-                self._state[sid] = {
+                self._state[server] = {
                     "served": served,
                     "failures": failures,
                     "cpu_done": cpu_done,
@@ -184,7 +185,7 @@ class PhiAccrualDetector:
         # Forget servers that left the managed set (repaired/removed).
         if len(self._state) > len(seen):
             self._state = {
-                sid: st for sid, st in self._state.items() if sid in seen
+                server: st for server, st in self._state.items() if server in seen
             }
 
     def _suspect(self, server, node, phi: float, reason: str) -> None:

@@ -799,34 +799,9 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recovery_metrics(system: ManagedSystem, crash_t: float) -> dict:
-    """Detection latency, MTTR and availability of a single-crash run,
-    extracted from the reconfiguration log (same parse as
-    ``benchmarks/bench_recovery.py``)."""
-    col = system.collector
-    detect_t = repaired_t = None
-    for t, desc in col.reconfigurations:
-        if detect_t is None and t >= crash_t and "detected failure" in desc:
-            detect_t = t
-        if repaired_t is None and t > crash_t and "grow:" in desc and "active" in desc:
-            repaired_t = t
-    completed = col.completed_requests
-    attempted = completed + col.failed_requests
-    return {
-        "crash_at_s": crash_t,
-        "detect_latency_s": (
-            detect_t - crash_t if detect_t is not None else float("nan")
-        ),
-        "mttr_s": (
-            repaired_t - crash_t if repaired_t is not None else float("nan")
-        ),
-        # NaN (not 1.0) when no request got through — same convention as
-        # the chaos scorecard: a total outage is not perfect availability.
-        "availability": completed / attempted if attempted else float("nan"),
-    }
-
-
 def cmd_recovery(args: argparse.Namespace) -> int:
+    from repro.jade.self_recovery import recovery_metrics
+
     duration = max(900.0 * args.scale, args.crash_at + 300.0)
     config = ExperimentConfig(
         profile=ConstantProfile(args.clients, duration),
@@ -846,7 +821,7 @@ def cmd_recovery(args: argparse.Namespace) -> int:
     system.kernel.schedule_at(args.crash_at, victim.node.crash)
     system.run()
     _print_summary(system)
-    metrics = _recovery_metrics(system, args.crash_at)
+    metrics = recovery_metrics(system.collector, args.crash_at)
     print("\nRecovery")
     print(
         f"  detection latency  : {metrics['detect_latency_s']:.1f} s"

@@ -23,6 +23,36 @@ from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
 
+def recovery_metrics(collector: MetricsCollector, crash_t: float) -> dict:
+    """Detection latency, MTTR and availability of a single-crash run at
+    ``crash_t``, extracted from the collector's reconfiguration log.
+
+    Detection is the first "detected failure" entry at or after the crash;
+    repair is the first later entry of a grow that left a replica active.
+    A latency with no matching entry is NaN.
+    """
+    detect_t = repaired_t = None
+    for t, desc in collector.reconfigurations:
+        if detect_t is None and t >= crash_t and "detected failure" in desc:
+            detect_t = t
+        if repaired_t is None and t > crash_t and "grow:" in desc and "active" in desc:
+            repaired_t = t
+    completed = collector.completed_requests
+    attempted = completed + collector.failed_requests
+    return {
+        "crash_at_s": crash_t,
+        "detect_latency_s": (
+            detect_t - crash_t if detect_t is not None else float("nan")
+        ),
+        "mttr_s": (
+            repaired_t - crash_t if repaired_t is not None else float("nan")
+        ),
+        # NaN (not 1.0) when no request got through — same convention as
+        # the chaos scorecard: a total outage is not perfect availability.
+        "availability": completed / attempted if attempted else float("nan"),
+    }
+
+
 class SelfRecoveryManager:
     """Failure detection + repair across a set of managed tiers."""
 

@@ -173,7 +173,9 @@ class HeartbeatSensor:
         self.period_s = period_s
         self.name = name
         self._listeners: list[FailureListener] = []
-        self._reported: set[int] = set()
+        #: unhealthy servers already reported, keyed by the server itself
+        #: (servers hash by identity) so a pickled copy keeps its keys
+        self._reported: set[object] = set()
         self._task: Optional[PeriodicTask] = None
         self.failures_detected = 0
 
@@ -196,37 +198,12 @@ class HeartbeatSensor:
                 node is None or node.up
             )
             if healthy:
-                self._reported.discard(id(server))
-            elif id(server) not in self._reported:
-                self._reported.add(id(server))
+                self._reported.discard(server)
+            elif server not in self._reported:
+                self._reported.add(server)
                 self.failures_detected += 1
                 for listener in list(self._listeners):
                     listener(server)
-
-
-class ResponseTimeProbe:
-    """Optional higher-level sensor (§4.2): moving average of client
-    response times, fed by the experiment's metrics stream."""
-
-    def __init__(
-        self,
-        kernel: SimKernel,
-        window_s: float = 60.0,
-        name: str = "rt-probe",
-    ) -> None:
-        self.kernel = kernel
-        self.window = MovingAverage(window_s)
-        self.name = name
-        self._listeners: list[Callable[[float, float], None]] = []
-
-    def subscribe(self, listener: Callable[[float, float], None]) -> None:
-        """listener(t, smoothed_latency_s)"""
-        self._listeners.append(listener)
-
-    def observe(self, t: float, latency_s: float) -> None:
-        smoothed = self.window.add(t, latency_s)
-        for listener in list(self._listeners):
-            listener(t, smoothed)
 
 
 @dataclass(frozen=True)

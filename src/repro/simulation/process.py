@@ -141,10 +141,6 @@ def wait(signal: Signal) -> _Wait:
     return _Wait(signal)
 
 
-class ProcessKilled(Exception):
-    """Raised inside a process generator when it is killed."""
-
-
 class Process:
     """Drives a generator as a simulated process.
 
@@ -175,10 +171,6 @@ class Process:
             self.alive = False
             self.done.succeed(stop.value)
             return
-        except ProcessKilled:
-            self.alive = False
-            self.done.succeed(None)
-            return
         self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
@@ -189,8 +181,6 @@ class Process:
             self._kernel.post_in(command.duration, self._resume, None, None)
         elif isinstance(command, _Wait):
             command.signal.add_callback(self._on_signal)
-        elif isinstance(command, Signal):
-            command.add_callback(self._on_signal)
         else:
             self.alive = False
             err = TypeError(f"process {self.name!r} yielded {command!r}")

@@ -1,16 +1,12 @@
 """CPU resource models.
 
 A simulated server consumes CPU on its node for every request it handles.
-Two queueing disciplines are provided behind one interface:
+:class:`PsCpu` models that CPU as egalitarian **processor sharing**, the
+standard model for a time-sliced CPU serving many concurrent request
+threads.  It is implemented with the classic *virtual time* technique,
+O(log n) per arrival/departure.
 
-* :class:`PsCpu` — egalitarian **processor sharing**, the standard model for
-  a time-sliced CPU serving many concurrent request threads.  Implemented
-  with the classic *virtual time* technique, O(log n) per arrival/departure.
-* :class:`FifoCpu` — a single-server FIFO queue (M/G/1 when fed by Poisson
-  arrivals), O(1) per event; cheaper, and adequate when per-request latency
-  distribution is not under study.
-
-Both track cumulative *busy time*, which is exactly the signal the paper's
+It tracks cumulative *busy time*, which is exactly the signal the paper's
 probes sample: CPU utilization over the last second, averaged spatially over
 the tier and temporally by a moving average.
 
@@ -33,10 +29,9 @@ import heapq
 import itertools
 import math
 import sys
-from collections import deque
 from typing import Callable, Optional
 
-from repro.simulation.kernel import Event, SimKernel
+from repro.simulation.kernel import SimKernel
 from repro.simulation.process import Signal
 
 CapacityModel = Callable[[int], float]
@@ -211,68 +206,10 @@ class ResourceStopped(RuntimeError):
     """Raised to jobs aborted because their resource was shut down."""
 
 
-class CpuResource:
-    """Common bookkeeping for CPU models (busy time, counters)."""
-
-    def __init__(self, kernel: SimKernel, speed: float = 1.0, name: str = "cpu"):
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        self.kernel = kernel
-        self.speed = speed
-        self.name = name
-        #: fail-slow / gray-failure hook: fraction of nominal speed actually
-        #: delivered (1.0 = healthy).  ``_espeed`` caches ``speed *
-        #: degradation`` — it is what every rate computation reads.
-        self.degradation = 1.0
-        self._espeed = speed
-        self.busy_integral = 0.0  # cumulative seconds with >=1 active job
-        self.completed = 0
-        self.service_delivered = 0.0  # cumulative CPU-seconds of demand served
-        self._last_update = kernel.now
-
-    # -- interface -----------------------------------------------------
-    @property
-    def active_jobs(self) -> int:
-        raise NotImplementedError
-
-    def submit(self, job: CpuJob) -> CpuJob:
-        raise NotImplementedError
-
-    def abort_all(self, error: Optional[BaseException] = None) -> int:
-        raise NotImplementedError
-
-    # -- degradation (fail-slow / gray failures) ------------------------
-    def set_degradation(self, factor: float) -> None:
-        """Scale the delivered speed by ``factor`` (1.0 restores health).
-
-        Busy-time accounting is settled at the old rate first, so a probe
-        sampling across the change sees correct utilization.  Subclasses
-        with in-flight completion schedules must also resettle those.
-        """
-        if factor <= 0:
-            raise ValueError("degradation factor must be positive")
-        self._advance_accounting()
-        self.degradation = factor
-        self._espeed = self.speed * factor
-
-    # -- utilization sampling -------------------------------------------
-    def busy_time(self) -> float:
-        """Cumulative busy time up to the current instant."""
-        self._advance_accounting()
-        return self.busy_integral
-
-    def _advance_accounting(self) -> None:
-        now = self.kernel.now
-        if now > self._last_update:
-            if self.active_jobs > 0:
-                self.busy_integral += now - self._last_update
-            self._last_update = now
-
-
 _INF = float("inf")
 
 
-class PsCpu(CpuResource):
+class PsCpu:
     """Processor-sharing CPU with optional capacity degradation.
 
     With ``n`` active jobs each job is served at rate
@@ -302,7 +239,20 @@ class PsCpu(CpuResource):
         capacity_model: CapacityModel = constant_capacity,
         name: str = "cpu",
     ):
-        super().__init__(kernel, speed, name)
+        if speed <= 0:
+            raise ValueError("speed must be positive")
+        self.kernel = kernel
+        self.speed = speed
+        self.name = name
+        #: fail-slow / gray-failure hook: fraction of nominal speed actually
+        #: delivered (1.0 = healthy).  ``_espeed`` caches ``speed *
+        #: degradation`` — it is what every rate computation reads.
+        self.degradation = 1.0
+        self._espeed = speed
+        self.busy_integral = 0.0  # cumulative seconds with >=1 active job
+        self.completed = 0
+        self.service_delivered = 0.0  # cumulative CPU-seconds of demand served
+        self._last_update = kernel.now
         self.capacity_model = capacity_model
         # Rate computations at or below the knee skip the model call.
         self._knee = capacity_knee(capacity_model)
@@ -344,6 +294,18 @@ class PsCpu(CpuResource):
         self.degradation = factor
         self._espeed = self.speed * factor
         self._reschedule_completion()
+
+    def busy_time(self) -> float:
+        """Cumulative busy time up to the current instant."""
+        self._advance_accounting()
+        return self.busy_integral
+
+    def _advance_accounting(self) -> None:
+        now = self.kernel.now
+        if now > self._last_update:
+            if self._live > 0:
+                self.busy_integral += now - self._last_update
+            self._last_update = now
 
     def _advance_virtual(self) -> None:
         now = self.kernel.now
@@ -518,82 +480,4 @@ class PsCpu(CpuResource):
         self._vnow = 0.0
         self._vlast = self.kernel.now
         self._wake_at = float("inf")
-        return aborted
-
-
-class FifoCpu(CpuResource):
-    """Single-server FIFO queue.
-
-    The job at the head of the queue is served at rate
-    ``speed * capacity(n)`` where ``n`` is the queue length *at service
-    start* (capacity is not re-evaluated mid-service; thrashing studies
-    should use :class:`PsCpu`).
-    """
-
-    def __init__(
-        self,
-        kernel: SimKernel,
-        speed: float = 1.0,
-        capacity_model: CapacityModel = constant_capacity,
-        name: str = "cpu",
-    ):
-        super().__init__(kernel, speed, name)
-        self.capacity_model = capacity_model
-        self._queue: deque[CpuJob] = deque()
-        self._in_service: Optional[CpuJob] = None
-        self._completion_event: Optional[Event] = None
-
-    @property
-    def active_jobs(self) -> int:
-        return len(self._queue) + (1 if self._in_service is not None else 0)
-
-    def submit(self, job: CpuJob) -> CpuJob:
-        self._advance_accounting()
-        job.submitted_at = self.kernel.now
-        if job.demand == 0.0:
-            job.completed_at = self.kernel.now
-            self.completed += job.weight
-            job._settle(self.kernel)
-            return job
-        self._queue.append(job)
-        if self._in_service is None:
-            self._start_next()
-        return job
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            return
-        job = self._queue.popleft()
-        self._in_service = job
-        rate = self._espeed * self.capacity_model(self.active_jobs)
-        service_time = job.demand / rate
-        self._completion_event = self.kernel.schedule(
-            service_time, self._complete, job
-        )
-
-    def _complete(self, job: CpuJob) -> None:
-        self._advance_accounting()
-        self._completion_event = None
-        self._in_service = None
-        job.completed_at = self.kernel.now
-        self.completed += job.weight
-        self.service_delivered += job.demand
-        job._settle(self.kernel)
-        self._start_next()
-
-    def abort_all(self, error: Optional[BaseException] = None) -> int:
-        self._advance_accounting()
-        err = error if error is not None else ResourceStopped(self.name)
-        aborted = 0
-        if self._in_service is not None:
-            self._in_service._settle(self.kernel, err)
-            self._in_service = None
-            aborted += 1
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
-        for job in self._queue:
-            job._settle(self.kernel, err)
-            aborted += 1
-        self._queue.clear()
         return aborted

@@ -3,23 +3,25 @@ phi-accrual detector and the resilience scorecard."""
 
 import dataclasses
 import pickle
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.chaos.campaign import PRESETS, ChaosCampaign, campaign_config
 from repro.chaos.detectors import PhiAccrualDetector
-from repro.chaos.faults import FaultSpec
+from repro.chaos.faults import ChaosInjector, FaultSpec
 from repro.chaos.scorecard import score_campaign, score_run
 from repro.chaos import faults as F
 from repro.cluster.network import Lan
 from repro.cluster.node import NodeIsolated, make_nodes
-from repro.cluster.failures import FailureInjector
 from repro.jade.system import ManagedSystem
 from repro.metrics.aggregates import scorecard_json
+from repro.metrics.collector import MetricsCollector
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import ExperimentRunner
 from repro.runner.results import CompletedRun
-from repro.simulation.resources import CpuJob, FifoCpu, PsCpu
+from repro.simulation.resources import CpuJob, PsCpu
 
 
 # ----------------------------------------------------------------------
@@ -57,14 +59,6 @@ class TestDegradation:
         # Two equal jobs at half speed: each effectively served at 0.25/s.
         assert a.completed_at == pytest.approx(4.0)
         assert b.completed_at == pytest.approx(4.0)
-
-    def test_fifo_degradation_scales_service(self, kernel):
-        cpu = FifoCpu(kernel)
-        cpu.set_degradation(0.25)
-        job = CpuJob(kernel, 1.0)
-        cpu.submit(job)
-        kernel.run()
-        assert job.completed_at == pytest.approx(4.0)
 
     def test_degradation_must_be_positive(self, kernel):
         cpu = PsCpu(kernel)
@@ -162,35 +156,85 @@ class TestLanChaos:
 
 
 # ----------------------------------------------------------------------
-# FailureInjector.stop() (one-shots must not outlive the injector)
+# ChaosInjector's Poisson crash stream
 # ----------------------------------------------------------------------
-class TestFailureInjectorStop:
-    def test_stop_cancels_pending_one_shots(self, kernel):
-        nodes = make_nodes(kernel, 2)
-        injector = FailureInjector(kernel)
-        injector.crash_at(nodes[0], 100.0)
-        injector.crash_after(nodes[1], 150.0)
-        kernel.schedule_at(50.0, injector.stop)
-        kernel.run(until=300.0)
-        assert all(n.up for n in nodes)
-        assert injector.crashes_injected == 0
+class _CountingNode:
+    """A node that counts crashes and stays up, so a stream never runs
+    out of victims."""
 
-    def test_stop_cancels_poisson_stream(self, kernel):
-        nodes = make_nodes(kernel, 10)
-        injector = FailureInjector(kernel)
-        injector.poisson_crashes(nodes, mtbf_s=5.0)
-        kernel.schedule_at(0.5, injector.stop)
+    def __init__(self, name):
+        self.name = name
+        self.up = True
+        self.isolated = False
+        self.crashes = 0
+
+    def crash(self):
+        self.crashes += 1
+
+
+def _poisson_injector(kernel, app_nodes, db_nodes=(), mtbf_s=5.0,
+                      target="any", seed=3):
+    """A :class:`ChaosInjector` running one Poisson stream over stub
+    tiers whose replicas sit on the given nodes."""
+
+    def tier(name, nodes):
+        return SimpleNamespace(
+            tier_name=name, replicas=[SimpleNamespace(node=n) for n in nodes]
+        )
+
+    system = SimpleNamespace(
+        kernel=kernel,
+        collector=MetricsCollector(),
+        app_tier=tier("app", app_nodes),
+        db_tier=tier("db", db_nodes),
+    )
+    campaign = ChaosCampaign("poisson", faults=[F.poisson(mtbf_s, target=target)])
+    injector = ChaosInjector(system, campaign, np.random.default_rng(seed))
+    injector.start()
+    return injector
+
+
+class TestPoissonStream:
+    def test_stop_cancels_pending_arrival(self, kernel):
+        nodes = make_nodes(kernel, 50)
+        injector = _poisson_injector(kernel, nodes, mtbf_s=5.0)
+        kernel.run(until=20.0)
+        crashed = injector.faults_injected
+        assert crashed > 0
+        injector.stop()
         kernel.run(until=1000.0)
-        assert injector.crashes_injected == 0
+        assert injector.faults_injected == crashed
+        assert sum(not n.up for n in nodes) == crashed
 
-    def test_fired_one_shots_are_safe_to_stop(self, kernel):
-        (node,) = make_nodes(kernel, 1)
-        injector = FailureInjector(kernel)
-        injector.crash_at(node, 10.0)
-        kernel.run(until=50.0)
-        assert not node.up
-        injector.stop()  # cancelling a fired event is a no-op
-        assert injector.crashes_injected == 1
+    def test_arrivals_crash_only_live_candidates(self, kernel):
+        app = make_nodes(kernel, 4, prefix="app")
+        db = make_nodes(kernel, 4, prefix="db")
+        app[0].crash()
+        app[1].isolate()
+        injector = _poisson_injector(kernel, app, db, mtbf_s=2.0)
+        kernel.run(until=500.0)
+        crashed = [e["node"] for e in injector.events]
+        # every live node falls exactly once; later arrivals find no victim
+        assert sorted(crashed) == sorted(n.name for n in app[2:] + db)
+        assert app[1].up and app[1].isolated
+
+    def test_target_restricts_victims(self, kernel):
+        app = make_nodes(kernel, 3, prefix="app")
+        db = make_nodes(kernel, 3, prefix="db")
+        injector = _poisson_injector(kernel, app, db, mtbf_s=2.0, target="db")
+        kernel.run(until=500.0)
+        assert all(n.up for n in app)
+        assert not any(n.up for n in db)
+        assert {e["tier"] for e in injector.events} == {"db"}
+
+    def test_crash_count_tracks_mtbf(self, kernel):
+        nodes = [_CountingNode(f"n{i}") for i in range(3)]
+        horizon, mtbf = 10_000.0, 10.0
+        injector = _poisson_injector(kernel, nodes, mtbf_s=mtbf)
+        kernel.run(until=horizon)
+        expected = horizon / mtbf  # 1000 arrivals; sd ~ 32
+        assert abs(injector.faults_injected - expected) < 0.1 * expected
+        assert sum(n.crashes for n in nodes) == injector.faults_injected
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +399,20 @@ class TestPhiAccrualDetector:
         kernel.run(until=60.0)
         assert suspicions == []
         assert detector.suspicions == 0
+
+    def test_pickled_copy_keeps_suspicion(self, kernel):
+        server = _StubServer()
+        detector = PhiAccrualDetector(kernel, [server].copy, threshold=4.0)
+        detector.on_start()
+        server.pending = 5
+        server.node.cpu.active_jobs = 1
+        kernel.run(until=20.0)
+        assert detector.suspicions == 1
+        kernel2, detector2 = pickle.loads(pickle.dumps((kernel, detector)))
+        (server2,) = detector2.servers_provider()
+        assert detector2.phi(server2) == detector.phi(server) > 4.0
+        kernel2.run(until=60.0)
+        assert detector2.suspicions == 1
 
     def test_stop_halts_checks(self, kernel):
         server = _StubServer()

@@ -1,11 +1,9 @@
 """Unit tests for the cluster substrate: nodes, filesystem, allocator,
-installer, LAN, failure injection."""
+installer, LAN."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.allocator import ClusterManager, NoFreeNodeError
-from repro.cluster.failures import FailureInjector
 from repro.cluster.filesystem import FileNotFound, NodeFilesystem
 from repro.cluster.installer import Package, SoftwareInstallationService
 from repro.cluster.network import Lan
@@ -408,56 +406,3 @@ class TestLan:
             Lan(bandwidth_mbps=0)
         with pytest.raises(ValueError):
             Lan().message_delay(-1.0)
-
-
-class TestFailureInjector:
-    def test_crash_at(self, kernel):
-        node = Node(kernel, "n1")
-        inj = FailureInjector(kernel)
-        inj.crash_at(node, 5.0)
-        kernel.run(until=4.0)
-        assert node.up
-        kernel.run(until=6.0)
-        assert not node.up
-        assert inj.crashes_injected == 1
-
-    def test_crash_after(self, kernel):
-        node = Node(kernel, "n1")
-        FailureInjector(kernel).crash_after(node, 2.0)
-        kernel.run()
-        assert not node.up
-
-    def test_poisson_crashes_hit_mean(self, kernel):
-        rng = np.random.default_rng(42)
-        nodes = make_nodes(kernel, 200)
-        inj = FailureInjector(kernel, rng)
-        inj.poisson_crashes(nodes, mtbf_s=100.0)
-        kernel.run(until=1000.0)
-        # Expect ~10 crashes (1000 s / 100 s MTBF); loose bounds.
-        assert 3 <= inj.crashes_injected <= 25
-
-    def test_victim_filter(self, kernel):
-        rng = np.random.default_rng(1)
-        nodes = make_nodes(kernel, 5)
-        protected = nodes[0]
-        inj = FailureInjector(kernel, rng)
-        inj.poisson_crashes(
-            nodes, mtbf_s=5.0, victim_filter=lambda n: n is not protected
-        )
-        kernel.run(until=200.0)
-        assert protected.up
-        assert inj.crashes_injected > 0
-
-    def test_stop_cancels(self, kernel):
-        rng = np.random.default_rng(1)
-        nodes = make_nodes(kernel, 5)
-        inj = FailureInjector(kernel, rng)
-        inj.poisson_crashes(nodes, mtbf_s=1.0)
-        inj.stop()
-        kernel.run(until=100.0)
-        assert inj.crashes_injected == 0
-
-    def test_bad_mtbf_rejected(self, kernel):
-        inj = FailureInjector(kernel)
-        with pytest.raises(ValueError):
-            inj.poisson_crashes([], mtbf_s=0.0)

@@ -89,20 +89,6 @@ def test_signal_fires_once_only(kernel):
         sig.succeed(2)
 
 
-def test_yielding_signal_directly_works(kernel):
-    sig = Signal(kernel)
-    got = []
-
-    def waiter():
-        value = yield sig
-        got.append(value)
-
-    Process(kernel, waiter())
-    kernel.schedule(1.0, sig.succeed, "direct")
-    kernel.run()
-    assert got == ["direct"]
-
-
 def test_done_signal_carries_return_value(kernel):
     def proc():
         yield sleep(1.0)

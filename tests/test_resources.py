@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.simulation.kernel import SimKernel
 from repro.simulation.resources import (
     CpuJob,
-    FifoCpu,
     PsCpu,
     ResourceStopped,
     ThrashingCurve,
@@ -167,7 +166,7 @@ class TestContinuationJobs:
             CpuJob(kernel, 1.0, fail=lambda err: None)
         assert CpuJob(kernel, 1.0, then=lambda: None, fail=lambda e: None).done is None
 
-    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    @pytest.mark.parametrize("factory", [PsCpu])
     def test_same_order_as_signal_jobs(self, factory):
         def run(continuation):
             kernel = SimKernel()
@@ -203,7 +202,7 @@ class TestContinuationJobs:
         assert log == [("a", 2.0), ("b", 2.0)]
         assert kernel.tail_dispatched == 0
 
-    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    @pytest.mark.parametrize("factory", [PsCpu])
     def test_abort_posts_fail(self, factory, kernel):
         cpu = factory(kernel)
         log = []
@@ -225,7 +224,7 @@ class TestLazyDone:
         job.done.add_callback(lambda s: seen.append((kernel.now, s.value, s.error)))
         return seen
 
-    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    @pytest.mark.parametrize("factory", [PsCpu])
     def test_accessed_before_completion(self, factory, kernel):
         cpu = factory(kernel)
         job = CpuJob(kernel, 1.0)
@@ -236,7 +235,7 @@ class TestLazyDone:
         assert seen == [(1.0, job, None)]
         assert job.done.value is job and job.done.error is None
 
-    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    @pytest.mark.parametrize("factory", [PsCpu])
     def test_accessed_after_completion(self, factory, kernel):
         cpu = factory(kernel)
         job = CpuJob(kernel, 1.0)
@@ -256,7 +255,7 @@ class TestLazyDone:
         job = PsCpu(kernel).submit(CpuJob(kernel, 0.0))
         assert job.done.fired and job.done.value is job
 
-    @pytest.mark.parametrize("factory", [PsCpu, FifoCpu])
+    @pytest.mark.parametrize("factory", [PsCpu])
     def test_accessed_after_abort(self, factory, kernel):
         cpu = factory(kernel)
         job = CpuJob(kernel, 5.0)
@@ -311,45 +310,6 @@ class TestLazyDone:
             return [j.finished for j in jobs], kernel.events_processed, kernel.tail_dispatched
 
         assert run(access=True) == run(access=False)
-
-
-class TestFifoCpu:
-    def test_jobs_serve_in_order(self, kernel):
-        cpu = FifoCpu(kernel)
-        jobs = run_jobs(cpu, kernel, [1.0, 2.0, 0.5])
-        assert [j.completed_at for j in jobs] == [
-            pytest.approx(1.0),
-            pytest.approx(3.0),
-            pytest.approx(3.5),
-        ]
-
-    def test_busy_time(self, kernel):
-        cpu = FifoCpu(kernel)
-        run_jobs(cpu, kernel, [1.0, 1.0], submit_times=[0.0, 10.0])
-        assert cpu.busy_time() == pytest.approx(2.0)
-
-    def test_abort_clears_queue(self, kernel):
-        cpu = FifoCpu(kernel)
-        jobs = [CpuJob(kernel, 5.0) for _ in range(3)]
-        errors = []
-        for j in jobs:
-            cpu.submit(j)
-            j.done.add_callback(lambda s: errors.append(s.error))
-        kernel.schedule(1.0, cpu.abort_all)
-        kernel.run()
-        assert len(errors) == 3
-        assert all(isinstance(e, ResourceStopped) for e in errors)
-
-    def test_zero_demand(self, kernel):
-        cpu = FifoCpu(kernel)
-        job = CpuJob(kernel, 0.0)
-        cpu.submit(job)
-        assert job.done.fired
-
-    def test_speed(self, kernel):
-        cpu = FifoCpu(kernel, speed=4.0)
-        (job,) = run_jobs(cpu, kernel, [2.0])
-        assert job.completed_at == pytest.approx(0.5)
 
 
 class TestThrashingCurve:
@@ -425,29 +385,6 @@ def test_ps_completion_order_matches_demand_order(demands):
     by_demand = sorted(jobs, key=lambda j: j.demand)
     completions = [j.completed_at for j in by_demand]
     assert all(a <= b + 1e-9 for a, b in zip(completions, completions[1:]))
-
-
-@given(
-    demands=st.lists(
-        st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=10
-    ),
-    gaps=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=10),
-)
-@settings(max_examples=60, deadline=None)
-def test_fifo_completions_are_sequential(demands, gaps):
-    kernel = SimKernel()
-    cpu = FifoCpu(kernel)
-    jobs = []
-    t = 0.0
-    for demand, gap in zip(demands, gaps):
-        t += gap
-        job = CpuJob(kernel, demand)
-        kernel.schedule_at(t, cpu.submit, job)
-        jobs.append(job)
-    kernel.run()
-    done = [j.completed_at for j in jobs]
-    assert all(a <= b + 1e-9 for a, b in zip(done, done[1:]))
-    assert cpu.service_delivered == pytest.approx(sum(demands[: len(gaps)]))
 
 
 class TestAbortAllReuse:
@@ -536,10 +473,3 @@ class TestWeightedJobs:
         assert light.completed_at == pytest.approx(3.0)
         assert heavy.completed_at == pytest.approx(3.0)
         assert cpu.completed == 3
-
-    def test_fifo_counts_constituents(self, kernel):
-        cpu = FifoCpu(kernel)
-        job = CpuJob(kernel, 1.0, weight=5)
-        cpu.submit(job)
-        kernel.run()
-        assert cpu.completed == 5

@@ -1,12 +1,13 @@
 """Tests for the Jade sensors."""
 
+import pickle
+
 import pytest
 
 from repro.cluster.node import Node, make_nodes
 from repro.jade.sensors import (
     CpuProbe,
     HeartbeatSensor,
-    ResponseTimeProbe,
     UtilizationSampler,
 )
 
@@ -198,6 +199,23 @@ class TestHeartbeatSensor:
         kernel.run(until=8.0)
         assert detected == [server, server]
 
+    def test_pickled_copy_does_not_report_again(self, kernel):
+        nodes = make_nodes(kernel, 2)
+        servers = [FakeServer(n) for n in nodes]
+        sensor = HeartbeatSensor(kernel, servers.copy)
+        detected = []
+        sensor.subscribe(detected.append)
+        sensor.on_start()
+        kernel.schedule(2.5, nodes[0].crash)
+        kernel.run(until=5.0)
+        assert detected == [servers[0]]
+        kernel2, servers2, sensor2, detected2 = pickle.loads(
+            pickle.dumps((kernel, servers, sensor, detected))
+        )
+        kernel2.run(until=10.0)
+        assert detected2 == [servers2[0]]
+        assert sensor2.failures_detected == 1
+
     def test_stop(self, kernel):
         server = FakeServer(make_nodes(kernel, 1)[0])
         sensor = HeartbeatSensor(kernel, lambda: [server])
@@ -206,21 +224,3 @@ class TestHeartbeatSensor:
         server.running = False
         kernel.run(until=5.0)
         assert sensor.failures_detected == 0
-
-
-class TestResponseTimeProbe:
-    def test_smooths_latencies(self, kernel):
-        probe = ResponseTimeProbe(kernel, window_s=10.0)
-        seen = []
-        probe.subscribe(lambda t, v: seen.append(v))
-        for i in range(5):
-            probe.observe(float(i), 0.1 * (i + 1))
-        assert seen[-1] == pytest.approx(sum(0.1 * (i + 1) for i in range(5)) / 5)
-
-    def test_window_eviction(self, kernel):
-        probe = ResponseTimeProbe(kernel, window_s=2.0)
-        seen = []
-        probe.subscribe(lambda t, v: seen.append(v))
-        probe.observe(0.0, 10.0)
-        probe.observe(5.0, 1.0)
-        assert seen[-1] == pytest.approx(1.0)
