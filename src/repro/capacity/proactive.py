@@ -31,11 +31,6 @@ from repro.capacity.cost import CostModel
 from repro.capacity.forecast import Forecaster, make_forecaster
 from repro.capacity.snapshot import SystemSnapshot
 from repro.capacity.whatif import Candidate, WhatIfEngine
-from repro.obs.events import (
-    ForecastIssued,
-    ProactiveDecision,
-    WhatIfEvaluated,
-)
 from repro.policy.api import DecisionAction, DecisionReason
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
@@ -213,6 +208,8 @@ class ProactiveManager:
         self.forecasts_issued += 1
         forecast_seq = None
         if self.tracer is not None:
+            from repro.obs.events import ForecastIssued
+
             forecast_seq = self.tracer.emit(
                 ForecastIssued(
                     now,
@@ -274,6 +271,8 @@ class ProactiveManager:
         outcomes = self.engine.evaluate(snapshot, forecast, candidates)
         best = self.engine.best(outcomes)
         if self.tracer is not None:
+            from repro.obs.events import WhatIfEvaluated
+
             whatif_seq = self.tracer.emit(
                 WhatIfEvaluated(
                     self.kernel.now,
@@ -359,6 +358,8 @@ class ProactiveManager:
     ) -> Optional[int]:
         if self.tracer is None:
             return None
+        from repro.obs.events import ProactiveDecision
+
         return self.tracer.emit(
             ProactiveDecision(
                 self.kernel.now,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.obs.events import DetectorSuspected
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
 #: 1/ln(10): converts "elapsed in units of the mean interval" to the
@@ -191,6 +190,8 @@ class PhiAccrualDetector:
     def _suspect(self, server, node, phi: float, reason: str) -> None:
         self.suspicions += 1
         if self.tracer is not None:
+            from repro.obs.events import DetectorSuspected
+
             self.tracer.emit(
                 DetectorSuspected(
                     self.kernel.now,

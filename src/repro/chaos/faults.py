@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.events import FaultCleared, FaultInjected
 from repro.simulation.kernel import Event
 
 KINDS = (
@@ -213,6 +212,7 @@ class ChaosInjector:
         self.faults_injected = 0
         #: plain-data fault log: {"t", "fault", "node", "tier", "detail"}
         self.events: list[dict] = []
+        #: injections and clearances still pending, for :meth:`stop`
         self._scheduled: list[Event] = []
         self._active_isolations = 0
         self._started = False
@@ -226,9 +226,7 @@ class ChaosInjector:
             if spec.kind == "poisson":
                 self._arm_poisson(spec)
             else:
-                self._scheduled.append(
-                    self.kernel.schedule_at(spec.at_s, self._fire, spec)
-                )
+                self._keep(self.kernel.schedule_at(spec.at_s, self._fire, spec))
 
     def stop(self) -> None:
         """Cancel every pending injection and clearance."""
@@ -289,6 +287,8 @@ class ChaosInjector:
             t, f"[chaos] {fault} {node or 'lan'}" + (f" ({detail})" if detail else "")
         )
         if self.tracer is not None:
+            from repro.obs.events import FaultInjected
+
             self.tracer.emit(
                 FaultInjected(t, fault=fault, target=node or "lan",
                               tier=tier, detail=detail)
@@ -296,10 +296,18 @@ class ChaosInjector:
 
     def _cleared(self, fault: str, target: str) -> None:
         if self.tracer is not None:
+            from repro.obs.events import FaultCleared
+
             self.tracer.emit(FaultCleared(self.kernel.now, fault=fault, target=target))
 
+    def _keep(self, event: Event) -> None:
+        """Track ``event`` for :meth:`stop`, dropping the tracked events
+        that fired (a fired or cancelled event has released its callback)."""
+        self._scheduled = [e for e in self._scheduled if e.fn is not None]
+        self._scheduled.append(event)
+
     def _clear_at(self, delay: float, fn, *args) -> None:
-        self._scheduled.append(self.kernel.schedule(delay, fn, *args))
+        self._keep(self.kernel.schedule(delay, fn, *args))
 
     # ------------------------------------------------------------------
     def _fire(self, spec: FaultSpec) -> None:
@@ -439,9 +447,7 @@ class ChaosInjector:
     def _arm_poisson(self, spec: FaultSpec, first: Optional[bool] = True) -> None:
         delay = float(self.rng.exponential(spec.mtbf_s))
         at = (spec.at_s if first else self.kernel.now) + delay
-        self._scheduled.append(
-            self.kernel.schedule_at(at, self._fire_poisson, spec)
-        )
+        self._keep(self.kernel.schedule_at(at, self._fire_poisson, spec))
 
     def _fire_poisson(self, spec: FaultSpec) -> None:
         candidates = self._candidates(spec.target)

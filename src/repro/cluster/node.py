@@ -73,9 +73,6 @@ class Node:
         self.isolated = False
         self._footprints: dict[str, float] = {}
         self._crash_listeners: list[Callable[["Node"], None]] = []
-        # Utilization sampling bookkeeping (used by probes).
-        self._last_busy = 0.0
-        self._last_busy_t = kernel.now
 
     # ------------------------------------------------------------------
     # CPU
@@ -139,23 +136,6 @@ class Node:
     def heal(self) -> None:
         """Reconnect an isolated node."""
         self.isolated = False
-
-    def cpu_utilization_since_last_sample(self) -> float:
-        """Fraction of time the CPU was busy since the previous call.
-
-        This is the raw signal a :class:`~repro.jade.sensors.CpuProbe`
-        samples once per second.  The first call measures since node
-        creation.  Returns 0.0 for a zero-length interval.
-        """
-        now = self.kernel.now
-        busy = self.cpu.busy_time()
-        span = now - self._last_busy_t
-        delta = busy - self._last_busy
-        self._last_busy = busy
-        self._last_busy_t = now
-        if span <= 0.0:
-            return 0.0
-        return min(1.0, delta / span)
 
     # ------------------------------------------------------------------
     # Memory

@@ -28,7 +28,6 @@ from typing import Optional
 from repro.deploy.bounce import BounceOperation
 from repro.deploy.scenario import DeployScenario
 from repro.deploy.versions import version_label
-from repro.obs.events import CanaryVerdict, DeployStarted, RollbackTriggered
 from repro.simulation.process import Process, sleep, wait
 
 #: how long the fleet pre-grow may take before the manager proceeds with
@@ -290,6 +289,8 @@ class DeployManager:
             strategy=sc.strategy,
         )
         if self.tracer is not None:
+            from repro.obs.events import DeployStarted
+
             self.tracer.emit(
                 DeployStarted(
                     self.kernel.now,
@@ -318,6 +319,8 @@ class DeployManager:
             )
             verdict_seq = None
             if self.tracer is not None:
+                from repro.obs.events import CanaryVerdict
+
                 verdict_seq = self.tracer.emit(
                     CanaryVerdict(
                         self.kernel.now,
@@ -343,6 +346,8 @@ class DeployManager:
                 self.verdict_reason = verdict["reason"]
                 self._event("rollback-triggered", reason=verdict["reason"])
                 if self.tracer is not None:
+                    from repro.obs.events import RollbackTriggered
+
                     self.tracer.emit(
                         RollbackTriggered(
                             self.kernel.now,

@@ -35,13 +35,15 @@ import multiprocessing
 import os
 import time
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.federation.messages import WeightUpdate, ordered
 from repro.federation.region import RegionResult, RegionRuntime
 from repro.federation.routing import GlobalLoadBalancer
 from repro.federation.spec import FederationSpec
-from repro.runner.cache import ResultCache
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runner.cache import ResultCache
 
 
 class FederationResult:

@@ -71,7 +71,10 @@ class SelfRecoveryManager:
         self.collector = collector
         self.retry_period_s = retry_period_s
         self.sensor = HeartbeatSensor(
-            kernel, self._all_servers, period_s=detect_period_s
+            kernel,
+            self._all_servers,
+            period_s=detect_period_s,
+            members_provider=self._member_servers,
         )
         self.sensor.subscribe(self._on_failure)
         self._pending: list[tuple[TierManager, Component]] = []
@@ -94,6 +97,14 @@ class SelfRecoveryManager:
     def _all_servers(self):
         for tier in self.tiers:
             yield from tier.servers()
+
+    def _member_servers(self):
+        """The servers of every replica, under maintenance or not."""
+        for tier in self.tiers:
+            for record in tier.replicas:
+                server = getattr(record.component.content, "server", None)
+                if server is not None:
+                    yield server
 
     def _tier_of(self, server: object) -> Optional[tuple[TierManager, Component]]:
         for tier in self.tiers:

@@ -159,6 +159,10 @@ class HeartbeatSensor:
     Every period it pings each managed element (anything with ``running``
     and a ``node``); an element whose node is down, or which stopped
     running without a management action, is reported exactly once.
+    ``members_provider`` lists every element still managed, including
+    those ``servers_provider`` skips for a while (a replica under planned
+    maintenance); a reported element is forgotten once it is no longer
+    a member.  It defaults to ``servers_provider``.
     """
 
     def __init__(
@@ -167,9 +171,11 @@ class HeartbeatSensor:
         servers_provider: ServerProvider,
         period_s: float = 1.0,
         name: str = "heartbeat",
+        members_provider: Optional[ServerProvider] = None,
     ) -> None:
         self.kernel = kernel
         self.servers_provider = servers_provider
+        self.members_provider = members_provider or servers_provider
         self.period_s = period_s
         self.name = name
         self._listeners: list[FailureListener] = []
@@ -192,6 +198,8 @@ class HeartbeatSensor:
             self._task = None
 
     def _check(self) -> None:
+        if self._reported:
+            self._reported.intersection_update(self.members_provider())
         for server in self.servers_provider():
             node = getattr(server, "node", None)
             healthy = getattr(server, "running", True) and (

@@ -39,7 +39,6 @@ from repro.cluster.allocator import ClusterManager
 from repro.market.allocator import FleetAllocator, Offer
 from repro.market.catalog import InstanceType
 from repro.market.spot import SpotMarket
-from repro.obs.events import FleetRebalanced, InterruptionNotice
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -222,6 +221,8 @@ class MarketEngine:
                    f"(target={target:.1f} od={od:.1f} spot={spot:.1f})"
             )
         if self.tracer is not None:
+            from repro.obs.events import FleetRebalanced
+
             self.tracer.emit(FleetRebalanced(
                 t, action=action, detail=detail, target_vcpus=target,
                 od_vcpus=od, spot_vcpus=spot,
@@ -278,6 +279,8 @@ class MarketEngine:
                 f"(reclaim at t={deadline:.0f}s, {source})",
             )
         if self.tracer is not None:
+            from repro.obs.events import InterruptionNotice
+
             self.tracer.emit(InterruptionNotice(
                 now, node=node.name, instance_type=itype_name,
                 deadline=deadline, price=round(price, 6), source=source,

@@ -7,29 +7,27 @@ event-for-event.
 
 Dispatch order
 --------------
-Every queued callback has a timestamp and a sequence number, and the
-kernel dispatches in ``(time, seq)`` order: earliest first, and first
-queued, first run among equal times.  The queue keeps that order in two
-parts:
+The kernel dispatches earliest time first, and first queued, first run
+among equal times.  The queue keeps that order in two parts:
 
-* **The heap** holds the entries of *future* instants (``time > now``) as
-  plain tuples ``(time, seq, fn, args)``.  ``seq`` is unique, so heap
-  comparisons run in C and never reach ``fn``.
+* **The heap** holds each *future* instant (``time > now``) once, as a
+  bare float, so heap comparisons are float comparisons.  An index maps
+  the instant to its *lone* ``(fn, args)`` pair, or to the list of pairs
+  queued there, in order.  Periodic probes and samplers fire on shared
+  absolute grids (``first + k*period``), so an instant costs one heap
+  entry however many callbacks share it.
 * **The FIFO** holds the ``(fn, args)`` pairs due at the current instant.
   A post at ``now`` appends to it.  The kernel advances to the next heap
-  instant only once the FIFO is empty, and moves every entry due then
-  into the FIFO.  Those entries were queued before ``now`` reached their
-  time, so they carry lower sequence numbers than any post made at that
-  instant and belong ahead of it.
+  instant only once the FIFO is empty, and moves every pair due then
+  into the FIFO.  Those pairs were queued before ``now`` reached their
+  time, so they belong ahead of any post made at that instant.
 
-Future instants are coalesced.  The first entry queued at a future
-timestamp enters the heap on its own; every later one joins a *bucket*,
-a list of ``(fn, args)`` pairs kept beside it in an index (future time ->
-lone entry or bucket), which moves into the FIFO right behind it when it
-pops.  Periodic probes and samplers fire on shared absolute grids
-(``first + k*period``), so an instant costs one heap entry however many
-callbacks share it.  If the lone entry is cancelled and discarded first,
-its bucket enters the heap in its place as ``(time, seq, _BUCKET, list)``.
+The first callback queued at a future instant is its lone one, and
+heads its list if others join.  A cancelled lone event is discarded when
+it leads the queue, even past a run's horizon, without moving ``now``;
+reaching any other callback moves ``now``, cancelled or not.  Past a
+horizon, once the lone event is gone, the cancelled events of its
+instant go too, and ``None`` takes its place at the head of the list.
 
 Fire-and-forget posts (:meth:`SimKernel.post`, :meth:`~SimKernel.post_in`,
 :meth:`~SimKernel.post_at`) allocate nothing but their tuple.  Only
@@ -70,14 +68,10 @@ of the same run with every tail call posted.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from typing import Any, Callable, Optional
 
 _INF = float("inf")
-
-#: ``fn`` of a heap entry whose ``args`` is a bucket of ``(fn, args)`` pairs
-_BUCKET = object()
 
 
 class SimulationError(RuntimeError):
@@ -137,13 +131,12 @@ class SimKernel:
     """
 
     def __init__(self) -> None:
-        #: entries of future instants (see the module docstring)
-        self._heap: list = []
-        #: future time -> its lone heap entry, or the bucket queued behind it
+        #: future instants (see the module docstring)
+        self._heap: list[float] = []
+        #: future instant -> its lone ``(fn, args)`` pair, or its list of pairs
         self._index: dict[float, Any] = {}
         #: ``(fn, args)`` pairs due at ``now``, in dispatch order
         self._fifo: deque = deque()
-        self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         self._stopped = False
@@ -164,10 +157,9 @@ class SimKernel:
     @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return (
-            len(self._fifo)
-            + sum(fn is not _BUCKET for _, _, fn, _ in self._heap)
-            + sum(len(v) for v in self._index.values() if type(v) is list)
+        return len(self._fifo) + sum(
+            1 if type(v) is tuple else len(v) - (v[0] is None)
+            for v in self._index.values()
         )
 
     # ------------------------------------------------------------------
@@ -227,15 +219,14 @@ class SimKernel:
         if time <= self._now:
             self._fifo.append((fn, args))
             return
-        index = self._index
-        cur = index.get(time)
-        if cur is None:
-            index[time] = entry = (time, next(self._seq), fn, args)
-            heapq.heappush(self._heap, entry)
-        elif type(cur) is list:
-            cur.append((fn, args))
+        pair = (fn, args)
+        cur = self._index.setdefault(time, pair)
+        if cur is pair:
+            heapq.heappush(self._heap, time)
+        elif type(cur) is tuple:
+            self._index[time] = [cur, pair]
         else:
-            index[time] = [(fn, args)]
+            cur.append(pair)
 
     def _tail(self, fn: Callable[..., Any], args: tuple) -> None:
         """Post ``fn(*args)`` at the current instant, or run it inline when
@@ -268,54 +259,53 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _advance(self, horizon: float) -> bool:
-        """Advance ``now`` to the earliest queued future instant at or
-        before ``horizon`` and move its entries into the (empty) FIFO.
+    def _reach(self, time: float, entry: Any) -> None:
+        """Move the callbacks of ``time``, the future instant just popped
+        from the heap and the index, into the (empty) FIFO and advance
+        ``now`` to it.  A cancelled lone event is discarded instead,
+        leaving ``now`` as it is."""
+        if type(entry) is tuple:
+            fn, args = entry
+            if fn is None and args.cancelled:
+                self.tombstones_skipped += 1
+                return
+            self._fifo.append(entry)
+        else:
+            if entry[0] is None:
+                del entry[0]
+            self._fifo.extend(entry)
+        self._now = time
 
-        A cancelled entry at the heap head is discarded, even past the
-        horizon, and so are the cancelled entries of a bucket at the head
-        past it, so that ``pending`` then counts live events only.
-        Returns False when no instant is due."""
+    def _discard_past_horizon(self) -> None:
+        """Discard the cancelled events leading the heap, which lies past
+        the run's horizon, so that ``pending`` then counts live events
+        only: a cancelled lone event, and once it is gone, the cancelled
+        events of its instant."""
         heap = self._heap
         index = self._index
-        fifo = self._fifo
         while heap:
-            entry = heap[0]
-            time, _, fn, args = entry
-            if fn is None and args.cancelled:
-                heapq.heappop(heap)
-                self.tombstones_skipped += 1
-                bucket = index[time]
-                if bucket is entry:
-                    del index[time]
-                else:  # the bucket behind it enters the heap in its place
-                    heapq.heappush(heap, (time, next(self._seq), _BUCKET, bucket))
-                continue
-            if time > horizon:
-                if fn is not _BUCKET:
-                    return False
-                live = [e for e in args if e[0] is not None or not e[1].cancelled]
-                self.tombstones_skipped += len(args) - len(live)
-                if live:
-                    args[:] = live
-                    return False
-                heapq.heappop(heap)
-                del index[time]
-                continue
+            time = heap[0]
+            entry = index[time]
+            lone, rest = (entry, ()) if type(entry) is tuple else (entry[0], entry[1:])
+            if lone is not None and (lone[0] is not None or not lone[1].cancelled):
+                return
+            live = [e for e in rest if e[0] is not None or not e[1].cancelled]
+            self.tombstones_skipped += len(rest) - len(live) + (lone is not None)
+            if live:
+                index[time] = [None, *live]
+                return
             heapq.heappop(heap)
-            self._now = time
-            bucket = index.pop(time)
-            if fn is not _BUCKET:
-                fifo.append((fn, args))
-            if bucket is not entry:
-                fifo.extend(bucket)
-            return True
-        return False
+            del index[time]
 
     def step(self) -> bool:
         """Run the next pending event. Returns False when the queue is empty."""
+        heap = self._heap
         fifo = self._fifo
-        while fifo or self._advance(_INF):
+        while fifo or heap:
+            if not fifo:
+                time = heapq.heappop(heap)
+                self._reach(time, self._index.pop(time))
+                continue
             fn, args = fifo.popleft()
             if fn is None:
                 fn, args = args._take()
@@ -355,19 +345,19 @@ class SimKernel:
                             self.tombstones_skipped += 1
                             continue
                 elif heap:
-                    # _advance inlined for a lone post within the horizon
-                    # (hot path: CPU wakes, think times, network hops).
-                    entry = heap[0]
-                    time, _, fn, args = entry
-                    if time > horizon or fn is None or fn is _BUCKET:
-                        if self._advance(horizon):
-                            continue
+                    time = heap[0]
+                    if time > horizon:
+                        self._discard_past_horizon()
                         break
                     heappop(heap)
+                    entry = index.pop(time)
+                    # _reach inlined for a lone post (hot path: CPU wakes,
+                    # think times, network hops)
+                    if type(entry) is not tuple or entry[0] is None:
+                        self._reach(time, entry)
+                        continue
+                    fn, args = entry
                     self._now = time
-                    bucket = index.pop(time)
-                    if bucket is not entry:
-                        fifo.extend(bucket)
                 else:
                     break
                 fn(*args)
@@ -389,7 +379,7 @@ class PeriodicTask:
     Firings are scheduled on the absolute grid ``first + k*period`` (not
     ``now + period`` from inside each tick), so long runs accumulate no
     floating-point phase drift and co-periodic tasks share exact timestamps
-    (one timer bucket per instant instead of one heap entry per task).
+    (one heap entry per instant instead of one per task).
     """
 
     __slots__ = (

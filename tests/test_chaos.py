@@ -236,6 +236,16 @@ class TestPoissonStream:
         assert abs(injector.faults_injected - expected) < 0.1 * expected
         assert sum(n.crashes for n in nodes) == injector.faults_injected
 
+    def test_retains_only_pending_events(self, kernel):
+        """A long stream keeps its one armed arrival for ``stop()``, not
+        every arrival that has fired."""
+        nodes = [_CountingNode(f"n{i}") for i in range(3)]
+        injector = _poisson_injector(kernel, nodes, mtbf_s=10.0)
+        kernel.run(until=10_000.0)
+        assert injector.faults_injected > 900
+        assert len(injector._scheduled) == 1
+        assert injector._scheduled[0].fn is not None
+
 
 # ----------------------------------------------------------------------
 # Fault specs and campaigns (validation + picklability)

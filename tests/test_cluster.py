@@ -132,15 +132,6 @@ class TestNode:
         assert not node.fs.exists("/etc/x")
         assert node.footprints == {}
 
-    def test_utilization_sampling(self, kernel):
-        node = Node(kernel, "n1")
-        node.run_job(1.0)
-        kernel.run(until=2.0)
-        # busy 1s out of 2s
-        assert node.cpu_utilization_since_last_sample() == pytest.approx(0.5)
-        kernel.run(until=4.0)
-        assert node.cpu_utilization_since_last_sample() == pytest.approx(0.0)
-
     def test_make_nodes_names(self, kernel):
         nodes = make_nodes(kernel, 3, prefix="srv")
         assert [n.name for n in nodes] == ["srv1", "srv2", "srv3"]

@@ -32,8 +32,11 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     )
 
 
-#: loaded by neither a federation run nor its coordinator
+#: loaded by neither a federation run nor its coordinator (trace events
+#: load on first emit; the result cache only with a caller's cache)
 FEDERATION_UNUSED = (
+    "repro.obs",
+    "repro.runner.cache",
     "repro.capacity",
     "repro.runner.sweep",
     "repro.runner.parallel",
@@ -115,11 +118,7 @@ def loaded_after_run(workload: str, **knobs) -> list[str]:
     "workload", ["ramp-discrete", "ramp-fluid", "static-thrash", "federation-evac"]
 )
 def test_untraced_run_leaves_trace_and_unused_code_unloaded(workload):
-    loaded = loaded_after_run(workload)
-    if workload == "federation-evac":
-        # chaos faults and detectors emit events, so they import them
-        loaded = [m for m in loaded if not m.startswith("repro.obs.")]
-    assert loaded == []
+    assert loaded_after_run(workload) == []
 
 
 def test_traced_run_loads_trace_events():

@@ -199,6 +199,49 @@ class TestTombstones:
         assert kernel.tombstones_skipped == 2
         assert kernel.now == 5.0
 
+    def test_cancelled_instant_reached_moves_now(self, kernel):
+        """The cancelled first event of an instant is discarded without
+        moving ``now``; a cancelled event queued behind it is reached at
+        its instant, so ``now`` moves there."""
+        kernel.schedule_at(1.0, lambda: None).cancel()
+        kernel.schedule_at(1.0, lambda: None).cancel()
+        kernel.run()
+        assert kernel.now == 1.0
+        assert kernel.tombstones_skipped == 2
+        assert kernel.pending == 0
+
+    def test_cancelled_instant_past_until_keeps_now(self, kernel):
+        kernel.schedule_at(1.0, lambda: None).cancel()
+        kernel.schedule_at(1.0, lambda: None).cancel()
+        kernel.run(until=0.5)
+        assert kernel.now == 0.5
+        assert kernel.tombstones_skipped == 2
+        assert kernel.pending == 0
+
+    def test_survivors_of_compacted_instant_are_not_first(self, kernel):
+        """Once the first event of an instant is discarded past a horizon,
+        the events left there follow no first event: cancelling them all
+        and reaching them moves ``now``, and a later horizon discards a
+        cancelled one even behind a live one."""
+        kernel.schedule_at(1.0, lambda: None).cancel()
+        survivor = kernel.schedule_at(1.0, lambda: None)
+        kernel.run(until=0.5)
+        assert kernel.pending == 1
+        survivor.cancel()
+        kernel.run()
+        assert kernel.now == 1.0
+        assert kernel.tombstones_skipped == 2
+
+        kernel = SimKernel()
+        kernel.schedule_at(1.0, lambda: None).cancel()
+        kernel.schedule_at(1.0, lambda: None)
+        behind = kernel.schedule_at(1.0, lambda: None)
+        kernel.run(until=0.5)
+        behind.cancel()
+        kernel.run(until=0.75)
+        assert kernel.pending == 1
+        assert kernel.tombstones_skipped == 2
+
     def test_live_event_past_until_stays_pending(self, kernel):
         kernel.schedule(10.0, lambda: None)
         kernel.run(until=5.0)

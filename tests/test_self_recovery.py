@@ -1,5 +1,7 @@
 """Tests for the self-recovery manager (failure detection + repair)."""
 
+from types import SimpleNamespace
+
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.workload.profiles import ConstantProfile
 
@@ -119,6 +121,35 @@ class TestSelfRecovery:
         assert system.db_tier.replica_count == 2
         assert system.app_tier.repairs_completed == 1
         assert system.db_tier.repairs_completed == 1
+
+    def test_server_down_through_maintenance_reported_once(self):
+        """A failed server whose repair is refused stays in its tier;
+        quarantined for maintenance and released still down, it is not
+        reported again."""
+        system = make_system()
+        kernel = system.kernel
+        tier = system.app_tier
+        tier.arbitration = SimpleNamespace(
+            request=lambda op, tier_name: False, complete=lambda op, tier_name: None
+        )
+        system.recovery.start()
+        record = tier.replicas[0]
+        kernel.schedule_at(50.0, record.node.crash)
+        kernel.schedule_at(60.0, tier.maintenance.add, record.component.name)
+        kernel.schedule_at(70.0, tier.maintenance.discard, record.component.name)
+        kernel.run(until=100.0)
+        assert tier.replicas[0] is record
+        assert system.recovery.sensor.failures_detected == 1
+        assert system.recovery.failures_seen == 1
+
+    def test_repaired_server_is_forgotten(self):
+        system = make_system()
+        kernel = system.kernel
+        system.recovery.start()
+        kernel.schedule(100.0, system.app_tier.replicas[0].node.crash)
+        kernel.run(until=400.0)
+        assert system.app_tier.repairs_completed == 1
+        assert system.recovery.sensor._reported == set()
 
     def test_stopped_manager_does_not_repair(self):
         system = make_system()
