@@ -96,13 +96,6 @@ class CostModel:
             raise KeyError(f"instance type {instance_type!r} not in price book")
         return self.node_hour_cost
 
-    def price_node_seconds(self, seconds_by_type: dict[str, float]) -> float:
-        """Total cost of per-type node-seconds (on-demand prices)."""
-        return sum(
-            self.node_hour_cost_for(name or None) * seconds / 3600.0
-            for name, seconds in seconds_by_type.items()
-        )
-
     def score(
         self,
         outcome: "BranchOutcome",

@@ -25,6 +25,7 @@ simulated branch outcomes (or directly on the projection when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.capacity.cost import CostModel
@@ -153,11 +154,10 @@ class ProactiveManager:
     def cpu_listener(self, tier_label: str) -> Callable:
         """A listener recording the tier's smoothed CPU (subscribe it to
         the tier's :class:`~repro.jade.sensors.CpuProbe`)."""
+        return partial(self._record_cpu, tier_label)
 
-        def listen(reading) -> None:
-            self._tier_cpu[tier_label] = reading.smoothed
-
-        return listen
+    def _record_cpu(self, tier_label: str, reading) -> None:
+        self._tier_cpu[tier_label] = reading.smoothed
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:

@@ -17,8 +17,7 @@ from typing import Mapping, Optional
 
 from repro.cluster.network import Lan
 from repro.cluster.node import Node, NodeDown
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Signal
+from repro.simulation.kernel import Signal, SimKernel
 
 
 class Package:
@@ -125,6 +124,3 @@ class SoftwareInstallationService:
 
     def is_installed(self, name: str, node: Node) -> bool:
         return name in self._installed.get(node.name, set())
-
-    def installed_on(self, node: Node) -> set[str]:
-        return set(self._installed.get(node.name, set()))

@@ -23,24 +23,54 @@ exactly, not statistically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.deploy.bounce import BounceOperation
 from repro.deploy.scenario import DeployScenario
 from repro.deploy.versions import version_label
-from repro.simulation.process import Process, sleep, wait
 
 #: how long the fleet pre-grow may take before the manager proceeds with
 #: whatever capacity it has (the deployment must not stall forever)
 _GROW_BUDGET = 120
 
 
+class _Cohort:
+    """One measured cohort (canary or stable): the request observer of
+    each of its servers, summing the requests' weights and latencies."""
+
+    __slots__ = ("kernel", "ok", "failed", "latency")
+
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
+        self.ok = 0
+        self.failed = 0
+        self.latency = 0.0
+
+    def __call__(self, request, ok: bool) -> None:
+        weight = getattr(request, "weight", 1)
+        if ok:
+            self.ok += weight
+            issued = getattr(request, "issued_at", None)
+            if issued is not None:
+                self.latency += (self.kernel.now - issued) * weight
+        else:
+            self.failed += weight
+
+    def rates(self) -> tuple:
+        """(requests, error rate, mean latency); NaN where undefined."""
+        total = self.ok + self.failed
+        err = self.failed / total if total else float("nan")
+        latency = self.latency / self.ok if self.ok else float("nan")
+        return total, err, latency
+
+
 class CanaryController:
     """Measures canary vs stable cohorts at the servers and rules.
 
-    ``measure`` is a kernel-process generator: it installs per-server
-    request observers, sleeps out the decision window, removes them, and
-    returns the verdict dict (also kept on :attr:`verdict`).
+    :meth:`measure` installs per-server request observers and posts
+    :meth:`_close` after ``window_s``, which removes them, rules, and
+    hands the verdict dict (also kept on :attr:`verdict`) to the caller.
     """
 
     def __init__(self, kernel, tier, scenario: DeployScenario) -> None:
@@ -48,28 +78,15 @@ class CanaryController:
         self.tier = tier
         self.scenario = scenario
         self.verdict: Optional[dict] = None
+        #: the open window's continuation, cohorts and tapped servers
+        self._then: Optional[Callable[[dict], None]] = None
+        self._cohorts: dict = {}
+        self._tapped: list = []
 
-    def _tap(self, bucket: list) -> object:
-        # bucket = [ok_weight, fail_weight, latency_weight_sum]
-        kernel = self.kernel
-
-        def tap(request, ok: bool) -> None:
-            weight = getattr(request, "weight", 1)
-            if ok:
-                bucket[0] += weight
-                issued = getattr(request, "issued_at", None)
-                if issued is not None:
-                    bucket[2] += (kernel.now - issued) * weight
-            else:
-                bucket[1] += weight
-
-        return tap
-
-    def measure(self):
-        sc = self.scenario
-        label = sc.version.label
-        cohorts = {"canary": [0, 0, 0.0], "stable": [0, 0, 0.0]}
-        tapped = []
+    def measure(self, then: Callable[[dict], None]) -> None:
+        """Measure for ``window_s``, then call ``then(verdict)``."""
+        label = self.scenario.version.label
+        self._cohorts = {side: _Cohort(self.kernel) for side in ("canary", "stable")}
         for record in self.tier.replicas:
             server = getattr(record.component.content, "server", None)
             if server is None:
@@ -77,23 +94,26 @@ class CanaryController:
             side = (
                 "canary" if version_label(record.version) == label else "stable"
             )
-            server.request_observer = self._tap(cohorts[side])
-            tapped.append(server)
-        try:
-            yield sleep(sc.window_s)
-        finally:
-            for server in tapped:
-                server.request_observer = None
+            server.request_observer = self._cohorts[side]
+            self._tapped.append(server)
+        self._then = then
+        self.kernel.post_in(self.scenario.window_s, self._close)
 
-        def rates(bucket):
-            ok, fail, lat = bucket
-            total = ok + fail
-            err = fail / total if total else float("nan")
-            latency = lat / ok if ok else float("nan")
-            return total, err, latency
+    def stop(self) -> None:
+        """Close an open window: remove the observers, rule nothing."""
+        self._then = None
+        for server in self._tapped:
+            server.request_observer = None
+        self._tapped = []
 
-        canary_n, canary_err, canary_lat = rates(cohorts["canary"])
-        stable_n, stable_err, stable_lat = rates(cohorts["stable"])
+    def _close(self) -> None:
+        then = self._then
+        if then is None:
+            return  # stopped mid-window
+        self.stop()
+        sc = self.scenario
+        canary_n, canary_err, canary_lat = self._cohorts["canary"].rates()
+        stable_n, stable_err, stable_lat = self._cohorts["stable"].rates()
         if canary_n == 0:
             # Fail safe: a canary nobody reached proves nothing — never
             # promote on the absence of evidence.
@@ -119,7 +139,7 @@ class CanaryController:
             "canary_latency_s": canary_lat,
             "stable_latency_s": stable_lat,
         }
-        return self.verdict
+        then(self.verdict)
 
 
 @dataclass(frozen=True)
@@ -170,26 +190,34 @@ class DeployManager:
         self.started_t = float("nan")
         self.verdict_t = float("nan")
         self.completed_t = float("nan")
-        self._process: Optional[Process] = None
         self._sampler = None
         self._started = False
+        #: set by :meth:`stop`: every later step of the deployment is a no-op
+        self._stopped = False
+        #: polls of the running wait (pre-grow, lock), the lock's owner, and
+        #: the step that runs once the lock is taken or the bounce is done
+        self._polls = 0
+        self._lock_owner = ""
+        self._then: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self._started:
             return
         self._started = True
-        self._process = Process(self.kernel, self._run(), name="deploy")
+        self.kernel.post(self._pregrow)
         # The 1 s sampler catches capacity changes the explicit observe
         # hooks between bounce steps would miss (e.g. a crash mid-bounce).
         self._sampler = self.kernel.every(1.0, self._observe)
 
     def stop(self) -> None:
+        """Abandon the deployment: later steps do nothing and an open
+        canary window loses its observers; a running bounce finishes."""
         if self._sampler is not None:
             self._sampler.cancel()
             self._sampler = None
-        if self._process is not None and self._process.alive:
-            self._process.kill()
+        self._stopped = True
+        self.canary.stop()
 
     def attach_tracer(self, tracer) -> None:
         # The shared lock is traced by the optimizer and the proactive
@@ -238,7 +266,8 @@ class DeployManager:
             t, f"[deploy] {kind}" + (f" ({text})" if text else "")
         )
 
-    def _bounce(self, version, strategy: str, limit: Optional[int] = None):
+    def _bounce(self, version, strategy: str, then, limit=None) -> None:
+        """Bounce the tier, then call ``then()``."""
         op = BounceOperation(
             self.kernel,
             self.tier,
@@ -248,39 +277,76 @@ class DeployManager:
             settle_s=self.scenario.settle_s,
             limit=limit,
             observe=self._observe,
-            event=lambda desc: self._event("bounce-error", detail=desc),
+            event=self._bounce_error,
         )
         op.start()
-        yield wait(op.done)
-        return op
+        self._then = then
+        op.done.add_callback(self._bounced)
 
-    def _acquire_lock(self, who: str):
-        """Try to take the shared inhibition lock (bounded wait: a wedged
-        optimizer must not stall the deployment forever)."""
-        for _ in range(10):
-            if self.inhibition.try_acquire(who):
+    def _bounced(self, _done) -> None:
+        if not self._stopped:
+            self._then()
+
+    def _bounce_error(self, description: str) -> None:
+        self._event("bounce-error", detail=description)
+
+    def _acquire_lock(self, who: str, then) -> None:
+        """Try to take the shared inhibition lock, then call ``then()``
+        (bounded wait: a wedged optimizer must not stall the deployment
+        forever)."""
+        self._lock_owner = who
+        self._polls = 0
+        self._then = then
+        self._try_lock()
+
+    def _try_lock(self) -> None:
+        if self._stopped:
+            return
+        if self._polls < 10:
+            self._polls += 1
+            if not self.inhibition.try_acquire(self._lock_owner):
+                delay = max(1.0, self.inhibition.free_at - self.kernel.now)
+                self.kernel.post_in(delay, self._try_lock)
                 return
-            yield sleep(max(1.0, self.inhibition.free_at - self.kernel.now))
+        self._then()
 
     # ------------------------------------------------------------------
-    def _run(self):
-        sc = self.scenario
-        tier = self.tier
+    # One kernel event per step: _pregrow (posted, then each second) ->
+    # _await_fleet -> _announce -> lock -> _push -> canary bounce -> _warm
+    # -> _measure -> window -> _judge -> lock -> promote or roll back (or
+    # one bounce, without a canary) -> _complete.
+    def _pregrow(self) -> None:
         # 1. Pre-grow the fleet (the paper's initial deployment is a
         #    single Tomcat; a deployment story needs a fleet).
-        for _ in range(_GROW_BUDGET):
-            if len(tier.replicas) >= sc.fleet:
-                break
+        if self._stopped:
+            return
+        tier = self.tier
+        if self._polls < _GROW_BUDGET and len(tier.replicas) < self.scenario.fleet:
+            self._polls += 1
             if not tier.busy:
                 tier.grow()
-            yield sleep(1.0)
-        while tier.busy:
-            yield sleep(1.0)
-        self._observe()
-        if self.kernel.now < sc.start_at_s:
-            yield sleep(sc.start_at_s - self.kernel.now)
+            self.kernel.post_in(1.0, self._pregrow)
+            return
+        self._await_fleet()
 
+    def _await_fleet(self) -> None:
+        if self._stopped:
+            return
+        if self.tier.busy:
+            self.kernel.post_in(1.0, self._await_fleet)
+            return
+        self._observe()
+        start_at = self.scenario.start_at_s
+        if self.kernel.now < start_at:
+            self.kernel.post_in(start_at - self.kernel.now, self._announce)
+        else:
+            self._announce()
+
+    def _announce(self) -> None:
         # 2. Announce and inhibit the reactive loops.
+        if self._stopped:
+            return
+        sc = self.scenario
         self.started_t = self.kernel.now
         self._event(
             "deploy-started",
@@ -297,75 +363,85 @@ class DeployManager:
                     scenario=sc.name,
                     version=sc.version.label,
                     strategy=sc.strategy,
-                    tier=tier.tier_name,
-                    replicas=len(tier.replicas),
+                    tier=self.tier.tier_name,
+                    replicas=len(self.tier.replicas),
                 )
             )
-        yield from self._acquire_lock("deploy")
+        self._acquire_lock("deploy", self._push)
 
+    def _push(self) -> None:
+        sc = self.scenario
         if sc.canary:
             # 3. Bounce the canary cohort in place and judge it.
-            yield from self._bounce(
-                sc.version, "downthenup", limit=sc.canary_replicas
+            self._bounce(
+                sc.version, "downthenup", self._warm, limit=sc.canary_replicas
             )
-            yield sleep(sc.warmup_s)
-            verdict = yield from self.canary.measure()
-            self.verdict_t = self.kernel.now
-            self.canary_metrics = dict(verdict)
-            self._event(
-                "canary-verdict",
-                promoted=verdict["promoted"],
-                reason=verdict["reason"],
-            )
-            verdict_seq = None
-            if self.tracer is not None:
-                from repro.obs.events import CanaryVerdict
-
-                verdict_seq = self.tracer.emit(
-                    CanaryVerdict(
-                        self.kernel.now,
-                        scenario=sc.name,
-                        version=sc.version.label,
-                        promoted=verdict["promoted"],
-                        reason=verdict["reason"],
-                        canary_error_rate=verdict["canary_error_rate"],
-                        stable_error_rate=verdict["stable_error_rate"],
-                        canary_latency_s=verdict["canary_latency_s"],
-                        stable_latency_s=verdict["stable_latency_s"],
-                    )
-                )
-            if verdict["promoted"]:
-                # 4a. Promote: bounce the rest of the fleet.
-                self.verdict = "promoted"
-                self.verdict_reason = verdict["reason"]
-                yield from self._acquire_lock("deploy-promote")
-                yield from self._bounce(sc.version, sc.strategy)
-            else:
-                # 4b. Roll back: bounce the canaries back to stable.
-                self.verdict = "rolled-back"
-                self.verdict_reason = verdict["reason"]
-                self._event("rollback-triggered", reason=verdict["reason"])
-                if self.tracer is not None:
-                    from repro.obs.events import RollbackTriggered
-
-                    self.tracer.emit(
-                        RollbackTriggered(
-                            self.kernel.now,
-                            scenario=sc.name,
-                            version=sc.version.label,
-                            reason=verdict["reason"],
-                            cause=verdict_seq,
-                        )
-                    )
-                yield from self._acquire_lock("deploy-rollback")
-                yield from self._bounce(None, "downthenup")
         else:
             # Pure bounce: no canary phase, the whole fleet moves.
             self.verdict_t = self.kernel.now
             self.verdict = "promoted"
             self.verdict_reason = "no-canary"
-            yield from self._bounce(sc.version, sc.strategy)
+            self._bounce(sc.version, sc.strategy, self._complete)
 
+    def _warm(self) -> None:
+        self.kernel.post_in(self.scenario.warmup_s, self._measure)
+
+    def _measure(self) -> None:
+        if not self._stopped:
+            self.canary.measure(self._judge)
+
+    def _judge(self, verdict: dict) -> None:
+        sc = self.scenario
+        self.verdict_t = self.kernel.now
+        self.canary_metrics = dict(verdict)
+        self._event(
+            "canary-verdict",
+            promoted=verdict["promoted"],
+            reason=verdict["reason"],
+        )
+        verdict_seq = None
+        if self.tracer is not None:
+            from repro.obs.events import CanaryVerdict
+
+            verdict_seq = self.tracer.emit(
+                CanaryVerdict(
+                    self.kernel.now,
+                    scenario=sc.name,
+                    version=sc.version.label,
+                    promoted=verdict["promoted"],
+                    reason=verdict["reason"],
+                    canary_error_rate=verdict["canary_error_rate"],
+                    stable_error_rate=verdict["stable_error_rate"],
+                    canary_latency_s=verdict["canary_latency_s"],
+                    stable_latency_s=verdict["stable_latency_s"],
+                )
+            )
+        self.verdict_reason = verdict["reason"]
+        if verdict["promoted"]:
+            # 4a. Promote: bounce the rest of the fleet.
+            self.verdict = "promoted"
+            promote = partial(self._bounce, sc.version, sc.strategy, self._complete)
+            self._acquire_lock("deploy-promote", promote)
+        else:
+            # 4b. Roll back: bounce the canaries back to stable.
+            self.verdict = "rolled-back"
+            self._event("rollback-triggered", reason=verdict["reason"])
+            if self.tracer is not None:
+                from repro.obs.events import RollbackTriggered
+
+                self.tracer.emit(
+                    RollbackTriggered(
+                        self.kernel.now,
+                        scenario=sc.name,
+                        version=sc.version.label,
+                        reason=verdict["reason"],
+                        cause=verdict_seq,
+                    )
+                )
+            roll_back = partial(self._bounce, None, "downthenup", self._complete)
+            self._acquire_lock("deploy-rollback", roll_back)
+
+    def _complete(self) -> None:
         self.completed_t = self.kernel.now
         self._observe()
         self._event("deploy-completed", verdict=self.verdict)

@@ -68,7 +68,7 @@ def apply_version(record, version: ServerVersion, rng=None) -> None:
                 raise ValueError(
                     f"version {version.label!r} has error_rate > 0 but no rng"
                 )
-            server.fault_rng = lambda: float(rng.random())
+            server.fault_rng = rng.random
         else:
             server.fault_rng = None
     record.version = version

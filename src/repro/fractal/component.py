@@ -118,9 +118,6 @@ class Component:
     def client_interface_types(self) -> list[InterfaceType]:
         return [t for t in self._itypes.values() if t.is_client()]
 
-    def server_interface_types(self) -> list[InterfaceType]:
-        return [t for t in self._itypes.values() if t.is_server()]
-
     def get_interface(self, name: str) -> Interface:
         try:
             return self._interfaces[name]

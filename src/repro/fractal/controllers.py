@@ -320,14 +320,6 @@ class ContentController(Controller):
     def sub_components(self) -> list["Component"]:
         return list(self._subs)
 
-    def sub_component(self, name: str) -> "Component":
-        for sub in self._subs:
-            if sub.name == name:
-                return sub
-        raise IllegalContentError(
-            f"{self.component.name} has no sub-component {name!r}"
-        )
-
     def has_sub_component(self, name: str) -> bool:
         return any(sub.name == name for sub in self._subs)
 

@@ -29,7 +29,6 @@ from repro.cluster.node import Node
 from repro.fractal.component import Component
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Process, sleep, wait
 
 ReadyCheck = Callable[["ReplicaRecord"], bool]
 
@@ -107,6 +106,10 @@ class TierManager:
         #: (the deploy subsystem installs the version's effects here)
         self.version_applier: Optional[Callable[[ReplicaRecord], None]] = None
         self._next_id = 1
+        #: the running grow or shrink (one at a time, under ``busy``): its
+        #: node, new component, replica record, name, trace cause, start
+        self._op_node = self._op_component = self._op_record = None
+        self._op_name, self._op_cause, self._op_start_t = "", None, 0.0
         self.grows_completed = 0
         self.shrinks_completed = 0
         self.repairs_completed = 0
@@ -212,99 +215,139 @@ class TierManager:
                     replicas=self.replica_count,
                 )
             )
-        Process(
-            self.kernel,
-            self._grow_seq(node, start_seq, self.kernel.now),
-            name=f"grow:{self.tier_name}",
-        )
+        self._op_node, self._op_cause = node, start_seq
+        self._op_start_t = self.kernel.now
+        self.kernel.post(self._grow_begin)
         return True
 
-    def _grow_seq(self, node: Node, start_seq=None, start_t: float = 0.0):
-        name = f"{self.name_prefix}{self._next_id}"
+    # One kernel event per step: _grow_begin (posted) -> install ->
+    # _grow_installed -> startup -> _grow_started -> 1 s _grow_poll.  An
+    # exception in any step, or a failed install, ends in _grow_failed.
+    def _grow_begin(self) -> None:
+        node = self._op_node
+        self._op_name = f"{self.name_prefix}{self._next_id}"
         self._next_id += 1
-        self._event(f"grow: allocating {node.name} for {name}")
+        self._event(f"grow: allocating {node.name} for {self._op_name}")
         try:
             # 1. Install the software if necessary (§4.1).
             if self.installer is not None and self.package is not None:
-                yield wait(self.installer.install(self.package, node))
-            # 2. Create and wire the replica component.
-            component = self.factory(
-                name, dict(self.replica_attributes), node=node, **self.factory_context
-            )
-            self.composite.content_controller.add(component)
-            for itf_name, target in self.bindings_template:
-                component.bind(itf_name, target)
-            # 3. Start the legacy server (simulated start-script duration).
-            startup = getattr(component.content, "startup_time_s", 1.0)
-            yield sleep(startup)
+                self.installer.install(self.package, node).add_callback(
+                    self._grow_installed
+                )
+            else:
+                self._grow_create()
+        except Exception as exc:  # noqa: BLE001 - surfaced as an event
+            self._grow_failed(exc)
+
+    def _grow_installed(self, installed) -> None:
+        try:
+            if installed.error is not None:
+                raise installed.error
+            self._grow_create()
+        except Exception as exc:  # noqa: BLE001 - surfaced as an event
+            self._grow_failed(exc)
+
+    def _grow_create(self) -> None:
+        # 2. Create and wire the replica component.
+        component = self.factory(
+            self._op_name,
+            dict(self.replica_attributes),
+            node=self._op_node,
+            **self.factory_context,
+        )
+        self.composite.content_controller.add(component)
+        for itf_name, target in self.bindings_template:
+            component.bind(itf_name, target)
+        self._op_component = component
+        # 3. Start the legacy server (simulated start-script duration).
+        startup = getattr(component.content, "startup_time_s", 1.0)
+        self.kernel.post_in(startup, self._grow_started)
+
+    def _grow_started(self) -> None:
+        try:
+            component = self._op_component
             component.start()
             # 4. Integrate with the load balancer; for the database tier
             #    the wrapper triggers recovery-log state reconciliation.
             instance = self.balancer.bind(
                 self.balancer_itf, component.get_interface(self.replica_itf)
             )
-            record = ReplicaRecord(component, node, instance)
+            record = ReplicaRecord(component, self._op_node, instance)
             record.version = self.current_version
             self.replicas.append(record)
             if record.version is not None and self.version_applier is not None:
                 self.version_applier(record)
-            # 5. Wait until the replica is actually serving (DB sync).
-            if self.ready_check is not None:
-                while not self.ready_check(record):
-                    yield sleep(1.0)
-            self.grows_completed += 1
-            self._record_count()
-            self._event(f"grow: {name} active on {node.name}")
-            if self.tracer is not None:
-                from repro.obs.events import ReconfigCompleted
-
-                self.tracer.emit(
-                    ReconfigCompleted(
-                        self.kernel.now,
-                        tier=self.tier_name,
-                        operation="grow",
-                        duration_s=self.kernel.now - start_t,
-                        replica_delta=1,
-                        replicas=self.replica_count,
-                        cause=start_seq,
-                    )
-                )
-            self._notify_reconfigured()
+            self._op_record = record
+            self._grow_ready()
         except Exception as exc:  # noqa: BLE001 - surfaced as an event
-            self.grow_failures += 1
-            self._event(f"grow-failed: {exc}")
-            try:
-                self.cluster.release(node)
-            except ValueError:
-                pass
-            if self.tracer is not None:
-                from repro.obs.events import NodeReleased, ReconfigCompleted
+            self._grow_failed(exc)
 
-                self.tracer.emit(
-                    NodeReleased(
-                        self.kernel.now,
-                        node=node.name,
-                        owner=f"tier:{self.tier_name}",
-                        cause=start_seq,
-                    )
+    def _grow_poll(self) -> None:
+        try:
+            self._grow_ready()
+        except Exception as exc:  # noqa: BLE001 - surfaced as an event
+            self._grow_failed(exc)
+
+    def _grow_ready(self) -> None:
+        # 5. Wait until the replica is actually serving (DB sync).
+        if self.ready_check is not None and not self.ready_check(self._op_record):
+            self.kernel.post_in(1.0, self._grow_poll)
+            return
+        self.grows_completed += 1
+        self._record_count()
+        self._event(f"grow: {self._op_name} active on {self._op_node.name}")
+        self._trace_completed("grow", 1)
+        self._notify_reconfigured()
+        self._end("grow")
+
+    def _grow_failed(self, exc: Exception) -> None:
+        self.grow_failures += 1
+        self._event(f"grow-failed: {exc}")
+        try:
+            self.cluster.release(self._op_node)
+        except ValueError:
+            pass
+        self._trace_completed(
+            "grow", 0, released=self._op_node, ok=False, error=str(exc)
+        )
+        self._end("grow")
+
+    def _end(self, operation: str) -> None:
+        """Close the running reconfiguration (the sequence's ``finally``)."""
+        self.busy = False
+        if self.arbitration is not None:
+            self.arbitration.complete(operation, self.tier_name)
+
+    def _trace_completed(
+        self, operation, replica_delta, released=None, ok=True, error=""
+    ) -> None:
+        if self.tracer is None:
+            return
+        from repro.obs.events import NodeReleased, ReconfigCompleted
+
+        now = self.kernel.now
+        if released is not None:
+            self.tracer.emit(
+                NodeReleased(
+                    now,
+                    node=released.name,
+                    owner=f"tier:{self.tier_name}",
+                    cause=self._op_cause,
                 )
-                self.tracer.emit(
-                    ReconfigCompleted(
-                        self.kernel.now,
-                        tier=self.tier_name,
-                        operation="grow",
-                        duration_s=self.kernel.now - start_t,
-                        replica_delta=0,
-                        replicas=self.replica_count,
-                        ok=False,
-                        error=str(exc),
-                        cause=start_seq,
-                    )
-                )
-        finally:
-            self.busy = False
-            if self.arbitration is not None:
-                self.arbitration.complete("grow", self.tier_name)
+            )
+        self.tracer.emit(
+            ReconfigCompleted(
+                now,
+                tier=self.tier_name,
+                operation=operation,
+                duration_s=now - self._op_start_t,
+                replica_delta=replica_delta,
+                replicas=self.replica_count,
+                ok=ok,
+                error=error,
+                cause=self._op_cause,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Shrink
@@ -339,57 +382,34 @@ class TierManager:
                     replicas=before,
                 )
             )
-        Process(
-            self.kernel,
-            self._shrink_seq(record, start_seq, self.kernel.now),
-            name=f"shrink:{self.tier_name}",
-        )
+        self._op_record, self._op_cause = record, start_seq
+        self._op_start_t = self.kernel.now
+        self.kernel.post(self._shrink_begin)
         return True
 
-    def _shrink_seq(self, record: ReplicaRecord, start_seq=None, start_t: float = 0.0):
-        name = record.component.name
-        self._event(f"shrink: retiring {name}")
-        try:
-            # 1. Unbind from the load balancer (checkpoint for a DB replica).
-            if record.binding_instance is not None:
-                self.balancer.unbind(record.binding_instance)
-            # 2. Let in-flight work drain, then stop the replica.
-            yield sleep(self.drain_delay_s)
-            record.component.stop()
-            self.composite.content_controller.remove(record.component)
-            # 3. Release the node if no longer used (software stays
-            #    installed: "deploy the required software ... if necessary").
-            self.cluster.release(record.node)
-            self.shrinks_completed += 1
-            self._record_count()
-            self._event(f"shrink: {name} released {record.node.name}")
-            if self.tracer is not None:
-                from repro.obs.events import NodeReleased, ReconfigCompleted
+    # The shrink: _shrink_begin (posted) -> drain -> _shrink_drained.
+    def _shrink_begin(self) -> None:
+        record = self._op_record
+        self._event(f"shrink: retiring {record.component.name}")
+        # 1. Unbind from the load balancer (checkpoint for a DB replica).
+        if record.binding_instance is not None:
+            self.balancer.unbind(record.binding_instance)
+        # 2. Let in-flight work drain, then stop the replica.
+        self.kernel.post_in(self.drain_delay_s, self._shrink_drained)
 
-                self.tracer.emit(
-                    NodeReleased(
-                        self.kernel.now,
-                        node=record.node.name,
-                        owner=f"tier:{self.tier_name}",
-                        cause=start_seq,
-                    )
-                )
-                self.tracer.emit(
-                    ReconfigCompleted(
-                        self.kernel.now,
-                        tier=self.tier_name,
-                        operation="shrink",
-                        duration_s=self.kernel.now - start_t,
-                        replica_delta=-1,
-                        replicas=self.replica_count,
-                        cause=start_seq,
-                    )
-                )
-            self._notify_reconfigured()
-        finally:
-            self.busy = False
-            if self.arbitration is not None:
-                self.arbitration.complete("shrink", self.tier_name)
+    def _shrink_drained(self) -> None:
+        record = self._op_record
+        record.component.stop()
+        self.composite.content_controller.remove(record.component)
+        # 3. Release the node if no longer used (software stays
+        #    installed: "deploy the required software ... if necessary").
+        self.cluster.release(record.node)
+        self.shrinks_completed += 1
+        self._record_count()
+        self._event(f"shrink: {record.component.name} released {record.node.name}")
+        self._trace_completed("shrink", -1, released=record.node)
+        self._notify_reconfigured()
+        self._end("shrink")
 
     # ------------------------------------------------------------------
     # Repair (used by the self-recovery manager)

@@ -19,8 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.fractal.component import Component
 from repro.fractal.interfaces import Interface
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Process, Signal, sleep
+from repro.simulation.kernel import Signal, SimKernel
 
 
 class RollingRebind:
@@ -34,10 +33,10 @@ class RollingRebind:
     between unbind and rebind — the hook the deploy subsystem uses to
     swap the server version during the outage window.
 
-    Aborting the operation mid-flight (``Process.kill`` on the returned
-    process, e.g. a cancelled deployment) must not strand the current
-    frontend stopped and unbound: a ``finally`` clause restores its
-    bindings and restarts it if it was running when the pass reached it.
+    :meth:`start` posts :meth:`_next`, which takes a frontend down and
+    waits out its startup; :meth:`_restart` starts it and waits out the
+    settle before the next :meth:`_next`.  :meth:`stop` (a cancelled
+    deployment) never strands a frontend stopped and unbound.
     """
 
     def __init__(
@@ -61,53 +60,74 @@ class RollingRebind:
         self.on_stopped = on_stopped
         self.done = Signal(kernel)
         self.restarted = 0
-        self.process: Optional[Process] = None
+        #: the frontend the pass is at, whether it was running when the
+        #: pass reached it, and whether it is back in service
+        self._index = 0
+        self._was_started = False
+        self._restored = True
+        #: set by :meth:`stop`: every later step is a no-op
+        self._stopped = False
 
     def start(self) -> "RollingRebind":
         """Begin the rolling sequence; ``done`` fires when every frontend
         has been restarted against the new target set."""
-        self.process = Process(self.kernel, self._sequence(), name="rolling-rebind")
+        self.kernel.post(self._next)
         return self
+
+    def stop(self) -> None:
+        """Abort the pass: later steps do nothing, and a frontend caught
+        mid-restart is rebound and started again."""
+        if self._stopped:
+            return
+        self._stopped = True
+        if not self._restored:
+            self._restore()
 
     def _rebind(self, frontend: Component) -> None:
         frontend.binding_controller.unbind_all(self.itf_name)
         for target in self.targets:
             frontend.bind(self.itf_name, target)
 
-    def _sequence(self):
-        for frontend in self.frontends:
-            was_started = frontend.lifecycle_controller.is_started()
-            restored = False
-            try:
-                frontend.stop()
-                self._rebind(frontend)
-                if self.on_stopped is not None:
-                    self.on_stopped(frontend)
-                if not was_started:
-                    # Deliberately stopped replica: repoint only, never
-                    # start it, and skip the restart/settle waits.
-                    restored = True
-                    continue
+    def _restore(self) -> None:
+        # Never leave the current frontend stopped+unbound.
+        self._restored = True
+        frontend = self.frontends[self._index]
+        if not frontend.binding_controller.bound_instances(self.itf_name):
+            self._rebind(frontend)
+        if self._was_started and not frontend.lifecycle_controller.is_started():
+            frontend.start()
+
+    def _next(self) -> None:
+        if self._stopped:
+            return
+        while self._index < len(self.frontends):
+            frontend = self.frontends[self._index]
+            self._was_started = frontend.lifecycle_controller.is_started()
+            self._restored = False
+            frontend.stop()
+            self._rebind(frontend)
+            if self.on_stopped is not None:
+                self.on_stopped(frontend)
+            if self._was_started:
                 startup = getattr(frontend.content, "startup_time_s", 1.0)
-                yield sleep(startup)
-                frontend.start()
-                restored = True
-                self.restarted += 1
-                # Let the restarted replica take load before touching the
-                # next.
-                yield sleep(self.settle_s)
-            finally:
-                if not restored:
-                    # Aborted mid-restart (the generator was closed while
-                    # waiting): never leave the frontend stopped+unbound.
-                    if not frontend.binding_controller.bound_instances(
-                        self.itf_name
-                    ):
-                        self._rebind(frontend)
-                    if was_started and not frontend.lifecycle_controller.is_started():
-                        frontend.start()
+                self.kernel.post_in(startup, self._restart)
+                return
+            # Deliberately stopped replica: repoint only, never start it,
+            # and skip the restart/settle waits.
+            self._restored = True
+            self._index += 1
         if not self.done.fired:
             self.done.succeed(self)
+
+    def _restart(self) -> None:
+        if self._stopped:
+            return
+        self.frontends[self._index].start()
+        self._restored = True
+        self.restarted += 1
+        self._index += 1
+        # Let the restarted replica take load before touching the next.
+        self.kernel.post_in(self.settle_s, self._next)
 
 
 def rolling_rebind(

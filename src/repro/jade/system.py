@@ -231,24 +231,12 @@ class ManagedSystem:
             # instead of the paper's fixed uniform `pool_nodes`.
             from repro.market.engine import MarketEngine
 
-            def make_node(name, itype, node_market):
-                return Node(
-                    self.kernel,
-                    name,
-                    cpu_speed=cfg.node_speed * hs * itype.cpu_capacity,
-                    capacity_model=capacity,
-                    memory_mb=cal.node_memory_mb * hs * (itype.memory_mb / 1024.0),
-                    base_os_mb=cal.node_base_os_mb,
-                    per_job_mb=cal.per_job_mb,
-                    instance=itype,
-                    market=node_market,
-                )
-
+            self._node_capacity = capacity
             self.market = MarketEngine(
                 self.kernel,
                 cfg.market,
                 self.streams,
-                make_node,
+                self._market_node,
                 collector=self.collector,
                 pool_vcpus=float(cfg.pool_nodes),
                 system=self,
@@ -388,11 +376,7 @@ class ManagedSystem:
                 node.register_footprint("jade:mgmt", cal.jade_mgmt_footprint_mb)
             if self.market is not None:
                 # ... including nodes the fleet allocator buys later.
-                self.market.node_decorators.append(
-                    lambda n: n.register_footprint(
-                        "jade:mgmt", cal.jade_mgmt_footprint_mb
-                    )
-                )
+                self.market.node_decorators.append(self._register_mgmt)
         if cfg.recovery:
             self.recovery = SelfRecoveryManager(
                 self.kernel,
@@ -516,17 +500,14 @@ class ManagedSystem:
         self.proactive = None
         if cfg.proactive:
             from repro.capacity.proactive import ProactiveManager
-            from repro.capacity.snapshot import SystemSnapshot
 
             self.proactive = ProactiveManager(
                 self.kernel,
                 self.app_tier,
                 self.db_tier,
                 self.inhibition,
-                load_provider=lambda: self.emulator.active_clients,
-                snapshot_source=lambda: SystemSnapshot.capture(
-                    self, inhibition=self.inhibition
-                ),
+                load_provider=self._active_clients,
+                snapshot_source=self._snapshot,
                 app_thresholds=(
                     cfg.app_loop.max_threshold,
                     cfg.app_loop.min_threshold,
@@ -601,6 +582,37 @@ class ManagedSystem:
             ext.attach_tracer(tracer)
 
     # ------------------------------------------------------------------
+    def _market_node(self, name: str, itype, node_market) -> Node:
+        """A typed node for the market engine's pool."""
+        cfg = self.config
+        cal = cfg.calibration
+        hs = cfg.hardware_scale
+        return Node(
+            self.kernel,
+            name,
+            cpu_speed=cfg.node_speed * hs * itype.cpu_capacity,
+            capacity_model=self._node_capacity,
+            memory_mb=cal.node_memory_mb * hs * (itype.memory_mb / 1024.0),
+            base_os_mb=cal.node_base_os_mb,
+            per_job_mb=cal.per_job_mb,
+            instance=itype,
+            market=node_market,
+        )
+
+    def _register_mgmt(self, node: Node) -> None:
+        # Management components on every node, bought ones included.
+        node.register_footprint(
+            "jade:mgmt", self.config.calibration.jade_mgmt_footprint_mb
+        )
+
+    def _active_clients(self) -> int:
+        return self.emulator.active_clients
+
+    def _snapshot(self):
+        from repro.capacity.snapshot import SystemSnapshot
+
+        return SystemSnapshot.capture(self, inhibition=self.inhibition)
+
     def entry(self, request) -> None:
         """The system's front door (what the emulated browsers hit)."""
         self.plb.content.balancer.handle(request)

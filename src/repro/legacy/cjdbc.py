@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cluster.network import Lan
@@ -39,8 +40,7 @@ from repro.legacy.policies import BalancingPolicy, make_policy
 from repro.legacy.recovery_log import RecoveryLog
 from repro.legacy.requests import WebRequest
 from repro.legacy.server import LegacyServer, ServerNotRunning
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Process, Signal, wait
+from repro.simulation.kernel import Signal, SimKernel
 
 
 class BackendState(enum.Enum):
@@ -151,7 +151,7 @@ class CJdbcController(LegacyServer):
 
     def attach_backend(self, name: str, server: MySqlServer) -> BackendHandle:
         """Insert a replica.  If it is missing log entries it enters SYNCING
-        and a replay process brings it up to date; otherwise it enables
+        and :meth:`_sync` replays it up to date; otherwise it enables
         immediately."""
         if not self.running:
             raise ServerNotRunning(self.name)
@@ -167,31 +167,42 @@ class CJdbcController(LegacyServer):
                 self._policy.reset()
         else:
             handle.sync_started_at = self.kernel.now
-            Process(self.kernel, self._sync(handle), name=f"sync:{name}")
+            self.kernel.post(self._sync, handle)
         return handle
 
-    def _sync(self, handle: BackendHandle):
-        """Replay the missing log suffix onto a SYNCING backend, then enable
-        it.  New writes appended during replay are picked up because the
-        loop re-reads ``log.next_index`` each iteration."""
+    def _sync(self, handle: BackendHandle) -> None:
+        """Replay the next missing log entry onto a SYNCING backend, or
+        enable it once caught up (re-reading ``log.next_index`` picks up
+        the writes appended during the replay)."""
         server = handle.server
-        while server.applied_index < self.log.next_index:
+        if server.applied_index < self.log.next_index:
             if handle.state is not BackendState.SYNCING:
                 return  # detached mid-sync
             entry = self.log.get(server.applied_index)
             try:
-                yield wait(server.replay_write(entry))
-            except Exception:
-                # Replica died mid-sync: drop it from the controller.
-                self._backends.pop(handle.name, None)
-                handle.state = BackendState.DISABLED
+                replayed = server.replay_write(entry)
+            except Exception:  # noqa: BLE001 - the replica is dropped
+                self._sync_failed(handle)
                 return
-            handle.sync_replayed += 1
+            replayed.add_callback(partial(self._replayed, handle))
+            return
         if handle.state is BackendState.SYNCING:
             handle.state = BackendState.ENABLED
             self.syncs_completed += 1
             if self._policy is not None:
                 self._policy.reset()
+
+    def _replayed(self, handle: BackendHandle, replayed: Signal) -> None:
+        if replayed.error is not None:
+            self._sync_failed(handle)
+            return
+        handle.sync_replayed += 1
+        self._sync(handle)
+
+    def _sync_failed(self, handle: BackendHandle) -> None:
+        # Replica died mid-sync: drop it from the controller.
+        self._backends.pop(handle.name, None)
+        handle.state = BackendState.DISABLED
 
     def detach_backend(self, name: str) -> int:
         """Disable a replica and checkpoint its position; returns the

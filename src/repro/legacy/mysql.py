@@ -26,8 +26,7 @@ from repro.legacy.configfiles import MyCnf
 from repro.legacy.directory import Directory
 from repro.legacy.recovery_log import WriteEntry
 from repro.legacy.server import LegacyServer, ServerNotRunning
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Signal
+from repro.simulation.kernel import Signal, SimKernel
 
 _DIGEST_MASK = (1 << 61) - 1
 _DIGEST_MULT = 1000003

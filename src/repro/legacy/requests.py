@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Signal
+from repro.simulation.kernel import Signal, SimKernel
 
 _req_ids = itertools.count(1)
 
@@ -88,7 +87,7 @@ class WebRequest:
         """Mark success and fire the completion signal.
 
         The signal fires with :meth:`Signal.succeed_tail
-        <repro.simulation.process.Signal.succeed_tail>`, so call this only
+        <repro.simulation.kernel.Signal.succeed_tail>`, so call this only
         as the last action of a kernel-dispatched callback chain (as
         ``TomcatServer._finish`` and ``ApacheServer._finish_static`` do)
         or before anyone waits on the completion.  It carries no value:

@@ -15,8 +15,7 @@ from typing import Callable, Optional
 from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.legacy.directory import Directory
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Signal
+from repro.simulation.kernel import Signal, SimKernel
 
 
 class ServerNotRunning(RuntimeError):

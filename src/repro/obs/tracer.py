@@ -17,7 +17,7 @@ Causality across layers uses a small explicit stack: a reactor emits its
 :meth:`push_cause`, calls the actuator, and pops.  Anything the actuator
 emits synchronously (node allocation, reconfig start) picks up
 :attr:`current_cause` automatically; asynchronous completions link back to
-the start event's seq, which the actuator threads through its own process.
+the start event's seq, which the actuator keeps for its own later steps.
 The simulation is single-threaded, so the stack discipline is exact.
 """
 

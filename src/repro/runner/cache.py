@@ -280,8 +280,5 @@ class ResultCache:
         return len(entries)
 
     # ------------------------------------------------------------------
-    def get_or_none(self, config):
-        return self.load(self.key_for(config))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ResultCache({self.root}, {self.hits} hits/{self.misses} misses)"

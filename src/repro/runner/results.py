@@ -1,10 +1,11 @@
 """Picklable experiment results.
 
-A live :class:`~repro.jade.system.ManagedSystem` cannot cross a process
-boundary (the kernel holds generator frames and callback closures), and it
-cannot be cached on disk for the same reason.  :class:`CompletedRun` is the
-transportable distillate: the collector, the config, the tier counters,
-and each extension's distilled stats.  Everything in it is plain data, so
+A live :class:`~repro.jade.system.ManagedSystem` pickles at any instant,
+but the pickle is the whole simulated system (kernel queue, servers, RNG
+streams; megabytes at full scale): too much to ship between processes or
+cache on disk per run.  :class:`CompletedRun` is the transportable
+distillate: the collector, the config, the tier counters, and each
+extension's distilled stats.  Everything in it is plain data, so
 two runs of the same config produce structurally identical pickles.
 """
 

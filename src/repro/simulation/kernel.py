@@ -53,8 +53,8 @@ order of actions — and every output — is unchanged.
 The rule is exact only if the caller does nothing after ``_tail``
 returns, and the same holds for every frame between it and the kernel's
 dispatch; call sites are therefore restricted to audited tail positions
-(``PsCpu._complete_next``, ``Signal.succeed_tail`` and its callers, and
-the read answers of ``MySqlServer`` and ``CJdbcController``).
+(``PsCpu._complete_next``, :meth:`Signal.succeed_tail` below and its
+callers, and the read answers of ``MySqlServer`` and ``CJdbcController``).
 ``_tail`` runs inline only while :meth:`SimKernel.run` is active and
 :meth:`SimKernel.stop` has not been called, and only when the FIFO is
 empty; under :meth:`SimKernel.step`, after ``stop()`` or with a
@@ -192,7 +192,7 @@ class SimKernel:
     def post(self, fn: Callable[..., Any], *args: Any) -> None:
         """Like :meth:`call_soon` but returns no handle, so it allocates
         no :class:`Event`.  Use for callbacks that are never cancelled
-        (signal delivery, process resumption)."""
+        (signal delivery, the next step of a state machine)."""
         self._fifo.append((fn, args))
 
     def post_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -371,6 +371,76 @@ class SimKernel:
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
         self._stopped = True
+
+
+class Signal:
+    """A one-shot event carrying an optional value or an error.
+
+    Each callback waiting on it is posted when it fires, and reads
+    ``value`` or ``error`` off it.  Firing twice is an error — request
+    completions, installs, log replays and bounce ends happen once.
+    """
+
+    __slots__ = ("_kernel", "_callbacks", "fired", "value", "error")
+
+    def __init__(self, kernel: SimKernel):
+        self._kernel = kernel
+        # Lazily allocated: most signals (request/job completions) have at
+        # most one waiter, many have none.
+        self._callbacks: Optional[list[Callable[["Signal"], None]]] = None
+        self.fired = False
+        self.value: Any = None
+        self.error: Optional[BaseException] = None
+
+    def add_callback(self, fn: Callable[["Signal"], None]) -> None:
+        """Run ``fn(self)`` when the signal fires (immediately if already
+        fired)."""
+        if self.fired:
+            self._kernel.post(fn, self)
+        elif self._callbacks is None:
+            self._callbacks = [fn]
+        else:
+            self._callbacks.append(fn)
+
+    def succeed(self, value: Any = None) -> None:
+        """Fire the signal successfully with ``value``."""
+        if self.fired:
+            raise RuntimeError("Signal already fired")
+        self.fired = True
+        self.value = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            post = self._kernel.post
+            for fn in callbacks:
+                post(fn, self)
+
+    def succeed_tail(self, value: Any = None) -> None:
+        """:meth:`succeed` from a tail position: a lone waiter is handed to
+        :meth:`SimKernel._tail` (run inline when that is exact); several
+        waiters are posted as by :meth:`succeed`.  Call it only as the last
+        statement of a callback chain dispatched by the kernel."""
+        if self.fired:
+            raise RuntimeError("Signal already fired")
+        self.fired = True
+        self.value = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            if len(callbacks) == 1:
+                self._kernel._tail(callbacks[0], (self,))
+                return
+            post = self._kernel.post
+            for fn in callbacks:
+                post(fn, self)
+
+    def fail(self, error: BaseException) -> None:
+        """Fire the signal with ``error``; each waiter finds it on
+        ``error``."""
+        if self.fired:
+            raise RuntimeError("Signal already fired")
+        self.error = error
+        self.succeed()
 
 
 class PeriodicTask:

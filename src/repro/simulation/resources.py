@@ -31,8 +31,7 @@ import math
 import sys
 from typing import Callable, Optional
 
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Signal
+from repro.simulation.kernel import Signal, SimKernel
 
 CapacityModel = Callable[[int], float]
 

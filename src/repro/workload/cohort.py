@@ -34,8 +34,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.legacy.requests import WebRequest
-from repro.simulation.kernel import Event
-from repro.simulation.process import Signal
+from repro.simulation.kernel import Event, Signal
 from repro.workload.rubis import CLIENT_BLOCK, block_draws
 
 if TYPE_CHECKING:  # pragma: no cover

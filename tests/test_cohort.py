@@ -26,8 +26,7 @@ from hypothesis import strategies as st
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.legacy.requests import WebRequest
 from repro.metrics.collector import MetricsCollector
-from repro.simulation.kernel import SimKernel
-from repro.simulation.process import Process, sleep, wait
+from repro.simulation.kernel import Signal, SimKernel
 from repro.simulation.rng import RngStreams
 from repro.workload.calibration import DEFAULT_CALIBRATION
 from repro.workload.clients import ClientEmulator
@@ -300,8 +299,27 @@ def test_vary_weight_scales_mean(weight, mean):
 # ----------------------------------------------------------------------
 # Exactness of the callback session against the generator session
 # ----------------------------------------------------------------------
+def drive(kernel, gen, value=None, error=None) -> None:
+    """Resume ``gen`` as the generator processes that every cohort ran
+    under did: a yielded float sleeps that long, a yielded
+    :class:`Signal` is waited on (a failed one is thrown into the
+    generator).  Start a session with ``kernel.post(drive, kernel, gen)``."""
+    try:
+        command = gen.send(value) if error is None else gen.throw(error)
+    except StopIteration:
+        return
+    if isinstance(command, Signal):
+        command.add_callback(partial(_resume_after, kernel, gen))
+    else:
+        kernel.post_in(command, drive, kernel, gen)
+
+
+def _resume_after(kernel, gen, signal) -> None:
+    drive(kernel, gen, signal.value, signal.error)
+
+
 def reference_session(cohort, emulator):
-    """The closed loop as a generator under :class:`Process`, the way
+    """The closed loop as a generator under :func:`drive`, the way
     every cohort ran before the callback state machine (reference copy,
     kept in the tests only)."""
     kernel = emulator.kernel
@@ -321,7 +339,7 @@ def reference_session(cohort, emulator):
         ).__next__
     navigator = emulator._navigator_factory(cohort.client_id)
     while cohort.active:
-        yield sleep(draw_think())
+        yield draw_think()
         if not cohort.active:
             break
         if cal.static_fraction > 0.0 and rng.random() < cal.static_fraction:
@@ -349,7 +367,7 @@ def reference_session(cohort, emulator):
 
             timeout_event = kernel.schedule(emulator.request_timeout_s, abandon)
         try:
-            yield wait(request.completion)
+            yield request.completion
         except Exception:
             collector.record_failure(kernel.now, weight)
             continue
@@ -362,7 +380,7 @@ def reference_session(cohort, emulator):
 
 
 class ReferenceEmulator(ClientEmulator):
-    """Spawns every cohort as a generator :class:`Process`."""
+    """Spawns every cohort as a generator session under :func:`drive`."""
 
     def _spawn_client(self, weight: int = 1) -> None:
         cid = self._next_client_id
@@ -370,7 +388,7 @@ class ReferenceEmulator(ClientEmulator):
         client = ClientCohort(cid, weight)
         self._clients.append(client)
         self._active_weight += weight
-        Process(self.kernel, reference_session(client, self), name=f"client-{cid}")
+        self.kernel.post(drive, self.kernel, reference_session(client, self))
 
 
 class ScriptedEntry:
@@ -491,7 +509,7 @@ def test_callback_session_matches_generator_session(
 
 def test_cohort_runs_without_generators():
     """The per-request client path resumes no generator: no cohort method
-    is a generator function and the emulator builds no Process."""
+    is a generator function, and neither module drives one."""
     import inspect
 
     import repro.workload.clients
@@ -500,4 +518,8 @@ def test_cohort_runs_without_generators():
     methods = inspect.getmembers(ClientCohort, inspect.isfunction)
     assert not any(inspect.isgeneratorfunction(fn) for _, fn in methods)
     for module in (repro.workload.clients, repro.workload.cohort):
-        assert not hasattr(module, "Process")
+        assert not any(
+            inspect.isgeneratorfunction(fn)
+            for _, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__
+        )

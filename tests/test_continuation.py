@@ -1,0 +1,185 @@
+"""Continuation equivalence: a system paused at any instant — a grow, a
+recovery-log replay, a bounce, a canary window or a rolling restart in
+flight — holds no generator and no closure, pickles, and the copy ends
+with the uninterrupted run's outputs."""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import types
+
+import pytest
+
+from repro.capacity.proactive import ProactiveConfig
+from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.legacy.cjdbc import BackendState
+from repro.market.scenario import PRESETS as MARKET_PRESETS
+from repro.market.scenario import market_config
+from repro.workload.profiles import RampProfile
+from tests.conftest import collector_digest
+from tests.test_deploy_lock import LOCK, build, observed
+
+
+def unpicklable_callables(root) -> list[str]:
+    """Every generator, and every lambda or nested function defined in
+    ``repro``, reachable from ``root`` through ``gc.get_referents``
+    (modules and classes are not entered: they pickle by name)."""
+    found = []
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.GeneratorType):
+            found.append(obj.__qualname__)
+        elif isinstance(obj, types.FunctionType):
+            name = obj.__qualname__
+            if obj.__module__.startswith("repro") and (
+                "<locals>" in name or "<lambda>" in name
+            ):
+                found.append(f"{obj.__module__}.{name}")
+        elif not isinstance(obj, (types.ModuleType, type)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def resumed_copy(system: ManagedSystem, until: float) -> ManagedSystem:
+    """Pickle ``system`` at its pause and run the copy to ``until``."""
+    assert unpicklable_callables(system) == []
+    copy = pickle.loads(pickle.dumps(system))
+    copy.advance(until)
+    return copy
+
+
+def test_walk_finds_generators_and_closures():
+    def gen():
+        yield
+
+    def make():
+        return lambda: None
+
+    closure = make()
+    closure.__module__ = "repro.example"
+    found = unpicklable_callables([gen(), closure, make])
+    assert sorted(found) == [
+        "repro.example.test_walk_finds_generators_and_closures.<locals>"
+        ".make.<locals>.<lambda>",
+        "test_walk_finds_generators_and_closures.<locals>.gen",
+    ]
+
+
+# ----------------------------------------------------------------------
+# The managed ramp: a grow and a C-JDBC replay in flight
+# ----------------------------------------------------------------------
+def _ramp(**overrides) -> ManagedSystem:
+    scale = 0.1
+    profile = RampProfile(
+        warmup_s=300.0 * scale,
+        step_period_s=60.0 * scale,
+        cooldown_s=300.0 * scale,
+    )
+    return ManagedSystem(ExperimentConfig(profile=profile, seed=1, **overrides))
+
+
+@pytest.fixture(scope="module")
+def ramp_reference() -> str:
+    return collector_digest(_ramp().run())
+
+
+@pytest.mark.parametrize("pause", [106.0, 115.0], ids=["mid-grow", "mid-sync"])
+def test_ramp_resumes_mid_reconfiguration(ramp_reference, pause):
+    system = _ramp()
+    horizon = system.start_all()
+    system.advance(pause)
+    assert system.db_tier.busy
+    states = [b.state for b in system.cjdbc.content.controller.backends()]
+    assert (BackendState.SYNCING in states) == (pause == 115.0)
+    copy = resumed_copy(system, horizon)
+    assert collector_digest(copy.finish()) == ramp_reference
+
+
+def test_proactive_ramp_resumes():
+    def build_proactive():
+        return _ramp(
+            proactive=True, proactive_config=ProactiveConfig(use_whatif=False)
+        )
+
+    reference = collector_digest(build_proactive().run())
+    system = build_proactive()
+    horizon = system.start_all()
+    system.advance(115.0)
+    copy = resumed_copy(system, horizon)
+    assert collector_digest(copy.finish()) == reference
+
+
+def test_market_ramp_resumes():
+    def build_market():
+        return ManagedSystem(
+            market_config(MARKET_PRESETS["spot-heavy"](), scale=0.1)
+        )
+
+    reference = collector_digest(build_market().run())
+    system = build_market()
+    horizon = system.start_all()
+    system.advance(horizon / 2)
+    copy = resumed_copy(system, horizon)
+    assert collector_digest(copy.finish()) == reference
+
+
+# ----------------------------------------------------------------------
+# Deployments: a canary window, a rolling restart or a grow in flight
+# ----------------------------------------------------------------------
+def _window_open(system) -> bool:
+    return any(
+        record.component.content.server.request_observer is not None
+        for record in system.app_tier.replicas
+    )
+
+
+def _restarting(system) -> bool:
+    deploy = system.deploy
+    return deploy.serving_replicas() < len(system.app_tier.replicas)
+
+
+def _growing(system) -> bool:
+    return system.app_tier.busy
+
+
+def _retrying(system) -> bool:
+    # A versioned grow refused for want of a node, polled each second.
+    return system.app_tier.current_version is not None and not _growing(system)
+
+
+#: (run in the deploy lock, pause instant, what is in flight there)
+DEPLOY_PAUSES = [
+    ("clean-push", 182.0, _restarting),
+    ("clean-push", 223.5, _window_open),
+    ("clean-push", 250.0, _growing),
+    ("bad-push", 182.0, _restarting),
+    ("bad-push", 223.5, _window_open),
+    ("bad-push", 248.0, _restarting),
+    ("clean-bounce", 184.0, _growing),
+    ("flash-crowd", 184.0, _growing),
+    ("crash-mid-bounce", 187.5, _restarting),
+    ("clean-bounce/brutal", 182.0, _restarting),
+    ("clean-bounce/downthenup", 187.5, _restarting),
+    ("clean-bounce/upthendown", 190.0, _growing),
+    ("clean-bounce@6", 240.0, _retrying),
+]
+
+
+@pytest.mark.parametrize(
+    "run,pause,in_flight",
+    DEPLOY_PAUSES,
+    ids=[f"{run}-at-{pause:g}" for run, pause, _ in DEPLOY_PAUSES],
+)
+def test_deploy_resumes_mid_operation(run, pause, in_flight):
+    system = build(run)
+    horizon = system.start_all()
+    system.advance(pause)
+    assert in_flight(system)
+    copy = resumed_copy(system, horizon)
+    assert observed(copy, copy.finish()) == LOCK[run]

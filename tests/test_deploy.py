@@ -30,7 +30,6 @@ from repro.metrics.aggregates import scorecard_json
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import ExperimentRunner
 from repro.runner.results import CompletedRun
-from repro.simulation.process import Process
 from repro.workload.profiles import PiecewiseProfile
 
 
@@ -268,15 +267,31 @@ class TestCanary:
         tier = SimpleNamespace(replicas=[])
         controller = CanaryController(kernel, tier, scenario)
         result = {}
-
-        def drive():
-            verdict = yield from controller.measure()
-            result.update(verdict)
-
-        Process(kernel, drive(), name="drive")
+        controller.measure(result.update)
         kernel.run()
+        assert kernel.now == 5.0
         assert result["promoted"] is False
         assert result["reason"] == "no-canary-traffic"
+        assert controller.verdict == result
+
+    def test_stop_mid_window_restores_every_observer(self):
+        scenario = dataclasses.replace(PRESETS["clean-push"](), start_at_s=40.0)
+        cfg = deploy_config(scenario, seed=1, clients=60, duration_s=130.0)
+        system = ManagedSystem(cfg)
+        system.start_all()
+        # Canary bounce from t=40 (4 s restart), warm-up 15 s: the
+        # window is open from t=61 to t=106.
+        system.advance(80.0)
+        servers = [r.component.content.server for r in system.app_tier.replicas]
+        assert len(servers) == scenario.fleet
+        assert all(s.request_observer is not None for s in servers)
+        system.deploy.stop()
+        assert all(s.request_observer is None for s in servers)
+        # The window's end no longer rules.
+        system.advance(120.0)
+        assert system.deploy.canary.verdict is None
+        assert system.deploy.verdict is None
+        assert all(s.request_observer is None for s in servers)
 
     def test_deploy_events_are_traced(self):
         from repro.obs.events import EVENT_KINDS
@@ -445,13 +460,17 @@ class TestRollingRebindEdges:
         # mid restart-wait.  Abort there.
         kernel.run(until=0.5)
         assert not apaches[0].lifecycle_controller.is_started()
-        op.process.kill()
-        # The finally clause must leave it started and bound.
+        op.stop()
+        # Stopping must leave it started and bound.
         assert apaches[0].lifecycle_controller.is_started()
         assert apaches[0].binding_controller.bound_instances("ajp")
         # The untouched frontends were never stopped.
         assert apaches[1].lifecycle_controller.is_started()
         assert apaches[2].lifecycle_controller.is_started()
+        # The armed restart fires as a no-op: the pass never resumes.
+        kernel.run()
+        assert op.restarted == 0
+        assert not op.done.fired
 
     def test_run_hook_applies_while_stopped(self, kernel, lan, directory):
         apaches, _old, new = self._build_web(kernel, lan, directory, n_apaches=1)
