@@ -16,11 +16,12 @@ trace-demo:
 	python -m repro ramp --scale 0.15 --peak 350 --trace /tmp/repro-trace.jsonl
 	python -m repro trace /tmp/repro-trace.jsonl
 
-# Fork the managed ramp mid-climb and compare candidate configurations.
+# Fork the managed ramp mid-climb and compare candidate configurations;
+# rewrites the committed canonical report (CI fails if it drifts).
 whatif-demo:
 	python -m repro whatif --at 150 --scale 0.25 --peak 350 \
-		--horizon 60 --warmup 45 --slo 0.25 --report /tmp/repro-whatif.json
-	@echo "canonical candidate report: /tmp/repro-whatif.json"
+		--horizon 60 --slo 0.25 --serial --no-cache \
+		--report benchmarks/results/whatif_demo.json
 
 bench:
 	pytest benchmarks/ --benchmark-only -s

@@ -67,7 +67,6 @@ def main() -> None:
 
     engine = WhatIfEngine(
         horizon_s=120.0,
-        warmup_s=60.0,
         cost_model=CostModel(slo_latency_s=SLO_S, slo_violation_cost_per_s=0.2),
     )
     print("\nForking one branch simulation per candidate configuration:")

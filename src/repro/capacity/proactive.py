@@ -47,9 +47,6 @@ class ProactiveConfig:
     plan_period_s: float = 15.0
     horizon_s: float = 120.0
     forecast_step_s: float = 15.0
-    #: branch warmup before the measurement window (must cover replica
-    #: forcing: install + start + DB sync)
-    branch_warmup_s: float = 60.0
     forecaster: str = "trend"
     forecaster_kwargs: dict = field(default_factory=dict)
     #: a predicted utilization >= margin * max_threshold arms the planner
@@ -70,8 +67,8 @@ class ProactiveConfig:
     #: a proactive manager may itself live inside a pooled experiment)
     whatif_parallel: bool = False
     whatif_workers: Optional[int] = None
-    #: memoize warmed-branch outcomes in the shared ResultCache so a
-    #: repeated decision under unchanged conditions replays nothing
+    #: memoize branch outcomes in the shared ResultCache so a repeated
+    #: decision from the same state replays nothing
     whatif_cache: bool = False
     #: dominance pruning: stop branches proven worse than the incumbent
     whatif_prune: bool = False
@@ -124,8 +121,6 @@ class ProactiveManager:
 
             engine = WhatIfEngine(
                 horizon_s=cfg.horizon_s,
-                warmup_s=cfg.branch_warmup_s,
-                step_s=cfg.forecast_step_s,
                 cost_model=self.cost_model,
                 parallel=cfg.whatif_parallel,
                 max_workers=cfg.whatif_workers,

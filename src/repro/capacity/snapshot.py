@@ -1,87 +1,81 @@
-"""Point-in-time capture of a managed system.
+"""Point-in-time checkpoint of a managed system.
 
-A what-if fork does not copy the live object graph (queued kernel
-callbacks, in-flight requests and actuator processes suspended
-mid-generator are unpicklable); it captures the *observable* state the
-branch needs — replica counts, client population, pool headroom, hardware
-parameters, and the experiment seed — and the engine rebuilds a
-deterministic branch system from it.  Capturing is read-only by
-construction, which is what makes the parent-non-mutation guarantee of the
-what-if engine trivial to uphold.
+A what-if fork branches from the system itself, not from a model of it:
+:meth:`SystemSnapshot.capture` pickles the live
+:class:`~repro.jade.system.ManagedSystem` once — its kernel queue, the
+requests in flight, a half-done reconfiguration, the RNG streams — and
+every branch resumes its own copy of those bytes.  A system pickles at
+any instant, from inside one of its own kernel callbacks included (the
+proactive manager captures from its planning tick).  Capturing only reads
+the parent, so the parent-isolation guarantee of the what-if engine holds
+by construction.
+
+The checkpoint carries no decision tracer: a JSONL sink is an open file,
+and branches do not trace.  Every reference to a tracer loads as ``None``.
+
+Beside the bytes, the snapshot keeps the few observable figures a decision
+reads without loading them: the instant, the client population, the
+replica count of each tier and the free nodes.
 """
 
 from __future__ import annotations
 
+import copyreg
+import hashlib
+import io
+import pickle
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
-from repro.workload.calibration import Calibration
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.jade.system import ManagedSystem
 
 
-def _last_tier_cpu(system: "ManagedSystem", tier: str) -> float:
-    series = system.collector.tier_cpu.get(tier)
-    last = series.last() if series is not None else None
-    return last[1] if last is not None else float("nan")
+def _no_tracer() -> None:
+    return None
+
+
+def _drop_tracer(tracer) -> tuple:
+    """Pickle reducer: a tracer loads as ``None``."""
+    return _no_tracer, ()
 
 
 @dataclass(frozen=True)
 class SystemSnapshot:
-    """Everything a branch simulation needs to start from 'here'."""
+    """A checkpoint of the live system and what a decision reads off it."""
 
     t: float
-    seed: int
     clients: int
     app_replicas: int
     db_replicas: int
     free_nodes: int
-    pool_nodes: int
-    node_speed: float
-    thrashing: bool
-    app_cpu: float                  # last smoothed tier CPU (NaN if unmeasured)
-    db_cpu: float
-    inhibition_free_at: float       # -inf when no lock applies
-    calibration: Calibration = field(compare=False)
+    #: the pickled system; equality and cache keys use its digest
+    checkpoint: bytes = field(repr=False, compare=False)
+    #: sha256 of ``checkpoint``
+    sha256: str
 
     @classmethod
-    def capture(
-        cls, system: "ManagedSystem", inhibition=None
-    ) -> "SystemSnapshot":
-        """Read the current state of ``system`` (no mutation)."""
-        cfg = system.config
-        free_at = float("-inf")
-        if inhibition is None:
-            inhibition = getattr(system.optimizer, "inhibition", None)
-        if inhibition is not None:
-            free_at = inhibition.free_at
+    def capture(cls, system: "ManagedSystem") -> "SystemSnapshot":
+        """Checkpoint ``system`` as it is now (no mutation)."""
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        # Only a traced run has loaded the tracer module: an untraced one
+        # pickles with the default table and never imports it.
+        tracer_module = sys.modules.get("repro.obs.tracer")
+        if tracer_module is not None:
+            pickler.dispatch_table = {
+                **copyreg.dispatch_table,
+                tracer_module.Tracer: _drop_tracer,
+            }
+        pickler.dump(system)
+        blob = buffer.getvalue()
         return cls(
             t=system.kernel.now,
-            seed=cfg.seed,
             clients=system.emulator.active_clients,
             app_replicas=system.app_tier.replica_count,
             db_replicas=system.db_tier.replica_count,
             free_nodes=system.cluster.free_count,
-            pool_nodes=cfg.pool_nodes,
-            node_speed=cfg.node_speed,
-            thrashing=cfg.thrashing,
-            app_cpu=_last_tier_cpu(system, "application"),
-            db_cpu=_last_tier_cpu(system, "database"),
-            inhibition_free_at=free_at,
-            calibration=cfg.calibration,
+            checkpoint=blob,
+            sha256=hashlib.sha256(blob).hexdigest(),
         )
-
-    def to_record(self) -> dict:
-        """Flat JSON-friendly dict (calibration elided — it is part of the
-        experiment config, not of the observable state)."""
-        return {
-            "t": self.t,
-            "seed": self.seed,
-            "clients": self.clients,
-            "app_replicas": self.app_replicas,
-            "db_replicas": self.db_replicas,
-            "free_nodes": self.free_nodes,
-            "pool_nodes": self.pool_nodes,
-            "node_speed": self.node_speed,
-        }

@@ -2,16 +2,23 @@
 
 Given a :class:`~repro.capacity.snapshot.SystemSnapshot` and a load
 forecast, the engine *forks* the simulation: for each candidate replica
-configuration it builds a fresh branch system (same seed, same hardware
-and calibration, same pool size), forces the candidate's replica counts,
-replays the forecast horizon, and measures what the paper's figures
-measure — latency, per-tier utilization, SLO-violation time — plus the
-node-seconds the candidate holds.
+configuration it resumes the snapshot's checkpoint of the live system,
+silences every extension, swaps the emulator's profile for the forecast,
+grows or shrinks each tier to the candidate through the tier actuators,
+and measures ``[t, t + horizon]`` from the fork instant ``t`` — latency,
+per-tier utilization, SLO-violation time — plus the node-seconds the
+candidate holds.  A candidate pays for its own reconfiguration time
+inside that window.
+
+The branch starts from the parent's exact state: its queues, the
+requests in flight, a reconfiguration half done.  Branching the stay
+candidate of an unmanaged parent with the parent's own profile as the
+forecast reproduces the parent's continuation event for event.
 
 Two properties are load-bearing and tested:
 
-* **Determinism** — a branch is reconstructed purely from the snapshot and
-  forecast; evaluating the same fork twice yields *byte-identical*
+* **Determinism** — a branch is a function of the checkpoint bytes and
+  the forecast; evaluating the same fork twice yields *byte-identical*
   reports (:meth:`WhatIfEngine.report`), whether the branches run
   serially in-process, fan out over the process pool, or resolve from
   the result cache.
@@ -20,46 +27,39 @@ Two properties are load-bearing and tested:
   with what-if evaluations in the middle finishes with metrics identical
   to one without.
 
-The fork is a *state projection*, not an object-graph copy: the live
-graph (queued kernel callbacks, in-flight requests, actuator processes
-suspended mid-generator) is unpicklable and uncopyable, so the branch
-restarts a fresh closed-loop population at the snapshot's observed size
-and lets it warm up for ``warmup_s`` before the measurement window opens.
-
-Because the projection is a value, a branch is a *pure function* of its
-:class:`BranchSpec` — which buys the three speedups of this module:
+A branch is a *pure function* of its :class:`BranchSpec`, which buys the
+three speedups of this module:
 
 * **parallel fan-out** — specs pickle across the
   :func:`~repro.runner.parallel.fanout_map` process pool, so a
   C-candidate decision costs roughly one branch of wall-clock;
-* **warmed-branch memoization** — every candidate sharing a
-  (snapshot-fingerprint, forecast) pair shares :func:`warm_fingerprint`;
-  branch outcomes are content-addressed in the
-  :class:`~repro.runner.cache.ResultCache`, so a repeated decision (the
-  proactive manager re-planning under unchanged conditions, a re-run
-  benchmark session) never replays the warmup — it unpickles;
+* **memoization** — branch outcomes are content-addressed in the
+  :class:`~repro.runner.cache.ResultCache` by the checkpoint's sha256
+  and the measurement parameters (never by the config and fork time: a
+  parent driven outside its config holds another state at the same
+  instant), so a repeated decision from the same state unpickles;
 * **dominance pruning** — with a cost model, the incumbent candidate is
-  evaluated first and its total cost becomes a bound; other branches
-  compute a provable lower bound on their final cost at checkpoints and
-  stop early once they cannot beat the incumbent (node-seconds are exact
-  upfront — branch replicas are fixed — and SLO-violation time only
-  grows), so pruning can never change the selected candidate.
+  evaluated first and its total cost becomes a bound; once forcing is
+  done, other branches compute a provable lower bound on their final
+  cost at checkpoints and stop early once they cannot beat the
+  incumbent (node-seconds are exact — branch replicas are fixed — and
+  SLO-violation time only grows), so pruning can never change the
+  selected candidate.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.capacity.cost import CostBreakdown, CostModel, slo_violation_time
 from repro.capacity.forecast import ForecastSeries
 from repro.capacity.snapshot import SystemSnapshot
-from repro.runner.cache import ResultCache, describe_config
+from repro.runner.cache import ResultCache
 from repro.runner.parallel import default_workers, fanout_map
-from repro.workload.calibration import Calibration
 from repro.workload.profiles import PiecewiseProfile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,29 +111,23 @@ def default_candidates(
 class BranchSpec:
     """Everything one branch simulation depends on — and nothing else.
 
-    A spec is a pure value: picklable (it crosses the process pool) and
-    canonically describable (it addresses the result cache).  It projects
-    the snapshot down to the fields a branch actually reads — replica
-    targets, client population, hardware, seed — and normalizes the
-    forecast to offsets from the snapshot instant, so two decisions taken
-    at different wall-clock times under identical conditions share cache
-    entries.
+    A spec is a picklable value (it crosses the process pool) with a
+    canonical description (it addresses the result cache).  The
+    checkpoint takes no part in equality, so it enters the description
+    by its sha256 alone; the forecast is normalized to offsets from the
+    fork instant.
     """
 
-    seed: int
-    clients: int
-    pool_nodes: int
-    node_speed: float
-    thrashing: bool
-    calibration: Calibration
-    #: forecast as (seconds after the snapshot, predicted clients)
+    #: the pickled parent (:meth:`SystemSnapshot.capture`)
+    checkpoint: bytes = field(repr=False, compare=False)
+    checkpoint_sha256: str
+    #: forecast as (seconds after the fork, predicted clients)
     forecast: tuple[tuple[float, float], ...]
     candidate: Candidate
     #: the parent configuration (reconfiguration pricing + incumbent id)
     base_app: int
     base_db: int
     horizon_s: float
-    warmup_s: float
     latency_bucket_s: float
     slo_latency_s: float
     #: dominance pruning: stop once the branch's cost lower bound exceeds
@@ -142,31 +136,6 @@ class BranchSpec:
     prune_check_s: float = 15.0
     #: cost model used for the in-branch lower bound (only when pruning)
     cost_model: Optional[CostModel] = None
-
-
-def warm_fingerprint(spec: BranchSpec) -> str:
-    """Identity of the warmed branch state a spec replays into.
-
-    Hashes exactly the fields shared by every candidate of one decision —
-    the snapshot projection, the normalized forecast, and the warmup
-    window — so all candidates of a (snapshot, forecast) pair map to one
-    fingerprint, and a repeated decision under unchanged conditions maps
-    to the same one.  The branch cache key refines this with the
-    candidate and measurement parameters.
-    """
-    shared = {
-        "seed": spec.seed,
-        "clients": spec.clients,
-        "pool_nodes": spec.pool_nodes,
-        "node_speed": spec.node_speed,
-        "thrashing": spec.thrashing,
-        "calibration": json.loads(describe_config(spec.calibration)),
-        "forecast": [list(point) for point in spec.forecast],
-        "warmup_s": spec.warmup_s,
-        "horizon_s": spec.horizon_s,
-    }
-    blob = json.dumps(shared, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -221,38 +190,71 @@ class BranchOutcome:
 # ----------------------------------------------------------------------
 # The branch worker: a pure function of its spec (pool entry point)
 # ----------------------------------------------------------------------
-def _spec_profile(spec: BranchSpec) -> PiecewiseProfile:
-    """Branch time runs from 0: hold the snapshot load through the
-    warmup, then replay the forecast over the horizon."""
-    points: list[tuple[float, int]] = [(0.0, int(spec.clients))]
-    for offset_t, value in spec.forecast:
-        offset = spec.warmup_s + max(0.0, offset_t)
-        if offset >= spec.warmup_s + spec.horizon_s:
+def _forecast_profile(spec: BranchSpec, t: float, clients: int) -> PiecewiseProfile:
+    """Hold the fork's population until the first forecast point, then
+    replay the forecast over the horizon (absolute branch time)."""
+    points: list[tuple[float, int]] = [(t, clients)]
+    for offset, value in spec.forecast:
+        if offset > spec.horizon_s:
             break
-        points.append((offset, max(0, round(value))))
-    return PiecewiseProfile(points, duration_s=spec.warmup_s + spec.horizon_s)
+        points.append((t + max(0.0, offset), max(0, round(value))))
+    return PiecewiseProfile(points, duration_s=t + spec.horizon_s)
 
 
-def _settle(branch: "ManagedSystem", tier, step_s: float = 1.0) -> None:
-    """Advance the branch kernel until the tier's in-flight
-    reconfiguration finishes (install + start + sync take simulated
-    time that must elapse inside the warmup)."""
-    while tier.busy:
-        branch.kernel.run(until=branch.kernel.now + step_s)
+def resume_branch(spec: BranchSpec) -> "ManagedSystem":
+    """Load the spec's checkpoint as a silent branch.
+
+    Every extension stops: no reactive or proactive decision, fault,
+    deployment step or market action follows.  The tier CPU probes keep
+    sampling (a managed system's belong to its stopped control loops),
+    and the emulator follows the forecast instead of the parent's
+    profile.
+    """
+    branch = pickle.loads(spec.checkpoint)
+    for ext in branch.extensions:
+        ext.stop()
+    for probe in branch._tier_probes.values():
+        probe.on_start()
+    emulator = branch.emulator
+    emulator.profile = _forecast_profile(
+        spec, branch.kernel.now, emulator.active_clients
+    )
+    return branch
 
 
-def _force_replicas(branch: "ManagedSystem", candidate: Candidate) -> bool:
-    """Grow the branch's tiers to the candidate's counts before the
-    measurement window; False when the pool cannot host the candidate."""
+def _settle(branch: "ManagedSystem", step_s: float = 1.0) -> None:
+    """Advance the branch until no reconfiguration is in flight: neither
+    tier resizes and no deployment bounce runs (install, start, DB sync
+    and restarts take simulated time)."""
+    kernel = branch.kernel
+    deploy = branch.deploy
+    while (
+        branch.app_tier.busy
+        or branch.db_tier.busy
+        or (deploy is not None and deploy.bounce is not None)
+    ):
+        kernel.run(until=kernel.now + step_s)
+
+
+def force_replicas(branch: "ManagedSystem", candidate: Candidate) -> bool:
+    """Once any in-flight reconfiguration settles, grow or shrink each
+    tier to the candidate's count through its actuator, one replica at a
+    time; False when the pool cannot host the candidate."""
+    _settle(branch)
     for tier, target in (
         (branch.app_tier, candidate.app_replicas),
         (branch.db_tier, candidate.db_replicas),
     ):
-        while tier.replica_count < target:
-            if not tier.grow():
+        failures = tier.grow_failures
+        while tier.replica_count != target:
+            if tier.replica_count < target:
+                started = tier.grow()
+            else:
+                started = tier.shrink()
+            if not started:
                 return False
-            _settle(branch, tier)
-            if tier.grow_failures:
+            _settle(branch)
+            if tier.grow_failures > failures:
                 return False
     return True
 
@@ -299,9 +301,10 @@ def _full_horizon_node_seconds(
     branch: "ManagedSystem", spec: BranchSpec, t0: float, t: float
 ) -> float:
     """Exact node-seconds over the *full* measurement window, known at
-    any checkpoint ``t``: the branch is unmanaged, so replica counts are
-    constant after forcing and the remainder extrapolates linearly."""
-    end = spec.warmup_s + spec.horizon_s
+    any checkpoint ``t`` after forcing: the branch is unmanaged, so
+    replica counts are constant from then on and the remainder
+    extrapolates linearly."""
+    end = t0 + spec.horizon_s
     node_seconds = BALANCER_NODES * (end - t0)
     for series in branch.collector.tier_replicas.values():
         node_seconds += series.integral(t0, t)
@@ -310,19 +313,18 @@ def _full_horizon_node_seconds(
 
 
 def _cost_lower_bound(
-    branch: "ManagedSystem", spec: BranchSpec, t: float
+    branch: "ManagedSystem", spec: BranchSpec, t0: float, t: float
 ) -> tuple[float, float]:
     """(lower bound on the branch's final total cost, complete-bucket SLO
     violation so far).
 
     Sound because every term is monotone or exact: node cost is exact
-    upfront (constant replicas), reconfiguration cost is exact, and the
-    bucketed SLO-violation time over *complete* buckets can only grow as
-    the horizon extends.
+    once forcing is done (constant replicas), reconfiguration cost is
+    exact, and the bucketed SLO-violation time over *complete* buckets
+    can only grow as the horizon extends.
     """
     model = spec.cost_model
     assert model is not None
-    t0 = spec.warmup_s
     # Bucket edges are absolute (multiples of bucket_s from 0, see
     # TimeSeries.bucket_mean): only buckets whose right edge is behind the
     # checkpoint have their final sample set, so cut on the last edge.
@@ -349,69 +351,55 @@ def _cost_lower_bound(
 
 
 def evaluate_branch(spec: BranchSpec) -> BranchOutcome:
-    """Run one candidate branch to completion (or to its pruning point).
+    """Run one candidate branch over ``[t, t + horizon]`` from the fork
+    instant ``t`` (or to its pruning point).
 
+    The candidate's own reconfiguration time falls inside the window.
     Module-level and side-effect free so it can serve as the process-pool
     entry point; the returned outcome is deterministic in ``spec`` alone,
     which is what makes parallel, serial and cached evaluation
     byte-identical.
     """
-    from repro.jade.system import ExperimentConfig, ManagedSystem
-
-    config = ExperimentConfig(
-        seed=spec.seed,
-        managed=False,
-        profile=_spec_profile(spec),
-        pool_nodes=spec.pool_nodes,
-        node_speed=spec.node_speed,
-        thrashing=spec.thrashing,
-        calibration=spec.calibration,
-        sample_nodes=False,
-        tail_s=0.0,
-    )
-    branch = ManagedSystem(config)
+    branch = resume_branch(spec)
+    t0 = branch.kernel.now
+    end = t0 + spec.horizon_s
     outcome = BranchOutcome(spec.candidate)
-    if not _force_replicas(branch, spec.candidate):
+    if not force_replicas(branch, spec.candidate):
         outcome.feasible = False
         outcome.error = "no-free-node"
         return outcome
-    end = spec.warmup_s + spec.horizon_s
+    kernel = branch.kernel
     if spec.prune_bound is None or spec.cost_model is None:
-        branch.run(duration_s=end)
-        _measure(branch, outcome, spec, spec.warmup_s, end)
+        kernel.run(until=end)
+        _measure(branch, outcome, spec, t0, end)
         return outcome
 
-    # Segmented run with dominance checks.  The segmentation itself is
-    # invisible (the kernel processes the same events in the same order);
-    # only an actual early exit changes what the record measures.
-    branch.start_all(end)
-    branch.advance(spec.warmup_s)
-    t = spec.warmup_s
+    # Segmented run with dominance checks from the end of forcing on.
+    # The segmentation itself is invisible (the kernel processes the same
+    # events in the same order); only an actual early exit changes what
+    # the record measures.
+    t = kernel.now
     pruned_at: Optional[float] = None
     while t < end:
-        t_next = min(end, t + spec.prune_check_s)
-        branch.kernel.run(until=t_next)
-        t = t_next
+        t = min(end, t + spec.prune_check_s)
+        kernel.run(until=t)
         if t >= end:
             break
-        bound, _ = _cost_lower_bound(branch, spec, t)
+        bound, _ = _cost_lower_bound(branch, spec, t0, t)
         if bound > spec.prune_bound:
             pruned_at = t
             break
-    branch.emulator.stop()
     if pruned_at is None:
-        _measure(branch, outcome, spec, spec.warmup_s, end)
+        _measure(branch, outcome, spec, t0, end)
         return outcome
     # Pruned: record partial measurements, but price the candidate on its
     # certified lower bound — full-horizon node-seconds plus the
     # complete-bucket violation so far — so a later cost_model.score()
     # reproduces a total that provably exceeds the incumbent's.
-    _, violation = _cost_lower_bound(branch, spec, pruned_at)
-    _measure(branch, outcome, spec, spec.warmup_s, pruned_at)
+    _, violation = _cost_lower_bound(branch, spec, t0, pruned_at)
+    _measure(branch, outcome, spec, t0, pruned_at)
     outcome.pruned = True
-    outcome.node_seconds = _full_horizon_node_seconds(
-        branch, spec, spec.warmup_s, pruned_at
-    )
+    outcome.node_seconds = _full_horizon_node_seconds(branch, spec, t0, pruned_at)
     outcome.slo_violation_s = violation
     return outcome
 
@@ -420,20 +408,18 @@ class WhatIfEngine:
     """Builds and runs branch simulations for candidate configurations.
 
     ``parallel=True`` fans candidate branches out over the
-    :mod:`repro.runner` process pool; ``cache`` memoizes warmed-branch
+    :mod:`repro.runner` process pool; ``cache`` memoizes branch
     outcomes content-addressed in a :class:`ResultCache`; ``prune=True``
     evaluates the incumbent first and stops dominated branches early.
-    All three are off by default (the PR-2 serial semantics) and none of
-    them changes a single byte of :meth:`report` for the candidates that
-    run to completion — pruning is the only knob that changes records,
-    and only for candidates it can prove are not selectable.
+    All three are off by default and none of them changes a single byte
+    of :meth:`report` for the candidates that run to completion —
+    pruning is the only knob that changes records, and only for
+    candidates it can prove are not selectable.
     """
 
     def __init__(
         self,
         horizon_s: float = 120.0,
-        warmup_s: float = 60.0,
-        step_s: float = 15.0,
         cost_model: Optional[CostModel] = None,
         latency_bucket_s: float = 5.0,
         parallel: bool = False,
@@ -442,13 +428,11 @@ class WhatIfEngine:
         prune: bool = False,
         prune_check_s: float = 15.0,
     ) -> None:
-        if horizon_s <= 0 or warmup_s <= 0:
-            raise ValueError("horizon and warmup must be positive")
+        if horizon_s <= 0:
+            raise ValueError("horizon must be positive")
         if prune_check_s <= 0:
             raise ValueError("prune check interval must be positive")
         self.horizon_s = horizon_s
-        self.warmup_s = warmup_s
-        self.step_s = step_s
         self.cost_model = cost_model
         self.latency_bucket_s = latency_bucket_s
         self.parallel = parallel
@@ -461,8 +445,6 @@ class WhatIfEngine:
         self.cache_hits = 0
         self.cache_misses = 0
         self.branches_pruned = 0
-        #: warm fingerprint of the last evaluation's branch state
-        self.last_warm_fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     def branch_spec(
@@ -471,21 +453,16 @@ class WhatIfEngine:
         forecast: ForecastSeries,
         candidate: Candidate,
     ) -> BranchSpec:
-        """Project (snapshot, forecast, candidate) down to the picklable
-        value a branch is a pure function of."""
+        """The picklable value a branch of (snapshot, forecast,
+        candidate) is a pure function of."""
         return BranchSpec(
-            seed=snapshot.seed,
-            clients=int(snapshot.clients),
-            pool_nodes=snapshot.pool_nodes,
-            node_speed=snapshot.node_speed,
-            thrashing=snapshot.thrashing,
-            calibration=snapshot.calibration,
+            checkpoint=snapshot.checkpoint,
+            checkpoint_sha256=snapshot.sha256,
             forecast=tuple((t - snapshot.t, float(v)) for t, v in forecast),
             candidate=candidate,
             base_app=snapshot.app_replicas,
             base_db=snapshot.db_replicas,
             horizon_s=self.horizon_s,
-            warmup_s=self.warmup_s,
             latency_bucket_s=self.latency_bucket_s,
             slo_latency_s=(
                 self.cost_model.slo_latency_s if self.cost_model else 0.5
@@ -508,9 +485,6 @@ class WhatIfEngine:
             self.branch_spec(snapshot, forecast, candidate)
             for candidate in candidates
         ]
-        self.last_warm_fingerprint = (
-            warm_fingerprint(specs[0]) if specs else None
-        )
         outcomes: list[Optional[BranchOutcome]] = [None] * len(specs)
         rest = list(range(len(specs)))
         bound: Optional[float] = None

@@ -1,10 +1,10 @@
 """Fault-model library.
 
 A :class:`FaultSpec` is a frozen, picklable description of one fault — a
-pure value, like :class:`~repro.capacity.whatif.BranchSpec`, so campaigns
-containing them flow through ``describe_config`` and the process-pool
-runner unchanged.  The :class:`ChaosInjector` interprets specs against a
-live :class:`~repro.jade.system.ManagedSystem`:
+pure value described field by field, so campaigns containing them flow
+through ``describe_config`` and the process-pool runner unchanged.  The
+:class:`ChaosInjector` interprets specs against a live
+:class:`~repro.jade.system.ManagedSystem`:
 
 ========== =============================================================
 kind       effect

@@ -258,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=120.0, help="forecast horizon (s)"
     )
     whatif.add_argument(
-        "--warmup", type=float, default=60.0,
-        help="branch warmup before the measurement window (s)",
-    )
-    whatif.add_argument(
         "--model",
         choices=("ewma", "trend", "seasonal"),
         default="trend",
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     whatif.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the warmed-branch result cache (every branch computes)",
+        help="bypass the branch result cache (every branch computes)",
     )
     whatif.add_argument(
         "--prune", action="store_true",
@@ -759,7 +755,6 @@ def cmd_whatif(args: argparse.Namespace) -> int:
 
     engine = WhatIfEngine(
         horizon_s=args.horizon,
-        warmup_s=args.warmup,
         cost_model=CostModel(slo_latency_s=args.slo),
         parallel=not args.serial,
         max_workers=args.workers,
@@ -767,8 +762,8 @@ def cmd_whatif(args: argparse.Namespace) -> int:
         prune=args.prune,
     )
     candidates = default_candidates(snapshot, args.max_delta)
-    print(f"Evaluating {len(candidates)} candidates "
-          f"({args.warmup:.0f}s warmup + {args.horizon:.0f}s horizon each)...")
+    print(f"Evaluating {len(candidates)} candidates from the t={snapshot.t:.0f}s "
+          f"checkpoint ({args.horizon:.0f}s horizon each)...")
     outcomes = engine.evaluate(snapshot, forecast, candidates)
     best = engine.best(outcomes)
     if engine.cache is not None or engine.branches_pruned:

@@ -199,6 +199,9 @@ class DeployManager:
         self._polls = 0
         self._lock_owner = ""
         self._then: Optional[Callable[[], None]] = None
+        #: the bounce in flight (None between bounces); it runs to its
+        #: end even after :meth:`stop`
+        self.bounce: Optional[BounceOperation] = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -268,7 +271,7 @@ class DeployManager:
 
     def _bounce(self, version, strategy: str, then, limit=None) -> None:
         """Bounce the tier, then call ``then()``."""
-        op = BounceOperation(
+        self.bounce = op = BounceOperation(
             self.kernel,
             self.tier,
             version,
@@ -284,6 +287,7 @@ class DeployManager:
         op.done.add_callback(self._bounced)
 
     def _bounced(self, _done) -> None:
+        self.bounce = None
         if not self._stopped:
             self._then()
 

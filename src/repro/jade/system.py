@@ -611,7 +611,7 @@ class ManagedSystem:
     def _snapshot(self):
         from repro.capacity.snapshot import SystemSnapshot
 
-        return SystemSnapshot.capture(self, inhibition=self.inhibition)
+        return SystemSnapshot.capture(self)
 
     def entry(self, request) -> None:
         """The system's front door (what the emulated browsers hit)."""

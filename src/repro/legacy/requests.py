@@ -10,12 +10,9 @@ calibration in one place (:mod:`repro.workload.calibration`).
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.simulation.kernel import Signal, SimKernel
-
-_req_ids = itertools.count(1)
 
 
 class RequestFailed(RuntimeError):
@@ -56,7 +53,7 @@ class WebRequest:
         client_id: Optional[int] = None,
         weight: int = 1,
     ) -> None:
-        self.req_id = next(_req_ids)
+        kernel.last_request_id = self.req_id = kernel.last_request_id + 1
         self.interaction = interaction
         self.is_static = is_static
         self.is_write = is_write

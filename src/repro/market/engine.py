@@ -117,6 +117,8 @@ class MarketEngine:
         self._interrupt_task = None
         #: nodes under an active interruption notice (name → deadline)
         self._noticed: dict[str, float] = {}
+        #: the reclaims those notices scheduled (cancelled by :meth:`stop`)
+        self._reclaims: list = []
         #: plain-data logs for :class:`MarketStats`
         self.interruptions: list[dict] = []
         self.rebalances: list[dict] = []
@@ -168,7 +170,12 @@ class MarketEngine:
             )
 
     def stop(self) -> None:
+        """Stop pricing, planning and interrupting, and cancel the
+        reclaims of the notices already given."""
         self.market.stop()
+        for event in self._reclaims:
+            event.cancel()
+        self._reclaims.clear()
         if self._plan_task is not None:
             self._plan_task.cancel()
             self._plan_task = None
@@ -289,7 +296,9 @@ class MarketEngine:
         if self.cluster.owner_of(node) is None:
             self.cluster.discard(node)
         self._drain(node)
-        self.kernel.schedule(self.scenario.notice_s, self._reclaim, node)
+        self._reclaims.append(
+            self.kernel.schedule(self.scenario.notice_s, self._reclaim, node)
+        )
         return deadline
 
     def _drain(self, node: "Node") -> int:

@@ -262,7 +262,7 @@ def run_whatif_bench(candidates: int = 8) -> dict:
 
     def make_engine(**kwargs) -> WhatIfEngine:
         return WhatIfEngine(
-            horizon_s=45.0, warmup_s=40.0, cost_model=CostModel(), **kwargs
+            horizon_s=45.0, cost_model=CostModel(), **kwargs
         )
 
     def timed(engine):

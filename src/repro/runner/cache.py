@@ -4,10 +4,10 @@ A cache entry is addressed by ``sha256(description ++ code fingerprint)``
 where *description* is a canonical, human-readable rendering of the
 payload's identity (for experiments: every :class:`ExperimentConfig`
 field, recursively, including the workload profile and calibration; for
-what-if branches: the full :class:`~repro.capacity.whatif.BranchSpec`).
-Two equal descriptions are the same computation; any change to the
-simulator's source changes the fingerprint and orphans every entry (see
-:mod:`repro.runner.fingerprint`).
+what-if branches: the :class:`~repro.capacity.whatif.BranchSpec`, whose
+checkpoint enters by its sha256).  Two equal descriptions are the same
+computation; any change to the simulator's source changes the
+fingerprint and orphans every entry (see :mod:`repro.runner.fingerprint`).
 
 Layout (under ``$REPRO_CACHE_DIR``, default ``~/.cache/repro-jade``)::
 
@@ -59,7 +59,10 @@ def _canon(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         out = {"__type__": type(value).__name__}
         for f in dataclasses.fields(value):
-            out[f.name] = _canon(getattr(value, f.name))
+            # a field outside equality is outside identity (a what-if
+            # branch's checkpoint bytes, named by their digest)
+            if f.compare:
+                out[f.name] = _canon(getattr(value, f.name))
         return out
     if callable(value):
         raise TypeError(

@@ -148,6 +148,18 @@ class SimKernel:
         #: (``pending`` counts them until then; they never count in
         #: ``events_processed``)
         self.tombstones_skipped = 0
+        #: the last id handed to a request of this run (ids are per run,
+        #: so a run's pickle does not depend on what ran before it)
+        self.last_request_id = 0
+
+    def __getstate__(self) -> dict:
+        """Pickle the kernel idle: a copy taken from inside one of its
+        callbacks can :meth:`run` (the parent's ``run`` is untouched).
+        The copy's ``events_processed`` omits the events that the
+        interrupted ``run`` had dispatched: it adds them when it returns."""
+        state = self.__dict__.copy()
+        state["_running"] = False
+        return state
 
     @property
     def now(self) -> float:

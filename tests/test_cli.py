@@ -46,14 +46,13 @@ class TestParser:
 
     def test_whatif_options(self):
         args = build_parser().parse_args(
-            ["whatif", "--at", "250", "--horizon", "90", "--warmup", "45",
+            ["whatif", "--at", "250", "--horizon", "90",
              "--model", "ewma", "--max-delta", "2", "--seed", "5",
              "--report", "out.json"]
         )
         assert args.command == "whatif"
         assert args.at == 250.0
         assert args.horizon == 90.0
-        assert args.warmup == 45.0
         assert args.model == "ewma"
         assert args.max_delta == 2
         assert args.seed == 5
@@ -201,7 +200,7 @@ class TestCommands:
         report_path = tmp_path / "whatif.json"
         assert main(
             ["whatif", "--at", "100", "--scale", "0.15", "--peak", "200",
-             "--horizon", "40", "--warmup", "30", "--seed", "4",
+             "--horizon", "40", "--seed", "4",
              "--report", str(report_path)]
         ) == 0
         out = capsys.readouterr().out

@@ -101,6 +101,28 @@ def test_ramp_resumes_mid_reconfiguration(ramp_reference, pause):
     assert collector_digest(copy.finish()) == ramp_reference
 
 
+def test_copy_pickled_inside_a_kernel_callback_runs(ramp_reference):
+    # The proactive manager checkpoints from its planning tick: the copy
+    # of a kernel caught inside run() must run, and the parent's run
+    # must carry on untouched.
+    system = _ramp()
+    horizon = system.start_all()
+    taken = []
+
+    def checkpoint() -> None:
+        taken.append((system.kernel._running, pickle.dumps(system)))
+
+    system.kernel.schedule_at(106.0, checkpoint)
+    system.advance(110.0)
+    assert not system.kernel._running
+    running_in_parent, blob = taken[0]
+    assert running_in_parent
+    copy = pickle.loads(blob)
+    assert copy.kernel.now == 106.0
+    copy.advance(horizon)
+    assert collector_digest(copy.finish()) == ramp_reference
+
+
 def test_proactive_ramp_resumes():
     def build_proactive():
         return _ramp(

@@ -239,6 +239,46 @@ class TestIntegration:
         # The run itself completed despite the exhaustion.
         assert system.kernel.now >= profile.duration_s
 
+    def test_traced_parent_still_branches(self, tmp_path):
+        """The checkpoint leaves the tracer and its open JSONL sink behind:
+        a proactive run tracing to a file runs to the end, and its trace
+        keeps the chain forecast -> what-if evaluation -> decision."""
+        from repro.obs.tracer import load_jsonl
+
+        profile = RampProfile(
+            base=80, peak=260, step_period_s=15.0, warmup_s=60.0, cooldown_s=60.0
+        )
+        sink = tmp_path / "proactive.jsonl"
+        config = ExperimentConfig(
+            profile=profile,
+            seed=11,
+            managed=True,
+            proactive=True,
+            proactive_config=ProactiveConfig(
+                plan_period_s=15.0,
+                min_eval_interval_s=45.0,
+                grow_margin=0.7,
+                # long enough for a DB grow to pay for its own sync
+                horizon_s=90.0,
+            ),
+            sample_nodes=False,
+            trace_jsonl=str(sink),
+        )
+        system = ManagedSystem(config)
+        system.run()
+        assert system.kernel.now >= profile.duration_s
+        records = load_jsonl(str(sink))
+        by_seq = {r["seq"]: r for r in records}
+        decisions = [
+            r for r in records
+            if r["kind"] == "proactive-decision" and r.get("cause") in by_seq
+            and by_seq[r["cause"]]["kind"] == "whatif-evaluated"
+        ]
+        assert decisions, "expected a decision caused by a what-if evaluation"
+        for decision in decisions:
+            evaluation = by_seq[decision["cause"]]
+            assert by_seq[evaluation["cause"]]["kind"] == "forecast-issued"
+
     def test_proactive_system_traces_whatif_chain(self):
         """A real managed run with what-if enabled emits the full causal
         chain: forecast -> what-if evaluation -> proactive decision."""
@@ -255,7 +295,6 @@ class TestIntegration:
                 min_eval_interval_s=45.0,
                 grow_margin=0.7,
                 horizon_s=45.0,
-                branch_warmup_s=40.0,
             ),
             sample_nodes=False,
         )

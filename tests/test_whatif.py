@@ -1,31 +1,35 @@
 """Tests for the what-if engine (repro.capacity.whatif).
 
-The two load-bearing guarantees from the module docstring:
+The load-bearing guarantees from the module docstring:
 
 * forking with the same seed twice yields **byte-identical** candidate
-  outcome reports, and
-* forking never mutates the parent run.
+  outcome reports,
+* forking never mutates the parent run, and
+* a branch resumes the parent's exact state: the stay candidate under the
+  true profile reproduces the parent's own continuation.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.capacity.cost import CostModel
 from repro.capacity.forecast import LinearTrendForecaster
-from repro.capacity.snapshot import SystemSnapshot
 from repro.capacity.whatif import (
     BALANCER_NODES,
     Candidate,
     WhatIfEngine,
     default_candidates,
+    evaluate_branch,
+    force_replicas,
+    resume_branch,
     run_to_fork,
-    warm_fingerprint,
 )
 from repro.runner.cache import ResultCache
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.workload.calibration import DEFAULT_CALIBRATION
-from repro.workload.profiles import RampProfile
+from repro.workload.profiles import ConstantProfile, RampProfile
 
 #: a compressed ramp that crosses the DB grow threshold quickly
 RAMP = dict(base=80, peak=260, step_period_s=15.0, warmup_s=60.0, cooldown_s=60.0)
@@ -43,7 +47,7 @@ def build_system(seed: int = 11) -> ManagedSystem:
 
 def make_engine() -> WhatIfEngine:
     # Short windows keep the branch simulations cheap in the suite.
-    return WhatIfEngine(horizon_s=45.0, warmup_s=40.0, cost_model=CostModel())
+    return WhatIfEngine(horizon_s=45.0, cost_model=CostModel())
 
 
 def forecast_from(system: ManagedSystem):
@@ -148,21 +152,7 @@ class TestCandidates:
 
     def test_default_candidates_at_floor_deduplicates(self, fork):
         _, snapshot, _ = fork
-        floor = SystemSnapshot(
-            t=snapshot.t,
-            seed=snapshot.seed,
-            clients=snapshot.clients,
-            app_replicas=1,
-            db_replicas=1,
-            free_nodes=snapshot.free_nodes,
-            pool_nodes=snapshot.pool_nodes,
-            node_speed=snapshot.node_speed,
-            thrashing=snapshot.thrashing,
-            app_cpu=snapshot.app_cpu,
-            db_cpu=snapshot.db_cpu,
-            inhibition_free_at=snapshot.inhibition_free_at,
-            calibration=snapshot.calibration,
-        )
+        floor = replace(snapshot, app_replicas=1, db_replicas=1)
         candidates = default_candidates(floor)
         labels = [c.label for c in candidates]
         assert labels == ["app1/db1", "app2/db1", "app1/db2", "app2/db2"]
@@ -174,25 +164,23 @@ class TestCandidates:
         assert len(wide) > len(default_candidates(snapshot, max_delta=1))
 
 
+def fork_small_pool(pool_nodes: int):
+    """An unmanaged 60-client system on a small pool, forked at t=100."""
+    system = ManagedSystem(
+        ExperimentConfig(
+            profile=ConstantProfile(60, 200.0), seed=3, managed=False,
+            pool_nodes=pool_nodes, thrashing=False, sample_nodes=False,
+        )
+    )
+    return run_to_fork(system, 100.0)
+
+
 class TestPoolExhaustion:
     def test_oversized_candidate_is_infeasible(self):
         # A 5-node pool: 2 balancers + tomcat1 + mysql1 leaves one free
         # node, so app2/db2 cannot be hosted.
-        snapshot = SystemSnapshot(
-            t=100.0,
-            seed=3,
-            clients=60,
-            app_replicas=1,
-            db_replicas=1,
-            free_nodes=1,
-            pool_nodes=5,
-            node_speed=1.0,
-            thrashing=False,
-            app_cpu=0.5,
-            db_cpu=0.6,
-            inhibition_free_at=float("-inf"),
-            calibration=DEFAULT_CALIBRATION,
-        )
+        snapshot = fork_small_pool(5)
+        assert snapshot.free_nodes == 1
         forecast = [(115.0, 70.0), (130.0, 80.0)]
         engine = make_engine()
         outcomes = engine.evaluate(
@@ -207,21 +195,8 @@ class TestPoolExhaustion:
         assert engine.best(outcomes).candidate.label == "app1/db1"
 
     def test_all_infeasible_raises(self):
-        snapshot = SystemSnapshot(
-            t=100.0,
-            seed=3,
-            clients=60,
-            app_replicas=1,
-            db_replicas=1,
-            free_nodes=0,
-            pool_nodes=4,
-            node_speed=1.0,
-            thrashing=False,
-            app_cpu=0.5,
-            db_cpu=0.6,
-            inhibition_free_at=float("-inf"),
-            calibration=DEFAULT_CALIBRATION,
-        )
+        snapshot = fork_small_pool(4)
+        assert snapshot.free_nodes == 0
         engine = make_engine()
         outcomes = engine.evaluate(snapshot, [(115.0, 70.0)], [Candidate(3, 3)])
         assert not outcomes[0].feasible
@@ -280,7 +255,7 @@ class TestEngineContract:
         with pytest.raises(ValueError):
             WhatIfEngine(horizon_s=0.0)
         with pytest.raises(ValueError):
-            WhatIfEngine(warmup_s=-1.0)
+            WhatIfEngine(prune_check_s=0.0)
 
     def test_report_is_sorted_canonical_json(self, fork):
         _, snapshot, forecast = fork
@@ -300,7 +275,6 @@ class TestParallelEvaluation:
         serial_report = serial.report(serial.evaluate(snapshot, forecast))
         parallel = WhatIfEngine(
             horizon_s=45.0,
-            warmup_s=40.0,
             cost_model=CostModel(),
             parallel=True,
             max_workers=2,
@@ -313,7 +287,6 @@ class TestParallelEvaluation:
         serial = make_engine()
         parallel = WhatIfEngine(
             horizon_s=45.0,
-            warmup_s=40.0,
             cost_model=CostModel(),
             parallel=True,
             max_workers=2,
@@ -327,7 +300,6 @@ class TestWarmedBranchCache:
     def make_cached_engine(self, tmp_path) -> WhatIfEngine:
         return WhatIfEngine(
             horizon_s=45.0,
-            warmup_s=40.0,
             cost_model=CostModel(),
             cache=ResultCache(tmp_path / "cache"),
         )
@@ -356,44 +328,11 @@ class TestWarmedBranchCache:
         warm = self.make_cached_engine(tmp_path)
         assert warm.report(warm.evaluate(snapshot, forecast)) == plain_report
 
-    def test_candidates_share_warm_fingerprint(self, fork):
-        _, snapshot, forecast = fork
-        engine = make_engine()
-        specs = [
-            engine.branch_spec(snapshot, forecast, c)
-            for c in default_candidates(snapshot)
-        ]
-        assert len({warm_fingerprint(s) for s in specs}) == 1
-
-    def test_forecast_changes_warm_fingerprint(self, fork):
-        _, snapshot, forecast = fork
-        engine = make_engine()
-        a = engine.branch_spec(snapshot, forecast, Candidate(1, 1))
-        bumped = [(t, v + 10.0) for t, v in forecast]
-        b = engine.branch_spec(snapshot, bumped, Candidate(1, 1))
-        assert warm_fingerprint(a) != warm_fingerprint(b)
-
-    def test_fingerprint_invariant_to_decision_time(self, fork):
-        # Two decisions at different absolute times under identical
-        # conditions share cache entries: the spec normalizes the
-        # forecast to offsets from the snapshot instant.
-        _, snapshot, forecast = fork
-        from dataclasses import replace
-
-        engine = make_engine()
-        shifted_snapshot = replace(snapshot, t=snapshot.t + 100.0)
-        shifted_forecast = [(t + 100.0, v) for t, v in forecast]
-        a = engine.branch_spec(snapshot, forecast, Candidate(1, 1))
-        b = engine.branch_spec(shifted_snapshot, shifted_forecast, Candidate(1, 1))
-        assert a == b
-        assert warm_fingerprint(a) == warm_fingerprint(b)
-
 
 class TestDominancePruning:
     def make_pruning_engine(self, **kwargs) -> WhatIfEngine:
         return WhatIfEngine(
             horizon_s=45.0,
-            warmup_s=40.0,
             cost_model=CostModel(),
             prune=True,
             prune_check_s=10.0,
@@ -437,3 +376,104 @@ class TestDominancePruning:
             engine.best(outcomes).candidate
             == serial.best(serial.evaluate(snapshot, forecast)).candidate
         )
+
+
+class TestCheckpointBranch:
+    """A branch resumes the parent's exact state."""
+
+    def test_stay_branch_reproduces_the_parent_continuation(self):
+        # An unmanaged seed-1 ramp forked at saturation; the stay
+        # candidate with the true profile as its forecast must replay the
+        # parent's own continuation bit for bit.
+        profile = RampProfile(warmup_s=45.0, step_period_s=9.0, cooldown_s=45.0)
+        parent = ManagedSystem(
+            ExperimentConfig(profile=profile, seed=1, managed=False)
+        )
+        fork_t, horizon = 200.0, 60.0
+        snapshot = run_to_fork(parent, fork_t)
+        forecast = [
+            (fork_t + k, float(profile.clients_at(fork_t + k)))
+            for k in range(1, int(horizon) + 1)
+        ]
+        engine = WhatIfEngine(horizon_s=horizon, cost_model=CostModel())
+        stay = Candidate(snapshot.app_replicas, snapshot.db_replicas)
+        spec = engine.branch_spec(snapshot, forecast, stay)
+        branch = resume_branch(spec)
+        assert force_replicas(branch, stay)
+        branch.kernel.run(until=fork_t + horizon)
+        parent.kernel.run(until=fork_t + horizon)
+        ours = branch.collector.latencies.window(fork_t, fork_t + horizon)
+        theirs = parent.collector.latencies.window(fork_t, fork_t + horizon)
+        assert len(theirs.values) > 0
+        assert np.array_equal(ours.values, theirs.values)
+        assert branch.kernel.events_processed == parent.kernel.events_processed
+        outcome = evaluate_branch(spec)
+        assert outcome.latency_mean_s == float(theirs.values.mean())
+
+    def test_managed_parent_branches_keep_tier_cpu(self, fork):
+        # The reactive loops own a managed system's tier probes; the
+        # branch stops the loops but keeps the probes sampling.
+        _, snapshot, forecast = fork
+        for outcome in make_engine().evaluate(snapshot, forecast):
+            assert outcome.feasible
+            assert math.isfinite(outcome.app_cpu_mean)
+            assert math.isfinite(outcome.db_cpu_mean)
+
+    @pytest.mark.parametrize("parent", ["chaos", "market", "deploy"])
+    def test_no_management_event_after_forcing(self, parent):
+        from repro.chaos.campaign import PRESETS as CHAOS, campaign_config
+        from repro.deploy.scenario import PRESETS as DEPLOY, deploy_config
+        from repro.market.scenario import PRESETS as MARKET, market_config
+
+        if parent == "chaos":
+            campaign = CHAOS["crash"]()
+            config = campaign_config(campaign, seed=1, clients=40, duration_s=400.0)
+            fork_t = campaign.faults[0].at_s - 5.0
+        elif parent == "market":
+            config = market_config(MARKET["volatile"](), seed=1, scale=0.15)
+            fork_t = 200.0
+        else:
+            # a crossover bounce in flight: it runs out before forcing
+            scenario = DEPLOY["clean-bounce"]()
+            config = deploy_config(scenario, seed=1, clients=60)
+            fork_t = scenario.start_at_s + 10.0
+        snapshot = run_to_fork(ManagedSystem(config), fork_t)
+        engine = WhatIfEngine(horizon_s=120.0, cost_model=CostModel())
+        grow = Candidate(snapshot.app_replicas + 1, snapshot.db_replicas)
+        branch = resume_branch(engine.branch_spec(snapshot, [], grow))
+        assert force_replicas(branch, grow)
+        logged = len(branch.collector.reconfigurations)
+        branch.kernel.run(until=fork_t + 120.0)
+        assert len(branch.collector.reconfigurations) == logged
+
+
+class TestCacheSoundness:
+    def test_parents_in_other_states_share_no_cache_entry(self, tmp_path):
+        # The same config forked at the same instant, but one parent was
+        # driven outside its config (a grow before running, as the
+        # recovery command does): the two states differ, so no branch of
+        # one may resolve from the other's cache entries.
+        plain = run_to_fork(build_system(), FORK_AT)
+        driven_system = build_system()
+        assert driven_system.db_tier.grow()
+        driven = run_to_fork(driven_system, FORK_AT)
+        assert driven.sha256 != plain.sha256
+        cache = ResultCache(tmp_path / "cache")
+        forecast = [(FORK_AT + 15.0, 200.0)]
+        candidates = [Candidate(1, 1), Candidate(1, 2), Candidate(2, 2)]
+        engine = make_engine()
+        plain_keys = {
+            cache.key_for(engine.branch_spec(plain, forecast, c))
+            for c in candidates
+        }
+        driven_keys = {
+            cache.key_for(engine.branch_spec(driven, forecast, c))
+            for c in candidates
+        }
+        assert not plain_keys & driven_keys
+        first = WhatIfEngine(horizon_s=45.0, cost_model=CostModel(), cache=cache)
+        first.evaluate(plain, forecast, candidates)
+        second = WhatIfEngine(horizon_s=45.0, cost_model=CostModel(), cache=cache)
+        second.evaluate(driven, forecast, candidates)
+        assert second.cache_hits == 0
+        assert second.branches_run == len(candidates)
