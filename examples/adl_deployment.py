@@ -74,14 +74,17 @@ def main() -> None:
         kernel, "ViewItem", app_demand_pre=0.012, app_demand_post=0.002,
         db_demand=0.025,
     )
-    request.completion.add_callback(
-        lambda s: print(
-            f"\nRequest path: {' -> '.join(request.hops)}"
-            f"\nLatency: {request.latency * 1e3:.1f} ms"
-        )
-    )
     switch.handle(request)
     kernel.run()
+    # The path is read off the servers that answered the request.
+    path = [switch.name] + [
+        inst.content.server.name
+        for spec in ("apache", "tomcat", "cjdbc", "mysql")
+        for inst in app.instances(spec)
+        if inst.content.server.served
+    ]
+    print(f"\nRequest path: {' -> '.join(path)}")
+    print(f"Latency: {request.latency * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -80,21 +80,6 @@ class CostModel:
     slo_latency_s: float = 0.5
     #: score assigned to an infeasible candidate (pool exhausted)
     infeasible_cost: float = float("inf")
-    #: per-type hourly prices for heterogeneous fleets (``repro.market``:
-    #: sorted ``(instance_type, hourly_price)`` pairs, from
-    #: :func:`repro.market.catalog.price_book`); None = the flat
-    #: ``node_hour_cost`` rate of the paper's uniform pool
-    price_book: tuple[tuple[str, float], ...] | None = None
-
-    def node_hour_cost_for(self, instance_type: str | None) -> float:
-        """Hourly price of one node: looked up in the price book when the
-        node is typed, else the uniform flat rate."""
-        if self.price_book is not None and instance_type is not None:
-            for name, price in self.price_book:
-                if name == instance_type:
-                    return price
-            raise KeyError(f"instance type {instance_type!r} not in price book")
-        return self.node_hour_cost
 
     def score(
         self,

@@ -212,7 +212,7 @@ class ChaosInjector:
         self.faults_injected = 0
         #: plain-data fault log: {"t", "fault", "node", "tier", "detail"}
         self.events: list[dict] = []
-        #: injections and clearances still pending, for :meth:`stop`
+        #: injections and spot reclaims still pending, for :meth:`stop`
         self._scheduled: list[Event] = []
         self._active_isolations = 0
         self._started = False
@@ -229,7 +229,9 @@ class ChaosInjector:
                 self._keep(self.kernel.schedule_at(spec.at_s, self._fire, spec))
 
     def stop(self) -> None:
-        """Cancel every pending injection and clearance."""
+        """Cancel every pending injection and spot reclaim (a reclaim is a
+        crash).  The clearances of faults already injected still run, so
+        a transient fault ends on time in a stopped system too."""
         for event in self._scheduled:
             event.cancel()
         self._scheduled.clear()
@@ -306,9 +308,6 @@ class ChaosInjector:
         self._scheduled = [e for e in self._scheduled if e.fn is not None]
         self._scheduled.append(event)
 
-    def _clear_at(self, delay: float, fn, *args) -> None:
-        self._keep(self.kernel.schedule(delay, fn, *args))
-
     # ------------------------------------------------------------------
     def _fire(self, spec: FaultSpec) -> None:
         candidates = self._candidates(spec.target)
@@ -345,7 +344,7 @@ class ChaosInjector:
             self._record(spec.kind, node.name, tier_name, detail)
             node.degrade(spec.severity)
             if spec.duration_s > 0:
-                self._clear_at(
+                self.kernel.post_in(
                     spec.duration_s, self._restore_node, spec.kind, node
                 )
         elif spec.kind == "partition":
@@ -358,7 +357,7 @@ class ChaosInjector:
             node.isolate()
             self._active_isolations += 1
             if spec.duration_s > 0:
-                self._clear_at(spec.duration_s, self._heal_node, node)
+                self.kernel.post_in(spec.duration_s, self._heal_node, node)
         elif spec.kind == "correlated":
             self._fire_correlated(spec, tier_name, record, candidates)
         elif spec.kind == "spot-interruption":
@@ -393,7 +392,7 @@ class ChaosInjector:
             server = getattr(record.component.content, "server", None)
             if server is not None:
                 recovery.handle_interruption(server)
-        self._clear_at(spec.duration_s, self._reclaim_spot, node)
+        self._keep(self.kernel.schedule(spec.duration_s, self._reclaim_spot, node))
 
     def _reclaim_spot(self, node) -> None:
         # The notice at _fire_spot already counted this fault.
@@ -424,7 +423,7 @@ class ChaosInjector:
         self._record("latency", "", "", detail)
         self.system.lan.set_extra_latency(spec.severity)
         if spec.duration_s > 0:
-            self._clear_at(spec.duration_s, self._restore_latency)
+            self.kernel.post_in(spec.duration_s, self._restore_latency)
 
     # -- clearances ----------------------------------------------------
     def _restore_node(self, fault: str, node) -> None:

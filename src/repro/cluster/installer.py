@@ -115,12 +115,5 @@ class SoftwareInstallationService:
         self.installs_total += 1
         done.succeed(package)
 
-    def uninstall(self, name: str, node: Node) -> None:
-        """Immediately remove a package's files and footprint from a node."""
-        package = self.lookup(name)
-        node.fs.remove_tree(package.install_root)
-        node.unregister_footprint(f"pkg:{package.name}")
-        self._installed.get(node.name, set()).discard(name)
-
     def is_installed(self, name: str, node: Node) -> bool:
         return name in self._installed.get(node.name, set())

@@ -80,7 +80,6 @@ class Node:
     def run_job(
         self,
         demand: float,
-        tag: object = None,
         weight: int = 1,
         then: Optional[Callable[..., None]] = None,
         fail: Optional[Callable[..., None]] = None,
@@ -88,29 +87,25 @@ class Node:
     ) -> CpuJob:
         """Submit CPU work of ``demand`` seconds (at unit speed) and return
         the job.  With a continuation, ``then(*args)`` runs on completion
-        and ``fail(*args, error)`` on abort; without one, ``job.done``
-        fires.
+        and ``fail(*args, error)`` on abort; without one the job is busy
+        time that nobody waits on.
         ``weight`` batches that many identical requests into one job (see
         :class:`~repro.simulation.resources.CpuJob`).
 
         On a crashed node a job without a continuation raises
         :class:`NodeDown`; a continuation job is failed asynchronously
         with it instead, exactly like work aborted by the crash."""
+        job = CpuJob(demand, weight, then, fail, args)
         if self.up and not self.isolated:
-            return self.cpu.submit(
-                CpuJob(self.kernel, demand, tag, weight, then, fail, args)
-            )
-        if not self.up and then is None:
-            raise NodeDown(self.name)
-        job = CpuJob(self.kernel, demand, tag, weight, then, fail, args)
+            return self.cpu.submit(job)
         if not self.up:
+            if then is None:
+                raise NodeDown(self.name)
             job._settle(self.kernel, NodeDown(self.name))
             return job
         # Isolated: the caller cannot tell an isolated node from a healthy
         # one (that is the point of a partition): the job is accepted and
-        # fails asynchronously, like a timed-out RPC.  Callbacks added to
-        # ``job.done`` after this fire via the kernel (see
-        # Signal.add_callback).
+        # fails asynchronously, like a timed-out RPC.
         job._settle(self.kernel, NodeIsolated(self.name))
         return job
 

@@ -41,17 +41,6 @@ def find_components(
     return [c for c in iter_components(root) if predicate(c)]
 
 
-def find_by_name(root: Component, name: str) -> Component:
-    """The unique component named ``name`` in the hierarchy (KeyError if
-    absent or ambiguous)."""
-    matches = find_components(root, lambda c: c.name == name)
-    if not matches:
-        raise KeyError(f"no component named {name!r} under {root.name}")
-    if len(matches) > 1:
-        raise KeyError(f"{len(matches)} components named {name!r} under {root.name}")
-    return matches[0]
-
-
 def architecture_report(root: Component, indent: str = "") -> str:
     """Human-readable tree of the architecture: components, states,
     attributes and bindings — the §3.2 'inspect the overall J2EE

@@ -128,14 +128,3 @@ class RollingRebind:
         self._index += 1
         # Let the restarted replica take load before touching the next.
         self.kernel.post_in(self.settle_s, self._next)
-
-
-def rolling_rebind(
-    kernel: SimKernel,
-    frontends: Sequence[Component],
-    itf_name: str,
-    targets: Sequence[Interface],
-    settle_s: float = 1.0,
-) -> RollingRebind:
-    """Convenience wrapper: build and start a :class:`RollingRebind`."""
-    return RollingRebind(kernel, frontends, itf_name, targets, settle_s).start()

@@ -126,7 +126,7 @@ class CpuProbe:
         nodes = [n for n in self.nodes_provider() if n.up]
         if self.probe_demand_s > 0.0:
             for node in nodes:
-                node.run_job(self.probe_demand_s, tag=self.name)
+                node.run_job(self.probe_demand_s)
         raw = spatial_average(self.sampler.sample(n) for n in nodes)
         self.samples_taken += 1
         if raw != raw:  # NaN: empty tier

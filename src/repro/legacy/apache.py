@@ -71,7 +71,6 @@ class ApacheServer(LegacyServer):
         if not self._admit():
             request.fail(self.kernel, f"{self.name}: 503 MaxClients reached")
             return
-        request.trace(self.name)
         weight = request.weight
         self._begin(weight)
         if request.is_static:

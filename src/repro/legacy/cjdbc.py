@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from functools import partial
 from typing import Callable, Optional
 
 from repro.cluster.network import Lan
@@ -40,7 +39,7 @@ from repro.legacy.policies import BalancingPolicy, make_policy
 from repro.legacy.recovery_log import RecoveryLog
 from repro.legacy.requests import WebRequest
 from repro.legacy.server import LegacyServer, ServerNotRunning
-from repro.simulation.kernel import Signal, SimKernel
+from repro.simulation.kernel import SimKernel
 
 
 class BackendState(enum.Enum):
@@ -179,12 +178,7 @@ class CJdbcController(LegacyServer):
             if handle.state is not BackendState.SYNCING:
                 return  # detached mid-sync
             entry = self.log.get(server.applied_index)
-            try:
-                replayed = server.replay_write(entry)
-            except Exception:  # noqa: BLE001 - the replica is dropped
-                self._sync_failed(handle)
-                return
-            replayed.add_callback(partial(self._replayed, handle))
+            server.replay_write(entry, self._replayed, self._replay_failed, (handle,))
             return
         if handle.state is BackendState.SYNCING:
             handle.state = BackendState.ENABLED
@@ -192,15 +186,12 @@ class CJdbcController(LegacyServer):
             if self._policy is not None:
                 self._policy.reset()
 
-    def _replayed(self, handle: BackendHandle, replayed: Signal) -> None:
-        if replayed.error is not None:
-            self._sync_failed(handle)
-            return
+    def _replayed(self, handle: BackendHandle) -> None:
         handle.sync_replayed += 1
         self._sync(handle)
 
-    def _sync_failed(self, handle: BackendHandle) -> None:
-        # Replica died mid-sync: drop it from the controller.
+    def _replay_failed(self, handle: BackendHandle, err: BaseException) -> None:
+        # Replica died or stopped mid-sync: drop it from the controller.
         self._backends.pop(handle.name, None)
         handle.state = BackendState.DISABLED
 
@@ -231,41 +222,36 @@ class CJdbcController(LegacyServer):
     def execute(
         self,
         request: WebRequest,
-        then: Optional[Callable[..., None]] = None,
-        fail: Optional[Callable[..., None]] = None,
-    ) -> Optional[Signal]:
+        then: Callable[..., None],
+        fail: Callable[..., None],
+    ) -> None:
         """Route one query.
 
-        With a continuation, ``then(request)`` runs when the result is
-        ready and ``fail(request, error)`` when the query fails, each
-        delivered as the signal would deliver to a lone waiter: a read's
-        answer through the kernel's tail dispatch, a write's answer and
-        every failure posted.  Without one, the returned signal fires with
-        the controller (or fails with the error)."""
-        sig = Signal(self.kernel) if then is None else None
+        ``then(request)`` runs when the result is ready and
+        ``fail(request, error)`` when the query fails: a read's answer
+        through the kernel's tail dispatch, a write's answer and every
+        failure posted."""
         if not self.running:
-            self._query_failed(sig, fail, (request,), ServerNotRunning(self.name))
-            return sig
-        request.trace(self.name)
+            self.kernel.post(fail, request, ServerNotRunning(self.name))
+            return
         weight = request.weight
         self._begin(weight)
         self._run_then(
             self.route_demand * weight, weight, self._route, self._fail,
-            request, then, fail, sig,
+            request, then, fail,
         )
-        return sig
 
-    def _route(self, request: WebRequest, then, fail, sig) -> None:
+    def _route(self, request: WebRequest, then, fail) -> None:
         if request.is_write:
-            self._route_write(request, then, fail, sig)
+            self._route_write(request, then, fail)
         else:
-            self._route_read(request, then, fail, sig)
+            self._route_read(request, then, fail)
 
-    def _route_read(self, request: WebRequest, then, fail, sig) -> None:
+    def _route_read(self, request: WebRequest, then, fail) -> None:
         enabled = self.enabled_backends()
         if not enabled:
             self._fail(
-                request, then, fail, sig,
+                request, then, fail,
                 ServerNotRunning(f"{self.name}: no enabled backend"),
             )
             return
@@ -274,49 +260,44 @@ class CJdbcController(LegacyServer):
         weight = request.weight
         self.reads_routed += weight
         handle.inflight += weight
-        self._after_hop(self._dispatch_read, handle, request, then, fail, sig)
+        self._after_hop(self._dispatch_read, handle, request, then, fail)
 
     def _dispatch_read(
-        self, handle: BackendHandle, request: WebRequest, then, fail, sig
+        self, handle: BackendHandle, request: WebRequest, then, fail
     ) -> None:
         handle.server.execute_read(
             request.db_demand,
             request.weight,
             self._answered,
             self._unanswered,
-            (handle, request, then, fail, sig),
+            (handle, request, then, fail),
         )
 
-    def _answered(
-        self, handle: BackendHandle, request: WebRequest, then, fail, sig
-    ) -> None:
+    def _answered(self, handle: BackendHandle, request: WebRequest, then, fail) -> None:
         # Only ever the tail of MySQL's read reply.
         weight = request.weight
         handle.inflight -= weight
         self._end(weight=weight)
-        if sig is None:
-            self.kernel._tail(then, (request,))
-        else:
-            sig.succeed_tail(self)
+        self.kernel._tail(then, (request,))
 
     def _unanswered(
-        self, handle: BackendHandle, request: WebRequest, then, fail, sig, err
+        self, handle: BackendHandle, request: WebRequest, then, fail, err
     ) -> None:
         handle.inflight -= request.weight
-        self._fail(request, then, fail, sig, err)
+        self._fail(request, then, fail, err)
 
-    def _route_write(self, request: WebRequest, then, fail, sig) -> None:
+    def _route_write(self, request: WebRequest, then, fail) -> None:
         enabled = self.enabled_backends()
         if not enabled:
             self._fail(
-                request, then, fail, sig,
+                request, then, fail,
                 ServerNotRunning(f"{self.name}: no enabled backend"),
             )
             return
         weight = request.weight
         entry = self.log.append(request.interaction, request.db_demand, weight)
         self.writes_routed += weight
-        barrier = _WriteBarrier(request, then, fail, sig, len(enabled))
+        barrier = _WriteBarrier(request, then, fail, len(enabled))
         for handle in enabled:
             self._after_hop(self._send_write, handle, entry, barrier)
 
@@ -342,45 +323,28 @@ class CJdbcController(LegacyServer):
         request = barrier.request
         if barrier.failed == barrier.replicas:
             # Every replica failed the write: surface the error.
-            self._fail(
-                request, barrier.then, barrier.fail, barrier.sig, barrier.error
-            )
+            self._fail(request, barrier.then, barrier.fail, barrier.error)
             return
         # Quorum semantics of RAIDb-1: the write succeeded on the
         # surviving replicas; dead ones are repaired later.
         self._end(weight=request.weight)
-        if barrier.sig is None:
-            self.kernel.post(barrier.then, request)
-        else:
-            barrier.sig.succeed(self)
+        self.kernel.post(barrier.then, request)
 
-    def _fail(
-        self, request: WebRequest, then, fail, sig, err: BaseException
-    ) -> None:
+    def _fail(self, request: WebRequest, then, fail, err: BaseException) -> None:
         self._end(ok=False, weight=request.weight)
-        self._query_failed(sig, fail, (request,), err)
+        self.kernel.post(fail, request, err)
 
 
 class _WriteBarrier:
     """A write fanned out to every ENABLED replica, answered once all of
     them have (full-mirroring write barrier)."""
 
-    __slots__ = (
-        "request",
-        "then",
-        "fail",
-        "sig",
-        "replicas",
-        "remaining",
-        "failed",
-        "error",
-    )
+    __slots__ = ("request", "then", "fail", "replicas", "remaining", "failed", "error")
 
-    def __init__(self, request: WebRequest, then, fail, sig, replicas: int) -> None:
+    def __init__(self, request: WebRequest, then, fail, replicas: int) -> None:
         self.request = request
         self.then = then
         self.fail = fail
-        self.sig = sig
         self.replicas = replicas
         self.remaining = replicas
         self.failed = 0

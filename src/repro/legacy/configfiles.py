@@ -155,17 +155,6 @@ class WorkerProperties:
                 return w
         raise KeyError(name)
 
-    def add_worker(self, worker: Worker) -> None:
-        if any(w.name == worker.name for w in self.workers):
-            raise ConfigError(f"duplicate worker {worker.name!r}")
-        self.workers.append(worker)
-
-    def remove_worker(self, name: str) -> None:
-        before = len(self.workers)
-        self.workers = [w for w in self.workers if w.name != name]
-        if len(self.workers) == before:
-            raise KeyError(name)
-
     def render(self) -> str:
         lines: list[str] = []
         for w in self.workers:

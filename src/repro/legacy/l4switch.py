@@ -62,7 +62,6 @@ class L4Switch:
     # ------------------------------------------------------------------
     def handle(self, request: WebRequest) -> None:
         """Forward a client connection to a live web server."""
-        request.trace(self.name)
         candidates = list(self._endpoints)
         for _ in range(len(candidates)):
             host, port = self.policy.choose(candidates)

@@ -26,7 +26,7 @@ from repro.legacy.configfiles import MyCnf
 from repro.legacy.directory import Directory
 from repro.legacy.recovery_log import WriteEntry
 from repro.legacy.server import LegacyServer, ServerNotRunning
-from repro.simulation.kernel import Signal, SimKernel
+from repro.simulation.kernel import SimKernel
 
 _DIGEST_MASK = (1 << 61) - 1
 _DIGEST_MULT = 1000003
@@ -60,7 +60,7 @@ class MySqlServer(LegacyServer):
         self.replays_applied = 0
         # Writes whose CPU work finished but whose turn (index order) has
         # not yet come: index -> (entry, replay flag, continuation, its
-        # args, signal); the signal is None when a continuation was given.
+        # args).
         self._ready: dict[int, tuple] = {}
         # Ids for writes executed through a direct (non-clustered) JDBC
         # connection; offset far above recovery-log ids.
@@ -87,17 +87,16 @@ class MySqlServer(LegacyServer):
     def execute(
         self,
         request,
-        then: Optional[Callable[..., None]] = None,
-        fail: Optional[Callable[..., None]] = None,
-    ) -> Optional[Signal]:
+        then: Callable[..., None],
+        fail: Callable[..., None],
+    ) -> None:
         """Direct JDBC entry point (Tomcat configured without C-JDBC).
 
         Reads cost their CPU demand; writes also advance the local state
         with a locally-generated write id (there is no cluster to keep
-        consistent in this mode).  With a continuation, ``then(request)``
-        runs when the query is done and ``fail(request, error)`` when it
-        fails (see :meth:`execute_read`); without one, the returned signal
-        fires.
+        consistent in this mode).  ``then(request)`` runs when the query
+        is done and ``fail(request, error)`` when it fails (see
+        :meth:`execute_read`).
         """
         if request.is_write:
             entry = WriteEntry(
@@ -108,122 +107,116 @@ class MySqlServer(LegacyServer):
                 request.weight,
             )
             self._next_local_write_id += 1
-            return self._apply(entry, False, then, fail, (request,))
-        return self.execute_read(
-            request.db_demand, request.weight, then, fail, (request,)
-        )
+            self._apply(entry, False, then, fail, (request,))
+        else:
+            self.execute_read(request.db_demand, request.weight, then, fail, (request,))
 
     def execute_read(
         self,
         demand: float,
-        weight: int = 1,
-        then: Optional[Callable[..., None]] = None,
-        fail: Optional[Callable[..., None]] = None,
+        weight: int,
+        then: Callable[..., None],
+        fail: Callable[..., None],
         args: tuple = (),
-    ) -> Optional[Signal]:
+    ) -> None:
         """Run a read query of the given CPU demand.  ``weight`` batches
         that many identical reads (cohorts) whose summed demand is
         ``demand``.
 
-        Without a continuation, returns a signal that fires when the
-        result set is ready.  With one, no signal is built:
-        ``then(*args)`` is handed to the kernel's tail dispatch and
-        ``fail(*args, error)`` is posted, exactly as the signal would
-        deliver to a lone waiter added on return (a positive ``demand``
-        is assumed, as on the request path: Tomcat answers requests
-        without database work itself)."""
-        sig = Signal(self.kernel) if then is None else None
+        ``then(*args)`` is handed to the kernel's tail dispatch when the
+        result set is ready; ``fail(*args, error)`` is posted when the
+        query fails (a positive ``demand`` is assumed, as on the request
+        path: Tomcat answers requests without database work itself)."""
         if not self.running:
-            self._query_failed(sig, fail, args, ServerNotRunning(self.name))
-            return sig
+            self.kernel.post(fail, *args, ServerNotRunning(self.name))
+            return
         if not self._admit():
-            self._query_failed(
-                sig, fail, args, ConnectionError(f"{self.name}: too many connections")
+            self.kernel.post(
+                fail, *args, ConnectionError(f"{self.name}: too many connections")
             )
-            return sig
+            return
         self._begin(weight)
         self._run_then(
             demand, weight, self._read_done, self._read_failed,
-            weight, then, fail, args, sig,
+            weight, then, fail, args,
         )
-        return sig
 
-    def _read_done(self, weight, then, fail, args, sig) -> None:
+    def _read_done(self, weight, then, fail, args) -> None:
         self.reads_served += weight
         self._end(weight=weight)
         # Tail of a _run_then continuation.
-        if sig is None:
-            self.kernel._tail(then, args)
-        else:
-            sig.succeed_tail(self)
+        self.kernel._tail(then, args)
 
-    def _read_failed(self, weight, then, fail, args, sig, err) -> None:
+    def _read_failed(self, weight, then, fail, args, err) -> None:
         self._end(ok=False, weight=weight)
-        self._query_failed(sig, fail, args, err)
+        self.kernel.post(fail, *args, err)
 
     def execute_write(
         self,
         entry: WriteEntry,
-        then: Optional[Callable[..., None]] = None,
-        fail: Optional[Callable[..., None]] = None,
+        then: Callable[..., None],
+        fail: Callable[..., None],
         args: tuple = (),
-    ) -> Optional[Signal]:
+    ) -> None:
         """Apply a live write (fanned out by C-JDBC) — consumes CPU then
-        advances the replica state.  Answers through the continuation,
-        posted at commit or failure, or else through the returned
-        signal."""
-        return self._apply(entry, False, then, fail, args)
+        advances the replica state.  ``then(*args)`` is posted at commit,
+        ``fail(*args, error)`` on failure."""
+        self._apply(entry, False, then, fail, args)
 
-    def replay_write(self, entry: WriteEntry) -> Signal:
-        """Apply a write during state reconciliation (same cost model)."""
-        return self._apply(entry, True)
+    def replay_write(
+        self,
+        entry: WriteEntry,
+        then: Callable[..., None],
+        fail: Callable[..., None],
+        args: tuple = (),
+    ) -> None:
+        """Apply a write during state reconciliation (same cost model and
+        the same answer as :meth:`execute_write`)."""
+        self._apply(entry, True, then, fail, args)
 
     def _apply(
         self,
         entry: WriteEntry,
         replay: bool,
-        then: Optional[Callable[..., None]] = None,
-        fail: Optional[Callable[..., None]] = None,
-        args: tuple = (),
-    ) -> Optional[Signal]:
+        then: Callable[..., None],
+        fail: Callable[..., None],
+        args: tuple,
+    ) -> None:
         """Concurrent writes run their CPU work in parallel (the node CPU is
         processor-shared) but *commit* strictly in recovery-log index order,
         which is how C-JDBC's total ordering of writes manifests at each
         backend."""
-        sig = Signal(self.kernel) if then is None else None
         if not self.running:
-            self._query_failed(sig, fail, args, ServerNotRunning(self.name))
-            return sig
+            self.kernel.post(fail, *args, ServerNotRunning(self.name))
+            return
         if entry.index < self.applied_index or entry.index in self._ready:
-            self._query_failed(
-                sig,
+            self.kernel.post(
                 fail,
-                args,
+                *args,
                 RuntimeError(
                     f"{self.name}: write #{entry.index} already applied or "
                     f"in flight (at #{self.applied_index})"
                 ),
             )
-            return sig
+            return
         self._begin(entry.weight)
         self._run_then(
             entry.demand, entry.weight, self._write_done, self._write_failed,
-            entry, replay, then, fail, args, sig,
+            entry, replay, then, fail, args,
         )
-        return sig
 
-    def _write_done(self, entry, replay, then, fail, args, sig) -> None:
-        self._ready[entry.index] = (entry, replay, then, args, sig)
+    def _write_done(self, entry, replay, then, fail, args) -> None:
+        self._ready[entry.index] = (entry, replay, then, args)
         self._commit_ready()
 
-    def _write_failed(self, entry, replay, then, fail, args, sig, err) -> None:
+    def _write_failed(self, entry, replay, then, fail, args, err) -> None:
         self._end(ok=False, weight=entry.weight)
-        self._query_failed(sig, fail, args, err)
+        self.kernel.post(fail, *args, err)
 
     def _commit_ready(self) -> None:
         """Commit every write whose predecessors have all committed."""
         while self.applied_index in self._ready:
-            entry, replay, then, args, sig = self._ready.pop(self.applied_index)
+            entry, replay, then, args = self._ready.pop(self.applied_index)
             self.applied_index = entry.index + 1
             self.state_digest = advance_digest(self.state_digest, entry.write_id)
             if replay:
@@ -231,7 +224,4 @@ class MySqlServer(LegacyServer):
             else:
                 self.writes_applied += 1
             self._end(weight=entry.weight)
-            if sig is None:
-                self.kernel.post(then, *args)
-            else:
-                sig.succeed(self)
+            self.kernel.post(then, *args)

@@ -77,7 +77,6 @@ class PlbBalancer(LegacyServer):
         if not self.running:
             request.fail(self.kernel, f"{self.name} is not running")
             return
-        request.trace(self.name)
         self._begin(request.weight)
         weight = request.weight
         self._run_then(

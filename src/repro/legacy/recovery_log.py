@@ -102,8 +102,5 @@ class RecoveryLog:
     def checkpoint(self, backend_name: str) -> Optional[int]:
         return self._checkpoints.get(backend_name)
 
-    def drop_checkpoint(self, backend_name: str) -> None:
-        self._checkpoints.pop(backend_name, None)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RecoveryLog({len(self._sql)} entries)"

@@ -3,7 +3,7 @@
 A :class:`WebRequest` is an HTTP request emitted by an emulated client.  It
 carries its interaction type and the *service demands* it will impose on
 each tier (computed once by the workload model from the RUBiS calibration),
-plus tracing fields every hop fills in.  Keeping demands on the request —
+and its completion signal.  Keeping demands on the request —
 rather than inside each server — keeps the legacy servers generic and all
 calibration in one place (:mod:`repro.workload.calibration`).
 """
@@ -35,7 +35,6 @@ class WebRequest:
         "issued_at",
         "completed_at",
         "failed",
-        "hops",
         "client_id",
         "weight",
     )
@@ -65,7 +64,6 @@ class WebRequest:
         self.issued_at = kernel.now
         self.completed_at: Optional[float] = None
         self.failed = False
-        self.hops: list[str] = []
         self.client_id = client_id
         #: number of identical client requests this object batches (cohort
         #: aggregation); demands are the summed demands of all constituents
@@ -76,9 +74,6 @@ class WebRequest:
         if self.completed_at is None:
             return None
         return self.completed_at - self.issued_at
-
-    def trace(self, server_name: str) -> None:
-        self.hops.append(server_name)
 
     def complete(self, kernel: SimKernel) -> None:
         """Mark success and fire the completion signal.

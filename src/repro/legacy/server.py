@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.legacy.directory import Directory
-from repro.simulation.kernel import Signal, SimKernel
+from repro.simulation.kernel import SimKernel
 
 
 class ServerNotRunning(RuntimeError):
@@ -164,22 +164,6 @@ class LegacyServer:
         else:
             self.failures += weight
 
-    def _query_failed(
-        self,
-        sig: Optional[Signal],
-        fail: Optional[Callable[..., None]],
-        args: tuple,
-        error: BaseException,
-    ) -> None:
-        """Answer a datasource query with ``error``: fail ``sig``, or, for
-        a caller that passed a continuation instead, post ``fail(*args,
-        error)`` at the current instant, where the signal would have
-        posted its lone waiter."""
-        if sig is None:
-            self.kernel.post(fail, *args, error)
-        else:
-            sig.fail(error)
-
     def _after_hop(self, fn: Callable[..., None], *args) -> None:
         """Run ``fn`` after a simulated network hop (immediately if no LAN
         model was provided)."""
@@ -211,12 +195,11 @@ class LegacyServer:
         ``fn`` runs as its own kernel event or through the kernel's tail
         dispatch, so it may end in a tail call (``succeed_tail``).  With
         ``demand <= 0`` it runs synchronously instead; every caller is
-        then either itself in tail position or fires a signal that has no
-        waiter yet, so such a tail call stays exact."""
+        then itself in tail position, so such a tail call stays exact."""
         if demand <= 0.0:
             fn(*args)
             return
-        self.node.run_job(demand, self.name, weight, fn, fail, args)
+        self.node.run_job(demand, weight, fn, fail, args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else "stopped"

@@ -88,7 +88,6 @@ class TomcatServer(LegacyServer):
             self._observe(request, False)
             request.fail(self.kernel, f"{self.name}: 500 injected fault")
             return
-        request.trace(self.name)
         weight = request.weight
         self._begin(weight)
         self._run_then(

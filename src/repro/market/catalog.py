@@ -87,9 +87,3 @@ def by_name(catalog: tuple[InstanceType, ...]) -> dict[str, InstanceType]:
     if len(index) != len(catalog):
         raise ValueError("duplicate instance type names in catalog")
     return index
-
-
-def price_book(catalog: tuple[InstanceType, ...]) -> tuple[tuple[str, float], ...]:
-    """Catalog as a :class:`~repro.capacity.cost.CostModel` price book:
-    sorted (name, on-demand hourly price) pairs."""
-    return tuple(sorted((t.name, t.hourly_price) for t in catalog))

@@ -114,10 +114,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Inspection / lifecycle
     # ------------------------------------------------------------------
-    @property
-    def events_emitted(self) -> int:
-        return self._seq
-
     def records(self) -> list[dict]:
         """The in-memory tail (up to ``ring_size`` most recent records)."""
         return list(self.ring)

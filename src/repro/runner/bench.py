@@ -78,7 +78,7 @@ def scenario_ps(arrivals, demands) -> int:
     kernel = SimKernel()
     cpu = PsCpu(kernel)
     for t, d in zip(arrivals, demands):
-        kernel.schedule_at(float(t), cpu.submit, CpuJob(kernel, float(d)))
+        kernel.schedule_at(float(t), cpu.submit, CpuJob(float(d)))
     kernel.run()
     return cpu.completed
 

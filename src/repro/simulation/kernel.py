@@ -390,7 +390,7 @@ class Signal:
 
     Each callback waiting on it is posted when it fires, and reads
     ``value`` or ``error`` off it.  Firing twice is an error — request
-    completions, installs, log replays and bounce ends happen once.
+    completions, installs and bounce ends happen once.
     """
 
     __slots__ = ("_kernel", "_callbacks", "fired", "value", "error")

@@ -31,7 +31,7 @@ import math
 import sys
 from typing import Callable, Optional
 
-from repro.simulation.kernel import Signal, SimKernel
+from repro.simulation.kernel import SimKernel
 
 CapacityModel = Callable[[int], float]
 
@@ -93,24 +93,13 @@ class CpuJob:
     resource's ``speed`` factor and capacity model determine how long the job
     actually takes.
 
-    Completion is announced in one of two ways.  A job built with a
-    continuation calls ``then(*args)`` when service completes and
-    ``fail(*args, error)`` when it is aborted; its ``done`` is None.
-    ``args`` is a tuple, so a server passes a bound method and the request
-    instead of building a closure per hop.  A job built without a
-    continuation carries ``done``, a :class:`Signal` that fires with the
-    job (or fails with the error).  Either way the announcement is one
-    kernel event at the completion instant, except that
-    :meth:`PsCpu._complete_next` may hand a lone continuation to the
-    kernel's tail dispatch.
-
-    ``done`` is built on first access.  Most such jobs are busy time that
-    nobody waits on (probe costs, fluid load), and firing a signal with no
-    waiter posts nothing, so a job settled before anyone looks needs no
-    signal at all: the first access then returns one already fired with
-    the job, and :meth:`Signal.add_callback` on it posts the callback, as
-    on any fired signal.  An aborted job builds its signal when it fails,
-    to keep the error.
+    A job built with a continuation calls ``then(*args)`` when service
+    completes and ``fail(*args, error)`` when it is aborted, each as one
+    kernel event at that instant, except that :meth:`PsCpu._complete_next`
+    may hand a lone continuation to the kernel's tail dispatch.  ``args``
+    is a tuple, so a server passes a bound method and the request instead
+    of building a closure per hop.  A job without a continuation is busy
+    time that nobody waits on (probe costs, fluid load).
 
     ``weight`` models a *cohort* of identical concurrent requests as one
     job: a job of weight ``w`` counts as ``w`` concurrent requests for
@@ -119,25 +108,11 @@ class CpuJob:
     ``demand / w``).  All constituents finish together.
     """
 
-    __slots__ = (
-        "demand",
-        "weight",
-        "_done",
-        "then",
-        "fail",
-        "args",
-        "finished",
-        "tag",
-        "submitted_at",
-        "completed_at",
-        "_vfinish",
-    )
+    __slots__ = ("demand", "weight", "then", "fail", "args", "finished", "completed_at")
 
     def __init__(
         self,
-        kernel: SimKernel,
         demand: float,
-        tag: object = None,
         weight: int = 1,
         then: Optional[Callable[..., None]] = None,
         fail: Optional[Callable[..., None]] = None,
@@ -154,51 +129,19 @@ class CpuJob:
         self.then = then
         self.fail = fail
         self.args = args
-        #: the kernel until ``done`` is built (see the class docstring)
-        self._done: "SimKernel | Signal" = kernel
         #: completed or aborted (the continuation is announced)
         self.finished = False
-        self.tag = tag
-        self.submitted_at: Optional[float] = None
         self.completed_at: Optional[float] = None
-        self._vfinish = 0.0
-
-    @property
-    def done(self) -> Optional[Signal]:
-        """The completion signal of a job without a continuation (None
-        with one), built on first access."""
-        if self.then is not None:
-            return None
-        done = self._done
-        if type(done) is not Signal:
-            self._done = done = Signal(done)
-            if self.finished:  # an aborted job already holds its signal
-                done.succeed(self)
-        return done
 
     def _settle(self, kernel: SimKernel, error: Optional[BaseException] = None) -> None:
-        """Mark the job finished and announce it: post the continuation, or
-        fire ``done`` if it has been built."""
+        """Mark the job finished and post its continuation, if it has one."""
         self.finished = True
         if self.then is None:
-            done = self._done
-            if error is not None:
-                if type(done) is not Signal:
-                    self._done = done = Signal(kernel)
-                done.fail(error)
-            elif type(done) is Signal:
-                done.succeed(self)
-        elif error is None:
+            return
+        if error is None:
             kernel._post_at(kernel._now, self.then, self.args)
         else:
             kernel._post_at(kernel._now, self.fail, self.args + (error,))
-
-    @property
-    def sojourn(self) -> Optional[float]:
-        """Queueing + service time, once completed."""
-        if self.completed_at is None or self.submitted_at is None:
-            return None
-        return self.completed_at - self.submitted_at
 
 
 class ResourceStopped(RuntimeError):
@@ -335,7 +278,6 @@ class PsCpu:
                 vnow += (now - self._vlast) * rate
                 self._vnow = vnow
         self._vlast = now
-        job.submitted_at = now
         weight = job.weight
         demand = job.demand
         if demand == 0.0:
@@ -344,7 +286,6 @@ class PsCpu:
             job._settle(kernel)
             return job
         vfinish = vnow + (demand / weight if weight != 1 else demand)
-        job._vfinish = vfinish
         heap = self._heap
         heapq.heappush(heap, (vfinish, next(self._seq), job))
         self._live = n = self._live + weight

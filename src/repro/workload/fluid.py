@@ -604,7 +604,7 @@ class FluidEngine:
         if demand <= 0.0:
             return
         try:
-            node.run_job(demand, tag="fluid", weight=weight)
+            node.run_job(demand, weight)
         except NodeDown:
             return
 

@@ -24,6 +24,10 @@ from repro.legacy.configfiles import (
 from repro.simulation.kernel import SimKernel
 
 
+def ignore(*_) -> None:
+    """A query or job continuation that records nothing."""
+
+
 def collector_digest(col) -> str:
     """Fingerprint of a run's simulated outputs: the latency, failure and
     node-CPU series, every tier's replica changes and the

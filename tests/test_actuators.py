@@ -4,6 +4,7 @@ import pytest
 
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.workload.profiles import ConstantProfile
+from tests.conftest import ignore
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ class TestGrow:
 
         for _ in range(20):
             req = WebRequest(kernel, "StoreBid", is_write=True, db_demand=0.01)
-            controller.execute(req)
+            controller.execute(req, ignore, ignore)
         kernel.run()
         assert controller.log.next_index == 20
         assert system.db_tier.grow()
@@ -99,7 +100,9 @@ class TestShrink:
         from repro.legacy.requests import WebRequest
 
         for _ in range(5):
-            controller.execute(WebRequest(kernel, "w", is_write=True, db_demand=0.01))
+            controller.execute(
+                WebRequest(kernel, "w", is_write=True, db_demand=0.01), ignore, ignore
+            )
         kernel.run()
         retired = system.db_tier.replicas[-1].binding_instance
         assert system.db_tier.shrink()
@@ -139,7 +142,9 @@ class TestRepair:
         from repro.legacy.requests import WebRequest
 
         for _ in range(10):
-            controller.execute(WebRequest(kernel, "w", is_write=True, db_demand=0.01))
+            controller.execute(
+                WebRequest(kernel, "w", is_write=True, db_demand=0.01), ignore, ignore
+            )
         kernel.run()
         system.db_tier.grow()
         kernel.run(until=120.0)

@@ -42,10 +42,11 @@ class TestTomcatAdmission:
 class TestMySqlAdmission:
     def test_connection_limit_rejects_reads(self, kernel, stack):
         stack.mysql.admission_limit = 1
-        sigs = [stack.mysql.execute_read(0.5) for _ in range(3)]
         outcomes = []
-        for sig in sigs:
-            sig.add_callback(lambda s: outcomes.append(s.error))
+        for _ in range(3):
+            stack.mysql.execute_read(
+                0.5, 1, lambda: outcomes.append(None), outcomes.append
+            )
         kernel.run()
         refused = [e for e in outcomes if isinstance(e, ConnectionError)]
         assert len(refused) == 2

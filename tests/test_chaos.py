@@ -30,7 +30,7 @@ from repro.simulation.resources import CpuJob, PsCpu
 class TestDegradation:
     def test_ps_mid_service_degrade_stretches_completion(self, kernel):
         cpu = PsCpu(kernel)
-        job = CpuJob(kernel, 1.0)
+        job = CpuJob(1.0)
         cpu.submit(job)
         # Half the demand is served by t=0.5; the rest at half speed
         # takes 1.0s more: completion at 1.5 instead of 1.0.
@@ -40,7 +40,7 @@ class TestDegradation:
 
     def test_ps_restore_mid_service(self, kernel):
         cpu = PsCpu(kernel)
-        job = CpuJob(kernel, 1.0)
+        job = CpuJob(1.0)
         cpu.submit(job)
         kernel.schedule_at(0.5, cpu.set_degradation, 0.5)
         kernel.schedule_at(1.0, cpu.set_degradation, 1.0)
@@ -52,7 +52,7 @@ class TestDegradation:
     def test_ps_degrade_shares_correctly(self, kernel):
         cpu = PsCpu(kernel)
         cpu.set_degradation(0.5)
-        a, b = CpuJob(kernel, 1.0), CpuJob(kernel, 1.0)
+        a, b = CpuJob(1.0), CpuJob(1.0)
         cpu.submit(a)
         cpu.submit(b)
         kernel.run()
@@ -90,17 +90,15 @@ class TestIsolation:
         (node,) = make_nodes(kernel, 1)
         node.isolate()
         assert node.isolated
-        job = node.run_job(1.0)
         errors = []
-        job.done.add_callback(lambda s: errors.append(s.error))
+        node.run_job(1.0, then=lambda: None, fail=errors.append)
         kernel.run()
         assert isinstance(errors[0], NodeIsolated)
 
     def test_isolate_aborts_inflight_work(self, kernel):
         (node,) = make_nodes(kernel, 1)
-        job = node.run_job(10.0)
         errors = []
-        job.done.add_callback(lambda s: errors.append(s.error))
+        node.run_job(10.0, then=lambda: None, fail=errors.append)
         kernel.schedule(1.0, node.isolate)
         kernel.run()
         assert isinstance(errors[0], NodeIsolated)

@@ -24,6 +24,7 @@ from repro.legacy.mysql import MySqlServer
 from repro.legacy.requests import WebRequest
 from repro.legacy.configfiles import CjdbcBackend, CjdbcXml, MyCnf
 from repro.simulation.kernel import SimKernel
+from tests.conftest import ignore
 
 
 class CJdbcMachine(RuleBasedStateMachine):
@@ -66,13 +67,13 @@ class CJdbcMachine(RuleBasedStateMachine):
     def write(self, n):
         for _ in range(n):
             req = WebRequest(self.kernel, "w", is_write=True, db_demand=0.005)
-            self.cjdbc.execute(req)
+            self.cjdbc.execute(req, ignore, ignore)
 
     @rule()
     def read(self):
         if self.cjdbc.enabled_backends():
             req = WebRequest(self.kernel, "r", db_demand=0.004)
-            self.cjdbc.execute(req)
+            self.cjdbc.execute(req, ignore, ignore)
 
     @rule()
     def settle(self):

@@ -104,9 +104,8 @@ class TestNode:
 
     def test_crash_aborts_jobs_and_notifies(self, kernel):
         node = Node(kernel, "n1")
-        job = node.run_job(10.0)
         errors = []
-        job.done.add_callback(lambda s: errors.append(s.error))
+        node.run_job(10.0, then=lambda: None, fail=errors.append)
         crashed = []
         node.on_crash(crashed.append)
         kernel.schedule(1.0, node.crash)
@@ -362,16 +361,6 @@ class TestInstaller:
         kernel.schedule(1.0, node.crash)
         kernel.run()
         assert isinstance(errors[0], NodeDown)
-
-    def test_uninstall(self, kernel):
-        svc = self.make(kernel)
-        node = Node(kernel, "n1")
-        svc.install("tomcat", node)
-        kernel.run()
-        svc.uninstall("tomcat", node)
-        assert not svc.is_installed("tomcat", node)
-        assert not node.fs.exists("/opt/tomcat-3.3.2/.installed")
-        assert "pkg:tomcat" not in node.footprints
 
 
 class TestLan:

@@ -65,15 +65,6 @@ class TestWorkerProperties:
         wp = WorkerProperties([])
         assert WorkerProperties.parse(wp.render()) == wp
 
-    def test_add_remove_worker(self):
-        wp = WorkerProperties()
-        wp.add_worker(Worker("a", "h", 1))
-        with pytest.raises(ConfigError):
-            wp.add_worker(Worker("a", "h", 2))
-        wp.remove_worker("a")
-        with pytest.raises(KeyError):
-            wp.remove_worker("a")
-
     def test_worker_lookup(self):
         wp = WorkerProperties([Worker("a", "h", 1)])
         assert wp.worker("a").port == 1

@@ -24,7 +24,7 @@ from repro.deploy.versions import (
     version_label,
 )
 from repro.deploy.canary import CanaryController
-from repro.jade.rolling import RollingRebind, rolling_rebind
+from repro.jade.rolling import RollingRebind
 from repro.jade.system import ManagedSystem
 from repro.metrics.aggregates import scorecard_json
 from repro.runner.cache import ResultCache
@@ -437,9 +437,9 @@ class TestRollingRebindEdges:
     ):
         apaches, _old, new = self._build_web(kernel, lan, directory)
         apaches[1].stop()  # deliberately down (e.g. quarantined)
-        op = rolling_rebind(
+        op = RollingRebind(
             kernel, apaches, "ajp", [new.get_interface("ajp")]
-        )
+        ).start()
         kernel.run()
         assert op.done.fired
         assert op.restarted == 2

@@ -7,7 +7,7 @@ import pytest
 
 from repro.jade.latency_optimization import SloReactor
 from repro.jade.control_loop import InhibitionLock
-from repro.jade.rolling import RollingRebind, rolling_rebind
+from repro.jade.rolling import RollingRebind
 from repro.jade.sensors import LatencySensor
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.jade.three_tier import ThreeTierSystem
@@ -244,9 +244,9 @@ class TestRollingRebind:
 
     def test_rolls_every_frontend(self, kernel, lan, directory):
         apaches, old, new = self.build_web(kernel, lan, directory)
-        op = rolling_rebind(
+        op = RollingRebind(
             kernel, apaches, "ajp", [new.get_interface("ajp")]
-        )
+        ).start()
         kernel.run()
         assert op.done.fired
         assert op.restarted == 3
@@ -275,12 +275,12 @@ class TestRollingRebind:
 
     def test_rebind_to_multiple_targets(self, kernel, lan, directory):
         apaches, old, new = self.build_web(kernel, lan, directory, n_apaches=1)
-        rolling_rebind(
+        RollingRebind(
             kernel,
             apaches,
             "ajp",
             [old.get_interface("ajp"), new.get_interface("ajp")],
-        )
+        ).start()
         kernel.run()
         assert len(apaches[0].binding_controller.bound_instances("ajp")) == 2
 

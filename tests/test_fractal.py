@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.fractal.bindings import CompositeBinding
 from repro.fractal.component import Component
 from repro.fractal.controllers import LifecycleState
 from repro.fractal.errors import (
@@ -22,7 +21,6 @@ from repro.fractal.interfaces import (
 )
 from repro.fractal.introspection import (
     architecture_report,
-    find_by_name,
     find_components,
     iter_components,
     verify_architecture,
@@ -382,37 +380,6 @@ class TestContentController:
         root.content_controller.remove(child)
 
 
-class TestCompositeBinding:
-    def test_traffic_traverses_binding_component(self):
-        srv, _ = make_server()
-        cli, _ = make_client(contingency=OPTIONAL)
-        cb = CompositeBinding("link", signature="proto")
-        cb.connect(cli, "out", srv.get_interface("svc"))
-        assert cli.get_interface("out").invoke("ping", "x") == "pong:x"
-        assert cb.invocations == 1
-
-    def test_disconnect(self):
-        srv, _ = make_server()
-        cli, _ = make_client(contingency=OPTIONAL)
-        cb = CompositeBinding("link", signature="proto")
-        inst = cb.connect(cli, "out", srv.get_interface("svc"))
-        cb.disconnect(cli, inst)
-        with pytest.raises(IllegalBindingError):
-            cli.get_interface("out").invoke("ping", "x")
-
-    def test_lan_delay_accounted(self):
-        from repro.cluster.network import Lan
-
-        srv, _ = make_server()
-        cli, _ = make_client(contingency=OPTIONAL)
-        lan = Lan()
-        cb = CompositeBinding("link", signature="proto", lan=lan)
-        cb.connect(cli, "out", srv.get_interface("svc"))
-        cli.get_interface("out").invoke("ping", "x")
-        assert cb.forwarder.simulated_delay_total > 0
-        assert lan.messages_total == 1
-
-
 class TestIntrospection:
     def build_tree(self):
         root = Component("root", composite=True)
@@ -437,12 +404,6 @@ class TestIntrospection:
         root, *_ = self.build_tree()
         leaves = find_components(root, Component.is_primitive)
         assert sorted(c.name for c in leaves) == ["leaf1", "leaf2"]
-
-    def test_find_by_name(self):
-        root, _, leaf1, _ = self.build_tree()
-        assert find_by_name(root, "leaf1") is leaf1
-        with pytest.raises(KeyError):
-            find_by_name(root, "ghost")
 
     def test_architecture_report_renders_tree(self):
         root, *_ = self.build_tree()

@@ -22,6 +22,7 @@ from repro.legacy.configfiles import (
     Worker,
     WorkerProperties,
 )
+from tests.conftest import ignore
 
 
 def completed(req, kernel):
@@ -118,7 +119,7 @@ class TestMySql:
     def test_read_consumes_demand(self, kernel, directory):
         db = self.make(kernel, directory)
         when = []
-        db.execute_read(0.5).add_callback(lambda s: when.append(kernel.now))
+        db.execute_read(0.5, 1, lambda: when.append(kernel.now), ignore)
         kernel.run()
         assert when == [pytest.approx(0.5)]
         assert db.reads_served == 1
@@ -127,7 +128,7 @@ class TestMySql:
         db = self.make(kernel, directory)
         db.stop()
         errors = []
-        db.execute_read(0.1).add_callback(lambda s: errors.append(s.error))
+        db.execute_read(0.1, 1, ignore, errors.append)
         kernel.run()
         assert isinstance(errors[0], ServerNotRunning)
 
@@ -140,8 +141,8 @@ class TestMySql:
         e0 = log.append("w0", 1.0)
         e1 = log.append("w1", 0.1)
         order = []
-        db.execute_write(e1).add_callback(lambda s: order.append(("w1", kernel.now)))
-        db.execute_write(e0).add_callback(lambda s: order.append(("w0", kernel.now)))
+        db.execute_write(e1, lambda: order.append(("w1", kernel.now)), ignore)
+        db.execute_write(e0, lambda: order.append(("w0", kernel.now)), ignore)
         kernel.run()
         assert [tag for tag, _ in order] == ["w0", "w1"]
         assert db.applied_index == 2
@@ -152,10 +153,10 @@ class TestMySql:
         db = self.make(kernel, directory)
         log = RecoveryLog()
         entry = log.append("w", 0.01)
-        db.execute_write(entry)
+        db.execute_write(entry, ignore, ignore)
         kernel.run()
         errors = []
-        db.execute_write(entry).add_callback(lambda s: errors.append(s.error))
+        db.execute_write(entry, ignore, errors.append)
         kernel.run()
         assert errors[0] is not None
 
@@ -166,7 +167,7 @@ class TestMySql:
         log = RecoveryLog()
         digests = [db.state_digest]
         for i in range(3):
-            db.execute_write(log.append(f"w{i}", 0.01))
+            db.execute_write(log.append(f"w{i}", 0.01), ignore, ignore)
             kernel.run()
             digests.append(db.state_digest)
         assert len(set(digests)) == 4
@@ -175,8 +176,8 @@ class TestMySql:
         db = self.make(kernel, directory)
         write = WebRequest(kernel, "StoreBid", is_write=True, db_demand=0.1)
         read = WebRequest(kernel, "ViewItem", db_demand=0.1)
-        db.execute(write)
-        db.execute(read)
+        db.execute(write, ignore, ignore)
+        db.execute(read, ignore, ignore)
         kernel.run()
         assert db.writes_applied == 1
         assert db.reads_served == 1
@@ -285,6 +286,24 @@ class TestCJdbc:
         kernel.run()
         assert "mysql2" not in [b.name for b in stack.cjdbc.backends()]
 
+    def test_backend_stopped_mid_sync_drops_backend(self, kernel, stack):
+        """A replica stopped mid-sync finishes its in-flight replay, then
+        refuses the next one synchronously (no CPU work, no failure
+        counted), and C-JDBC drops it.  The dispatched-event count pins
+        the instant the refusal reaches the controller."""
+        for _ in range(50):
+            stack.request(write=True)
+        kernel.run()
+        db2 = stack.add_mysql("mysql2")
+        handle = stack.cjdbc.attach_backend("mysql2", db2)
+        kernel.schedule(0.05, db2.stop)
+        kernel.run()
+        assert "mysql2" not in [b.name for b in stack.cjdbc.backends()]
+        assert handle.state is BackendState.DISABLED
+        assert handle.sync_replayed == db2.replays_applied == 3
+        assert db2.failures == 0
+        assert kernel.events_processed + kernel.tail_dispatched == 472
+
     def test_write_survives_partial_backend_crash(self, kernel, stack):
         db2 = stack.add_mysql("mysql2")
         node2 = db2.node
@@ -319,8 +338,8 @@ class TestTomcat:
         req = stack.request()
         ok, _ = completed(req, kernel)
         assert ok is True
-        assert "tomcat1" in req.hops
-        assert "cjdbc" in req.hops
+        assert stack.tomcat.served == 1
+        assert stack.cjdbc.served == 1
         assert req.latency > 0.03  # app 12 ms + db 20 ms + hops
 
     def test_no_db_demand_skips_database(self, kernel, stack):
@@ -328,7 +347,7 @@ class TestTomcat:
         stack.tomcat.handle(req)
         ok, _ = completed(req, kernel)
         assert ok is True
-        assert "cjdbc" not in req.hops
+        assert stack.cjdbc.served == stack.cjdbc.failures == 0
 
     def test_dead_datasource_fails_request(self, kernel, stack):
         stack.cjdbc.stop()
@@ -350,7 +369,7 @@ class TestTomcat:
         req.completion.add_callback(lambda s: result.update(err=s.error))
         stack.tomcat.handle(req)
         kernel.run(until=0.1)
-        assert "cjdbc" in req.hops and not req.completion.fired
+        assert stack.cjdbc.pending == 1 and not req.completion.fired
         assert stack.tomcat.pending == 1
         stack.n_tc.crash()
         kernel.run()

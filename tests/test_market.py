@@ -12,7 +12,7 @@ from repro.chaos.scorecard import score_run as chaos_score_run
 from repro.cluster.allocator import ClusterManager
 from repro.cluster.node import Node
 from repro.jade.system import ManagedSystem
-from repro.market.catalog import DEFAULT_CATALOG, InstanceType, by_name, price_book
+from repro.market.catalog import DEFAULT_CATALOG, InstanceType, by_name
 from repro.market.scenario import PRESETS, MarketScenario, market_config
 from repro.market.spot import SpotMarket
 from repro.market.allocator import FleetAllocator
@@ -59,11 +59,6 @@ class TestCatalog:
         a = InstanceType("same", vcpus=1)
         with pytest.raises(ValueError):
             by_name((a, a))
-
-    def test_price_book_sorted(self):
-        book = price_book(DEFAULT_CATALOG)
-        assert [name for name, _ in book] == sorted(n for n, _ in book)
-        assert dict(book)["std.small"] == pytest.approx(1.0)
 
     def test_baseline_matches_uniform_rate(self):
         # std.small at 1.0/h is the calibrated machine: a pure on-demand

@@ -8,6 +8,7 @@ from repro.cluster.node import Node
 from repro.legacy.configfiles import MyCnf
 from repro.legacy.mysql import MySqlServer, advance_digest
 from repro.legacy.recovery_log import RecoveryLog
+from tests.conftest import ignore
 
 
 def fields(entry):
@@ -62,10 +63,12 @@ class TestRecoveryLog:
         live, synced = (mysql(kernel, directory, host) for host in ("n1", "n2"))
         log = RecoveryLog()
         for i in range(12):
-            live.execute_write(log.append(f"w{i % 4}", 0.001 * (i + 1), 1 + i % 2))
+            live.execute_write(
+                log.append(f"w{i % 4}", 0.001 * (i + 1), 1 + i % 2), ignore, ignore
+            )
         kernel.run()
         for entry in log.entries_from(0):
-            synced.replay_write(entry)
+            synced.replay_write(entry, ignore, ignore)
         kernel.run()
         assert synced.applied_index == live.applied_index == 12
         assert synced.state_digest == live.state_digest
@@ -88,8 +91,6 @@ class TestRecoveryLog:
         log.set_checkpoint("backend1", 3)
         assert log.checkpoint("backend1") == 3
         assert log.checkpoint("ghost") is None
-        log.drop_checkpoint("backend1")
-        assert log.checkpoint("backend1") is None
 
     def test_checkpoint_bounds(self):
         log = RecoveryLog()

@@ -61,16 +61,16 @@ def _scenario(stage: str, stack: LegacyStack) -> tuple[WebRequest, list]:
     if stage == "plb-proxy":
         stack.n_plb.crash()
     elif stage == "tomcat-pre":
-        _run_until(kernel, lambda: "tomcat1" in req.hops)
+        _run_until(kernel, lambda: stack.tomcat.pending > 0)
         stack.n_tc.crash()
     elif stage == "cjdbc-route":
-        _run_until(kernel, lambda: "cjdbc" in req.hops)
+        _run_until(kernel, lambda: stack.cjdbc.pending > 0)
         stack.n_cj.crash()
     elif stage in ("mysql-read", "direct-mysql-read", "direct-mysql-write"):
         _run_until(kernel, lambda: stack.mysql.pending > 0)
         stack.n_db.crash()
     elif stage == "mysql-stopped":
-        _run_until(kernel, lambda: "cjdbc" in req.hops)
+        _run_until(kernel, lambda: stack.cjdbc.pending > 0)
         stack.mysql.stop()
     elif stage == "write-fanout-all":
         _run_until(kernel, lambda: all(s.pending for s in servers[3:]))
@@ -80,7 +80,7 @@ def _scenario(stage: str, stack: LegacyStack) -> tuple[WebRequest, list]:
         _run_until(kernel, lambda: all(s.pending for s in servers[3:]))
         stack.n_db.crash()
     elif stage == "write-fanout-stopped":
-        _run_until(kernel, lambda: "cjdbc" in req.hops)
+        _run_until(kernel, lambda: stack.cjdbc.pending > 0)
         servers[4].stop()
     elif stage == "tomcat-post":
         _run_until(

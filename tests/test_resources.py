@@ -21,7 +21,7 @@ def run_jobs(cpu, kernel, demands, submit_times=None):
     jobs = []
     for i, demand in enumerate(demands):
         t = 0.0 if submit_times is None else submit_times[i]
-        job = CpuJob(kernel, demand)
+        job = CpuJob(demand)
         kernel.schedule_at(t, cpu.submit, job)
         jobs.append(job)
     kernel.run()
@@ -63,9 +63,9 @@ class TestPsCpu:
 
     def test_zero_demand_completes_immediately(self, kernel):
         cpu = PsCpu(kernel)
-        job = CpuJob(kernel, 0.0)
+        job = CpuJob(0.0)
         cpu.submit(job)
-        assert job.done.fired
+        assert job.finished
         assert job.completed_at == 0.0
 
     def test_busy_time_accounting(self, kernel):
@@ -87,10 +87,8 @@ class TestPsCpu:
 
     def test_abort_all_fails_jobs(self, kernel):
         cpu = PsCpu(kernel)
-        job = CpuJob(kernel, 10.0)
-        cpu.submit(job)
         errors = []
-        job.done.add_callback(lambda s: errors.append(s.error))
+        cpu.submit(CpuJob(10.0, then=lambda: None, fail=errors.append))
         kernel.schedule(1.0, cpu.abort_all)
         kernel.run()
         assert isinstance(errors[0], ResourceStopped)
@@ -98,26 +96,25 @@ class TestPsCpu:
 
     def test_submit_after_abort_works(self, kernel):
         cpu = PsCpu(kernel)
-        first = CpuJob(kernel, 10.0)
+        first = CpuJob(10.0)
         cpu.submit(first)
-        first.done.add_callback(lambda s: None)
         kernel.schedule(1.0, cpu.abort_all)
         kernel.run()
-        fresh = CpuJob(kernel, 1.0)
+        fresh = CpuJob(1.0)
         cpu.submit(fresh)
         kernel.run()
         assert fresh.completed_at == pytest.approx(kernel.now)
 
     def test_negative_demand_rejected(self, kernel):
         with pytest.raises(ValueError):
-            CpuJob(kernel, -1.0)
+            CpuJob(-1.0)
 
     def test_nan_demand_rejected(self, kernel):
         """A NaN demand would never complete and never fail."""
         with pytest.raises(ValueError):
-            CpuJob(kernel, float("nan"))
+            CpuJob(float("nan"))
         with pytest.raises(ValueError):
-            CpuJob(kernel, float("nan"), then=lambda: None, fail=lambda e: None)
+            CpuJob(float("nan"), then=lambda: None, fail=lambda e: None)
 
     def test_thrashing_slows_service(self, kernel):
         curve = ThrashingCurve(knee=2, slope=1.0, floor=0.01)
@@ -126,19 +123,14 @@ class TestPsCpu:
         jobs = run_jobs(cpu, kernel, [1.0] * 4)
         assert all(j.completed_at > 4.0 for j in jobs)
 
-    def test_sojourn_property(self, kernel):
-        cpu = PsCpu(kernel)
-        (job,) = run_jobs(cpu, kernel, [2.0])
-        assert job.sojourn == pytest.approx(2.0)
-
     def test_sub_ulp_remainder_completes_one_ulp_later(self, kernel):
         # vnow = 0.5 leaves a 1e-9 due-tolerance, so a 2e-9 s job is not
         # due on arrival; at t = 1e8 its real remaining time is below half
         # an ulp of now, so the computed wake lands at now itself.
         cpu = PsCpu(kernel)
-        cpu.submit(CpuJob(kernel, 0.5))
+        cpu.submit(CpuJob(0.5))
         t = 1e8
-        job = CpuJob(kernel, 2e-9)
+        job = CpuJob(2e-9)
         kernel.schedule_at(t, cpu.submit, job)
         assert t + 2e-9 == t
         for _ in range(10):
@@ -150,40 +142,20 @@ class TestPsCpu:
 
 
 class TestContinuationJobs:
-    """Jobs that carry ``then``/``fail`` instead of a ``done`` signal."""
+    """Jobs that carry a ``then``/``fail`` continuation."""
 
     def _job(self, kernel, demand, log, tag):
         return CpuJob(
-            kernel, demand,
+            demand,
             then=lambda: log.append((tag, kernel.now)),
             fail=lambda err: log.append((tag, type(err).__name__)),
         )
 
     def test_then_and_fail_come_together(self, kernel):
         with pytest.raises(ValueError):
-            CpuJob(kernel, 1.0, then=lambda: None)
+            CpuJob(1.0, then=lambda: None)
         with pytest.raises(ValueError):
-            CpuJob(kernel, 1.0, fail=lambda err: None)
-        assert CpuJob(kernel, 1.0, then=lambda: None, fail=lambda e: None).done is None
-
-    @pytest.mark.parametrize("factory", [PsCpu])
-    def test_same_order_as_signal_jobs(self, factory):
-        def run(continuation):
-            kernel = SimKernel()
-            cpu = factory(kernel)
-            log = []
-            for i, (t, d) in enumerate([(0.0, 1.0), (0.0, 1.0), (0.5, 0.25), (3.0, 0.0)]):
-                if continuation:
-                    job = self._job(kernel, d, log, i)
-                else:
-                    job = CpuJob(kernel, d)
-                    job.done.add_callback(lambda s, i=i: log.append((i, kernel.now)))
-                kernel.schedule_at(t, cpu.submit, job)
-            kernel.schedule_at(0.75, log.append, "tick")
-            kernel.run()
-            return log, kernel.events_processed + kernel.tail_dispatched
-
-        assert run(continuation=True) == run(continuation=False)
+            CpuJob(1.0, fail=lambda err: None)
 
     def test_lone_completion_is_tail_dispatched(self, kernel):
         cpu = PsCpu(kernel)
@@ -216,68 +188,15 @@ class TestContinuationJobs:
 
 
 class TestLazyDone:
-    """``done`` of a job without a continuation is built on first access;
-    it must look exactly like a signal built at construction."""
-
-    def _callback_times(self, kernel, job):
-        seen = []
-        job.done.add_callback(lambda s: seen.append((kernel.now, s.value, s.error)))
-        return seen
-
-    @pytest.mark.parametrize("factory", [PsCpu])
-    def test_accessed_before_completion(self, factory, kernel):
-        cpu = factory(kernel)
-        job = CpuJob(kernel, 1.0)
-        cpu.submit(job)
-        assert not job.done.fired
-        seen = self._callback_times(kernel, job)
-        kernel.run()
-        assert seen == [(1.0, job, None)]
-        assert job.done.value is job and job.done.error is None
-
-    @pytest.mark.parametrize("factory", [PsCpu])
-    def test_accessed_after_completion(self, factory, kernel):
-        cpu = factory(kernel)
-        job = CpuJob(kernel, 1.0)
-        cpu.submit(job)
-        kernel.run(until=5.0)
-        done = job.done
-        assert done.fired and done.value is job and done.error is None
-        assert job.done is done
-        events = kernel.events_processed
-        seen = self._callback_times(kernel, job)
-        assert seen == []  # posted, not run inline
-        kernel.run()
-        assert seen == [(5.0, job, None)]
-        assert kernel.events_processed == events + 1
-
-    def test_zero_demand_accessed_after_submit(self, kernel):
-        job = PsCpu(kernel).submit(CpuJob(kernel, 0.0))
-        assert job.done.fired and job.done.value is job
-
-    @pytest.mark.parametrize("factory", [PsCpu])
-    def test_accessed_after_abort(self, factory, kernel):
-        cpu = factory(kernel)
-        job = CpuJob(kernel, 5.0)
-        cpu.submit(job)
-        kernel.run(until=1.0)
-        cpu.abort_all()
-        done = job.done
-        assert done.fired and done.value is None
-        assert isinstance(done.error, ResourceStopped)
-        seen = self._callback_times(kernel, job)
-        kernel.run()
-        assert seen == [(1.0, None, done.error)]
+    """A job without a continuation on a node that cannot run it: a
+    crashed node refuses it, an isolated one accepts and drops it."""
 
     def test_down_node(self, kernel):
         node = Node(kernel, "n1")
         job = node.run_job(10.0)
         kernel.schedule(1.0, node.crash)
         kernel.run(until=5.0)
-        assert job.done.fired and isinstance(job.done.error, NodeDown)
-        seen = self._callback_times(kernel, job)
-        kernel.run()
-        assert seen == [(5.0, None, job.done.error)]
+        assert job.finished and job.completed_at is None
         with pytest.raises(NodeDown):
             node.run_job(1.0)
 
@@ -286,30 +205,13 @@ class TestLazyDone:
         kernel.run(until=2.0)
         node.isolate()
         job = node.run_job(1.0)
-        assert job.finished and job.done.fired
-        assert isinstance(job.done.error, NodeIsolated)
-        seen = self._callback_times(kernel, job)
-        assert seen == []
+        assert job.finished and job.completed_at is None
+        assert kernel.pending == 0
+        assert node.cpu.active_jobs == 0
+        log = []
+        node.run_job(1.0, then=lambda: None, fail=log.append)
         kernel.run()
-        assert seen == [(2.0, None, job.done.error)]
-
-    def test_same_events_as_when_accessed_up_front(self):
-        """Building ``done`` late, or never, leaves the kernel's work
-        unchanged."""
-
-        def run(access):
-            kernel = SimKernel()
-            cpu = PsCpu(kernel)
-            jobs = [CpuJob(kernel, d) for d in (1.0, 0.5, 0.0, 2.0)]
-            for t, job in zip((0.0, 0.2, 0.3, 0.4), jobs):
-                kernel.schedule_at(t, cpu.submit, job)
-                if access:
-                    _ = job.done  # builds the signal
-            kernel.schedule_at(0.6, cpu.abort_all)
-            kernel.run()
-            return [j.finished for j in jobs], kernel.events_processed, kernel.tail_dispatched
-
-        assert run(access=True) == run(access=False)
+        assert len(log) == 1 and isinstance(log[0], NodeIsolated)
 
 
 class TestThrashingCurve:
@@ -359,7 +261,7 @@ def test_ps_conserves_work(demands):
     exactly the sum of demands when all jobs arrive together (unit rate)."""
     kernel = SimKernel()
     cpu = PsCpu(kernel)
-    jobs = [CpuJob(kernel, d) for d in demands]
+    jobs = [CpuJob(d) for d in demands]
     for j in jobs:
         cpu.submit(j)
     kernel.run()
@@ -378,7 +280,7 @@ def test_ps_completion_order_matches_demand_order(demands):
     """With simultaneous arrivals, PS completes jobs in demand order."""
     kernel = SimKernel()
     cpu = PsCpu(kernel)
-    jobs = [CpuJob(kernel, d) for d in demands]
+    jobs = [CpuJob(d) for d in demands]
     for j in jobs:
         cpu.submit(j)
     kernel.run()
@@ -394,26 +296,26 @@ class TestAbortAllReuse:
 
     def test_abort_fails_inflight_jobs(self, kernel):
         cpu = PsCpu(kernel)
-        jobs = [CpuJob(kernel, 5.0) for _ in range(3)]
-        for j in jobs:
-            cpu.submit(j)
+        errors = []
+        for _ in range(3):
+            cpu.submit(CpuJob(5.0, then=lambda: None, fail=errors.append))
         kernel.schedule(1.0, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
         assert cpu.completed == 0
-        for j in jobs:
-            assert isinstance(j.done.error, RuntimeError)
+        assert len(errors) == 3
+        assert all(isinstance(err, RuntimeError) for err in errors)
 
     def test_resource_reusable_after_abort(self, kernel):
         """Fresh jobs after an abort see exact PS timing — the virtual
         clock and wake bookkeeping were reset, not left mid-flight."""
         cpu = PsCpu(kernel)
         for _ in range(4):
-            cpu.submit(CpuJob(kernel, 10.0))
+            cpu.submit(CpuJob(10.0))
         kernel.schedule(1.0, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
 
         start = kernel.now
-        fresh = [CpuJob(kernel, 2.0), CpuJob(kernel, 2.0)]
+        fresh = [CpuJob(2.0), CpuJob(2.0)]
         for j in fresh:
             cpu.submit(j)
         kernel.run()
@@ -426,7 +328,7 @@ class TestAbortAllReuse:
         """The wake posted before the abort still fires (posts cannot be
         cancelled) but must complete nothing."""
         cpu = PsCpu(kernel)
-        cpu.submit(CpuJob(kernel, 2.0))
+        cpu.submit(CpuJob(2.0))
         kernel.schedule(0.5, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
         assert cpu.completed == 0
@@ -434,7 +336,7 @@ class TestAbortAllReuse:
 
     def test_utilization_window_reset(self, kernel):
         cpu = PsCpu(kernel)
-        cpu.submit(CpuJob(kernel, 3.0))
+        cpu.submit(CpuJob(3.0))
         kernel.schedule(1.0, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
         assert cpu._vnow == 0.0
@@ -447,13 +349,13 @@ class TestWeightedJobs:
 
     def test_weight_must_be_positive(self, kernel):
         with pytest.raises(ValueError):
-            CpuJob(kernel, 1.0, weight=0)
+            CpuJob(1.0, weight=0)
 
     def test_weighted_job_times_like_constituents(self, kernel):
         """One weight-2 job with summed demand 2.0 completes when two
         interleaved weight-1 jobs of demand 1.0 would: at t=2."""
         cpu = PsCpu(kernel)
-        job = CpuJob(kernel, 2.0, weight=2)
+        job = CpuJob(2.0, weight=2)
         cpu.submit(job)
         kernel.run()
         assert job.completed_at == pytest.approx(2.0)
@@ -463,8 +365,8 @@ class TestWeightedJobs:
         """Against a weight-1 competitor, a weight-2 job claims two PS
         shares: the competitor sees a 3-way split, not a 2-way one."""
         cpu = PsCpu(kernel)
-        heavy = CpuJob(kernel, 2.0, weight=2)
-        light = CpuJob(kernel, 1.0)
+        heavy = CpuJob(2.0, weight=2)
+        light = CpuJob(1.0)
         cpu.submit(heavy)
         cpu.submit(light)
         kernel.run()

@@ -446,6 +446,26 @@ class TestCheckpointBranch:
         branch.kernel.run(until=fork_t + 120.0)
         assert len(branch.collector.reconfigurations) == logged
 
+    def test_fault_injected_before_the_fork_clears_on_time(self):
+        # The latency campaign adds 50 ms to the LAN at t = 180 s for
+        # 120 s.  A branch forked mid-fault stops the injector, yet the
+        # fault must end at t = 300 s as it does in the parent.
+        from repro.chaos.campaign import PRESETS as CHAOS, campaign_config
+
+        config = campaign_config(
+            CHAOS["latency"](), seed=1, clients=40, duration_s=400.0
+        )
+        parent = ManagedSystem(config)
+        snapshot = run_to_fork(parent, 250.0)
+        assert parent.lan.extra_latency_s == 0.05
+        engine = WhatIfEngine(horizon_s=120.0, cost_model=CostModel())
+        stay = Candidate(snapshot.app_replicas, snapshot.db_replicas)
+        branch = resume_branch(engine.branch_spec(snapshot, [], stay))
+        assert branch.lan.extra_latency_s == 0.05
+        branch.kernel.run(until=340.0)
+        parent.kernel.run(until=340.0)
+        assert branch.lan.extra_latency_s == parent.lan.extra_latency_s == 0.0
+
 
 class TestCacheSoundness:
     def test_parents_in_other_states_share_no_cache_entry(self, tmp_path):
