@@ -58,13 +58,6 @@ class NodeFilesystem:
             prefix += "/"
         return sorted(p for p in self._files if p.startswith(prefix))
 
-    def remove_tree(self, prefix: str) -> int:
-        """Delete every file under ``prefix``; returns number removed."""
-        victims = self.listdir(prefix)
-        for path in victims:
-            del self._files[path]
-        return len(victims)
-
     def __len__(self) -> int:
         return len(self._files)
 

@@ -40,18 +40,17 @@ class Lan:
         self.latency_s = latency_s
         self.bandwidth_mbps = bandwidth_mbps
         self.name = name
-        self.messages_total = 0
-        self.bytes_total = 0.0
         #: chaos: additional per-message/transfer delay (degraded switch)
         self.extra_latency_s = 0.0
+        #: one-way delay of a 1 KB message, what every request hop waits
+        #: (kept current by :meth:`set_extra_latency`)
+        self.hop_delay_s = self.message_delay()
         self._partitions: list[tuple[frozenset[str], frozenset[str]]] = []
 
     def message_delay(self, payload_kb: float = 1.0) -> float:
         """One-way delay for a small message of ``payload_kb`` kilobytes."""
         if payload_kb < 0:
             raise ValueError("payload must be >= 0")
-        self.messages_total += 1
-        self.bytes_total += payload_kb * 1024.0
         # 100 Mbps = 12.5 MB/s = 12800 KB/s
         return (
             self.latency_s
@@ -63,7 +62,6 @@ class Lan:
         """Time to ship a bulk payload of ``size_mb`` megabytes."""
         if size_mb < 0:
             raise ValueError("size must be >= 0")
-        self.bytes_total += size_mb * 1024.0 * 1024.0
         return (
             self.latency_s
             + self.extra_latency_s
@@ -78,6 +76,7 @@ class Lan:
         if extra_s < 0:
             raise ValueError("extra latency must be >= 0")
         self.extra_latency_s = extra_s
+        self.hop_delay_s = self.message_delay()
 
     def partition(self, group_a: Iterable, group_b: Iterable) -> None:
         """Cut ``group_a`` from ``group_b`` (nodes or node names)."""

@@ -17,12 +17,7 @@ from typing import Callable, Optional
 
 from repro.cluster.filesystem import NodeFilesystem
 from repro.simulation.kernel import SimKernel
-from repro.simulation.resources import (
-    CapacityModel,
-    CpuJob,
-    PsCpu,
-    constant_capacity,
-)
+from repro.simulation.resources import CapacityModel, PsCpu, constant_capacity
 
 
 class NodeDown(RuntimeError):
@@ -84,30 +79,32 @@ class Node:
         then: Optional[Callable[..., None]] = None,
         fail: Optional[Callable[..., None]] = None,
         args: tuple = (),
-    ) -> CpuJob:
-        """Submit CPU work of ``demand`` seconds (at unit speed) and return
-        the job.  With a continuation, ``then(*args)`` runs on completion
-        and ``fail(*args, error)`` on abort; without one the job is busy
-        time that nobody waits on.
-        ``weight`` batches that many identical requests into one job (see
-        :class:`~repro.simulation.resources.CpuJob`).
+    ) -> None:
+        """Submit CPU work of ``demand`` seconds (at unit speed).  With a
+        continuation, ``then(*args)`` runs on completion and
+        ``fail(*args, error)`` on abort; without one the job is busy time
+        that nobody waits on.  ``weight`` batches that many identical
+        requests into one job (see
+        :class:`~repro.simulation.resources.PsCpu`).
 
         On a crashed node a job without a continuation raises
         :class:`NodeDown`; a continuation job is failed asynchronously
         with it instead, exactly like work aborted by the crash."""
-        job = CpuJob(demand, weight, then, fail, args)
         if self.up and not self.isolated:
-            return self.cpu.submit(job)
+            self.cpu.submit(demand, weight, then, fail, args)
+            return
         if not self.up:
             if then is None:
                 raise NodeDown(self.name)
-            job._settle(self.kernel, NodeDown(self.name))
-            return job
-        # Isolated: the caller cannot tell an isolated node from a healthy
-        # one (that is the point of a partition): the job is accepted and
-        # fails asynchronously, like a timed-out RPC.
-        job._settle(self.kernel, NodeIsolated(self.name))
-        return job
+            error: RuntimeError = NodeDown(self.name)
+        else:
+            # Isolated: the caller cannot tell an isolated node from a
+            # healthy one (that is the point of a partition): the job is
+            # accepted and fails asynchronously, like a timed-out RPC.
+            if then is None:
+                return
+            error = NodeIsolated(self.name)
+        self.kernel._post_at(self.kernel._now, fail, args + (error,))
 
     def degrade(self, factor: float) -> None:
         """Fail-slow hook: deliver only ``factor`` of nominal CPU speed."""
@@ -176,17 +173,6 @@ class Node:
         self.cpu.abort_all(NodeDown(self.name))
         for listener in list(self._crash_listeners):
             listener(self)
-
-    def reboot(self) -> None:
-        """Bring a crashed node back with empty filesystem and memory (a
-        replacement machine in practice)."""
-        if self.up:
-            return
-        self.up = True
-        self.isolated = False
-        self.cpu.set_degradation(1.0)
-        self.fs = NodeFilesystem()
-        self._footprints.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"

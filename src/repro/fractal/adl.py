@@ -241,6 +241,3 @@ class ComponentFactoryRegistry:
         except KeyError:
             raise AdlError(f"no factory registered for type {type_name!r}") from None
         return factory(name, attributes, **context)
-
-    def known_types(self) -> list[str]:
-        return sorted(self._factories)

@@ -95,6 +95,9 @@ class CJdbcController(LegacyServer):
         self.conf: Optional[CjdbcXml] = None
         self.log = RecoveryLog()
         self._backends: dict[str, BackendHandle] = {}
+        #: the ENABLED handles of ``_backends``, in its order; rebuilt by
+        #: :meth:`_states_changed` after every state write, read per query
+        self._enabled: list[BackendHandle] = []
         self._policy: Optional[BalancingPolicy] = None
         self.reads_routed = 0
         self.writes_routed = 0
@@ -143,7 +146,14 @@ class CJdbcController(LegacyServer):
         return list(self._backends.values())
 
     def enabled_backends(self) -> list[BackendHandle]:
-        return [b for b in self._backends.values() if b.state is BackendState.ENABLED]
+        return list(self._enabled)
+
+    def _states_changed(self) -> None:
+        """Rebuild ``_enabled`` (a new list: a write fanning out over the
+        old one keeps it)."""
+        self._enabled = [
+            b for b in self._backends.values() if b.state is BackendState.ENABLED
+        ]
 
     def backend(self, name: str) -> BackendHandle:
         return self._backends[name]
@@ -162,6 +172,7 @@ class CJdbcController(LegacyServer):
         self._backends[name] = handle
         if server.applied_index >= self.log.next_index:
             handle.state = BackendState.ENABLED
+            self._states_changed()
             if self._policy is not None:
                 self._policy.reset()
         else:
@@ -182,6 +193,7 @@ class CJdbcController(LegacyServer):
             return
         if handle.state is BackendState.SYNCING:
             handle.state = BackendState.ENABLED
+            self._states_changed()
             self.syncs_completed += 1
             if self._policy is not None:
                 self._policy.reset()
@@ -194,6 +206,7 @@ class CJdbcController(LegacyServer):
         # Replica died or stopped mid-sync: drop it from the controller.
         self._backends.pop(handle.name, None)
         handle.state = BackendState.DISABLED
+        self._states_changed()
 
     def detach_backend(self, name: str) -> int:
         """Disable a replica and checkpoint its position; returns the
@@ -202,6 +215,7 @@ class CJdbcController(LegacyServer):
         if handle is None:
             raise KeyError(name)
         handle.state = BackendState.DISABLED
+        self._states_changed()
         checkpoint = handle.server.applied_index
         self.log.set_checkpoint(name, min(checkpoint, self.log.next_index))
         if self._policy is not None:
@@ -213,6 +227,7 @@ class CJdbcController(LegacyServer):
         handle = self._backends.pop(name, None)
         if handle is not None:
             handle.state = BackendState.DISABLED
+            self._states_changed()
             if self._policy is not None:
                 self._policy.reset()
 
@@ -248,7 +263,7 @@ class CJdbcController(LegacyServer):
             self._route_read(request, then, fail)
 
     def _route_read(self, request: WebRequest, then, fail) -> None:
-        enabled = self.enabled_backends()
+        enabled = self._enabled
         if not enabled:
             self._fail(
                 request, then, fail,
@@ -287,7 +302,7 @@ class CJdbcController(LegacyServer):
         self._fail(request, then, fail, err)
 
     def _route_write(self, request: WebRequest, then, fail) -> None:
-        enabled = self.enabled_backends()
+        enabled = self._enabled
         if not enabled:
             self._fail(
                 request, then, fail,

@@ -72,7 +72,7 @@ class L4Switch:
                     self.kernel.call_soon(server.handle, request)
                 else:
                     self.kernel.schedule(
-                        self.lan.message_delay(), server.handle, request
+                        self.lan.hop_delay_s, server.handle, request
                     )
                 return
             candidates = [(h, p) for h, p in candidates if (h, p) != (host, port)]

@@ -89,25 +89,21 @@ class PlbBalancer(LegacyServer):
 
     def _forward(self, request: WebRequest) -> None:
         assert self.conf is not None and self._policy is not None
-        candidates = list(self.conf.servers)
-        attempts = len(candidates)
-        chosen = None
-        for _ in range(attempts):
+        # The policy picks from the configured list itself; a list of the
+        # remaining candidates is built only once a pick is refused.
+        candidates = self.conf.servers
+        while candidates:
             host, port = self._policy.choose(candidates)
             server = self.directory.try_lookup(host, port)
             if server is not None and server.running:
-                chosen = server
-                break
+                weight = request.weight
+                self.forwarded += weight
+                self._end(weight=weight)
+                self._after_hop(server.handle, request)
+                return
             self.retries += 1
             candidates = [(h, p) for h, p in candidates if (h, p) != (host, port)]
-            if not candidates:
-                break
-        if chosen is None:
-            self._abort(request, "no live backend")
-            return
-        self.forwarded += request.weight
-        self._end(weight=request.weight)
-        self._after_hop(chosen.handle, request)
+        self._abort(request, "no live backend")
 
     def _proxy_aborted(self, request: WebRequest, err: BaseException) -> None:
         self._abort(request, f"proxy aborted: {err}")

@@ -3,16 +3,16 @@
 A :class:`WebRequest` is an HTTP request emitted by an emulated client.  It
 carries its interaction type and the *service demands* it will impose on
 each tier (computed once by the workload model from the RUBiS calibration),
-and its completion signal.  Keeping demands on the request —
+and the continuation that its answer runs.  Keeping demands on the request —
 rather than inside each server — keeps the legacy servers generic and all
 calibration in one place (:mod:`repro.workload.calibration`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.simulation.kernel import Signal, SimKernel
+from repro.simulation.kernel import SimKernel
 
 
 class RequestFailed(RuntimeError):
@@ -20,7 +20,13 @@ class RequestFailed(RuntimeError):
 
 
 class WebRequest:
-    """One client HTTP interaction."""
+    """One client HTTP interaction.
+
+    The issuer sets ``then`` before it hands the request to the system's
+    entry point; the request's answer runs ``then(request)`` once, on
+    success or failure, with ``error`` set in the second case.  A request
+    with no ``then`` is answered to nobody.
+    """
 
     __slots__ = (
         "req_id",
@@ -31,10 +37,10 @@ class WebRequest:
         "app_demand_post",
         "db_demand",
         "static_demand",
-        "completion",
+        "then",
+        "error",
         "issued_at",
         "completed_at",
-        "failed",
         "client_id",
         "weight",
     )
@@ -60,10 +66,10 @@ class WebRequest:
         self.app_demand_post = app_demand_post
         self.db_demand = db_demand
         self.static_demand = static_demand
-        self.completion = Signal(kernel)
-        self.issued_at = kernel.now
+        self.then: Optional[Callable[["WebRequest"], None]] = None
+        self.error: Optional[RequestFailed] = None
+        self.issued_at = kernel._now
         self.completed_at: Optional[float] = None
-        self.failed = False
         self.client_id = client_id
         #: number of identical client requests this object batches (cohort
         #: aggregation); demands are the summed demands of all constituents
@@ -76,27 +82,29 @@ class WebRequest:
         return self.completed_at - self.issued_at
 
     def complete(self, kernel: SimKernel) -> None:
-        """Mark success and fire the completion signal.
-
-        The signal fires with :meth:`Signal.succeed_tail
-        <repro.simulation.kernel.Signal.succeed_tail>`, so call this only
-        as the last action of a kernel-dispatched callback chain (as
-        ``TomcatServer._finish`` and ``ApacheServer._finish_static`` do)
-        or before anyone waits on the completion.  It carries no value:
-        the request as its value would make every completed request a
-        reference cycle, left for the cyclic collector."""
-        if self.completion.fired:
+        """Mark success and answer: ``then(request)`` goes to the kernel's
+        tail dispatch (:meth:`SimKernel._tail
+        <repro.simulation.kernel.SimKernel._tail>`), so call this only as
+        the last action of a kernel-dispatched callback chain (as
+        ``TomcatServer._finish`` and ``ApacheServer._finish_static`` do).
+        A request already answered (a client timed it out) stays as it
+        is."""
+        if self.completed_at is not None:
             return
-        self.completed_at = kernel.now
-        self.completion.succeed_tail()
+        self.completed_at = kernel._now
+        then = self.then
+        if then is not None:
+            kernel._tail(then, (self,))
 
     def fail(self, kernel: SimKernel, reason: str) -> None:
-        """Mark failure and fire the completion signal with an error."""
-        if self.completion.fired:
+        """Mark failure and post ``then(request)`` with ``error`` set."""
+        if self.completed_at is not None:
             return
-        self.completed_at = kernel.now
-        self.failed = True
-        self.completion.fail(RequestFailed(f"request {self.req_id}: {reason}"))
+        self.completed_at = kernel._now
+        self.error = RequestFailed(f"request {self.req_id}: {reason}")
+        then = self.then
+        if then is not None:
+            kernel._post_at(kernel._now, then, (self,))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<WebRequest #{self.req_id} {self.interaction}>"

@@ -171,8 +171,8 @@ class LegacyServer:
         if self.lan is None:
             kernel._post_at(kernel._now, fn, args)
         else:
-            # message_delay() >= 0: the Lan rejects negative latencies
-            kernel._post_at(kernel._now + self.lan.message_delay(), fn, args)
+            # hop_delay_s >= 0: the Lan rejects negative latencies
+            kernel._post_at(kernel._now + self.lan.hop_delay_s, fn, args)
 
     def _run_then(
         self,
@@ -193,7 +193,7 @@ class LegacyServer:
         crash had aborted the work.
 
         ``fn`` runs as its own kernel event or through the kernel's tail
-        dispatch, so it may end in a tail call (``succeed_tail``).  With
+        dispatch, so it may end in a tail call (``request.complete``).  With
         ``demand <= 0`` it runs synchronously instead; every caller is
         then itself in tail position, so such a tail call stays exact."""
         if demand <= 0.0:

@@ -74,7 +74,7 @@ class TomcatServer(LegacyServer):
     # ------------------------------------------------------------------
     def handle(self, request: WebRequest) -> None:
         """Serve a dynamic request end-to-end; completes (or fails) the
-        request's completion signal."""
+        request, which runs its ``then``."""
         if not self.running:
             request.fail(self.kernel, f"{self.name} is not running")
             return

@@ -58,11 +58,6 @@ class InstanceType:
         """Effective vCPUs: what the fleet allocator packs against."""
         return self.vcpus * self.cpu_factor
 
-    def price_per_effective_vcpu(self, price: float | None = None) -> float:
-        """Hourly price per effective vCPU (the bin-packing sort key);
-        pass a live spot price to rank a spot offer."""
-        return (self.hourly_price if price is None else price) / self.cpu_capacity
-
     @property
     def spot_mean_price(self) -> float:
         """Long-run mean of the spot price walk."""

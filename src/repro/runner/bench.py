@@ -73,12 +73,12 @@ def ps_workload() -> tuple[np.ndarray, np.ndarray]:
 def scenario_ps(arrivals, demands) -> int:
     """Run a :func:`ps_workload` through one processor-sharing CPU."""
     from repro.simulation.kernel import SimKernel
-    from repro.simulation.resources import CpuJob, PsCpu
+    from repro.simulation.resources import PsCpu
 
     kernel = SimKernel()
     cpu = PsCpu(kernel)
     for t, d in zip(arrivals, demands):
-        kernel.schedule_at(float(t), cpu.submit, CpuJob(float(d)))
+        kernel.schedule_at(float(t), cpu.submit, float(d))
     kernel.run()
     return cpu.completed
 

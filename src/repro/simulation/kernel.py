@@ -40,11 +40,12 @@ Fire-and-forget posts (:meth:`SimKernel.post`, :meth:`~SimKernel.post_in`,
 Tail dispatch
 -------------
 Most continuations on the request path (a CPU job's completion handler,
-a datasource's answer relayed to the server that queried it, a client's
-completion callback) are posted at the current instant as the very last
-action of the callback that produces them.  When nothing else is queued at that
-instant, the posted event is exactly the next one :meth:`SimKernel.run`
-would dispatch: every other queued event lies strictly in the future.
+a datasource's answer relayed to the server that queried it, a request's
+``then`` run by its answer) are posted at the current instant as the
+very last action of the callback that produces them.  When nothing else
+is queued at that instant, the posted event is exactly the next one
+:meth:`SimKernel.run` would dispatch: every other queued event lies
+strictly in the future.
 :meth:`SimKernel._tail` runs such a continuation inline in that case and
 posts it otherwise.  The inline call happens-before the same set of
 events, at the same ``now``, as the posted one would, so the simulated
@@ -52,13 +53,15 @@ order of actions — and every output — is unchanged.
 
 The rule is exact only if the caller does nothing after ``_tail``
 returns, and the same holds for every frame between it and the kernel's
-dispatch; call sites are therefore restricted to audited tail positions
-(``PsCpu._complete_next``, :meth:`Signal.succeed_tail` below and its
-callers, and the read answers of ``MySqlServer`` and ``CJdbcController``).
-``_tail`` runs inline only while :meth:`SimKernel.run` is active and
-:meth:`SimKernel.stop` has not been called, and only when the FIFO is
-empty; under :meth:`SimKernel.step`, after ``stop()`` or with a
-same-instant event queued (cancelled or not) it posts.
+dispatch; call sites are therefore restricted to audited tail positions:
+``PsCpu._complete_next``, ``WebRequest.complete`` and its callers
+(``TomcatServer._finish``, ``ApacheServer._finish_static``), and the
+read answers of ``MySqlServer`` and ``CJdbcController``.  ``_tail``
+runs inline only while :meth:`SimKernel.run` is active and
+:meth:`SimKernel.stop` has not been called (one ``_inline`` flag keeps
+the two), and only when the FIFO is empty; under
+:meth:`SimKernel.step`, after ``stop()`` or with a same-instant event
+queued (cancelled or not) it posts.
 
 ``events_processed`` counts dispatched events only; ``tail_dispatched``
 counts inline continuations.  Their sum equals the ``events_processed``
@@ -140,6 +143,8 @@ class SimKernel:
         self._now = 0.0
         self._running = False
         self._stopped = False
+        #: ``_running and not _stopped``: :meth:`_tail` may run inline
+        self._inline = False
         #: callbacks dispatched from the queue
         self.events_processed = 0
         #: continuations run inline by :meth:`_tail` instead of posted
@@ -158,7 +163,7 @@ class SimKernel:
         The copy's ``events_processed`` omits the events that the
         interrupted ``run`` had dispatched: it adds them when it returns."""
         state = self.__dict__.copy()
-        state["_running"] = False
+        state["_running"] = state["_inline"] = False
         return state
 
     @property
@@ -246,7 +251,7 @@ class SimKernel:
         module docstring).  Only call this as the last action of a
         callback dispatched by :meth:`run`: nothing may follow it, in the
         caller or in any frame up to the kernel."""
-        if self._running and not self._stopped and not self._fifo:
+        if self._inline and not self._fifo:
             self.tail_dispatched += 1
             fn(*args)
             return
@@ -340,7 +345,7 @@ class SimKernel:
         horizon = _INF if until is None else until
         if horizon < self._now:
             return
-        self._running = True
+        self._running = self._inline = True
         heap = self._heap
         index = self._index
         fifo = self._fifo
@@ -375,7 +380,7 @@ class SimKernel:
                 fn(*args)
                 dispatched += 1
         finally:
-            self._running = False
+            self._running = self._inline = False
             self.events_processed += dispatched
         if until is not None and self._now < until and not self._stopped:
             self._now = until
@@ -383,22 +388,22 @@ class SimKernel:
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
         self._stopped = True
+        self._inline = False
 
 
 class Signal:
     """A one-shot event carrying an optional value or an error.
 
     Each callback waiting on it is posted when it fires, and reads
-    ``value`` or ``error`` off it.  Firing twice is an error — request
-    completions, installs and bounce ends happen once.
+    ``value`` or ``error`` off it.  Firing twice is an error — installs,
+    bounce ends and rebind ends happen once.
     """
 
     __slots__ = ("_kernel", "_callbacks", "fired", "value", "error")
 
     def __init__(self, kernel: SimKernel):
         self._kernel = kernel
-        # Lazily allocated: most signals (request/job completions) have at
-        # most one waiter, many have none.
+        # Lazily allocated: most signals have at most one waiter.
         self._callbacks: Optional[list[Callable[["Signal"], None]]] = None
         self.fired = False
         self.value: Any = None
@@ -423,25 +428,6 @@ class Signal:
         callbacks = self._callbacks
         if callbacks is not None:
             self._callbacks = None
-            post = self._kernel.post
-            for fn in callbacks:
-                post(fn, self)
-
-    def succeed_tail(self, value: Any = None) -> None:
-        """:meth:`succeed` from a tail position: a lone waiter is handed to
-        :meth:`SimKernel._tail` (run inline when that is exact); several
-        waiters are posted as by :meth:`succeed`.  Call it only as the last
-        statement of a callback chain dispatched by the kernel."""
-        if self.fired:
-            raise RuntimeError("Signal already fired")
-        self.fired = True
-        self.value = value
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            if len(callbacks) == 1:
-                self._kernel._tail(callbacks[0], (self,))
-                return
             post = self._kernel.post
             for fn in callbacks:
                 post(fn, self)

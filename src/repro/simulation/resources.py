@@ -86,64 +86,6 @@ def capacity_knee(model: CapacityModel) -> int:
     return -1
 
 
-class CpuJob:
-    """A unit of CPU work submitted to a resource.
-
-    ``demand`` is expressed in seconds of CPU time *at full speed*; the
-    resource's ``speed`` factor and capacity model determine how long the job
-    actually takes.
-
-    A job built with a continuation calls ``then(*args)`` when service
-    completes and ``fail(*args, error)`` when it is aborted, each as one
-    kernel event at that instant, except that :meth:`PsCpu._complete_next`
-    may hand a lone continuation to the kernel's tail dispatch.  ``args``
-    is a tuple, so a server passes a bound method and the request instead
-    of building a closure per hop.  A job without a continuation is busy
-    time that nobody waits on (probe costs, fluid load).
-
-    ``weight`` models a *cohort* of identical concurrent requests as one
-    job: a job of weight ``w`` counts as ``w`` concurrent requests for
-    processor sharing and the capacity model, and ``demand`` is the summed
-    demand of all ``w`` constituents (each constituent thus contributes
-    ``demand / w``).  All constituents finish together.
-    """
-
-    __slots__ = ("demand", "weight", "then", "fail", "args", "finished", "completed_at")
-
-    def __init__(
-        self,
-        demand: float,
-        weight: int = 1,
-        then: Optional[Callable[..., None]] = None,
-        fail: Optional[Callable[..., None]] = None,
-        args: tuple = (),
-    ):
-        if not demand >= 0:  # NaN fails too
-            raise ValueError(f"demand must be >= 0, got {demand}")
-        if weight < 1:
-            raise ValueError("weight must be >= 1")
-        if (then is None) != (fail is None):
-            raise ValueError("then and fail must be given together")
-        self.demand = demand
-        self.weight = weight
-        self.then = then
-        self.fail = fail
-        self.args = args
-        #: completed or aborted (the continuation is announced)
-        self.finished = False
-        self.completed_at: Optional[float] = None
-
-    def _settle(self, kernel: SimKernel, error: Optional[BaseException] = None) -> None:
-        """Mark the job finished and post its continuation, if it has one."""
-        self.finished = True
-        if self.then is None:
-            return
-        if error is None:
-            kernel._post_at(kernel._now, self.then, self.args)
-        else:
-            kernel._post_at(kernel._now, self.fail, self.args + (error,))
-
-
 class ResourceStopped(RuntimeError):
     """Raised to jobs aborted because their resource was shut down."""
 
@@ -159,6 +101,26 @@ class PsCpu:
     a job of demand ``d`` arriving when virtual time is ``V0`` finishes when
     ``V`` reaches ``V0 + d``.  A heap keyed on finish virtual time yields the
     next completion in O(log n).
+
+    A job is nothing but its heap entry, the tuple ``(vfinish, seq,
+    weight, demand, then, fail, args)``: :meth:`submit` allocates no
+    other object.  ``demand`` is expressed in seconds of CPU time *at
+    full speed*; the resource's ``speed`` factor and capacity model
+    determine how long the job actually takes.
+
+    A job with a continuation calls ``then(*args)`` when service completes
+    and ``fail(*args, error)`` when it is aborted, each as one kernel event
+    at that instant, except that :meth:`_complete_next` may hand a lone
+    continuation to the kernel's tail dispatch.  ``args`` is a tuple, so a
+    server passes a bound method and the request instead of building a
+    closure per hop.  A job without a continuation is busy time that
+    nobody waits on (probe costs, fluid load).
+
+    ``weight`` models a *cohort* of identical concurrent requests as one
+    job: a job of weight ``w`` counts as ``w`` concurrent requests for
+    processor sharing and the capacity model, and ``demand`` is the summed
+    demand of all ``w`` constituents (each constituent thus contributes
+    ``demand / w``).  All constituents finish together.
 
     Completion wake-ups are *lazy*: an arrival that cannot preempt the head
     completion leaves the pending wake-up event untouched even though the
@@ -200,9 +162,10 @@ class PsCpu:
         self._knee = capacity_knee(capacity_model)
         self._vnow = 0.0
         self._vlast = kernel.now  # real time of last virtual-time update
-        self._heap: list[tuple[float, int, CpuJob]] = []
+        #: one ``(vfinish, seq, weight, demand, then, fail, args)`` per job
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
-        self._live = 0  # summed weight of non-aborted entries in the heap
+        self._live = 0  # summed weight of the jobs in the heap
         #: generation token of the current wake-up; superseding a wake is a
         #: counter bump, not an event cancellation (no heap tombstones)
         self._wake_token = 0
@@ -255,10 +218,23 @@ class PsCpu:
             self._vnow += (now - self._vlast) * self._rate()
         self._vlast = now
 
-    def submit(self, job: CpuJob) -> CpuJob:
+    def submit(
+        self,
+        demand: float,
+        weight: int = 1,
+        then: Optional[Callable[..., None]] = None,
+        fail: Optional[Callable[..., None]] = None,
+        args: tuple = (),
+    ) -> None:
         """Add a job to the shared processor; its completion is announced
-        as described on :class:`CpuJob`.  Zero-demand jobs complete
-        immediately."""
+        as described on the class.  A zero-demand job completes at once
+        (its ``then`` is posted at the current instant)."""
+        if not demand >= 0:  # NaN fails too
+            raise ValueError(f"demand must be >= 0, got {demand}")
+        if weight < 1:
+            raise ValueError("weight must be >= 1")
+        if (then is None) != (fail is None):
+            raise ValueError("then and fail must be given together")
         kernel = self.kernel
         now = kernel._now  # hot path: skip the property
         # Inlined _advance_accounting + _advance_virtual (hot path).
@@ -278,16 +254,16 @@ class PsCpu:
                 vnow += (now - self._vlast) * rate
                 self._vnow = vnow
         self._vlast = now
-        weight = job.weight
-        demand = job.demand
         if demand == 0.0:
-            job.completed_at = now
             self.completed += weight
-            job._settle(kernel)
-            return job
+            if then is not None:
+                kernel._post_at(now, then, args)
+            return
         vfinish = vnow + (demand / weight if weight != 1 else demand)
         heap = self._heap
-        heapq.heappush(heap, (vfinish, next(self._seq), job))
+        heapq.heappush(
+            heap, (vfinish, next(self._seq), weight, demand, then, fail, args)
+        )
         self._live = n = self._live + weight
         # Wake-up fast path: reschedule only if the new job preempts the
         # pending wake; otherwise the (now early) wake recomputes lazily.
@@ -302,15 +278,11 @@ class PsCpu:
             self._wake_at = wake
             # _post_at directly: wake >= now by construction, token-guarded.
             kernel._post_at(wake, self._complete_next, (self._wake_token,))
-        return job
 
     def _reschedule_completion(self) -> None:
         """Slow path: recompute the wake-up after aborts or completions."""
         self._wake_token += 1  # invalidate any pending wake
         self._wake_at = float("inf")
-        # Drop any aborted entries sitting at the top of the heap.
-        while self._heap and self._heap[0][2].finished:
-            heapq.heappop(self._heap)
         if not self._heap:
             return
         rate = self._rate()
@@ -344,28 +316,22 @@ class PsCpu:
         # Complete every job whose virtual finish time has been reached
         # (simultaneous completions happen with equal demands).  A wake-up
         # may arrive early (see class docstring); it then completes nothing
-        # and simply reschedules below.  Each completed job is announced
-        # when the next one is found, so the last one is still held here.
+        # and simply reschedules below.  Each completed job's continuation
+        # is posted when the next one is found, so the last one is still
+        # held here.
         heap = self._heap
         vdue = vnow + 1e-9 * (1.0 if -1.0 < vnow < 1.0 else abs(vnow))
-        held = None
-        lone = True
+        done = 0
+        then = args = None
         while heap and heap[0][0] <= vdue:
-            _, _, job = heapq.heappop(heap)
-            if job.finished:  # aborted entry
-                continue
-            weight = job.weight
+            if then is not None:
+                kernel._post_at(now, then, args)
+            _, _, weight, demand, then, _, args = heapq.heappop(heap)
             self._live -= weight
-            job.completed_at = now
             self.completed += weight
-            self.service_delivered += job.demand
-            if held is not None:
-                held._settle(kernel)
-                lone = False
-            held = job
+            self.service_delivered += demand
+            done += 1
         # Reschedule for the (possibly moved) next completion.
-        while heap and heap[0][2].finished:
-            heapq.heappop(heap)
         self._wake_token += 1
         if heap:
             n = self._live
@@ -375,7 +341,7 @@ class PsCpu:
                 else self._espeed * self.capacity_model(n) / n
             )
             wake = now + (heap[0][0] - vnow) / rate
-            if wake <= now and held is None:
+            if wake <= now and not done:
                 # The head's remaining time is below half an ulp of now:
                 # a wake at now would complete nothing again, forever.
                 wake = math.nextafter(now, _INF)
@@ -384,17 +350,16 @@ class PsCpu:
         else:
             wake = _INF
         self._wake_at = wake
-        if held is not None:
-            if lone and wake > now and held.then is not None:
+        if then is not None:
+            if done == 1 and wake > now:
                 # The continuation would be posted last at ``now`` and the
                 # wake lands later: hand it to the kernel's tail dispatch,
                 # after the wake is posted, as the very last action.
-                held.finished = True
                 if heap:
                     kernel._post_at(wake, self._complete_next, (self._wake_token,))
-                kernel._tail(held.then, held.args)
+                kernel._tail(then, args)
                 return
-            held._settle(kernel)
+            kernel._post_at(now, then, args)
         if heap:
             kernel._post_at(wake, self._complete_next, (self._wake_token,))
 
@@ -408,13 +373,14 @@ class PsCpu:
         self._advance_accounting()
         self._advance_virtual()
         err = error if error is not None else ResourceStopped(self.name)
-        aborted = 0
         kernel = self.kernel
-        for _, _, job in self._heap:
-            if not job.finished:
-                job._settle(kernel, err)
-                aborted += 1
-        self._heap.clear()
+        now = kernel._now
+        heap = self._heap
+        aborted = len(heap)
+        for _, _, _, _, _, fail, args in heap:
+            if fail is not None:
+                kernel._post_at(now, fail, args + (err,))
+        heap.clear()
         self._live = 0
         self._wake_token += 1  # invalidate any pending wake
         self._vnow = 0.0

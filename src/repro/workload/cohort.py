@@ -11,7 +11,7 @@ the cohort's latency sample.
 
 Processor sharing sees the true concurrency: a weight-``K`` job counts as
 ``K`` concurrent requests for the capacity model and per-request rate
-(:class:`~repro.simulation.resources.CpuJob`), so tier utilization and the
+(:class:`~repro.simulation.resources.PsCpu`), so tier utilization and the
 thrashing curve behave as if ``K`` individual clients were in service.
 
 What is approximated: the ``K`` constituents move in lockstep (they think
@@ -34,7 +34,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.legacy.requests import WebRequest
-from repro.simulation.kernel import Event, Signal
+from repro.simulation.kernel import Event
 from repro.workload.rubis import CLIENT_BLOCK, block_draws
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,9 +50,9 @@ class ClientCohort:
     * :meth:`start` posts :meth:`_begin` at the current instant; it fetches
       the think stream and the navigator and starts the first think;
     * :meth:`_think` draws a think time and posts :meth:`_issue` after it;
-    * :meth:`_issue` builds the request, hands it to the entry point, arms
-      the optional timeout (:meth:`_abandon`) and waits on the request's
-      completion signal with :meth:`_done`;
+    * :meth:`_issue` builds the request, sets :meth:`_done` as its
+      continuation, hands it to the entry point and arms the optional
+      timeout (:meth:`_abandon`);
     * :meth:`_done` cancels the timeout, records the latency or the
       failure, and thinks again.
 
@@ -147,31 +147,32 @@ class ClientCohort:
                 inter, client_id=self.client_id, weight=weight
             )
         emulator.requests_issued += weight
-        emulator.entry(request)
         self._request = request
-        if emulator.request_timeout_s is not None:
+        request.then = self._done
+        emulator.entry(request)
+        if emulator.request_timeout_s is not None and self._request is request:
+            # (unless an entry that answered inside the call ran _done)
             self._timeout = kernel.schedule(
                 emulator.request_timeout_s, self._abandon, request
             )
-        request.completion.add_callback(self._done)
 
     def _abandon(self, request: WebRequest) -> None:
         emulator = self._emulator
         emulator.abandoned += self.weight
         request.fail(emulator.kernel, "client timeout")
 
-    def _done(self, completion: Signal) -> None:
+    def _done(self, request: WebRequest) -> None:
         if self._timeout is not None:
             self._timeout.cancel()
             self._timeout = None
         emulator = self._emulator
-        now = emulator.kernel.now
-        if completion.error is not None:
+        now = emulator.kernel._now
+        if request.error is not None:
             emulator.collector.record_failure(now, self.weight)
         else:
-            latency = self._request.latency
-            assert latency is not None
-            emulator.collector.record_latency(now, latency, self.weight)
+            emulator.collector.record_latency(
+                now, request.completed_at - request.issued_at, self.weight
+            )
         self._request = None
         if self.active:
             self._think()

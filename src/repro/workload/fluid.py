@@ -97,9 +97,9 @@ sized so its busy time over the tick equals ``rho * dt`` (``w`` is the
 solved per-node concurrency, so the node's own capacity model and the
 ``per_job_mb`` memory accounting see the true load).  The utilization
 samplers measure busy-time deltas over whole ticks, so within-tick
-placement is invisible to the probes.  Nobody waits on these jobs, so
-they never build their ``done`` signal (see
-:class:`~repro.simulation.resources.CpuJob`).  Completions flow into
+placement is invisible to the probes.  Nobody waits on these jobs:
+they are busy time without a continuation (see
+:class:`~repro.simulation.resources.PsCpu`).  Completions flow into
 ``MetricsCollector.record_latency`` at rate ``X`` with an integer-carry
 accumulator (no request is lost to rounding, even across mode handoffs).
 
@@ -366,16 +366,11 @@ class FluidEngine:
 
     # ------------------------------------------------------------------
     def _network_delay(self) -> float:
-        """Per-request LAN delay (same formula as ``Lan.message_delay``
-        for a 1 KB message, without mutating the traffic counters)."""
+        """Per-request LAN delay: ``_LAN_HOPS`` hops of the LAN's
+        ``hop_delay_s``."""
         if self.lan is None:
             return 0.0
-        per_hop = (
-            self.lan.latency_s
-            + self.lan.extra_latency_s
-            + 1.0 / (self.lan.bandwidth_mbps * 128.0)
-        )
-        return _LAN_HOPS * per_hop
+        return _LAN_HOPS * self.lan.hop_delay_s
 
     @staticmethod
     def _live(nodes: Sequence[Node]) -> list[Node]:

@@ -209,14 +209,11 @@ class TraceReplayer:
         )
         self.issued += 1
         if self.collector is not None:
-            request.completion.add_callback(self._report(request))
+            request.then = self._report
         self.entry(request)
 
-    def _report(self, request: WebRequest):
-        def done(signal) -> None:
-            if signal.error is not None:
-                self.collector.record_failure(self.kernel.now)
-            else:
-                self.collector.record_latency(self.kernel.now, request.latency)
-
-        return done
+    def _report(self, request: WebRequest) -> None:
+        if request.error is not None:
+            self.collector.record_failure(self.kernel.now)
+        else:
+            self.collector.record_latency(self.kernel.now, request.latency)

@@ -28,6 +28,32 @@ def ignore(*_) -> None:
     """A query or job continuation that records nothing."""
 
 
+class Job:
+    """A CPU job whose continuation records its answer: the CPU keeps a
+    job only as its heap entry, so a test reads the outcome here."""
+
+    def __init__(self, kernel: SimKernel, demand: float, weight: int = 1):
+        self.kernel = kernel
+        self.demand = demand
+        self.weight = weight
+        #: instant of the completion, None until then
+        self.completed_at = None
+        #: the abort error, None unless aborted
+        self.error = None
+
+    def submit(self, cpu) -> None:
+        cpu.submit(self.demand, self.weight, self._done, self._failed)
+
+    def run_on(self, node) -> None:
+        node.run_job(self.demand, self.weight, self._done, self._failed)
+
+    def _done(self) -> None:
+        self.completed_at = self.kernel.now
+
+    def _failed(self, error: BaseException) -> None:
+        self.error = error
+
+
 def collector_digest(col) -> str:
     """Fingerprint of a run's simulated outputs: the latency, failure and
     node-CPU series, every tier's replica changes and the
@@ -100,8 +126,10 @@ class LegacyStack:
         app_pre: float = 0.01,
         app_post: float = 0.002,
         db: float = 0.02,
+        then=None,
     ) -> WebRequest:
-        """Issue a request through the front balancer."""
+        """Issue a request through the front balancer; its answer runs
+        ``then(request)``, if given."""
         req = WebRequest(
             self.kernel,
             "ViewItem" if not write else "StoreBid",
@@ -110,6 +138,7 @@ class LegacyStack:
             app_demand_post=app_post,
             db_demand=db,
         )
+        req.then = then
         self.plb.handle(req)
         return req
 

@@ -146,12 +146,6 @@ class TestFactoryRegistry:
         with pytest.raises(ValueError):
             registry.register("t", lambda *a, **k: Component("y"))
 
-    def test_known_types_sorted(self):
-        registry = ComponentFactoryRegistry()
-        registry.register("b", lambda *a, **k: None)
-        registry.register("a", lambda *a, **k: None)
-        assert registry.known_types() == ["a", "b"]
-
     def test_context_forwarded(self):
         seen = {}
 

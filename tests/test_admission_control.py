@@ -14,8 +14,8 @@ class TestTomcatAdmission:
         stack.tomcat.admission_limit = 2
         results = []
         for _ in range(5):
-            req = stack.request(db=1.0)  # slow queries keep threads busy
-            req.completion.add_callback(lambda s: results.append(s.error is None))
+            # slow queries keep threads busy
+            stack.request(db=1.0, then=lambda r: results.append(r.error is None))
         kernel.run()
         assert results.count(False) == 3
         assert stack.tomcat.rejected == 3
@@ -25,16 +25,15 @@ class TestTomcatAdmission:
         stack.tomcat.admission_limit = 1
         first = stack.request()
         kernel.run()
-        assert not first.failed
+        assert first.completed_at is not None and first.error is None
         second = stack.request()
         kernel.run()
-        assert not second.failed
+        assert second.completed_at is not None and second.error is None
 
     def test_rejection_error_names_server(self, kernel, stack):
         stack.tomcat.admission_limit = 0
-        req = stack.request()
         errors = []
-        req.completion.add_callback(lambda s: errors.append(str(s.error)))
+        stack.request(then=lambda r: errors.append(str(r.error)))
         kernel.run()
         assert "503" in errors[0]
 

@@ -21,7 +21,8 @@ from repro.metrics.collector import MetricsCollector
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import ExperimentRunner
 from repro.runner.results import CompletedRun
-from repro.simulation.resources import CpuJob, PsCpu
+from repro.simulation.resources import PsCpu
+from tests.conftest import Job
 
 
 # ----------------------------------------------------------------------
@@ -30,8 +31,8 @@ from repro.simulation.resources import CpuJob, PsCpu
 class TestDegradation:
     def test_ps_mid_service_degrade_stretches_completion(self, kernel):
         cpu = PsCpu(kernel)
-        job = CpuJob(1.0)
-        cpu.submit(job)
+        job = Job(kernel, 1.0)
+        job.submit(cpu)
         # Half the demand is served by t=0.5; the rest at half speed
         # takes 1.0s more: completion at 1.5 instead of 1.0.
         kernel.schedule_at(0.5, cpu.set_degradation, 0.5)
@@ -40,8 +41,8 @@ class TestDegradation:
 
     def test_ps_restore_mid_service(self, kernel):
         cpu = PsCpu(kernel)
-        job = CpuJob(1.0)
-        cpu.submit(job)
+        job = Job(kernel, 1.0)
+        job.submit(cpu)
         kernel.schedule_at(0.5, cpu.set_degradation, 0.5)
         kernel.schedule_at(1.0, cpu.set_degradation, 1.0)
         kernel.run()
@@ -52,9 +53,9 @@ class TestDegradation:
     def test_ps_degrade_shares_correctly(self, kernel):
         cpu = PsCpu(kernel)
         cpu.set_degradation(0.5)
-        a, b = CpuJob(1.0), CpuJob(1.0)
-        cpu.submit(a)
-        cpu.submit(b)
+        a, b = Job(kernel, 1.0), Job(kernel, 1.0)
+        a.submit(cpu)
+        b.submit(cpu)
         kernel.run()
         # Two equal jobs at half speed: each effectively served at 0.25/s.
         assert a.completed_at == pytest.approx(4.0)
@@ -72,13 +73,6 @@ class TestDegradation:
         node.degrade(0.5)
         assert node.cpu.degradation == 0.5
         node.restore()
-        assert node.cpu.degradation == 1.0
-
-    def test_reboot_clears_degradation(self, kernel):
-        (node,) = make_nodes(kernel, 1)
-        node.degrade(0.1)
-        node.crash()
-        node.reboot()
         assert node.cpu.degradation == 1.0
 
 
@@ -108,16 +102,10 @@ class TestIsolation:
         node.isolate()
         node.heal()
         assert not node.isolated
-        job = node.run_job(1.0)
+        job = Job(kernel, 1.0)
+        job.run_on(node)
         kernel.run()
         assert job.completed_at == pytest.approx(1.0)
-
-    def test_reboot_clears_isolation(self, kernel):
-        (node,) = make_nodes(kernel, 1)
-        node.isolate()
-        node.crash()
-        node.reboot()
-        assert not node.isolated
 
 
 class TestLanChaos:

@@ -8,6 +8,7 @@ from repro.cluster.filesystem import FileNotFound, NodeFilesystem
 from repro.cluster.installer import Package, SoftwareInstallationService
 from repro.cluster.network import Lan
 from repro.cluster.node import Node, NodeDown, make_nodes
+from tests.conftest import Job
 
 
 class TestFilesystem:
@@ -51,19 +52,12 @@ class TestFilesystem:
         fs.write("/etc/other", "3")
         assert fs.listdir("/opt/pkg") == ["/opt/pkg/a", "/opt/pkg/sub/b"]
 
-    def test_remove_tree(self):
-        fs = NodeFilesystem()
-        fs.write("/opt/pkg/a", "1")
-        fs.write("/opt/pkg/b", "2")
-        fs.write("/etc/keep", "3")
-        assert fs.remove_tree("/opt/pkg") == 2
-        assert len(fs) == 1
-
 
 class TestNode:
     def test_run_job_consumes_cpu(self, kernel):
         node = Node(kernel, "n1")
-        job = node.run_job(2.0)
+        job = Job(kernel, 2.0)
+        job.run_on(node)
         kernel.run()
         assert job.completed_at == pytest.approx(2.0)
 
@@ -120,16 +114,6 @@ class TestNode:
         node.crash()
         node.crash()
         assert len(hits) == 1
-
-    def test_reboot_resets_state(self, kernel):
-        node = Node(kernel, "n1")
-        node.fs.write("/etc/x", "data")
-        node.register_footprint("srv", 10.0)
-        node.crash()
-        node.reboot()
-        assert node.up
-        assert not node.fs.exists("/etc/x")
-        assert node.footprints == {}
 
     def test_make_nodes_names(self, kernel):
         nodes = make_nodes(kernel, 3, prefix="srv")
@@ -372,12 +356,13 @@ class TestLan:
         lan = Lan(bandwidth_mbps=100.0)
         assert lan.transfer_time(100.0) == pytest.approx(8.0, rel=0.01)
 
-    def test_counters(self):
-        lan = Lan()
-        lan.message_delay(2.0)
-        lan.message_delay(2.0)
-        assert lan.messages_total == 2
-        assert lan.bytes_total == pytest.approx(2 * 2 * 1024)
+    def test_hop_delay_is_a_1kb_message(self):
+        lan = Lan(latency_s=0.001)
+        assert lan.hop_delay_s == lan.message_delay(1.0)
+        lan.set_extra_latency(0.05)
+        assert lan.hop_delay_s == lan.message_delay(1.0)
+        lan.set_extra_latency(0.0)
+        assert lan.hop_delay_s == Lan(latency_s=0.001).hop_delay_s
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.legacy.requests import WebRequest
 from repro.metrics.collector import MetricsCollector
-from repro.simulation.kernel import Signal, SimKernel
+from repro.simulation.kernel import SimKernel
 from repro.simulation.rng import RngStreams
 from repro.workload.calibration import DEFAULT_CALIBRATION
 from repro.workload.clients import ClientEmulator
@@ -299,23 +299,29 @@ def test_vary_weight_scales_mean(weight, mean):
 # ----------------------------------------------------------------------
 # Exactness of the callback session against the generator session
 # ----------------------------------------------------------------------
-def drive(kernel, gen, value=None, error=None) -> None:
+def drive(kernel, gen, error=None) -> None:
     """Resume ``gen`` as the generator processes that every cohort ran
-    under did: a yielded float sleeps that long, a yielded
-    :class:`Signal` is waited on (a failed one is thrown into the
-    generator).  Start a session with ``kernel.post(drive, kernel, gen)``."""
+    under did: a yielded float sleeps that long, and a yielded
+    :class:`WebRequest` is waited on, as its completion signal was: its
+    continuation resumes the generator (throwing a failed request's
+    error into it), posted at once if the request was answered already.
+    Start a session with ``kernel.post(drive, kernel, gen)``."""
     try:
-        command = gen.send(value) if error is None else gen.throw(error)
+        command = gen.send(None) if error is None else gen.throw(error)
     except StopIteration:
         return
-    if isinstance(command, Signal):
-        command.add_callback(partial(_resume_after, kernel, gen))
+    if isinstance(command, WebRequest):
+        resume = partial(_resume_after, kernel, gen)
+        if command.completed_at is None:
+            command.then = resume
+        else:
+            kernel.post(resume, command)
     else:
         kernel.post_in(command, drive, kernel, gen)
 
 
-def _resume_after(kernel, gen, signal) -> None:
-    drive(kernel, gen, signal.value, signal.error)
+def _resume_after(kernel, gen, request) -> None:
+    drive(kernel, gen, request.error)
 
 
 def reference_session(cohort, emulator):
@@ -367,7 +373,7 @@ def reference_session(cohort, emulator):
 
             timeout_event = kernel.schedule(emulator.request_timeout_s, abandon)
         try:
-            yield request.completion
+            yield request
         except Exception:
             collector.record_failure(kernel.now, weight)
             continue

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.network import Lan
 from repro.jade.system import ExperimentConfig
 from repro.metrics.collector import MetricsCollector
 from repro.runner.cache import ResultCache
@@ -484,7 +485,7 @@ def test_fixed_point_exit_is_bit_identical(
             (cpu_node(speed, 1.0, up=up, isolated=isolated), 0.0005)
             for speed, up, isolated in balancers
         ],
-        lan=SimpleNamespace(latency_s=1e-4, extra_latency_s=0.0, bandwidth_mbps=100.0)
+        lan=Lan(latency_s=1e-4)
         if lan
         else None,
     )
@@ -616,7 +617,7 @@ class TestExactIncrementalTick:
             lambda e, nodes, lan: nodes[2].cpu.set_degradation(0.5),
             lambda e, nodes, lan: nodes[3].crash(),
             lambda e, nodes, lan: nodes[1].isolate(),
-            lambda e, nodes, lan: setattr(lan, "extra_latency_s", 0.01),
+            lambda e, nodes, lan: lan.set_extra_latency(0.01),
             lambda e, nodes, lan: nodes[4].cpu.set_degradation(0.25),
             lambda e, nodes, lan: setattr(e, "_last_x", 0.9 * e._last_x),
         ],
@@ -626,7 +627,6 @@ class TestExactIncrementalTick:
         ],
     )
     def test_changed_input_recomputes(self, mutate):
-        from repro.cluster.network import Lan
         from repro.cluster.node import Node
         from repro.simulation.kernel import SimKernel
 

@@ -26,11 +26,12 @@ from tests.conftest import ignore
 
 
 def completed(req, kernel):
-    """Drain the kernel; return (ok, error)."""
-    result = {}
-    req.completion.add_callback(lambda s: result.update(ok=s.error is None, err=s.error))
+    """Drain the kernel; return (ok, error), or (None, None) when the
+    request was never answered."""
     kernel.run()
-    return result.get("ok"), result.get("err")
+    if req.completed_at is None:
+        return None, None
+    return req.error is None, req.error
 
 
 class TestDirectory:
@@ -366,14 +367,14 @@ class TestTomcat:
             db_demand=0.5,
         )
         result = {}
-        req.completion.add_callback(lambda s: result.update(err=s.error))
+        req.then = lambda r: result.update(err=r.error)
         stack.tomcat.handle(req)
         kernel.run(until=0.1)
-        assert stack.cjdbc.pending == 1 and not req.completion.fired
+        assert stack.cjdbc.pending == 1 and req.completed_at is None
         assert stack.tomcat.pending == 1
         stack.n_tc.crash()
         kernel.run()
-        assert req.failed
+        assert req.error is not None
         assert isinstance(result["err"], RequestFailed)
         assert "response generation aborted" in str(result["err"])
         assert "node" in str(result["err"])
@@ -411,8 +412,7 @@ class TestPlb:
         t2.node.crash()
         oks = []
         for _ in range(6):
-            req = stack.request()
-            req.completion.add_callback(lambda s: oks.append(s.error is None))
+            stack.request(then=lambda r: oks.append(r.error is None))
         kernel.run()
         assert oks == [True] * 6
         assert stack.plb.retries > 0
@@ -423,6 +423,18 @@ class TestPlb:
         ok, err = completed(req, kernel)
         assert ok is False
         assert "no live backend" in str(err)
+
+    def test_no_configured_backend_fails(self, kernel, stack):
+        conf = PlbConf.parse(stack.n_plb.fs.read(PlbBalancer.CONFIG_PATH))
+        conf.servers.clear()
+        stack.n_plb.fs.write(PlbBalancer.CONFIG_PATH, conf.render())
+        stack.plb.reload()
+        req = stack.request()
+        ok, err = completed(req, kernel)
+        assert ok is False
+        assert "no live backend" in str(err)
+        assert stack.plb.retries == 0 and stack.plb.failures == 1
+        assert stack.tomcat.served == 0
 
     def test_reload_requires_running(self, kernel, stack):
         stack.plb.stop()
@@ -483,8 +495,8 @@ class TestApacheAndL4:
         oks = []
         for _ in range(4):
             req = WebRequest(kernel, "x", is_static=True, static_demand=0.001)
+            req.then = lambda r: oks.append(r.error is None)
             switch.handle(req)
-            req.completion.add_callback(lambda s: oks.append(s.error is None))
         kernel.run()
         assert oks == [True] * 4
 

@@ -37,11 +37,6 @@ class TestCatalog:
         itype = InstanceType("x", vcpus=2, cpu_factor=1.3)
         assert itype.cpu_capacity == pytest.approx(2.6)
 
-    def test_price_per_effective_vcpu(self):
-        itype = InstanceType("x", vcpus=2, hourly_price=1.9)
-        assert itype.price_per_effective_vcpu() == pytest.approx(0.95)
-        assert itype.price_per_effective_vcpu(0.6) == pytest.approx(0.3)
-
     def test_spot_mean_price(self):
         itype = InstanceType("x", vcpus=1, hourly_price=2.0, spot=True,
                              spot_fraction=0.25)

@@ -1,0 +1,70 @@
+"""Behaviour lock of the ramp's request path.
+
+The end-to-end benchmark checks the full-scale ramps, but only outside
+the tier-1 suite.  These values pin the same two schedules at a short
+scale: for seeds 1 and 7, the paper's trapezoid (80 → 500 clients)
+compressed to 0.15 of its durations, managed and static, must reproduce
+the collector digest and the kernel's dispatched, tail-dispatched and
+tombstone counts, exactly.  A change to the kernel, the PS-CPU or the
+legacy hop chain that moves one event moves one of these.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.jade.system import ExperimentConfig, ManagedSystem
+from repro.workload.profiles import RampProfile
+from tests.conftest import collector_digest
+
+#: fraction of the paper's ramp durations (warm-up, step, cool-down)
+SCALE = 0.15
+
+#: (seed, managed) -> (collector digest, events processed, tail
+#: dispatched, tombstones skipped)
+LOCK = {
+    (1, True): (
+        "1960996bd404fa02cdd1253962ab1df3c24577e7cc7a293d0cbffd5b702c5eaf",
+        144316, 107926, 1,
+    ),
+    (1, False): (
+        "6fc9738c3548d7555b2cfab0b6766670bad60581eff422d0a44f7d9e970923d2",
+        58681, 46756, 1,
+    ),
+    (7, True): (
+        "17bf65fa6efec6f3fbc7102691f9433fa4e0a4abb437bb57196caae427dbcae5",
+        174955, 127896, 1,
+    ),
+    (7, False): (
+        "2921dfec30394da19d03b3d98144a3450537fc3e24f46a48661dd1b5cd0791f3",
+        56384, 44874, 1,
+    ),
+}
+
+
+def build(seed: int, managed: bool) -> ManagedSystem:
+    profile = RampProfile(
+        peak=500,
+        warmup_s=300.0 * SCALE,
+        step_period_s=60.0 * SCALE,
+        cooldown_s=300.0 * SCALE,
+    )
+    return ManagedSystem(ExperimentConfig(profile=profile, seed=seed, managed=managed))
+
+
+@pytest.mark.parametrize(
+    "seed, managed",
+    sorted(LOCK),
+    ids=[f"seed{s}-{'managed' if m else 'static'}" for s, m in sorted(LOCK)],
+)
+def test_ramp_run_is_locked(seed, managed):
+    system = build(seed, managed)
+    collector = system.run()
+    kernel = system.kernel
+    observed = (
+        collector_digest(collector),
+        kernel.events_processed,
+        kernel.tail_dispatched,
+        kernel.tombstones_skipped,
+    )
+    assert observed == LOCK[seed, managed]

@@ -8,21 +8,21 @@ from hypothesis import strategies as st
 
 from repro.simulation.kernel import SimKernel
 from repro.simulation.resources import (
-    CpuJob,
     PsCpu,
     ResourceStopped,
     ThrashingCurve,
     constant_capacity,
 )
 from repro.cluster.node import Node, NodeDown, NodeIsolated
+from tests.conftest import Job, ignore
 
 
 def run_jobs(cpu, kernel, demands, submit_times=None):
     jobs = []
     for i, demand in enumerate(demands):
         t = 0.0 if submit_times is None else submit_times[i]
-        job = CpuJob(demand)
-        kernel.schedule_at(t, cpu.submit, job)
+        job = Job(kernel, demand)
+        kernel.schedule_at(t, job.submit, cpu)
         jobs.append(job)
     kernel.run()
     return jobs
@@ -63,9 +63,10 @@ class TestPsCpu:
 
     def test_zero_demand_completes_immediately(self, kernel):
         cpu = PsCpu(kernel)
-        job = CpuJob(0.0)
-        cpu.submit(job)
-        assert job.finished
+        job = Job(kernel, 0.0)
+        job.submit(cpu)
+        assert cpu.completed == 1 and cpu.active_jobs == 0
+        kernel.step()
         assert job.completed_at == 0.0
 
     def test_busy_time_accounting(self, kernel):
@@ -88,7 +89,7 @@ class TestPsCpu:
     def test_abort_all_fails_jobs(self, kernel):
         cpu = PsCpu(kernel)
         errors = []
-        cpu.submit(CpuJob(10.0, then=lambda: None, fail=errors.append))
+        cpu.submit(10.0, then=lambda: None, fail=errors.append)
         kernel.schedule(1.0, cpu.abort_all)
         kernel.run()
         assert isinstance(errors[0], ResourceStopped)
@@ -96,25 +97,26 @@ class TestPsCpu:
 
     def test_submit_after_abort_works(self, kernel):
         cpu = PsCpu(kernel)
-        first = CpuJob(10.0)
-        cpu.submit(first)
+        cpu.submit(10.0)
         kernel.schedule(1.0, cpu.abort_all)
         kernel.run()
-        fresh = CpuJob(1.0)
-        cpu.submit(fresh)
+        fresh = Job(kernel, 1.0)
+        fresh.submit(cpu)
         kernel.run()
         assert fresh.completed_at == pytest.approx(kernel.now)
 
     def test_negative_demand_rejected(self, kernel):
         with pytest.raises(ValueError):
-            CpuJob(-1.0)
+            PsCpu(kernel).submit(-1.0)
 
     def test_nan_demand_rejected(self, kernel):
         """A NaN demand would never complete and never fail."""
+        cpu = PsCpu(kernel)
         with pytest.raises(ValueError):
-            CpuJob(float("nan"))
+            cpu.submit(float("nan"))
         with pytest.raises(ValueError):
-            CpuJob(float("nan"), then=lambda: None, fail=lambda e: None)
+            cpu.submit(float("nan"), then=lambda: None, fail=lambda e: None)
+        assert cpu.active_jobs == 0
 
     def test_thrashing_slows_service(self, kernel):
         curve = ThrashingCurve(knee=2, slope=1.0, floor=0.01)
@@ -128,15 +130,14 @@ class TestPsCpu:
         # due on arrival; at t = 1e8 its real remaining time is below half
         # an ulp of now, so the computed wake lands at now itself.
         cpu = PsCpu(kernel)
-        cpu.submit(CpuJob(0.5))
+        cpu.submit(0.5)
         t = 1e8
-        job = CpuJob(2e-9)
-        kernel.schedule_at(t, cpu.submit, job)
+        job = Job(kernel, 2e-9)
+        kernel.schedule_at(t, job.submit, cpu)
         assert t + 2e-9 == t
         for _ in range(10):
-            if job.finished or not kernel.step():
+            if job.completed_at is not None or not kernel.step():
                 break
-        assert job.finished
         assert job.completed_at == math.nextafter(t, math.inf)
         assert cpu.completed == 2 and cpu.active_jobs == 0
 
@@ -144,23 +145,26 @@ class TestPsCpu:
 class TestContinuationJobs:
     """Jobs that carry a ``then``/``fail`` continuation."""
 
-    def _job(self, kernel, demand, log, tag):
-        return CpuJob(
+    def _submit(self, cpu, demand, log, tag):
+        kernel = cpu.kernel
+        cpu.submit(
             demand,
             then=lambda: log.append((tag, kernel.now)),
             fail=lambda err: log.append((tag, type(err).__name__)),
         )
 
     def test_then_and_fail_come_together(self, kernel):
+        cpu = PsCpu(kernel)
         with pytest.raises(ValueError):
-            CpuJob(1.0, then=lambda: None)
+            cpu.submit(1.0, then=lambda: None)
         with pytest.raises(ValueError):
-            CpuJob(1.0, fail=lambda err: None)
+            cpu.submit(1.0, fail=lambda err: None)
+        assert cpu.active_jobs == 0
 
     def test_lone_completion_is_tail_dispatched(self, kernel):
         cpu = PsCpu(kernel)
         log = []
-        kernel.schedule_at(0.0, cpu.submit, self._job(kernel, 1.0, log, "a"))
+        kernel.schedule_at(0.0, self._submit, cpu, 1.0, log, "a")
         kernel.run()
         assert log == [("a", 1.0)]
         assert kernel.tail_dispatched == 1
@@ -169,7 +173,7 @@ class TestContinuationJobs:
         cpu = PsCpu(kernel)
         log = []
         for tag in "ab":
-            kernel.schedule_at(0.0, cpu.submit, self._job(kernel, 1.0, log, tag))
+            kernel.schedule_at(0.0, self._submit, cpu, 1.0, log, tag)
         kernel.run()
         assert log == [("a", 2.0), ("b", 2.0)]
         assert kernel.tail_dispatched == 0
@@ -178,11 +182,10 @@ class TestContinuationJobs:
     def test_abort_posts_fail(self, factory, kernel):
         cpu = factory(kernel)
         log = []
-        job = self._job(kernel, 5.0, log, "a")
-        cpu.submit(job)
+        self._submit(cpu, 5.0, log, "a")
         kernel.run(until=1.0)
         assert cpu.abort_all() == 1
-        assert log == [] and job.finished
+        assert log == [] and cpu.active_jobs == 0
         kernel.run()
         assert log == [("a", "ResourceStopped")]
 
@@ -193,19 +196,22 @@ class TestLazyDone:
 
     def test_down_node(self, kernel):
         node = Node(kernel, "n1")
-        job = node.run_job(10.0)
+        node.run_job(10.0)
         kernel.schedule(1.0, node.crash)
         kernel.run(until=5.0)
-        assert job.finished and job.completed_at is None
+        assert node.cpu.active_jobs == 0 and node.cpu.completed == 0
         with pytest.raises(NodeDown):
             node.run_job(1.0)
+        log = []
+        node.run_job(1.0, then=ignore, fail=log.append)
+        kernel.run()
+        assert len(log) == 1 and isinstance(log[0], NodeDown)
 
     def test_isolated_node(self, kernel):
         node = Node(kernel, "n1")
         kernel.run(until=2.0)
         node.isolate()
-        job = node.run_job(1.0)
-        assert job.finished and job.completed_at is None
+        node.run_job(1.0)
         assert kernel.pending == 0
         assert node.cpu.active_jobs == 0
         log = []
@@ -261,9 +267,9 @@ def test_ps_conserves_work(demands):
     exactly the sum of demands when all jobs arrive together (unit rate)."""
     kernel = SimKernel()
     cpu = PsCpu(kernel)
-    jobs = [CpuJob(d) for d in demands]
+    jobs = [Job(kernel, d) for d in demands]
     for j in jobs:
-        cpu.submit(j)
+        j.submit(cpu)
     kernel.run()
     assert cpu.service_delivered == pytest.approx(sum(demands))
     last = max(j.completed_at for j in jobs)
@@ -280,9 +286,9 @@ def test_ps_completion_order_matches_demand_order(demands):
     """With simultaneous arrivals, PS completes jobs in demand order."""
     kernel = SimKernel()
     cpu = PsCpu(kernel)
-    jobs = [CpuJob(d) for d in demands]
+    jobs = [Job(kernel, d) for d in demands]
     for j in jobs:
-        cpu.submit(j)
+        j.submit(cpu)
     kernel.run()
     by_demand = sorted(jobs, key=lambda j: j.demand)
     completions = [j.completed_at for j in by_demand]
@@ -298,7 +304,7 @@ class TestAbortAllReuse:
         cpu = PsCpu(kernel)
         errors = []
         for _ in range(3):
-            cpu.submit(CpuJob(5.0, then=lambda: None, fail=errors.append))
+            cpu.submit(5.0, then=lambda: None, fail=errors.append)
         kernel.schedule(1.0, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
         assert cpu.completed == 0
@@ -310,14 +316,14 @@ class TestAbortAllReuse:
         clock and wake bookkeeping were reset, not left mid-flight."""
         cpu = PsCpu(kernel)
         for _ in range(4):
-            cpu.submit(CpuJob(10.0))
+            cpu.submit(10.0)
         kernel.schedule(1.0, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
 
         start = kernel.now
-        fresh = [CpuJob(2.0), CpuJob(2.0)]
+        fresh = [Job(kernel, 2.0), Job(kernel, 2.0)]
         for j in fresh:
-            cpu.submit(j)
+            j.submit(cpu)
         kernel.run()
         # Two equal jobs sharing one unit-speed CPU: both finish in 4 s.
         for j in fresh:
@@ -328,7 +334,7 @@ class TestAbortAllReuse:
         """The wake posted before the abort still fires (posts cannot be
         cancelled) but must complete nothing."""
         cpu = PsCpu(kernel)
-        cpu.submit(CpuJob(2.0))
+        cpu.submit(2.0)
         kernel.schedule(0.5, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
         assert cpu.completed == 0
@@ -336,7 +342,7 @@ class TestAbortAllReuse:
 
     def test_utilization_window_reset(self, kernel):
         cpu = PsCpu(kernel)
-        cpu.submit(CpuJob(3.0))
+        cpu.submit(3.0)
         kernel.schedule(1.0, cpu.abort_all, RuntimeError("crash"))
         kernel.run()
         assert cpu._vnow == 0.0
@@ -344,19 +350,21 @@ class TestAbortAllReuse:
 
 
 class TestWeightedJobs:
-    """A weight-K CpuJob stands for K concurrent identical requests whose
+    """A weight-K job stands for K concurrent identical requests whose
     summed demand travels on one job (the cohort fast path)."""
 
     def test_weight_must_be_positive(self, kernel):
+        cpu = PsCpu(kernel)
         with pytest.raises(ValueError):
-            CpuJob(1.0, weight=0)
+            cpu.submit(1.0, weight=0)
+        assert cpu.active_jobs == 0
 
     def test_weighted_job_times_like_constituents(self, kernel):
         """One weight-2 job with summed demand 2.0 completes when two
         interleaved weight-1 jobs of demand 1.0 would: at t=2."""
         cpu = PsCpu(kernel)
-        job = CpuJob(2.0, weight=2)
-        cpu.submit(job)
+        job = Job(kernel, 2.0, weight=2)
+        job.submit(cpu)
         kernel.run()
         assert job.completed_at == pytest.approx(2.0)
         assert cpu.completed == 2
@@ -365,10 +373,10 @@ class TestWeightedJobs:
         """Against a weight-1 competitor, a weight-2 job claims two PS
         shares: the competitor sees a 3-way split, not a 2-way one."""
         cpu = PsCpu(kernel)
-        heavy = CpuJob(2.0, weight=2)
-        light = CpuJob(1.0)
-        cpu.submit(heavy)
-        cpu.submit(light)
+        heavy = Job(kernel, 2.0, weight=2)
+        light = Job(kernel, 1.0)
+        heavy.submit(cpu)
+        light.submit(cpu)
         kernel.run()
         # Identical per-constituent demand (1.0 each over 3 shares): all
         # three constituents finish together at t=3.

@@ -214,7 +214,7 @@ class TestPlbWrapper:
             db_demand=0.02,
         )
         results = []
-        req.completion.add_callback(lambda s: results.append(s.error))
+        req.then = lambda r: results.append(r.error)
         plb.content.balancer.handle(req)
         kernel.run()
         assert results == [None]
