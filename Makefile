@@ -104,8 +104,9 @@ tune-demo:
 bench-engine:
 	python -m repro bench --out BENCH_engine.json
 
-# Perf gate used by CI: fail if the micro scenarios regress >25% against
-# the committed report.
+# Perf gate used by CI: fail if a micro scenario's time, as a ratio to a
+# reference loop timed alongside it, regresses >25% against the
+# committed report.
 bench-engine-check:
 	python -m repro bench --check BENCH_engine.json --tolerance 0.25
 

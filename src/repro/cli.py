@@ -517,12 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--check", metavar="FILE", default=None,
-        help="perf-smoke mode: compare fresh micro timings against a "
-        "committed report; exit 1 on regression",
+        help="perf-smoke mode: compare fresh micro timings, as ratios to "
+        "a reference loop timed alongside, against a committed report; "
+        "exit 1 on regression",
     )
     bench.add_argument(
         "--tolerance", type=float, default=0.25,
-        help="allowed slowdown fraction in --check mode (default 0.25)",
+        help="allowed slowdown fraction of the ratio in --check mode "
+        "(default 0.25)",
     )
     bench.add_argument(
         "--seeds", type=int, default=3, metavar="N",
@@ -1362,17 +1364,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if micro is not None:
         print("Micro scenarios (best of {}):".format(args.rounds))
         print(
-            "  kernel 10k events : {:.2f} ms  ({:,.0f} events/s, {:.2f}x baseline)".format(
+            "  kernel 10k events : {:.2f} ms  ({:,.0f} events/s, {:.2f}x baseline, "
+            "{:.1f} reference loops)".format(
                 micro["kernel_10k_events"]["best_s"] * 1e3,
                 micro["kernel_10k_events"]["events_per_s"],
                 micro["kernel_10k_events"]["speedup_vs_baseline"],
+                micro["kernel_10k_events"]["loop_ratio"],
             )
         )
         print(
-            "  PS-CPU 5k jobs    : {:.2f} ms  ({:,.0f} jobs/s, {:.2f}x baseline)".format(
+            "  PS-CPU 5k jobs    : {:.2f} ms  ({:,.0f} jobs/s, {:.2f}x baseline, "
+            "{:.1f} reference loops)".format(
                 micro["ps_cpu_5k_jobs"]["best_s"] * 1e3,
                 micro["ps_cpu_5k_jobs"]["jobs_per_s"],
                 micro["ps_cpu_5k_jobs"]["speedup_vs_baseline"],
+                micro["ps_cpu_5k_jobs"]["loop_ratio"],
             )
         )
     for name, section in SECTIONS.items():

@@ -24,7 +24,7 @@ def _normalize(path: str) -> str:
 
 
 class NodeFilesystem:
-    """A flat path → text mapping with a directory-listing convenience."""
+    """A flat path → text mapping."""
 
     def __init__(self) -> None:
         self._files: dict[str, str] = {}
@@ -50,13 +50,6 @@ class NodeFilesystem:
             del self._files[path]
         except KeyError:
             raise FileNotFound(path) from None
-
-    def listdir(self, prefix: str) -> list[str]:
-        """Paths under ``prefix`` (inclusive of nested directories)."""
-        prefix = _normalize(prefix)
-        if not prefix.endswith("/"):
-            prefix += "/"
-        return sorted(p for p in self._files if p.startswith(prefix))
 
     def __len__(self) -> int:
         return len(self._files)

@@ -66,6 +66,10 @@ class Node:
         self.up = True
         #: network-partitioned: heartbeats still answer but work is lost
         self.isolated = False
+        #: where CPU work goes, kept on health change: the CPU's own
+        #: ``submit`` while the node is up and not isolated, else
+        #: :meth:`run_job`, which refuses it
+        self.submit: Callable[..., None] = self.cpu.submit
         self._footprints: dict[str, float] = {}
         self._crash_listeners: list[Callable[["Node"], None]] = []
 
@@ -89,7 +93,12 @@ class Node:
 
         On a crashed node a job without a continuation raises
         :class:`NodeDown`; a continuation job is failed asynchronously
-        with it instead, exactly like work aborted by the crash."""
+        with it instead, exactly like work aborted by the crash.
+
+        :attr:`submit` takes the same arguments and is the request path's
+        entry: it *is* ``cpu.submit`` on a healthy node, so a hop skips
+        this method, and it is this method once the node has crashed or
+        been isolated, so the refusals below hold there."""
         if self.up and not self.isolated:
             self.cpu.submit(demand, weight, then, fail, args)
             return
@@ -123,11 +132,14 @@ class Node:
         if not self.up or self.isolated:
             return
         self.isolated = True
+        self.submit = self.run_job
         self.cpu.abort_all(NodeIsolated(self.name))
 
     def heal(self) -> None:
-        """Reconnect an isolated node."""
+        """Reconnect an isolated node (a crashed one keeps refusing)."""
         self.isolated = False
+        if self.up:
+            self.submit = self.cpu.submit
 
     # ------------------------------------------------------------------
     # Memory
@@ -170,6 +182,7 @@ class Node:
         if not self.up:
             return
         self.up = False
+        self.submit = self.run_job
         self.cpu.abort_all(NodeDown(self.name))
         for listener in list(self._crash_listeners):
             listener(self)

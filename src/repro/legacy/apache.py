@@ -68,11 +68,11 @@ class ApacheServer(LegacyServer):
         if not self.running:
             request.fail(self.kernel, f"{self.name} is not running")
             return
-        if not self._admit():
+        if self.admission_limit is not None and not self._admit():
             request.fail(self.kernel, f"{self.name}: 503 MaxClients reached")
             return
         weight = request.weight
-        self._begin(weight)
+        self.pending += weight
         if request.is_static:
             self._run_then(
                 request.static_demand,
@@ -91,24 +91,31 @@ class ApacheServer(LegacyServer):
             )
 
     def _finish_static(self, request: WebRequest) -> None:
-        self.static_served += request.weight
-        self._end(weight=request.weight)
+        weight = request.weight
+        self.static_served += weight
+        self.pending -= weight
+        assert self.pending >= 0, f"{self.name}: pending underflow"
+        self.served += weight
         request.complete(self.kernel)
 
     def _forward(self, request: WebRequest) -> None:
         assert self.workers is not None
+        find = self.directory.find
         live = []
         for worker in self.workers.workers:
-            server = self.directory.try_lookup(worker.host, worker.port)
+            server = find((worker.host, worker.port))
             if server is not None and server.running:
                 live.append(worker)
         if not live:
             self._abort(request, "no live AJP worker")
             return
         worker = self._policy.choose(live)
-        server = self.directory.lookup(worker.host, worker.port)
-        self.dynamic_forwarded += request.weight
-        self._end(weight=request.weight)
+        server = find((worker.host, worker.port))
+        weight = request.weight
+        self.dynamic_forwarded += weight
+        self.pending -= weight
+        assert self.pending >= 0, f"{self.name}: pending underflow"
+        self.served += weight
         self._after_hop(server.handle, request)
 
     def _static_aborted(self, request: WebRequest, err: BaseException) -> None:

@@ -102,6 +102,12 @@ class CJdbcController(LegacyServer):
         self.reads_routed = 0
         self.writes_routed = 0
         self.syncs_completed = 0
+        # Request-path targets, bound once (see LegacyServer._run_then).
+        self._route_read = self._route_read
+        self._route_write = self._route_write
+        self._fail = self._fail
+        self._answered = self._answered
+        self._unanswered = self._unanswered
 
     # ------------------------------------------------------------------
     def _load_config(self) -> None:
@@ -250,17 +256,14 @@ class CJdbcController(LegacyServer):
             self.kernel.post(fail, request, ServerNotRunning(self.name))
             return
         weight = request.weight
-        self._begin(weight)
+        self.pending += weight
         self._run_then(
-            self.route_demand * weight, weight, self._route, self._fail,
+            self.route_demand * weight,
+            weight,
+            self._route_write if request.is_write else self._route_read,
+            self._fail,
             request, then, fail,
         )
-
-    def _route(self, request: WebRequest, then, fail) -> None:
-        if request.is_write:
-            self._route_write(request, then, fail)
-        else:
-            self._route_read(request, then, fail)
 
     def _route_read(self, request: WebRequest, then, fail) -> None:
         enabled = self._enabled
@@ -275,14 +278,10 @@ class CJdbcController(LegacyServer):
         weight = request.weight
         self.reads_routed += weight
         handle.inflight += weight
-        self._after_hop(self._dispatch_read, handle, request, then, fail)
-
-    def _dispatch_read(
-        self, handle: BackendHandle, request: WebRequest, then, fail
-    ) -> None:
-        handle.server.execute_read(
+        self._after_hop(
+            handle.server.execute_read,
             request.db_demand,
-            request.weight,
+            weight,
             self._answered,
             self._unanswered,
             (handle, request, then, fail),
@@ -292,7 +291,9 @@ class CJdbcController(LegacyServer):
         # Only ever the tail of MySQL's read reply.
         weight = request.weight
         handle.inflight -= weight
-        self._end(weight=weight)
+        self.pending -= weight
+        assert self.pending >= 0, f"{self.name}: pending underflow"
+        self.served += weight
         self.kernel._tail(then, (request,))
 
     def _unanswered(

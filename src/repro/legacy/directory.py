@@ -12,7 +12,7 @@ produces on the real testbed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.legacy.server import LegacyServer
@@ -27,6 +27,9 @@ class Directory:
 
     def __init__(self) -> None:
         self._endpoints: dict[tuple[str, int], "LegacyServer"] = {}
+        #: ``find((host, port))``: the server listening there, or None —
+        #: the endpoint dict's own ``get``, so ``port`` must be an int
+        self.find = self._endpoints.get
 
     def register(self, host: str, port: int, server: "LegacyServer") -> None:
         key = (host, int(port))
@@ -41,13 +44,13 @@ class Directory:
         self._endpoints.pop((host, int(port)), None)
 
     def lookup(self, host: str, port: int) -> "LegacyServer":
+        """The server listening on ``host:port``; raises
+        :class:`EndpointNotFound` if there is none (use :attr:`find` where
+        an absent endpoint is not an error)."""
         try:
             return self._endpoints[(host, int(port))]
         except KeyError:
             raise EndpointNotFound(f"{host}:{port}") from None
-
-    def try_lookup(self, host: str, port: int) -> Optional["LegacyServer"]:
-        return self._endpoints.get((host, int(port)))
 
     def endpoints(self) -> list[tuple[str, int, str]]:
         return sorted(

@@ -64,8 +64,8 @@ class L4Switch:
         """Forward a client connection to a live web server."""
         candidates = list(self._endpoints)
         for _ in range(len(candidates)):
-            host, port = self.policy.choose(candidates)
-            server = self.directory.try_lookup(host, port)
+            endpoint = self.policy.choose(candidates)
+            server = self.directory.find(endpoint)
             if server is not None and server.running:
                 self.forwarded += 1
                 if self.lan is None:
@@ -75,7 +75,7 @@ class L4Switch:
                         self.lan.hop_delay_s, server.handle, request
                     )
                 return
-            candidates = [(h, p) for h, p in candidates if (h, p) != (host, port)]
+            candidates = [c for c in candidates if c != endpoint]
             if not candidates:
                 break
         self.dropped += 1

@@ -65,6 +65,10 @@ class MySqlServer(LegacyServer):
         # Ids for writes executed through a direct (non-clustered) JDBC
         # connection; offset far above recovery-log ids.
         self._next_local_write_id = 1_000_000_000
+        # Request-path targets, bound once (see LegacyServer._run_then).
+        self.execute_read = self.execute_read
+        self._read_done = self._read_done
+        self._read_failed = self._read_failed
 
     # ------------------------------------------------------------------
     def _load_config(self) -> None:
@@ -130,12 +134,12 @@ class MySqlServer(LegacyServer):
         if not self.running:
             self.kernel.post(fail, *args, ServerNotRunning(self.name))
             return
-        if not self._admit():
+        if self.admission_limit is not None and not self._admit():
             self.kernel.post(
                 fail, *args, ConnectionError(f"{self.name}: too many connections")
             )
             return
-        self._begin(weight)
+        self.pending += weight
         self._run_then(
             demand, weight, self._read_done, self._read_failed,
             weight, then, fail, args,
@@ -143,7 +147,9 @@ class MySqlServer(LegacyServer):
 
     def _read_done(self, weight, then, fail, args) -> None:
         self.reads_served += weight
-        self._end(weight=weight)
+        self.pending -= weight
+        assert self.pending >= 0, f"{self.name}: pending underflow"
+        self.served += weight
         # Tail of a _run_then continuation.
         self.kernel._tail(then, args)
 
@@ -199,7 +205,7 @@ class MySqlServer(LegacyServer):
                 ),
             )
             return
-        self._begin(entry.weight)
+        self.pending += entry.weight
         self._run_then(
             entry.demand, entry.weight, self._write_done, self._write_failed,
             entry, replay, then, fail, args,

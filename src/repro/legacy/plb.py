@@ -47,6 +47,10 @@ class PlbBalancer(LegacyServer):
         self._policy: Optional[BalancingPolicy] = None
         self.forwarded = 0
         self.retries = 0
+        # Request-path targets, bound once (see LegacyServer._run_then).
+        self.handle = self.handle
+        self._forward = self._forward
+        self._proxy_aborted = self._proxy_aborted
 
     # ------------------------------------------------------------------
     def _load_config(self) -> None:
@@ -77,8 +81,8 @@ class PlbBalancer(LegacyServer):
         if not self.running:
             request.fail(self.kernel, f"{self.name} is not running")
             return
-        self._begin(request.weight)
         weight = request.weight
+        self.pending += weight
         self._run_then(
             self.proxy_demand * weight,
             weight,
@@ -92,17 +96,20 @@ class PlbBalancer(LegacyServer):
         # The policy picks from the configured list itself; a list of the
         # remaining candidates is built only once a pick is refused.
         candidates = self.conf.servers
+        find = self.directory.find
         while candidates:
-            host, port = self._policy.choose(candidates)
-            server = self.directory.try_lookup(host, port)
+            endpoint = self._policy.choose(candidates)
+            server = find(endpoint)
             if server is not None and server.running:
                 weight = request.weight
                 self.forwarded += weight
-                self._end(weight=weight)
+                self.pending -= weight
+                assert self.pending >= 0, f"{self.name}: pending underflow"
+                self.served += weight
                 self._after_hop(server.handle, request)
                 return
             self.retries += 1
-            candidates = [(h, p) for h, p in candidates if (h, p) != (host, port)]
+            candidates = [c for c in candidates if c != endpoint]
         self._abort(request, "no live backend")
 
     def _proxy_aborted(self, request: WebRequest, err: BaseException) -> None:

@@ -135,26 +135,25 @@ class LegacyServer:
     # ------------------------------------------------------------------
     # Serving helpers
     # ------------------------------------------------------------------
+    # The request path calls ``_admit`` only with an ``admission_limit``,
+    # ``_inject_fault`` only with a positive ``fault_rate`` and
+    # ``request_observer`` only when it is set.  It adds a request's
+    # weight to ``pending`` on entry, and on a success takes it off and
+    # counts it served inline; a failure goes through :meth:`_end`.
     def _admit(self) -> bool:
-        """True if a new request may enter; counts the rejection if not."""
-        if self.admission_limit is not None and self.pending >= self.admission_limit:
+        """True if a new request may enter under the set
+        ``admission_limit``; counts the rejection if not."""
+        if self.pending >= self.admission_limit:
             self.rejected += 1
             return False
         return True
 
     def _inject_fault(self) -> bool:
-        """True when the configured per-version error rate fires for this
+        """True when the positive per-version error rate fires for this
         request (a bad push's 500s)."""
-        if self.fault_rate <= 0.0 or self.fault_rng is None:
+        if self.fault_rng is None:
             return False
         return self.fault_rng() < self.fault_rate
-
-    def _observe(self, request, ok: bool) -> None:
-        if self.request_observer is not None:
-            self.request_observer(request, ok)
-
-    def _begin(self, weight: int = 1) -> None:
-        self.pending += weight
 
     def _end(self, ok: bool = True, weight: int = 1) -> None:
         self.pending -= weight
@@ -184,11 +183,15 @@ class LegacyServer:
     ) -> None:
         """Consume ``demand`` seconds of CPU on our node, then call
         ``fn(*args)``; on CPU abort (node crash) call ``fail(*args,
-        error)``.  Callers pass bound methods and the request as ``args``,
-        so a hop allocates no closure.  ``weight`` is the number of
-        batched identical requests the demand sums over (cohorts): the
-        CPU sees ``weight`` concurrent requests of ``demand / weight``
-        each.  If our node has already crashed, ``fail`` receives
+        error)``.  Callers pass methods they bound once, in ``__init__``,
+        and the request as ``args``, so a hop allocates neither a closure
+        nor a bound method.  ``weight`` is the number of batched
+        identical requests the demand sums over (cohorts): the CPU sees
+        ``weight`` concurrent requests of ``demand / weight`` each.
+
+        The job goes to :attr:`Node.submit <repro.cluster.node.Node.submit>`,
+        which is the CPU's own ``submit`` on a healthy node.  If our node
+        has already crashed, ``fail`` receives
         :class:`~repro.cluster.node.NodeDown` asynchronously, as if the
         crash had aborted the work.
 
@@ -199,7 +202,7 @@ class LegacyServer:
         if demand <= 0.0:
             fn(*args)
             return
-        self.node.run_job(demand, weight, fn, fail, args)
+        self.node.submit(demand, weight, fn, fail, args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else "stopped"

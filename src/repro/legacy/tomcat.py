@@ -19,7 +19,7 @@ from typing import Optional
 from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.legacy.configfiles import ConfigError, ServerXml
-from repro.legacy.directory import Directory, EndpointNotFound
+from repro.legacy.directory import Directory
 from repro.legacy.requests import WebRequest
 from repro.legacy.server import LegacyServer, ServerNotRunning
 from repro.simulation.kernel import SimKernel
@@ -51,15 +51,23 @@ class TomcatServer(LegacyServer):
     ) -> None:
         super().__init__(kernel, name, node, directory, lan)
         self.conf: Optional[ServerXml] = None
-        self._ds_host: Optional[str] = None
-        self._ds_port: Optional[int] = None
+        #: the datasource's ``(host, port)`` endpoint
+        self._datasource: Optional[tuple[str, int]] = None
+        # Request-path targets, bound once (see LegacyServer._run_then).
+        self.handle = self.handle
+        self._query_db = self._query_db
+        self._respond = self._respond
+        self._finish = self._finish
+        self._servlet_aborted = self._servlet_aborted
+        self._db_failed = self._db_failed
+        self._response_aborted = self._response_aborted
 
     # ------------------------------------------------------------------
     def _load_config(self) -> None:
         text = self.node.fs.read(self.CONFIG_PATH)
         self.conf = ServerXml.parse(text)
         _, host, port, _ = parse_jdbc_url(self.conf.datasource_url)
-        self._ds_host, self._ds_port = host, port
+        self._datasource = (host, port)
 
     def _endpoints(self) -> list[tuple[str, int]]:
         assert self.conf is not None
@@ -78,18 +86,19 @@ class TomcatServer(LegacyServer):
         if not self.running:
             request.fail(self.kernel, f"{self.name} is not running")
             return
-        if not self._admit():
+        if self.admission_limit is not None and not self._admit():
             request.fail(self.kernel, f"{self.name}: 503 all threads busy")
             return
-        if self._inject_fault():
+        if self.fault_rate > 0.0 and self._inject_fault():
             # A bad push's servlet bug: the request errors out immediately
             # (counted as a server failure, visible to the canary tap).
             self.failures += request.weight
-            self._observe(request, False)
+            if self.request_observer is not None:
+                self.request_observer(request, False)
             request.fail(self.kernel, f"{self.name}: 500 injected fault")
             return
         weight = request.weight
-        self._begin(weight)
+        self.pending += weight
         self._run_then(
             request.app_demand_pre,
             weight,
@@ -102,9 +111,8 @@ class TomcatServer(LegacyServer):
         if request.db_demand <= 0.0:
             self._respond(request)
             return
-        try:
-            datasource = self.directory.lookup(self._ds_host, self._ds_port)
-        except EndpointNotFound:
+        datasource = self.directory.find(self._datasource)
+        if datasource is None:
             self._abort(request, "datasource connection refused")
             return
         datasource.execute(request, self._respond, self._db_failed)
@@ -119,8 +127,12 @@ class TomcatServer(LegacyServer):
         )
 
     def _finish(self, request: WebRequest) -> None:
-        self._end(weight=request.weight)
-        self._observe(request, True)
+        weight = request.weight
+        self.pending -= weight
+        assert self.pending >= 0, f"{self.name}: pending underflow"
+        self.served += weight
+        if self.request_observer is not None:
+            self.request_observer(request, True)
         request.complete(self.kernel)
 
     def _servlet_aborted(self, request: WebRequest, err: BaseException) -> None:
@@ -134,5 +146,6 @@ class TomcatServer(LegacyServer):
 
     def _abort(self, request: WebRequest, reason: str) -> None:
         self._end(ok=False, weight=request.weight)
-        self._observe(request, False)
+        if self.request_observer is not None:
+            self.request_observer(request, False)
         request.fail(self.kernel, f"{self.name}: {reason}")

@@ -14,8 +14,9 @@ leaves a section out (``--micro-only`` leaves them all out), and
 at its CI size, its render, its assertions and ``NAME-smoke: PASS``.
 
 The CI perf-smoke job runs ``repro bench --check BENCH_engine.json`` and
-fails if the fresh micro timings drift more than the tolerance from the
-committed numbers.
+fails if a micro scenario's time, as a ratio to a fixed pure-Python
+reference loop timed alongside it, exceeds the committed ratio by more
+than the tolerance.
 """
 
 from __future__ import annotations
@@ -83,32 +84,75 @@ def scenario_ps(arrivals, demands) -> int:
     return cpu.completed
 
 
-def _best_of(fn, rounds: int) -> float:
+def reference_loop() -> int:
+    """Fixed pure-Python work whose time measures the interpreter's speed
+    at the moment: the loop the e2e harness's speed probe times."""
+    x = 0
+    for i in range(1500):
+        x += i * i % 7
+    return x
+
+
+#: reference-loop timings taken between two scenario rounds
+LOOP_REPEATS = 20
+
+
+def _loop_best(clock) -> float:
     best = math.inf
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+    for _ in range(LOOP_REPEATS):
+        t0 = clock()
+        reference_loop()
+        best = min(best, clock() - t0)
     return best
 
 
+def _best_of(fn, rounds: int) -> tuple[float, float, float]:
+    """Time ``fn`` in ``rounds`` rounds, each bracketed by the best of
+    :data:`LOOP_REPEATS` timings of :func:`reference_loop` before and
+    after it.  Returns the best time of ``fn``, the best loop time, and
+    the lowest ratio of a round's ``fn`` time to the faster of its two
+    loop times: a round sees one speed of a host whose speed drifts, so
+    the ratio cancels it."""
+    best = ratio = math.inf
+    clock = time.perf_counter
+    after = loop_best = _loop_best(clock)
+    for _ in range(rounds):
+        before = after
+        t0 = clock()
+        fn()
+        elapsed = clock() - t0
+        after = _loop_best(clock)
+        best = min(best, elapsed)
+        loop_best = min(loop_best, after)
+        ratio = min(ratio, elapsed / min(before, after))
+    return best, loop_best, ratio
+
+
 def run_micro(rounds: int = 10) -> dict[str, dict[str, float]]:
-    """Time both micro scenarios; returns the BENCH_engine ``micro`` block."""
+    """Time both micro scenarios; returns the BENCH_engine ``micro`` block.
+    ``loop_ratio`` is a scenario's time in reference loops (see
+    :func:`_best_of`); ``reference_loop_s`` is the loop's best time."""
     arrivals, demands = ps_workload()
-    kernel_s = _best_of(scenario_kernel, rounds)
-    ps_s = _best_of(lambda: scenario_ps(arrivals, demands), rounds)
+    kernel_s, kernel_loop_s, kernel_ratio = _best_of(scenario_kernel, rounds)
+    ps_s, ps_loop_s, ps_ratio = _best_of(
+        lambda: scenario_ps(arrivals, demands), rounds
+    )
     return {
         "kernel_10k_events": {
             "baseline_s": BASELINES_S["kernel_10k_events"],
             "best_s": kernel_s,
             "events_per_s": 10_000 / kernel_s,
             "speedup_vs_baseline": BASELINES_S["kernel_10k_events"] / kernel_s,
+            "reference_loop_s": kernel_loop_s,
+            "loop_ratio": kernel_ratio,
         },
         "ps_cpu_5k_jobs": {
             "baseline_s": BASELINES_S["ps_cpu_5k_jobs"],
             "best_s": ps_s,
             "jobs_per_s": 5000 / ps_s,
             "speedup_vs_baseline": BASELINES_S["ps_cpu_5k_jobs"] / ps_s,
+            "reference_loop_s": ps_loop_s,
+            "loop_ratio": ps_ratio,
         },
     }
 
@@ -502,22 +546,26 @@ def check_against(
     reference_path: str, tolerance: float = 0.25, rounds: int = 10
 ) -> tuple[bool, list[str]]:
     """Perf-smoke gate: re-time the micro scenarios and compare against a
-    committed BENCH_engine.json.  A scenario fails if it is slower than
-    ``(1 + tolerance) ×`` the committed timing (being *faster* never
-    fails).  Returns (ok, report lines)."""
+    committed BENCH_engine.json.  A scenario fails if its ``loop_ratio``
+    exceeds ``(1 + tolerance) ×`` the committed one (being *faster* never
+    fails).  The ratio to the reference loop timed alongside cancels the
+    host's speed level, which absolute milliseconds carry in full.
+    Returns (ok, report lines)."""
     reference = json.loads(Path(reference_path).read_text())
     fresh = run_micro(rounds)
     ok = True
     lines = []
     for name, block in fresh.items():
-        committed = reference["micro"][name]["best_s"]
-        measured = block["best_s"]
+        committed = reference["micro"][name]["loop_ratio"]
+        measured = block["loop_ratio"]
         limit = committed * (1.0 + tolerance)
         passed = measured <= limit
         ok = ok and passed
         lines.append(
-            f"{name}: {measured * 1e3:.2f} ms vs committed "
-            f"{committed * 1e3:.2f} ms (limit {limit * 1e3:.2f} ms) "
+            f"{name}: {measured:.1f} reference loops (best "
+            f"{block['best_s'] * 1e3:.2f} ms, loop "
+            f"{block['reference_loop_s'] * 1e6:.1f} us) vs committed "
+            f"{committed:.1f} (limit {limit:.1f}) "
             f"{'ok' if passed else 'REGRESSION'}"
         )
     return ok, lines

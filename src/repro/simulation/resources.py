@@ -134,6 +134,11 @@ class PsCpu:
     At or below the knee of a :class:`ThrashingCurve` (and always on an
     ideal CPU) the rate is computed as ``speed / n``, skipping the
     capacity-model call; that equals ``speed * 1.0 / n`` bit for bit.
+
+    Every wake-up posts ``_wake``, :meth:`_complete_next` bound once in
+    ``__init__`` (a pickled copy binds it to itself).  A healthy
+    :class:`~repro.cluster.node.Node`'s ``submit`` is this CPU's
+    :meth:`submit`, so a request hop calls it directly.
     """
 
     def __init__(
@@ -170,6 +175,8 @@ class PsCpu:
         #: counter bump, not an event cancellation (no heap tombstones)
         self._wake_token = 0
         self._wake_at = float("inf")  # real time of the pending wake-up
+        #: :meth:`_complete_next`, bound once for every wake post
+        self._wake = self._complete_next
 
     @property
     def active_jobs(self) -> int:
@@ -277,7 +284,7 @@ class PsCpu:
             self._wake_token += 1
             self._wake_at = wake
             # _post_at directly: wake >= now by construction, token-guarded.
-            kernel._post_at(wake, self._complete_next, (self._wake_token,))
+            kernel._post_at(wake, self._wake, (self._wake_token,))
 
     def _reschedule_completion(self) -> None:
         """Slow path: recompute the wake-up after aborts or completions."""
@@ -289,7 +296,7 @@ class PsCpu:
         assert rate > 0.0, "live jobs but zero rate"
         wake = self.kernel.now + max(0.0, (self._heap[0][0] - self._vnow) / rate)
         self._wake_at = wake
-        self.kernel._post_at(wake, self._complete_next, (self._wake_token,))
+        self.kernel._post_at(wake, self._wake, (self._wake_token,))
 
     def _complete_next(self, token: int) -> None:
         if token != self._wake_token:
@@ -356,12 +363,12 @@ class PsCpu:
                 # wake lands later: hand it to the kernel's tail dispatch,
                 # after the wake is posted, as the very last action.
                 if heap:
-                    kernel._post_at(wake, self._complete_next, (self._wake_token,))
+                    kernel._post_at(wake, self._wake, (self._wake_token,))
                 kernel._tail(then, args)
                 return
             kernel._post_at(now, then, args)
         if heap:
-            kernel._post_at(wake, self._complete_next, (self._wake_token,))
+            kernel._post_at(wake, self._wake, (self._wake_token,))
 
     def abort_all(self, error: Optional[BaseException] = None) -> int:
         """Fail every in-flight job (e.g. the hosting server crashed).

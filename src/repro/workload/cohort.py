@@ -121,7 +121,10 @@ class ClientCohort:
         return float(rng.exponential(mean))
 
     def _think(self) -> None:
-        self._emulator.kernel.post_in(self._draw_think(), self._issue)
+        # A think time is an exponential draw, never negative: post
+        # unchecked.
+        kernel = self._emulator.kernel
+        kernel._post_at(kernel._now + self._draw_think(), self._issue, ())
 
     def _issue(self) -> None:
         if not self.active:

@@ -157,7 +157,10 @@ class RubisModel:
     ``unit_weight`` promises that every draw is for one request
     (``weight == 1``), so every Gamma draw has the calibrated shape and
     the model draws them in blocks (:func:`block_draws`); a
-    ``weight > 1`` draw then raises."""
+    ``weight > 1`` draw then raises.  Such a model also keeps each
+    interaction's three ``mean / shape`` scales, so :meth:`make_request`
+    multiplies them by the next three block values (pre, post, db) —
+    the floats :meth:`_vary` would return, in the same order."""
 
     def __init__(
         self,
@@ -171,10 +174,20 @@ class RubisModel:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         shape = calibration.demand_gamma_shape
         self._gammas: Optional[Callable[[], float]] = None
+        #: name -> (interaction, pre, post and db ``mean / shape``) for a
+        #: block-drawing model, the interactions whose three means are
+        #: positive and finite; the rest draw through :meth:`_vary`
+        self._scales: dict[str, tuple] = {}
         if unit_weight and 0.0 < shape < self.GAUSSIAN_LIMIT_SHAPE:
             self._gammas = block_draws(
                 partial(self.rng.standard_gamma, shape), DEMAND_BLOCK
             ).__next__
+            for inter in INTERACTIONS:
+                means = self._means(inter)
+                if all(0.0 < mean < math.inf for mean in means):
+                    self._scales[inter.name] = (inter,) + tuple(
+                        mean / shape for mean in means
+                    )
 
     #: aggregate shape above which the Gamma draw switches to its Gaussian
     #: limit.  At the default per-request shape of 4 this is cohorts of
@@ -220,23 +233,47 @@ class RubisModel:
             return float(max(draw, 0.0))
         return float(self.rng.gamma(k, mean / shape))
 
+    def _means(self, inter: Interaction) -> tuple[float, float, float]:
+        """The calibrated mean pre, post and db demands of ``inter``."""
+        cal = self.cal
+        db_base = cal.db_write_demand_s if inter.is_write else cal.db_read_demand_s
+        return (
+            cal.app_demand_pre_s * inter.app_factor,
+            cal.app_demand_post_s * inter.app_factor,
+            db_base * inter.db_factor,
+        )
+
     def make_request(
         self,
         inter: Interaction,
         client_id: Optional[int] = None,
         weight: int = 1,
     ) -> WebRequest:
-        cal = self.cal
-        db_base = cal.db_write_demand_s if inter.is_write else cal.db_read_demand_s
+        scales = self._scales.get(inter.name)
+        # (a pickled copy holds equal, not identical, interactions)
+        if (
+            scales is not None
+            and (scales[0] is inter or scales[0] == inter)
+            and weight == 1
+        ):
+            gammas = self._gammas
+            return WebRequest(
+                self.kernel,
+                interaction=inter.name,
+                is_write=inter.is_write,
+                app_demand_pre=scales[1] * gammas(),
+                app_demand_post=scales[2] * gammas(),
+                db_demand=scales[3] * gammas(),
+                client_id=client_id,
+            )
+        pre, post, db = self._means(inter)
         return WebRequest(
             self.kernel,
             interaction=inter.name,
             is_write=inter.is_write,
-            app_demand_pre=self._vary(cal.app_demand_pre_s * inter.app_factor, weight),
-            app_demand_post=self._vary(
-                cal.app_demand_post_s * inter.app_factor, weight
-            ),
-            db_demand=self._vary(db_base * inter.db_factor, weight),
+            app_demand_pre=self._vary(pre, weight),
+            app_demand_post=self._vary(post, weight),
+            db_demand=self._vary(db, weight),
             client_id=client_id,
             weight=weight,
         )

@@ -7,7 +7,7 @@ from repro.cluster.allocator import ClusterManager, NoFreeNodeError
 from repro.cluster.filesystem import FileNotFound, NodeFilesystem
 from repro.cluster.installer import Package, SoftwareInstallationService
 from repro.cluster.network import Lan
-from repro.cluster.node import Node, NodeDown, make_nodes
+from repro.cluster.node import Node, NodeDown, NodeIsolated, make_nodes
 from tests.conftest import Job
 
 
@@ -44,13 +44,6 @@ class TestFilesystem:
         fs = NodeFilesystem()
         fs.write("//etc///app.conf", "x")
         assert fs.read("/etc/app.conf") == "x"
-
-    def test_listdir(self):
-        fs = NodeFilesystem()
-        fs.write("/opt/pkg/a", "1")
-        fs.write("/opt/pkg/sub/b", "2")
-        fs.write("/etc/other", "3")
-        assert fs.listdir("/opt/pkg") == ["/opt/pkg/a", "/opt/pkg/sub/b"]
 
 
 class TestNode:
@@ -114,6 +107,55 @@ class TestNode:
         node.crash()
         node.crash()
         assert len(hits) == 1
+
+    def test_healthy_submit_is_the_cpus(self, kernel):
+        node = Node(kernel, "n1")
+        assert node.submit == node.cpu.submit
+        node.submit(2.0)
+        assert node.cpu.active_jobs == 1
+
+    def test_crashed_submit_refuses(self, kernel):
+        node = Node(kernel, "n1")
+        node.crash()
+        assert node.submit == node.run_job
+        with pytest.raises(NodeDown):
+            node.submit(1.0)
+        job = Job(kernel, 1.0)
+        node.submit(job.demand, 1, job._done, job._failed)
+        assert job.error is None  # posted, not called inline
+        kernel.run()
+        assert isinstance(job.error, NodeDown) and job.completed_at is None
+        assert node.cpu.active_jobs == 0
+
+    def test_isolated_submit_fails_continuation(self, kernel):
+        node = Node(kernel, "n1")
+        node.isolate()
+        assert node.submit == node.run_job
+        job = Job(kernel, 1.0)
+        node.submit(job.demand, 1, job._done, job._failed)
+        node.submit(1.0)  # busy time nobody waits on: dropped silently
+        kernel.run()
+        assert isinstance(job.error, NodeIsolated)
+        assert node.cpu.active_jobs == 0
+
+    def test_heal_restores_direct_submit(self, kernel):
+        node = Node(kernel, "n1")
+        node.isolate()
+        node.heal()
+        assert node.submit == node.cpu.submit
+        job = Job(kernel, 2.0)
+        node.submit(job.demand, 1, job._done, job._failed)
+        kernel.run()
+        assert job.completed_at == pytest.approx(2.0)
+
+    def test_heal_on_crashed_node_keeps_refusing(self, kernel):
+        node = Node(kernel, "n1")
+        node.isolate()
+        node.crash()
+        node.heal()
+        assert node.submit == node.run_job
+        with pytest.raises(NodeDown):
+            node.submit(1.0)
 
     def test_make_nodes_names(self, kernel):
         nodes = make_nodes(kernel, 3, prefix="srv")

@@ -12,10 +12,16 @@ import types
 import pytest
 
 from repro.capacity.proactive import ProactiveConfig
+from repro.cluster.node import Node
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.legacy.cjdbc import BackendState
+from repro.legacy.cjdbc import BackendState, CJdbcController
+from repro.legacy.mysql import MySqlServer
+from repro.legacy.plb import PlbBalancer
+from repro.legacy.server import LegacyServer
+from repro.legacy.tomcat import TomcatServer
 from repro.market.scenario import PRESETS as MARKET_PRESETS
 from repro.market.scenario import market_config
+from repro.simulation.resources import PsCpu
 from repro.workload.profiles import RampProfile
 from tests.conftest import collector_digest
 from tests.test_deploy_lock import LOCK, build, observed
@@ -98,6 +104,62 @@ def test_ramp_resumes_mid_reconfiguration(ramp_reference, pause):
     states = [b.state for b in system.cjdbc.content.controller.backends()]
     assert (BackendState.SYNCING in states) == (pause == 115.0)
     copy = resumed_copy(system, horizon)
+    assert collector_digest(copy.finish()) == ramp_reference
+
+
+def _reachable(root, classes) -> list:
+    """Every instance of ``classes`` reachable from ``root`` (modules and
+    classes are not entered)."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, classes):
+            found.append(obj)
+        if not isinstance(obj, (types.ModuleType, type)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+#: the hop targets each server binds once, in ``__init__``
+HOP_METHODS = {
+    PlbBalancer: ("handle", "_forward", "_proxy_aborted"),
+    TomcatServer: (
+        "handle", "_query_db", "_respond", "_finish",
+        "_servlet_aborted", "_db_failed", "_response_aborted",
+    ),
+    CJdbcController: (
+        "_route_read", "_route_write", "_fail", "_answered", "_unanswered",
+    ),
+    MySqlServer: ("execute_read", "_read_done", "_read_failed"),
+}
+
+
+def test_bound_continuations_rebind_to_the_copy(ramp_reference):
+    system = _ramp()
+    horizon = system.start_all()
+    system.advance(106.0)
+    copy = pickle.loads(pickle.dumps(system))
+    originals = {id(o) for o in _reachable(system, (PsCpu, Node, LegacyServer))}
+    cpus = _reachable(copy, PsCpu)
+    nodes = _reachable(copy, Node)
+    servers = _reachable(copy, LegacyServer)
+    assert cpus and nodes
+    assert not originals & {id(o) for o in cpus + nodes + servers}
+    for cpu in cpus:
+        assert cpu._wake.__self__ is cpu
+    for node in nodes:
+        owner = node.cpu if node.up and not node.isolated else node
+        assert node.submit.__self__ is owner
+    assert {type(server) for server in servers} >= set(HOP_METHODS)
+    for server in servers:
+        for name in HOP_METHODS.get(type(server), ()):
+            bound = vars(server)[name]
+            assert bound.__self__ is server, (server.name, name)
+            assert bound.__func__ is getattr(type(server), name)
+    copy.advance(horizon)
     assert collector_digest(copy.finish()) == ramp_reference
 
 

@@ -45,7 +45,7 @@ class TestDirectory:
     def test_lookup_missing_raises(self, directory):
         with pytest.raises(EndpointNotFound):
             directory.lookup("ghost", 1)
-        assert directory.try_lookup("ghost", 1) is None
+        assert directory.find(("ghost", 1)) is None
 
     def test_endpoint_conflict_rejected(self, kernel, directory):
         node = Node(kernel, "n1")
@@ -66,7 +66,7 @@ class TestDirectory:
         server = MySqlServer(kernel, "db", node, directory)
         server.start()
         server.stop()
-        assert directory.try_lookup("n1", 3306) is None
+        assert directory.find(("n1", 3306)) is None
 
 
 class TestLegacyServerLifecycle:
@@ -100,7 +100,7 @@ class TestLegacyServerLifecycle:
         server.start()
         node.crash()
         assert not server.running
-        assert directory.try_lookup("n1", 3306) is None
+        assert directory.find(("n1", 3306)) is None
 
     def test_malformed_config_rejected(self, kernel, directory):
         node = Node(kernel, "n1")

@@ -314,8 +314,8 @@ class TestBench:
             json.dumps(
                 {
                     "micro": {
-                        "kernel_10k_events": {"best_s": 100.0},
-                        "ps_cpu_5k_jobs": {"best_s": 100.0},
+                        "kernel_10k_events": {"loop_ratio": 1e9},
+                        "ps_cpu_5k_jobs": {"loop_ratio": 1e9},
                     }
                 }
             )
@@ -330,8 +330,8 @@ class TestBench:
             json.dumps(
                 {
                     "micro": {
-                        "kernel_10k_events": {"best_s": 1e-9},
-                        "ps_cpu_5k_jobs": {"best_s": 1e-9},
+                        "kernel_10k_events": {"loop_ratio": 1e-9},
+                        "ps_cpu_5k_jobs": {"loop_ratio": 1e-9},
                     }
                 }
             )
