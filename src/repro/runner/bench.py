@@ -21,6 +21,7 @@ than the tolerance.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
@@ -97,12 +98,12 @@ def reference_loop() -> int:
 LOOP_REPEATS = 20
 
 
-def _loop_best(clock) -> float:
+def _loop_best() -> float:
     best = math.inf
     for _ in range(LOOP_REPEATS):
-        t0 = clock()
+        t0 = time.perf_counter()
         reference_loop()
-        best = min(best, clock() - t0)
+        best = min(best, time.perf_counter() - t0)
     return best
 
 
@@ -112,16 +113,20 @@ def _best_of(fn, rounds: int) -> tuple[float, float, float]:
     after it.  Returns the best time of ``fn``, the best loop time, and
     the lowest ratio of a round's ``fn`` time to the faster of its two
     loop times: a round sees one speed of a host whose speed drifts, so
-    the ratio cancels it."""
+    the ratio cancels it.  The garbage collector is off while ``fn``
+    runs (as in :mod:`timeit`): a full collection walks every object of
+    the process, not of the scenario, and made the kernel scenario's
+    ratio swing by half from one process to the next."""
     best = ratio = math.inf
-    clock = time.perf_counter
-    after = loop_best = _loop_best(clock)
+    after = loop_best = _loop_best()
     for _ in range(rounds):
         before = after
-        t0 = clock()
+        gc.disable()
+        t0 = time.perf_counter()
         fn()
-        elapsed = clock() - t0
-        after = _loop_best(clock)
+        elapsed = time.perf_counter() - t0
+        gc.enable()
+        after = _loop_best()
         best = min(best, elapsed)
         loop_best = min(loop_best, after)
         ratio = min(ratio, elapsed / min(before, after))

@@ -27,11 +27,10 @@ from tests.conftest import collector_digest
 from tests.test_deploy_lock import LOCK, build, observed
 
 
-def unpicklable_callables(root) -> list[str]:
-    """Every generator, and every lambda or nested function defined in
-    ``repro``, reachable from ``root`` through ``gc.get_referents``
-    (modules and classes are not entered: they pickle by name)."""
-    found = []
+def reachable(root):
+    """Every object reachable from ``root`` through ``gc.get_referents``
+    (modules and classes are not entered: they pickle by name; nor are
+    functions and generators)."""
     seen = set()
     stack = [root]
     while stack:
@@ -39,6 +38,18 @@ def unpicklable_callables(root) -> list[str]:
         if id(obj) in seen:
             continue
         seen.add(id(obj))
+        yield obj
+        if not isinstance(
+            obj, (types.GeneratorType, types.FunctionType, types.ModuleType, type)
+        ):
+            stack.extend(gc.get_referents(obj))
+
+
+def unpicklable_callables(root) -> list[str]:
+    """Every generator, and every lambda or nested function defined in
+    ``repro``, reachable from ``root``."""
+    found = []
+    for obj in reachable(root):
         if isinstance(obj, types.GeneratorType):
             found.append(obj.__qualname__)
         elif isinstance(obj, types.FunctionType):
@@ -47,8 +58,6 @@ def unpicklable_callables(root) -> list[str]:
                 "<locals>" in name or "<lambda>" in name
             ):
                 found.append(f"{obj.__module__}.{name}")
-        elif not isinstance(obj, (types.ModuleType, type)):
-            stack.extend(gc.get_referents(obj))
     return found
 
 
@@ -107,20 +116,8 @@ def test_ramp_resumes_mid_reconfiguration(ramp_reference, pause):
     assert collector_digest(copy.finish()) == ramp_reference
 
 
-def _reachable(root, classes) -> list:
-    """Every instance of ``classes`` reachable from ``root`` (modules and
-    classes are not entered)."""
-    found, seen, stack = [], set(), [root]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, classes):
-            found.append(obj)
-        if not isinstance(obj, (types.ModuleType, type)):
-            stack.extend(gc.get_referents(obj))
-    return found
+def _instances(root, classes) -> list:
+    return [obj for obj in reachable(root) if isinstance(obj, classes)]
 
 
 #: the hop targets each server binds once, in ``__init__``
@@ -142,10 +139,10 @@ def test_bound_continuations_rebind_to_the_copy(ramp_reference):
     horizon = system.start_all()
     system.advance(106.0)
     copy = pickle.loads(pickle.dumps(system))
-    originals = {id(o) for o in _reachable(system, (PsCpu, Node, LegacyServer))}
-    cpus = _reachable(copy, PsCpu)
-    nodes = _reachable(copy, Node)
-    servers = _reachable(copy, LegacyServer)
+    originals = {id(o) for o in _instances(system, (PsCpu, Node, LegacyServer))}
+    cpus = _instances(copy, PsCpu)
+    nodes = _instances(copy, Node)
+    servers = _instances(copy, LegacyServer)
     assert cpus and nodes
     assert not originals & {id(o) for o in cpus + nodes + servers}
     for cpu in cpus:
