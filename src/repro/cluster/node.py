@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.cluster.filesystem import NodeFilesystem
+from repro.metrics.aggregates import left_sum
 from repro.simulation.kernel import SimKernel
 from repro.simulation.resources import CapacityModel, PsCpu, constant_capacity
 
@@ -71,6 +72,9 @@ class Node:
         #: :meth:`run_job`, which refuses it
         self.submit: Callable[..., None] = self.cpu.submit
         self._footprints: dict[str, float] = {}
+        #: ``_static_mb``: ``base_os_mb`` plus the footprints, kept on
+        #: register/unregister
+        self._footprints_changed()
         self._crash_listeners: list[Callable[["Node"], None]] = []
 
     # ------------------------------------------------------------------
@@ -150,14 +154,18 @@ class Node:
         if mb < 0:
             raise ValueError("footprint must be >= 0")
         self._footprints[name] = mb
+        self._footprints_changed()
 
     def unregister_footprint(self, name: str) -> None:
         self._footprints.pop(name, None)
+        self._footprints_changed()
+
+    def _footprints_changed(self) -> None:
+        self._static_mb = self.base_os_mb + left_sum(self._footprints.values())
 
     def memory_used_mb(self) -> float:
-        static = self.base_os_mb + sum(self._footprints.values())
-        dynamic = self.per_job_mb * self.cpu.active_jobs
-        return min(self.memory_mb, static + dynamic)
+        dynamic = self.per_job_mb * self.cpu._live
+        return min(self.memory_mb, self._static_mb + dynamic)
 
     def memory_utilization(self) -> float:
         """Memory used as a fraction of total node memory."""

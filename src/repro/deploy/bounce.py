@@ -7,10 +7,11 @@ existing actuator vocabulary — Fractal lifecycle/binding controllers,
 grow/shrink sequences — trading blackout risk against spare-node demand
 (see :data:`~repro.deploy.scenario.STRATEGIES` for the ladder).
 
-Replicas being bounced are quarantined in ``TierManager.maintenance`` so
-the heartbeat sensor does not mistake a deliberately stopped server for
-a crash and "repair" it mid-bounce.  The ``observe`` callback is invoked
-after every capacity-changing step: it is how the deploy manager records
+Replicas being bounced are quarantined through
+``TierManager.enter_maintenance`` so the heartbeat sensor does not
+mistake a deliberately stopped server for a crash and "repair" it
+mid-bounce.  The ``observe`` callback is invoked after every
+capacity-changing step: it is how the deploy manager records
 capacity-in-flight (serving/total) for the scorecard's blackout and
 minimum-capacity numbers.
 """
@@ -136,11 +137,11 @@ class BounceOperation:
             apply_version(record, self.version, rng=self.rng)
 
     def _quarantine(self, name: str) -> None:
-        self.tier.maintenance.add(name)
+        self.tier.enter_maintenance(name)
         self._quarantined.add(name)
 
     def _unquarantine(self, name: str) -> None:
-        self.tier.maintenance.discard(name)
+        self.tier.leave_maintenance(name)
         self._quarantined.discard(name)
 
     def _observe(self) -> None:

@@ -32,6 +32,7 @@ import repro.chaos.detectors  # noqa: F401
 from repro.federation.messages import RegionReport, WeightUpdate
 from repro.federation.spec import FederationSpec, RegionSpec, build_region_config
 from repro.jade.system import ManagedSystem
+from repro.metrics.aggregates import percentile_sorted
 from repro.runner.results import CompletedRun
 
 
@@ -162,9 +163,9 @@ class RegionRuntime:
         window = col.latencies.tail_since(self._lat_idx)
         self._lat_idx = len(col.latencies)
         if window:
-            values = np.asarray([v for _, v in window], dtype=np.float64)
-            lat_mean = float(values.mean())
-            lat_p95 = float(np.percentile(values, 95.0))
+            latencies = [v for _, v in window]
+            lat_mean = float(np.asarray(latencies, dtype=np.float64).mean())
+            lat_p95 = percentile_sorted(sorted(latencies), 95.0)
         else:
             lat_mean = lat_p95 = 0.0
         completed = col.completed_requests - self._completed0

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro.federation.messages import RegionReport, WeightUpdate
+from repro.metrics.aggregates import left_sum
 from repro.workload.profiles import WorkloadProfile
 
 
@@ -130,7 +131,7 @@ class GlobalLoadBalancer:
             if name in reports
         }
         mean_score = (
-            sum(scores.values()) / len(scores) if scores else 0.0
+            left_sum(scores.values()) / len(scores) if scores else 0.0
         )
         for name in live:
             if self.adaptive and mean_score > 0.0 and name in scores:
@@ -151,7 +152,7 @@ class GlobalLoadBalancer:
         )
         spill = {name: 0 for name in live}
         if spilled_total > 0 and live:
-            score_sum = sum(scores.get(name, 1.0) for name in live)
+            score_sum = left_sum(scores.get(name, 1.0) for name in live)
             shares = []
             for name in live:  # largest-remainder apportionment
                 share = scores.get(name, 1.0) / score_sum * spilled_total

@@ -122,7 +122,7 @@ class Interface:
         :class:`IllegalBindingError` — exactly the error a legacy system
         would surface as a connection failure.
         """
-        if self.itype.is_server():
+        if self.itype.role == SERVER:
             if self.delegate is None:
                 raise IllegalBindingError(
                     f"server interface {self.qualified_name} has no delegate"

@@ -31,6 +31,9 @@ from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import SimKernel
 
 ReadyCheck = Callable[["ReplicaRecord"], bool]
+#: a value that changes whenever some replica's ready check may answer
+#: differently (compared with ``==``); required with a ready check
+ReadyVersion = Callable[[], object]
 
 
 class ReplicaRecord:
@@ -70,10 +73,13 @@ class TierManager:
         factory_context: Optional[dict[str, Any]] = None,
         collector: Optional[MetricsCollector] = None,
         ready_check: Optional[ReadyCheck] = None,
+        ready_version: Optional[ReadyVersion] = None,
         drain_delay_s: float = 1.0,
         arbitration: Optional[object] = None,
         name_prefix: Optional[str] = None,
     ) -> None:
+        if (ready_check is None) != (ready_version is None):
+            raise ValueError("ready_check and ready_version go together")
         self.kernel = kernel
         self.tier_name = tier_name
         self.composite = composite
@@ -89,6 +95,7 @@ class TierManager:
         self.factory_context = dict(factory_context or {})
         self.collector = collector
         self.ready_check = ready_check
+        self.ready_version = ready_version
         self.drain_delay_s = drain_delay_s
         self.arbitration = arbitration
         self.name_prefix = name_prefix or tier_name
@@ -96,10 +103,14 @@ class TierManager:
         self.busy = False
         #: optional decision tracer (set by the assembled system)
         self.tracer = None
-        #: component names under a planned bounce: excluded from
-        #: ``servers()``/``active_nodes()`` so the heartbeat sensor does
-        #: not "repair" a replica the deploy subsystem stopped on purpose
-        self.maintenance: set[str] = set()
+        #: component names under a planned bounce (see
+        #: :meth:`enter_maintenance`)
+        self._maintenance: set[str] = set()
+        #: bumped at every change of ``replicas`` or ``_maintenance``
+        self.members_version = 0
+        #: the kept ``active_nodes()`` list and the key it was built at
+        self._active: list[Node] = []
+        self._active_key: object = None
         #: version stamped on replicas grown from now on (None = stable)
         self.current_version = None
         #: optional hook applied to each newly active replica record
@@ -127,18 +138,51 @@ class TierManager:
     def nodes(self) -> list[Node]:
         return [r.node for r in self.replicas]
 
+    @property
+    def maintenance(self) -> frozenset[str]:
+        """Component names under a planned bounce: excluded from
+        ``servers()``/``active_nodes()`` so the heartbeat sensor does not
+        "repair" a replica the deploy subsystem stopped on purpose."""
+        return frozenset(self._maintenance)
+
+    def enter_maintenance(self, name: str) -> None:
+        """Quarantine replica ``name`` for a planned bounce."""
+        self._maintenance.add(name)
+        self.members_version += 1
+
+    def leave_maintenance(self, name: str) -> None:
+        """Release replica ``name`` from quarantine (a no-op if it is not
+        quarantined)."""
+        self._maintenance.discard(name)
+        self.members_version += 1
+
     def active_nodes(self) -> list[Node]:
         """Nodes of replicas that are actually serving (a database replica
         replaying the recovery log is excluded: its CPU is saturated by the
         synchronization, not by client load, and including it would bias the
         probe into re-triggering growth; replicas quarantined for a planned
-        bounce are excluded for the same reason)."""
-        records = [
-            r for r in self.replicas if r.component.name not in self.maintenance
-        ]
-        if self.ready_check is None:
-            return [r.node for r in records]
-        return [r.node for r in records if self.ready_check(r)]
+        bounce are excluded for the same reason).
+
+        Read every second by the probes and the fluid engine, so the list
+        is kept: it is rebuilt only when ``members_version`` (bumped
+        wherever ``replicas`` or the quarantine changes) or
+        ``ready_version()`` moved since it was built.  Callers must not
+        mutate the list."""
+        check = self.ready_check
+        if check is None:
+            key = self.members_version
+        else:
+            key = (self.members_version, self.ready_version())
+        if key != self._active_key:
+            quarantined = self._maintenance
+            records = [
+                r for r in self.replicas if r.component.name not in quarantined
+            ]
+            if check is not None:
+                records = [r for r in records if check(r)]
+            self._active = [r.node for r in records]
+            self._active_key = key
+        return self._active
 
     def components(self) -> list[Component]:
         return [r.component for r in self.replicas]
@@ -152,7 +196,7 @@ class TierManager:
             r.component.content.server
             for r in self.replicas
             if getattr(r.component.content, "server", None) is not None
-            and r.component.name not in self.maintenance
+            and r.component.name not in self._maintenance
         ]
 
     # ------------------------------------------------------------------
@@ -161,6 +205,7 @@ class TierManager:
         if any(r.component is component for r in self.replicas):
             raise ValueError(f"{component.name} already managed")
         self.replicas.append(ReplicaRecord(component, node, binding_instance))
+        self.members_version += 1
         self._next_id = max(self._next_id, len(self.replicas) + 1)
         self._record_count()
 
@@ -275,6 +320,7 @@ class TierManager:
             record = ReplicaRecord(component, self._op_node, instance)
             record.version = self.current_version
             self.replicas.append(record)
+            self.members_version += 1
             if record.version is not None and self.version_applier is not None:
                 self.version_applier(record)
             self._op_record = record
@@ -370,6 +416,7 @@ class TierManager:
             record = self.replicas.pop()
         else:
             self.replicas.remove(record)
+        self.members_version += 1
         start_seq = None
         if self.tracer is not None:
             from repro.obs.events import ReconfigStarted
@@ -427,6 +474,7 @@ class TierManager:
         ):
             return False
         self.replicas.remove(record)
+        self.members_version += 1
         self._record_count()
         self._event(f"repair: {record.component.name} failed on {record.node.name}")
         failed_seq = None

@@ -73,15 +73,24 @@ class InhibitionLock:
 
 class _SensorShell:
     """Content of a sensor component: forwards probe readings through the
-    component's ``notify`` client interface."""
+    component's ``notify`` client interface.
+
+    The interface object and the life-cycle controller are held from
+    :meth:`attached` (a component's interfaces and membrane never change);
+    the interface reads its binding's target on every call, so a rebind
+    takes effect at the next reading."""
 
     def __init__(self, probe: CpuProbe) -> None:
         self.probe = probe
         self.component: Optional[Component] = None
+        self._notify = None
+        self._lifecycle = None
         probe.subscribe(self._push)
 
     def attached(self, component: Component) -> None:
         self.component = component
+        self._notify = component.get_interface("notify")
+        self._lifecycle = component.lifecycle_controller
 
     def on_start(self, component: Component) -> None:
         self.probe.on_start()
@@ -91,9 +100,9 @@ class _SensorShell:
 
     def _push(self, reading: CpuReading) -> None:
         assert self.component is not None
-        if not self.component.lifecycle_controller.is_started():
+        if not self._lifecycle.is_started():
             return
-        self.component.get_interface("notify").invoke("on_reading", reading)
+        self._notify.invoke("on_reading", reading)
 
 
 class _ReactorShell:
@@ -128,23 +137,22 @@ class _TierThroughInterface:
     """Adapter making the reactor actuate *through* the Fractal ``actuate``
     binding rather than by direct reference — the management operations
     really traverse the component architecture (and are therefore
-    observable/rebindable like any other binding)."""
+    observable/rebindable like any other binding).  The ``actuate``
+    interface object is held; it reads its binding's target on every
+    call, so a rebind takes effect at the next actuation."""
 
     def __init__(self, reactor_component: Component) -> None:
-        self._component = reactor_component
-
-    def _itf(self):
-        return self._component.get_interface("actuate")
+        self._actuate = reactor_component.get_interface("actuate")
 
     def grow(self) -> bool:
-        return self._itf().invoke("grow")
+        return self._actuate.invoke("grow")
 
     def shrink(self) -> bool:
-        return self._itf().invoke("shrink")
+        return self._actuate.invoke("shrink")
 
     @property
     def replica_count(self) -> int:
-        return self._itf().invoke("replica_count")
+        return self._actuate.invoke("replica_count")
 
 
 class ControlLoop:

@@ -107,15 +107,15 @@ class PolicyReactor:
             and self.probe.window.sample_count < self.fresh_samples_required
         ):
             return
-        inputs = PolicyInputs(
-            t=reading.t,
-            smoothed=reading.smoothed,
-            raw=reading.raw,
-            node_count=reading.node_count,
-            replicas=self.tier.replica_count,
-            min_replicas=self.min_replicas,
-            max_replicas=self.max_replicas,
-            tier=self.name,
+        inputs = PolicyInputs(  # positional: one is built per reading
+            reading.t,
+            reading.smoothed,
+            reading.raw,
+            reading.node_count,
+            self.tier.replica_count,
+            self.min_replicas,
+            self.max_replicas,
+            self.name,
         )
         decision = self.policy.decide(inputs, self.policy_state)
         if decision.is_hold:

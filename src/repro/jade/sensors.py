@@ -10,15 +10,26 @@ every second, averages spatially over the tier's nodes and temporally with
 a moving average (60 s for app servers, 90 s for databases — §5.2), and
 pushes readings to its subscriber.  Sampling costs a small CPU job on each
 sampled node, which is the source of Jade's (tiny) intrusivity in Table 1.
+
+Lightweight means the once-a-second path reads state kept at the events
+that change it, not rebuilt per sample: the tier's serving nodes
+(:meth:`~repro.jade.actuators.TierManager.active_nodes`, rebuilt at a
+membership or readiness change), each node's previous (time, busy)
+anchor keyed by the node itself, and the probe's CPU cost submitted
+through :attr:`~repro.cluster.node.Node.submit` (the CPU's own
+``submit`` while the node is healthy).  A reading is a
+:class:`~typing.NamedTuple`.  Every float is computed by the same
+operations in the same order as a full rebuild would, so no output
+moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.cluster.node import Node
-from repro.metrics.aggregates import MovingAverage, spatial_average
+from repro.metrics.aggregates import MovingAverage, left_sum, spatial_average
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
 
@@ -27,11 +38,13 @@ class UtilizationSampler:
 
     Several independent observers (a Jade probe, the experiment's metrics
     sampler) may watch the same node; each keeps its own (time, busy)
-    anchor so they do not steal each other's deltas.
+    anchor so they do not steal each other's deltas.  Anchors are keyed
+    by the node itself (nodes hash by identity, so a pickled copy keeps
+    its keys).
     """
 
     def __init__(self) -> None:
-        self._anchors: dict[str, tuple[float, float]] = {}
+        self._anchors: dict[Node, tuple[float, float]] = {}
 
     def sample(self, node: Node) -> float:
         """Utilization of ``node`` since this sampler last looked at it.
@@ -41,10 +54,11 @@ class UtilizationSampler:
         averaged over [0, 500] (which would under-report CPU and invite an
         immediate spurious shrink) — there is simply no delta yet.
         """
-        now = node.kernel.now
+        now = node.kernel._now
         busy = node.cpu.busy_time()
-        anchor = self._anchors.get(node.name)
-        self._anchors[node.name] = (now, busy)
+        anchors = self._anchors
+        anchor = anchors.get(node)
+        anchors[node] = (now, busy)
         if anchor is None:
             return 0.0
         last_t, last_busy = anchor
@@ -55,11 +69,10 @@ class UtilizationSampler:
 
     def forget(self, node: Node) -> None:
         """Drop the anchor (node released or crashed)."""
-        self._anchors.pop(node.name, None)
+        self._anchors.pop(node, None)
 
 
-@dataclass(frozen=True)
-class CpuReading:
+class CpuReading(NamedTuple):
     """One probe notification."""
 
     t: float
@@ -124,21 +137,24 @@ class CpuProbe:
     # ------------------------------------------------------------------
     def _sample(self) -> None:
         nodes = [n for n in self.nodes_provider() if n.up]
-        if self.probe_demand_s > 0.0:
+        demand = self.probe_demand_s
+        if demand > 0.0:
             for node in nodes:
-                node.run_job(self.probe_demand_s)
-        raw = spatial_average(self.sampler.sample(n) for n in nodes)
+                node.submit(demand)
+        sample = self.sampler.sample
+        raw = spatial_average([sample(n) for n in nodes])
         self.samples_taken += 1
         if raw != raw:  # NaN: empty tier
             return
-        smoothed = self.window.add(self.kernel.now, raw)
-        reading = CpuReading(self.kernel.now, smoothed, raw, len(nodes))
+        now = self.kernel._now
+        smoothed = self.window.add(now, raw)
+        reading = CpuReading(now, smoothed, raw, len(nodes))
         if self.tracer is not None:
             from repro.obs.events import ProbeReading
 
             self.tracer.emit(
                 ProbeReading(
-                    self.kernel.now,
+                    now,
                     probe=self.name,
                     smoothed=smoothed,
                     raw=raw,
@@ -276,7 +292,7 @@ class LatencySensor:
         smoothed = self.window.age(self.kernel.now)
         if smoothed != smoothed:  # NaN: nothing in the window
             return
-        raw = float(sum(new) / len(new)) if new else smoothed
+        raw = left_sum(new) / len(new) if new else smoothed
         reading = LatencyReading(self.kernel.now, smoothed, raw, len(new))
         for listener in list(self._listeners):
             listener(reading)

@@ -321,6 +321,7 @@ class ManagedSystem:
             factory_context=factory_context,
             collector=self.collector,
             ready_check=self._db_ready,
+            ready_version=self._db_ready_version,
             arbitration=self.arbitration,
             name_prefix="mysql",
         )
@@ -557,6 +558,8 @@ class ManagedSystem:
 
         # --- metrics sampling ---------------------------------------------
         self._node_sampler = UtilizationSampler()
+        self._involved: list[Node] = []
+        self._involved_key: Optional[tuple] = None
         self._sampling_task = None
         self._horizon: Optional[float] = None  # set by start_all()
 
@@ -625,6 +628,12 @@ class ManagedSystem:
             return True  # detached (crashed) — do not wait forever
         return handle.state is BackendState.ENABLED
 
+    def _db_ready_version(self) -> tuple:
+        """Changes whenever :meth:`_db_ready` may answer differently: it
+        reads only the controller's backend table and states."""
+        controller = self.cjdbc.content.controller
+        return controller, controller.states_version
+
     def _record_tier_cpu(self, tier_name: str, reading) -> None:
         self.collector.record_tier_cpu(
             tier_name, reading.t, reading.smoothed, reading.raw
@@ -642,12 +651,24 @@ class ManagedSystem:
         return nodes
 
     def _sample_nodes(self) -> None:
-        nodes = [n for n in self.involved_nodes() if n.up]
+        # The involved nodes change only with tier membership (the
+        # balancers' nodes are fixed), so the list is kept per version.
+        key = (self.app_tier.members_version, self.db_tier.members_version)
+        if key != self._involved_key:
+            self._involved = self.involved_nodes()
+            self._involved_key = key
+        nodes = [n for n in self._involved if n.up]
         if not nodes:
             return
-        cpu = sum(self._node_sampler.sample(n) for n in nodes) / len(nodes)
-        mem = sum(n.memory_utilization() for n in nodes) / len(nodes)
-        self.collector.record_node_sample(self.kernel.now, cpu, mem)
+        # Two left-to-right sums in one pass: a sample moves only the
+        # node's busy-time accounting, which memory does not read.
+        sample = self._node_sampler.sample
+        cpu = mem = 0.0
+        for n in nodes:
+            cpu += sample(n)
+            mem += n.memory_utilization()
+        count = len(nodes)
+        self.collector.record_node_sample(self.kernel._now, cpu / count, mem / count)
 
     # ------------------------------------------------------------------
     # Lifecycle: run() == start_all() + advance(horizon) + finish().

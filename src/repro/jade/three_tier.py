@@ -155,6 +155,7 @@ class ThreeTierSystem:
             factory_context=context,
             collector=self.collector,
             ready_check=self._db_ready,
+            ready_version=self._db_ready_version,
             name_prefix="mysql",
         )
         mysql1 = self.app.instance("mysql")
@@ -207,6 +208,7 @@ class ThreeTierSystem:
     # methods, not closures, so a paused run pickles into an independent
     # copy)
     _db_ready = ManagedSystem._db_ready
+    _db_ready_version = ManagedSystem._db_ready_version
     _record_tier_cpu = ManagedSystem._record_tier_cpu
 
     # ------------------------------------------------------------------

@@ -98,6 +98,10 @@ class CJdbcController(LegacyServer):
         #: the ENABLED handles of ``_backends``, in its order; rebuilt by
         #: :meth:`_states_changed` after every state write, read per query
         self._enabled: list[BackendHandle] = []
+        #: bumped at every change of a backend's state or of which
+        #: backends are attached: a reader keeping state derived from
+        #: them (a tier's serving replicas) compares it to rebuild
+        self.states_version = 0
         self._policy: Optional[BalancingPolicy] = None
         self.reads_routed = 0
         self.writes_routed = 0
@@ -156,7 +160,8 @@ class CJdbcController(LegacyServer):
 
     def _states_changed(self) -> None:
         """Rebuild ``_enabled`` (a new list: a write fanning out over the
-        old one keeps it)."""
+        old one keeps it) and bump ``states_version``."""
+        self.states_version += 1
         self._enabled = [
             b for b in self._backends.values() if b.state is BackendState.ENABLED
         ]
@@ -182,6 +187,9 @@ class CJdbcController(LegacyServer):
             if self._policy is not None:
                 self._policy.reset()
         else:
+            # Attached but not serving: nothing to route to, yet a new
+            # backend all the same.
+            self.states_version += 1
             handle.sync_started_at = self.kernel.now
             self.kernel.post(self._sync, handle)
         return handle

@@ -67,17 +67,66 @@ class MovingAverage:
         self._sum = 0.0
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added one by one, left to right, from ``0.0``.
+
+    The sum every output-feeding float total goes through.  Python
+    3.12's builtin ``sum()`` of floats is compensated (Neumaier), so it
+    can differ from 3.11's in the last bit (``[0.1, 0.2, 0.3, 1e16,
+    -1e16]`` sums to ``0.6`` there and to ``0.0`` here); on 3.11 both add
+    left to right from zero, so this returns 3.11's ``sum()`` exactly on
+    every interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+#: below this many values numpy's pairwise ``add.reduce`` is a plain
+#: left-to-right loop from ``0.0``; from it on, it unrolls eight partial
+#: sums
+_PAIRWISE_BLOCK = 8
+
+
 def spatial_average(values: Iterable[float]) -> float:
     """Mean across nodes; NaN for an empty tier.
 
     Bit-identical to ``float(arr.mean())``: for float64 that is numpy's
-    pairwise ``add.reduce`` divided by the count, which this calls
-    directly to skip ``mean``'s wrapper (a probe samples every second)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    n = arr.size
+    pairwise ``add.reduce`` divided by the count.  A tier has a handful
+    of nodes, and below ``_PAIRWISE_BLOCK`` values numpy adds them left
+    to right from ``0.0``, which :func:`left_sum` repeats without
+    building an array (a probe samples every second); from eight values
+    on this calls ``add.reduce`` itself."""
+    values = list(values)
+    n = len(values)
     if n == 0:
         return float("nan")
-    return float(np.add.reduce(arr)) / n
+    if n < _PAIRWISE_BLOCK:
+        return left_sum(values) / n
+    return float(np.add.reduce(np.asarray(values, dtype=np.float64))) / n
+
+
+def percentile_sorted(ordered: list[float], pct: float) -> float:
+    """``np.percentile(values, pct)`` for ``0 <= pct <= 100`` (the
+    default ``linear`` method) of the non-empty, NaN-free ``values``
+    whose ascending order is ``ordered``, bit for bit, without numpy:
+    its first call imports ``numpy.ma``.  The steps are numpy's:
+    virtual index ``(n - 1) * q`` with ``q = pct / 100``, its floor
+    ``i`` and fraction ``g``, then ``b - (b - a) * (1 - g)`` when ``g >=
+    0.5``, else ``a + (b - a) * g``, for the neighbours ``a =
+    ordered[i]``, ``b = ordered[i + 1]``."""
+    n = len(ordered)
+    virtual = (n - 1) * (pct / 100)
+    if virtual >= n - 1:
+        return ordered[-1]
+    i = math.floor(virtual)
+    gamma = virtual - i
+    a = ordered[i]
+    b = ordered[i + 1]
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def summarize(values: Iterable[float]) -> dict[str, float]:

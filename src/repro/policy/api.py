@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 
 class DecisionAction:
@@ -69,9 +69,9 @@ class DecisionReason:
 IN_BAND = "in-band"
 
 
-@dataclass(frozen=True)
-class PolicyInputs:
-    """Everything one control-loop tick shows the policy."""
+class PolicyInputs(NamedTuple):
+    """Everything one control-loop tick shows the policy (a named tuple:
+    one is built per reading)."""
 
     t: float                     # simulated time of the reading
     smoothed: float              # windowed sensor average (CPU or latency)

@@ -208,8 +208,14 @@ class PsCpu:
         self._reschedule_completion()
 
     def busy_time(self) -> float:
-        """Cumulative busy time up to the current instant."""
-        self._advance_accounting()
+        """Cumulative busy time up to the current instant (every
+        utilization sample reads it: :meth:`_advance_accounting` is
+        inlined)."""
+        now = self.kernel._now
+        if now > self._last_update:
+            if self._live > 0:
+                self.busy_integral += now - self._last_update
+            self._last_update = now
         return self.busy_integral
 
     def _advance_accounting(self) -> None:

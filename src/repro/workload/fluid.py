@@ -589,17 +589,24 @@ class FluidEngine:
 
     # ------------------------------------------------------------------
     def _inject_node(self, node: Node, util: float, conc: float, dt: float) -> None:
-        """One CPU job whose busy time over the tick equals ``util*dt``."""
+        """One CPU job whose busy time over the tick equals ``util*dt``.
+
+        At or below the CPU's knee the capacity model is 1.0 and the
+        multiplication by it is skipped (``x * 1.0 == x``).  The job goes
+        through :attr:`Node.submit`: the CPU's own ``submit`` on a healthy
+        node, :meth:`Node.run_job`'s refusals otherwise."""
         u = min(float(util), 1.0)
         if u <= 0.0:
             return
         weight = max(1, min(int(round(conc)), _MAX_WEIGHT))
-        espeed = node.cpu.speed * node.cpu.degradation
-        demand = u * dt * espeed * node.cpu.capacity_model(weight)
+        cpu = node.cpu
+        demand = u * dt * (cpu.speed * cpu.degradation)
+        if weight > cpu._knee:
+            demand *= cpu.capacity_model(weight)
         if demand <= 0.0:
             return
         try:
-            node.run_job(demand, weight)
+            node.submit(demand, weight)
         except NodeDown:
             return
 

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.legacy.requests import WebRequest
+from repro.metrics.aggregates import left_sum
 from repro.simulation.kernel import SimKernel
 from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
 
@@ -80,8 +81,8 @@ def _normalized_interactions() -> tuple[Interaction, ...]:
     """Build the table with factors renormalized so that mix-weighted
     app/db factors are exactly 1.0 and the write fraction is exactly the
     calibrated 15 % (weights of write interactions are rescaled)."""
-    total = sum(w for _, w, _, _, _ in _RAW)
-    write_w = sum(w for _, w, _, _, wr in _RAW if wr)
+    total = left_sum(w for _, w, _, _, _ in _RAW)
+    write_w = left_sum(w for _, w, _, _, wr in _RAW if wr)
     read_w = total - write_w
     target_write = DEFAULT_CALIBRATION.write_fraction
     # Rescale weights so writes are exactly the target fraction.
@@ -93,11 +94,13 @@ def _normalized_interactions() -> tuple[Interaction, ...]:
         rows.append((name, weight, af, dfac, wr))
     # Renormalize factors to weighted mean 1.0 (writes and reads separately
     # for the db factor, since their base demands differ).
-    app_mean = sum(w * af for _, w, af, _, _ in rows)
-    db_read_mean = sum(w * dfac for _, w, _, dfac, wr in rows if not wr) / (
+    app_mean = left_sum(w * af for _, w, af, _, _ in rows)
+    db_read_mean = left_sum(w * dfac for _, w, _, dfac, wr in rows if not wr) / (
         1.0 - target_write
     )
-    db_write_mean = sum(w * dfac for _, w, _, dfac, wr in rows if wr) / target_write
+    db_write_mean = (
+        left_sum(w * dfac for _, w, _, dfac, wr in rows if wr) / target_write
+    )
     out = []
     for name, w, af, dfac, wr in rows:
         db_norm = dfac / (db_write_mean if wr else db_read_mean)

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.aggregates import MovingAverage, spatial_average, summarize
+from repro.metrics.aggregates import (
+    MovingAverage,
+    left_sum,
+    percentile_sorted,
+    spatial_average,
+    summarize,
+)
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.series import StepSeries, TimeSeries, float_column
 
@@ -247,6 +253,42 @@ class TestAggregates:
     def test_spatial_average_is_numpy_mean_bit_for_bit(self, values):
         expected = float(np.asarray(values, dtype=np.float64).mean())
         assert spatial_average(iter(values)).hex() == expected.hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.floats(-1e16, 1e16)),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    def test_short_spatial_average_is_numpy_mean_bit_for_bit(self, values):
+        # A tier's handful of nodes takes the loop, never numpy.
+        expected = float(np.asarray(values, dtype=np.float64).mean())
+        assert spatial_average(values).hex() == expected.hex()
+
+    def test_left_sum_is_not_compensated(self):
+        # Python 3.12's builtin sum() returns 0.6 here.
+        assert left_sum([0.1, 0.2, 0.3, 1e16, -1e16]) == 0.0
+        assert left_sum([]) == 0.0 and isinstance(left_sum([]), float)
+        assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.005, 0.25, 1.5]),  # ties
+                st.floats(0.0, 120.0),
+                st.floats(-1e12, 1e12),
+            ),
+            min_size=1,
+            max_size=500,
+        ),
+        st.sampled_from([95.0, 95.0, 0.0, 50.0, 99.0, 100.0, 37.5]),
+    )
+    def test_percentile_sorted_is_numpy_bit_for_bit(self, values, pct):
+        expected = float(np.percentile(np.asarray(values, dtype=np.float64), pct))
+        assert percentile_sorted(sorted(values), pct).hex() == expected.hex()
 
     def test_summarize(self):
         stats = summarize([1.0, 2.0, 3.0, 4.0])

@@ -7,6 +7,11 @@ compressed to 0.15 of its durations, managed and static, must reproduce
 the collector digest and the kernel's dispatched, tail-dispatched and
 tombstone counts, exactly.  A change to the kernel, the PS-CPU or the
 legacy hop chain that moves one event moves one of these.
+
+The fluid ramp is pinned at the benchmark's own size (the trapezoid at
+twice the paper's durations, seed 1; about half a second): it bypasses
+the request path, so its digest moves with the probes, the node
+sampler, the policy loop and the fluid tick instead.
 """
 
 from __future__ import annotations
@@ -42,6 +47,14 @@ LOCK = {
 }
 
 
+#: the fluid ramp's (collector digest, events processed, tail
+#: dispatched, tombstones skipped, app probe samples, db probe samples)
+FLUID_LOCK = (
+    "97c221e04ed1c697b18e3df0a82fb577631d37f6827dd4b4d803c0c5236d36e7",
+    95394, 0, 1, 6060, 6060,
+)
+
+
 def build(seed: int, managed: bool) -> ManagedSystem:
     profile = RampProfile(
         peak=500,
@@ -68,3 +81,25 @@ def test_ramp_run_is_locked(seed, managed):
         kernel.tombstones_skipped,
     )
     assert observed == LOCK[seed, managed]
+
+
+def test_fluid_ramp_is_locked():
+    scale = 2.0
+    profile = RampProfile(
+        warmup_s=300.0 * scale,
+        step_period_s=60.0 * scale,
+        cooldown_s=300.0 * scale,
+    )
+    system = ManagedSystem(ExperimentConfig(profile=profile, seed=1, fluid=True))
+    collector = system.run()
+    kernel = system.kernel
+    probes = system._tier_probes
+    observed = (
+        collector_digest(collector),
+        kernel.events_processed,
+        kernel.tail_dispatched,
+        kernel.tombstones_skipped,
+        probes["app"].samples_taken,
+        probes["db"].samples_taken,
+    )
+    assert observed == FLUID_LOCK

@@ -135,8 +135,8 @@ class TestSelfRecovery:
         system.recovery.start()
         record = tier.replicas[0]
         kernel.schedule_at(50.0, record.node.crash)
-        kernel.schedule_at(60.0, tier.maintenance.add, record.component.name)
-        kernel.schedule_at(70.0, tier.maintenance.discard, record.component.name)
+        kernel.schedule_at(60.0, tier.enter_maintenance, record.component.name)
+        kernel.schedule_at(70.0, tier.leave_maintenance, record.component.name)
         kernel.run(until=100.0)
         assert tier.replicas[0] is record
         assert system.recovery.sensor.failures_detected == 1

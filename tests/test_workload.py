@@ -63,6 +63,65 @@ class TestInteractionTable:
             interaction("Ghost")
 
 
+#: ``(mix_weight, app_factor, db_factor)`` of every interaction, as
+#: ``float.hex()``: the calibration constants every discrete demand is
+#: drawn from.  Built with left-to-right sums, they must not move with
+#: the interpreter (Python 3.12's compensated ``sum()`` moved
+#: ``app_mean`` by two units in the last place).
+INTERACTION_HEX = {
+    "Home": ("0x1.cd6ab7d395e60p-5", "0x1.bac4dd241fca9p-2", "0x1.088ab58bbaa55p-2"),
+    "Register": ("0x1.92b0eae733b17p-7", "0x1.14bb0a3693deap-1", "0x1.3d734041465ffp-2"),
+    "RegisterUser": ("0x1.6872b020c49bap-7", "0x1.14bb0a3693deap+0", "0x1.0000000000001p+0"),
+    "Browse": ("0x1.7985dc38c0766p-5", "0x1.f21d78c8a3c3ep-2", "0x1.3d734041465ffp-2"),
+    "BrowseCategories": (
+        "0x1.cd6ab7d395e60p-5", "0x1.836c417f9bd13p-1", "0x1.a74455ac5dd55p-1",
+    ),
+    "SearchItemsInCategory": (
+        "0x1.f75d25a1009ddp-4", "0x1.4c13a5db17d7fp+0", "0x1.a74455ac5dd55p+0",
+    ),
+    "BrowseRegions": (
+        "0x1.f75d25a1009ddp-6", "0x1.836c417f9bd13p-1", "0x1.a74455ac5dd55p-1",
+    ),
+    "BrowseCategoriesInRegion": (
+        "0x1.f75d25a1009ddp-6", "0x1.bac4dd241fca9p-1", "0x1.dc2ce061e98ffp-1",
+    ),
+    "SearchItemsInRegion": (
+        "0x1.f75d25a1009ddp-5", "0x1.4c13a5db17d7fp+0", "0x1.9a0a32fefae6ap+0",
+    ),
+    "ViewItem": ("0x1.062b2e43dafcep-3", "0x1.30675808d5db5p+0", "0x1.15c4d8391d93fp+0"),
+    "ViewUserInfo": ("0x1.4f936e6b55be9p-5", "0x1.14bb0a3693deap+0", "0x1.088ab58bbaa55p+0"),
+    "ViewBidHistory": (
+        "0x1.f75d25a1009ddp-6", "0x1.30675808d5db5p+0", "0x1.4aad62eea94eap+0",
+    ),
+    "BuyNowAuth": ("0x1.f75d25a1009ddp-7", "0x1.4c13a5db17d7fp-1", "0x1.725bcaf6d21a9p-2"),
+    "BuyNow": ("0x1.d5ce676311a46p-7", "0x1.14bb0a3693deap+0", "0x1.dc2ce061e98ffp-1"),
+    "StoreBuyNow": ("0x1.0624dd2f1a9fbp-6", "0x1.14bb0a3693deap+0", "0x1.0000000000001p+0"),
+    "PutBidAuth": ("0x1.14d9a17ef38a0p-5", "0x1.4c13a5db17d7fp-1", "0x1.725bcaf6d21a9p-2"),
+    "PutBid": ("0x1.0c75f1ef77cbap-5", "0x1.30675808d5db5p+0", "0x1.15c4d8391d93fp+0"),
+    "StoreBid": ("0x1.2f1a9fbe76c8ap-4", "0x1.14bb0a3693deap+0", "0x1.0000000000001p+0"),
+    "PutCommentAuth": (
+        "0x1.4f936e6b55be9p-7", "0x1.4c13a5db17d7fp-1", "0x1.725bcaf6d21a9p-2",
+    ),
+    "PutComment": ("0x1.2e04b02d66c52p-7", "0x1.14bb0a3693deap+0", "0x1.dc2ce061e98ffp-1"),
+    "StoreComment": ("0x1.cac083126e977p-7", "0x1.14bb0a3693deap+0", "0x1.0000000000001p+0"),
+    "Sell": ("0x1.2e04b02d66c52p-6", "0x1.14bb0a3693deap-1", "0x1.3d734041465ffp-2"),
+    "SelectCategoryToSellItem": (
+        "0x1.0c75f1ef77cbap-6", "0x1.4c13a5db17d7fp-1", "0x1.dc2ce061e98ffp-2",
+    ),
+    "SellItemForm": ("0x1.1d3d510e6f486p-6", "0x1.4c13a5db17d7fp-1", "0x1.a74455ac5dd55p-2"),
+    "RegisterItem": ("0x1.1eb851eb851ebp-5", "0x1.14bb0a3693deap+0", "0x1.0000000000001p+0"),
+    "AboutMe": ("0x1.0c75f1ef77cbap-4", "0x1.4c13a5db17d7fp+0", "0x1.725bcaf6d21a9p+0"),
+}
+
+
+def test_interaction_constants_are_pinned_to_the_bit():
+    observed = {
+        i.name: (i.mix_weight.hex(), i.app_factor.hex(), i.db_factor.hex())
+        for i in INTERACTIONS
+    }
+    assert observed == INTERACTION_HEX
+
+
 class TestTransitionTable:
     def test_all_states_present(self):
         table = transition_table()
