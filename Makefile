@@ -136,6 +136,8 @@ examples:
 	python examples/trace_replay.py
 	python examples/self_sizing.py --quick
 
+# Committed results stay: only untracked or ignored outputs are removed.
 clean:
-	rm -rf benchmarks/results .pytest_cache .benchmarks
+	git clean -fdqx -- benchmarks/results
+	rm -rf .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

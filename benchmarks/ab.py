@@ -12,8 +12,9 @@ side that goes first alternates from pair to pair, so drift in the
 machine's speed falls on both sides alike.  Runs never overlap.
 
 Prints, per side, the median and quartiles of ``ref_us_per_request``
-(the harness's formula: rescaled run wall time per completed request)
-and ``peak_rss_mb``, the set of output digests, and the number of pairs
+(the harness's formula: rescaled run wall time per completed request),
+``peak_rss_mb`` and ``setup_s`` (the harness's formula too: from the
+spawn to the start of the run call), the set of output digests, and the number of pairs
 in which that side had the lower ``ref_us_per_request``.  ``--json FILE``
 also writes every run and the summary.
 """
@@ -26,9 +27,10 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-METRICS = ("ref_us_per_request", "peak_rss_mb")
+METRICS = ("ref_us_per_request", "peak_rss_mb", "setup_s")
 
 
 def run_worker(checkout: Path, workload: str, seed: int) -> dict:
@@ -39,6 +41,7 @@ def run_worker(checkout: Path, workload: str, seed: int) -> dict:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     cmd = [sys.executable, "-m", "benchmarks.e2e.worker", workload, str(seed), "run", "1.0"]
+    t_spawn = time.monotonic()
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
@@ -47,6 +50,7 @@ def run_worker(checkout: Path, workload: str, seed: int) -> dict:
     return {
         "ref_us_per_request": 1e6 * record["ref_wall_s"] / record["completed"],
         "peak_rss_mb": record["peak_rss_mb"],
+        "setup_s": record["t_run"] - t_spawn,
         "digest": record["digest"],
     }
 

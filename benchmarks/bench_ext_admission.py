@@ -28,8 +28,8 @@ def run_case(managed: bool, limits: bool) -> dict:
     )
     system = ManagedSystem(cfg)
     if limits:
-        system._initial_tomcat.set_attr("enforce_limits", True)
-        system._initial_mysql.set_attr("enforce_limits", True)
+        for tier in (system.app_tier, system.db_tier):
+            tier.replicas[0].component.set_attr("enforce_limits", True)
     col = system.run()
     tail = col.latencies.window(400.0, 700.0)
     total = col.completed_requests + col.failed_requests

@@ -4,19 +4,21 @@
 genericity of our approach."  Here the *web* tier (L4 switch + Apache
 replicas, a tier the paper only managed qualitatively) gets its own control
 loop, using the unchanged generic TierManager/CpuProbe/PolicyReactor —
-the only difference is wiring (balancer = the L4 switch, replica factory =
+the only difference is the ADL the preset deploys, from which
+ManagedSystem reads the wiring (balancer = the L4 switch, replica factory =
 the Apache wrapper, bindings template = the two Tomcats' AJP interfaces).
 """
 
-from repro.jade.three_tier import ThreeTierSystem
+from repro.jade.system import ManagedSystem
+from repro.jade.three_tier import three_tier_config
 from repro.workload.profiles import RampProfile
 
 from benchmarks._shared import emit
 
 
-def run_three_tier() -> ThreeTierSystem:
+def run_three_tier() -> ManagedSystem:
     profile = RampProfile(warmup_s=150.0, step_period_s=30.0, cooldown_s=150.0)
-    system = ThreeTierSystem(profile, seed=2)
+    system = ManagedSystem(three_tier_config(profile=profile, seed=2))
     system.run()
     return system
 
@@ -47,8 +49,8 @@ def bench_ext_three_tier_ramp(benchmark):
     emit("ext_three_tier", "\n".join(lines))
 
     # Genericity demonstrated: both loops fired, both tiers shrank back.
-    assert system.web_tier.grows_completed >= 1
+    assert system.app_tier.grows_completed >= 1
     assert system.db_tier.grows_completed >= 1
-    assert system.web_tier.shrinks_completed >= 1
+    assert system.app_tier.shrinks_completed >= 1
     assert col.failed_requests == 0
     assert stats["mean"] < 0.5

@@ -69,7 +69,7 @@ def main() -> None:
     print(f"Nodes allocated: {cluster.allocated_count}, free: {cluster.free_count}")
 
     # Push a dynamic request through the whole chain via the L4 switch.
-    switch = app.instance("l4").content.switch
+    switch = app.instance("l4").content.server
     request = WebRequest(
         kernel, "ViewItem", app_demand_pre=0.012, app_demand_post=0.002,
         db_demand=0.025,

@@ -5,19 +5,21 @@ An L4 switch fronts a replicated Apache web tier, cross-bound through
 mod_jk to two Tomcats, over C-JDBC and replicated MySQL.  Two control
 loops run: one resizes the *web* tier (a tier the paper never resized) and
 one the database tier — using the very same generic sensor / reactor /
-actuator components, just wired differently.
+actuator components, just wired differently.  The architecture is an
+``ExperimentConfig`` preset; the ordinary ``ManagedSystem`` deploys it.
 
 Run:  python examples/three_tier.py
 """
 
 from repro.fractal.introspection import architecture_report
-from repro.jade.three_tier import ThreeTierSystem
+from repro.jade.system import ManagedSystem
+from repro.jade.three_tier import three_tier_config
 from repro.workload.profiles import RampProfile
 
 
 def main() -> None:
     profile = RampProfile(warmup_s=150, step_period_s=30, cooldown_s=150)
-    system = ThreeTierSystem(profile, seed=2)
+    system = ManagedSystem(three_tier_config(profile=profile, seed=2))
 
     print("Initial architecture:\n")
     print(architecture_report(system.app.root))

@@ -221,17 +221,25 @@ class ComponentFactoryRegistry:
 
     A factory is called as ``factory(name, attributes, **context)`` and must
     return a started-able :class:`Component`.  The deployment service passes
-    context keys such as ``node`` (the allocated cluster node) and
-    ``kernel``.
+    context keys such as ``node`` (the allocated cluster node, None for an
+    unplaced type) and ``kernel``.
     """
 
     def __init__(self) -> None:
         self._factories: dict[str, Factory] = {}
+        self._unplaced: set[str] = set()
 
-    def register(self, type_name: str, factory: Factory) -> None:
+    def register(self, type_name: str, factory: Factory, placed: bool = True) -> None:
+        """``placed=False`` registers a type whose components take no
+        cluster node (Jade's own management components)."""
         if type_name in self._factories:
             raise ValueError(f"factory for type {type_name!r} already registered")
         self._factories[type_name] = factory
+        if not placed:
+            self._unplaced.add(type_name)
+
+    def placed(self, type_name: str) -> bool:
+        return type_name not in self._unplaced
 
     def create(
         self, type_name: str, name: str, attributes: dict[str, Any], **context: Any

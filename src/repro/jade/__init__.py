@@ -5,13 +5,15 @@
 * :mod:`~repro.jade.sensors`, :mod:`~repro.jade.reactors`,
   :mod:`~repro.jade.actuators` — the three component kinds of a control
   loop (§3.4);
-* :mod:`~repro.jade.control_loop` — assembles them into Fractal composite
-  components ("Jade administrates itself");
+* :mod:`~repro.jade.control_loop` — their component types, deployed from
+  a manager's ADL like any application ("Jade administrates itself"), and
+  the step that closes each deployed loop;
 * :mod:`~repro.jade.self_optimization` — the resizing manager evaluated in
-  §5 (two loops: application tier and database tier);
+  §5 (two loops: application tier and database tier), written as ADL;
 * :mod:`~repro.jade.self_recovery` — the repair manager of Fig. 3;
 * :mod:`~repro.jade.arbitration` — policy-conflict arbitration (the §7
   future-work item, implemented as an extension);
 * :mod:`~repro.jade.system` — the managed-J2EE experiment harness that the
-  benchmarks and examples drive.
+  benchmarks and examples drive;
+* :mod:`~repro.jade.three_tier` — the Figure 2 preset of that harness.
 """

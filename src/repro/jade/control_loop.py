@@ -7,22 +7,30 @@ and combining them to assemble specific autonomic managers.  Moreover,
 this allows autonomic managers to be deployed and managed using the same
 Jade framework (Jade administrates itself)." (§3.4)
 
-:func:`ControlLoop.build` therefore wraps the sensor / reactor / actuator
-content objects in primitive Fractal components, binds them
-sensor→reactor→actuator, and nests them in a composite — the manager can
-be introspected, stopped and restarted through the exact same uniform
-interface as the managed J2EE servers.
+:func:`make_cpu_sensor`, :func:`make_policy_reactor` and
+:func:`make_resize_actuator` are the factories of the ``cpu-sensor``,
+``policy-reactor`` and ``resize-actuator`` ADL types: a manager is an ADL
+document (one composite per loop, bound sensor → reactor → actuator)
+deployed by the ordinary :class:`~repro.jade.deployment.DeploymentService`
+(§3.3: "the autonomic administration software is also described using this
+ADL and deployed in the same way").  :func:`wire_loops` then does what the
+ADL cannot express, so the manager can be introspected, stopped and
+restarted through the exact same uniform interface as the managed J2EE
+servers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
+from repro.fractal.adl import ComponentFactoryRegistry
 from repro.fractal.component import Component
 from repro.fractal.interfaces import CLIENT, MANDATORY, SERVER, InterfaceType
+from repro.fractal.introspection import iter_components
 from repro.jade.actuators import TierManager
 from repro.jade.reactors import PolicyReactor
 from repro.jade.sensors import CpuProbe, CpuReading
+from repro.policy.api import PolicyConfig
 from repro.simulation.kernel import SimKernel
 
 
@@ -107,10 +115,14 @@ class _SensorShell:
 
 class _ReactorShell:
     """Content of a reactor component: receives readings on its ``readings``
-    server interface and delegates decisions to the policy reactor."""
+    server interface and delegates decisions to the policy reactor, which
+    actuates *through* the component's ``actuate`` binding."""
 
     def __init__(self, reactor: PolicyReactor) -> None:
         self.reactor = reactor
+
+    def attached(self, component: Component) -> None:
+        self.reactor.tier = _TierThroughInterface(component)
 
     def on_reading(self, reading: CpuReading) -> None:
         self.reactor.on_reading(reading)
@@ -155,6 +167,94 @@ class _TierThroughInterface:
         return self._actuate.invoke("replica_count")
 
 
+# ----------------------------------------------------------------------
+# The management component types
+# ----------------------------------------------------------------------
+def _tier(attributes: dict[str, Any], tiers: dict[str, TierManager]) -> TierManager:
+    name = attributes.get("tier")
+    if name not in tiers:
+        raise ValueError(f"unknown tier {name!r}; available: {sorted(tiers)}")
+    return tiers[name]
+
+
+def make_cpu_sensor(
+    name: str, attributes: dict[str, Any], *, kernel: SimKernel, tiers, **_: Any
+) -> Component:
+    """Factory for ADL type ``cpu-sensor``: a CPU probe over a tier's
+    serving nodes."""
+    probe = CpuProbe(
+        kernel,
+        nodes_provider=_tier(attributes, tiers).active_nodes,
+        window_s=float(attributes["window_s"]),
+        period_s=float(attributes["period_s"]),
+        probe_demand_s=float(attributes["probe_demand_s"]),
+        name=attributes["probe"],
+    )
+    return Component(
+        name,
+        interface_types=[
+            InterfaceType("notify", "readings", role=CLIENT, contingency=MANDATORY)
+        ],
+        content=_SensorShell(probe),
+    )
+
+
+def make_policy_reactor(
+    name: str,
+    attributes: dict[str, Any],
+    *,
+    kernel: SimKernel,
+    inhibition: "InhibitionLock",
+    **_: Any,
+) -> Component:
+    """Factory for ADL type ``policy-reactor``.  ``policy`` is a
+    :attr:`PolicyConfig.label`; the loop's band and the tier's service
+    demand are the policy's defaults."""
+    max_replicas = attributes.get("max_replicas")
+    reactor = PolicyReactor(
+        kernel,
+        None,  # actuates through the component's binding once attached
+        inhibition,
+        PolicyConfig.parse(attributes["policy"]).build(
+            max_threshold=float(attributes["max_threshold"]),
+            min_threshold=float(attributes["min_threshold"]),
+            service_demand_s=float(attributes["service_demand_s"]),
+        ),
+        min_replicas=int(attributes["min_replicas"]),
+        max_replicas=None if max_replicas is None else int(max_replicas),
+        fresh_samples_required=int(attributes["fresh_samples"]),
+    )
+    return Component(
+        name,
+        interface_types=[
+            InterfaceType("readings", "readings", role=SERVER),
+            InterfaceType("actuate", "resize", role=CLIENT, contingency=MANDATORY),
+        ],
+        content=_ReactorShell(reactor),
+    )
+
+
+def make_resize_actuator(
+    name: str, attributes: dict[str, Any], *, tiers, **_: Any
+) -> Component:
+    """Factory for ADL type ``resize-actuator``: a tier's resize
+    operations."""
+    return Component(
+        name,
+        interface_types=[InterfaceType("resize", "resize", role=SERVER)],
+        content=_ActuatorShell(_tier(attributes, tiers)),
+    )
+
+
+def register_management_types(registry: ComponentFactoryRegistry) -> None:
+    """Register Jade's own component types.  They take no cluster node:
+    their CPU cost is the probe demand charged on the monitored nodes,
+    their memory the per-node ``jade:mgmt`` footprint."""
+    registry.register("cpu-sensor", make_cpu_sensor, placed=False)
+    registry.register("policy-reactor", make_policy_reactor, placed=False)
+    registry.register("resize-actuator", make_resize_actuator, placed=False)
+
+
 class ControlLoop:
     """One assembled feedback loop (a composite Fractal component)."""
 
@@ -170,55 +270,6 @@ class ControlLoop:
         self.reactor = reactor
         self.tier = tier
 
-    @classmethod
-    def build(
-        cls,
-        kernel: SimKernel,
-        name: str,
-        probe: CpuProbe,
-        reactor: PolicyReactor,
-        tier: TierManager,
-    ) -> "ControlLoop":
-        """Assemble sensor → reactor → actuator components in a composite."""
-        sensor_comp = Component(
-            f"{name}-sensor",
-            interface_types=[
-                InterfaceType(
-                    "notify", "readings", role=CLIENT, contingency=MANDATORY
-                ),
-            ],
-            content=_SensorShell(probe),
-        )
-        reactor_comp = Component(
-            f"{name}-reactor",
-            interface_types=[
-                InterfaceType("readings", "readings", role=SERVER),
-                InterfaceType(
-                    "actuate", "resize", role=CLIENT, contingency=MANDATORY
-                ),
-            ],
-            content=_ReactorShell(reactor),
-        )
-        actuator_comp = Component(
-            f"{name}-actuator",
-            interface_types=[InterfaceType("resize", "resize", role=SERVER)],
-            content=_ActuatorShell(tier),
-        )
-        sensor_comp.bind("notify", reactor_comp.get_interface("readings"))
-        reactor_comp.bind("actuate", actuator_comp.get_interface("resize"))
-        # Route the reactor's decisions through the actuate binding.
-        reactor.tier = _TierThroughInterface(reactor_comp)
-        # The loop's name identifies the reactor in decision traces.
-        reactor.name = name
-        # Reconfigurations invalidate the probe's history: samples taken
-        # against the previous replica set no longer describe the system.
-        reactor.probe = probe
-        tier.on_reconfigured.append(probe.window.reset)
-        composite = Component(name, composite=True)
-        for sub in (sensor_comp, reactor_comp, actuator_comp):
-            composite.content_controller.add(sub)
-        return cls(composite, probe, reactor, tier)
-
     def start(self) -> None:
         self.composite.start()
 
@@ -230,9 +281,35 @@ class ControlLoop:
         return self.composite.lifecycle_controller.is_started()
 
 
-# Public aliases: the ADL-based manager deployment (repro.jade.manager_adl)
-# builds the same shells around sensors/reactors/actuators.
-SensorShell = _SensorShell
-ReactorShell = _ReactorShell
-ActuatorShell = _ActuatorShell
-TierThroughInterface = _TierThroughInterface
+def wire_loops(root: Component) -> list[ControlLoop]:
+    """Close every loop of a deployed manager, in architecture order: what
+    its ADL cannot express.  Each reactor takes the name of its loop's
+    composite (it names the loop in decision traces) and the probe of the
+    sensor bound to it, and its tier's reconfigurations reset that probe's
+    window: samples taken against the previous replica set no longer
+    describe the system.  A reactor with no sensor feeding it, or with
+    ``actuate`` unbound, is a ``ValueError``."""
+    components = list(iter_components(root))
+    feeds: dict[Component, CpuProbe] = {}
+    for component in components:
+        if isinstance(component.content, _SensorShell):
+            target = component.binding_controller.lookup("notify")
+            if target is not None:
+                feeds.setdefault(target.component, component.content.probe)
+    loops = []
+    for component in components:
+        if not isinstance(component.content, _ReactorShell):
+            continue
+        actuate = component.binding_controller.lookup("actuate")
+        if actuate is None:
+            raise ValueError(f"{component.name}: actuate is unbound")
+        probe = feeds.get(component)
+        if probe is None:
+            raise ValueError(f"no sensor feeds {component.name}")
+        tier = actuate.delegate.tier
+        reactor = component.content.reactor
+        reactor.name = component.parent.name
+        reactor.probe = probe
+        tier.on_reconfigured.append(probe.window.reset)
+        loops.append(ControlLoop(component.parent, probe, reactor, tier))
+    return loops

@@ -11,6 +11,8 @@ triggers package installation, instantiates components through the factory
 registry, expands ``replicas="N"`` specs into N components, and applies the
 declared bindings (a binding whose server side is replicated fans out to
 every replica — that is how an ADL wires a load balancer to its workers).
+Jade's own managers are deployed the same way (§3.3); their component types
+are registered unplaced, so they take no node.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class DeploymentService:
         directory: Directory,
         installer: Optional[SoftwareInstallationService] = None,
         lan: Optional[Lan] = None,
-        extra_context: Optional[dict[str, Any]] = None,
     ) -> None:
         self.kernel = kernel
         self.registry = registry
@@ -83,21 +84,20 @@ class DeploymentService:
         self.directory = directory
         self.installer = installer
         self.lan = lan
-        #: additional keyword context handed to every factory (used when
-        #: deploying the administration software itself, whose factories
-        #: need references to tiers, locks... — §3.3 deploys Jade's own
-        #: managers through the same ADL pipeline)
-        self.extra_context = dict(extra_context or {})
 
     # ------------------------------------------------------------------
-    def deploy(self, description: ArchitectureDescription) -> DeployedApplication:
+    def deploy(
+        self, description: ArchitectureDescription, **context: Any
+    ) -> DeployedApplication:
         """Instantiate the architecture.  Components are created and bound
-        but *not* started; call :meth:`DeployedApplication.start`."""
+        but *not* started; call :meth:`DeployedApplication.start`.
+        ``context`` is handed to every factory (a manager's factories take
+        the tiers they watch and the shared inhibition lock)."""
         root = Component(description.name, composite=True)
         app = DeployedApplication(root, description)
         self._virtual_nodes: dict[str, Node] = {}
         for spec in description.components:
-            self._deploy_spec(spec, root, app)
+            self._deploy_spec(spec, root, app, context)
         for binding in description.bindings:
             self._apply_binding(binding, app)
         del self._virtual_nodes
@@ -105,19 +105,24 @@ class DeploymentService:
 
     # ------------------------------------------------------------------
     def _deploy_spec(
-        self, spec: ComponentSpec, parent: Component, app: DeployedApplication
+        self,
+        spec: ComponentSpec,
+        parent: Component,
+        app: DeployedApplication,
+        context: dict[str, Any],
     ) -> None:
         if spec.composite:
             composite = Component(spec.name, composite=True)
             parent.content_controller.add(composite)
             app.components.setdefault(spec.name, []).append(composite)
             for child in spec.children:
-                self._deploy_spec(child, composite, app)
+                self._deploy_spec(child, composite, app, context)
             return
+        placed = self.registry.placed(spec.ctype)
         for i in range(spec.replicas):
             name = spec.name if spec.replicas == 1 else f"{spec.name}{i + 1}"
-            node = self._node_for(spec, i)
-            if self.installer is not None and spec.package is not None:
+            node = self._node_for(spec, i) if placed else None
+            if placed and self.installer is not None and spec.package is not None:
                 # Fire the installation; the simulated install time elapses
                 # as the kernel runs (before any server starts serving).
                 self.installer.install(spec.package, node)
@@ -129,11 +134,12 @@ class DeploymentService:
                 node=node,
                 directory=self.directory,
                 lan=self.lan,
-                **self.extra_context,
+                **context,
             )
             parent.content_controller.add(component)
             app.components.setdefault(spec.name, []).append(component)
-            app.nodes[name] = node
+            if placed:
+                app.nodes[name] = node
 
     def _node_for(self, spec: ComponentSpec, replica_idx: int) -> Node:
         if spec.virtual_node is not None:

@@ -6,6 +6,10 @@ the replicated database tier — each assembled from a CPU probe (1 s period,
 unless ``LoopConfig.policy`` names another) and the generic tier actuator.  The loops run independently but share one
 :class:`~repro.jade.control_loop.InhibitionLock` (60 s), exactly as in
 §5.2.
+
+The manager is written as an ADL document (:func:`manager_adl`) and
+deployed by the same :class:`~repro.jade.deployment.DeploymentService` as
+the application it manages (§3.3: "Jade administrates itself").
 """
 
 from __future__ import annotations
@@ -13,14 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.fractal.component import Component
+from repro.fractal.adl import parse_adl
 from repro.jade.actuators import TierManager
-from repro.jade.control_loop import ControlLoop, InhibitionLock
-from repro.jade.reactors import PolicyReactor
-from repro.jade.sensors import CpuProbe
+from repro.jade.control_loop import ControlLoop, InhibitionLock, wire_loops
+from repro.jade.deployment import DeploymentService
 from repro.policy.api import PolicyConfig
-from repro.simulation.kernel import SimKernel
-from repro.workload.calibration import DEFAULT_CALIBRATION, Calibration
+from repro.workload.calibration import Calibration
 
 
 @dataclass
@@ -48,69 +50,96 @@ APP_LOOP_DEFAULTS = LoopConfig(window_s=60.0, max_threshold=0.80, min_threshold=
 DB_LOOP_DEFAULTS = LoopConfig(window_s=90.0, max_threshold=0.75, min_threshold=0.40)
 
 
+def _component(name: str, ctype: str, **attributes: object) -> str:
+    # A float formats as its repr, which parses back to the same double.
+    lines = "".join(
+        f'\n      <attribute name="{key}" value="{value}"/>'
+        for key, value in attributes.items()
+        if value is not None
+    )
+    return f'\n    <component name="{name}" type="{ctype}">{lines}\n    </component>'
+
+
+def manager_adl(
+    app_tier: str,
+    db_tier: str,
+    app: LoopConfig,
+    db: LoopConfig,
+    calibration: Calibration,
+) -> str:
+    """The manager's ADL document: one composite ``resize-{app,db}`` per
+    loop, its sensor bound to its reactor and its reactor to its actuator.
+
+    Each policy takes the loop context it declares: the band (threshold,
+    adaptive-threshold, forecast) or the tier's calibrated service demand
+    (queue-model: the app tier's servlet work, the DB tier's read/write
+    blend)."""
+    loops, bindings = [], []
+    for label, tier, cfg, demand in (
+        ("app", app_tier, app, calibration.app_demand_total()),
+        ("db", db_tier, db, calibration.effective_db_demand()),
+    ):
+        loop = f"resize-{label}"
+        parts = (
+            _component(
+                f"{loop}-sensor",
+                "cpu-sensor",
+                tier=tier,
+                probe=f"probe-{label}",
+                window_s=cfg.window_s,
+                period_s=cfg.period_s,
+                probe_demand_s=cfg.probe_demand_s,
+            ),
+            _component(
+                f"{loop}-reactor",
+                "policy-reactor",
+                policy=(cfg.policy or PolicyConfig()).label,
+                max_threshold=cfg.max_threshold,
+                min_threshold=cfg.min_threshold,
+                service_demand_s=demand,
+                min_replicas=cfg.min_replicas,
+                max_replicas=cfg.max_replicas,
+                # The post-reconfiguration fresh-evidence gate can never
+                # exceed the number of samples the window can hold.
+                fresh_samples=min(30, max(1, int(cfg.window_s / cfg.period_s))),
+            ),
+            _component(f"{loop}-actuator", "resize-actuator", tier=tier),
+        )
+        loops.append(
+            f'\n  <component name="{loop}" composite="true">{"".join(parts)}'
+            "\n  </component>"
+        )
+        bindings.append(
+            f'\n  <binding client="{loop}-sensor.notify" server="{loop}-reactor.readings"/>'
+            f'\n  <binding client="{loop}-reactor.actuate" server="{loop}-actuator.resize"/>'
+        )
+    return (
+        '<definition name="self-optimization-manager">'
+        f'{"".join(loops)}{"".join(bindings)}\n</definition>\n'
+    )
+
+
 class SelfOptimizationManager:
-    """Builds and owns the two resizing loops."""
+    """The resizing loops, deployed from the manager's ADL document."""
 
     name = "optimizer"
 
     def __init__(
         self,
-        kernel: SimKernel,
-        app_tier: TierManager,
-        db_tier: TierManager,
+        deployer: DeploymentService,
+        adl: str,
+        tiers: dict[str, TierManager],
         inhibition: InhibitionLock,
-        app_config: Optional[LoopConfig] = None,
-        db_config: Optional[LoopConfig] = None,
-        calibration: Optional[Calibration] = None,
     ) -> None:
-        self.kernel = kernel
         #: the global lock every loop (and every other manager) shares
         self.inhibition = inhibition
-        #: demand mix the model-based policies default their parameters
-        #: from (the queue-model plugin solves its utilization target
-        #: from the tier's calibrated service demand)
-        self.calibration = calibration or DEFAULT_CALIBRATION
-        self.loops: dict[str, ControlLoop] = {}
-        self.composite = Component("self-optimization-manager", composite=True)
-        self._build_loop("app", app_tier, app_config or APP_LOOP_DEFAULTS)
-        self._build_loop("db", db_tier, db_config or DB_LOOP_DEFAULTS)
-
-    def _build_loop(self, label: str, tier: TierManager, cfg: LoopConfig) -> None:
-        probe = CpuProbe(
-            self.kernel,
-            nodes_provider=tier.active_nodes,
-            window_s=cfg.window_s,
-            period_s=cfg.period_s,
-            probe_demand_s=cfg.probe_demand_s,
-            name=f"probe-{label}",
-        )
-        # Each policy takes the loop context it declares: the band above
-        # (threshold, adaptive-threshold, forecast) or the tier's
-        # calibrated service demand (queue-model: the app tier's servlet
-        # work, the DB tier's read/write blend).
-        cal = self.calibration
-        policy = (cfg.policy or PolicyConfig("threshold")).build(
-            max_threshold=cfg.max_threshold,
-            min_threshold=cfg.min_threshold,
-            service_demand_s=(
-                cal.app_demand_total() if label == "app"
-                else cal.effective_db_demand()
-            ),
-        )
-        reactor = PolicyReactor(
-            self.kernel,
-            tier,
-            self.inhibition,
-            policy,
-            min_replicas=cfg.min_replicas,
-            max_replicas=cfg.max_replicas,
-            # The post-reconfiguration fresh-evidence gate can never exceed
-            # the number of samples the window can hold.
-            fresh_samples_required=min(30, max(1, int(cfg.window_s / cfg.period_s))),
-        )
-        loop = ControlLoop.build(self.kernel, f"resize-{label}", probe, reactor, tier)
-        self.loops[label] = loop
-        self.composite.content_controller.add(loop.composite)
+        #: the deployed manager; its root composite holds one per loop
+        self.app = deployer.deploy(parse_adl(adl), tiers=tiers, inhibition=inhibition)
+        self.composite = self.app.root
+        self.loops: dict[str, ControlLoop] = {
+            loop.composite.name.removeprefix("resize-"): loop
+            for loop in wire_loops(self.composite)
+        }
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -127,11 +156,3 @@ class SelfOptimizationManager:
 
     def distill(self) -> None:
         return None
-
-    @property
-    def app_loop(self) -> ControlLoop:
-        return self.loops["app"]
-
-    @property
-    def db_loop(self) -> ControlLoop:
-        return self.loops["db"]

@@ -67,10 +67,6 @@ class UtilizationSampler:
             return 0.0
         return min(1.0, (busy - last_busy) / span)
 
-    def forget(self, node: Node) -> None:
-        """Drop the anchor (node released or crashed)."""
-        self._anchors.pop(node, None)
-
 
 class CpuReading(NamedTuple):
     """One probe notification."""

@@ -4,8 +4,10 @@
 
 * a cluster (two load-balancer nodes + a pool of worker nodes, LAN);
 * the RUBiS J2EE application deployed from an ADL description
-  (PLB → Tomcat×1 → C-JDBC → MySQL×1 initially);
-* optionally the Jade managers: self-optimization (two control loops),
+  (PLB → Tomcat×1 → C-JDBC → MySQL×1 initially), or another
+  :class:`Application` (the Figure 2 preset in :mod:`repro.jade.three_tier`);
+* optionally the Jade managers: self-optimization (two control loops,
+  deployed from their own ADL by the same deployment service),
   self-recovery, and arbitration;
 * the RUBiS client emulator driving the configured workload profile;
 * a metrics sampler reproducing Table 1's node CPU/memory accounting.
@@ -36,13 +38,14 @@ from repro.cluster.network import Lan
 from repro.cluster.node import Node
 from repro.fractal.adl import parse_adl
 from repro.jade.actuators import TierManager
-from repro.jade.control_loop import InhibitionLock
+from repro.jade.control_loop import InhibitionLock, register_management_types
 from repro.jade.deployment import DeployedApplication, DeploymentService
 from repro.jade.self_optimization import (
     DB_LOOP_DEFAULTS,
     APP_LOOP_DEFAULTS,
     LoopConfig,
     SelfOptimizationManager,
+    manager_adl,
 )
 from repro.jade.self_recovery import SelfRecoveryManager
 from repro.jade.sensors import UtilizationSampler
@@ -53,8 +56,6 @@ from repro.simulation.kernel import SimKernel
 from repro.simulation.resources import ThrashingCurve, constant_capacity
 from repro.simulation.rng import RngStreams
 from repro.wrappers.registry import default_factory_registry
-from repro.wrappers.mysql import make_mysql_component
-from repro.wrappers.tomcat import make_tomcat_component
 from repro.workload.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.workload.clients import ClientEmulator
 from repro.workload.profiles import RampProfile, WorkloadProfile
@@ -83,11 +84,48 @@ RUBIS_ADL = """
 """
 
 
+@dataclass(frozen=True)
+class Application:
+    """What a :class:`ManagedSystem` deploys and manages.
+
+    ``adl`` is the architecture, ``packages`` the software repository its
+    specs install from, and ``tiers`` names the managed tiers: ``(spec,
+    tier name)`` pairs, the first resized by the ``app`` loop, the second
+    by the ``db`` loop.  Each tier's balancer, interfaces and outgoing
+    bindings are read off the ADL's bindings (see
+    :meth:`ManagedSystem._tier_manager`).
+    """
+
+    adl: str
+    packages: tuple[Package, ...]
+    tiers: tuple[tuple[str, str], tuple[str, str]]
+
+    def has(self, *spec_names: str) -> bool:
+        names = {spec.name for spec in parse_adl(self.adl).iter_specs()}
+        return names.issuperset(spec_names)
+
+
+#: the paper's testbed: RUBiS behind PLB and C-JDBC, Tomcat and MySQL managed
+RUBIS = Application(
+    RUBIS_ADL,
+    (
+        Package("tomcat", "3.3.2", size_mb=18.0, setup_time_s=2.0, footprint_mb=24.0),
+        Package("mysql", "4.0.17", size_mb=35.0, setup_time_s=3.0, footprint_mb=30.0),
+        Package("cjdbc", "2.0.2", size_mb=8.0, setup_time_s=1.5, footprint_mb=12.0),
+        Package("plb", "0.3", size_mb=1.0, setup_time_s=0.5, footprint_mb=4.0),
+        Package("apache", "1.3", size_mb=6.0, setup_time_s=1.0, footprint_mb=10.0),
+    ),
+    (("tomcat", "application"), ("mysql", "database")),
+)
+
+
 @dataclass
 class ExperimentConfig:
     """All knobs of one experiment run."""
 
     seed: int = 1
+    #: the deployed application and its managed tiers
+    application: Application = RUBIS
     #: self-optimization manager active?
     managed: bool = True
     #: self-recovery manager active?
@@ -174,6 +212,23 @@ class ExperimentConfig:
             raise ValueError("use_slo_manager requires managed=True")
         if self.proactive_config is not None and not self.proactive:
             raise ValueError("proactive_config requires proactive=True")
+        # These read the PLB or C-JDBC balancer (or assume the RUBiS shape).
+        needing = [
+            name
+            for name, on in (
+                ("fluid", self.fluid),
+                ("market", self.market is not None),
+                ("chaos", self.chaos is not None),
+                ("deploy", self.deploy is not None),
+                ("proactive", self.proactive),
+                ("use_slo_manager", self.use_slo_manager),
+            )
+            if on
+        ]
+        if needing and not self.application.has("plb", "cjdbc"):
+            raise ValueError(
+                f"{', '.join(needing)} need an application with plb and cjdbc"
+            )
 
 
 class SystemExtension(Protocol):
@@ -258,25 +313,26 @@ class ManagedSystem:
             ]
             self.cluster = ClusterManager(self.nodes)
         self.installer = SoftwareInstallationService(self.kernel, self.lan)
-        for pkg in (
-            Package("tomcat", "3.3.2", size_mb=18.0, setup_time_s=2.0, footprint_mb=24.0),
-            Package("mysql", "4.0.17", size_mb=35.0, setup_time_s=3.0, footprint_mb=30.0),
-            Package("cjdbc", "2.0.2", size_mb=8.0, setup_time_s=1.5, footprint_mb=12.0),
-            Package("plb", "0.3", size_mb=1.0, setup_time_s=0.5, footprint_mb=4.0),
-            Package("apache", "1.3", size_mb=6.0, setup_time_s=1.0, footprint_mb=10.0),
-        ):
+        for pkg in cfg.application.packages:
             self.installer.register(pkg)
 
         # --- deploy the application -------------------------------------
+        # One registry and one deployment service for the application and
+        # for Jade's own managers (§3.3).
         registry = default_factory_registry()
+        register_management_types(registry)
         self.deployer = DeploymentService(
             self.kernel, registry, self.cluster, self.directory, self.installer, self.lan
         )
-        self.app: DeployedApplication = self.deployer.deploy(parse_adl(RUBIS_ADL))
-        self.plb = self.app.instance("plb")
-        self.cjdbc = self.app.instance("cjdbc")
-        self._initial_tomcat = self.app.instance("tomcat")
-        self._initial_mysql = self.app.instance("mysql")
+        self.app: DeployedApplication = self.deployer.deploy(
+            parse_adl(cfg.application.adl)
+        )
+        # The RUBiS balancers, which the fluid engine and the extensions
+        # read (None in an application without them).
+        self.plb, self.cjdbc = (
+            self.app.instance(name) if name in self.app.components else None
+            for name in ("plb", "cjdbc")
+        )
         self.app.start()
 
         # --- tier managers (actuators) ----------------------------------
@@ -285,60 +341,12 @@ class ManagedSystem:
             from repro.jade.arbitration import ArbitrationManager
 
             self.arbitration = ArbitrationManager(self.kernel)
-        factory_context = {
-            "kernel": self.kernel,
-            "directory": self.directory,
-            "lan": self.lan,
-        }
-        self.app_tier = TierManager(
-            self.kernel,
-            "application",
-            composite=self.app.root,
-            balancer=self.plb,
-            balancer_itf="workers",
-            replica_itf="http",
-            factory=make_tomcat_component,
-            cluster=self.cluster,
-            installer=self.installer,
-            package="tomcat",
-            bindings_template=[("jdbc", self.cjdbc.get_interface("jdbc"))],
-            factory_context=factory_context,
-            collector=self.collector,
-            arbitration=self.arbitration,
-            name_prefix="tomcat",
+        self.app_tier, self.db_tier = (
+            self._tier_manager(spec_name, tier_name)
+            for spec_name, tier_name in cfg.application.tiers
         )
-        self.db_tier = TierManager(
-            self.kernel,
-            "database",
-            composite=self.app.root,
-            balancer=self.cjdbc,
-            balancer_itf="backends",
-            replica_itf="mysql",
-            factory=make_mysql_component,
-            cluster=self.cluster,
-            installer=self.installer,
-            package="mysql",
-            factory_context=factory_context,
-            collector=self.collector,
-            ready_check=self._db_ready,
-            ready_version=self._db_ready_version,
-            arbitration=self.arbitration,
-            name_prefix="mysql",
-        )
-        # Adopt the initially deployed replicas.
-        self.app_tier.adopt(
-            self._initial_tomcat,
-            self.app.node_of(self._initial_tomcat),
-            self.plb.binding_controller.bound_instances("workers")[0],
-        )
-        self.db_tier.adopt(
-            self._initial_mysql,
-            self.app.node_of(self._initial_mysql),
-            self.cjdbc.binding_controller.bound_instances("backends")[0],
-        )
-        # Replica naming continues after the initial instances.
-        self.app_tier._next_id = 2
-        self.db_tier._next_id = 2
+        # The front balancer's handler is what the emulated browsers hit.
+        self.entry = self.app_tier.balancer.content.server.handle
 
         # --- Jade managers ----------------------------------------------
         # One inhibition lock for every reconfiguring manager (§5.2: a
@@ -363,13 +371,16 @@ class ManagedSystem:
                 )
             else:
                 self.optimizer = SelfOptimizationManager(
-                    self.kernel,
-                    self.app_tier,
-                    self.db_tier,
-                    inhibition=self.inhibition,
-                    app_config=cfg.app_loop,
-                    db_config=cfg.db_loop,
-                    calibration=cal,
+                    self.deployer,
+                    manager_adl(
+                        self.app_tier.tier_name,
+                        self.db_tier.tier_name,
+                        cfg.app_loop,
+                        cfg.db_loop,
+                        cal,
+                    ),
+                    {t.tier_name: t for t in (self.app_tier, self.db_tier)},
+                    self.inhibition,
                 )
             # Management components deployed on every node (Table 1's
             # memory overhead).
@@ -422,9 +433,9 @@ class ManagedSystem:
         else:
             from repro.jade.sensors import CpuProbe
 
-            for tier, tier_name, window in (
-                (self.app_tier, "application", cfg.app_loop.window_s),
-                (self.db_tier, "database", cfg.db_loop.window_s),
+            for tier, window in (
+                (self.app_tier, cfg.app_loop.window_s),
+                (self.db_tier, cfg.db_loop.window_s),
             ):
                 probe = CpuProbe(
                     self.kernel,
@@ -432,13 +443,13 @@ class ManagedSystem:
                     window_s=window,
                     period_s=1.0,
                     probe_demand_s=0.0,
-                    name=f"passive-{tier_name}",
+                    name=f"passive-{tier.tier_name}",
                 )
                 self._passive_probes.append(probe)
             self._tier_probes = dict(zip(("app", "db"), self._passive_probes))
-        for label, tier_name in (("app", "application"), ("db", "database")):
+        for label, tier in (("app", self.app_tier), ("db", self.db_tier)):
             self._tier_probes[label].subscribe(
-                partial(self._record_tier_cpu, tier_name)
+                partial(self._record_tier_cpu, tier.tier_name)
             )
 
         # --- workload ----------------------------------------------------
@@ -616,9 +627,50 @@ class ManagedSystem:
 
         return SystemSnapshot.capture(self)
 
-    def entry(self, request) -> None:
-        """The system's front door (what the emulated browsers hit)."""
-        self.plb.content.balancer.handle(request)
+    def _tier_manager(self, spec_name: str, tier_name: str) -> TierManager:
+        """The resize actuator of one managed spec, adopting its deployed
+        replica.  The one binding whose server is the spec names the
+        tier's balancer and both interfaces; the spec's own client
+        bindings are the template every new replica is bound through.  A
+        C-JDBC balancer makes a new replica wait for its backend to be
+        enabled."""
+        description = self.app.description
+        spec = description.spec(spec_name)
+        (front,) = [b for b in description.bindings if b.server_component == spec_name]
+        balancer = self.app.instance(front.client_component)
+        cjdbc = balancer is self.cjdbc
+        tier = TierManager(
+            self.kernel,
+            tier_name,
+            composite=self.app.root,
+            balancer=balancer,
+            balancer_itf=front.client_interface,
+            replica_itf=front.server_interface,
+            factory=partial(self.deployer.registry.create, spec.ctype),
+            cluster=self.cluster,
+            installer=self.installer,
+            package=spec.package,
+            bindings_template=[
+                (b.client_interface, server.get_interface(b.server_interface))
+                for b in description.bindings
+                if b.client_component == spec_name
+                for server in self.app.instances(b.server_component)
+            ],
+            factory_context={
+                "kernel": self.kernel,
+                "directory": self.directory,
+                "lan": self.lan,
+            },
+            collector=self.collector,
+            ready_check=self._db_ready if cjdbc else None,
+            ready_version=self._db_ready_version if cjdbc else None,
+            arbitration=self.arbitration,
+            name_prefix=spec_name,
+        )
+        (replica,) = self.app.instances(spec_name)
+        (instance,) = balancer.binding_controller.bound_instances(front.client_interface)
+        tier.adopt(replica, self.app.node_of(replica), instance)
+        return tier
 
     def _db_ready(self, record) -> bool:
         """A new database replica is ready once C-JDBC enables it."""
@@ -643,8 +695,8 @@ class ManagedSystem:
         """Nodes participating in the experiment right now: the balancers'
         nodes plus every tier replica's node."""
         nodes = [
-            self.app.node_of(self.plb),
-            self.app.node_of(self.cjdbc),
+            self.app.node_of(self.app_tier.balancer),
+            self.app.node_of(self.db_tier.balancer),
         ]
         nodes.extend(self.app_tier.nodes())
         nodes.extend(self.db_tier.nodes())

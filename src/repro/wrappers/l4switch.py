@@ -42,12 +42,12 @@ class L4SwitchWrapper:
         self.directory = directory
         self.lan = lan
         self.component: Optional[Component] = None
-        self.switch: Optional[L4Switch] = None
+        self.server: Optional[L4Switch] = None
         self._active = False
 
     def attached(self, component: Component) -> None:
         self.component = component
-        self.switch = L4Switch(self.kernel, component.name, self.directory, self.lan)
+        self.server = L4Switch(self.kernel, component.name, self.directory, self.lan)
 
     # -- uniform hooks ----------------------------------------------------
     def on_start(self, component: Component) -> None:
@@ -59,17 +59,17 @@ class L4SwitchWrapper:
     def on_bind(self, component: Component, instance: str, server_itf: Interface) -> None:
         peer = server_itf.delegate
         host, port = peer.endpoint(server_itf.name)
-        assert self.switch is not None
-        self.switch.add_endpoint(host, port)
+        assert self.server is not None
+        self.server.add_endpoint(host, port)
 
     def on_unbind(self, component: Component, instance: str) -> None:
         # The endpoint to drop is recorded in the binding controller.
-        assert self.component is not None and self.switch is not None
+        assert self.component is not None and self.server is not None
         server_itf = self.component.binding_controller.lookup(instance)
         assert server_itf is not None
         peer = server_itf.delegate
         host, port = peer.endpoint(server_itf.name)
-        self.switch.remove_endpoint(host, port)
+        self.server.remove_endpoint(host, port)
 
     # -- wrapper contract ---------------------------------------------------
     @property

@@ -8,6 +8,14 @@ import pytest
 
 from repro.cluster.network import Lan
 from repro.cluster.node import make_nodes
+from repro.fractal.adl import ComponentFactoryRegistry, parse_adl
+from repro.jade.control_loop import (
+    ControlLoop,
+    InhibitionLock,
+    register_management_types,
+    wire_loops,
+)
+from repro.jade.deployment import DeploymentService
 from repro.legacy.cjdbc import CJdbcController
 from repro.legacy.directory import Directory
 from repro.legacy.mysql import MySqlServer
@@ -22,6 +30,53 @@ from repro.legacy.configfiles import (
     ServerXml,
 )
 from repro.simulation.kernel import SimKernel
+
+
+def deploy_loop(
+    kernel: SimKernel,
+    tier,
+    name: str,
+    *,
+    window_s: float,
+    fresh_samples: int,
+    inhibition_s: float,
+) -> ControlLoop:
+    """One threshold loop over ``tier`` (no warm-up, a free probe),
+    deployed from its ADL by the program's own deploy path."""
+    registry = ComponentFactoryRegistry()
+    register_management_types(registry)
+    adl = f"""
+<definition name="manager">
+  <component name="{name}" composite="true">
+    <component name="{name}-sensor" type="cpu-sensor">
+      <attribute name="tier" value="t"/>
+      <attribute name="probe" value="probe"/>
+      <attribute name="window_s" value="{window_s}"/>
+      <attribute name="period_s" value="1.0"/>
+      <attribute name="probe_demand_s" value="0.0"/>
+    </component>
+    <component name="{name}-reactor" type="policy-reactor">
+      <attribute name="policy" value="threshold"/>
+      <attribute name="max_threshold" value="0.8"/>
+      <attribute name="min_threshold" value="0.35"/>
+      <attribute name="service_demand_s" value="0.0"/>
+      <attribute name="min_replicas" value="1"/>
+      <attribute name="fresh_samples" value="{fresh_samples}"/>
+    </component>
+    <component name="{name}-actuator" type="resize-actuator">
+      <attribute name="tier" value="t"/>
+    </component>
+  </component>
+  <binding client="{name}-sensor.notify" server="{name}-reactor.readings"/>
+  <binding client="{name}-reactor.actuate" server="{name}-actuator.resize"/>
+</definition>
+"""
+    manager = DeploymentService(kernel, registry, None, None).deploy(
+        parse_adl(adl), tiers={"t": tier}, inhibition=InhibitionLock(kernel, inhibition_s)
+    )
+    (loop,) = wire_loops(manager.root)
+    loop.reactor.warmup_samples = 0
+    return loop
 
 
 def ignore(*_) -> None:

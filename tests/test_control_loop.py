@@ -7,11 +7,8 @@ from repro.fractal.introspection import (
     iter_components,
     verify_architecture,
 )
-from repro.jade.control_loop import ControlLoop, InhibitionLock
-from repro.jade.reactors import PolicyReactor
-from repro.jade.sensors import CpuProbe
-from repro.policy.threshold import ThresholdPolicy
 from repro.cluster.node import make_nodes
+from tests.conftest import deploy_loop
 
 
 class FakeTier:
@@ -44,16 +41,10 @@ class FakeTier:
 def loop(kernel):
     nodes = make_nodes(kernel, 1)
     tier = FakeTier(nodes)
-    probe = CpuProbe(kernel, tier.active_nodes, window_s=5.0)
-    reactor = PolicyReactor(
-        kernel,
-        tier,
-        InhibitionLock(kernel, 10.0),
-        ThresholdPolicy(),
-        warmup_samples=0,
-        fresh_samples_required=3,
+    loop = deploy_loop(
+        kernel, tier, "loop-test", window_s=5.0, fresh_samples=3, inhibition_s=10.0
     )
-    return ControlLoop.build(kernel, "loop-test", probe, reactor, tier), tier, nodes
+    return loop, tier, nodes
 
 
 class TestAssembly:

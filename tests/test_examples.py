@@ -46,6 +46,13 @@ def test_adl_deployment():
     assert "Topology view" in out
 
 
+def test_three_tier():
+    out = run_example("three_tier.py")
+    assert "Initial architecture:" in out
+    assert "[web] grow: apache2 active" in out
+    assert "Peak provisioning: web x2, db x2" in out
+
+
 def test_self_recovery():
     out = run_example("self_recovery.py")
     assert "State digests identical: True" in out
@@ -57,7 +64,6 @@ def test_self_recovery():
     [
         "self_sizing.py",
         "latency_slo.py",
-        "three_tier.py",
         "trace_replay.py",
         "capacity_planning.py",
     ],

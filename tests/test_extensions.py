@@ -10,7 +10,7 @@ from repro.jade.control_loop import InhibitionLock
 from repro.jade.rolling import RollingRebind
 from repro.jade.sensors import LatencySensor
 from repro.jade.system import ExperimentConfig, ManagedSystem
-from repro.jade.three_tier import ThreeTierSystem
+from repro.jade.three_tier import three_tier_config
 from repro.metrics.series import TimeSeries
 from repro.workload.profiles import PiecewiseProfile, RampProfile
 from tests.conftest import collector_digest
@@ -175,37 +175,63 @@ class TestSloManagerEndToEnd:
 
 
 class TestThreeTier:
-    PROFILE = RampProfile(warmup_s=150, step_period_s=30, cooldown_s=150)
+    CONFIG = three_tier_config(
+        profile=RampProfile(warmup_s=150, step_period_s=30, cooldown_s=150), seed=2
+    )
+    #: the seed-2 ramp's (collector digest, events processed, tail
+    #: dispatched, tombstones skipped), as the dedicated three-tier
+    #: harness produced them before it folded into ManagedSystem
+    LOCK = (
+        "8b116ced4ab92759bd70b1830eae26319629f1baa1cc457f869cad4183151348",
+        468821, 321268, 1,
+    )
 
     @pytest.fixture(scope="class")
     def run(self):
-        system = ThreeTierSystem(self.PROFILE, seed=2)
+        system = ManagedSystem(self.CONFIG)
         system.run()
         return system
+
+    def test_run_is_locked(self, run):
+        kernel = run.kernel
+        assert (
+            collector_digest(run.collector),
+            kernel.events_processed,
+            kernel.tail_dispatched,
+            kernel.tombstones_skipped,
+        ) == self.LOCK
 
     def test_paused_run_pickles_into_an_independent_copy(self, run):
         """A copy of a paused run ends with the uninterrupted run's
         outputs, and so does the original: no closure of the copy still
         writes into the original's collector."""
-        paused = ThreeTierSystem(self.PROFILE, seed=2)
+        paused = ManagedSystem(self.CONFIG)
         horizon = paused.start_all()
-        paused.kernel.run(until=horizon / 2)
-        assert paused.web_tier.grows_completed >= 1
+        paused.advance(horizon / 2)
+        assert paused.app_tier.grows_completed >= 1
         clone = pickle.loads(pickle.dumps(paused))
         expected = collector_digest(run.collector)
         assert collector_digest(clone.finish()) == expected
         assert collector_digest(paused.finish()) == expected
 
     def test_web_tier_scales(self, run):
-        assert run.web_tier.grows_completed >= 1
+        assert run.app_tier.tier_name == "web"
+        assert run.app_tier.grows_completed >= 1
         assert run.collector.tier_replicas["web"].max() == 2
 
     def test_db_tier_scales(self, run):
         assert run.db_tier.grows_completed >= 1
 
     def test_both_tiers_shrink_on_descent(self, run):
-        assert run.web_tier.shrinks_completed >= 1
+        assert run.app_tier.shrinks_completed >= 1
         assert run.db_tier.shrinks_completed >= 1
+
+    @pytest.mark.parametrize(
+        "field", ["fluid", "proactive", "use_slo_manager"]
+    )
+    def test_extensions_need_the_rubis_balancers(self, field):
+        with pytest.raises(ValueError, match="need an application with plb"):
+            three_tier_config(**{field: True})
 
     def test_new_apache_bound_to_both_tomcats(self, run):
         # Find a grow event in the log: the added apache replica was bound

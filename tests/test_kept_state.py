@@ -19,15 +19,12 @@ from repro.cluster.node import Node, make_nodes
 from repro.deploy.scenario import PRESETS, deploy_config, with_strategy
 from repro.fractal.component import Component
 from repro.fractal.interfaces import SERVER, InterfaceType
-from repro.jade.control_loop import ControlLoop, InhibitionLock
-from repro.jade.reactors import PolicyReactor
-from repro.jade.sensors import CpuProbe
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.legacy.cjdbc import BackendState
 from repro.metrics.aggregates import left_sum
-from repro.policy.threshold import ThresholdPolicy
 from repro.simulation.kernel import SimKernel
 from repro.workload.profiles import ConstantProfile, RampProfile
+from tests.conftest import deploy_loop
 from tests.test_control_loop import FakeTier
 
 
@@ -229,16 +226,9 @@ def recorder_component(name: str, itf: str, signature: str) -> tuple[Component, 
 def loop(kernel: SimKernel):
     nodes = make_nodes(kernel, 1)
     tier = FakeTier(nodes)
-    probe = CpuProbe(kernel, tier.active_nodes, window_s=5.0)
-    reactor = PolicyReactor(
-        kernel,
-        tier,
-        InhibitionLock(kernel, 0.0),
-        ThresholdPolicy(),
-        warmup_samples=0,
-        fresh_samples_required=1,
+    control_loop = deploy_loop(
+        kernel, tier, "rebind", window_s=5.0, fresh_samples=1, inhibition_s=0.0
     )
-    control_loop = ControlLoop.build(kernel, "rebind", probe, reactor, tier)
     control_loop.start()
     return control_loop, tier, nodes
 

@@ -1,16 +1,17 @@
 """Tests for deploying the administration software itself via ADL (§3.3:
-"Jade administrates itself")."""
+"Jade administrates itself").  Every managed run deploys its optimizer
+this way, through the same deployment service as the application."""
 
 import pytest
 
-from repro.fractal.adl import parse_adl
 from repro.fractal.introspection import architecture_report, verify_architecture
 from repro.jade.control_loop import InhibitionLock
 from repro.jade.deployment import DeploymentService
-from repro.jade.manager_adl import (
-    SELF_OPTIMIZATION_ADL,
-    finalize_manager,
-    management_factory_registry,
+from repro.jade.self_optimization import (
+    APP_LOOP_DEFAULTS,
+    DB_LOOP_DEFAULTS,
+    SelfOptimizationManager,
+    manager_adl,
 )
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.workload.profiles import PiecewiseProfile
@@ -26,71 +27,104 @@ def base_system():
     )
 
 
-def deploy_manager(system):
-    inhibition = InhibitionLock(system.kernel, 60.0)
-    deployer = DeploymentService(
-        system.kernel,
-        management_factory_registry(),
-        system.cluster,
-        system.directory,
-        installer=None,
-        lan=system.lan,
-        extra_context={
-            "tiers": {
-                "application": system.app_tier,
-                "database": system.db_tier,
-            },
-            "inhibition": inhibition,
-            "calibration": system.config.calibration,
-        },
+def paper_adl(system) -> str:
+    """The document a default managed run deploys."""
+    return manager_adl(
+        "application",
+        "database",
+        APP_LOOP_DEFAULTS,
+        DB_LOOP_DEFAULTS,
+        system.config.calibration,
     )
-    manager = deployer.deploy(parse_adl(SELF_OPTIMIZATION_ADL))
-    finalize_manager(manager)
-    return manager
+
+
+def deploy_manager(system, adl=None) -> SelfOptimizationManager:
+    return SelfOptimizationManager(
+        system.deployer,
+        paper_adl(system) if adl is None else adl,
+        {"application": system.app_tier, "database": system.db_tier},
+        InhibitionLock(system.kernel, 60.0),
+    )
 
 
 class TestManagerDeployment:
     def test_structure(self, base_system):
         manager = deploy_manager(base_system)
-        names = sorted(c.name for c in manager.root.content_controller.sub_components())
+        loops = manager.composite.content_controller.sub_components()
+        assert [c.name for c in loops] == ["resize-app", "resize-db"]
+        names = sorted(
+            c.name for loop in loops for c in loop.content_controller.sub_components()
+        )
         assert names == [
-            "app-actuator",
-            "app-reactor",
-            "app-sensor",
-            "db-actuator",
-            "db-reactor",
-            "db-sensor",
+            "resize-app-actuator",
+            "resize-app-reactor",
+            "resize-app-sensor",
+            "resize-db-actuator",
+            "resize-db-reactor",
+            "resize-db-sensor",
         ]
-        assert verify_architecture(manager.root) == []
+        assert [loop.reactor.name for loop in manager.loops.values()] == [
+            "resize-app",
+            "resize-db",
+        ]
+        assert [loop.probe.name for loop in manager.loops.values()] == [
+            "probe-app",
+            "probe-db",
+        ]
+        assert verify_architecture(manager.composite) == []
 
-    def test_all_on_one_jade_node(self, base_system):
-        manager = deploy_manager(base_system)
-        nodes = {n.name for n in manager.nodes.values()}
-        assert len(nodes) == 1  # the virtual-node pinned everything together
+    def test_manager_takes_no_pool_node(self):
+        managed = ManagedSystem(ExperimentConfig())
+        unmanaged = ManagedSystem(ExperimentConfig(managed=False))
+        assert managed.cluster.free_count == unmanaged.cluster.free_count
+        assert managed.optimizer.app.nodes == {}
 
     def test_bindings_visible(self, base_system):
         manager = deploy_manager(base_system)
-        report = architecture_report(manager.root)
-        assert "notify -> db-reactor.readings" in report
-        assert "actuate -> db-actuator.resize" in report
+        report = architecture_report(manager.composite)
+        assert "notify -> resize-db-reactor.readings" in report
+        assert "actuate -> resize-db-actuator.resize" in report
 
     def test_unknown_tier_rejected(self, base_system):
-        bad = SELF_OPTIMIZATION_ADL.replace(
+        bad = paper_adl(base_system).replace(
             '<attribute name="tier" value="database"/>',
             '<attribute name="tier" value="storage"/>',
         )
-        deployer = DeploymentService(
-            base_system.kernel,
-            management_factory_registry(),
-            base_system.cluster,
-            base_system.directory,
-            extra_context={
-                "tiers": {"application": base_system.app_tier},
-                "inhibition": InhibitionLock(base_system.kernel, 60.0),
-            },
-        )
-        with pytest.raises(ValueError):
-            deployer.deploy(parse_adl(bad))
+        with pytest.raises(ValueError, match="unknown tier 'storage'"):
+            deploy_manager(base_system, bad)
+
+    def test_floats_parse_back_to_the_same_doubles(self, base_system):
+        manager = deploy_manager(base_system)
+        for loop, cfg in zip(
+            manager.loops.values(), (APP_LOOP_DEFAULTS, DB_LOOP_DEFAULTS)
+        ):
+            policy = loop.reactor.policy
+            assert (policy.max_threshold, policy.min_threshold) == (
+                cfg.max_threshold,
+                cfg.min_threshold,
+            )
+            assert loop.probe.window.window_s == cfg.window_s
+
+    def test_managed_run_deploys_its_optimizer(self, monkeypatch):
+        deployed = []
+        deploy = DeploymentService.deploy
+
+        def recording(self, description, **context):
+            app = deploy(self, description, **context)
+            deployed.append((self, description.name, app))
+            return app
+
+        monkeypatch.setattr(DeploymentService, "deploy", recording)
+        system = ManagedSystem(ExperimentConfig())
+        assert [(d, name) for d, name, _ in deployed] == [
+            (system.deployer, "rubis-j2ee"),
+            (system.deployer, "self-optimization-manager"),
+        ]
+        manager = deployed[1][2]
+        assert system.optimizer.composite is manager.root
+        for loop in system.optimizer.loops.values():
+            for part in loop.composite.content_controller.sub_components():
+                assert manager.components[part.name] == [part]
 
 
 class TestManagerBehaviour:
@@ -105,52 +139,29 @@ class TestManagerBehaviour:
         assert col.tier_replicas["database"].max() >= 2
 
     def test_stopped_manager_is_inert(self, base_system):
-        manager = deploy_manager(base_system)  # never started
+        deploy_manager(base_system)  # never started
         base_system.run()
         assert base_system.db_tier.grows_completed == 0
 
 
 class TestFinalizeErrors:
     def test_unbound_actuate_rejected(self, base_system):
-        bad = SELF_OPTIMIZATION_ADL.replace(
-            '<binding client="db-reactor.actuate" server="db-actuator.resize"/>',
+        bad = paper_adl(base_system).replace(
+            '<binding client="resize-db-reactor.actuate" '
+            'server="resize-db-actuator.resize"/>',
             "",
         )
-        deployer = DeploymentService(
-            base_system.kernel,
-            management_factory_registry(),
-            base_system.cluster,
-            base_system.directory,
-            extra_context={
-                "tiers": {
-                    "application": base_system.app_tier,
-                    "database": base_system.db_tier,
-                },
-                "inhibition": InhibitionLock(base_system.kernel, 60.0),
-            },
-        )
-        manager = deployer.deploy(parse_adl(bad))
-        with pytest.raises(ValueError):
-            finalize_manager(manager)
+        assert bad != paper_adl(base_system)
+        with pytest.raises(ValueError, match="actuate is unbound"):
+            deploy_manager(base_system, bad)
 
     def test_unfed_reactor_rejected(self, base_system):
-        bad = SELF_OPTIMIZATION_ADL.replace(
-            '<binding client="db-sensor.notify" server="db-reactor.readings"/>',
-            '<binding client="db-sensor.notify" server="app-reactor.readings"/>',
+        bad = paper_adl(base_system).replace(
+            '<binding client="resize-db-sensor.notify" '
+            'server="resize-db-reactor.readings"/>',
+            '<binding client="resize-db-sensor.notify" '
+            'server="resize-app-reactor.readings"/>',
         )
-        deployer = DeploymentService(
-            base_system.kernel,
-            management_factory_registry(),
-            base_system.cluster,
-            base_system.directory,
-            extra_context={
-                "tiers": {
-                    "application": base_system.app_tier,
-                    "database": base_system.db_tier,
-                },
-                "inhibition": InhibitionLock(base_system.kernel, 60.0),
-            },
-        )
-        manager = deployer.deploy(parse_adl(bad))
-        with pytest.raises(ValueError):
-            finalize_manager(manager)
+        assert bad != paper_adl(base_system)
+        with pytest.raises(ValueError, match="no sensor feeds"):
+            deploy_manager(base_system, bad)

@@ -426,7 +426,7 @@ class TestByteIdentity:
         assert collector_digest(system.run()) == self.GOLDEN[controller]
         if controller == "adaptive-threshold":
             # the adaptive path really ran: the DB loop widened its band
-            assert system.optimizer.db_loop.reactor.policy_state.adaptations == 1
+            assert system.optimizer.loops["db"].reactor.policy_state.adaptations == 1
 
 
 # ----------------------------------------------------------------------

@@ -48,21 +48,6 @@ class TestUtilizationSampler:
         kernel.run(until=2.0)
         assert sampler.sample(node) == pytest.approx(0.0)
 
-    def test_forget(self, kernel):
-        node = Node(kernel, "n1")
-        sampler = UtilizationSampler()
-        sampler.sample(node)
-        node.run_job(2.0)
-        kernel.run(until=1.0)
-        sampler.sample(node)
-        sampler.forget(node)
-        kernel.run(until=2.0)
-        # After forgetting, the node is unknown again: the next sample
-        # only re-seeds the anchor.
-        assert sampler.sample(node) == 0.0
-        kernel.run(until=3.0)
-        assert sampler.sample(node) == pytest.approx(0.0)  # job done at t=2
-
 
 class TestCpuProbe:
     def test_periodic_sampling_and_smoothing(self, kernel):

@@ -229,10 +229,10 @@ class TestL4SwitchWrapper:
             "l4", kernel=ctx["kernel"], directory=ctx["directory"], lan=ctx["lan"]
         )
         instance = switch.bind("web", apache.get_interface("http"))
-        assert switch.content.switch.endpoints == [(ctx["nodes"][0].name, 80)]
+        assert switch.content.server.endpoints == [(ctx["nodes"][0].name, 80)]
         switch.start()
         switch.unbind(instance)
-        assert switch.content.switch.endpoints == []
+        assert switch.content.server.endpoints == []
 
     def test_uniformity_of_management_interface(self, ctx):
         """The paper's punchline: hardware switch, web server and database
