@@ -64,6 +64,7 @@ deploy-demo:
 market-demo:
 	python -m repro market --scenario spot-heavy --seeds 1 --events --serial
 	python -m repro market --scenario volatile --seeds 1 --serial
+	python -m repro market --compare --seeds 1 --serial
 	python -m repro market --scenario spot-heavy --seeds 1,2,3 \
 		--json /tmp/repro-market.json
 	@echo "canonical scorecard: /tmp/repro-market.json"

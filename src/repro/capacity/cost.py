@@ -43,6 +43,26 @@ def slo_violation_time(
     return violating * bucket_s
 
 
+def service_metrics(collector, duration_s: float, slo_latency_s: float) -> dict:
+    """The service half of a scorecard row over ``[0, duration_s)``:
+    SLO-violation seconds, goodput, availability and the request counts.
+    Availability is NaN, not 1.0, when no request was attempted: "nobody
+    got through" must not score as perfect availability (``mean_ci``
+    drops NaNs and the renderers print n/a)."""
+    completed = collector.completed_requests
+    failed = collector.failed_requests
+    attempted = completed + failed
+    return {
+        "slo_violation_s": slo_violation_time(
+            collector.latencies, 0.0, duration_s, slo_latency_s
+        ),
+        "goodput_rps": collector.throughput(0.0, duration_s),
+        "availability": completed / attempted if attempted else float("nan"),
+        "failed_requests": failed,
+        "completed_requests": completed,
+    }
+
+
 @dataclass(frozen=True)
 class CostBreakdown:
     """One candidate's score, term by term."""

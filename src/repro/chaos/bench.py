@@ -1,11 +1,13 @@
-"""The ``"chaos"`` section of BENCH_engine.json (shared logic).
+"""The ``"chaos"`` section of BENCH_engine.json and the ``repro chaos``
+command.
 
 Runs the crash, fail-slow and correlated campaigns across seeds and
 records MTTR / detection latency / availability with 95 % confidence
 intervals, plus the gray-failure detection comparison (the legacy
 ``up``-flag heartbeat misses a crawling replica; the phi-accrual
 detector repairs it).  ``repro bench --only chaos --smoke`` is the CI
-gate (one seed).
+gate (one seed).  :func:`score_campaign` is the one seed fan-out both
+the section and ``repro chaos`` score a campaign through.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import dataclasses
 from typing import Sequence
 
 from repro.chaos.campaign import PRESETS, campaign_config
-from repro.chaos.scorecard import score_campaign
+from repro.chaos.scorecard import AGGREGATED, render_scorecard, score_run
+from repro.metrics.aggregates import seed_scorecard
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
 
 #: campaigns whose MTTR the committed report tracks with CIs
 MTTR_CAMPAIGNS = ("crash", "fail-slow", "correlated")
@@ -22,16 +27,41 @@ MTTR_CAMPAIGNS = ("crash", "fail-slow", "correlated")
 CLIENTS = 60
 DURATION_S = 420.0
 
+#: ``repro chaos``'s help line and its ``--events`` help
+COMMAND_HELP = (
+    "run a fault-injection campaign and print the resilience scorecard "
+    "(MTTR, detection latency, availability, goodput, SLO)"
+)
+EVENTS_HELP = "print the per-seed fault and detection event logs"
 
-def _runs(runner, campaign, seeds):
+
+def score_campaign(
+    campaign,
+    seeds: Sequence[int],
+    runner,
+    clients: int = CLIENTS,
+    duration_s: float = DURATION_S,
+    slo_latency_s: float = 0.5,
+) -> tuple[dict, dict]:
+    """Run ``campaign`` once per seed through ``runner``; returns its
+    multi-seed scorecard and the runs by seed."""
     runs = runner.run_seeds(
         lambda seed: campaign_config(
-            campaign, seed=seed, clients=CLIENTS, duration_s=DURATION_S
+            campaign, seed=seed, clients=clients, duration_s=duration_s
         ),
         seeds,
         prefix=f"chaos-{campaign.name}-{campaign.detector}",
     )
-    return [runs[s] for s in seeds]
+    card = seed_scorecard(
+        {
+            "campaign": campaign.name,
+            "detector": campaign.detector,
+            "slo_latency_s": slo_latency_s,
+        },
+        [score_run(runs[s], slo_latency_s) for s in seeds],
+        AGGREGATED,
+    )
+    return card, runs
 
 
 def run_section(
@@ -43,19 +73,13 @@ def run_section(
 ) -> dict:
     """The ``"chaos"`` section of BENCH_engine.json (the CI smoke is one
     seed, which the caller passes)."""
-    from repro.runner.cache import ResultCache
-    from repro.runner.parallel import ExperimentRunner
-
     runner = ExperimentRunner(
         cache=ResultCache() if use_cache else None, parallel=parallel
     )
-    seeds = tuple(seeds)
     campaigns = {}
     for name in MTTR_CAMPAIGNS:
         campaign = PRESETS[name]()
-        card = score_campaign(
-            campaign, _runs(runner, campaign, seeds)
-        )
+        card, _ = score_campaign(campaign, seeds, runner)
         agg = card["aggregate"]
         campaigns[name] = {
             "detector": campaign.detector,
@@ -72,9 +96,7 @@ def run_section(
     arms = {}
     for detector in ("legacy", "phi"):
         campaign = dataclasses.replace(gray, detector=detector)
-        card = score_campaign(
-            campaign, _runs(runner, campaign, seeds)
-        )
+        card, _ = score_campaign(campaign, seeds, runner)
         arms[detector] = {
             "repairs": sum(r["repairs_completed"] for r in card["per_seed"]),
             "detections": sum(r["detections"] for r in card["per_seed"]),
@@ -94,6 +116,51 @@ def run_section(
             ),
         },
     }
+
+
+def add_arguments(parser) -> None:
+    """``repro chaos``'s campaign and geometry flags."""
+    parser.add_argument(
+        "--campaign", default="crash", choices=sorted(PRESETS),
+        help="named campaign preset (default: crash)",
+    )
+    parser.add_argument(
+        "--detector", choices=("legacy", "phi"), default=None,
+        help="override the campaign's failure-detection path "
+        "(legacy heartbeat vs phi-accrual progress detector)",
+    )
+    parser.add_argument("--clients", type=int, default=CLIENTS)
+    parser.add_argument(
+        "--duration", type=float, default=DURATION_S,
+        help=f"simulated seconds per run (default {DURATION_S:.0f})",
+    )
+
+
+def _campaign(args):
+    campaign = PRESETS[args.campaign]()
+    if args.detector is not None:
+        campaign = dataclasses.replace(campaign, detector=args.detector)
+    return campaign
+
+
+def describe(args, seeds: Sequence[int]) -> str:
+    """The line ``repro chaos`` prints before its fan-out."""
+    campaign = _campaign(args)
+    return (
+        f"Campaign '{campaign.name}' (detector: {campaign.detector}): "
+        f"{len(campaign.faults)} fault spec(s), "
+        f"{args.clients} clients x {args.duration:.0f}s, "
+        f"seeds {', '.join(str(s) for s in seeds)}..."
+    )
+
+
+def command(args, seeds: Sequence[int], runner) -> tuple[dict, dict, list[str]]:
+    """``repro chaos``: the scorecard, the runs by seed and the render."""
+    card, runs = score_campaign(
+        _campaign(args), seeds, runner, clients=args.clients,
+        duration_s=args.duration, slo_latency_s=args.slo,
+    )
+    return card, runs, render_scorecard(card)
 
 
 def render_section(section: dict) -> str:

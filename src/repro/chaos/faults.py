@@ -187,6 +187,23 @@ class ChaosStats:
     pending_repairs: int
     detector_suspicions: int
 
+    def log_lines(self) -> list[str]:
+        """The ``repro chaos --events`` log: each fault, then each
+        detection."""
+        lines = []
+        for event in self.events:
+            where = event["node"] or "lan"
+            detail = f" {event['detail']}" if event["detail"] else ""
+            lines.append(
+                f"  t={event['t']:7.1f}s  inject {event['fault']} on "
+                f"{where}{detail}"
+            )
+        return lines + [
+            f"  t={det['t']:7.1f}s  detect {det['component']} "
+            f"[{det['tier']}] via {det['reason']}"
+            for det in self.detections
+        ]
+
 
 class ChaosInjector:
     """Applies a :class:`~repro.chaos.campaign.ChaosCampaign` to a live

@@ -3,7 +3,8 @@
 Turns finished campaign runs into the numbers a resilience story is told
 with: MTTR (fault injection → replacement replica active), detection
 latency, availability (completed / attempted requests), goodput and SLO
-violation time under fault — per seed, then aggregated across seeds with
+violation time under fault — per seed, with the metrics that
+:func:`repro.chaos.bench.score_campaign` aggregates across seeds with
 95 % confidence intervals (the same mean/ci95 convention as
 ``BENCH_engine.json``).
 
@@ -17,11 +18,11 @@ keys, rounded floats) to make that testable.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.capacity.cost import slo_violation_time
+from repro.capacity.cost import service_metrics
 from repro.chaos.faults import DISRUPTIVE
-from repro.metrics.aggregates import format_ci, mean_ci
+from repro.metrics.aggregates import format_ci
 
 
 def _repairs_by_node(collector) -> dict[str, list[tuple[float, str, float]]]:
@@ -117,9 +118,6 @@ def score_run(run, slo_latency_s: float = 0.5) -> dict:
                 detect_latencies.append(det["t"] - event["t"])
                 break
 
-    completed = col.completed_requests
-    failed = col.failed_requests
-    attempted = completed + failed
     return {
         "seed": run.config.seed,
         "faults_injected": chaos.faults_injected,
@@ -130,16 +128,7 @@ def score_run(run, slo_latency_s: float = 0.5) -> dict:
         "mttr_max_s": max(mttrs) if mttrs else float("nan"),
         "detect_mean_s": _mean_or_nan(detect_latencies),
         "detections": len(detections),
-        # NaN, not 1.0, when the outage killed every arrival: "nobody got
-        # through" must not score as perfect availability.  mean_ci drops
-        # NaNs from the CI aggregation and the renderer prints n/a.
-        "availability": completed / attempted if attempted else float("nan"),
-        "goodput_rps": col.throughput(0.0, duration),
-        "slo_violation_s": slo_violation_time(
-            col.latencies, 0.0, duration, slo_latency_s
-        ),
-        "failed_requests": failed,
-        "completed_requests": completed,
+        **service_metrics(col, duration, slo_latency_s),
     }
 
 
@@ -154,29 +143,8 @@ AGGREGATED = (
     "availability",
     "goodput_rps",
     "slo_violation_s",
+    "repairs_completed",
 )
-
-
-def score_campaign(
-    campaign, runs: Sequence, slo_latency_s: float = 0.5
-) -> dict:
-    """Multi-seed scorecard: per-seed rows plus mean/ci95 aggregates."""
-    per_seed = [score_run(r, slo_latency_s) for r in runs]
-    aggregate = {
-        metric: mean_ci([row[metric] for row in per_seed])
-        for metric in AGGREGATED
-    }
-    aggregate["repairs_completed"] = mean_ci(
-        [float(row["repairs_completed"]) for row in per_seed]
-    )
-    return {
-        "campaign": campaign.name,
-        "detector": campaign.detector,
-        "slo_latency_s": slo_latency_s,
-        "seeds": [row["seed"] for row in per_seed],
-        "per_seed": per_seed,
-        "aggregate": aggregate,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,17 @@ Run the paper's experiments without writing code::
     python -m repro steady --clients 80       # Table 1 operating point
     python -m repro recovery                  # crash + repair scenario
     python -m repro chaos --campaign gray --detector phi   # fault campaign
+    python -m repro deploy --scenario bad-push             # canary + rollback
     python -m repro market --scenario spot-heavy           # heterogeneous fleet
     python -m repro whatif --at 400           # fork mid-ramp, compare candidates
     python -m repro ramp --managed --csv out.csv   # export the series
 
 Every command prints a summary and (optionally) writes the collected time
 series as CSV for external plotting.
+
+``chaos``, ``deploy`` and ``market`` are one command: the bench section
+module of that name (:data:`repro.runner.bench.SECTIONS`) supplies its
+flags and defaults and scores the preset as its bench section does.
 """
 
 from __future__ import annotations
@@ -84,30 +89,9 @@ def _add_fluid(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fanout(parser: argparse.ArgumentParser, events_help: str) -> None:
-    """Seed fan-out options shared by the chaos, deploy and market
-    scorecard commands."""
-    parser.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
-        help="comma-separated seeds; CIs aggregate across them "
-        "(default 1,2,3)",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the canonical scorecard JSON (byte-stable across "
-        "serial/parallel/cached execution)",
-    )
-    parser.add_argument("--events", action="store_true", help=events_help)
-    parser.add_argument(
-        "--serial", action="store_true", help="run seeds in-process"
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool width for the seed fan-out",
-    )
+#: the commands that each run one scorecard section module: the command,
+#: its ``SECTIONS`` key and its ``run.extensions`` key are one name
+SCORECARD_COMMANDS = ("chaos", "deploy", "market")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,92 +141,39 @@ def build_parser() -> argparse.ArgumentParser:
     recovery.add_argument("--crash-at", type=float, default=300.0)
     _add_common(recovery)
 
-    from repro.chaos.campaign import PRESETS
+    from repro.runner.bench import SECTIONS
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a fault-injection campaign and print the resilience "
-        "scorecard (MTTR, detection latency, availability, goodput, SLO)",
-    )
-    chaos.add_argument(
-        "--campaign", default="crash", choices=sorted(PRESETS),
-        help="named campaign preset (default: crash)",
-    )
-    chaos.add_argument(
-        "--detector", choices=("legacy", "phi"), default=None,
-        help="override the campaign's failure-detection path "
-        "(legacy heartbeat vs phi-accrual progress detector)",
-    )
-    chaos.add_argument("--clients", type=int, default=120)
-    chaos.add_argument(
-        "--duration", type=float, default=600.0,
-        help="simulated seconds per run (default 600)",
-    )
-    chaos.add_argument(
-        "--slo", type=float, default=0.5, metavar="SEC",
-        help="latency SLO for the violation-time metric (default 0.5 s)",
-    )
-    _add_fanout(chaos, "print the per-seed fault and detection event logs")
-
-    from repro.deploy.scenario import PRESETS as DEPLOY_PRESETS
-    from repro.deploy.scenario import STRATEGIES
-
-    deploy = sub.add_parser(
-        "deploy",
-        help="push a new server version through a bounce strategy with "
-        "canary analysis and SLO-gated automatic rollback",
-    )
-    deploy.add_argument(
-        "--scenario", default="clean-push", choices=sorted(DEPLOY_PRESETS),
-        help="named deployment scenario (default: clean-push)",
-    )
-    deploy.add_argument(
-        "--strategy", choices=STRATEGIES, default=None,
-        help="override the scenario's bounce strategy "
-        "(brutal | upthendown | crossover | downthenup)",
-    )
-    deploy.add_argument("--clients", type=int, default=120)
-    deploy.add_argument(
-        "--duration", type=float, default=540.0,
-        help="simulated seconds per run (default 540)",
-    )
-    deploy.add_argument(
-        "--slo", type=float, default=0.5, metavar="SEC",
-        help="latency SLO for the violation-time metric (default 0.5 s)",
-    )
-    _add_fanout(
-        deploy,
-        "print the per-seed deployment event logs and capacity timeline",
-    )
-
-    from repro.market.scenario import PRESETS as MARKET_PRESETS
-
-    market = sub.add_parser(
-        "market",
-        help="run the ramp on a heterogeneous spot/on-demand fleet and "
-        "print the fleet-cost scorecard (savings vs the uniform pool)",
-    )
-    market.add_argument(
-        "--scenario", default="spot-heavy", choices=sorted(MARKET_PRESETS),
-        help="named market scenario preset (default: spot-heavy)",
-    )
-    market.add_argument(
-        "--compare", action="store_true",
-        help="what-if over every preset fleet mix (plus the uniform "
-        "baseline) and rank the SLO-feasible mixes by cost",
-    )
-    market.add_argument(
-        "--peak", type=int, default=500, help="ramp peak client count"
-    )
-    market.add_argument(
-        "--scale", type=float, default=0.15,
-        help="time compression of the ramp runs (default 0.15)",
-    )
-    market.add_argument(
-        "--slo", type=float, default=0.5, metavar="SEC",
-        help="latency SLO for the violation-time metric (default 0.5 s)",
-    )
-    _add_fanout(market, "print the per-seed rebalance and interruption logs")
+    for name in SCORECARD_COMMANDS:
+        section = SECTIONS[name]
+        command = sub.add_parser(name, help=section.COMMAND_HELP)
+        section.add_arguments(command)
+        command.add_argument(
+            "--slo", type=float, default=0.5, metavar="SEC",
+            help="latency SLO for the violation-time metric (default 0.5 s)",
+        )
+        command.add_argument(
+            "--seeds", default="1,2,3", metavar="LIST",
+            help="comma-separated seeds; CIs aggregate across them "
+            "(default 1,2,3)",
+        )
+        command.add_argument(
+            "--json", metavar="FILE", default=None,
+            help="write the canonical scorecard JSON (byte-stable across "
+            "serial/parallel/cached execution)",
+        )
+        command.add_argument(
+            "--events", action="store_true", help=section.EVENTS_HELP
+        )
+        command.add_argument(
+            "--serial", action="store_true", help="run seeds in-process"
+        )
+        command.add_argument(
+            "--no-cache", action="store_true", help="bypass the result cache"
+        )
+        command.add_argument(
+            "--workers", type=int, default=None, metavar="N",
+            help="process-pool width for the seed fan-out",
+        )
 
     whatif = sub.add_parser(
         "whatif",
@@ -544,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache"
     )
-    from repro.runner.bench import SECTIONS
 
     bench.add_argument(
         "--micro-only", action="store_true",
@@ -852,14 +782,6 @@ def _parse_list(raw: str, conv) -> tuple:
     return tuple(conv(item) for item in raw.split(",") if item.strip())
 
 
-def _fanout_seeds(args: argparse.Namespace) -> tuple[int, ...]:
-    """Parse ``--seeds``; empty (after an error line) when none are given."""
-    seeds = _parse_list(args.seeds, int)
-    if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
-    return seeds
-
-
 def _runner(args: argparse.Namespace):
     """The result-cached experiment runner ``--workers``/``--no-cache``/
     ``--serial`` describe."""
@@ -873,221 +795,37 @@ def _runner(args: argparse.Namespace):
     )
 
 
-def _print_cache(runner) -> None:
+def cmd_scorecard(args: argparse.Namespace) -> int:
+    """``repro chaos|deploy|market``: the section module of that name
+    runs its preset's scorecard; ``--events`` prints each seed's log from
+    the run's stats under the same name."""
+    from repro.metrics.aggregates import scorecard_json
+    from repro.runner.bench import SECTIONS
+
+    section = SECTIONS[args.command]
+    seeds = _parse_list(args.seeds, int)
+    if not seeds:
+        print("error: --seeds is empty", file=sys.stderr)
+        return 2
+    print(section.describe(args, seeds))
+    runner = _runner(args)
+    scorecard, runs, lines = section.command(args, seeds, runner)
     if runner.cache is not None:
         print(
             f"  cache: {runner.cache.hits} hits / {runner.cache.misses} misses"
         )
-
-
-def _write_scorecard(path: Optional[str], text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"\nScorecard written to {path}")
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.chaos.campaign import PRESETS, campaign_config
-    from repro.chaos.scorecard import render_scorecard, score_campaign
-    from repro.metrics.aggregates import scorecard_json
-
-    campaign = PRESETS[args.campaign]()
-    if args.detector is not None:
-        campaign = dataclasses.replace(campaign, detector=args.detector)
-    seeds = _fanout_seeds(args)
-    if not seeds:
-        return 2
-    print(
-        f"Campaign '{campaign.name}' (detector: {campaign.detector}): "
-        f"{len(campaign.faults)} fault spec(s), "
-        f"{args.clients} clients x {args.duration:.0f}s, "
-        f"seeds {', '.join(str(s) for s in seeds)}..."
-    )
-    runner = _runner(args)
-    runs = runner.run_seeds(
-        lambda seed: campaign_config(
-            campaign, seed=seed, clients=args.clients, duration_s=args.duration
-        ),
-        seeds,
-        prefix=f"chaos-{campaign.name}",
-    )
-    _print_cache(runner)
-    scorecard = score_campaign(
-        campaign, [runs[s] for s in seeds], slo_latency_s=args.slo
-    )
     print()
-    for line in render_scorecard(scorecard):
+    for line in lines:
         print(line)
     if args.events:
-        for seed in seeds:
-            chaos = runs[seed].extensions["chaos"]
+        for seed, run in runs.items():
             print(f"\nSeed {seed} events")
-            for event in chaos.events:
-                where = event["node"] or "lan"
-                detail = f" {event['detail']}" if event["detail"] else ""
-                print(
-                    f"  t={event['t']:7.1f}s  inject {event['fault']} on "
-                    f"{where}{detail}"
-                )
-            for det in chaos.detections:
-                print(
-                    f"  t={det['t']:7.1f}s  detect {det['component']} "
-                    f"[{det['tier']}] via {det['reason']}"
-                )
-    _write_scorecard(args.json, scorecard_json(scorecard))
-    return 0
-
-
-def cmd_deploy(args: argparse.Namespace) -> int:
-    from repro.deploy.scenario import PRESETS, deploy_config, with_strategy
-    from repro.deploy.scorecard import render_scorecard, score_scenario
-    from repro.metrics.aggregates import scorecard_json
-
-    scenario = PRESETS[args.scenario]()
-    if args.strategy is not None:
-        scenario = with_strategy(scenario, args.strategy)
-    seeds = _fanout_seeds(args)
-    if not seeds:
-        return 2
-    print(
-        f"Deployment '{scenario.name}' ({scenario.version.label} via "
-        f"{scenario.strategy}, canary={'on' if scenario.canary else 'off'}): "
-        f"{args.clients} clients x {args.duration:.0f}s, "
-        f"seeds {', '.join(str(s) for s in seeds)}..."
-    )
-    runner = _runner(args)
-    runs = runner.run_seeds(
-        lambda seed: deploy_config(
-            scenario, seed=seed, clients=args.clients, duration_s=args.duration
-        ),
-        seeds,
-        prefix=f"deploy-{scenario.name}",
-    )
-    _print_cache(runner)
-    scorecard = score_scenario(
-        scenario, [runs[s] for s in seeds], slo_latency_s=args.slo
-    )
-    print()
-    for line in render_scorecard(scorecard):
-        print(line)
-    if args.events:
-        for seed in seeds:
-            stats = runs[seed].extensions["deploy"]
-            print(f"\nSeed {seed} events")
-            for event in stats.events:
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in sorted(event.items())
-                    if k not in ("t", "kind")
-                )
-                suffix = f" ({detail})" if detail else ""
-                print(f"  t={event['t']:7.1f}s  {event['kind']}{suffix}")
-            for t, serving, total in stats.capacity:
-                print(
-                    f"  t={t:7.1f}s  capacity {serving}/{total} serving"
-                )
-    _write_scorecard(args.json, scorecard_json(scorecard))
-    return 0
-
-
-def cmd_market(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.market.costs import render_scorecard, score_scenario
-    from repro.market.scenario import PRESETS, market_config
-    from repro.market.whatif import evaluate_mixes, render_mixes
-    from repro.metrics.aggregates import scorecard_json
-
-    seeds = _fanout_seeds(args)
-    if not seeds:
-        return 2
-    runner = _runner(args)
-
-    if args.compare:
-        scenarios = [make() for _, make in sorted(PRESETS.items())]
-        print(
-            f"Comparing {len(scenarios)} fleet mixes + uniform baseline "
-            f"over seeds {', '.join(str(s) for s in seeds)}..."
-        )
-        table = evaluate_mixes(
-            scenarios,
-            seeds=seeds,
-            peak=args.peak,
-            scale=args.scale,
-            slo_latency_s=args.slo,
-            runner=runner,
-        )
-        _print_cache(runner)
-        print()
-        for line in render_mixes(table):
-            print(line)
-        if args.json:
-            import json as _json
-
-            with open(args.json, "w") as fh:
-                _json.dump(table, fh, indent=2, default=float)
-                fh.write("\n")
-            print(f"\nComparison written to {args.json}")
-        return 0
-
-    scenario = PRESETS[args.scenario]()
-    print(
-        f"Scenario '{scenario.name}' (policy: {scenario.policy}, "
-        f"od floor {scenario.on_demand_floor:.0%}, "
-        f"hazard {scenario.interruption_hazard_per_hour:g}/h): "
-        f"ramp to {args.peak} at scale {args.scale:g}, "
-        f"seeds {', '.join(str(s) for s in seeds)}..."
-    )
-    labelled = {
-        f"{scenario.name}-s{seed}": market_config(
-            scenario, seed=seed, peak=args.peak, scale=args.scale
-        )
-        for seed in seeds
-    }
-    # uniform baseline arms for the cost comparison context
-    for seed in seeds:
-        labelled[f"uniform-s{seed}"] = replace(
-            market_config(scenario, seed=seed, peak=args.peak, scale=args.scale),
-            market=None,
-        )
-    runs = runner.run_many(labelled)
-    _print_cache(runner)
-    scorecard = score_scenario(
-        scenario,
-        [runs[f"{scenario.name}-s{s}"] for s in seeds],
-        slo_latency_s=args.slo,
-    )
-    uniform_card = score_scenario(
-        None,
-        [runs[f"uniform-s{s}"] for s in seeds],
-        slo_latency_s=args.slo,
-        uniform=True,
-    )
-    print()
-    for line in render_scorecard(scorecard):
-        print(line)
-    uni_slo = uniform_card["aggregate"]["slo_violation_s"]["mean"]
-    print(
-        f"  uniform-pool SLO    : {uni_slo:.2f} s "
-        f"(delta {scorecard['aggregate']['slo_violation_s']['mean'] - uni_slo:+.2f} s)"
-    )
-    if args.events:
-        for seed in seeds:
-            stats = runs[f"{scenario.name}-s{seed}"].extensions["market"]
-            print(f"\nSeed {seed} events")
-            for entry in stats.rebalances:
-                print(
-                    f"  t={entry['t']:7.1f}s  rebalance [{entry['action']}] "
-                    f"{entry['detail']} (target {entry['target']:.1f} vCPU)"
-                )
-            for entry in stats.interruptions:
-                print(
-                    f"  t={entry['t']:7.1f}s  interruption {entry['node']} "
-                    f"({entry['source']}, reclaim at t={entry['deadline']:.1f}s)"
-                )
-    _write_scorecard(args.json, scorecard_json(scorecard))
+            for line in run.extensions[args.command].log_lines():
+                print(line)
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(scorecard_json(scorecard))
+        print(f"\nScorecard written to {args.json}")
     return 0
 
 
@@ -1151,7 +889,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    import json as _json
     from pathlib import Path
 
     from repro.policy.tune import (
@@ -1187,7 +924,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         print(f"\ntuned config written to {args.out}")
     if args.report:
         Path(args.report).write_text(
-            _json.dumps(report, indent=2, default=float) + "\n"
+            json.dumps(report, indent=2, default=float) + "\n"
         )
         print(f"full report written to {args.report}")
     return 0
@@ -1424,9 +1161,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "ramp": cmd_ramp,
         "steady": cmd_steady,
         "recovery": cmd_recovery,
-        "chaos": cmd_chaos,
-        "deploy": cmd_deploy,
-        "market": cmd_market,
+        **{name: cmd_scorecard for name in SCORECARD_COMMANDS},
         "whatif": cmd_whatif,
         "sweep": cmd_sweep,
         "tune": cmd_tune,

@@ -1,4 +1,5 @@
-"""The ``"deploy"`` section of BENCH_engine.json (shared logic).
+"""The ``"deploy"`` section of BENCH_engine.json and the ``repro
+deploy`` command.
 
 Two headline claims, asserted by ``repro bench --only deploy --smoke``
 (the CI gate, one seed):
@@ -9,28 +10,63 @@ Two headline claims, asserted by ``repro bench --only deploy --smoke``
 * **clean bounce** — the ``crossover`` strategy keeps SLO violation
   seconds strictly below ``brutal`` during a clean fleet bounce (and
   never drops below one serving replica, where brutal blacks out).
+
+:func:`score_scenario` is the one seed fan-out both the section and
+``repro deploy`` score a scenario through.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.deploy.scenario import PRESETS, deploy_config, with_strategy
-from repro.deploy.scorecard import score_scenario
+from repro.deploy.scenario import PRESETS, STRATEGIES, deploy_config, with_strategy
+from repro.deploy.scorecard import AGGREGATED, render_scorecard, score_run
+from repro.metrics.aggregates import seed_scorecard
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ExperimentRunner
 
 #: scenario geometry: concurrent clients and run length (s)
 CLIENTS = 120
 DURATION_S = 540.0
 
-def _runs(runner, scenario, seeds):
+#: ``repro deploy``'s help line and its ``--events`` help
+COMMAND_HELP = (
+    "push a new server version through a bounce strategy with canary "
+    "analysis and SLO-gated automatic rollback"
+)
+EVENTS_HELP = "print the per-seed deployment event logs and capacity timeline"
+
+
+def score_scenario(
+    scenario,
+    seeds: Sequence[int],
+    runner,
+    clients: int = CLIENTS,
+    duration_s: float = DURATION_S,
+    slo_latency_s: float = 0.5,
+) -> tuple[dict, dict]:
+    """Run ``scenario`` once per seed through ``runner``; returns its
+    multi-seed scorecard and the runs by seed."""
     runs = runner.run_seeds(
         lambda seed: deploy_config(
-            scenario, seed=seed, clients=CLIENTS, duration_s=DURATION_S
+            scenario, seed=seed, clients=clients, duration_s=duration_s
         ),
         seeds,
         prefix=f"deploy-{scenario.name}-{scenario.strategy}",
     )
-    return [runs[s] for s in seeds]
+    card = seed_scorecard(
+        {
+            "scenario": scenario.name,
+            "strategy": scenario.strategy,
+            "version": scenario.version.label,
+            "canary": scenario.canary,
+            "slo_latency_s": slo_latency_s,
+        },
+        [score_run(runs[s], slo_latency_s) for s in seeds],
+        AGGREGATED,
+        columns=(("seeds", "seed"), ("verdicts", "verdict")),
+    )
+    return card, runs
 
 
 def run_section(
@@ -42,23 +78,18 @@ def run_section(
 ) -> dict:
     """The ``"deploy"`` section of BENCH_engine.json (the CI smoke is one
     seed, which the caller passes)."""
-    from repro.runner.cache import ResultCache
-    from repro.runner.parallel import ExperimentRunner
-
     runner = ExperimentRunner(
         cache=ResultCache() if use_cache else None, parallel=parallel
     )
-    seeds = tuple(seeds)
 
     bad = PRESETS["bad-push"]()
-    bad_card = score_scenario(bad, _runs(runner, bad, seeds))
+    bad_card, _ = score_scenario(bad, seeds, runner)
 
     clean = PRESETS["clean-bounce"]()
     arms = {}
     for strategy in ("crossover", "brutal"):
-        scenario = with_strategy(clean, strategy)
-        arms[strategy] = score_scenario(
-            scenario, _runs(runner, scenario, seeds)
+        arms[strategy], _ = score_scenario(
+            with_strategy(clean, strategy), seeds, runner
         )
 
     return {
@@ -84,6 +115,51 @@ def run_section(
             "brutal_blackout_s": arms["brutal"]["aggregate"]["blackout_s"],
         },
     }
+
+
+def add_arguments(parser) -> None:
+    """``repro deploy``'s scenario and geometry flags."""
+    parser.add_argument(
+        "--scenario", default="clean-push", choices=sorted(PRESETS),
+        help="named deployment scenario (default: clean-push)",
+    )
+    parser.add_argument(
+        "--strategy", choices=STRATEGIES, default=None,
+        help="override the scenario's bounce strategy "
+        "(brutal | upthendown | crossover | downthenup)",
+    )
+    parser.add_argument("--clients", type=int, default=CLIENTS)
+    parser.add_argument(
+        "--duration", type=float, default=DURATION_S,
+        help=f"simulated seconds per run (default {DURATION_S:.0f})",
+    )
+
+
+def _scenario(args):
+    scenario = PRESETS[args.scenario]()
+    if args.strategy is not None:
+        scenario = with_strategy(scenario, args.strategy)
+    return scenario
+
+
+def describe(args, seeds: Sequence[int]) -> str:
+    """The line ``repro deploy`` prints before its fan-out."""
+    scenario = _scenario(args)
+    return (
+        f"Deployment '{scenario.name}' ({scenario.version.label} via "
+        f"{scenario.strategy}, canary={'on' if scenario.canary else 'off'}): "
+        f"{args.clients} clients x {args.duration:.0f}s, "
+        f"seeds {', '.join(str(s) for s in seeds)}..."
+    )
+
+
+def command(args, seeds: Sequence[int], runner) -> tuple[dict, dict, list[str]]:
+    """``repro deploy``: the scorecard, the runs by seed and the render."""
+    card, runs = score_scenario(
+        _scenario(args), seeds, runner, clients=args.clients,
+        duration_s=args.duration, slo_latency_s=args.slo,
+    )
+    return card, runs, render_scorecard(card)
 
 
 def render_section(section: dict) -> str:

@@ -161,6 +161,22 @@ class DeployStats:
     verdict_t: float
     completed_t: float
 
+    def log_lines(self) -> list[str]:
+        """The ``repro deploy --events`` log: each deploy event, then the
+        capacity timeline."""
+        lines = []
+        for event in self.events:
+            detail = ", ".join(
+                f"{k}={v}" for k, v in sorted(event.items())
+                if k not in ("t", "kind")
+            )
+            suffix = f" ({detail})" if detail else ""
+            lines.append(f"  t={event['t']:7.1f}s  {event['kind']}{suffix}")
+        return lines + [
+            f"  t={t:7.1f}s  capacity {serving}/{total} serving"
+            for t, serving, total in self.capacity
+        ]
+
 
 class DeployManager:
     """Executes one :class:`DeployScenario` against a live system."""

@@ -4,8 +4,9 @@ Turns finished deploy runs into the numbers a zero-downtime story is
 told with: pre/post goodput (did the system come back to steady state?),
 rollback latency (bad push detected → stable again), capacity-in-flight
 (minimum serving replicas, blackout seconds) and SLO violation time over
-the bounce window — per seed, then aggregated across seeds with 95 %
-confidence intervals.
+the bounce window — per seed, with the metrics that
+:func:`repro.deploy.bench.score_scenario` aggregates across seeds with
+95 % confidence intervals.
 
 Everything here is a pure function of :class:`CompletedRun` plain data
 (the deploy manager's event/capacity logs and the collector), so the
@@ -24,9 +25,8 @@ zero violation seconds.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-from repro.metrics.aggregates import format_ci, mean_ci
+from repro.metrics.aggregates import format_ci
 
 
 def violation_seconds(
@@ -140,26 +140,6 @@ AGGREGATED = (
     "blackout_s",
     "bounce_slo_violation_s",
 )
-
-
-def score_scenario(scenario, runs: Sequence, slo_latency_s: float = 0.5) -> dict:
-    """Multi-seed scorecard: per-seed rows plus mean/ci95 aggregates."""
-    per_seed = [score_run(r, slo_latency_s) for r in runs]
-    aggregate = {
-        metric: mean_ci([row[metric] for row in per_seed])
-        for metric in AGGREGATED
-    }
-    return {
-        "scenario": scenario.name,
-        "strategy": scenario.strategy,
-        "version": scenario.version.label,
-        "canary": scenario.canary,
-        "slo_latency_s": slo_latency_s,
-        "seeds": [row["seed"] for row in per_seed],
-        "verdicts": [row["verdict"] for row in per_seed],
-        "per_seed": per_seed,
-        "aggregate": aggregate,
-    }
 
 
 def render_scorecard(scorecard: dict) -> list[str]:

@@ -11,7 +11,7 @@ market** with 2-minute interruption notices
 managed system (:mod:`~repro.market.engine`), frozen
 :class:`~repro.market.scenario.MarketScenario` presets riding the cached
 parallel runner, a fleet-cost scorecard (:mod:`~repro.market.costs`) and
-a fleet-mix what-if (:mod:`~repro.market.whatif`).
+a fleet-mix what-if (:func:`~repro.market.bench.evaluate_mixes`).
 
 Headline: the Fig. 9 ramp at the same SLO for measurably lower fleet
 cost than the uniform on-demand pool (see :mod:`repro.market.bench`).

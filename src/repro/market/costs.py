@@ -6,8 +6,9 @@ exact integrated **fleet cost** (piecewise-constant spot tape), the
 the calibrated machine held for the whole run at the flat
 ``CostModel.node_hour_cost`` — precisely what every pre-market experiment
 in this repo pays), the **savings**, and the SLO metrics proving the
-savings did not come out of latency — per seed, then aggregated across
-seeds with 95 % confidence intervals.
+savings did not come out of latency — per seed, with the metrics that
+:func:`repro.market.bench.evaluate_mixes` aggregates across seeds with
+95 % confidence intervals.
 
 Everything here is a pure function of :class:`CompletedRun` plain data
 (:class:`~repro.market.engine.MarketStats` plus the collector), so the
@@ -18,10 +19,8 @@ exactly like the chaos and deploy scorecards.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.capacity.cost import slo_violation_time
-from repro.metrics.aggregates import format_ci, mean_ci
+from repro.capacity.cost import service_metrics
+from repro.metrics.aggregates import format_ci
 
 #: hourly price of the uniform pool's calibrated machine (std.small ==
 #: CostModel.node_hour_cost — see repro.market.catalog)
@@ -47,9 +46,7 @@ def score_run(run, slo_latency_s: float = 0.5) -> dict:
     market = run.extensions.get("market")
     if market is None:
         raise ValueError("run has no market scenario attached")
-    col = run.collector
     config = run.config
-    duration = config.profile.duration_s
     window = _run_window(config)
 
     spot_seconds = 0.0
@@ -61,9 +58,6 @@ def score_run(run, slo_latency_s: float = 0.5) -> dict:
     fleet = market.fleet_cost
     reclaims = sum(1 for p in market.provisions if p["reason"] == "spot-reclaim")
 
-    completed = col.completed_requests
-    failed = col.failed_requests
-    attempted = completed + failed
     return {
         "seed": config.seed,
         "scenario": market.scenario,
@@ -86,27 +80,16 @@ def score_run(run, slo_latency_s: float = 0.5) -> dict:
             owner: seconds / 3600.0
             for owner, seconds in sorted(market.held_seconds_by_owner.items())
         },
-        "slo_violation_s": slo_violation_time(
-            col.latencies, 0.0, duration, slo_latency_s
-        ),
-        "goodput_rps": col.throughput(0.0, duration),
-        "availability": completed / attempted if attempted else float("nan"),
-        "failed_requests": failed,
-        "completed_requests": completed,
+        **service_metrics(run.collector, config.profile.duration_s, slo_latency_s),
     }
 
 
 def score_uniform_run(run, slo_latency_s: float = 0.5) -> dict:
     """The same metric keys for a uniform-pool run (``market=None``) —
     the baseline arm of the cost comparison."""
-    col = run.collector
     config = run.config
-    duration = config.profile.duration_s
     window = _run_window(config)
     uniform = uniform_fleet_cost(config)
-    completed = col.completed_requests
-    failed = col.failed_requests
-    attempted = completed + failed
     return {
         "seed": config.seed,
         "scenario": "uniform",
@@ -122,13 +105,7 @@ def score_uniform_run(run, slo_latency_s: float = 0.5) -> dict:
         "reclaims": 0,
         "rebalances": 0,
         "held_node_hours_by_owner": {},
-        "slo_violation_s": slo_violation_time(
-            col.latencies, 0.0, duration, slo_latency_s
-        ),
-        "goodput_rps": col.throughput(0.0, duration),
-        "availability": completed / attempted if attempted else float("nan"),
-        "failed_requests": failed,
-        "completed_requests": completed,
+        **service_metrics(run.collector, config.profile.duration_s, slo_latency_s),
     }
 
 
@@ -143,27 +120,6 @@ AGGREGATED = (
     "goodput_rps",
     "availability",
 )
-
-
-def score_scenario(
-    scenario, runs: Sequence, slo_latency_s: float = 0.5, uniform: bool = False
-) -> dict:
-    """Multi-seed scorecard: per-seed rows plus mean/ci95 aggregates.
-    ``uniform=True`` scores a baseline arm (runs without a market)."""
-    scorer = score_uniform_run if uniform else score_run
-    per_seed = [scorer(r, slo_latency_s) for r in runs]
-    aggregate = {
-        metric: mean_ci([float(row[metric]) for row in per_seed])
-        for metric in AGGREGATED
-    }
-    return {
-        "scenario": "uniform" if uniform else scenario.name,
-        "policy": "uniform" if uniform else scenario.policy,
-        "slo_latency_s": slo_latency_s,
-        "seeds": [row["seed"] for row in per_seed],
-        "per_seed": per_seed,
-        "aggregate": aggregate,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,19 @@ class MarketStats:
     held_seconds_by_owner: dict
     nodes_provisioned: int
 
+    def log_lines(self) -> list[str]:
+        """The ``repro market --events`` log: each rebalance, then each
+        interruption notice."""
+        return [
+            f"  t={entry['t']:7.1f}s  rebalance [{entry['action']}] "
+            f"{entry['detail']} (target {entry['target']:.1f} vCPU)"
+            for entry in self.rebalances
+        ] + [
+            f"  t={entry['t']:7.1f}s  interruption {entry['node']} "
+            f"({entry['source']}, reclaim at t={entry['deadline']:.1f}s)"
+            for entry in self.interruptions
+        ]
+
 
 class MarketEngine:
     """Owns market, pool and fleet for one managed-system run."""

@@ -163,7 +163,6 @@ def market_config(
     seed: int = 1,
     peak: int = 500,
     scale: float = 0.15,
-    cohort: int = 1,
 ):
     """Pack a scenario into the §5.2 ramp (Fig. 9) — the workload the
     cost headline is measured on.  Managed (reactive self-sizing) with
@@ -174,9 +173,7 @@ def market_config(
 
     return ExperimentConfig(
         profile=RampProfile(
-            base=80 * cohort,
-            peak=peak * cohort,
-            step_clients=21 * cohort,
+            peak=peak,
             warmup_s=300.0 * scale,
             step_period_s=60.0 * scale,
             cooldown_s=300.0 * scale,
@@ -184,7 +181,5 @@ def market_config(
         seed=seed,
         managed=True,
         recovery=True,
-        cohort=cohort,
-        hardware_scale=float(cohort),
         market=scenario,
     )

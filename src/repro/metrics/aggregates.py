@@ -171,6 +171,26 @@ def mean_ci(values: Iterable[float]) -> dict[str, float]:
     return {"mean": mean, "ci95": ci, "n": len(clean)}
 
 
+def seed_scorecard(
+    header: dict,
+    per_seed: list[dict],
+    metrics: Iterable[str],
+    columns: Iterable[tuple[str, str]] = (("seeds", "seed"),),
+) -> dict:
+    """Multi-seed scorecard: ``header``, then each ``(key, field)`` of
+    ``columns`` as the list of that field across ``per_seed``, the rows
+    themselves, and each of ``metrics`` aggregated by :func:`mean_ci`."""
+    card = dict(header)
+    for key, field in columns:
+        card[key] = [row[field] for row in per_seed]
+    card["per_seed"] = per_seed
+    card["aggregate"] = {
+        metric: mean_ci([float(row[metric]) for row in per_seed])
+        for metric in metrics
+    }
+    return card
+
+
 def format_ci(stat: dict[str, float], scale: float = 1.0, unit: str = "") -> str:
     """Render a :func:`mean_ci` aggregate as ``mean ± ci95`` plus ``unit``
     ("n/a" when nothing was observed)."""

@@ -325,13 +325,10 @@ def run_tune(
             "score": mean_ci([s["score"] for s in per_seed]),
         }
         if campaign is not None:
-            from repro.chaos.scorecard import score_campaign
+            from repro.chaos.scorecard import score_run as chaos_score_run
 
-            card = score_campaign(
-                campaign,
-                [results[f"{point.label}-chaos-s{seed}"] for seed in spec.seeds],
-            )
-            mttr = card["aggregate"]["mttr_mean_s"]
+            runs = [results[f"{point.label}-chaos-s{seed}"] for seed in spec.seeds]
+            mttr = mean_ci([chaos_score_run(run)["mttr_mean_s"] for run in runs])
             cell["mttr_s"] = mttr
             mean = mttr["mean"]
             if mean == mean:  # not NaN (NaN = no repair observed)

@@ -12,6 +12,10 @@ leaves a section out (``--micro-only`` leaves them all out), and
 ``--only NAME --out BENCH_engine.json`` re-records one section in place.
 ``repro bench --only NAME --smoke`` is a subsystem's CI gate: the section
 at its CI size, its render, its assertions and ``NAME-smoke: PASS``.
+The ``chaos``, ``deploy`` and ``market`` section modules also back the
+``repro`` command of the same name: each provides the command's flags,
+presets and geometry defaults, and the one function that fans a preset
+out over seeds and scores it, which its ``run_section`` calls too.
 
 The CI perf-smoke job runs ``repro bench --check BENCH_engine.json`` and
 fails if a micro scenario's time, as a ratio to a fixed pure-Python
@@ -459,7 +463,10 @@ def _render_sweep(s: dict) -> str:
 
 class Section(NamedTuple):
     """A section defined in this module.  Each subsystem section is a
-    whole module with the same three names."""
+    whole module with the same three names; a section module that backs a
+    scorecard command (``repro chaos|deploy|market``) also provides
+    ``PRESETS``, its scorecard function, ``COMMAND_HELP``,
+    ``EVENTS_HELP``, ``add_arguments``, ``describe`` and ``command``."""
 
     run_section: Callable[..., dict]
     render_section: Callable[[dict], str]

@@ -11,7 +11,8 @@ import pytest
 from repro.chaos.campaign import PRESETS, ChaosCampaign, campaign_config
 from repro.chaos.detectors import PhiAccrualDetector
 from repro.chaos.faults import ChaosInjector, FaultSpec
-from repro.chaos.scorecard import score_campaign, score_run
+from repro.chaos.bench import score_campaign
+from repro.chaos.scorecard import score_run
 from repro.chaos import faults as F
 from repro.cluster.network import Lan
 from repro.cluster.node import NodeIsolated, make_nodes
@@ -481,15 +482,8 @@ class TestCampaignsEndToEnd:
         campaign = PRESETS["crash"]()
         seeds = (1, 2)
 
-        def make(seed):
-            return campaign_config(campaign, seed=seed, clients=60,
-                                   duration_s=420.0)
-
         def card(runner):
-            runs = runner.run_seeds(make, seeds)
-            return scorecard_json(
-                score_campaign(campaign, [runs[s] for s in seeds])
-            )
+            return scorecard_json(score_campaign(campaign, seeds, runner)[0])
 
         serial = card(ExperimentRunner(parallel=False, cache=None))
         cache = ResultCache(tmp_path / "cache")
@@ -503,8 +497,8 @@ class TestCampaignsEndToEnd:
 
     def test_scorecard_aggregates_with_ci(self):
         campaign = PRESETS["crash"]()
-        runs = [_run_campaign(campaign, seed=s) for s in (1, 2)]
-        card = score_campaign(campaign, runs)
+        runner = ExperimentRunner(parallel=False, cache=None)
+        card, _ = score_campaign(campaign, (1, 2), runner)
         assert card["seeds"] == [1, 2]
         agg = card["aggregate"]["mttr_mean_s"]
         assert agg["n"] == 2
@@ -519,6 +513,4 @@ class TestCampaignsEndToEnd:
         run = _run_campaign(PRESETS["crash"]())
         clone = pickle.loads(pickle.dumps(run))
         assert clone.extensions["chaos"] == run.extensions["chaos"]
-        assert scorecard_json(
-            score_campaign(PRESETS["crash"](), [clone])
-        ) == scorecard_json(score_campaign(PRESETS["crash"](), [run]))
+        assert scorecard_json(score_run(clone)) == scorecard_json(score_run(run))

@@ -214,6 +214,74 @@ class TestCommands:
         assert all("cost" in o for o in outcomes if o["feasible"])
 
 
+class TestScorecardCommands:
+    """``chaos``, ``deploy`` and ``market`` run through their bench
+    section modules."""
+
+    @pytest.mark.parametrize(
+        "command, flag, preset",
+        [
+            ("chaos", "--campaign", "crash"),
+            ("deploy", "--scenario", "bad-push"),
+            ("market", "--scenario", "spot-heavy"),
+        ],
+    )
+    def test_json_is_the_sections_scorecard(
+        self, command, flag, preset, tmp_path, monkeypatch, capsys
+    ):
+        from repro.metrics.aggregates import scorecard_json
+        from repro.runner.bench import SECTIONS
+        from repro.runner.cache import ResultCache
+        from repro.runner.parallel import ExperimentRunner
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        card_path = tmp_path / "card.json"
+        # no geometry flags: the command's defaults are the section's
+        assert main(
+            [command, flag, preset, "--seeds", "1", "--serial",
+             "--json", str(card_path)]
+        ) == 0
+        section = SECTIONS[command]
+        cache = ResultCache(tmp_path / "cache")
+        runner = ExperimentRunner(parallel=False, cache=cache)
+        scenario = section.PRESETS[preset]()
+        if command == "market":
+            table, _ = section.evaluate_mixes([scenario], (1,), runner)
+            card = table["scorecards"][preset]
+        elif command == "chaos":
+            card, _ = section.score_campaign(scenario, (1,), runner)
+        else:
+            card, _ = section.score_scenario(scenario, (1,), runner)
+        assert cache.misses == 0  # the same runs the command made
+        assert card_path.read_text() == scorecard_json(card)
+
+    def test_market_events_print_rebalances(self, capsys):
+        assert main(
+            ["market", "--events", "--seeds", "1", "--scale", "0.05",
+             "--peak", "200", "--serial", "--no-cache"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "Scenario 'spot-heavy'" in out
+        assert "uniform-pool SLO" in out
+        assert "Seed 1 events" in out
+        assert "rebalance [" in out
+
+    def test_market_compare_ranks_mixes(self, tmp_path, capsys):
+        path = tmp_path / "compare.json"
+        assert main(
+            ["market", "--compare", "--seeds", "1", "--scale", "0.05",
+             "--peak", "200", "--serial", "--no-cache", "--json", str(path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "<- best" in out
+        assert "events" not in out
+        table = json.loads(path.read_text())
+        assert table["best"] == table["branches"][0]["scenario"]
+        assert set(table["scorecards"]) == {
+            b["scenario"] for b in table["branches"]
+        } - {"uniform"}
+
+
 class TestScalingAndBenchFlags:
     def test_ramp_cohort_scales_profile(self):
         args = build_parser().parse_args(
@@ -265,18 +333,14 @@ class TestScalingAndBenchFlags:
             (Path(__file__).parent.parent / "BENCH_engine.json").read_text()
         )
         monkeypatch.setattr(bench, "run_micro", lambda rounds: committed["micro"])
-        monkeypatch.setattr(
-            bench,
-            "SECTIONS",
-            {
-                name: SimpleNamespace(
-                    run_section=lambda name=name, **_: committed[name],
-                    render_section=section.render_section,
-                    check_section=section.check_section,
+        for name, section in list(bench.SECTIONS.items()):
+            replay = lambda name=name, **_: committed[name]
+            if isinstance(section, bench.Section):
+                monkeypatch.setitem(
+                    bench.SECTIONS, name, section._replace(run_section=replay)
                 )
-                for name, section in bench.SECTIONS.items()
-            },
-        )
+            else:  # a section module, which also backs a CLI command
+                monkeypatch.setattr(section, "run_section", replay)
         assert main(["bench", "--rounds", "1"]) == 0
         out = capsys.readouterr().out
         for name, section in bench.SECTIONS.items():

@@ -16,7 +16,8 @@ from repro.deploy.scenario import (
     deploy_config,
     with_strategy,
 )
-from repro.deploy.scorecard import score_run, score_scenario
+from repro.deploy.bench import score_scenario
+from repro.deploy.scorecard import score_run
 from repro.deploy.versions import (
     ServerVersion,
     apply_version,
@@ -313,14 +314,11 @@ class TestScorecard:
         scenario = dataclasses.replace(PRESETS["bad-push"](), start_at_s=60.0)
         seeds = (1, 2)
 
-        def make(seed):
-            return deploy_config(scenario, seed=seed, clients=60,
-                                 duration_s=330.0)
-
         def card(runner):
-            runs = runner.run_seeds(make, seeds)
             return scorecard_json(
-                score_scenario(scenario, [runs[s] for s in seeds])
+                score_scenario(
+                    scenario, seeds, runner, clients=60, duration_s=330.0
+                )[0]
             )
 
         serial = card(ExperimentRunner(parallel=False, cache=None))
@@ -509,4 +507,5 @@ class TestDeployCli:
     def test_empty_seeds_rejected(self, capsys):
         from repro.cli import main
 
-        assert main(["deploy", "--seeds", ","]) == 2
+        for command in ("chaos", "deploy", "market"):
+            assert main([command, "--seeds", ","]) == 2

@@ -16,8 +16,9 @@ from repro.market.catalog import DEFAULT_CATALOG, InstanceType, by_name
 from repro.market.scenario import PRESETS, MarketScenario, market_config
 from repro.market.spot import SpotMarket
 from repro.market.allocator import FleetAllocator
+from repro.market.bench import evaluate_mixes
 from repro.market.costs import (
-    score_scenario,
+    score_run,
     score_uniform_run,
     uniform_fleet_cost,
 )
@@ -426,9 +427,8 @@ class TestScorecard:
             "market": cfg,
             "uniform": dataclasses.replace(cfg, market=None),
         })
-        card = score_scenario(scenario, [runs["market"]])
+        row = score_run(runs["market"])
         uniform = score_uniform_run(runs["uniform"])
-        row = card["per_seed"][0]
         assert row["savings_pct"] > 15.0
         assert row["slo_violation_s"] <= uniform["slo_violation_s"] + 10.0
         assert row["spot_share"] > 0.0
@@ -448,22 +448,17 @@ class TestScorecard:
         seeds = (1, 2)
 
         def card(runner):
-            runs = runner.run_many({
-                f"m-s{seed}": market_config(scenario, seed=seed, scale=0.1)
-                for seed in seeds
-            })
             return scorecard_json(
-                score_scenario(
-                    scenario, [runs[f"m-s{s}"] for s in seeds]
-                )
+                evaluate_mixes([scenario], seeds, runner, scale=0.1)[0]
             )
 
+        # each seed runs the mix and the uniform baseline
         serial = card(ExperimentRunner(parallel=False, cache=None))
         cache = ResultCache(tmp_path / "cache")
         parallel = card(ExperimentRunner(parallel=True, cache=cache))
-        assert cache.misses == len(seeds)
+        assert cache.misses == 2 * len(seeds)
         warm_cache = ResultCache(tmp_path / "cache")
         cached = card(ExperimentRunner(parallel=True, cache=warm_cache))
-        assert warm_cache.hits == len(seeds)
+        assert warm_cache.hits == 2 * len(seeds)
         assert serial == parallel
         assert serial == cached
