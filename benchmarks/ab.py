@@ -17,6 +17,10 @@ Prints, per side, the median and quartiles of ``ref_us_per_request``
 spawn to the start of the run call), the set of output digests, and the number of pairs
 in which that side had the lower ``ref_us_per_request``.  ``--json FILE``
 also writes every run and the summary.
+
+Exits 1 when a side's runs disagree on the digest or the two sides' digest
+sets differ: a timing of two programs with different outputs compares
+nothing.
 """
 
 from __future__ import annotations
@@ -78,6 +82,18 @@ def summarize(a_runs: list[dict], b_runs: list[dict]) -> dict:
     return sides
 
 
+def digest_mismatch(sides: dict) -> str | None:
+    """Why the runs' outputs disagree, or None when every run of both
+    sides has the same digest."""
+    a, b = sides["a"]["digests"], sides["b"]["digests"]
+    for name, digests in (("a", a), ("b", b)):
+        if len(digests) > 1:
+            return f"{name}'s runs disagree: {len(digests)} distinct digests"
+    if a != b:
+        return "the two sides' digests differ"
+    return None
+
+
 def _table(args, sides: dict) -> str:
     lines = [f"{args.workload} seed {args.seed}, {args.pairs} alternating pairs"]
     for name, path in (("a", args.a), ("b", args.b)):
@@ -124,6 +140,10 @@ def main(argv: list[str] | None = None) -> int:
              "summary": sides},
             indent=2,
         ))
+    mismatch = digest_mismatch(sides)
+    if mismatch is not None:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return 1
     return 0
 
 

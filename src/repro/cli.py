@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="latency SLO for the violation-time metric (default 0.5 s)",
         )
         command.add_argument(
-            "--seeds", default="1,2,3", metavar="LIST",
+            "--seeds", type=_seed_list, default="1,2,3", metavar="LIST",
             help="comma-separated seeds; CIs aggregate across them "
             "(default 1,2,3)",
         )
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sizes through the parallel cached runner",
     )
     sweep.add_argument(
-        "--seeds", default="1,2", metavar="LIST",
+        "--seeds", type=_seed_list, default="1,2", metavar="LIST",
         help="comma-separated seeds (default 1,2)",
     )
     sweep.add_argument(
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default default)",
     )
     tune.add_argument(
-        "--seeds", default="1,2,3", metavar="LIST",
+        "--seeds", type=_seed_list, default="1,2,3", metavar="LIST",
         help="comma-separated seeds per cell (default 1,2,3)",
     )
     tune.add_argument(
@@ -782,6 +783,16 @@ def _parse_list(raw: str, conv) -> tuple:
     return tuple(conv(item) for item in raw.split(",") if item.strip())
 
 
+def _seed_list(raw: str) -> tuple[int, ...]:
+    """A comma-separated ``--seeds`` list; a seed given twice would be
+    scored as two independent replicas of one run, so it is refused."""
+    seeds = _parse_list(raw, int)
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise argparse.ArgumentTypeError(f"duplicate seed {seed} in {raw!r}")
+    return seeds
+
+
 def _runner(args: argparse.Namespace):
     """The result-cached experiment runner ``--workers``/``--no-cache``/
     ``--serial`` describe."""
@@ -803,7 +814,7 @@ def cmd_scorecard(args: argparse.Namespace) -> int:
     from repro.runner.bench import SECTIONS
 
     section = SECTIONS[args.command]
-    seeds = _parse_list(args.seeds, int)
+    seeds = args.seeds
     if not seeds:
         print("error: --seeds is empty", file=sys.stderr)
         return 2
@@ -838,7 +849,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     spec = SweepSpec(
-        seeds=_parse_list(args.seeds, int),
+        seeds=args.seeds,
         scales=_parse_list(args.scales, float),
         policies=_parse_list(args.policies, str),
         cohorts=_parse_list(args.cohorts, int),
@@ -906,7 +917,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         window_scales=_parse_list(args.windows, float),
         inhibitions=_parse_list(args.inhibitions, float),
         controllers=_parse_list(args.controllers, str),
-        seeds=_parse_list(args.seeds, int),
+        seeds=args.seeds,
         scale=args.scale,
         samples=args.samples,
         chaos=args.chaos,
@@ -1140,10 +1151,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.timeline import render_timeline_file
 
-    try:
-        print(render_timeline_file(args.file, include_probes=args.all, tail=args.tail))
-    except BrokenPipeError:  # timeline piped into head/less and truncated
-        sys.stderr.close()
+    print(render_timeline_file(args.file, include_probes=args.all, tail=args.tail))
     return 0
 
 
@@ -1171,7 +1179,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         "trace": cmd_trace,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:  # piped into head/less and truncated: end quietly,
+        # with stdout on devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         # Unreadable trace file, unwritable --trace/--csv sink, ...
         print(f"error: {exc}", file=sys.stderr)

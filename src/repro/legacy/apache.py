@@ -74,20 +74,20 @@ class ApacheServer(LegacyServer):
         weight = request.weight
         self.pending += weight
         if request.is_static:
-            self._run_then(
+            self.node.submit(
                 request.static_demand,
                 weight,
                 self._finish_static,
                 self._static_aborted,
-                request,
+                (request,),
             )
         else:
-            self._run_then(
+            self.node.submit(
                 self.proxy_demand * weight,
                 weight,
                 self._forward,
                 self._modjk_aborted,
-                request,
+                (request,),
             )
 
     def _finish_static(self, request: WebRequest) -> None:
@@ -116,7 +116,10 @@ class ApacheServer(LegacyServer):
         self.pending -= weight
         assert self.pending >= 0, f"{self.name}: pending underflow"
         self.served += weight
-        self._after_hop(server.handle, request)
+        kernel = self.kernel
+        lan = self.lan
+        at = kernel._now if lan is None else kernel._now + lan.hop_delay_s
+        kernel._post_at(at, server.handle, (request,))
 
     def _static_aborted(self, request: WebRequest, err: BaseException) -> None:
         self._abort(request, f"static serve aborted: {err}")

@@ -106,7 +106,7 @@ class CJdbcController(LegacyServer):
         self.reads_routed = 0
         self.writes_routed = 0
         self.syncs_completed = 0
-        # Request-path targets, bound once (see LegacyServer._run_then).
+        # Request-path targets, bound once (see LegacyServer).
         self._route_read = self._route_read
         self._route_write = self._route_write
         self._fail = self._fail
@@ -265,12 +265,12 @@ class CJdbcController(LegacyServer):
             return
         weight = request.weight
         self.pending += weight
-        self._run_then(
+        self.node.submit(
             self.route_demand * weight,
             weight,
             self._route_write if request.is_write else self._route_read,
             self._fail,
-            request, then, fail,
+            (request, then, fail),
         )
 
     def _route_read(self, request: WebRequest, then, fail) -> None:
@@ -286,14 +286,13 @@ class CJdbcController(LegacyServer):
         weight = request.weight
         self.reads_routed += weight
         handle.inflight += weight
-        self._after_hop(
-            handle.server.execute_read,
-            request.db_demand,
-            weight,
-            self._answered,
-            self._unanswered,
+        kernel = self.kernel
+        lan = self.lan
+        at = kernel._now if lan is None else kernel._now + lan.hop_delay_s
+        kernel._post_at(at, handle.server.execute_read, (
+            request.db_demand, weight, self._answered, self._unanswered,
             (handle, request, then, fail),
-        )
+        ))
 
     def _answered(self, handle: BackendHandle, request: WebRequest, then, fail) -> None:
         # Only ever the tail of MySQL's read reply.
@@ -322,8 +321,11 @@ class CJdbcController(LegacyServer):
         entry = self.log.append(request.interaction, request.db_demand, weight)
         self.writes_routed += weight
         barrier = _WriteBarrier(request, then, fail, len(enabled))
+        kernel = self.kernel
+        lan = self.lan
+        at = kernel._now if lan is None else kernel._now + lan.hop_delay_s
         for handle in enabled:
-            self._after_hop(self._send_write, handle, entry, barrier)
+            kernel._post_at(at, self._send_write, (handle, entry, barrier))
 
     def _send_write(
         self, handle: BackendHandle, entry, barrier: "_WriteBarrier"

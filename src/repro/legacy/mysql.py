@@ -65,7 +65,7 @@ class MySqlServer(LegacyServer):
         # Ids for writes executed through a direct (non-clustered) JDBC
         # connection; offset far above recovery-log ids.
         self._next_local_write_id = 1_000_000_000
-        # Request-path targets, bound once (see LegacyServer._run_then).
+        # Request-path targets, bound once (see LegacyServer).
         self.execute_read = self.execute_read
         self._read_done = self._read_done
         self._read_failed = self._read_failed
@@ -129,8 +129,7 @@ class MySqlServer(LegacyServer):
 
         ``then(*args)`` is handed to the kernel's tail dispatch when the
         result set is ready; ``fail(*args, error)`` is posted when the
-        query fails (a positive ``demand`` is assumed, as on the request
-        path: Tomcat answers requests without database work itself)."""
+        query fails."""
         if not self.running:
             self.kernel.post(fail, *args, ServerNotRunning(self.name))
             return
@@ -140,9 +139,9 @@ class MySqlServer(LegacyServer):
             )
             return
         self.pending += weight
-        self._run_then(
+        self.node.submit(
             demand, weight, self._read_done, self._read_failed,
-            weight, then, fail, args,
+            (weight, then, fail, args),
         )
 
     def _read_done(self, weight, then, fail, args) -> None:
@@ -150,7 +149,7 @@ class MySqlServer(LegacyServer):
         self.pending -= weight
         assert self.pending >= 0, f"{self.name}: pending underflow"
         self.served += weight
-        # Tail of a _run_then continuation.
+        # Tail of a CPU job's continuation.
         self.kernel._tail(then, args)
 
     def _read_failed(self, weight, then, fail, args, err) -> None:
@@ -206,9 +205,9 @@ class MySqlServer(LegacyServer):
             )
             return
         self.pending += entry.weight
-        self._run_then(
+        self.node.submit(
             entry.demand, entry.weight, self._write_done, self._write_failed,
-            entry, replay, then, fail, args,
+            (entry, replay, then, fail, args),
         )
 
     def _write_done(self, entry, replay, then, fail, args) -> None:

@@ -47,7 +47,7 @@ class PlbBalancer(LegacyServer):
         self._policy: Optional[BalancingPolicy] = None
         self.forwarded = 0
         self.retries = 0
-        # Request-path targets, bound once (see LegacyServer._run_then).
+        # Request-path targets, bound once (see LegacyServer).
         self.handle = self.handle
         self._forward = self._forward
         self._proxy_aborted = self._proxy_aborted
@@ -83,12 +83,12 @@ class PlbBalancer(LegacyServer):
             return
         weight = request.weight
         self.pending += weight
-        self._run_then(
+        self.node.submit(
             self.proxy_demand * weight,
             weight,
             self._forward,
             self._proxy_aborted,
-            request,
+            (request,),
         )
 
     def _forward(self, request: WebRequest) -> None:
@@ -106,7 +106,10 @@ class PlbBalancer(LegacyServer):
                 self.pending -= weight
                 assert self.pending >= 0, f"{self.name}: pending underflow"
                 self.served += weight
-                self._after_hop(server.handle, request)
+                kernel = self.kernel
+                lan = self.lan
+                at = kernel._now if lan is None else kernel._now + lan.hop_delay_s
+                kernel._post_at(at, server.handle, (request,))
                 return
             self.retries += 1
             candidates = [c for c in candidates if c != endpoint]

@@ -23,7 +23,18 @@ class ServerNotRunning(RuntimeError):
 
 
 class LegacyServer:
-    """Common machinery: lifecycle, endpoints, counters, crash handling."""
+    """Common machinery: lifecycle, endpoints, counters, crash handling.
+
+    A subclass makes each hop of a request itself.  CPU work is
+    ``self.node.submit(demand, weight, then, fail, args)``: ``then(*args)``
+    runs after ``demand`` seconds of CPU (posted at once for zero demand),
+    ``fail(*args, error)`` on abort or a crashed node; ``weight`` is the
+    number of batched requests (cohorts) the demand sums over.  A message
+    to another server is ``kernel._post_at(now + lan.hop_delay_s, fn,
+    args)``, reading ``hop_delay_s`` at every hop (chaos latency faults
+    change it); without a LAN it posts at ``now``.  Targets are methods
+    bound once in ``__init__``, so a hop allocates no closure.
+    """
 
     #: static memory footprint of the running process, MB
     footprint_mb: float = 48.0
@@ -162,47 +173,6 @@ class LegacyServer:
             self.served += weight
         else:
             self.failures += weight
-
-    def _after_hop(self, fn: Callable[..., None], *args) -> None:
-        """Run ``fn`` after a simulated network hop (immediately if no LAN
-        model was provided)."""
-        kernel = self.kernel
-        if self.lan is None:
-            kernel._post_at(kernel._now, fn, args)
-        else:
-            # hop_delay_s >= 0: the Lan rejects negative latencies
-            kernel._post_at(kernel._now + self.lan.hop_delay_s, fn, args)
-
-    def _run_then(
-        self,
-        demand: float,
-        weight: int,
-        fn: Callable[..., None],
-        fail: Callable[..., None],
-        *args,
-    ) -> None:
-        """Consume ``demand`` seconds of CPU on our node, then call
-        ``fn(*args)``; on CPU abort (node crash) call ``fail(*args,
-        error)``.  Callers pass methods they bound once, in ``__init__``,
-        and the request as ``args``, so a hop allocates neither a closure
-        nor a bound method.  ``weight`` is the number of batched
-        identical requests the demand sums over (cohorts): the CPU sees
-        ``weight`` concurrent requests of ``demand / weight`` each.
-
-        The job goes to :attr:`Node.submit <repro.cluster.node.Node.submit>`,
-        which is the CPU's own ``submit`` on a healthy node.  If our node
-        has already crashed, ``fail`` receives
-        :class:`~repro.cluster.node.NodeDown` asynchronously, as if the
-        crash had aborted the work.
-
-        ``fn`` runs as its own kernel event or through the kernel's tail
-        dispatch, so it may end in a tail call (``request.complete``).  With
-        ``demand <= 0`` it runs synchronously instead; every caller is
-        then itself in tail position, so such a tail call stays exact."""
-        if demand <= 0.0:
-            fn(*args)
-            return
-        self.node.submit(demand, weight, fn, fail, args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else "stopped"

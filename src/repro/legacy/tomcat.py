@@ -53,7 +53,7 @@ class TomcatServer(LegacyServer):
         self.conf: Optional[ServerXml] = None
         #: the datasource's ``(host, port)`` endpoint
         self._datasource: Optional[tuple[str, int]] = None
-        # Request-path targets, bound once (see LegacyServer._run_then).
+        # Request-path targets, bound once (see LegacyServer).
         self.handle = self.handle
         self._query_db = self._query_db
         self._respond = self._respond
@@ -99,12 +99,12 @@ class TomcatServer(LegacyServer):
             return
         weight = request.weight
         self.pending += weight
-        self._run_then(
+        self.node.submit(
             request.app_demand_pre,
             weight,
             self._query_db,
             self._servlet_aborted,
-            request,
+            (request,),
         )
 
     def _query_db(self, request: WebRequest) -> None:
@@ -118,12 +118,12 @@ class TomcatServer(LegacyServer):
         datasource.execute(request, self._respond, self._db_failed)
 
     def _respond(self, request: WebRequest) -> None:
-        self._run_then(
+        self.node.submit(
             request.app_demand_post,
             request.weight,
             self._finish,
             self._response_aborted,
-            request,
+            (request,),
         )
 
     def _finish(self, request: WebRequest) -> None:

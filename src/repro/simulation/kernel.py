@@ -56,8 +56,10 @@ returns, and the same holds for every frame between it and the kernel's
 dispatch; call sites are therefore restricted to audited tail positions:
 ``PsCpu._complete_next``, ``WebRequest.complete`` and its callers
 (``TomcatServer._finish``, ``ApacheServer._finish_static``), and the
-read answers of ``MySqlServer`` and ``CJdbcController``.  ``_tail``
-runs inline only while :meth:`SimKernel.run` is active and
+read answers ``MySqlServer._read_done`` and ``CJdbcController._answered``.
+Each runs only as a CPU job's continuation or as the tail of one: a server
+hop submits to its node or posts, and never calls a continuation itself.
+``_tail`` runs inline only while :meth:`SimKernel.run` is active and
 :meth:`SimKernel.stop` has not been called (one ``_inline`` flag keeps
 the two), and only when the FIFO is empty; under
 :meth:`SimKernel.step`, after ``stop()`` or with a same-instant event

@@ -260,14 +260,12 @@ class RubisModel:
             and weight == 1
         ):
             gammas = self._gammas
+            # Positional (the per-request path): is_static, is_write, the
+            # pre, post, db and static demands, client_id.
             return WebRequest(
-                self.kernel,
-                interaction=inter.name,
-                is_write=inter.is_write,
-                app_demand_pre=scales[1] * gammas(),
-                app_demand_post=scales[2] * gammas(),
-                db_demand=scales[3] * gammas(),
-                client_id=client_id,
+                self.kernel, inter.name, False, inter.is_write,
+                scales[1] * gammas(), scales[2] * gammas(), scales[3] * gammas(),
+                0.0, client_id,
             )
         pre, post, db = self._means(inter)
         return WebRequest(

@@ -1,0 +1,46 @@
+"""benchmarks/ab.py: a timing of two programs whose outputs differ is refused."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_AB = Path(__file__).resolve().parent.parent / "benchmarks" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", _AB)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def _runs(*digests: str) -> list[dict]:
+    return [
+        {"ref_us_per_request": 30.0 + i, "peak_rss_mb": 40.0, "setup_s": 0.3,
+         "digest": digest}
+        for i, digest in enumerate(digests)
+    ]
+
+
+def test_matching_digests_pass():
+    assert ab.digest_mismatch(ab.summarize(_runs("x", "x"), _runs("x", "x"))) is None
+
+
+@pytest.mark.parametrize(
+    "a, b, reason",
+    [
+        (("x", "y"), ("x", "x"), "a's runs disagree"),
+        (("x", "x"), ("y", "x"), "b's runs disagree"),
+        (("x", "x"), ("y", "y"), "the two sides' digests differ"),
+    ],
+)
+def test_mismatched_digests_are_named(a, b, reason):
+    assert reason in ab.digest_mismatch(ab.summarize(_runs(*a), _runs(*b)))
+
+
+def test_mismatch_exits_1(monkeypatch, capsys):
+    digests = iter(["x", "y"])
+
+    def fake_worker(checkout, workload, seed):
+        return _runs(next(digests))[0]
+
+    monkeypatch.setattr(ab, "run_worker", fake_worker)
+    assert ab.main([".", ".", "--workload", "ramp-fluid", "--pairs", "1"]) == 1
+    assert "the two sides' digests differ" in capsys.readouterr().err

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -61,6 +65,25 @@ class TestParser:
     def test_whatif_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["whatif", "--model", "oracle"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--seeds", "1,1"],
+            ["deploy", "--seeds", "2,1,2"],
+            ["market", "--seeds", "3,3"],
+            ["sweep", "--seeds", "1,2,1"],
+            ["tune", "--seeds", "5,5"],
+        ],
+    )
+    def test_repeated_seed_rejected(self, argv, capsys):
+        # One seed given twice is one run, not two replicas: refused
+        # before anything runs, naming the seed.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--serial", "--no-cache"])
+        assert exc.value.code == 2
+        dup = argv[2].split(",")[-1]
+        assert f"duplicate seed {dup}" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -145,7 +168,7 @@ class TestCommands:
         assert args.command == "chaos"
         assert args.campaign == "gray"
         assert args.detector == "legacy"
-        assert args.seeds == "4,5"
+        assert args.seeds == (4, 5)
         assert args.slo == 0.3
         assert args.events
         assert args.json == "card.json"
@@ -374,7 +397,7 @@ class TestScalingAndBenchFlags:
              "--serial", "--no-cache", "--workers", "2"]
         )
         assert args.command == "sweep"
-        assert args.seeds == "1,2,3"
+        assert args.seeds == (1, 2, 3)
         assert args.policies == "managed,proactive"
         assert args.peak == 200
         assert args.serial and args.no_cache and args.workers == 2
@@ -495,3 +518,39 @@ class TestCacheCommand:
         ResultCache(target).store("b" * 64, {"payload": 2})
         assert main(["cache", "stats", "--dir", str(target)]) == 0
         assert "entries   : 1" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cache", "stats"],
+            ["deploy", "--scenario", "bad-push", "--seeds", "1", "--events",
+             "--serial", "--no-cache"],
+        ],
+    )
+    def test_closed_pipe_ends_quietly(self, argv, tmp_path):
+        # ``repro ... | head``: the reader is gone before the command
+        # writes, so every write meets a broken pipe.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, path)),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0
+        assert result.stderr == ""

@@ -350,6 +350,35 @@ class TestTomcat:
         assert ok is True
         assert stack.cjdbc.served == stack.cjdbc.failures == 0
 
+    def test_zero_demand_hop_is_a_posted_cpu_job(self, kernel, stack):
+        # A zero-demand response is an ordinary CPU job: its continuation
+        # is posted at the instant it was submitted, not run inside the
+        # submitting hop.
+        tomcat = stack.tomcat
+        respond = tomcat._respond
+        submitted = {}
+
+        def spy(request):
+            submitted["at"] = kernel.now
+            respond(request)
+            submitted["done_inside"] = request.completed_at is not None
+
+        tomcat._respond = spy
+        req = WebRequest(
+            kernel, "Home", app_demand_pre=0.01, app_demand_post=0.0, db_demand=0.0
+        )
+        tomcat.handle(req)
+        ok, _ = completed(req, kernel)
+        assert ok is True
+        assert submitted["done_inside"] is False
+        assert req.completed_at == submitted["at"] > 0.0
+        assert stack.n_tc.cpu.completed == 2  # the servlet's job and this one
+
+    def test_negative_demand_raises(self, kernel, stack):
+        req = WebRequest(kernel, "Home", app_demand_pre=-0.01, db_demand=0.0)
+        with pytest.raises(ValueError, match="demand must be >= 0"):
+            stack.tomcat.handle(req)
+
     def test_dead_datasource_fails_request(self, kernel, stack):
         stack.cjdbc.stop()
         req = stack.request()
