@@ -14,13 +14,16 @@ machine's speed falls on both sides alike.  Runs never overlap.
 Prints, per side, the median and quartiles of ``ref_us_per_request``
 (the harness's formula: rescaled run wall time per completed request),
 ``peak_rss_mb`` and ``setup_s`` (the harness's formula too: from the
-spawn to the start of the run call), the set of output digests, and the number of pairs
-in which that side had the lower ``ref_us_per_request``.  ``--json FILE``
-also writes every run and the summary.
+spawn to the start of the run call), the set of output digests, the
+kernel's dispatched ``events`` and skipped ``tombstones`` as the worker
+records them, and the number of pairs in which that side had the lower
+``ref_us_per_request``.  ``--json FILE`` also writes every run and the
+summary.
 
 Exits 1 when a side's runs disagree on the digest or the two sides' digest
 sets differ: a timing of two programs with different outputs compares
-nothing.
+nothing.  Kernel counts that differ between the sides only print a
+warning: a change may dispatch fewer events for the same outputs.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import time
 from pathlib import Path
 
 METRICS = ("ref_us_per_request", "peak_rss_mb", "setup_s")
+#: the worker's kernel counters (``tombstones`` is None for a federation)
+COUNTS = ("events", "tombstones")
 
 
 def run_worker(checkout: Path, workload: str, seed: int) -> dict:
@@ -56,6 +61,8 @@ def run_worker(checkout: Path, workload: str, seed: int) -> dict:
         "peak_rss_mb": record["peak_rss_mb"],
         "setup_s": record["t_run"] - t_spawn,
         "digest": record["digest"],
+        "events": record["events"],
+        "tombstones": record["tombstones"],
     }
 
 
@@ -77,6 +84,8 @@ def summarize(a_runs: list[dict], b_runs: list[dict]) -> dict:
     for name, runs, won in (("a", a_runs, wins[0]), ("b", b_runs, wins[1])):
         side = {m: quartiles([r[m] for r in runs]) for m in METRICS}
         side["digests"] = sorted({r["digest"] for r in runs})
+        for c in COUNTS:
+            side[c] = list(dict.fromkeys(r[c] for r in runs))
         side["pairs_won"] = won
         sides[name] = side
     return sides
@@ -94,6 +103,14 @@ def digest_mismatch(sides: dict) -> str | None:
     return None
 
 
+def count_mismatch(sides: dict) -> str | None:
+    """Which kernel counts differ between the sides, or None."""
+    differ = [c for c in COUNTS if sides["a"][c] != sides["b"][c]]
+    if differ:
+        return f"the two sides' {' and '.join(differ)} differ"
+    return None
+
+
 def _table(args, sides: dict) -> str:
     lines = [f"{args.workload} seed {args.seed}, {args.pairs} alternating pairs"]
     for name, path in (("a", args.a), ("b", args.b)):
@@ -103,6 +120,8 @@ def _table(args, sides: dict) -> str:
             q1, med, q3 = side[m]
             lines.append(f"   {m:<20} median {med:9.3f}  quartiles {q1:9.3f} .. {q3:9.3f}")
         lines.append(f"   digests              {' '.join(d[:16] for d in side['digests'])}")
+        for c in COUNTS:
+            lines.append(f"   {c:<20} {' '.join(str(v) for v in side[c])}")
         lines.append(f"   pairs won            {side['pairs_won']}/{args.pairs}")
     (a_q1, a_med, a_q3), (_, b_med, _) = sides["a"][METRICS[0]], sides["b"][METRICS[0]]
     lines.append(
@@ -134,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     sides = summarize(*runs)
     print(_table(args, sides))
+    counts = count_mismatch(sides)
+    if counts is not None:
+        print(f"warning: {counts}", file=sys.stderr)
     if args.json:
         args.json.write_text(json.dumps(
             {"workload": args.workload, "seed": args.seed, "a": runs[0], "b": runs[1],

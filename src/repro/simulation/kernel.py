@@ -8,34 +8,44 @@ event-for-event.
 Dispatch order
 --------------
 The kernel dispatches earliest time first, and first queued, first run
-among equal times.  The queue keeps that order in two parts:
+among equal times.  The queue keeps that order in three parts:
 
-* **The heap** holds each *future* instant (``time > now``) once, as a
-  bare float, so heap comparisons are float comparisons.  An index maps
-  the instant to its *lone* ``(fn, args)`` pair, or to the list of pairs
-  queued there, in order.  Periodic probes and samplers fire on shared
+* **The FIFO** holds the ``(fn, args)`` pairs due at the current instant.
+  A post at ``now`` appends to it.  The kernel advances to the next
+  future instant only once the FIFO is empty, and moves every pair due
+  then into the FIFO.  Those pairs were queued before ``now`` reached
+  their time, so they belong ahead of any post made at that instant.
+* **The held instant.**  A post at a future instant strictly earlier
+  than every queued future instant is kept in one slot, as its lone
+  ``(fn, args)`` pair, and goes into neither the heap nor the index.
+  About half the future posts on the request path (CPU wakes, LAN
+  hops, think times) lead the queue when they are made, so they are
+  queued and dispatched without touching the heap.  Before a post at the same
+  instant or an earlier one is queued, the held pair moves into the
+  index and the heap, so it keeps its place ahead of the later post.
+* **The heap** holds each other future instant once, as a bare float,
+  so heap comparisons are float comparisons.  An index maps the instant
+  to its *lone* ``(fn, args)`` pair, or to the list of pairs queued
+  there, in order.  Periodic probes and samplers fire on shared
   absolute grids (``first + k*period``), so an instant costs one heap
   entry however many callbacks share it.
-* **The FIFO** holds the ``(fn, args)`` pairs due at the current instant.
-  A post at ``now`` appends to it.  The kernel advances to the next heap
-  instant only once the FIFO is empty, and moves every pair due then
-  into the FIFO.  Those pairs were queued before ``now`` reached their
-  time, so they belong ahead of any post made at that instant.
 
 The first callback queued at a future instant is its lone one, and
-heads its list if others join.  A cancelled lone event is discarded when
-it leads the queue, even past a run's horizon, without moving ``now``;
-reaching any other callback moves ``now``, cancelled or not.  Past a
-horizon, once the lone event is gone, the cancelled events of its
-instant go too, and ``None`` takes its place at the head of the list.
+heads its list if others join.  A cancelled lone event, held or in the
+heap, is discarded when it leads the queue, even past a run's horizon,
+without moving ``now``; reaching any other callback moves ``now``,
+cancelled or not.  Past a horizon, once the lone event is gone, the
+cancelled events of its instant go too, and ``None`` takes its place at
+the head of the list.
 
 Fire-and-forget posts (:meth:`SimKernel.post`, :meth:`~SimKernel.post_in`,
 :meth:`~SimKernel.post_at`) allocate nothing but their tuple.  Only
-:meth:`~SimKernel.schedule`, :meth:`~SimKernel.schedule_at`,
-:meth:`~SimKernel.call_soon` and :class:`PeriodicTask` build an
-:class:`Event`, the cancellable handle they return; it is queued as
-``fn=None, args=event``.  A cancelled event stays queued, and counts in
-``pending``, until the kernel reaches it and discards it as a tombstone.
+:meth:`~SimKernel.schedule`, :meth:`~SimKernel.schedule_at` and
+:meth:`~SimKernel.call_soon` build an :class:`Event`, the cancellable
+handle they return; it is queued as ``fn=None, args=event``.  A
+:class:`PeriodicTask` is its own handle, queued the same way at each
+firing.  A cancelled handle stays queued, and counts in ``pending``,
+until the kernel reaches it and discards it as a tombstone.
 
 Tail dispatch
 -------------
@@ -136,9 +146,16 @@ class SimKernel:
     """
 
     def __init__(self) -> None:
-        #: future instants (see the module docstring)
+        #: the lone ``(fn, args)`` pair of the held instant, or ``None``
+        #: (see the module docstring)
+        self._held: Optional[tuple] = None
+        #: the earliest queued future instant: the held one, else the
+        #: heap's first, else infinity
+        self._next_at = _INF
+        #: the other future instants
         self._heap: list[float] = []
-        #: future instant -> its lone ``(fn, args)`` pair, or its list of pairs
+        #: future instant in the heap -> its lone ``(fn, args)`` pair, or
+        #: its list of pairs
         self._index: dict[float, Any] = {}
         #: ``(fn, args)`` pairs due at ``now``, in dispatch order
         self._fifo: deque = deque()
@@ -176,7 +193,7 @@ class SimKernel:
     @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return len(self._fifo) + sum(
+        return len(self._fifo) + (self._held is not None) + sum(
             1 if type(v) is tuple else len(v) - (v[0] is None)
             for v in self._index.values()
         )
@@ -232,15 +249,29 @@ class SimKernel:
 
     def _post_at(self, time: float, fn: Any, args: Any) -> None:
         """Queue ``fn(*args)`` at ``time >= now`` (``fn=None`` with an
-        :class:`Event` as ``args`` queues the event).  Unchecked: the
+        :class:`Event` or a :class:`PeriodicTask` as ``args`` queues that
+        handle).  Unchecked: the
         public entry points reject a past or NaN time, which would
         silently reorder the heap."""
         if time <= self._now:
             self._fifo.append((fn, args))
             return
+        next_at = self._next_at
+        if time < next_at:  # leads the queue: hold it
+            held = self._held
+            if held is not None:
+                self._index[next_at] = held
+                heapq.heappush(self._heap, next_at)
+            self._held = (fn, args)
+            self._next_at = time
+            return
         pair = (fn, args)
         cur = self._index.setdefault(time, pair)
         if cur is pair:
+            if time == next_at and self._held is not None:
+                # co-timed with the held pair, which heads the instant
+                self._index[time] = [self._held, pair]
+                self._held = None
             heapq.heappush(self._heap, time)
         elif type(cur) is tuple:
             self._index[time] = [cur, pair]
@@ -278,11 +309,25 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _pop_instant(self) -> tuple[float, Any]:
+        """Remove the earliest future instant from the queue: its time and
+        its entry (the held pair, or the heap instant's index entry)."""
+        time = self._next_at
+        entry = self._held
+        if entry is not None:
+            self._held = None
+        else:
+            heapq.heappop(self._heap)
+            entry = self._index.pop(time)
+        heap = self._heap
+        self._next_at = heap[0] if heap else _INF
+        return time, entry
+
     def _reach(self, time: float, entry: Any) -> None:
-        """Move the callbacks of ``time``, the future instant just popped
-        from the heap and the index, into the (empty) FIFO and advance
-        ``now`` to it.  A cancelled lone event is discarded instead,
-        leaving ``now`` as it is."""
+        """Move the callbacks of ``time``, the future instant just taken
+        off the queue, into the (empty) FIFO and advance ``now`` to it.  A
+        cancelled lone event is discarded instead, leaving ``now`` as it
+        is."""
         if type(entry) is tuple:
             fn, args = entry
             if fn is None and args.cancelled:
@@ -296,10 +341,16 @@ class SimKernel:
         self._now = time
 
     def _discard_past_horizon(self) -> None:
-        """Discard the cancelled events leading the heap, which lies past
+        """Discard the cancelled events leading the queue, which lies past
         the run's horizon, so that ``pending`` then counts live events
         only: a cancelled lone event, and once it is gone, the cancelled
         events of its instant."""
+        held = self._held
+        if held is not None:
+            if held[0] is not None or not held[1].cancelled:
+                return
+            self.tombstones_skipped += 1
+            self._held = None
         heap = self._heap
         index = self._index
         while heap:
@@ -307,23 +358,23 @@ class SimKernel:
             entry = index[time]
             lone, rest = (entry, ()) if type(entry) is tuple else (entry[0], entry[1:])
             if lone is not None and (lone[0] is not None or not lone[1].cancelled):
-                return
+                break
             live = [e for e in rest if e[0] is not None or not e[1].cancelled]
             self.tombstones_skipped += len(rest) - len(live) + (lone is not None)
             if live:
                 index[time] = [None, *live]
-                return
+                break
             heapq.heappop(heap)
             del index[time]
+        self._next_at = heap[0] if heap else _INF
 
     def step(self) -> bool:
         """Run the next pending event. Returns False when the queue is empty."""
         heap = self._heap
         fifo = self._fifo
-        while fifo or heap:
+        while fifo or heap or self._held is not None:
             if not fifo:
-                time = heapq.heappop(heap)
-                self._reach(time, self._index.pop(time))
+                self._reach(*self._pop_instant())
                 continue
             fn, args = fifo.popleft()
             if fn is None:
@@ -363,22 +414,27 @@ class SimKernel:
                         if fn is None:  # cancelled
                             self.tombstones_skipped += 1
                             continue
-                elif heap:
-                    time = heap[0]
+                else:
+                    # _pop_instant, and _reach for a lone post, inlined
+                    # (hot path: CPU wakes, think times, network hops)
+                    time = self._next_at
                     if time > horizon:
                         self._discard_past_horizon()
                         break
-                    heappop(heap)
-                    entry = index.pop(time)
-                    # _reach inlined for a lone post (hot path: CPU wakes,
-                    # think times, network hops)
+                    entry = self._held
+                    if entry is not None:
+                        self._held = None
+                    elif heap:
+                        heappop(heap)
+                        entry = index.pop(time)
+                    else:
+                        break
+                    self._next_at = heap[0] if heap else _INF
                     if type(entry) is not tuple or entry[0] is None:
                         self._reach(time, entry)
                         continue
                     fn, args = entry
                     self._now = time
-                else:
-                    break
                 fn(*args)
                 dispatched += 1
         finally:
@@ -450,6 +506,11 @@ class PeriodicTask:
     ``now + period`` from inside each tick), so long runs accumulate no
     floating-point phase drift and co-periodic tasks share exact timestamps
     (one heap entry per instant instead of one per task).
+
+    The task is its own queued handle: each firing queues the task itself
+    (``fn=None, args=task``, as an :class:`Event` is queued), so a firing
+    builds no :class:`Event`.  :meth:`cancel` turns the queued firing into
+    a tombstone: :meth:`_take` then returns no callback.
     """
 
     __slots__ = (
@@ -457,8 +518,7 @@ class PeriodicTask:
         "period",
         "_fn",
         "_args",
-        "_event",
-        "_cancelled",
+        "cancelled",
         "_first",
         "_k",
         "fired",
@@ -472,33 +532,35 @@ class PeriodicTask:
         args: tuple,
         start: Optional[float],
     ) -> None:
+        first = kernel.now + period if start is None else start
+        if not first >= kernel.now:
+            raise SimulationError(
+                f"cannot schedule at t={first} (now is t={kernel.now})"
+            )
         self._kernel = kernel
         self.period = period
         self._fn = fn
         self._args = args
-        self._cancelled = False
+        self.cancelled = False
         self.fired = 0
-        first = kernel.now + period if start is None else start
         self._first = first
         self._k = 0
-        self._event = kernel.schedule_at(first, self._tick)
+        kernel._post_at(first, None, self)
+
+    def _take(self) -> tuple:
+        """The queued firing's callback and arguments; ``(None, ())`` once
+        the task is cancelled."""
+        if self.cancelled:
+            return None, ()
+        return self._tick, ()
 
     def _tick(self) -> None:
-        if self._cancelled:
-            return
         self.fired += 1
         self._fn(*self._args)
-        if not self._cancelled:
+        if not self.cancelled:
             self._k += 1
-            self._event = self._kernel.schedule_at(
-                self._first + self._k * self.period, self._tick
-            )
+            self._kernel._post_at(self._first + self._k * self.period, None, self)
 
     def cancel(self) -> None:
         """Stop future firings; idempotent."""
-        self._cancelled = True
-        self._event.cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
+        self.cancelled = True

@@ -1,11 +1,31 @@
 """Unit tests for the discrete-event kernel."""
 
+import functools
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.kernel import SimKernel, SimulationError
 from tests.conftest import collector_digest
+
+
+@pytest.fixture
+def events_built(monkeypatch):
+    """A one-item list: the number of :class:`Event` handles the kernel
+    builds while the test runs."""
+    import repro.simulation.kernel as kernel_module
+
+    built = [0]
+    real_event = kernel_module.Event
+
+    def counting_event(*args):
+        built[0] += 1
+        return real_event(*args)
+
+    monkeypatch.setattr(kernel_module, "Event", counting_event)
+    return built
 
 
 def test_initial_time_is_zero(kernel):
@@ -350,6 +370,38 @@ class TestPeriodicTask:
         kernel.run(until=3.0)
         assert task.fired == 3
 
+    def test_firings_allocate_no_event_handles(self, kernel, events_built):
+        """The task is its own queued handle: firing N times builds no
+        Event and leaves only the next firing queued."""
+        task = kernel.every(0.5, lambda: None)
+        kernel.run(until=250.0)
+        assert task.fired == 500
+        assert kernel.events_processed == 500
+        assert kernel.pending == 1
+        assert events_built == [0]
+
+    def test_cancelled_firing_is_a_tombstone(self, kernel):
+        """A cancelled task's queued firing counts as pending until the
+        kernel reaches it, then is skipped without moving ``now``."""
+        task = kernel.every(1.0, lambda: None)
+        kernel.run(until=1.5)
+        task.cancel()
+        assert kernel.pending == 1
+        processed, skipped = kernel.events_processed, kernel.tombstones_skipped
+        kernel.run()
+        assert kernel.now == 1.5
+        assert kernel.pending == 0
+        assert kernel.events_processed == processed
+        assert kernel.tombstones_skipped == skipped + 1
+        assert task.fired == 1
+
+    def test_start_in_past_rejected(self, kernel):
+        kernel.run(until=5.0)
+        for start in (2.0, float("nan")):
+            with pytest.raises(SimulationError):
+                kernel.every(1.0, lambda: None, start=start)
+        assert kernel.pending == 0
+
 
 class TestFastPaths:
     """The allocation-avoiding hot paths: handle-free posts and
@@ -383,19 +435,9 @@ class TestFastPaths:
         assert kernel.pending == 0
         assert kernel.events_processed == 3
 
-    def test_post_chain_allocates_no_event_handles(self, kernel, monkeypatch):
+    def test_post_chain_allocates_no_event_handles(self, kernel, events_built):
         """A long chain of posts builds no Event handle and leaves
         nothing queued."""
-        import repro.simulation.kernel as kernel_module
-
-        handles = [0]
-        real_event = kernel_module.Event
-
-        def counting_event(*args):
-            handles[0] += 1
-            return real_event(*args)
-
-        monkeypatch.setattr(kernel_module, "Event", counting_event)
         count = [0]
 
         def tick():
@@ -408,7 +450,7 @@ class TestFastPaths:
         assert count[0] == 500
         assert kernel.pending == 0
         assert kernel.events_processed == 500
-        assert handles[0] == 0
+        assert events_built == [0]
 
     def test_co_timed_schedules_share_one_heap_entry(self, kernel):
         """Events scheduled at one future timestamp coalesce into a
@@ -680,6 +722,27 @@ class _RefQueue:
         def cancel(self):
             self.cancelled = True
 
+    class Periodic:
+        """``every``: each firing queues the next one on the absolute
+        grid after its callback returns, unless cancelled."""
+
+        def __init__(self, ref, period, fn):
+            self.ref, self.period, self.fn = ref, period, fn
+            self.first, self.k, self.cancelled = ref.now + period, 0, False
+            self.entry = ref.schedule_at(self.first, self.tick)
+
+        def tick(self):
+            self.fn()
+            if not self.cancelled:
+                self.k += 1
+                self.entry = self.ref.schedule_at(
+                    self.first + self.k * self.period, self.tick
+                )
+
+        def cancel(self):
+            self.cancelled = True
+            self.entry.cancel()
+
     def __init__(self):
         self.q, self.seq, self.now, self.stopped = [], 0, 0.0, False
         self.events_processed = self.tombstones_skipped = self.tail_dispatched = 0
@@ -708,8 +771,11 @@ class _RefQueue:
 
     post = call_soon
 
+    def every(self, period, fn):
+        return self.Periodic(self, period, fn)
+
     def _tail(self, fn, args):
-        self.schedule_at(self.now, lambda: fn(*args))
+        self.schedule_at(self.now, functools.partial(fn, *args))
 
     def stop(self):
         self.stopped = True
@@ -755,8 +821,10 @@ class _RefQueue:
 
 
 #: the operations that return a cancellable handle
-_HANDLE_OPS = ("schedule", "schedule_at", "call_soon")
-_CALLBACK_OPS = _HANDLE_OPS + ("post", "post_in", "post_at", "cancel", "tail", "stop")
+_HANDLE_OPS = ("schedule", "schedule_at", "call_soon", "every")
+_CALLBACK_OPS = _HANDLE_OPS + (
+    "post", "post_in", "post_at", "cancel", "tail", "stop", "fork"
+)
 
 
 @st.composite
@@ -771,71 +839,118 @@ def _kernel_programs(draw):
             # extra weight on "cancel": tombstones at a horizon need two
             # cancelled events queued at one instant
             draw(st.sampled_from(_CALLBACK_OPS + ("cancel", "cancel"))),
-            draw(st.sampled_from((0.0, 0.5, 1.0))),
+            # off the half-second grid too, so that a post strictly
+            # earlier than the held instant displaces it
+            draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))),
             draw(st.integers(0, max(i - 1, 0))),  # what a "cancel" cancels
         ))
     calls = draw(st.lists(st.sampled_from(("step", 0.0, 0.5, 1.5, None)), max_size=6))
     return nodes, calls
 
 
+class _Driver:
+    """Runs a program's callbacks on a kernel or on the reference queue.
+
+    Picklable with its queue, so that a ``fork`` action can copy it from
+    inside a callback: the callback stops the run and pickles the
+    driver as its last action, and the program finishes on the copy.
+    An ``every`` task fires three times (its children act on the first
+    firing) and then cancels itself.  Its callback is followed by the
+    task's own reschedule, so it makes no tail call and no fork."""
+
+    def __init__(self, nodes, kernel):
+        self.nodes, self.kernel = nodes, kernel
+        self.children = {i: [] for i in range(-1, len(nodes))}
+        for i, (parent, *_) in enumerate(nodes):
+            self.children[parent].append(i)
+        self.handles, self.log, self.firings = {}, [], {}
+        self.fork = None
+
+    def act(self, i):
+        kernel = self.kernel
+        periodic = i >= 0 and self.nodes[i][1] == "every"
+        kids = self.children[i]
+        forks = i >= 0 and not periodic and any(self.nodes[j][1] == "fork" for j in kids)
+        tail = None
+        for j in kids:
+            _, op, delay, target = self.nodes[j]
+            now = kernel.now
+            cb = functools.partial(self.fire, j)
+            if op in ("schedule", "post_in"):
+                self.handles[j] = getattr(kernel, op)(delay, cb)
+            elif op in ("schedule_at", "post_at"):
+                self.handles[j] = getattr(kernel, op)(now + delay, cb)
+            elif op in ("call_soon", "post"):
+                self.handles[j] = getattr(kernel, op)(cb)
+            elif op == "every":
+                self.handles[j] = kernel.every(delay or 1.0, cb)
+            elif op == "cancel":
+                if target in self.handles and self.nodes[target][1] in _HANDLE_OPS:
+                    self.handles[target].cancel()
+            elif op == "stop":
+                kernel.stop()
+            elif op == "fork":
+                pass
+            elif tail is None and not (periodic or forks):
+                tail = j
+            else:  # one tail call per callback, and none beside a fork
+                kernel.post(cb)
+        if forks:  # the last action
+            kernel.stop()
+            self.fork = pickle.dumps(self)
+        elif tail is not None:
+            kernel._tail(functools.partial(self.fire, tail), ())  # the last action
+
+    def fire(self, i):
+        self.log.append((i, self.kernel.now))
+        if self.nodes[i][1] == "every":
+            fired = self.firings[i] = self.firings.get(i, 0) + 1
+            if fired == 3:
+                self.handles[i].cancel()
+            if fired > 1:
+                return
+        self.act(i)
+
+    def resume(self):
+        """The driver to go on with: the copy, if a callback forked.  The
+        copy's ``events_processed`` omits the events dispatched by the
+        interrupted call (it would add them when that call returns), so
+        it takes the parent's count."""
+        if self.fork is None:
+            return self
+        copy = pickle.loads(self.fork)
+        copy.kernel.events_processed = self.kernel.events_processed
+        return copy
+
+
 def _drive(program, kernel):
     """Run ``program`` on ``kernel``; returns the dispatch log and the
     counters after each ``step``/``run`` call."""
     nodes, calls = program
-    children = {i: [] for i in range(-1, len(nodes))}
-    for i, (parent, *_) in enumerate(nodes):
-        children[parent].append(i)
-    handles, log = {}, []
-
-    def act(i):
-        tail = None
-        for j in children[i]:
-            _, op, delay, target = nodes[j]
-            now = kernel.now
-            if op in ("schedule", "post_in"):
-                handles[j] = getattr(kernel, op)(delay, callback(j))
-            elif op in ("schedule_at", "post_at"):
-                handles[j] = getattr(kernel, op)(now + delay, callback(j))
-            elif op in ("call_soon", "post"):
-                handles[j] = getattr(kernel, op)(callback(j))
-            elif op == "cancel":
-                if target in handles and nodes[target][1] in _HANDLE_OPS:
-                    handles[target].cancel()
-            elif op == "stop":
-                kernel.stop()
-            elif tail is None:
-                tail = j
-            else:  # one tail call per callback: post the others
-                kernel.post(callback(j))
-        if tail is not None:
-            kernel._tail(callback(tail), ())  # the last action
-
-    def callback(i):
-        def cb():
-            log.append((i, kernel.now))
-            act(i)
-
-        return cb
-
-    act(-1)
+    driver = _Driver(nodes, kernel)
+    driver.act(-1)
     states = []
 
     def record(call):
+        kernel = driver.kernel
         states.append((
             call, kernel.now, kernel.pending, kernel.tombstones_skipped,
-            kernel.events_processed + kernel.tail_dispatched, len(log),
+            kernel.events_processed + kernel.tail_dispatched, len(driver.log),
         ))
 
     for call in calls:
+        kernel = driver.kernel
         if call == "step":
             kernel.step()
         else:
             kernel.run(until=None if call is None else kernel.now + call)
+        driver = driver.resume()
         record(call)
-    while kernel.pending:
-        kernel.run()
+    while driver.kernel.pending:
+        driver.kernel.run()
+        driver = driver.resume()
         record("drain")
-    return log, states
+    return driver.log, states
 
 
 @settings(max_examples=400, deadline=None)
@@ -843,7 +958,8 @@ def _drive(program, kernel):
 def test_kernel_matches_reference_queue(program):
     """Dispatch order, ``now`` and the counters of the kernel equal
     those of the reference queue, whatever mix of scheduling, posting,
-    cancelling, tail calls, steps, horizons and stops a program makes."""
+    periodic tasks, cancelling, tail calls, steps, horizons, stops and
+    pickled copies a program makes."""
     log, states = _drive(program, SimKernel())
     ref_log, ref_states = _drive(program, _RefQueue())
     assert log == ref_log

@@ -12,6 +12,11 @@ The fluid ramp is pinned at the benchmark's own size (the trapezoid at
 twice the paper's durations, seed 1; about half a second): it bypasses
 the request path, so its digest moves with the probes, the node
 sampler, the policy loop and the fluid tick instead.
+
+The federation's evacuation is pinned at a tenth of the paper's
+durations (seed 1, two regions, run serially): each region's collector
+digest and kernel counts, through a crash, its repair, the evacuation
+and the spill to the survivor.
 """
 
 from __future__ import annotations
@@ -53,6 +58,20 @@ FLUID_LOCK = (
     "97c221e04ed1c697b18e3df0a82fb577631d37f6827dd4b4d803c0c5236d36e7",
     95394, 0, 1, 6060, 6060,
 )
+
+
+#: region -> (collector digest, events processed, tail dispatched,
+#: tombstones skipped) of the reduced-scale evacuation
+FEDERATION_LOCK = {
+    "ap-east": (
+        "f5f516903c59455124bef4b8ae9dbc3a049699ac2fc11ca133952c2658fd372e",
+        21269, 14767, 1,
+    ),
+    "eu-west": (
+        "4da5e968a2a569294033a48527d3076cb498fece29f12ef17c9716bcc48b0dbf",
+        37600, 28576, 1,
+    ),
+}
 
 
 def build(seed: int, managed: bool) -> ManagedSystem:
@@ -103,3 +122,29 @@ def test_fluid_ramp_is_locked():
         probes["db"].samples_taken,
     )
     assert observed == FLUID_LOCK
+
+
+def test_federation_evacuation_is_locked(monkeypatch):
+    from repro.federation import coordinator
+    from repro.federation.spec import evacuation
+
+    runtimes = []
+
+    class Recorded(coordinator.RegionRuntime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runtimes.append(self)
+
+    monkeypatch.setattr(coordinator, "RegionRuntime", Recorded)
+    spec = evacuation(regions=2, scale=0.1, seed=1)
+    result = coordinator.run_federation(spec, parallel=False)
+    observed = {}
+    for runtime in runtimes:
+        kernel = runtime.system.kernel
+        observed[runtime.name] = (
+            collector_digest(result.regions[runtime.name].run.collector),
+            kernel.events_processed,
+            kernel.tail_dispatched,
+            kernel.tombstones_skipped,
+        )
+    assert observed == FEDERATION_LOCK
