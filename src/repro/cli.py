@@ -243,36 +243,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated seeds (default 1,2)",
     )
     sweep.add_argument(
-        "--scales", default="0.1", metavar="LIST",
+        "--scales", type=_axis(float), default="0.1", metavar="LIST",
         help="comma-separated time-compression factors (default 0.1)",
     )
     sweep.add_argument(
-        "--policies", default="static,managed", metavar="LIST",
+        "--policies", type=_axis(str), default="static,managed", metavar="LIST",
         help="comma-separated replica policies out of static, managed, "
         "proactive (default static,managed)",
     )
     sweep.add_argument(
-        "--cohorts", default="1", metavar="LIST",
+        "--cohorts", type=_axis(int), default="1", metavar="LIST",
         help="comma-separated client cohort sizes (default 1)",
     )
     sweep.add_argument(
         "--peak", type=int, default=500, help="ramp peak client count"
     )
     sweep.add_argument(
-        "--fleet", default="uniform", metavar="LIST",
+        "--fleet", type=_axis(str), default="uniform", metavar="LIST",
+        dest="fleets",
         help="comma-separated fleet policies: 'uniform' (the paper's flat "
         "pool) and/or market presets such as on-demand, balanced, "
         "spot-heavy (default uniform)",
     )
     _add_fluid(sweep)
     sweep.add_argument(
-        "--regions", default="1", metavar="LIST", dest="regions",
+        "--regions", type=_axis(int), default="1", metavar="LIST",
         help="comma-separated region counts; cells with more than one "
         "region run as a federation under the global load balancer "
         "(default 1)",
     )
     sweep.add_argument(
-        "--controllers", default="default", metavar="LIST",
+        "--controllers", type=_axis(str), default="default", metavar="LIST",
         help="comma-separated control-loop policy plugins: 'default' "
         "(each cell's legacy reactor) and/or PolicyConfig strings such "
         "as queue-model, adaptive-threshold, 'forecast:lead_s=90' "
@@ -354,32 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
         "thresholds, windows and inhibition through the cached runner, "
         "scored on SLO violation + node-hours + reconfigurations",
     )
+    for flag, default, what, dest in (
+        ("--app-max", "0.7,0.8", "app-tier grow thresholds", "app_max"),
+        ("--app-min", "0.38,0.45", "app-tier shrink thresholds", "app_min"),
+        ("--db-max", "0.65,0.75", "db-tier grow thresholds", "db_max"),
+        ("--db-min", "0.4,0.45", "db-tier shrink thresholds", "db_min"),
+        ("--windows", "1.0", "moving-average window scales", "window_scales"),
+        ("--inhibitions", "30,60", "inhibition periods in seconds", "inhibitions"),
+    ):
+        tune.add_argument(
+            flag, type=_axis(float), default=default, metavar="LIST",
+            dest=dest, help=f"{what} (default {default})",
+        )
     tune.add_argument(
-        "--app-max", default="0.7,0.8", metavar="LIST",
-        help="app-tier grow thresholds (default 0.7,0.8)",
-    )
-    tune.add_argument(
-        "--app-min", default="0.38,0.45", metavar="LIST",
-        help="app-tier shrink thresholds (default 0.38,0.45)",
-    )
-    tune.add_argument(
-        "--db-max", default="0.65,0.75", metavar="LIST",
-        help="db-tier grow thresholds (default 0.65,0.75)",
-    )
-    tune.add_argument(
-        "--db-min", default="0.4,0.45", metavar="LIST",
-        help="db-tier shrink thresholds (default 0.4,0.45)",
-    )
-    tune.add_argument(
-        "--windows", default="1.0", metavar="LIST",
-        help="moving-average window scales (default 1.0)",
-    )
-    tune.add_argument(
-        "--inhibitions", default="30,60", metavar="LIST",
-        help="inhibition periods in seconds (default 30,60)",
-    )
-    tune.add_argument(
-        "--controllers", default="default", metavar="LIST",
+        "--controllers", type=_axis(str), default="default", metavar="LIST",
         help="comma-separated policy plugins to cross with the grid "
         "(default default)",
     )
@@ -779,18 +768,38 @@ def cmd_recovery(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_list(raw: str, conv) -> tuple:
-    return tuple(conv(item) for item in raw.split(",") if item.strip())
+def _axis(conv, what: str = "value"):
+    """The argparse type of a comma-separated grid axis.  A value given
+    twice would make one cell twice (a seed: score one run as two
+    replicas), so it is refused."""
+
+    def parse(raw: str) -> tuple:
+        values = tuple(conv(item) for item in raw.split(",") if item.strip())
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(
+                    f"duplicate {what} {value} in {raw!r}"
+                )
+        return values
+
+    parse.__name__ = conv.__name__  # argparse: "invalid float value: 'x'"
+    return parse
 
 
-def _seed_list(raw: str) -> tuple[int, ...]:
-    """A comma-separated ``--seeds`` list; a seed given twice would be
-    scored as two independent replicas of one run, so it is refused."""
-    seeds = _parse_list(raw, int)
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise argparse.ArgumentTypeError(f"duplicate seed {seed} in {raw!r}")
-    return seeds
+_seed_list = _axis(int, "seed")
+
+
+def _sweep_spec(args: argparse.Namespace, **fixed):
+    """The :class:`SweepSpec` of the parsed grid options: each option
+    whose destination names a spec field sets it, ``fixed`` the rest."""
+    from dataclasses import fields
+
+    from repro.runner.sweep import SweepSpec
+
+    names = {f.name for f in fields(SweepSpec)}
+    return SweepSpec(
+        **{name: v for name, v in vars(args).items() if name in names}, **fixed
+    )
 
 
 def _runner(args: argparse.Namespace):
@@ -841,25 +850,9 @@ def cmd_scorecard(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.runner.sweep import (
-        SweepSpec,
-        run_sweep,
-        write_sweep_csv,
-        write_sweep_json,
-    )
+    from repro.runner.sweep import run_sweep, write_sweep_csv, write_sweep_json
 
-    spec = SweepSpec(
-        seeds=args.seeds,
-        scales=_parse_list(args.scales, float),
-        policies=_parse_list(args.policies, str),
-        cohorts=_parse_list(args.cohorts, int),
-        peak=args.peak,
-        fleets=_parse_list(args.fleet, str),
-        fluid=args.fluid,
-        fluid_threshold=args.fluid_threshold,
-        regions=_parse_list(args.regions, int),
-        controllers=_parse_list(args.controllers, str),
-    )
+    spec = _sweep_spec(args)
     cells = spec.grid()
     print(
         f"Sweeping {len(cells)} cells: {len(spec.policies)} policies x "
@@ -903,32 +896,18 @@ def cmd_tune(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.policy.tune import (
-        TuneSpec,
-        render_report,
-        run_tune,
-        write_tuned_config,
+        render_report, run_tune, tune_cells, write_tuned_config,
     )
-
-    spec = TuneSpec(
-        app_max=_parse_list(args.app_max, float),
-        app_min=_parse_list(args.app_min, float),
-        db_max=_parse_list(args.db_max, float),
-        db_min=_parse_list(args.db_min, float),
-        window_scales=_parse_list(args.windows, float),
-        inhibitions=_parse_list(args.inhibitions, float),
-        controllers=_parse_list(args.controllers, str),
-        seeds=args.seeds,
-        scale=args.scale,
-        samples=args.samples,
-        chaos=args.chaos,
-    )
-    cells = spec.grid()
-    runs_per_cell = len(spec.seeds) * (2 if spec.chaos else 1)
+    spec = _sweep_spec(args, scales=(args.scale,), policies=("managed",))
+    cells = tune_cells(spec, args.samples)
+    runs_per_cell = len(spec.seeds) * (2 if args.chaos else 1)
     print(
         f"Tuning {len(cells)} cells x {len(spec.seeds)} seeds "
         f"({len(cells) * runs_per_cell} runs)..."
     )
-    report = run_tune(spec, runner=_runner(args))
+    report = run_tune(
+        spec, runner=_runner(args), samples=args.samples, chaos=args.chaos
+    )
     print(render_report(report, top=args.top))
     if args.out:
         write_tuned_config(report, args.out)

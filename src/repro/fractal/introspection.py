@@ -8,7 +8,7 @@ helpers implement that observation surface over any component hierarchy.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.fractal.component import Component
 from repro.fractal.controllers import LifecycleState
@@ -32,13 +32,6 @@ def iter_components(root: Component) -> Iterator[Component]:
                 yield from walk(sub)
 
     return walk(root)
-
-
-def find_components(
-    root: Component, predicate: Callable[[Component], bool]
-) -> list[Component]:
-    """All components in the hierarchy satisfying ``predicate``."""
-    return [c for c in iter_components(root) if predicate(c)]
 
 
 def architecture_report(root: Component, indent: str = "") -> str:

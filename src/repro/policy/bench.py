@@ -21,16 +21,16 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Sequence
 
-from repro.metrics.aggregates import mean_ci
 from repro.policy.tune import (
-    PAPER_DEFAULT,
     TuneObjective,
-    TuneSpec,
-    load_tuned_point,
+    describe_knobs,
+    knob_record,
+    load_tuned_knobs,
     render_report,
     run_tune,
-    score_run,
+    score_cell,
 )
+from repro.runner.sweep import SweepPoint, SweepSpec
 
 #: the committed autotuning artifact (repo-root relative)
 TUNED_CONFIG_PATH = (
@@ -41,6 +41,16 @@ TUNED_CONFIG_PATH = (
 NODE_HOURS_MARGIN = 1.02
 #: time compression of the Fig. 9 ramp both arms run
 SCALE = 0.15
+
+
+def arms(seeds: Sequence[int]) -> dict:
+    """The ``default`` (paper) and ``tuned`` (committed) cells: each one
+    ramp point per seed."""
+    knobs = {"default": {}, "tuned": load_tuned_knobs(TUNED_CONFIG_PATH)}
+    return {
+        arm: [SweepPoint("managed", seed, SCALE, 1, **kw) for seed in seeds]
+        for arm, kw in knobs.items()
+    }
 
 
 def run_section(
@@ -56,14 +66,13 @@ def run_section(
     from repro.runner.cache import ResultCache
     from repro.runner.parallel import ExperimentRunner
 
-    seeds, scale = tuple(seeds), SCALE
-    tuned = load_tuned_point(TUNED_CONFIG_PATH)
+    seeds = tuple(seeds)
     objective = TuneObjective()
-    arms = {"default": PAPER_DEFAULT, "tuned": tuned}
+    cells = arms(seeds)
     configs = {
-        f"policy-{arm}-s{seed}": point.config(seed, scale)
-        for arm, point in arms.items()
-        for seed in seeds
+        f"policy-{arm}-s{point.seed}": point.config()
+        for arm, cell in cells.items()
+        for point in cell
     }
     with ExitStack() as scratch:
         cache = ResultCache() if use_cache else None
@@ -84,23 +93,16 @@ def run_section(
 
     section: dict = {
         "seeds": list(seeds),
-        "scale": scale,
+        "scale": SCALE,
         "objective": objective.to_record(),
         "arms": {},
     }
-    for arm, point in arms.items():
-        per_seed = [
-            score_run(results[f"policy-{arm}-s{seed}"], objective)
-            for seed in seeds
-        ]
+    for arm, cell in cells.items():
         section["arms"][arm] = {
-            "point": point.to_record(),
-            "slo_violation_s": mean_ci(
-                [s["slo_violation_s"] for s in per_seed]
+            "point": knob_record(cell[0]),
+            **score_cell(
+                [results[f"policy-{arm}-s{p.seed}"] for p in cell], objective
             ),
-            "node_hours": mean_ci([s["node_hours"] for s in per_seed]),
-            "reconfigs": mean_ci([s["reconfigs"] for s in per_seed]),
-            "score": mean_ci([s["score"] for s in per_seed]),
         }
     default, tuned_arm = section["arms"]["default"], section["arms"]["tuned"]
     section["gate"] = {
@@ -141,15 +143,10 @@ def render_section(section: dict) -> str:
             f"{a['reconfigs']['mean']:10.1f} "
             f"{a['score']['mean']:8.2f} +/- {a['score']['ci95']:.2f}"
         )
-    p = section["arms"]["tuned"]["point"]
     gate = section["gate"]
     lines += [
         "",
-        f"tuned: app band ({p['app_min']:.2f}, {p['app_max']:.2f}), "
-        f"db band ({p['db_min']:.2f}, {p['db_max']:.2f}), "
-        f"windows x{p['window_scale']:g}, "
-        f"inhibition {p['inhibition_s']:.0f}s, "
-        f"controller {p['controller']}",
+        f"tuned: {describe_knobs(section['arms']['tuned']['point'])}",
         f"gate: SLO {'OK' if gate['slo_ok'] else 'FAIL'}, node-hours "
         f"{'OK' if gate['node_hours_ok'] else 'FAIL'} "
         f"(margin {gate['node_hours_margin']:g}x)",
@@ -181,15 +178,14 @@ def check_section(section: dict) -> None:
 # ----------------------------------------------------------------------
 # Tuner smoke (the first half of the CI policy gate)
 # ----------------------------------------------------------------------
-def smoke_spec(scale: float = 0.15) -> TuneSpec:
+def smoke_spec(scale: float = 0.15) -> SweepSpec:
     """2×2 grid: both grow thresholds at paper default vs. at 0.99."""
-    return TuneSpec(
-        app_max=(0.80, 0.99),
-        app_min=(0.38,),
-        db_max=(0.75, 0.99),
-        db_min=(0.40,),
+    return SweepSpec(
         seeds=(1,),
-        scale=scale,
+        scales=(scale,),
+        policies=("managed",),
+        app_max=(0.80, 0.99),
+        db_max=(0.75, 0.99),
     )
 
 

@@ -2,13 +2,13 @@
 
 The paper hand-set its controller constants "experimentally through
 specific benchmarks" (§5.2).  This module mechanizes that experiment:
-a grid (or random subsample) over policy parameters — thresholds,
-moving-average windows, the inhibition period, or any
-:class:`~repro.policy.api.PolicyConfig` plugin — where every cell is the
-standard Fig. 9 ramp replicated across seeds, fanned out through the
-:class:`~repro.runner.parallel.ExperimentRunner` (process pool +
-content-addressed cache: re-tuning an overlapping grid only computes the
-new cells).
+a tune is a :mod:`repro.runner.sweep` grid over the loop-knob axes —
+thresholds, moving-average windows, the inhibition period — and the
+controller axis (any :class:`~repro.policy.api.PolicyConfig` plugin),
+optionally subsampled.  A tune *cell* is every sweep coordinate but the
+seed: the standard Fig. 9 ramp replicated across seeds, all fanned out
+as one sweep batch (process pool + content-addressed cache: re-tuning an
+overlapping grid only computes the new cells).
 
 Each cell is scored on what an operator pays (the same scorecard
 currency as :mod:`repro.capacity.cost`):
@@ -28,16 +28,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from repro.metrics.aggregates import mean_ci
-from repro.policy.api import PolicyConfig
-
-#: chaos arm constants (match the chaos bench's campaign geometry)
-CHAOS_CLIENTS = 60
-CHAOS_DURATION_S = 420.0
+from repro.runner.sweep import KNOB_TAGS, SweepPoint, SweepSpec, run_sweep
 
 
 @dataclass(frozen=True)
@@ -55,187 +51,55 @@ class TuneObjective:
     node_hours_budget: float = 1.02  # factor over the reference cell
 
     def to_record(self) -> dict:
-        return {
-            "slo_latency_s": self.slo_latency_s,
-            "slo_weight": self.slo_weight,
-            "node_hour_weight": self.node_hour_weight,
-            "reconfig_weight": self.reconfig_weight,
-            "mttr_weight": self.mttr_weight,
-            "node_hours_budget": self.node_hours_budget,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class TunePoint:
-    """One candidate controller parameterization."""
+#: a cell's scorecard: :func:`score_run`'s keys, mean/CI over seeds
+METRICS = ("slo_violation_s", "node_hours", "reconfigs", "score")
 
-    app_max: float = 0.80
-    app_min: float = 0.38
-    db_max: float = 0.75
-    db_min: float = 0.40
-    window_scale: float = 1.0      # multiplies the 60 s / 90 s windows
-    inhibition_s: float = 60.0
-    controller: str = "default"    # PolicyConfig string, as on the sweep axis
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.app_min < self.app_max <= 1.0:
-            raise ValueError(f"bad app band ({self.app_min}, {self.app_max})")
-        if not 0.0 <= self.db_min < self.db_max <= 1.0:
-            raise ValueError(f"bad db band ({self.db_min}, {self.db_max})")
-        if self.window_scale <= 0 or self.inhibition_s < 0:
-            raise ValueError("need window_scale > 0 and inhibition_s >= 0")
-        if self.controller != "default":
-            PolicyConfig.parse(self.controller)  # validates name and params
-
-    @property
-    def label(self) -> str:
-        bits = (
-            f"am{self.app_max:g}-an{self.app_min:g}"
-            f"-dm{self.db_max:g}-dn{self.db_min:g}"
-            f"-w{self.window_scale:g}-i{self.inhibition_s:g}"
-        )
-        if self.controller != "default":
-            bits += f"-p{self.controller}"
-        return bits
-
-    def loop_configs(self):
-        """The per-tier :class:`LoopConfig` pair this point encodes."""
-        from repro.jade.self_optimization import (
-            APP_LOOP_DEFAULTS,
-            DB_LOOP_DEFAULTS,
-        )
-
-        pc = (
-            PolicyConfig.parse(self.controller)
-            if self.controller != "default"
-            else None
-        )
-        app = replace(
-            APP_LOOP_DEFAULTS,
-            max_threshold=self.app_max,
-            min_threshold=self.app_min,
-            window_s=APP_LOOP_DEFAULTS.window_s * self.window_scale,
-            policy=pc,
-        )
-        db = replace(
-            DB_LOOP_DEFAULTS,
-            max_threshold=self.db_max,
-            min_threshold=self.db_min,
-            window_s=DB_LOOP_DEFAULTS.window_s * self.window_scale,
-            policy=pc,
-        )
-        return app, db
-
-    def config(self, seed: int, scale: float, peak: int = 500):
-        """The cell's experiment: the §5.2 ramp under this controller."""
-        from repro.jade.system import ExperimentConfig
-        from repro.workload.profiles import RampProfile
-
-        app, db = self.loop_configs()
-        return ExperimentConfig(
-            profile=RampProfile(
-                peak=peak,
-                warmup_s=300.0 * scale,
-                step_period_s=60.0 * scale,
-                cooldown_s=300.0 * scale,
-            ),
-            seed=seed,
-            managed=True,
-            inhibition_s=self.inhibition_s,
-            app_loop=app,
-            db_loop=db,
-        )
-
-    def chaos_config(self, campaign, seed: int):
-        """The optional resilience arm: the chaos campaign's constant-load
-        run with this point's controller active (repairs and scaling then
-        compete for the same machinery, which is what MTTR should feel)."""
-        from repro.chaos.campaign import campaign_config
-
-        cfg = campaign_config(
-            campaign,
-            seed=seed,
-            clients=CHAOS_CLIENTS,
-            duration_s=CHAOS_DURATION_S,
-        )
-        cfg.managed = True
-        cfg.inhibition_s = self.inhibition_s
-        cfg.app_loop, cfg.db_loop = self.loop_configs()
-        return cfg
-
-    def to_record(self) -> dict:
-        return {
-            "app_max": self.app_max,
-            "app_min": self.app_min,
-            "db_max": self.db_max,
-            "db_min": self.db_min,
-            "window_scale": self.window_scale,
-            "inhibition_s": self.inhibition_s,
-            "controller": self.controller,
-        }
+#: the :class:`SweepPoint` fields a tune cell varies: its ``point`` record
+KNOBS = (*KNOB_TAGS, "controller")
 
 
-#: the paper's hand-set controller (the tuner's reference cell)
-PAPER_DEFAULT = TunePoint()
+def knob_record(point: SweepPoint) -> dict:
+    return {name: getattr(point, name) for name in KNOBS}
 
 
-@dataclass(frozen=True)
-class TuneSpec:
-    """The search space: cross product of the parameter axes, optionally
-    subsampled (``samples > 0`` → random search without replacement)."""
+def tune_cells(spec: SweepSpec, samples: int = 0) -> list[list[SweepPoint]]:
+    """The sweep grid grouped into tune cells — each cell one point per
+    seed — in grid order, or a random subsample of ``samples`` cells
+    (search without replacement, in draw order)."""
+    cells: dict[str, list[SweepPoint]] = {}
+    for point in spec.grid():
+        cells.setdefault(point.cell_label, []).append(point)
+    grid = list(cells.values())
+    if not grid:
+        raise ValueError("empty tune grid (check the threshold bands)")
+    if samples and samples < len(grid):
+        grid = random.Random(0).sample(grid, samples)
+    return grid
 
-    app_max: tuple[float, ...] = (0.80,)
-    app_min: tuple[float, ...] = (0.38,)
-    db_max: tuple[float, ...] = (0.75,)
-    db_min: tuple[float, ...] = (0.40,)
-    window_scales: tuple[float, ...] = (1.0,)
-    inhibitions: tuple[float, ...] = (60.0,)
-    controllers: tuple[str, ...] = ("default",)
-    seeds: tuple[int, ...] = (1, 2, 3)
-    scale: float = 0.15
-    peak: int = 500
-    #: random-search subsample size (0 = full grid)
-    samples: int = 0
-    sample_seed: int = 0
-    #: chaos preset name for the MTTR arm ("" = skip it)
-    chaos: str = ""
 
-    def grid(self) -> list[TunePoint]:
-        points = [
-            TunePoint(am, an, dm, dn, w, inh, controller)
-            for am in self.app_max
-            for an in self.app_min
-            for dm in self.db_max
-            for dn in self.db_min
-            for w in self.window_scales
-            for inh in self.inhibitions
-            for controller in self.controllers
-            if an < am and dn < dm
-        ]
-        if not points:
-            raise ValueError("empty tune grid (check the threshold bands)")
-        if self.samples and self.samples < len(points):
-            points = random.Random(self.sample_seed).sample(
-                points, self.samples
-            )
-        return points
+def paper_default(point: SweepPoint) -> SweepPoint:
+    """``point`` under the paper's hand-set controller: every loop knob
+    and the controller at their defaults (the tuner's reference cell)."""
+    knobs = {f.name: f.default for f in fields(point) if f.name in KNOBS}
+    return replace(point, **knobs)
 
-    def to_record(self) -> dict:
-        return {
-            "app_max": list(self.app_max),
-            "app_min": list(self.app_min),
-            "db_max": list(self.db_max),
-            "db_min": list(self.db_min),
-            "window_scales": list(self.window_scales),
-            "inhibitions": list(self.inhibitions),
-            "controllers": list(self.controllers),
-            "seeds": list(self.seeds),
-            "scale": self.scale,
-            "peak": self.peak,
-            "samples": self.samples,
-            "chaos": self.chaos,
-            "cells": len(self.grid()),
-        }
+
+def chaos_config(point: SweepPoint, campaign):
+    """The optional resilience arm: the chaos section's constant-load
+    campaign with this point's controller active (repairs and scaling
+    then compete for the same machinery, which is what MTTR should
+    feel)."""
+    from repro.chaos.bench import CLIENTS, DURATION_S
+    from repro.chaos.campaign import campaign_config
+
+    cfg = campaign_config(
+        campaign, seed=point.seed, clients=CLIENTS, duration_s=DURATION_S
+    )
+    cfg.managed = True
+    return point.apply_loops(cfg)
 
 
 # ----------------------------------------------------------------------
@@ -272,138 +136,135 @@ def score_run(run, objective: TuneObjective) -> dict[str, float]:
     }
 
 
+def score_cell(runs, objective: TuneObjective, penalty: float = 0.0) -> dict:
+    """Mean and 95 % CI over a cell's seeds of each :func:`score_run`
+    metric; ``penalty`` is added to every seed's score."""
+    per_seed = [score_run(run, objective) for run in runs]
+    for scores in per_seed:
+        scores["score"] += penalty
+    return {
+        name: mean_ci([scores[name] for scores in per_seed])
+        for name in METRICS
+    }
+
+
 def run_tune(
-    spec: TuneSpec,
+    spec: SweepSpec,
     objective: Optional[TuneObjective] = None,
     runner=None,
+    samples: int = 0,
+    chaos: str = "",
 ) -> dict:
-    """Execute the search; returns the report (cells ranked best-first)."""
-    from repro.runner.parallel import ExperimentRunner
-
+    """Execute the search as one sweep; returns the report (cells ranked
+    best-first).  ``chaos`` names a chaos preset for the MTTR arm ("" =
+    skip it)."""
     objective = objective or TuneObjective()
-    if runner is None:
-        runner = ExperimentRunner()
-    points = spec.grid()
-
-    campaign = None
-    if spec.chaos:
-        from repro.chaos.campaign import PRESETS
-
-        campaign = PRESETS[spec.chaos]()
+    grid = tune_cells(spec, samples)
 
     # The paper default always runs as the budget reference (a no-op when
     # it is already a grid cell: same label, same config).
-    scored_points = list(points)
-    if PAPER_DEFAULT.label not in {p.label for p in points}:
-        scored_points.append(PAPER_DEFAULT)
+    default = [paper_default(point) for point in grid[0]]
+    scored = list(grid)
+    if default[0].cell_label not in {cell[0].cell_label for cell in grid}:
+        scored.append(default)
 
-    configs = {}
-    for point in scored_points:
-        for seed in spec.seeds:
-            configs[f"{point.label}-s{seed}"] = point.config(
-                seed, spec.scale, spec.peak
-            )
-            if campaign is not None:
-                configs[f"{point.label}-chaos-s{seed}"] = point.chaos_config(
-                    campaign, seed
-                )
+    extra = {}
+    if chaos:
+        from repro.chaos.campaign import PRESETS
 
-    results, batch = runner.run_many_timed(configs)
+        campaign = PRESETS[chaos]()
+        extra = {
+            f"{point.label}-chaos": chaos_config(point, campaign)
+            for cell in scored
+            for point in cell
+        }
+    result = run_sweep(
+        spec, runner, points=[p for cell in scored for p in cell], extra=extra
+    )
+    runs = result.completed
 
     cells = []
-    for point in scored_points:
-        per_seed = [
-            score_run(results[f"{point.label}-s{seed}"], objective)
-            for seed in spec.seeds
-        ]
-        cell = {
-            "point": point.to_record(),
-            "label": point.label,
-            "slo_violation_s": mean_ci([s["slo_violation_s"] for s in per_seed]),
-            "node_hours": mean_ci([s["node_hours"] for s in per_seed]),
-            "reconfigs": mean_ci([s["reconfigs"] for s in per_seed]),
-            "score": mean_ci([s["score"] for s in per_seed]),
-        }
-        if campaign is not None:
+    for cell in scored:
+        record = {"point": knob_record(cell[0]), "label": cell[0].cell_label}
+        penalty = 0.0
+        if chaos:
             from repro.chaos.scorecard import score_run as chaos_score_run
 
-            runs = [results[f"{point.label}-chaos-s{seed}"] for seed in spec.seeds]
-            mttr = mean_ci([chaos_score_run(run)["mttr_mean_s"] for run in runs])
-            cell["mttr_s"] = mttr
-            mean = mttr["mean"]
-            if mean == mean:  # not NaN (NaN = no repair observed)
-                cell["score"] = mean_ci(
-                    [
-                        s["score"] + objective.mttr_weight * mean
-                        for s in per_seed
-                    ]
-                )
-        cells.append(cell)
+            mttr = mean_ci(
+                [chaos_score_run(runs[f"{p.label}-chaos"])["mttr_mean_s"] for p in cell]
+            )
+            if mttr["mean"] == mttr["mean"]:  # not NaN (NaN = no repair)
+                penalty = objective.mttr_weight * mttr["mean"]
+        record.update(score_cell([runs[p.label] for p in cell], objective, penalty))
+        if chaos:
+            record["mttr_s"] = mttr
+        cells.append(record)
 
     cells.sort(key=lambda c: c["score"]["mean"])
     reference = next(
-        c for c in cells if c["label"] == PAPER_DEFAULT.label
+        c for c in cells if c["label"] == default[0].cell_label
     )
     # The winner is the best-scoring cell *inside the budget*: node-hours
     # within the factor of the reference AND no SLO regression.  An
     # unconstrained score minimum that buys its SLO win with capacity is
     # reported in the ranking but never selected.
     nh_cap = reference["node_hours"]["mean"] * objective.node_hours_budget
+    slo_cap = reference["slo_violation_s"]["mean"]
     eligible = [
         c
         for c in cells
         if c["node_hours"]["mean"] <= nh_cap
-        and c["slo_violation_s"]["mean"]
-        <= reference["slo_violation_s"]["mean"]
+        and c["slo_violation_s"]["mean"] <= slo_cap
     ]
     best = eligible[0] if eligible else reference
     report = {
-        "spec": spec.to_record(),
+        "spec": {
+            **spec.to_record(), "samples": samples, "chaos": chaos,
+            "cells": len(grid),
+        },
         "objective": objective.to_record(),
         "cells": cells,
         "reference": reference,
         "best": best,
         "within_budget": len(eligible),
-        "elapsed_s": batch["elapsed_s"],
+        "elapsed_s": result.elapsed_s,
     }
-    if runner.cache is not None:
-        report["cache"] = {"hits": batch["hits"], "misses": batch["misses"]}
+    if result.cache is not None:
+        report["cache"] = {k: result.cache[k] for k in ("hits", "misses")}
     return report
 
 
 # ----------------------------------------------------------------------
 # Tuned-config artifact
 # ----------------------------------------------------------------------
-def tuned_config_record(cell: dict, report: dict) -> dict:
+def write_tuned_config(report: dict, path: str | Path) -> Path:
     """The committed artifact: the winning parameters + provenance."""
-    return {
-        "point": cell["point"],
-        "metrics": {
-            "slo_violation_s": cell["slo_violation_s"],
-            "node_hours": cell["node_hours"],
-            "reconfigs": cell["reconfigs"],
-            "score": cell["score"],
-        },
+    best = report["best"]
+    record = {
+        "point": best["point"],
+        "metrics": {name: best[name] for name in METRICS},
         "objective": report["objective"],
         "spec": report["spec"],
     }
-
-
-def write_tuned_config(report: dict, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(
-        json.dumps(tuned_config_record(report["best"], report), indent=2)
-        + "\n"
-    )
+    path.write_text(json.dumps(record, indent=2) + "\n")
     return path
 
 
-def load_tuned_point(source: str | Path | dict) -> TunePoint:
-    """Rebuild the :class:`TunePoint` from a tuned-config file or dict."""
-    if isinstance(source, (str, Path)):
-        source = json.loads(Path(source).read_text())
-    point = source["point"] if "point" in source else source
-    return TunePoint(**point)
+def load_tuned_knobs(path: str | Path) -> dict:
+    """The winning cell's :data:`KNOBS` from a tuned-config file
+    (``SweepPoint(policy, seed, scale, cohort, **knobs)`` rebuilds it)."""
+    return json.loads(Path(path).read_text())["point"]
+
+
+def describe_knobs(knobs: dict) -> str:
+    return (
+        f"app band ({knobs['app_min']:.2f}, {knobs['app_max']:.2f}), "
+        f"db band ({knobs['db_min']:.2f}, {knobs['db_max']:.2f}), "
+        f"windows x{knobs['window_scale']:g}, "
+        f"inhibition {knobs['inhibition_s']:.0f}s, "
+        f"controller {knobs['controller']}"
+    )
 
 
 def render_report(report: dict, top: int = 10) -> str:
@@ -418,12 +279,12 @@ def render_report(report: dict, top: int = 10) -> str:
             else ""
         ),
         "",
-        f"{'#':>3s} {'cell':<44s} {'score':>12s} {'SLO viol (s)':>14s} "
+        f"{'#':>3s} {'cell':<48s} {'score':>12s} {'SLO viol (s)':>14s} "
         f"{'node-hrs':>10s} {'reconf':>7s}",
     ]
     for i, cell in enumerate(report["cells"][:top]):
         lines.append(
-            f"{i + 1:>3d} {cell['label']:<44s} "
+            f"{i + 1:>3d} {cell['label']:<48s} "
             f"{cell['score']['mean']:>7.2f}±{cell['score']['ci95']:<4.2f} "
             f"{cell['slo_violation_s']['mean']:>8.1f}±"
             f"{cell['slo_violation_s']['ci95']:<5.1f} "
@@ -432,8 +293,7 @@ def render_report(report: dict, top: int = 10) -> str:
         )
     if len(report["cells"]) > top:
         lines.append(f"    ... {len(report['cells']) - top} more cells")
-    ref = report["reference"]
-    best = report["best"]["point"]
+    ref, best = report["reference"], report["best"]
     budget = report["objective"]["node_hours_budget"]
     lines += [
         "",
@@ -443,12 +303,8 @@ def render_report(report: dict, top: int = 10) -> str:
         f"(budget {budget:g}x -> "
         f"{ref['node_hours']['mean'] * budget:.3f}); "
         f"{report['within_budget']} cell(s) within budget",
-        "best within budget: app band "
-        f"({best['app_min']:.2f}, {best['app_max']:.2f}), db band "
-        f"({best['db_min']:.2f}, {best['db_max']:.2f}), windows x"
-        f"{best['window_scale']:g}, inhibition {best['inhibition_s']:.0f}s, "
-        f"controller {best['controller']} -> SLO "
-        f"{report['best']['slo_violation_s']['mean']:.1f}s, "
-        f"{report['best']['node_hours']['mean']:.3f} node-hrs",
+        f"best within budget: {describe_knobs(best['point'])} -> SLO "
+        f"{best['slo_violation_s']['mean']:.1f}s, "
+        f"{best['node_hours']['mean']:.3f} node-hrs",
     ]
     return "\n".join(lines)

@@ -27,19 +27,30 @@ cell's legacy reactor selection, any other value is a
 :meth:`repro.policy.api.PolicyConfig.parse` string installed on both tier
 loops.  Like the fleet/fluid axes, the label only grows a suffix off the
 default, so pre-existing sweep labels (and cache keys) survive.
+
+The **loop-knob** axes (the two tiers' threshold bands, the window
+scale and the inhibition period) vary the paper's controller constants
+the same way; :mod:`repro.policy.tune` scores a sweep of them.  Inverted
+bands are dropped from the grid.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from repro.jade.self_optimization import APP_LOOP_DEFAULTS, DB_LOOP_DEFAULTS
 from repro.runner.parallel import ExperimentRunner
 
 POLICIES = ("static", "managed", "proactive")
+
+#: the grid coordinates a row records (after its label)
+ROW_COORDINATES = (
+    "policy", "seed", "scale", "cohort", "peak", "fleet", "regions", "controller"
+)
 
 #: per-cell summary columns (after the grid coordinates)
 SUMMARY_FIELDS = (
@@ -55,6 +66,12 @@ SUMMARY_FIELDS = (
     "wall_time_s",
 )
 
+#: each loop knob's label tag, keyed by its :class:`SweepPoint` field
+KNOB_TAGS = dict(
+    app_max="am", app_min="an", db_max="dm", db_min="dn", window_scale="w",
+    inhibition_s="i",
+)
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -65,7 +82,9 @@ class SweepPoint:
     engine (``fluid_threshold`` users and above run as flow updates).
     ``regions > 1`` federates the cell: the same ramp runs in every
     region under the global load balancer (``repro sweep --regions``),
-    and the row reports the federation's global rollup."""
+    and the row reports the federation's global rollup.  The loop knobs
+    (threshold bands, window scale, inhibition period) default to the
+    paper's constants (§5.2)."""
 
     policy: str
     seed: int
@@ -77,6 +96,12 @@ class SweepPoint:
     fluid_threshold: int = 0
     regions: int = 1
     controller: str = "default"
+    app_max: float = APP_LOOP_DEFAULTS.max_threshold
+    app_min: float = APP_LOOP_DEFAULTS.min_threshold
+    db_max: float = DB_LOOP_DEFAULTS.max_threshold
+    db_min: float = DB_LOOP_DEFAULTS.min_threshold
+    window_scale: float = 1.0      # multiplies the 60 s / 90 s windows
+    inhibition_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -97,7 +122,13 @@ class SweepPoint:
                     f"unknown fleet {self.fleet!r} (choose 'uniform' or one "
                     f"of {tuple(sorted(PRESETS))})"
                 )
-        if self.controller != "default":
+        if not 0.0 <= self.app_min < self.app_max <= 1.0:
+            raise ValueError(f"bad app band ({self.app_min}, {self.app_max})")
+        if not 0.0 <= self.db_min < self.db_max <= 1.0:
+            raise ValueError(f"bad db band ({self.db_min}, {self.db_max})")
+        if self.window_scale <= 0 or self.inhibition_s < 0:
+            raise ValueError("need window_scale > 0 and inhibition_s >= 0")
+        if self.controller != "default" or self._knob_suffix:
             if self.regions > 1:
                 raise ValueError(
                     "federated cells support the default controller only"
@@ -107,6 +138,7 @@ class SweepPoint:
                     "controller policies need managed loops "
                     "(policy 'managed' or 'proactive')"
                 )
+        if self.controller != "default":
             from repro.policy.api import PolicyConfig
 
             try:
@@ -115,25 +147,61 @@ class SweepPoint:
                 raise ValueError(f"unknown controller: {exc}") from None
 
     @property
+    def _knob_suffix(self) -> str:
+        """One label part per loop knob off the paper's value."""
+        return "".join(
+            f"-{KNOB_TAGS[f.name]}{getattr(self, f.name):g}"
+            for f in fields(self)
+            if f.name in KNOB_TAGS and getattr(self, f.name) != f.default
+        )
+
+    @property
     def label(self) -> str:
-        # fleet/fluid suffixes only off the defaults, so pre-existing
+        return self._label(f"-s{self.seed}")
+
+    @property
+    def cell_label(self) -> str:
+        """The label without the seed: names the cell each seed replicates."""
+        return self._label("")
+
+    def _label(self, seed: str) -> str:
+        # fleet/fluid/knob suffixes only off the defaults, so pre-existing
         # sweep labels (and their cache keys) are unchanged
         suffix = "" if self.fleet == "uniform" else f"-f{self.fleet}"
         if self.fluid:
             suffix += f"-fluid{self.fluid_threshold}"
         if self.regions > 1:
             suffix += f"-r{self.regions}"
+        suffix += self._knob_suffix
         if self.controller != "default":
             suffix += f"-p{self.controller}"
-        return (
-            f"{self.policy}-s{self.seed}-x{self.scale:g}-c{self.cohort}"
-            f"{suffix}"
+        return f"{self.policy}{seed}-x{self.scale:g}-c{self.cohort}{suffix}"
+
+    def apply_loops(self, cfg):
+        """Install this cell's controller on ``cfg``: the inhibition
+        period and both tiers' loop configs (bands, windows, policy)."""
+        from repro.policy.api import PolicyConfig
+
+        pc = None
+        if self.controller != "default":
+            pc = PolicyConfig.parse(self.controller)
+        cfg.inhibition_s = self.inhibition_s
+        cfg.app_loop, cfg.db_loop = (
+            replace(
+                paper, max_threshold=hi, min_threshold=lo,
+                window_s=paper.window_s * self.window_scale, policy=pc,
+            )
+            for paper, hi, lo in (
+                (APP_LOOP_DEFAULTS, self.app_max, self.app_min),
+                (DB_LOOP_DEFAULTS, self.db_max, self.db_min),
+            )
         )
+        return cfg
 
     def config(self):
         """The cell's experiment: the §5.2 ramp at this time scale and
-        cohort size, under this replica policy (and node market, if the
-        fleet axis is off ``uniform``)."""
+        cohort size, under this replica policy and controller (and node
+        market, if the fleet axis is off ``uniform``)."""
         from repro.jade.system import ExperimentConfig
         from repro.workload.profiles import RampProfile
 
@@ -177,21 +245,14 @@ class SweepPoint:
             fluid=self.fluid,
             fluid_threshold=self.fluid_threshold,
         )
-        if self.controller != "default":
-            from dataclasses import replace
-
-            from repro.policy.api import PolicyConfig
-
-            pc = PolicyConfig.parse(self.controller)
-            cfg.app_loop = replace(cfg.app_loop, policy=pc)
-            cfg.db_loop = replace(cfg.db_loop, policy=pc)
-        return cfg
+        return self.apply_loops(cfg)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """The grid: every combination of the four axes, deterministic order
-    (policy-major, then seed, scale, cohort)."""
+    """The grid: every combination of the axes, deterministic order
+    (policy-major, then seed, scale, cohort, fleet, regions, the loop
+    knobs, controller), inverted threshold bands left out."""
 
     seeds: tuple[int, ...] = (1, 2)
     scales: tuple[float, ...] = (0.1,)
@@ -203,12 +264,19 @@ class SweepSpec:
     fluid_threshold: int = 0
     regions: tuple[int, ...] = (1,)
     controllers: tuple[str, ...] = ("default",)
+    app_max: tuple[float, ...] = (APP_LOOP_DEFAULTS.max_threshold,)
+    app_min: tuple[float, ...] = (APP_LOOP_DEFAULTS.min_threshold,)
+    db_max: tuple[float, ...] = (DB_LOOP_DEFAULTS.max_threshold,)
+    db_min: tuple[float, ...] = (DB_LOOP_DEFAULTS.min_threshold,)
+    window_scales: tuple[float, ...] = (1.0,)
+    inhibitions: tuple[float, ...] = (60.0,)
 
     def grid(self) -> list[SweepPoint]:
         return [
             SweepPoint(
                 policy, seed, scale, cohort, self.peak, fleet,
                 self.fluid, self.fluid_threshold, n_regions, controller,
+                am, an, dm, dn, w, inh,
             )
             for policy in self.policies
             for seed in self.seeds
@@ -216,33 +284,35 @@ class SweepSpec:
             for cohort in self.cohorts
             for fleet in self.fleets
             for n_regions in self.regions
+            for am in self.app_max
+            for an in self.app_min
+            for dm in self.db_max
+            for dn in self.db_min
+            for w in self.window_scales
+            for inh in self.inhibitions
             for controller in self.controllers
+            if an < am and dn < dm
         ]
 
     def to_record(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "scales": list(self.scales),
-            "policies": list(self.policies),
-            "cohorts": list(self.cohorts),
-            "peak": self.peak,
-            "fleets": list(self.fleets),
-            "fluid": self.fluid,
-            "fluid_threshold": self.fluid_threshold,
-            "regions": list(self.regions),
-            "controllers": list(self.controllers),
-            "cells": len(self.grid()),
-        }
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            record[f.name] = list(value) if isinstance(value, tuple) else value
+        record["cells"] = len(self.grid())
+        return record
 
 
 @dataclass
 class SweepResult:
-    """Rows plus provenance, as written to the JSON output."""
+    """Rows plus provenance, as written to the JSON output, and the
+    completed runs behind them by label (not written)."""
 
     spec: SweepSpec
     rows: list[dict] = field(default_factory=list)
     elapsed_s: float = 0.0
     cache: Optional[dict] = None
+    completed: dict = field(default_factory=dict, repr=False)
 
     def to_record(self) -> dict:
         record = {
@@ -260,29 +330,27 @@ class SweepResult:
 
 
 def run_sweep(
-    spec: SweepSpec, runner: Optional[ExperimentRunner] = None
+    spec: SweepSpec,
+    runner: Optional[ExperimentRunner] = None,
+    points: Optional[Sequence[SweepPoint]] = None,
+    extra: Optional[Mapping[str, object]] = None,
 ) -> SweepResult:
-    """Execute the whole grid through the runner; one row per cell, in
-    grid order regardless of scheduling."""
+    """Execute the grid (or just ``points``) through the runner; one row
+    per cell, in the given order regardless of scheduling.  ``extra``
+    labelled configs ride in the same batch: their runs come back in
+    ``completed`` beside the cells', but make no row."""
     if runner is None:
         runner = ExperimentRunner()
-    points = spec.grid()
+    if points is None:
+        points = spec.grid()
     configs = {point.label: point.config() for point in points}
-    results, batch = runner.run_many_timed(configs)
+    results, batch = runner.run_many_timed({**configs, **(extra or {})})
     rows = []
     for point in points:
         run = results[point.label]
-        row = {
-            "label": point.label,
-            "policy": point.policy,
-            "seed": point.seed,
-            "scale": point.scale,
-            "cohort": point.cohort,
-            "peak": point.peak,
-            "fleet": point.fleet,
-            "regions": point.regions,
-            "controller": point.controller,
-        }
+        row = {"label": point.label}
+        for name in ROW_COORDINATES:
+            row[name] = getattr(point, name)
         summary = run.summary()
         for name in SUMMARY_FIELDS:
             if name == "wall_time_s":
@@ -309,7 +377,11 @@ def run_sweep(
             "misses": batch["misses"],
         }
     return SweepResult(
-        spec=spec, rows=rows, elapsed_s=batch["elapsed_s"], cache=cache
+        spec=spec,
+        rows=rows,
+        elapsed_s=batch["elapsed_s"],
+        cache=cache,
+        completed=results,
     )
 
 

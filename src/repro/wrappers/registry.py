@@ -7,7 +7,9 @@ factory, nothing else changes — the paper's extensibility argument).
 
 The Apache and L4-switch factories are resolved on first use: the
 managed RUBiS deployment has neither, so its runs never load those
-wrappers or their servers.
+wrappers or their servers.  The L4 switch is a network device, not
+software installed on a cluster machine, so it is registered unplaced
+and takes no node.
 """
 
 from __future__ import annotations
@@ -45,5 +47,6 @@ def default_factory_registry() -> ComponentFactoryRegistry:
     registry.register(
         "l4switch",
         partial(_deferred, "repro.wrappers.l4switch", "make_l4switch_component"),
+        placed=False,
     )
     return registry

@@ -85,6 +85,33 @@ class TestParser:
         dup = argv[2].split(",")[-1]
         assert f"duplicate seed {dup}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, dup",
+        [
+            (["sweep", "--scales", "0.1,0.05,0.10"], "0.1"),
+            (["sweep", "--policies", "static,managed,static"], "static"),
+            (["sweep", "--cohorts", "1,1"], "1"),
+            (["sweep", "--fleet", "uniform,spot-heavy,uniform"], "uniform"),
+            (["sweep", "--regions", "2,2"], "2"),
+            (["sweep", "--controllers", "default,default"], "default"),
+            (["tune", "--app-max", "0.8,0.8"], "0.8"),
+            (["tune", "--app-min", "0.38,0.45,0.38"], "0.38"),
+            (["tune", "--db-max", "0.75,0.75"], "0.75"),
+            (["tune", "--db-min", "0.4,0.40"], "0.4"),
+            (["tune", "--windows", "1,1.0"], "1.0"),
+            (["tune", "--inhibitions", "30,60,30"], "30.0"),
+            (["tune", "--controllers", "queue-model,queue-model"], "queue-model"),
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, argv, dup, capsys):
+        # A grid value given twice would make one cell twice (twice the
+        # rows, one tune cell ranked and counted twice): refused before
+        # anything runs, naming the value.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--serial", "--no-cache"])
+        assert exc.value.code == 2
+        assert f"duplicate value {dup} in" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_steady_runs_and_prints_summary(self, capsys):
@@ -398,7 +425,8 @@ class TestScalingAndBenchFlags:
         )
         assert args.command == "sweep"
         assert args.seeds == (1, 2, 3)
-        assert args.policies == "managed,proactive"
+        assert args.policies == ("managed", "proactive")
+        assert args.scales == (0.05, 0.1) and args.cohorts == (1, 4)
         assert args.peak == 200
         assert args.serial and args.no_cache and args.workers == 2
 

@@ -180,9 +180,12 @@ class TestThreeTier:
     )
     #: the seed-2 ramp's (collector digest, events processed, tail
     #: dispatched, tombstones skipped), as the dedicated three-tier
-    #: harness produced them before it folded into ManagedSystem
+    #: harness produced them before it folded into ManagedSystem; the
+    #: digest re-recorded when the L4 switch stopped taking a node (each
+    #: grow then allocates one node lower, so the reconfiguration log
+    #: names node6 where it named node7; the kernel counts did not move)
     LOCK = (
-        "8b116ced4ab92759bd70b1830eae26319629f1baa1cc457f869cad4183151348",
+        "927124277e8f812536464bbbfe1471316e0f2bd593e4369bb6859797caec75aa",
         468821, 321268, 1,
     )
 
@@ -200,6 +203,13 @@ class TestThreeTier:
             kernel.tail_dispatched,
             kernel.tombstones_skipped,
         ) == self.LOCK
+
+    def test_l4_switch_takes_no_node(self):
+        # The L4 switch is network gear: it is deployed without a machine,
+        # so the pool keeps that node free for the tiers to grow onto.
+        system = ManagedSystem(three_tier_config())
+        assert "l4" not in system.app.nodes
+        assert system.cluster.free_count == 4
 
     def test_paused_run_pickles_into_an_independent_copy(self, run):
         """A copy of a paused run ends with the uninterrupted run's

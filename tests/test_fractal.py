@@ -21,7 +21,6 @@ from repro.fractal.interfaces import (
 )
 from repro.fractal.introspection import (
     architecture_report,
-    find_components,
     iter_components,
     verify_architecture,
 )
@@ -399,11 +398,6 @@ class TestIntrospection:
             "leaf2",
             "leaf1",
         ]
-
-    def test_find_components(self):
-        root, *_ = self.build_tree()
-        leaves = find_components(root, Component.is_primitive)
-        assert sorted(c.name for c in leaves) == ["leaf1", "leaf2"]
 
     def test_architecture_report_renders_tree(self):
         root, *_ = self.build_tree()

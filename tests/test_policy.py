@@ -47,18 +47,18 @@ from repro.policy.threshold import (
     ThresholdPolicy,
 )
 from repro.policy.tune import (
-    PAPER_DEFAULT,
     TuneObjective,
-    TunePoint,
-    TuneSpec,
-    load_tuned_point,
+    knob_record,
+    load_tuned_knobs,
+    paper_default,
     run_tune,
     score_run,
+    tune_cells,
     write_tuned_config,
 )
 from repro.runner.cache import ResultCache, describe_config
 from repro.runner.parallel import ExperimentRunner
-from repro.runner.sweep import SweepPoint
+from repro.runner.sweep import SweepPoint, SweepSpec
 from repro.workload.profiles import RampProfile
 from tests.conftest import collector_digest
 
@@ -162,7 +162,9 @@ class TestPolicyConfig:
     def test_unknown_parameter_rejected_at_construction(self):
         # a typo fails in the config, not as a TypeError inside a run
         with pytest.raises(ValueError, match="no parameter max_thresold"):
-            TunePoint(controller="threshold:max_thresold=0.9")
+            SweepPoint(
+                "managed", 1, 0.1, 1, controller="threshold:max_thresold=0.9"
+            )
 
     def test_build_takes_only_declared_defaults(self):
         p = PolicyConfig("queue-model").build(
@@ -551,43 +553,59 @@ class TestSweepControllerAxis:
 # Autotuner
 # ----------------------------------------------------------------------
 class TestTunePoint:
+    """A tune cell is a sweep cell: the loop knobs are SweepPoint fields
+    and SweepSpec axes, defaulting to the paper's constants."""
+
+    #: the paper's hand-set controller (the tuner's reference cell)
+    PAPER_DEFAULT = paper_default(
+        SweepPoint("managed", 1, 0.15, 1, app_max=0.7, inhibition_s=30.0)
+    )
+
+    @staticmethod
+    def point(**knobs) -> SweepPoint:
+        return SweepPoint("managed", 1, 0.1, 1, **knobs)
+
     def test_paper_default_is_the_committed_reference(self):
-        assert PAPER_DEFAULT.app_max == 0.80
-        assert PAPER_DEFAULT.db_max == 0.75
-        assert PAPER_DEFAULT.inhibition_s == 60.0
+        assert self.PAPER_DEFAULT.app_max == 0.80
+        assert self.PAPER_DEFAULT.db_max == 0.75
+        assert self.PAPER_DEFAULT.inhibition_s == 60.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="app band"):
-            TunePoint(app_max=0.3, app_min=0.5)
+            self.point(app_max=0.3, app_min=0.5)
         with pytest.raises(ValueError, match="db band"):
-            TunePoint(db_max=0.3, db_min=0.5)
+            self.point(db_max=0.3, db_min=0.5)
         with pytest.raises(ValueError):
-            TunePoint(inhibition_s=-1.0)
+            self.point(inhibition_s=-1.0)
 
     def test_loop_configs_carry_the_point(self):
-        point = TunePoint(
+        point = self.point(
             app_max=0.7, db_min=0.45, window_scale=0.5, inhibition_s=30.0
         )
-        app, db = point.loop_configs()
+        cfg = point.config()
+        app, db = cfg.app_loop, cfg.db_loop
         assert app.max_threshold == 0.7
         assert db.min_threshold == 0.45
         assert app.window_s == pytest.approx(30.0)   # 60 × 0.5
         assert db.window_s == pytest.approx(45.0)    # 90 × 0.5
-        cfg = point.config(seed=1, scale=0.1)
         assert cfg.inhibition_s == 30.0
 
     def test_grid_filters_inverted_bands(self):
-        spec = TuneSpec(app_max=(0.4, 0.8), app_min=(0.5,))
+        spec = SweepSpec(
+            seeds=(1,), policies=("managed",), app_max=(0.4, 0.8),
+            app_min=(0.5,),
+        )
         assert all(p.app_min < p.app_max for p in spec.grid())
         assert len(spec.grid()) == 1
 
     def test_random_subsample_is_deterministic(self):
-        spec = TuneSpec(
-            app_max=(0.6, 0.7, 0.8), db_max=(0.65, 0.75), samples=3
+        spec = SweepSpec(
+            seeds=(1,), policies=("managed",), app_max=(0.6, 0.7, 0.8),
+            db_max=(0.65, 0.75),
         )
-        assert len(spec.grid()) == 3
-        assert [p.label for p in spec.grid()] == [
-            p.label for p in spec.grid()
+        assert len(tune_cells(spec, samples=3)) == 3
+        assert [c[0].label for c in tune_cells(spec, samples=3)] == [
+            c[0].label for c in tune_cells(spec, samples=3)
         ]
 
 
@@ -596,7 +614,10 @@ class TestTuner:
     def report(self):
         # db grow threshold at 0.99 = the tier never scales up: a known-
         # bad cell the tuner must rank last.
-        spec = TuneSpec(db_max=(0.75, 0.99), seeds=(1,), scale=0.1)
+        spec = SweepSpec(
+            seeds=(1,), scales=(0.1,), policies=("managed",),
+            db_max=(0.75, 0.99),
+        )
         return run_tune(
             spec, runner=ExperimentRunner(cache=None, parallel=False)
         )
@@ -622,16 +643,16 @@ class TestTuner:
 
     def test_tuned_config_roundtrip(self, report, tmp_path):
         path = write_tuned_config(report, tmp_path / "tuned.json")
-        point = load_tuned_point(path)
-        assert point.to_record() == report["best"]["point"]
+        point = SweepPoint("managed", 1, 0.1, 1, **load_tuned_knobs(path))
+        assert knob_record(point) == report["best"]["point"]
         # the artifact records provenance
         record = json.loads(path.read_text())
         assert record["objective"]["slo_latency_s"] == 0.25
-        assert record["spec"]["scale"] == 0.1
+        assert record["spec"]["scales"] == [0.1]
 
     def test_score_run_metrics_are_finite(self, report):
         runner = ExperimentRunner(cache=None, parallel=False)
-        run = runner.run(TunePoint().config(seed=1, scale=SCALE))
+        run = runner.run(SweepPoint("managed", 1, SCALE, 1).config())
         scores = score_run(run, TuneObjective())
         assert all(math.isfinite(v) for v in scores.values())
         assert scores["node_hours"] > 0
@@ -649,8 +670,8 @@ class TestPolicySmokeGate:
             for p in bench.smoke_spec().grid()
             if p.app_max == 0.80 and p.db_max == 0.75
         )
-        assert describe_config(sane.config(1, 0.15)) == describe_config(
-            PAPER_DEFAULT.config(1, bench.SCALE)
+        assert describe_config(sane.config()) == describe_config(
+            bench.arms((1,))["default"][0].config()
         )
 
     def test_smoke_gate_simulates_the_shared_run_once(self, monkeypatch):
