@@ -4,8 +4,8 @@
 bench runs the full ramp under both managers and compares: achieved
 latency, provisioning cost (node-seconds), and scaling decisions.  The CPU
 manager provisions pre-emptively (CPU rises before latency does); the SLO
-manager waits until users feel the load, so it runs closer to its target —
-its mean latency lands near the paper's 590 ms, with fewer node-seconds.
+manager waits until users feel the load, so it runs hotter — its mean
+latency sits above its 500 ms target — with fewer node-seconds.
 """
 
 from repro.jade.system import ExperimentConfig, ManagedSystem
