@@ -24,7 +24,7 @@ simulated branch outcomes (or directly on the projection when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -46,9 +46,7 @@ class ProactiveConfig:
 
     plan_period_s: float = 15.0
     horizon_s: float = 120.0
-    forecast_step_s: float = 15.0
     forecaster: str = "trend"
-    forecaster_kwargs: dict = field(default_factory=dict)
     #: a predicted utilization >= margin * max_threshold arms the planner
     grow_margin: float = 0.95
     #: a predicted utilization <= margin * min_threshold arms a shrink
@@ -59,19 +57,8 @@ class ProactiveConfig:
     #: evaluate candidates on forked branch simulations; when off, act
     #: directly on the analytic projection (cheap, less informed)
     use_whatif: bool = True
-    #: how far from the current configuration candidates may stray
-    max_candidate_delta: int = 1
     #: cost model scoring candidate branches (None = CostModel defaults)
     cost_model: Optional[CostModel] = None
-    #: fan candidate branches out over the process pool (off by default:
-    #: a proactive manager may itself live inside a pooled experiment)
-    whatif_parallel: bool = False
-    whatif_workers: Optional[int] = None
-    #: memoize branch outcomes in the shared ResultCache so a repeated
-    #: decision from the same state replays nothing
-    whatif_cache: bool = False
-    #: dominance pruning: stop branches proven worse than the incumbent
-    whatif_prune: bool = False
 
 
 @dataclass(frozen=True)
@@ -116,21 +103,14 @@ class ProactiveManager:
         self.config = config or ProactiveConfig()
         cfg = self.config
         self.cost_model = cost_model or cfg.cost_model or CostModel()
-        if engine is None:
-            from repro.runner.cache import ResultCache
-
-            engine = WhatIfEngine(
-                horizon_s=cfg.horizon_s,
-                cost_model=self.cost_model,
-                parallel=cfg.whatif_parallel,
-                max_workers=cfg.whatif_workers,
-                cache=ResultCache() if cfg.whatif_cache else None,
-                prune=cfg.whatif_prune,
-            )
-        self.engine = engine
-        self.forecaster: Forecaster = make_forecaster(
-            cfg.forecaster, **cfg.forecaster_kwargs
+        # Serial, uncached and unpruned: a proactive manager may itself
+        # live inside a pooled experiment.
+        self.engine = (
+            engine
+            if engine is not None
+            else WhatIfEngine(horizon_s=cfg.horizon_s, cost_model=self.cost_model)
         )
+        self.forecaster: Forecaster = make_forecaster(cfg.forecaster)
         self.name = name
         #: optional decision tracer (set by the assembled system)
         self.tracer = None
@@ -195,7 +175,7 @@ class ProactiveManager:
         now = self.kernel.now
         load = float(self.load_provider())
         self.forecaster.observe(now, load)
-        forecast = self.forecaster.predict(cfg.horizon_s, cfg.forecast_step_s)
+        forecast = self.forecaster.predict(cfg.horizon_s)
         if not forecast:
             return
         peak = max(v for _, v in forecast)
@@ -292,7 +272,7 @@ class ProactiveManager:
     def _candidates(self, snapshot: SystemSnapshot) -> list[Candidate]:
         from repro.capacity.whatif import default_candidates
 
-        return default_candidates(snapshot, self.config.max_candidate_delta)
+        return default_candidates(snapshot)
 
     def _act_on_projection(
         self,

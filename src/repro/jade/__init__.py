@@ -8,9 +8,10 @@
 * :mod:`~repro.jade.control_loop` — their component types, deployed from
   a manager's ADL like any application ("Jade administrates itself"), and
   the step that closes each deployed loop;
-* :mod:`~repro.jade.self_optimization` — the resizing manager evaluated in
-  §5 (two loops: application tier and database tier), written as ADL;
-* :mod:`~repro.jade.self_recovery` — the repair manager of Fig. 3;
+* :mod:`~repro.jade.self_optimization` — the managers' ADL document: the
+  resizing manager evaluated in §5 (two loops: application tier and
+  database tier) or the latency-SLO loop, then self-recovery;
+* :mod:`~repro.jade.self_recovery` — the repair reactor of Fig. 3;
 * :mod:`~repro.jade.arbitration` — policy-conflict arbitration (the §7
   future-work item, implemented as an extension);
 * :mod:`~repro.jade.system` — the managed-J2EE experiment harness that the

@@ -17,6 +17,9 @@ is generic: the same code resizes the Tomcat tier (bind/unbind on PLB's
 synchronization).  The paper's grow sequence — allocate node, install
 software if necessary, reconcile state, integrate with the load balancer —
 is implemented verbatim, with simulated durations.
+
+:class:`BottleneckActuator` resizes one of several tiers: the actuator of
+the latency-SLO loop, whose reading (end-to-end latency) names no tier.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.cluster.allocator import ClusterManager, NoFreeNodeError
 from repro.cluster.installer import SoftwareInstallationService
 from repro.cluster.node import Node
 from repro.fractal.component import Component
+from repro.jade.sensors import UtilizationSampler
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import SimKernel
 
@@ -533,3 +537,43 @@ class TierManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TierManager {self.tier_name} x{self.replica_count}>"
+
+
+class BottleneckActuator:
+    """Resize operations over several tiers, for a reading that names
+    none (end-to-end latency): a grow goes to the idle tier whose nodes
+    show the highest CPU, a shrink to the least-utilized idle tier above
+    one replica.  ``on_reconfigured`` fires when a resize *starts*, so the
+    loop's window restarts with the new configuration."""
+
+    def __init__(self, tiers: list[TierManager]) -> None:
+        if not tiers:
+            raise ValueError("need at least one tier to manage")
+        self.tiers = list(tiers)
+        self._sampler = UtilizationSampler()
+        self.on_reconfigured: list[Callable[[], None]] = []
+
+    @property
+    def replica_count(self) -> int:
+        return sum(t.replica_count for t in self.tiers)
+
+    def utilization(self, tier: TierManager) -> float:
+        """Mean CPU of the tier's live serving nodes since the last look."""
+        nodes = [n for n in tier.active_nodes() if n.up]
+        if not nodes:
+            return 0.0
+        return sum(self._sampler.sample(n) for n in nodes) / len(nodes)
+
+    def grow(self) -> bool:
+        idle = [t for t in self.tiers if not t.busy]
+        return bool(idle) and self._started(max(idle, key=self.utilization).grow())
+
+    def shrink(self) -> bool:
+        idle = [t for t in self.tiers if not t.busy and t.replica_count > 1]
+        return bool(idle) and self._started(min(idle, key=self.utilization).shrink())
+
+    def _started(self, ok: bool) -> bool:
+        if ok:
+            for callback in list(self.on_reconfigured):
+                callback()
+        return ok

@@ -9,11 +9,12 @@ order to prevent oscillations, a reconfiguration started by one of the
 control loops inhibits any new reconfiguration for a short period (one
 minute)".
 
-Every CPU loop's reactor is a :class:`PolicyReactor`: the *judgment*
-lives in a :mod:`repro.policy` plugin (the paper's reactor is the
-``threshold`` plugin), while the reactor owns only the mechanics every
-loop shares — warm-up, NaN handling, the fresh-evidence gate, the
-inhibition lock, actuation, tracing, counters.
+Every resizing loop's reactor (the CPU loops and the latency-SLO loop) is
+a :class:`PolicyReactor`: the *judgment* lives in a :mod:`repro.policy`
+plugin (the paper's reactor is the ``threshold`` plugin), while the
+reactor owns only the mechanics every loop shares — warm-up, NaN
+handling, the fresh-evidence gate, the inhibition lock, actuation,
+tracing, counters.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class PolicyReactor:
-    """Generic analysis/decision component for one tier.
+    """Generic analysis/decision component for one actuator (a tier, or
+    the latency-SLO loop's bottleneck actuator over several).
 
     Feeds every sensor reading through a :class:`repro.policy.api.Policy`
     plugin and executes its verdict:
@@ -78,7 +80,7 @@ class PolicyReactor:
         self.fresh_samples_required = fresh_samples_required
         #: the probe feeding this reactor (set by the control-loop
         #: assembly); when present, its moving average is reset whenever the
-        #: tier reconfigures
+        #: actuator reconfigures
         self.probe = None
         #: optional decision tracer (set by the assembled system)
         self.tracer = None

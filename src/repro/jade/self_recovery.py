@@ -6,21 +6,26 @@ fails (its node crashed or its process died), the repair reactor asks the
 tier's actuator to repair: clean the architecture, allocate a fresh node,
 redeploy the software and re-integrate the replica — for a database replica
 this includes recovery-log synchronization, so the repaired replica comes
-back with consistent state.
+back with consistent state.  The phi-accrual detector of
+:mod:`repro.chaos.detectors` may feed the same repair path.
 
 Repairs that cannot run immediately (tier busy, no free node, arbitration
-denial) stay queued and are retried every ``retry_period_s``.
+denial) stay queued and are retried every ``RETRY_PERIOD_S``.  The manager
+is the ``recovery`` composite of the manager ADL
+(:func:`repro.jade.self_optimization.manager_adl`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.fractal.component import Component
 from repro.jade.actuators import TierManager
-from repro.jade.sensors import HeartbeatSensor
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import PeriodicTask, SimKernel
+
+#: seconds between retries of the queued repairs
+RETRY_PERIOD_S = 5.0
 
 
 def recovery_metrics(collector: MetricsCollector, crash_t: float) -> dict:
@@ -53,59 +58,58 @@ def recovery_metrics(collector: MetricsCollector, crash_t: float) -> dict:
     }
 
 
-class SelfRecoveryManager:
-    """Failure detection + repair across a set of managed tiers."""
+def all_servers(tiers: list[TierManager]) -> Iterator[object]:
+    """The serving servers of every tier (what the detectors watch)."""
+    for tier in tiers:
+        yield from tier.servers()
 
-    name = "recovery"
+
+def member_servers(tiers: list[TierManager]) -> Iterator[object]:
+    """The servers of every replica, under maintenance or not."""
+    for tier in tiers:
+        for record in tier.replicas:
+            server = getattr(record.component.content, "server", None)
+            if server is not None:
+                yield server
+
+
+class RepairReactor:
+    """Repair decisions across a set of managed tiers: failures arrive on
+    the ``failures`` interface (heartbeat) and ``suspicions`` (detector)."""
 
     def __init__(
         self,
         kernel: SimKernel,
         tiers: list[TierManager],
         collector: Optional[MetricsCollector] = None,
-        detect_period_s: float = 1.0,
-        retry_period_s: float = 5.0,
     ) -> None:
         self.kernel = kernel
         self.tiers = list(tiers)
         self.collector = collector
-        self.retry_period_s = retry_period_s
-        self.sensor = HeartbeatSensor(
-            kernel,
-            self._all_servers,
-            period_s=detect_period_s,
-            members_provider=self._member_servers,
-        )
-        self.sensor.subscribe(self._on_failure)
         self._pending: list[tuple[TierManager, Component]] = []
         self._retry_task: Optional[PeriodicTask] = None
         self.failures_seen = 0
         self.repairs_started = 0
-        #: optional progress-based detector (see ``attach_detector``)
+        #: the heartbeat sensor and the optional progress-based detector
+        #: feeding this reactor (set when the manager is wired)
+        self.sensor = None
         self.detector = None
         #: plain-data detection log: {"t", "component", "tier", "reason"}
         self.detections: list[dict] = []
         #: optional decision tracer (set by the assembled system)
         self.tracer = None
-        # The manager is itself a component (Jade administrates itself).
-        self.composite = Component("self-recovery-manager", composite=True)
-        self.composite.content_controller.add(
-            Component("recovery-sensor", content=self.sensor)
-        )
+
+    # -- life cycle (driven by the reactor component) ---------------------
+    def on_start(self, component=None) -> None:
+        if self._retry_task is None:
+            self._retry_task = self.kernel.every(RETRY_PERIOD_S, self._retry)
+
+    def on_stop(self, component=None) -> None:
+        if self._retry_task is not None:
+            self._retry_task.cancel()
+            self._retry_task = None
 
     # ------------------------------------------------------------------
-    def _all_servers(self):
-        for tier in self.tiers:
-            yield from tier.servers()
-
-    def _member_servers(self):
-        """The servers of every replica, under maintenance or not."""
-        for tier in self.tiers:
-            for record in tier.replicas:
-                server = getattr(record.component.content, "server", None)
-                if server is not None:
-                    yield server
-
     def _tier_of(self, server: object) -> Optional[tuple[TierManager, Component]]:
         for tier in self.tiers:
             for record in tier.replicas:
@@ -113,21 +117,11 @@ class SelfRecoveryManager:
                     return tier, record.component
         return None
 
-    # ------------------------------------------------------------------
-    def attach_detector(self, detector) -> None:
-        """Add a progress-based failure detector (e.g. the phi-accrual
-        detector of :mod:`repro.chaos.detectors`) whose suspicions feed
-        the same repair path as heartbeat failures.  The detector is
-        started/stopped with the manager and administrated as a
-        sub-component, like the heartbeat sensor."""
-        self.detector = detector
-        detector.subscribe(self._on_suspicion)
-        self.composite.content_controller.add(
-            Component("recovery-detector", content=detector)
-        )
-
-    def _on_failure(self, server: object) -> None:
+    def on_failure(self, server: object) -> None:
         self._handle_failure(server, "heartbeat")
+
+    def on_suspicion(self, server: object, phi: float, reason: str) -> None:
+        self._handle_failure(server, f"detector:{reason}")
 
     def handle_interruption(self, server: object) -> None:
         """Drain path for spot interruption notices (:mod:`repro.market`):
@@ -135,9 +129,6 @@ class SelfRecoveryManager:
         replica is repaired *now* — unbound, discarded and regrown on a
         fresh node — instead of waiting for the crash at the deadline."""
         self._handle_failure(server, "spot-notice")
-
-    def _on_suspicion(self, server: object, phi: float, reason: str) -> None:
-        self._handle_failure(server, f"detector:{reason}")
 
     def _handle_failure(self, server: object, reason: str) -> None:
         located = self._tier_of(server)
@@ -188,43 +179,12 @@ class SelfRecoveryManager:
         for tier, component in self._pending:
             # The replica may have been cleaned up already (repair() removes
             # it from the tier) — grow back if the tier is short-handed.
-            if any(r.component is component for r in tier.replicas):
-                if not tier.repair(component):
-                    still_pending.append((tier, component))
-                else:
-                    self.repairs_started += 1
+            listed = any(r.component is component for r in tier.replicas)
+            if tier.repair(component) if listed else tier.grow():
+                self.repairs_started += 1
             else:
-                if not tier.grow():
-                    still_pending.append((tier, component))
-                else:
-                    self.repairs_started += 1
+                still_pending.append((tier, component))
         self._pending = still_pending
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self.composite.start()
-        self.sensor.on_start()
-        if self.detector is not None:
-            self.detector.on_start()
-        if self._retry_task is None:
-            self._retry_task = self.kernel.every(self.retry_period_s, self._retry)
-
-    def stop(self) -> None:
-        self.sensor.on_stop()
-        if self.detector is not None:
-            self.detector.on_stop()
-        self.composite.stop()
-        if self._retry_task is not None:
-            self._retry_task.cancel()
-            self._retry_task = None
-
-    def attach_tracer(self, tracer) -> None:
-        self.tracer = tracer
-        if self.detector is not None:
-            self.detector.tracer = tracer
-
-    def distill(self) -> None:
-        return None  # the chaos injector distills the detection log
 
     @property
     def pending_repairs(self) -> int:

@@ -25,7 +25,6 @@ moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.cluster.node import Node
@@ -182,14 +181,12 @@ class HeartbeatSensor:
         kernel: SimKernel,
         servers_provider: ServerProvider,
         period_s: float = 1.0,
-        name: str = "heartbeat",
         members_provider: Optional[ServerProvider] = None,
     ) -> None:
         self.kernel = kernel
         self.servers_provider = servers_provider
         self.members_provider = members_provider or servers_provider
         self.period_s = period_s
-        self.name = name
         self._listeners: list[FailureListener] = []
         #: unhealthy servers already reported, keyed by the server itself
         #: (servers hash by identity) so a pickled copy keeps its keys
@@ -226,15 +223,14 @@ class HeartbeatSensor:
                     listener(server)
 
 
-@dataclass(frozen=True)
-class LatencyReading:
-    """One latency-sensor notification (same shape contract as
-    :class:`CpuReading`: reactors read ``.smoothed`` and ``.raw``)."""
+class LatencyReading(NamedTuple):
+    """One latency-sensor notification (the shape of :class:`CpuReading`,
+    so a :class:`~repro.jade.reactors.PolicyReactor` reads it alike)."""
 
     t: float
     smoothed: float   # moving average of per-request latency, seconds
     raw: float        # mean latency over the last period, seconds
-    sample_count: int
+    node_count: int   # latencies recorded in the last period
 
 
 class LatencySensor:
@@ -253,17 +249,14 @@ class LatencySensor:
         latency_series,
         window_s: float = 60.0,
         period_s: float = 1.0,
-        name: str = "latency-sensor",
     ) -> None:
         self.kernel = kernel
         self.series = latency_series  # a metrics TimeSeries of latencies
         self.window = MovingAverage(window_s)
         self.period_s = period_s
-        self.name = name
         self._cursor = 0
         self._listeners: list[Callable[[LatencyReading], None]] = []
         self._task: Optional[PeriodicTask] = None
-        self.samples_taken = 0
 
     def subscribe(self, listener: Callable[[LatencyReading], None]) -> None:
         self._listeners.append(listener)
@@ -278,7 +271,6 @@ class LatencySensor:
             self._task = None
 
     def _sample(self) -> None:
-        self.samples_taken += 1
         fresh = self.series.tail_since(self._cursor)
         self._cursor += len(fresh)
         for t, v in fresh:

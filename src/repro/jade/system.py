@@ -6,13 +6,13 @@
 * the RUBiS J2EE application deployed from an ADL description
   (PLB → Tomcat×1 → C-JDBC → MySQL×1 initially), or another
   :class:`Application` (the Figure 2 preset in :mod:`repro.jade.three_tier`);
-* optionally the Jade managers: self-optimization (two control loops,
-  deployed from their own ADL by the same deployment service),
-  self-recovery, and arbitration;
+* optionally the Jade managers: self-optimization (two CPU control loops
+  or the latency-SLO loop) and self-recovery, written as one manager ADL
+  document and deployed by the same deployment service, and arbitration;
 * the RUBiS client emulator driving the configured workload profile;
 * a metrics sampler reproducing Table 1's node CPU/memory accounting.
 
-Every optional subsystem (optimizer, self-recovery, proactive manager,
+Every optional subsystem (the deployed managers, proactive manager,
 chaos injector, deploy manager, spot market) is a
 :class:`SystemExtension`: it is built here, then started, stopped,
 traced and distilled through the one ordered tuple
@@ -44,11 +44,10 @@ from repro.jade.self_optimization import (
     DB_LOOP_DEFAULTS,
     APP_LOOP_DEFAULTS,
     LoopConfig,
-    SelfOptimizationManager,
+    ManagerDeployment,
     manager_adl,
 )
-from repro.jade.self_recovery import SelfRecoveryManager
-from repro.jade.sensors import UtilizationSampler
+from repro.jade.sensors import CpuProbe, UtilizationSampler
 from repro.legacy.cjdbc import BackendState
 from repro.metrics.collector import MetricsCollector
 from repro.legacy.directory import Directory
@@ -353,48 +352,26 @@ class ManagedSystem:
         # reconfiguration by any loop — reactive, proactive or a
         # deployment — inhibits all of them).
         self.inhibition = InhibitionLock(self.kernel, cfg.inhibition_s)
-        self.optimizer = None
-        self.recovery: Optional[SelfRecoveryManager] = None
+        adl = manager_adl(cfg, self.app_tier.tier_name, self.db_tier.tier_name)
+        self.managers = None
+        if adl is not None:
+            self.managers = ManagerDeployment(
+                self.deployer,
+                adl,
+                (self.app_tier, self.db_tier),
+                self.inhibition,
+                self.collector,
+            )
+        # The self-optimization and self-recovery managers' read points.
+        self.optimizer = self.managers if cfg.managed else None
+        self.recovery = self.managers.recovery if cfg.recovery else None
         if cfg.managed:
-            if cfg.use_slo_manager:
-                from repro.jade.latency_optimization import (
-                    LatencyOptimizationManager,
-                )
-
-                self.optimizer = LatencyOptimizationManager(
-                    self.kernel,
-                    [self.app_tier, self.db_tier],
-                    self.collector,
-                    max_latency_s=cfg.slo_max_latency_s,
-                    min_latency_s=cfg.slo_min_latency_s,
-                    inhibition=self.inhibition,
-                )
-            else:
-                self.optimizer = SelfOptimizationManager(
-                    self.deployer,
-                    manager_adl(
-                        self.app_tier.tier_name,
-                        self.db_tier.tier_name,
-                        cfg.app_loop,
-                        cfg.db_loop,
-                        cal,
-                    ),
-                    {t.tier_name: t for t in (self.app_tier, self.db_tier)},
-                    self.inhibition,
-                )
-            # Management components deployed on every node (Table 1's
-            # memory overhead).
+            # Jade's components on every node (Table 1's memory overhead).
             for node in self.nodes:
-                node.register_footprint("jade:mgmt", cal.jade_mgmt_footprint_mb)
+                self._register_mgmt(node)
             if self.market is not None:
                 # ... including nodes the fleet allocator buys later.
                 self.market.node_decorators.append(self._register_mgmt)
-        if cfg.recovery:
-            self.recovery = SelfRecoveryManager(
-                self.kernel,
-                [self.app_tier, self.db_tier],
-                collector=self.collector,
-            )
 
         # --- chaos injection (extension) ---------------------------------
         # Wired like the proactive manager: lazily imported, sharing the
@@ -407,17 +384,6 @@ class ManagedSystem:
             self.chaos = ChaosInjector(
                 self, cfg.chaos, rng=self.streams.get("chaos")
             )
-            if cfg.chaos.detector == "phi" and self.recovery is not None:
-                from repro.chaos.detectors import PhiAccrualDetector
-
-                self.recovery.attach_detector(
-                    PhiAccrualDetector(
-                        self.kernel,
-                        self.recovery._all_servers,
-                        threshold=cfg.chaos.phi_threshold,
-                        failfast_ticks=cfg.chaos.failfast_ticks,
-                    )
-                )
 
         # --- tier CPU recording for Figures 6 & 7 --------------------------
         # With Jade, the real probes' readings are recorded; without Jade a
@@ -426,31 +392,26 @@ class ManagedSystem:
         # component) produces the comparison curves.  ``_tier_probes``
         # holds whichever of the two feeds each tier's CPU reading.
         self._passive_probes = []
-        if isinstance(self.optimizer, SelfOptimizationManager):
-            self._tier_probes = {
-                label: self.optimizer.loops[label].probe for label in ("app", "db")
-            }
-        else:
-            from repro.jade.sensors import CpuProbe
-
-            for tier, window in (
-                (self.app_tier, cfg.app_loop.window_s),
-                (self.db_tier, cfg.db_loop.window_s),
-            ):
+        self._tier_probes = {}
+        loops = self.optimizer.loops if self.optimizer is not None else {}
+        for label, tier, loop_cfg in (
+            ("app", self.app_tier, cfg.app_loop),
+            ("db", self.db_tier, cfg.db_loop),
+        ):
+            if label in loops:
+                probe = loops[label].probe
+            else:
                 probe = CpuProbe(
                     self.kernel,
                     nodes_provider=tier.active_nodes,
-                    window_s=window,
+                    window_s=loop_cfg.window_s,
                     period_s=1.0,
                     probe_demand_s=0.0,
                     name=f"passive-{tier.tier_name}",
                 )
                 self._passive_probes.append(probe)
-            self._tier_probes = dict(zip(("app", "db"), self._passive_probes))
-        for label, tier in (("app", self.app_tier), ("db", self.db_tier)):
-            self._tier_probes[label].subscribe(
-                partial(self._record_tier_cpu, tier.tier_name)
-            )
+            probe.subscribe(partial(self._record_tier_cpu, tier.tier_name))
+            self._tier_probes[label] = probe
 
         # --- workload ----------------------------------------------------
         if cfg.fluid:
@@ -557,8 +518,7 @@ class ManagedSystem:
         self.extensions: tuple[SystemExtension, ...] = tuple(
             ext
             for ext in (
-                self.optimizer,
-                self.recovery,
+                self.managers,
                 self.proactive,
                 self.chaos,
                 self.deploy,

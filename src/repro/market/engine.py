@@ -20,7 +20,7 @@ processes:
   price tape's ``"market"`` stream is never touched, so prices stay a
   pure function of seed + scenario).  A hit issues a 2-minute notice:
   the node is pulled from the free pool, its replicas are drained
-  through :meth:`SelfRecoveryManager.handle_interruption` (repair now,
+  through :meth:`RepairReactor.handle_interruption` (repair now,
   on a fresh node), and the node is reclaimed — crashed — at the
   deadline regardless.
 

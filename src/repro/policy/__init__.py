@@ -7,7 +7,7 @@ Importing the package populates the registry with the built-in plugins:
 * ``target-utilization`` — sizing to a fixed utilization target;
 * ``queue-model`` — M/G/1-PS sizing from the calibrated demand mix;
 * ``forecast`` — feedforward on predicted utilization;
-* ``latency-band`` — the latency-SLO band of the SloReactor.
+* ``latency-band`` — the band of the latency-SLO loop.
 
 See :mod:`repro.policy.api` for the contract and
 :mod:`repro.policy.tune` for the autotuner.

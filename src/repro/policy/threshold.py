@@ -5,8 +5,8 @@
 plugin of every CPU control loop.
 
 :class:`AdaptiveThresholdPolicy` carries the §7 oscillation-damping
-extension, and :class:`LatencyBandPolicy` the latency-SLO band of
-``repro.jade.latency_optimization``.
+extension, and :class:`LatencyBandPolicy` the band of the latency-SLO
+loop.
 """
 
 from __future__ import annotations
@@ -146,11 +146,11 @@ class AdaptiveThresholdPolicy(Policy):
 @register
 @dataclass(frozen=True)
 class LatencyBandPolicy(Policy):
-    """The latency-SLO band of the :class:`SloReactor`: grow when the
-    smoothed end-to-end latency violates the SLO, shrink when it sits far
-    under it (bottleneck localization stays in the reactor — latency is
-    not attributable to one tier, so *which* tier moves is mechanics,
-    not judgment)."""
+    """The band of the latency-SLO loop: grow when the smoothed
+    end-to-end latency violates the SLO, shrink when it sits far under it.
+    Latency is not attributable to one tier, so *which* tier moves is the
+    loop's :class:`~repro.jade.actuators.BottleneckActuator`'s choice:
+    mechanics, not judgment."""
 
     name: ClassVar[str] = "latency-band"
 

@@ -42,6 +42,7 @@ from repro.metrics.aggregates import mean_ci
 from repro.policy import bench as policy_bench
 from repro.runner.cache import ResultCache
 from repro.runner.parallel import ExperimentRunner
+from repro.runner.sweep import SweepSpec
 from repro.workload import fluid_bench
 
 #: wall-clock of the micro scenarios before the engine fast-path work
@@ -368,21 +369,27 @@ def run_whatif_bench(candidates: int = 8) -> dict:
     }
 
 
+#: the grid the ``sweep`` section times (its record is the section's
+#: ``spec``)
+SWEEP_BENCH_SPEC = SweepSpec(
+    seeds=(1, 2),
+    scales=(0.05,),
+    policies=("static", "managed"),
+    cohorts=(1,),
+)
+
+
 def run_sweep_bench() -> dict:
-    """Throughput of a small sweep grid, cold then warm (cache-resolved).
+    """Throughput of :data:`SWEEP_BENCH_SPEC`, cold then warm
+    (cache-resolved).
 
     Returns the BENCH_engine ``sweep`` block."""
     import shutil
     import tempfile
 
-    from repro.runner.sweep import SweepSpec, run_sweep
+    from repro.runner.sweep import run_sweep
 
-    spec = SweepSpec(
-        seeds=(1, 2),
-        scales=(0.05,),
-        policies=("static", "managed"),
-        cohorts=(1,),
-    )
+    spec = SWEEP_BENCH_SPEC
     cache_dir = Path(tempfile.mkdtemp(prefix="bench-sweep-"))
     try:
         runner = ExperimentRunner(cache=ResultCache(cache_dir))

@@ -5,13 +5,16 @@ import pickle
 
 import pytest
 
-from repro.jade.latency_optimization import SloReactor
+from repro.fractal.introspection import verify_architecture
+from repro.jade.actuators import BottleneckActuator
 from repro.jade.control_loop import InhibitionLock
+from repro.jade.reactors import PolicyReactor
 from repro.jade.rolling import RollingRebind
-from repro.jade.sensors import LatencySensor
+from repro.jade.sensors import LatencyReading, LatencySensor
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.jade.three_tier import three_tier_config
 from repro.metrics.series import TimeSeries
+from repro.policy.threshold import LatencyBandPolicy
 from repro.workload.profiles import PiecewiseProfile, RampProfile
 from tests.conftest import collector_digest
 
@@ -72,18 +75,27 @@ class FakeTier:
 
 
 class TestSloReactor:
-    def make(self, kernel, tiers, **kw):
-        kw.setdefault("max_latency_s", 0.5)
-        kw.setdefault("min_latency_s", 0.05)
-        kw.setdefault("warmup_samples", 0)
-        reactor = SloReactor(kernel, tiers, InhibitionLock(kernel, 60.0), **kw)
+    """The latency-SLO loop's reactor: a policy reactor running the
+    latency band over a bottleneck actuator, with one replica per tier as
+    its floor."""
+
+    def make(self, kernel, tiers, **band):
+        band.setdefault("max_latency_s", 0.5)
+        band.setdefault("min_latency_s", 0.05)
+        actuator = BottleneckActuator(tiers)
         # Pin the utilization ranking without real nodes.
-        reactor._tier_utilization = lambda t: t._util
-        return reactor
+        actuator.utilization = lambda t: t._util
+        return PolicyReactor(
+            kernel,
+            actuator,
+            InhibitionLock(kernel, 60.0),
+            LatencyBandPolicy(**band),
+            min_replicas=len(tiers),
+            warmup_samples=0,
+            name="slo",
+        )
 
     def reading(self, kernel, value):
-        from repro.jade.sensors import LatencyReading
-
         return LatencyReading(kernel.now, value, value, 1)
 
     def test_grows_hottest_tier_on_violation(self, kernel):
@@ -106,9 +118,17 @@ class TestSloReactor:
 
     def test_never_shrinks_below_floor(self, kernel):
         a = FakeTier("app", 0.1)
-        reactor = self.make(kernel, [a])
+        b = FakeTier("db", 0.5)
+        reactor = self.make(kernel, [a, b])
+        reactor.on_reading(self.reading(kernel, 0.01))
+        # Every tier at one replica: held at the floor, lock untouched.
+        assert a.calls == b.calls == []
+        assert reactor.inhibition.acquisitions == 0
+        # The idlest tier is at its floor: the other one shrinks.
+        b.replica_count = 2
         reactor.on_reading(self.reading(kernel, 0.01))
         assert a.calls == []
+        assert b.calls == ["shrink"]
 
     def test_in_band_is_quiet(self, kernel):
         a = FakeTier("app", 0.5)
@@ -141,13 +161,26 @@ class TestSloReactor:
         ]
         assert all(r["by"] == "slo" for r in lock_events)
 
+    def test_window_restarts_when_a_resize_starts(self, kernel):
+        a = FakeTier("app", 0.9)
+        reactor = self.make(kernel, [a])
+        restarts = []
+        reactor.tier.on_reconfigured.append(lambda: restarts.append(kernel.now))
+        reactor.on_reading(self.reading(kernel, 1.0))
+        assert a.calls == ["grow"]
+        assert restarts == [0.0]
+
     def test_validation(self, kernel):
         with pytest.raises(ValueError):
-            SloReactor(kernel, [FakeTier("a", 0.1)], InhibitionLock(kernel, 1.0),
-                       max_latency_s=0.1, min_latency_s=0.5)
+            self.make(kernel, [FakeTier("a", 0.1)], max_latency_s=0.1, min_latency_s=0.5)
         with pytest.raises(ValueError):
-            SloReactor(kernel, [], InhibitionLock(kernel, 1.0),
-                       max_latency_s=0.5, min_latency_s=0.1)
+            ManagedSystem(
+                ExperimentConfig(
+                    use_slo_manager=True, slo_max_latency_s=0.1, slo_min_latency_s=0.5
+                )
+            )
+        with pytest.raises(ValueError):
+            BottleneckActuator([])
 
 
 class TestSloManagerEndToEnd:
@@ -167,11 +200,16 @@ class TestSloManagerEndToEnd:
     def test_slo_manager_is_a_component(self):
         cfg = ExperimentConfig(use_slo_manager=True)
         system = ManagedSystem(cfg)
-        names = [
-            c.name
-            for c in system.optimizer.composite.content_controller.sub_components()
-        ]
-        assert names == ["slo-sensor", "slo-reactor"]
+        (loop,) = system.optimizer.composite.content_controller.sub_components()
+        assert loop.name == "slo"
+        names = [c.name for c in loop.content_controller.sub_components()]
+        assert names == ["slo-sensor", "slo-reactor", "slo-actuator"]
+        slo = system.optimizer.loops["slo"]
+        assert isinstance(slo.probe, LatencySensor)
+        assert isinstance(slo.reactor.policy, LatencyBandPolicy)
+        assert slo.reactor.min_replicas == 2
+        assert [t.tier_name for t in slo.tier.tiers] == ["application", "database"]
+        assert verify_architecture(system.optimizer.composite) == []
 
 
 class TestThreeTier:

@@ -10,7 +10,7 @@ from repro.jade.deployment import DeploymentService
 from repro.jade.self_optimization import (
     APP_LOOP_DEFAULTS,
     DB_LOOP_DEFAULTS,
-    SelfOptimizationManager,
+    ManagerDeployment,
     manager_adl,
 )
 from repro.jade.system import ExperimentConfig, ManagedSystem
@@ -29,20 +29,14 @@ def base_system():
 
 def paper_adl(system) -> str:
     """The document a default managed run deploys."""
-    return manager_adl(
-        "application",
-        "database",
-        APP_LOOP_DEFAULTS,
-        DB_LOOP_DEFAULTS,
-        system.config.calibration,
-    )
+    return manager_adl(ExperimentConfig(), "application", "database")
 
 
-def deploy_manager(system, adl=None) -> SelfOptimizationManager:
-    return SelfOptimizationManager(
+def deploy_manager(system, adl=None) -> ManagerDeployment:
+    return ManagerDeployment(
         system.deployer,
         paper_adl(system) if adl is None else adl,
-        {"application": system.app_tier, "database": system.db_tier},
+        (system.app_tier, system.db_tier),
         InhibitionLock(system.kernel, 60.0),
     )
 
@@ -118,7 +112,7 @@ class TestManagerDeployment:
         system = ManagedSystem(ExperimentConfig())
         assert [(d, name) for d, name, _ in deployed] == [
             (system.deployer, "rubis-j2ee"),
-            (system.deployer, "self-optimization-manager"),
+            (system.deployer, "jade-managers"),
         ]
         manager = deployed[1][2]
         assert system.optimizer.composite is manager.root

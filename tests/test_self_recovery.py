@@ -21,7 +21,7 @@ class TestSelfRecovery:
     def test_app_replica_crash_is_repaired(self):
         system = make_system()
         kernel = system.kernel
-        system.recovery.start()
+        system.managers.start()
         system.emulator.start()
         victim_node = system.app_tier.replicas[0].node
         kernel.schedule(100.0, victim_node.crash)
@@ -36,7 +36,7 @@ class TestSelfRecovery:
     def test_requests_flow_again_after_repair(self):
         system = make_system()
         kernel = system.kernel
-        system.recovery.start()
+        system.managers.start()
         system.emulator.start()
         victim_node = system.app_tier.replicas[0].node
         kernel.schedule(100.0, victim_node.crash)
@@ -51,7 +51,7 @@ class TestSelfRecovery:
         system = make_system()
         kernel = system.kernel
         controller = system.cjdbc.content.controller
-        system.recovery.start()
+        system.managers.start()
         # Grow to 2 DB replicas so the service survives the crash.
         system.db_tier.grow()
         kernel.run(until=60.0)
@@ -67,7 +67,7 @@ class TestSelfRecovery:
     def test_repair_waits_when_pool_is_empty(self):
         system = make_system(pool_nodes=4)  # exactly the initial deployment
         kernel = system.kernel
-        system.recovery.start()
+        system.managers.start()
         victim_node = system.app_tier.replicas[0].node
         kernel.schedule(50.0, victim_node.crash)
         kernel.run(until=200.0)
@@ -81,7 +81,7 @@ class TestSelfRecovery:
         # DB grow consumes, so the app repair finds an exhausted pool.
         system = make_system(pool_nodes=5)
         kernel = system.kernel
-        system.recovery.start()
+        system.managers.start()
         system.db_tier.grow()
         kernel.run(until=60.0)
         assert system.cluster.free_count == 0
@@ -103,7 +103,7 @@ class TestSelfRecovery:
     def test_simultaneous_failures_detected_in_tier_order(self):
         system = make_system()
         kernel = system.kernel
-        system.recovery.start()
+        system.managers.start()
         system.db_tier.grow()
         kernel.run(until=60.0)
         app_node = system.app_tier.replicas[0].node
@@ -132,7 +132,7 @@ class TestSelfRecovery:
         tier.arbitration = SimpleNamespace(
             request=lambda op, tier_name: False, complete=lambda op, tier_name: None
         )
-        system.recovery.start()
+        system.managers.start()
         record = tier.replicas[0]
         kernel.schedule_at(50.0, record.node.crash)
         kernel.schedule_at(60.0, tier.enter_maintenance, record.component.name)
@@ -145,7 +145,7 @@ class TestSelfRecovery:
     def test_repaired_server_is_forgotten(self):
         system = make_system()
         kernel = system.kernel
-        system.recovery.start()
+        system.managers.start()
         kernel.schedule(100.0, system.app_tier.replicas[0].node.crash)
         kernel.run(until=400.0)
         assert system.app_tier.repairs_completed == 1
@@ -154,8 +154,8 @@ class TestSelfRecovery:
     def test_stopped_manager_does_not_repair(self):
         system = make_system()
         kernel = system.kernel
-        system.recovery.start()
-        system.recovery.stop()
+        system.managers.start()
+        system.managers.stop()
         victim_node = system.app_tier.replicas[0].node
         kernel.schedule(50.0, victim_node.crash)
         kernel.run(until=300.0)
@@ -164,7 +164,11 @@ class TestSelfRecovery:
 
     def test_manager_is_a_component(self):
         system = make_system()
-        comp = system.recovery.composite
+        (comp,) = system.managers.composite.content_controller.sub_components()
         assert comp.is_composite()
         names = [c.name for c in comp.content_controller.sub_components()]
-        assert "recovery-sensor" in names
+        assert names == ["recovery-sensor", "recovery-reactor"]
+        reactor = system.managers.app.instance("recovery-reactor")
+        assert system.recovery is reactor.content
+        assert system.recovery.sensor is not None
+        assert system.recovery.detector is None

@@ -138,3 +138,16 @@ class TestSweepCli:
         record = json.loads(json_path.read_text())
         assert record["cache"]["hits"] == 2
         assert record["cache"]["misses"] == 0
+
+
+def test_committed_bench_records_the_bench_grid():
+    """BENCH_engine.json's ``sweep`` section was recorded from the grid
+    that section times today, every axis included."""
+    from pathlib import Path
+
+    from repro.runner.bench import SWEEP_BENCH_SPEC
+
+    report = json.loads(
+        (Path(__file__).resolve().parent.parent / "BENCH_engine.json").read_text()
+    )
+    assert report["sweep"]["spec"] == SWEEP_BENCH_SPEC.to_record()

@@ -184,8 +184,7 @@ class TestExtensionSeam:
     def test_extensions_in_start_order(self, composed):
         system, _ = composed
         assert [ext.name for ext in system.extensions] == [
-            "optimizer",
-            "recovery",
+            "managers",
             "proactive",
             "chaos",
             "deploy",
@@ -200,6 +199,7 @@ class TestExtensionSeam:
         for loop in system.optimizer.loops.values():
             assert loop.probe.tracer is tracer
             assert loop.reactor.tracer is tracer
+        assert system.recovery.tracer is tracer
         assert system.recovery.detector.tracer is tracer
         for ext in system.extensions[1:]:
             assert ext.tracer is tracer
