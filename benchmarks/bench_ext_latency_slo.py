@@ -5,7 +5,8 @@ bench runs the full ramp under both managers and compares: achieved
 latency, provisioning cost (node-seconds), and scaling decisions.  The CPU
 manager provisions pre-emptively (CPU rises before latency does); the SLO
 manager waits until users feel the load, so it runs hotter — its mean
-latency sits above its 500 ms target — with fewer node-seconds.
+latency sits above its 500 ms target (673.9 ms, against the CPU manager's
+83.1 ms) — with fewer node-seconds (9587 against 9727).
 """
 
 from repro.jade.system import ExperimentConfig, ManagedSystem

@@ -31,6 +31,7 @@ from repro.cluster.installer import SoftwareInstallationService
 from repro.cluster.node import Node
 from repro.fractal.component import Component
 from repro.jade.sensors import UtilizationSampler
+from repro.metrics.aggregates import left_sum
 from repro.metrics.collector import MetricsCollector
 from repro.simulation.kernel import SimKernel
 
@@ -557,12 +558,19 @@ class BottleneckActuator:
     def replica_count(self) -> int:
         return sum(t.replica_count for t in self.tiers)
 
+    def on_start(self) -> None:
+        """Take a first look at every tier's nodes when the loop starts: a
+        first look reads 0.0, so without it the first resize would compare
+        tiers that all read 0.0 and pick the first listed."""
+        for tier in self.tiers:
+            self.utilization(tier)
+
     def utilization(self, tier: TierManager) -> float:
         """Mean CPU of the tier's live serving nodes since the last look."""
         nodes = [n for n in tier.active_nodes() if n.up]
         if not nodes:
             return 0.0
-        return sum(self._sampler.sample(n) for n in nodes) / len(nodes)
+        return left_sum(self._sampler.sample(n) for n in nodes) / len(nodes)
 
     def grow(self) -> bool:
         idle = [t for t in self.tiers if not t.busy]

@@ -151,6 +151,10 @@ class _ActuatorShell:
     def __init__(self, tier: TierManager | BottleneckActuator) -> None:
         self.tier = tier
 
+    def on_start(self, component: Component) -> None:
+        if isinstance(self.tier, BottleneckActuator):
+            self.tier.on_start()
+
     def grow(self) -> bool:
         return self.tier.grow()
 

@@ -47,14 +47,14 @@ The per-replica flow state is held in plain scalar lists rather than
 numpy arrays: tiers are a handful of replicas, and at that size the
 interpreter loop is ~10x faster per tick than numpy's per-call dispatch
 overhead (measured).  The per-tick solve budget is what bounds the
-1M-user wall clock: on the scale-2 Fig. 9 ramp a tick costs ~8 residual
-(``Phi``) evaluations on average, each running the capacity fixed point
-of both tiers.
+1M-user wall clock: on the scale-2 Fig. 9 ramp a solve costs ~31 residual
+(``Phi``) evaluations, each running the capacity fixed point of both
+tiers, and the step memo below leaves ~4.9 per tick on average.
 
 Incremental tick
 ----------------
 
-Three shortcuts skip work whose result is already known; all are exact
+Four shortcuts skip work whose result is already known; all are exact
 (outputs bit-identical to recomputing, asserted in
 ``tests/test_fluid.py``):
 
@@ -83,14 +83,27 @@ Three shortcuts skip work whose result is already known; all are exact
   app/DB replica's identity, speed, degradation and capacity model (by
   identity; none is mutated after construction), and each balancer's
   ``up``/``isolated``/speed/degradation.  ``Calibration`` is frozen and
-  no kernel event runs inside a step.  The engine keeps the last key and
-  its result; on an equal key it restores the level and warm start and
-  returns the stored result.  Between population steps the level
-  reaches an exact float fixed point, after which every tick hits (73.6 %
-  of the ticks of the scale-2 ramp).  The only float keys that compare
-  equal with different bits are ``0.0``/``-0.0``; a signed zero can only
-  reach the key as the level or warm start, where the solve reads it
-  through ``level + dt * n / Z`` and ``0.0 < x`` — both blind to the sign.
+  no kernel event runs inside a step.  The engine keeps the last two
+  solved steps, newest first: on an equal key it restores the level and
+  warm start and returns the stored result, without reordering them; a
+  new solve drops the oldest.  Between population steps the level
+  settles either on an exact float fixed point or, as often, on a float
+  2-cycle (level A solves to B, B solves to A); two slots hold both
+  steps of such a cycle, after which every tick hits (84.3 % of the
+  ticks of the scale-2 ramp; of its repeated keys, 639 of 656 were
+  solved exactly two solves earlier, so a third slot would add little).
+  The only float keys that compare equal with different bits are
+  ``0.0``/``-0.0``; a signed zero can only reach the key as the level or
+  warm start, where the solve reads it through ``level + dt * n / Z``
+  and ``0.0 < x`` — both blind to the sign.
+* **Replayed tick plan.**  Each memoized step also holds its tick's CPU
+  injection plan, the ordered ``(node, demand, weight)`` jobs of
+  :meth:`FluidEngine._plan`, built by the first tick that injects the
+  step.  Every value the plan reads is in the key (each live station's
+  speed, degradation and capacity model, whose knee derives from it;
+  each balancer's ``up``/``isolated``/speed/degradation; ``dt``) or in
+  the solved result (``rho``, ``conc``, ``X``), so a hit replays the
+  plan's submits in order: a repeated tick costs its CPU submits.
 
 Injection: each tick, each live replica receives one weight-``w`` CPU job
 sized so its busy time over the tick equals ``rho * dt`` (``w`` is the
@@ -320,6 +333,32 @@ class _TierFlow:
         return sum(self.rho) / len(self.rho) if self.rho else 0.0
 
 
+class _Solved:
+    """One step's outcome: its memo ``key`` (None when nothing can serve),
+    the solved state, both tiers, the post-step level and throughput, and
+    the tick's CPU injection ``plan`` of ``(node, demand, weight)`` jobs
+    (built by the first tick that injects this step)."""
+
+    __slots__ = ("key", "state", "app", "db", "level", "x", "plan")
+
+    def __init__(
+        self,
+        key: Optional[tuple],
+        state: FluidState,
+        app: Optional[_TierFlow],
+        db: Optional[_TierFlow],
+        level: float,
+        x: Optional[float],
+    ) -> None:
+        self.key = key
+        self.state = state
+        self.app = app
+        self.db = db
+        self.level = level
+        self.x = x
+        self.plan: Optional[tuple] = None if app is not None else ()
+
+
 class FluidEngine:
     """Solves and injects the mean-field operating point once per tick.
 
@@ -358,8 +397,9 @@ class FluidEngine:
         self._carry = 0.0
         #: previous tick's solved throughput (warm-starts the bracket)
         self._last_x: Optional[float] = None
-        #: ``(key, result)`` of the last solved step (see ``_step_key``)
-        self._memo: Optional[tuple] = None
+        #: the last two solved steps, newest first (see ``_step_key``): a
+        #: hit leaves the order alone, a new solve drops the oldest
+        self._memo: tuple[_Solved, ...] = ()
         self.ticks = 0
         self.completions = 0
         self.last_state: Optional[FluidState] = None
@@ -462,13 +502,18 @@ class FluidEngine:
             ),
         )
 
-    def _recall(self, key: tuple) -> Optional[tuple]:
-        """The memoized step result for ``key``, or None."""
-        memo = self._memo
-        return memo[1] if memo is not None and memo[0] == key else None
+    def _recall(self, key: tuple) -> Optional[_Solved]:
+        """The memoized step for ``key``, or None."""
+        for solved in self._memo:
+            if solved.key == key:
+                return solved
+        return None
 
-    def _empty_state(self, population: int, app_n: int, db_n: int) -> FluidState:
-        return FluidState(
+    def _empty(self, population: int, app_n: int, db_n: int) -> _Solved:
+        """A step with nothing solved: no throughput, no tiers, no jobs,
+        and no warm start for the next solve."""
+        self._last_x = None
+        state = FluidState(
             population=max(population, 0),
             in_flight=self.level,
             throughput_rps=0.0,
@@ -478,6 +523,7 @@ class FluidEngine:
             app_nodes=app_n,
             db_nodes=db_n,
         )
+        return _Solved(None, state, None, None, self.level, None)
 
     def step(
         self, population: int, dt: float
@@ -489,6 +535,12 @@ class FluidEngine:
         strictly increasing in ``X``; its root gives the post-step level
         ``L' = X*R_net(X)`` via Little's law.
         """
+        solved = self._advance(population, dt)
+        return solved.state, solved.app, solved.db
+
+    def _advance(self, population: int, dt: float) -> _Solved:
+        """:meth:`step`, served from the memo when its key was one of the
+        last two solved."""
         app_live = self._live(self.app_nodes())
         db_live = self._live(self.db_nodes())
         n = float(max(population, 0))
@@ -496,17 +548,15 @@ class FluidEngine:
             # Nothing can serve: the level only grows with new arrivals
             # (bounded by the population); nothing completes.
             self.level = min(self.level + dt * n / self.cal.think_time_mean_s, n)
-            self._last_x = None
-            return self._empty_state(population, len(app_live), len(db_live)), None, None
+            return self._empty(population, len(app_live), len(db_live))
         if n <= 0.0 and self.level <= 0.0:
-            self._last_x = None
-            return self._empty_state(population, len(app_live), len(db_live)), None, None
+            return self._empty(population, len(app_live), len(db_live))
         net = self._network_delay()
         key = self._step_key(population, dt, app_live, db_live, net)
         hit = self._recall(key)
         if hit is not None:
-            state, app, db, self.level, self._last_x = hit
-            return state, app, db
+            self.level, self._last_x = hit.level, hit.x
+            return hit
         app, db = self._tiers(app_live, db_live)
         stations = self._stations()
         Z = self.cal.think_time_mean_s
@@ -567,8 +617,9 @@ class FluidEngine:
             app_nodes=len(app_live),
             db_nodes=len(db_live),
         )
-        self._memo = (key, (state, app, db, level, x))
-        return state, app, db
+        solved = _Solved(key, state, app, db, level, x)
+        self._memo = (solved, *self._memo[:1])
+        return solved
 
     def seed_equilibrium(self, population: int) -> None:
         """Initialize the in-flight level at the closed-loop equilibrium
@@ -588,43 +639,57 @@ class FluidEngine:
                 return
 
     # ------------------------------------------------------------------
-    def _inject_node(self, node: Node, util: float, conc: float, dt: float) -> None:
-        """One CPU job whose busy time over the tick equals ``util*dt``.
+    def _plan(self, solved: _Solved, dt: float) -> tuple:
+        """The tick's CPU jobs for ``solved``: one ``(node, demand,
+        weight)`` per loaded station, app tier, DB tier, then balancers.
 
-        At or below the CPU's knee the capacity model is 1.0 and the
-        multiplication by it is skipped (``x * 1.0 == x``).  The job goes
-        through :attr:`Node.submit`: the CPU's own ``submit`` on a healthy
-        node, :meth:`Node.run_job`'s refusals otherwise."""
-        u = min(float(util), 1.0)
-        if u <= 0.0:
-            return
-        weight = max(1, min(int(round(conc)), _MAX_WEIGHT))
-        cpu = node.cpu
-        demand = u * dt * (cpu.speed * cpu.degradation)
-        if weight > cpu._knee:
-            demand *= cpu.capacity_model(weight)
-        if demand <= 0.0:
-            return
-        try:
-            node.submit(demand, weight)
-        except NodeDown:
-            return
-
-    def tick(self, population: int, dt: float) -> FluidState:
-        """Advance the flow by one tick: solve, inject CPU, record metrics."""
-        state, app, db = self.step(population, dt)
-        for tier in (app, db):
-            if tier is None:
-                continue
-            for node, r, c in zip(tier.nodes, tier.rho, tier.conc):
-                self._inject_node(node, r, c, dt)
-        X = state.throughput_rps
+        Each job's busy time over the tick equals ``util * dt``.  At or
+        below the CPU's knee the capacity model is 1.0 and the
+        multiplication by it is skipped (``x * 1.0 == x``).  Every value
+        read here is in the step's key or its solved result, so a memo
+        hit replays the plan as built."""
+        loads = []
+        for tier in (solved.app, solved.db):
+            loads.extend(zip(tier.nodes, tier.rho, tier.conc))
+        X = solved.x
         if X > 0.0:
             for node, dreq in self.balancers:
                 s = node.cpu.speed * node.cpu.degradation
                 if not node.up or node.isolated or s <= 0.0:
                     continue
-                self._inject_node(node, X * dreq / s, 1.0, dt)
+                loads.append((node, X * dreq / s, 1.0))
+        jobs = []
+        for node, util, conc in loads:
+            u = min(float(util), 1.0)
+            if u <= 0.0:
+                continue
+            weight = max(1, min(int(round(conc)), _MAX_WEIGHT))
+            cpu = node.cpu
+            demand = u * dt * (cpu.speed * cpu.degradation)
+            if weight > cpu._knee:
+                demand *= cpu.capacity_model(weight)
+            if demand <= 0.0:
+                continue
+            jobs.append((node, demand, weight))
+        return tuple(jobs)
+
+    def tick(self, population: int, dt: float) -> FluidState:
+        """Advance the flow by one tick: solve (or recall), inject CPU,
+        record metrics.
+
+        The jobs go through :attr:`Node.submit`: the CPU's own ``submit``
+        on a healthy node, :meth:`Node.run_job`'s refusals otherwise."""
+        solved = self._advance(population, dt)
+        plan = solved.plan
+        if plan is None:
+            plan = solved.plan = self._plan(solved, dt)
+        for node, demand, weight in plan:
+            try:
+                node.submit(demand, weight)
+            except NodeDown:
+                pass
+        state = solved.state
+        X = state.throughput_rps
         self._carry += X * dt
         whole = int(self._carry)
         if whole > 0:

@@ -576,18 +576,20 @@ def composed_chaos_market_config():
 
 class TestExactIncrementalTick:
     @pytest.mark.parametrize(
-        "make_config",
+        "make_config, min_hits",
         [
-            lambda: fluid_ramp_config(scale=0.15),
-            lambda: fluid_ramp_config(scale=0.25, threshold=300),
-            composed_chaos_market_config,
+            (lambda: fluid_ramp_config(scale=0.15), 1),
+            (lambda: fluid_ramp_config(scale=0.25, threshold=300), 1),
+            (composed_chaos_market_config, 1),
+            # the benchmark's ramp: its level cycles between two steps
+            (lambda: fluid_ramp_config(scale=2.0), 5000),
         ],
-        ids=["fluid", "hybrid-300", "chaos-market"],
+        ids=["fluid", "hybrid-300", "chaos-market", "ramp-scale-2"],
     )
-    def test_memo_on_equals_memo_off(self, make_config, monkeypatch):
+    def test_memo_on_equals_memo_off(self, make_config, min_hits, monkeypatch):
         out_on, states_on, hits_on = run_ticks(make_config(), monkeypatch, True)
         out_off, states_off, hits_off = run_ticks(make_config(), monkeypatch, False)
-        assert hits_on > 0 and hits_off == 0
+        assert hits_on >= min_hits and hits_off == 0
         assert states_on == states_off
         assert out_on == out_off
 
@@ -611,6 +613,64 @@ class TestExactIncrementalTick:
             lan=lan,
         )
 
+    @staticmethod
+    def five_nodes():
+        from repro.cluster.node import Node
+        from repro.simulation.kernel import SimKernel
+
+        kernel = SimKernel()
+        curve = ThrashingCurve(knee=40, slope=0.05, floor=0.05)
+        return [Node(kernel, f"n{i}", capacity_model=curve) for i in range(5)], Lan()
+
+    @staticmethod
+    def count_solves(engine):
+        """Count ``engine``'s solved steps (each builds its tiers once)."""
+        solves = []
+        tiers = engine._tiers
+
+        def counting(*args):
+            solves.append(None)
+            return tiers(*args)
+
+        engine._tiers = counting
+        return solves
+
+    @staticmethod
+    def assert_same_step(engine, got, ref_engine, ref):
+        """Two engines and their ``step`` results, equal bit for bit."""
+        assert got[0] == ref[0]
+        assert bits([engine.level, engine._last_x]) == bits(
+            [ref_engine.level, ref_engine._last_x]
+        )
+        for tier, other in zip(got[1:], ref[1:]):
+            assert tier.nodes == other.nodes
+            assert bits(tier.rho + tier.conc + tier.se) == bits(
+                other.rho + other.conc + other.se
+            )
+
+    #: population at which the five-node engine's level settles into a
+    #: float 2-cycle (A -> B -> A) rather than a fixed point, by step 14
+    CYCLE_POPULATION = 75
+
+    def test_two_cycle_is_served_from_the_memo(self):
+        nodes, lan = self.five_nodes()
+        engine = self.engine_on(nodes, lan)
+        memo_off = self.engine_on(nodes, lan)
+        memo_off._recall = lambda key: None
+        solves = self.count_solves(engine)
+        levels = []
+        for i in range(40):
+            before = len(solves)
+            got = engine.step(self.CYCLE_POPULATION, 1.0)
+            ref = memo_off.step(self.CYCLE_POPULATION, 1.0)
+            self.assert_same_step(engine, got, memo_off, ref)
+            levels.append(engine.level)
+            if i >= 14:
+                assert len(solves) == before, f"step {i} solved"
+        # A true 2-cycle: each level repeats two steps later, not one.
+        assert levels[-1] == levels[-3] != levels[-2] == levels[-4]
+        assert len(solves) == 14
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -627,35 +687,27 @@ class TestExactIncrementalTick:
         ],
     )
     def test_changed_input_recomputes(self, mutate):
-        from repro.cluster.node import Node
-        from repro.simulation.kernel import SimKernel
-
-        kernel = SimKernel()
-        curve = ThrashingCurve(knee=40, slope=0.05, floor=0.05)
-        nodes = [Node(kernel, f"n{i}", capacity_model=curve) for i in range(5)]
-        lan = Lan()
+        nodes, lan = self.five_nodes()
         engine = self.engine_on(nodes, lan)
+        solves = self.count_solves(engine)
+        population = self.CYCLE_POPULATION
         for _ in range(500):
-            before = engine._memo
-            state, app, db = engine.step(400, 1.0)
-            if before is not None and engine._memo is before:
+            before = len(solves)
+            state, _, _ = engine.step(population, 1.0)
+            if len(solves) == before:
                 break  # equal inputs: served from the memo
         else:
-            pytest.fail("level never reached a float fixed point")
+            pytest.fail("level never settled into a memoized cycle")
+        engine.step(population, 1.0)
+        assert len(solves) == before and len(engine._memo) == 2
         mutate(engine, nodes, lan)
-        level, last_x = engine.level, engine._last_x
         fresh = self.engine_on(nodes, lan)
-        fresh.level, fresh._last_x = level, last_x
-        expected, exp_app, exp_db = fresh.step(400, 1.0)
-        got, got_app, got_db = engine.step(400, 1.0)
-        assert got_app is not app and engine._memo is not before
-        assert got == expected != state
-        assert (engine.level, engine._last_x) == (fresh.level, fresh._last_x)
-        for tier, ref in ((got_app, exp_app), (got_db, exp_db)):
-            assert tier.nodes == ref.nodes
-            assert bits(tier.rho + tier.conc + tier.se) == bits(
-                ref.rho + ref.conc + ref.se
-            )
+        fresh.level, fresh._last_x = engine.level, engine._last_x
+        expected = fresh.step(population, 1.0)
+        got = engine.step(population, 1.0)
+        assert len(solves) == before + 1
+        assert got[0] != state
+        self.assert_same_step(engine, got, fresh, expected)
 
 
 # ----------------------------------------------------------------------

@@ -26,8 +26,8 @@ from tests.conftest import collector_digest
 #: tombstones skipped)
 LOCK = {
     "slo": (
-        "f639749ad75510ad2871f0ea21eed9fd2b134fab4830073a51681bf88ab3360f",
-        412339, 300874, 1,
+        "09aa1a2f8181f33aebb3abd28baf09c0c53fa7f71571550d2fff5e7be8c501c7",
+        440436, 318998, 1,
     ),
     "managed-recovery": (
         "95ceb6a420a097b06f63060275701887b776b34d542a91317afebe0cfd33d479",
@@ -72,6 +72,16 @@ def test_slo_run_is_locked():
     system.run()
     assert system.db_tier.grows_completed >= 1
     assert locked(system) == LOCK["slo"]
+
+
+def test_slo_loop_grows_the_bottleneck_tier_first():
+    """The actuator looks at every tier's nodes when the loop starts, so
+    its first grow compares their CPU since then and picks the database,
+    not the first tier listed."""
+    system = ManagedSystem(slo_config())
+    system.run()
+    grows = [what for _, what in system.collector.reconfigurations if "grow:" in what]
+    assert grows[0].startswith("[database] ")
 
 
 def test_paused_slo_run_resumes_to_the_same_digest():

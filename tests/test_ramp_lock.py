@@ -11,7 +11,9 @@ legacy hop chain that moves one event moves one of these.
 The fluid ramp is pinned at the benchmark's own size (the trapezoid at
 twice the paper's durations, seed 1; about half a second): it bypasses
 the request path, so its digest moves with the probes, the node
-sampler, the policy loop and the fluid tick instead.
+sampler, the policy loop and the fluid tick instead.  The same ramp,
+pickled while the fluid level cycles between two memoized steps, resumes
+to the same digest.
 
 The federation's evacuation is pinned at a tenth of the paper's
 durations (seed 1, two regions, run serially): each region's collector
@@ -20,6 +22,8 @@ and the spill to the survivor.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -102,14 +106,18 @@ def test_ramp_run_is_locked(seed, managed):
     assert observed == LOCK[seed, managed]
 
 
-def test_fluid_ramp_is_locked():
+def fluid_ramp() -> ManagedSystem:
     scale = 2.0
     profile = RampProfile(
         warmup_s=300.0 * scale,
         step_period_s=60.0 * scale,
         cooldown_s=300.0 * scale,
     )
-    system = ManagedSystem(ExperimentConfig(profile=profile, seed=1, fluid=True))
+    return ManagedSystem(ExperimentConfig(profile=profile, seed=1, fluid=True))
+
+
+def test_fluid_ramp_is_locked():
+    system = fluid_ramp()
     collector = system.run()
     kernel = system.kernel
     probes = system._tier_probes
@@ -122,6 +130,30 @@ def test_fluid_ramp_is_locked():
         probes["db"].samples_taken,
     )
     assert observed == FLUID_LOCK
+
+
+def test_paused_fluid_ramp_resumes_to_the_same_digest():
+    """Pickled while the fluid level cycles between two memoized steps
+    (each slot's result is the other's input level, and both hold their
+    tick's injection plan), the ramp resumes to the locked digest."""
+    paused = fluid_ramp()
+    horizon = paused.start_all()
+    engine = paused.emulator.engine
+    until = horizon / 2 + 0.5
+    while True:
+        assert until < horizon, "the level never cycled between two slots"
+        paused.advance(until)
+        memo = engine._memo
+        if (
+            len(memo) == 2
+            and all(solved.plan for solved in memo)
+            and memo[0].level == memo[1].key[2] != memo[1].level == memo[0].key[2]
+            and engine.level in (memo[0].level, memo[1].level)
+        ):
+            break
+        until += 1.0
+    clone = pickle.loads(pickle.dumps(paused))
+    assert collector_digest(clone.finish()) == FLUID_LOCK[0]
 
 
 def test_federation_evacuation_is_locked(monkeypatch):
