@@ -168,8 +168,12 @@ class Node:
         return min(self.memory_mb, self._static_mb + dynamic)
 
     def memory_utilization(self) -> float:
-        """Memory used as a fraction of total node memory."""
-        return self.memory_used_mb() / self.memory_mb
+        """Memory used as a fraction of total node memory:
+        :meth:`memory_used_mb`'s operations in the same order, in one
+        frame (the node sampler reads it every second)."""
+        memory_mb = self.memory_mb
+        dynamic = self.per_job_mb * self.cpu._live
+        return min(memory_mb, self._static_mb + dynamic) / memory_mb
 
     @property
     def footprints(self) -> dict[str, float]:

@@ -174,7 +174,9 @@ class BindingController(Controller):
     (``backends-0``, ``backends-1``...).  Binding a *static* interface while
     the component is started raises — the paper's wrappers stop Apache before
     rebinding it; interfaces created with ``dynamic=True`` (C-JDBC backends)
-    may be rebound live.
+    may be rebound live.  ``bind`` and ``unbind`` are the only writers
+    of a singleton client's :attr:`~repro.fractal.interfaces.Interface.target`,
+    and each write drops the operations that interface had resolved.
     """
 
     def __init__(self, component: "Component") -> None:

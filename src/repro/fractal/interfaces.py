@@ -17,7 +17,7 @@ an instance of a type on a particular component.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.fractal.errors import IllegalBindingError
 
@@ -91,9 +91,15 @@ class Interface:
     Server interfaces dispatch :meth:`invoke` calls to a *delegate* (by
     default the component's content object).  Client interfaces forward
     :meth:`invoke` to the server interface they are bound to.
+
+    A bound singleton client resolves an operation once, to the callable
+    its server interface lands on, and keeps that resolution until its
+    :attr:`target` changes: the binding controller's ``bind`` and
+    ``unbind`` are the only writers of ``target``, and each write drops
+    every resolution, so a rebind takes effect at the next call.
     """
 
-    __slots__ = ("component", "itype", "name", "delegate", "target")
+    __slots__ = ("component", "itype", "name", "delegate", "_target", "_resolved")
 
     def __init__(
         self,
@@ -107,32 +113,53 @@ class Interface:
         # Collection-interface instances get suffixed names (``backends-3``).
         self.name = name if name is not None else itype.name
         self.delegate = delegate
-        self.target: Optional["Interface"] = None  # for singleton clients
+        self._target: Optional["Interface"] = None  # for singleton clients
+        #: operation name -> the callable a call through ``_target`` lands on
+        self._resolved: dict[str, Callable[..., Any]] = {}
+
+    @property
+    def target(self) -> Optional["Interface"]:
+        """The server interface a singleton client is bound to, or None."""
+        return self._target
+
+    @target.setter
+    def target(self, server: Optional["Interface"]) -> None:
+        self._target = server
+        self._resolved = {}
 
     @property
     def qualified_name(self) -> str:
         return f"{self.component.name}.{self.name}"
 
-    def invoke(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Call ``method`` through this interface.
+    def resolve(self, method: str) -> Callable[..., Any]:
+        """The callable a call of ``method`` through this interface lands
+        on.
 
-        On a server interface the call lands on the delegate.  On a bound
-        client interface the call is forwarded to the target server
-        interface; calling through an unbound client raises
+        On a server interface that is the delegate's ``method``.  On a
+        bound client interface it is its target's resolution, kept until
+        the binding changes; resolving through an unbound client raises
         :class:`IllegalBindingError` — exactly the error a legacy system
         would surface as a connection failure.
         """
+        fn = self._resolved.get(method)  # only bound clients fill it
+        if fn is not None:
+            return fn
         if self.itype.role == SERVER:
             if self.delegate is None:
                 raise IllegalBindingError(
                     f"server interface {self.qualified_name} has no delegate"
                 )
-            return getattr(self.delegate, method)(*args, **kwargs)
-        if self.target is None:
+            return getattr(self.delegate, method)
+        if self._target is None:
             raise IllegalBindingError(
                 f"client interface {self.qualified_name} is not bound"
             )
-        return self.target.invoke(method, *args, **kwargs)
+        fn = self._resolved[method] = self._target.resolve(method)
+        return fn
+
+    def invoke(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        """Call ``method`` through this interface (see :meth:`resolve`)."""
+        return self.resolve(method)(*args, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bound = ""

@@ -29,7 +29,7 @@ from repro.fractal.introspection import iter_components
 from repro.jade.actuators import BottleneckActuator, TierManager
 from repro.jade.reactors import PolicyReactor
 from repro.jade.self_recovery import RepairReactor, all_servers, member_servers
-from repro.jade.sensors import CpuProbe, CpuReading, HeartbeatSensor, LatencySensor
+from repro.jade.sensors import CpuProbe, HeartbeatSensor, LatencySensor
 from repro.policy.api import PolicyConfig
 from repro.simulation.kernel import SimKernel
 
@@ -86,8 +86,9 @@ class _SensorShell:
 
     The interface object and the life-cycle controller are held from
     :meth:`attached` (a component's interfaces and membrane never change);
-    the interface reads its binding's target on every call, so a rebind
-    takes effect at the next report."""
+    each report calls the interface's resolution of ``operation``, which
+    the interface keeps until its binding changes, so a rebind takes
+    effect at the next report."""
 
     def __init__(self, probe, operation: str = "on_reading") -> None:
         self.probe = probe
@@ -109,39 +110,38 @@ class _SensorShell:
     def _push(self, *report) -> None:
         if not self._lifecycle.is_started():
             return
-        self._notify.invoke(self.operation, *report)
+        self._notify.resolve(self.operation)(*report)
 
 
 class _ReactorShell:
-    """Content of a reactor component: receives readings on its ``readings``
-    server interface and delegates decisions to the policy reactor.  The
-    shell is the reactor's tier: the reactor actuates *through* the
-    component's ``actuate`` binding rather than by direct reference, so
-    the management operations really traverse the component architecture
-    (and are observable/rebindable like any other binding).  The
-    ``actuate`` interface object is held; it reads its binding's target on
-    every call, so a rebind takes effect at the next actuation."""
+    """Content of a reactor component: its ``readings`` server interface
+    lands on the policy reactor's own ``on_reading`` (no shell frame sits
+    between sensor and reactor).  The shell is the reactor's tier: the
+    reactor actuates *through* the component's ``actuate`` binding rather
+    than by direct reference, so the management operations really
+    traverse the component architecture (and are observable/rebindable
+    like any other binding).  The ``actuate`` interface object is held;
+    each actuation calls its resolution of the operation, kept until the
+    binding changes, so a rebind takes effect at the next actuation."""
 
     def __init__(self, reactor: PolicyReactor) -> None:
         self.reactor = reactor
+        self.on_reading = reactor.on_reading
         self._actuate = None
 
     def attached(self, component: Component) -> None:
         self._actuate = component.get_interface("actuate")
         self.reactor.tier = self
 
-    def on_reading(self, reading: CpuReading) -> None:
-        self.reactor.on_reading(reading)
-
     def grow(self) -> bool:
-        return self._actuate.invoke("grow")
+        return self._actuate.resolve("grow")()
 
     def shrink(self) -> bool:
-        return self._actuate.invoke("shrink")
+        return self._actuate.resolve("shrink")()
 
     @property
     def replica_count(self) -> int:
-        return self._actuate.invoke("replica_count")
+        return self._actuate.resolve("replica_count")()
 
 
 class _ActuatorShell:

@@ -28,7 +28,12 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.cluster.node import Node
-from repro.metrics.aggregates import MovingAverage, left_sum, spatial_average
+from repro.metrics.aggregates import (
+    PAIRWISE_BLOCK,
+    MovingAverage,
+    left_sum,
+    spatial_average,
+)
 from repro.simulation.kernel import PeriodicTask, SimKernel
 
 
@@ -109,11 +114,11 @@ class CpuProbe:
         self.samples_taken = 0
         #: optional decision tracer (set by the assembled system)
         self.tracer = None
-        self._listeners: list[ReadingListener] = []
+        self._listeners: tuple[ReadingListener, ...] = ()
         self._task: Optional[PeriodicTask] = None
 
     def subscribe(self, listener: ReadingListener) -> None:
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     # -- lifecycle hooks (driven by the sensor component wrapper) ----------
     def on_start(self, component=None) -> None:
@@ -137,13 +142,22 @@ class CpuProbe:
             for node in nodes:
                 node.submit(demand)
         sample = self.sampler.sample
-        raw = spatial_average([sample(n) for n in nodes])
+        count = len(nodes)
+        if 0 < count < PAIRWISE_BLOCK:
+            # spatial_average's own order below the block, in one pass:
+            # left to right from 0.0, then divided by the count
+            raw = 0.0
+            for node in nodes:
+                raw += sample(node)
+            raw /= count
+        else:
+            raw = spatial_average([sample(n) for n in nodes])
         self.samples_taken += 1
         if raw != raw:  # NaN: empty tier
             return
         now = self.kernel._now
         smoothed = self.window.add(now, raw)
-        reading = CpuReading(now, smoothed, raw, len(nodes))
+        reading = CpuReading(now, smoothed, raw, count)
         if self.tracer is not None:
             from repro.obs.events import ProbeReading
 
@@ -153,10 +167,10 @@ class CpuProbe:
                     probe=self.name,
                     smoothed=smoothed,
                     raw=raw,
-                    nodes=len(nodes),
+                    nodes=count,
                 )
             )
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(reading)
 
 
@@ -187,7 +201,7 @@ class HeartbeatSensor:
         self.servers_provider = servers_provider
         self.members_provider = members_provider or servers_provider
         self.period_s = period_s
-        self._listeners: list[FailureListener] = []
+        self._listeners: tuple[FailureListener, ...] = ()
         #: unhealthy servers already reported, keyed by the server itself
         #: (servers hash by identity) so a pickled copy keeps its keys
         self._reported: set[object] = set()
@@ -195,7 +209,7 @@ class HeartbeatSensor:
         self.failures_detected = 0
 
     def subscribe(self, listener: FailureListener) -> None:
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     def on_start(self, component=None) -> None:
         if self._task is None:
@@ -219,7 +233,7 @@ class HeartbeatSensor:
             elif server not in self._reported:
                 self._reported.add(server)
                 self.failures_detected += 1
-                for listener in list(self._listeners):
+                for listener in self._listeners:
                     listener(server)
 
 
@@ -255,11 +269,11 @@ class LatencySensor:
         self.window = MovingAverage(window_s)
         self.period_s = period_s
         self._cursor = 0
-        self._listeners: list[Callable[[LatencyReading], None]] = []
+        self._listeners: tuple[Callable[[LatencyReading], None], ...] = ()
         self._task: Optional[PeriodicTask] = None
 
     def subscribe(self, listener: Callable[[LatencyReading], None]) -> None:
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     def on_start(self, component=None) -> None:
         if self._task is None:
@@ -282,5 +296,5 @@ class LatencySensor:
             return
         raw = left_sum(new) / len(new) if new else smoothed
         reading = LatencyReading(self.kernel.now, smoothed, raw, len(new))
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(reading)

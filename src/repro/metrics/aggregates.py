@@ -85,7 +85,7 @@ def left_sum(values: Iterable[float]) -> float:
 #: below this many values numpy's pairwise ``add.reduce`` is a plain
 #: left-to-right loop from ``0.0``; from it on, it unrolls eight partial
 #: sums
-_PAIRWISE_BLOCK = 8
+PAIRWISE_BLOCK = 8
 
 
 def spatial_average(values: Iterable[float]) -> float:
@@ -93,7 +93,7 @@ def spatial_average(values: Iterable[float]) -> float:
 
     Bit-identical to ``float(arr.mean())``: for float64 that is numpy's
     pairwise ``add.reduce`` divided by the count.  A tier has a handful
-    of nodes, and below ``_PAIRWISE_BLOCK`` values numpy adds them left
+    of nodes, and below ``PAIRWISE_BLOCK`` values numpy adds them left
     to right from ``0.0``, which :func:`left_sum` repeats without
     building an array (a probe samples every second); from eight values
     on this calls ``add.reduce`` itself."""
@@ -101,7 +101,7 @@ def spatial_average(values: Iterable[float]) -> float:
     n = len(values)
     if n == 0:
         return float("nan")
-    if n < _PAIRWISE_BLOCK:
+    if n < PAIRWISE_BLOCK:
         return left_sum(values) / n
     return float(np.add.reduce(np.asarray(values, dtype=np.float64))) / n
 

@@ -15,6 +15,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# ``numpy.random`` loads lazily on first attribute access; importing it
+# here loads it with this module, before any run (a forked federation
+# region worker would otherwise import it inside its timed run).
+import numpy.random  # noqa: F401
 
 
 def _name_words(name: str) -> list[int]:

@@ -32,7 +32,7 @@ the node's capacity model, so the DB thrashing regime of Fig. 8 bends
 :class:`~repro.simulation.resources.ThrashingCurve` does.  Substituting
 Little's law turns the implicit step into a single scalar root-find in
 ``X`` (``Phi(X) = X*R_net(X)*(1 + dt/Z) + dt*X - (L + dt*N/Z)``, strictly
-increasing), solved with the Illinois method warm-started from the
+increasing), solved by regula falsi on a bracket warm-started from the
 previous tick.  Carrying ``L`` across ticks is what reproduces the
 *backlog transients* of the paper's ramp: when a tier is under-provisioned
 the level grows at the capacity deficit, and after a replica is added the
@@ -47,9 +47,17 @@ The per-replica flow state is held in plain scalar lists rather than
 numpy arrays: tiers are a handful of replicas, and at that size the
 interpreter loop is ~10x faster per tick than numpy's per-call dispatch
 overhead (measured).  The per-tick solve budget is what bounds the
-1M-user wall clock: on the scale-2 Fig. 9 ramp a solve costs ~31 residual
+1M-user wall clock: on the scale-2 Fig. 9 ramp a solve costs ~32 residual
 (``Phi``) evaluations, each running the capacity fixed point of both
-tiers, and the step memo below leaves ~4.9 per tick on average.
+tiers, and the step memo below leaves ~5 per tick on average.  The
+solve's cost is its halving rule: every step halves the residual kept
+at the bracket end that did not move, so the iterates alternate sides,
+the bracket roughly halves per step, and the solve runs at bisection's
+rate down to its ``1e-10`` relative width (30,117 evaluations over 945
+solves of the seed-1 ramp).  The Illinois rule halves that value only
+when the same end is kept twice in a row; it takes ~10 evaluations per
+solve (17,545 over 1,708 solves) but moves every fluid output, so it
+waits for a named digest move (ROADMAP item 12).
 
 Incremental tick
 ----------------
@@ -585,8 +593,11 @@ class FluidEngine:
                 f_hi = phi(hi)
         else:
             f_hi = phi(hi)
-        # Illinois method: superlinear on smooth monotone Phi, never
-        # leaves the bracket.
+        # Regula falsi that halves the residual kept at the unmoved end
+        # on every step (not only when the same end is kept twice in a
+        # row, as the Illinois rule does): the iterates alternate sides
+        # and the bracket roughly halves per step.  Never leaves the
+        # bracket.
         x = hi
         for _ in range(_MAX_ROOT_ITERS):
             if hi - lo <= _X_TOL * max(hi, 1.0):

@@ -61,13 +61,15 @@ def test_federation_coordinator_leaves_unused_stacks_unloaded():
     "workload", ["ramp-discrete", "ramp-fluid", "static-thrash", "federation-evac"]
 )
 def test_canonical_run_imports_nothing_after_build(workload):
-    """No ``repro`` module, and not ``numpy.ma`` (``np.percentile``'s
-    first call imports it, ~10 ms inside each forked region worker),
-    loads once the system is built."""
+    """No ``repro`` module, and neither ``numpy.ma`` (``np.percentile``'s
+    first call imports it) nor ``numpy.random`` (numpy loads it on first
+    use), ~10 ms each inside every forked region worker, loads once the
+    system is built."""
     code = (
         "import sys\n"
         "def watched():\n"
-        "    return {m for m in sys.modules if m.startswith('repro') or m == 'numpy.ma'}\n"
+        "    return {m for m in sys.modules\n"
+        "            if m.startswith('repro') or m in ('numpy.ma', 'numpy.random')}\n"
         "from benchmarks.e2e.workloads import WORKLOADS\n"
         f"w = WORKLOADS[{workload!r}]\n"
         "if w.federated:\n"

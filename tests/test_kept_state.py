@@ -3,10 +3,11 @@
 The per-second probes, node sampler and fluid engine read state that is
 rebuilt only at the events that change it: a tier's serving nodes
 (``TierManager.active_nodes``), the metrics sampler's involved nodes, a
-node's static memory footprint and a control loop's Fractal interfaces.
-These tests compare each kept value with a fresh computation wherever
-the inputs move: replica grows (a database one through SYNCING),
-shrinks, crash repairs and planned bounces.
+node's static memory footprint and a control loop's Fractal interfaces,
+whose client side keeps each operation it resolved until its binding
+changes.  These tests compare each kept value with a fresh computation
+wherever the inputs move: replica grows (a database one through
+SYNCING), shrinks, crash repairs, planned bounces and rebinds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from repro.chaos.campaign import ChaosCampaign, campaign_config
 from repro.cluster.node import Node, make_nodes
 from repro.deploy.scenario import PRESETS, deploy_config, with_strategy
 from repro.fractal.component import Component
+from repro.fractal.controllers import LifecycleState
+from repro.fractal.errors import IllegalBindingError, IllegalLifecycleError
 from repro.fractal.interfaces import SERVER, InterfaceType
 from repro.jade.system import ExperimentConfig, ManagedSystem
 from repro.legacy.cjdbc import BackendState
@@ -273,6 +276,97 @@ class TestRebindMidRun:
         assert tier.calls == []
 
 
+@pytest.fixture
+def fluid_system() -> ManagedSystem:
+    """A started managed system under a constant overload on the fluid
+    engine: the database loop grows at t=30 s and again at t=90 s."""
+    config = ExperimentConfig(profile=ConstantProfile(600, 600.0), seed=3, fluid=True)
+    system = ManagedSystem(config)
+    system.start_all()
+    return system
+
+
+def loop_part(system: ManagedSystem, label: str, part: str) -> Component:
+    """The ``part`` (sensor, reactor, actuator) of a deployed CPU loop."""
+    composite = system.optimizer.loops[label].composite
+    (component,) = [
+        c
+        for c in composite.content_controller.sub_components()
+        if c.name == f"resize-{label}-{part}"
+    ]
+    return component
+
+
+class TestResolutionInManagedSystem:
+    """A client interface keeps each operation it resolved until its
+    binding changes: after a rebind or unbind in a running system, the
+    next call goes where the binding now points.  Every operation used
+    below has been resolved before the binding changes."""
+
+    def test_notify_rebind_reaches_second_reactor(self, fluid_system):
+        system = fluid_system
+        system.advance(10.0)
+        reactor = system.optimizer.loops["app"].reactor
+        seen = reactor._samples_seen
+        assert seen == 10
+        sensor = loop_part(system, "app", "sensor")
+        second, content = recorder_component("second", "readings", "readings")
+        sensor.stop()
+        sensor.unbind("notify")
+        sensor.bind("notify", second.get_interface("readings"))
+        sensor.start()
+        system.advance(12.0)
+        assert content.calls == ["reading", "reading"]
+        assert reactor._samples_seen == seen
+
+    def test_actuate_rebind_takes_the_next_grow(self, fluid_system):
+        system = fluid_system
+        system.advance(40.0)
+        assert system.db_tier.grows_completed == 1  # at t=30 s
+        reactor = loop_part(system, "db", "reactor")
+        second, content = recorder_component("second", "resize", "resize")
+        reactor.stop()
+        reactor.unbind("actuate")
+        reactor.bind("actuate", second.get_interface("resize"))
+        reactor.start()
+        system.advance(100.0)
+        assert "grow" in content.calls
+        assert system.db_tier.replica_count == 2
+        assert system.db_tier.grows_completed == 1
+
+    def test_unbound_notify_raises_at_the_next_push(self, fluid_system):
+        system = fluid_system
+        system.advance(10.0)
+        sensor = loop_part(system, "app", "sensor")
+        sensor.stop()
+        sensor.unbind("notify")
+        with pytest.raises(IllegalLifecycleError, match="'notify' is unbound"):
+            sensor.start()
+        # The life-cycle controller never starts a sensor whose mandatory
+        # notify is unbound; mark it started to see what a push does.
+        sensor.lifecycle_controller._state = LifecycleState.STARTED
+        sensor.content.probe.on_start()
+        with pytest.raises(
+            IllegalBindingError,
+            match="client interface resize-app-sensor.notify is not bound",
+        ):
+            system.advance(12.0)
+
+    def test_stopped_sensor_pushes_nothing(self, fluid_system):
+        system = fluid_system
+        system.advance(10.0)
+        reactor = system.optimizer.loops["app"].reactor
+        sensor = loop_part(system, "app", "sensor")
+        sensor.stop()
+        probe = sensor.content.probe
+        assert not probe.running
+        probe.on_start()  # the probe samples, the stopped component is silent
+        taken = probe.samples_taken
+        system.advance(15.0)
+        assert probe.samples_taken == taken + 5
+        assert reactor._samples_seen == 10
+
+
 class TestNodeFootprint:
     def test_memory_used_equals_recomputed_sum(self, kernel):
         node = Node(kernel, "n1", memory_mb=4096.0, base_os_mb=96.0, per_job_mb=1.5)
@@ -288,5 +382,10 @@ class TestNodeFootprint:
                 node.register_footprint(name, mb)
             expected = node.base_os_mb + left_sum(node.footprints.values())
             assert node.memory_used_mb() == expected
+            assert node.memory_utilization() == expected / node.memory_mb
         node.run_job(5.0)
         assert node.memory_used_mb() == expected + 1.5
+        assert node.memory_utilization() == (expected + 1.5) / node.memory_mb
+        for _ in range(3000):  # past the node's memory: capped at 1.0
+            node.run_job(5.0)
+        assert node.memory_utilization() == 1.0

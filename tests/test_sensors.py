@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.node import Node, make_nodes
 from repro.jade.sensors import (
@@ -10,6 +12,8 @@ from repro.jade.sensors import (
     HeartbeatSensor,
     UtilizationSampler,
 )
+from repro.metrics.aggregates import spatial_average
+from repro.simulation.kernel import SimKernel
 
 
 class TestUtilizationSampler:
@@ -135,6 +139,38 @@ class TestCpuProbe:
     def test_bad_period_rejected(self, kernel):
         with pytest.raises(ValueError):
             CpuProbe(kernel, lambda: [], window_s=10.0, period_s=0.0)
+
+
+class ScriptedSampler:
+    """Stands in for a probe's sampler: each node reads a given value."""
+
+    def __init__(self, values: dict) -> None:
+        self.values = values
+
+    def sample(self, node) -> float:
+        return self.values[node]
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_probe_raw_is_spatial_average_bit_for_bit(values):
+    """The probe's one-pass average (below eight nodes) is
+    ``spatial_average`` of the same per-node samples, to the last bit;
+    an empty tier reads NaN there and the probe reports nothing."""
+    kernel = SimKernel()
+    nodes = make_nodes(kernel, len(values))
+    probe = CpuProbe(kernel, lambda: nodes, window_s=10.0)
+    probe.sampler = ScriptedSampler(dict(zip(nodes, values)))
+    readings = []
+    probe.subscribe(readings.append)
+    probe._sample()
+    expected = spatial_average(values)
+    if values:
+        (reading,) = readings
+        assert reading.raw.hex() == expected.hex()
+        assert reading.node_count == len(values)
+    else:
+        assert readings == [] and expected != expected
 
 
 class FakeServer:
